@@ -1,12 +1,12 @@
 // Closed-loop throughput of the sharded CloudTalk service (ISSUE 10).
 //
 // Two phases:
-//  1. Identity: 64 generated queries are answered by the single
-//     CloudTalkServer and by a 4-shard ShardedServer on identically seeded
+//  1. Identity: 64 generated queries are answered by the one-shard
+//     CloudTalkServer and by a 4-shard CloudTalkServer on identically seeded
 //     twin clusters; every reply must be byte-identical (the D505 contract
 //     — the fuzzing version lives in `ctcheck --diff-shard`).
 //  2. Throughput: 8 closed-loop client threads issue queries against one
-//     4-shard ShardedServer (admission_slots = 8) over a 32-host fleet and
+//     4-shard CloudTalkServer (admission_slots = 8) over a 32-host fleet and
 //     the run reports qps plus p50/p99 answer latency read back from the
 //     M102 answer-seconds histogram.
 //
@@ -118,9 +118,9 @@ int IdentityPhase() {
   int mismatches = 0;
   Cluster oracle_cluster = MakeBenchCluster(/*seed=*/42);
   Cluster sharded_cluster = MakeBenchCluster(/*seed=*/42);
-  ShardedServer sharded(BenchShardConfig(&sharded_cluster), &sharded_cluster.directory(),
-                        &sharded_cluster.transport(),
-                        [&sharded_cluster] { return sharded_cluster.now(); });
+  CloudTalkServer sharded(BenchShardConfig(&sharded_cluster), &sharded_cluster.directory(),
+                          &sharded_cluster.transport(),
+                          [&sharded_cluster] { return sharded_cluster.now(); });
   for (int i = 0; i < kIdentityQueries; ++i) {
     const int lo = (i % 4) * (kHosts / 4);
     const std::string query = GenerateQuery(&oracle_cluster, static_cast<uint64_t>(i), lo,
@@ -155,14 +155,14 @@ double HistogramQuantile(const obs::Histogram& hist, double q) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_throughput.json";
 
-  std::printf("identity: %d queries, single server vs %d-shard ShardedServer...\n",
+  std::printf("identity: %d queries, one-shard vs %d-shard CloudTalkServer...\n",
               kIdentityQueries, kShards);
   const int mismatches = IdentityPhase();
   std::printf("identity: %d mismatch(es)\n", mismatches);
 
   Cluster cluster = MakeBenchCluster(/*seed=*/7);
-  ShardedServer sharded(BenchShardConfig(&cluster), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(BenchShardConfig(&cluster), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   // Warm every thread's path once, then zero the registry so the measured
   // window holds exactly the closed-loop queries.
   (void)sharded.Answer(GenerateQuery(&cluster, 999, 0, kHosts / 4 - 1));

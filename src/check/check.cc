@@ -94,10 +94,10 @@ const std::vector<InvariantInfo>& InvariantCatalog() {
        "byte-identical replies (checked differentially by ctcheck "
        "--diff-scope)"},
       {"D505", "shard",
-       "sharded-deployment identity: a ShardedServer over 1, 2, or 4 shards — "
-       "hierarchical probe aggregation, per-shard search slices merged by "
-       "(makespan, odometer rank), two-phase cross-shard reservations — "
-       "answers byte-identically to the single CloudTalkServer, for "
+       "sharded-deployment identity: CloudTalkServer built over 1, 2, or 4 "
+       "shards — hierarchical probe aggregation, per-shard search slices merged "
+       "by (makespan, odometer rank), two-phase cross-shard reservations — "
+       "answers byte-identically to the default one-shard server, for "
        "sequential queries and for disjoint queries admitted concurrently "
        "through the N-slot gate (checked differentially by ctcheck "
        "--diff-shard)"},

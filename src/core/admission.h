@@ -1,6 +1,4 @@
-// N-slot concurrent admission gate (ISSUE 9 landed the two-slot pilot;
-// ISSUE 10 generalizes it and shares it between the single CloudTalkServer
-// and the sharded front end).
+// N-slot concurrent admission gate.
 //
 // Up to `slots` queries evaluate concurrently when their reservation
 // footprints are disjoint; a pair whose candidate sets intersect — and at

@@ -74,7 +74,7 @@ struct ExhaustiveResult {
   // mixed-radix position of its choice vector, first variable most
   // significant. Rank weights depend only on the plan's kept-candidate
   // counts, so ranks are comparable across slices of the same plan: a
-  // sharded front end merges per-slice winners with the exact tie-break the
+  // sharded server merges per-slice winners with the exact tie-break the
   // engine uses internally — lowest makespan, then lowest rank.
   int64_t winner_rank = 0;
 };
@@ -100,7 +100,7 @@ struct ExhaustiveParams {
   // whose first-variable candidate index ≡ slice_index (mod slice_count),
   // counted over the plan's kept candidates. Slicing composes with the
   // worker striping above (workers stripe within the slice). The default
-  // (1, 0) is the whole space; a sharded front end runs one call per slice
+  // (1, 0) is the whole space; a sharded server runs one call per slice
   // and merges by (makespan, winner_rank), which is byte-identical to the
   // unsliced walk because O200 orbit clamping never constrains the first
   // variable and O500 incumbents only prune strictly worse bindings.

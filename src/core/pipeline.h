@@ -1,22 +1,19 @@
-// Shared Answer-path stages (ISSUE 10).
-//
-// The sharded front end (src/core/shard.h) must answer byte-identically to
-// the single CloudTalkServer — that is the D505 differential contract — so
-// every stage whose bytes could diverge lives here, written once and called
-// by both servers:
+// Answer-path stages of CloudTalkServer (src/core/server.h), each written so
+// its bytes do not depend on the shard count — the D505 differential
+// contract:
 //
 //   - GatherStatusOver: sampling (one RNG stream, drawn over the FULL
 //     variable set so the stream is independent of footprint pruning),
-//     address assembly, resolution, and the scatter-gather. The sharded
-//     server passes its ShardRouter as the transport, turning the one
-//     logical gather into per-shard batches without changing the bytes.
+//     address assembly, resolution, and the scatter-gather. The server
+//     passes its ShardRouter as the transport, turning the one logical
+//     gather into per-shard batches without changing the bytes.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the ISSUE 7 pre-search rejection, error string
 //     and all.
 //   - RunExhaustiveSliced: the exhaustive/packet search, fanned out over
 //     `slice_count` engine slices and merged by (makespan, winner_rank).
-//     The single server calls it with one slice; a sharded front end with
-//     one slice per shard. Results are byte-identical either way.
+//     The server runs one slice per shard; results are byte-identical at
+//     any slice count.
 #ifndef CLOUDTALK_SRC_CORE_PIPELINE_H_
 #define CLOUDTALK_SRC_CORE_PIPELINE_H_
 
@@ -42,7 +39,7 @@ namespace cloudtalk {
 // set, probes it over `transport`, and returns the status map. Applies the
 // footprint filter from `scope` (nullptr probes everything) and records the
 // `sample` and `probe` spans with one probe.host child per contacted
-// target, exactly as CloudTalkServer::GatherStatus always did.
+// target (M113 counting the skipped ones).
 StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
                                  ProbeTransport& transport, Rng& rng, std::mutex& rng_mutex,
                                  const lang::CompiledQuery& compiled,
@@ -73,7 +70,7 @@ bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& 
 // per `config.eval_threads`), and merges by (makespan, winner_rank). Walk
 // counters are summed across slices; plan-derived counters are taken once.
 // Emits the `bind` span with the search and per-pass attributes and counts
-// M105. slice_count = 1 is the single-server path, bit for bit.
+// M105. Every slice_count yields the slice_count = 1 result, bit for bit.
 Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
                                              const lang::Query& query,
                                              const lang::CompiledQuery& compiled,

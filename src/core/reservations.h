@@ -8,15 +8,15 @@
 // recommendation, behaviour degrades to random placement, exactly as the
 // paper notes.
 //
-// Two-phase reserve (ISSUE 10): a sharded deployment splits reservation
-// state across per-shard tables, so a binding that spans shards must either
-// hold on every shard or on none. The front end first `Prepare`s a
-// short-lived lease on each endpoint with its owning shard, and only once
-// every shard has answered does it `Commit` the leases into real holds (all
-// stamped with the same commit time, so the expiry matches a single-table
-// `Reserve`). A shard that never answers lets the lease deadline pass and
-// the endpoint frees itself — prepares can never wedge a host. `Abort`
-// releases a lease early when a sibling shard failed to prepare.
+// Two-phase reserve: the server splits reservation state across per-shard
+// tables (one table when it runs as a single shard), so a binding that
+// spans shards must either hold on every shard or on none. The server
+// first `Prepare`s a short-lived lease on each endpoint with its owning
+// shard, and only once every shard has answered does it `Commit` the leases
+// into real holds, all stamped with the same commit time. A shard that
+// never answers lets the lease deadline pass and the endpoint frees itself
+// — prepares can never wedge a host. `Abort` releases a lease early when a
+// sibling shard failed to prepare.
 #ifndef CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 #define CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 
@@ -62,16 +62,6 @@ class ReservationTable {
     return false;
   }
 
-  void Reserve(const std::string& address, Seconds now) {
-    if (hold_time_ <= 0) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    CT_LOCK_TRACE(ReservationLockId());
-    expiry_[address] = now + hold_time_;
-    MaybePruneLocked(now);
-  }
-
   int ActiveCount(Seconds now) const {
     std::lock_guard<std::mutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
@@ -98,11 +88,11 @@ class ReservationTable {
   }
 
   // Phase two: converts the lease into a regular hold expiring at
-  // `now + hold_time`, exactly as if `Reserve` had been called at `now`.
-  // Returns false when the lease had already expired (the two-phase
-  // exchange took longer than the lease allowed — the host is NOT held).
-  // A commit for a lease this table never issued (or already completed)
-  // fires I411: the front end's bookkeeping and the shard's disagree.
+  // `now + hold_time`. Returns whether a hold was recorded: false when the
+  // lease had already expired (the two-phase exchange took longer than the
+  // lease allowed) or holds are disabled (hold_time 0). A commit for a
+  // lease this table never issued (or already completed) fires I411: the
+  // front end's bookkeeping and the shard's disagree.
   bool Commit(uint64_t lease_id, Seconds now) {
     std::lock_guard<std::mutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
@@ -113,13 +103,13 @@ class ReservationTable {
     if (it == leases_.end()) {
       return false;
     }
-    const bool live = it->second.deadline > now;
-    if (live && hold_time_ > 0) {
+    const bool held = it->second.deadline > now && hold_time_ > 0;
+    if (held) {
       expiry_[it->second.address] = now + hold_time_;
       MaybePruneLocked(now);
     }
     leases_.erase(it);
-    return live;
+    return held;
   }
 
   // Releases a lease without reserving (a sibling shard failed to prepare,

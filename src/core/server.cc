@@ -56,6 +56,23 @@ std::unordered_map<std::string, std::string> ReverseMap(
   return map;
 }
 
+std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardMap& map,
+                                                     ProbeTransport* transport, Seconds hold) {
+  std::vector<std::unique_ptr<StatusShard>> shards;
+  for (int i = 0; i < map.shards(); ++i) {
+    shards.push_back(std::make_unique<StatusShard>(i, transport, hold));
+  }
+  return shards;
+}
+
+std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusShard>>& owned) {
+  std::vector<StatusShard*> raw;
+  for (const auto& shard : owned) {
+    raw.push_back(shard.get());
+  }
+  return raw;
+}
+
 }  // namespace
 
 #if defined(CLOUDTALK_INVARIANTS) && CLOUDTALK_INVARIANTS
@@ -65,25 +82,29 @@ LockId StatsLockId() {
   static const LockId id = LockRegistry::Instance().Register("server.stats");
   return id;
 }
-LockId RngLockId() {
-  static const LockId id = LockRegistry::Instance().Register("server.rng");
-  return id;
-}
 }  // namespace
 #endif
 
 CloudTalkServer::CloudTalkServer(ServerConfig config, const Directory* directory,
                                  ProbeTransport* transport, std::function<Seconds()> clock,
                                  CompletionEstimator* packet_estimator)
-    : config_(config),
+    : CloudTalkServer(ShardedConfig{std::move(config), /*shards=*/1}, directory, transport,
+                      std::move(clock), packet_estimator) {}
+
+CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* directory,
+                                 ProbeTransport* transport, std::function<Seconds()> clock,
+                                 CompletionEstimator* packet_estimator)
+    : config_(std::move(config.server)),
+      prepare_lease_(config.prepare_lease),
       directory_(directory),
-      transport_(transport),
       clock_(std::move(clock)),
       packet_estimator_(packet_estimator),
-      reservations_(config.reservation_hold),
-      rng_(config.seed),
-      admission_(config.admission_slots) {
-  check::SetViolationPolicy(config.invariant_policy);
+      map_(config.shards),
+      shards_(MakeShards(map_, transport, config_.reservation_hold)),
+      router_(&map_, RawShardPtrs(shards_)),
+      rng_(config_.seed),
+      admission_(config_.admission_slots) {
+  check::SetViolationPolicy(config_.invariant_policy);
 }
 
 Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
@@ -245,8 +266,11 @@ bool CloudTalkServer::CacheableEffects(const lang::ScopeEffects& effects) const 
     if (effects.reserves) {
       return false;  // A cold answer would mutate the reservation table.
     }
-    if (reservations_.ActiveCount(clock_()) > 0) {
-      return false;  // The binding depends on when reservations expire.
+    const Seconds now = clock_();
+    for (const auto& shard : shards_) {
+      if (shard->reservations().ActiveCount(now) > 0) {
+        return false;  // The binding depends on when reservations expire.
+      }
     }
   }
   return true;
@@ -261,21 +285,18 @@ void CloudTalkServer::InvalidateAnswerCache() {
   }
 }
 
-Result<QueryReply> CloudTalkServer::AnswerParsed(const lang::Query& query) {
-  obs::TraceContext trace("answer");
-  Result<QueryReply> reply = AnswerTraced(query, trace);
-  if (reply.ok()) {
-    reply.value().trace = trace.Finish();
-  }
-  return reply;
+StatusShard& CloudTalkServer::OwnerOf(const std::string& address) const {
+  const NodeId node = directory_->Resolve(address);
+  return *shards_[node == kInvalidNode ? 0 : map_.ShardOf(node)];
 }
 
-StatusByAddress CloudTalkServer::GatherStatus(const lang::CompiledQuery& compiled,
-                                              const lang::ScopeAnalysis* scope,
-                                              std::vector<lang::VarComm>* sampled_vars,
-                                              ProbeStats* stats, obs::TraceContext& trace) {
-  return GatherStatusOver(config_, *directory_, *transport_, rng_, rng_mutex_, compiled, scope,
-                          sampled_vars, stats, trace);
+bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now) const {
+  for (const auto& shard : shards_) {
+    if (shard->reservations().IsReserved(address, now)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
@@ -299,12 +320,19 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     trace.Close(scope_span);
   }
 
-  // Concurrent admission (src/core/admission.h): hold a slot for the rest
+  // The routing decision: the shards this query fans out to, and a slot in
+  // the concurrent admission gate (src/core/admission.h) held for the rest
   // of the evaluation. Queries with disjoint reservation footprints proceed
-  // in parallel; conflicting ones queue here. With reservations disabled
-  // every pair commutes, so the gate is bypassed entirely.
+  // in parallel; conflicting ones queue here, so the span's duration is the
+  // admission wait. With reservations disabled every pair commutes, so the
+  // gate is bypassed entirely.
+  const int route_span = trace.OpenFollowing("route");
+  trace.Attr(route_span, "shards", static_cast<int64_t>(num_shards()));
+  trace.Attr(route_span, "slots", static_cast<int64_t>(admission_.slots()));
   const uint64_t admission_ticket =
       config_.reservation_hold > 0 ? admission_.Admit(scope) : 0;
+  trace.Attr(route_span, "admitted", static_cast<int64_t>(admission_ticket != 0 ? 1 : 0));
+  trace.Close(route_span);
   struct AdmissionGuard {
     AdmissionGate* gate;
     uint64_t ticket;
@@ -319,13 +347,30 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   StatusByAddress status;
   std::vector<lang::VarComm> variables = compiled.value().variables();
   const lang::ScopeAnalysis* probe_scope = config_.scope_probe_pruning ? &scope : nullptr;
-  if (query.options.use_dynamic_load) {
-    status = GatherStatus(compiled.value(), probe_scope, &variables, &reply.probe_stats, trace);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    CT_LOCK_TRACE(StatsLockId());
-    total_stats_.Accumulate(reply.probe_stats);
-  } else {
-    status = SynthesizeStaticStatus(*directory_, variables, probe_scope, trace);
+  {
+    // Hierarchical aggregation: the gather stage scatter-gathers through the
+    // ShardRouter, which probes each owning shard separately and rolls the
+    // reports up. One aggregate.shard event per contacted shard.
+    const int aggregate_span = trace.OpenFollowing("aggregate");
+    if (query.options.use_dynamic_load) {
+      status = GatherStatusOver(config_, *directory_, router_, rng_, rng_mutex_, compiled.value(),
+                                probe_scope, &variables, &reply.probe_stats, trace);
+      for (const ShardRouter::Batch& batch : ShardRouter::LastBatches()) {
+        trace.Event("aggregate.shard", {{"shard", std::to_string(batch.shard)},
+                                        {"fanout", std::to_string(batch.fanout)},
+                                        {"replies", std::to_string(batch.replies)}});
+      }
+      trace.Attr(aggregate_span, "batches",
+                 static_cast<int64_t>(ShardRouter::LastBatches().size()));
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      CT_LOCK_TRACE(StatsLockId());
+      total_stats_.Accumulate(reply.probe_stats);
+    } else {
+      status = SynthesizeStaticStatus(*directory_, variables, probe_scope, trace);
+      trace.Attr(aggregate_span, "batches", static_cast<int64_t>(0));
+      trace.Attr(aggregate_span, "mode", "static");
+    }
+    trace.Close(aggregate_span);
   }
 
   // Admission bound check (ISSUE 7): sound completion-time intervals over
@@ -352,9 +397,12 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     if (packet_estimator_ == nullptr) {
       return Error{"query requests packet-level evaluation, but no packet estimator is wired"};
     }
+    // Search fan-out: engine slice s walks first-variable candidates
+    // ≡ s (mod shards); the merge keeps the lowest (makespan, winner_rank),
+    // which is the unsliced winner byte for byte.
     Result<ExhaustiveResult> best =
         RunExhaustiveSliced(config_, query, compiled.value(), status, *packet_estimator_,
-                            bound_fraction, /*slice_count=*/1, trace);
+                            bound_fraction, num_shards(), trace);
     if (!best.ok()) {
       return best.error();
     }
@@ -362,7 +410,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     reply.estimate = best.value().estimate;
     reply.used_exhaustive = true;
     reply.counters = best.value().counters;
-    // Exhaustive answers skip the reservation table, but the phase skeleton
+    // Exhaustive answers skip the reservation tables, but the phase skeleton
     // stays complete so every trace carries a reserve span.
     obs::TraceContext::Scoped reserve_span(&trace, "reserve");
     trace.Attr(reserve_span.id(), "reserved", static_cast<int64_t>(0));
@@ -372,9 +420,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   const Seconds now = clock_();
   ReservationFilter filter = nullptr;
   if (config_.reservation_hold > 0) {
-    filter = [this, now](const std::string& address) {
-      return reservations_.IsReserved(address, now);
-    };
+    filter = [this, now](const std::string& address) { return IsReserved(address, now); };
   }
   const int bind_span = trace.OpenFollowing("bind");
   trace.Attr(bind_span, "mode", "heuristic");
@@ -389,12 +435,37 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   trace.Attr(bind_span, "bound", static_cast<int64_t>(reply.binding.size()));
   const int reserve_span = trace.Transition(bind_span, "reserve");
   int64_t reserved = 0;
-  if (query.options.reserve) {
+  if (query.options.reserve && config_.reservation_hold > 0) {
+    // Two-phase reserve. Phase 1 leases every bound endpoint from its owning
+    // shard; Prepare never blocks, so ordering is free of deadlock. Phase 2
+    // commits them all with ONE shared timestamp. Any shard that fails to
+    // answer aborts the whole set: the binding is still returned
+    // (reservations are best-effort, paper Section 5.5) but no host stays
+    // half-held.
     const Seconds reserve_now = clock_();
+    std::vector<std::pair<StatusShard*, uint64_t>> leases;
+    bool aborted = false;
     for (const auto& [var, endpoint] : reply.binding) {
       (void)var;
-      reservations_.Reserve(endpoint.name, reserve_now);
-      ++reserved;
+      StatusShard& owner = OwnerOf(endpoint.name);
+      CT_OBS_INC("M117");
+      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, prepare_lease_);
+      if (lease == 0) {
+        aborted = true;
+        break;
+      }
+      leases.emplace_back(&owner, lease);
+    }
+    for (const auto& [shard, lease] : leases) {
+      if (aborted) {
+        shard->reservations().Abort(lease);
+      } else if (shard->reservations().Commit(lease, reserve_now)) {
+        ++reserved;
+      }
+    }
+    if (aborted) {
+      CT_OBS_INC("M118");
+      trace.Attr(reserve_span, "aborted", static_cast<int64_t>(1));
     }
     CT_OBS_ADD("M104", reserved);
   }
@@ -417,9 +488,9 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   std::vector<lang::VarComm> variables = compiled.value().variables();
   obs::TraceContext quote_trace("quote");
   const lang::ScopeAnalysis scope = lang::AnalyzeScope(compiled.value());
-  StatusByAddress status =
-      GatherStatus(compiled.value(), config_.scope_probe_pruning ? &scope : nullptr,
-                   &variables, &stats, quote_trace);
+  StatusByAddress status = GatherStatusOver(
+      config_, *directory_, router_, rng_, rng_mutex_, compiled.value(),
+      config_.scope_probe_pruning ? &scope : nullptr, &variables, &stats, quote_trace);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     CT_LOCK_TRACE(StatsLockId());
@@ -429,7 +500,7 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   // not run. Existing reservations are still avoided.
   const Seconds now = clock_();
   ReservationFilter filter = [this, now](const std::string& address) {
-    return reservations_.IsReserved(address, now);
+    return IsReserved(address, now);
   };
   Result<HeuristicResult> heuristic =
       EvaluateHeuristic(variables, query.value().options.allow_same_binding, status,

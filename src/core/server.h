@@ -11,8 +11,14 @@
 //      packet-level when the query says so), honouring pseudo-reservations.
 //   5. Reserve the recommended endpoints for the hold time.
 //
+// Host-side state lives in status/placement shards (src/core/shard.h): one
+// shard by default, N when built from a ShardedConfig. Steps 3-5 run
+// through them — probes per owning shard, exhaustive search in one slice
+// per shard, reservations as two-phase leases — and the reply is
+// byte-identical at every shard count (D505).
+//
 // The server is thread-safe: concurrent queries synchronize on the
-// reservation table per assignment, matching the paper's description.
+// reservation tables per assignment, matching the paper's description.
 #ifndef CLOUDTALK_SRC_CORE_SERVER_H_
 #define CLOUDTALK_SRC_CORE_SERVER_H_
 
@@ -34,7 +40,7 @@
 #include "src/core/estimator.h"
 #include "src/core/exhaustive.h"
 #include "src/core/heuristic.h"
-#include "src/core/reservations.h"
+#include "src/core/shard.h"
 #include "src/lang/analysis.h"
 #include "src/lang/scope.h"
 #include "src/status/sampling.h"
@@ -99,6 +105,17 @@ struct ServerConfig {
   int admission_slots = 2;
 };
 
+// A sharded deployment: the per-query configuration plus the shard layout.
+struct ShardedConfig {
+  ServerConfig server;
+  int shards = 4;
+  // Two-phase reserve: how long a prepared-but-uncommitted lease holds its
+  // endpoint before expiring on its own. Long enough to cover the
+  // prepare→commit window, short enough that a crashed front end frees its
+  // hosts quickly.
+  Seconds prepare_lease = 50 * kMillisecond;
+};
+
 struct QueryReply {
   Binding binding;
   ProbeStats probe_stats;
@@ -115,8 +132,9 @@ struct QueryReply {
   // the one it meant to ask for.
   std::vector<lang::Diagnostic> warnings;
   // Query-lifecycle spans (ISSUE 5): parse, lint, canon, compile, scope,
-  // sample, probe (one child per contacted host), bound, bind, reserve —
-  // with wall times and per-phase attributes. Empty when observability is compiled out
+  // route, aggregate (wrapping sample and probe, with one child per
+  // contacted host and one per shard batch), bound, bind, reserve — with
+  // wall times and per-phase attributes. Empty when observability is compiled out
   // (CLOUDTALK_OBS=OFF) or runtime-disabled. Render with obs::FormatTrace
   // or obs::TraceToJson; `tools/ctstat` does both.
   obs::Trace trace;
@@ -146,10 +164,14 @@ struct QuoteReply {
 
 class CloudTalkServer {
  public:
-  // `directory` and `transport` must outlive the server. `clock` supplies
-  // "now" for reservations (simulated or wall time). `packet_estimator` may
-  // be null; queries with `option packet` then fail.
+  // `directory` and `transport` must outlive the server; every shard probes
+  // through the one `transport`. `clock` supplies "now" for reservations
+  // (simulated or wall time). `packet_estimator` may be null; queries with
+  // `option packet` then fail. A ServerConfig runs the server as one shard.
   CloudTalkServer(ServerConfig config, const Directory* directory, ProbeTransport* transport,
+                  std::function<Seconds()> clock,
+                  CompletionEstimator* packet_estimator = nullptr);
+  CloudTalkServer(ShardedConfig config, const Directory* directory, ProbeTransport* transport,
                   std::function<Seconds()> clock,
                   CompletionEstimator* packet_estimator = nullptr);
 
@@ -157,11 +179,7 @@ class CloudTalkServer {
   // error-severity lint findings such as E030 size cycles) are rejected
   // with the first diagnostic's position and rule code; warning-only
   // queries are answered and the warnings returned in QueryReply::warnings.
-  // The paper's 0.45 ms figure splits into parse (0.32 ms) and evaluation
-  // (0.13 ms); callers wanting that split can use lang::Parse +
-  // AnswerParsed directly (which skips lint).
   Result<QueryReply> Answer(const std::string& query_text);
-  Result<QueryReply> AnswerParsed(const lang::Query& query);
 
   // Prices the described workload without reserving anything: the query is
   // bound as usual, its completion time estimated with the flow-level
@@ -180,24 +198,27 @@ class CloudTalkServer {
   void InvalidateAnswerCache();
 
   const ServerConfig& config() const { return config_; }
-  ReservationTable& reservations() { return reservations_; }
+  int num_shards() const { return map_.shards(); }
+  const ShardMap& shard_map() const { return map_; }
+  StatusShard& shard(int index) { return *shards_[index]; }
+  // Shard 0's table: all reservation state of a one-shard server.
+  ReservationTable& reservations() { return shards_[0]->reservations(); }
+
+  // True when any shard holds a reservation or live lease on `address`.
+  bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
-  // The shared evaluation pipeline behind Answer/AnswerParsed: compile,
-  // gather status, bind, reserve — recording one span per phase in `trace`.
+  // The evaluation pipeline behind Answer: compile, route, gather status,
+  // bind, reserve — recording one span per phase in `trace`.
   Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace);
 
-  // Gathers status for the addresses the query can touch (delegates to
-  // GatherStatusOver in src/core/pipeline.h, the stage shared with the
-  // sharded front end). Applies sampling, then drops addresses outside
-  // `scope`'s footprint (pass nullptr to probe everything — the pruning
-  // ablation and `ctcheck --diff-scope` baseline). Records the `sample` and
-  // `probe` spans (one `probe.host` child per contacted target, M113
-  // counting the skipped ones) in `trace`.
-  StatusByAddress GatherStatus(const lang::CompiledQuery& compiled,
-                               const lang::ScopeAnalysis* scope,
-                               std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
-                               obs::TraceContext& trace);
+  // The shard owning `address` per the directory + ShardMap. Unresolvable
+  // addresses route to shard 0 so ownership stays total and deterministic:
+  // the per-shard tables together behave exactly like one flat table.
+  StatusShard& OwnerOf(const std::string& address) const;
+  bool IsReserved(const std::string& address, Seconds now) const {
+    return OwnerOf(address).reservations().IsReserved(address, now);
+  }
 
   // True when the query's answer is a pure function of (canonical text,
   // status snapshot) under the current configuration, so a cached reply is
@@ -209,13 +230,15 @@ class CloudTalkServer {
   bool CacheableEffects(const lang::ScopeEffects& effects) const;
 
   ServerConfig config_;
+  Seconds prepare_lease_;
   const Directory* directory_;
-  ProbeTransport* transport_;
   std::function<Seconds()> clock_;
   CompletionEstimator* packet_estimator_;
   FlowLevelEstimator flow_estimator_;
   PricingModel pricing_;
-  ReservationTable reservations_;
+  ShardMap map_;
+  std::vector<std::unique_ptr<StatusShard>> shards_;
+  ShardRouter router_;
   mutable std::mutex stats_mutex_;
   ProbeStats total_stats_;
   std::mutex rng_mutex_;
@@ -251,6 +274,10 @@ class CloudTalkServer {
   // slot for the whole evaluation when reservations are enabled.
   AdmissionGate admission_;
 };
+
+// The former name of a server built from a ShardedConfig, kept for callers
+// that still spell it (ctbench).
+using ShardedServer = CloudTalkServer;
 
 }  // namespace cloudtalk
 

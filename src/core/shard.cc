@@ -1,16 +1,9 @@
 #include "src/core/shard.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 #include <utility>
 
 #include "src/check/check.h"
-#include "src/core/heuristic.h"
-#include "src/core/pipeline.h"
-#include "src/lang/canon.h"
-#include "src/lang/lint.h"
-#include "src/lang/parser.h"
 #include "src/obs/metrics.h"
 
 namespace cloudtalk {
@@ -18,27 +11,6 @@ namespace cloudtalk {
 namespace {
 
 thread_local std::vector<ShardRouter::Batch> tls_batches;
-
-std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardedConfig& config,
-                                                     ProbeTransport* transport) {
-  const int n = config.shards < 1 ? 1 : config.shards;
-  std::vector<std::unique_ptr<StatusShard>> shards;
-  shards.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    shards.push_back(
-        std::make_unique<StatusShard>(i, transport, config.server.reservation_hold));
-  }
-  return shards;
-}
-
-std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusShard>>& owned) {
-  std::vector<StatusShard*> raw;
-  raw.reserve(owned.size());
-  for (const auto& shard : owned) {
-    raw.push_back(shard.get());
-  }
-  return raw;
-}
 
 }  // namespace
 
@@ -116,272 +88,5 @@ ProbeOutcome ShardRouter::Probe(const std::vector<NodeId>& targets, Seconds time
 }
 
 const std::vector<ShardRouter::Batch>& ShardRouter::LastBatches() { return tls_batches; }
-
-ShardedServer::ShardedServer(ShardedConfig config, const Directory* directory,
-                             ProbeTransport* transport, std::function<Seconds()> clock,
-                             CompletionEstimator* packet_estimator)
-    : config_(std::move(config)),
-      directory_(directory),
-      clock_(std::move(clock)),
-      packet_estimator_(packet_estimator),
-      map_(config_.shards),
-      shards_(MakeShards(config_, transport)),
-      router_(&map_, RawShardPtrs(shards_)),
-      admission_(config_.server.admission_slots),
-      rng_(config_.server.seed) {
-  check::SetViolationPolicy(config_.server.invariant_policy);
-}
-
-StatusShard& ShardedServer::OwnerOf(const std::string& address) {
-  const NodeId node = directory_->Resolve(address);
-  // Unresolvable addresses deterministically route to shard 0: ownership is
-  // total, so reservation lookups behave exactly like one flat table.
-  const int owner = node == kInvalidNode ? 0 : map_.ShardOf(node);
-  return *shards_[owner];
-}
-
-const StatusShard& ShardedServer::OwnerOf(const std::string& address) const {
-  return const_cast<ShardedServer*>(this)->OwnerOf(address);
-}
-
-bool ShardedServer::IsReservedAnywhere(const std::string& address, Seconds now) const {
-  for (const auto& shard : shards_) {
-    if (shard->reservations().IsReserved(address, now)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-ProbeStats ShardedServer::total_probe_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return total_stats_;
-}
-
-Result<QueryReply> ShardedServer::Answer(const std::string& query_text) {
-  CT_OBS_INC("M100");
-  CT_OBS_INC("M114");
-  obs::TraceContext trace("answer");
-  lang::DiagnosticSink sink;
-  const int parse_span = trace.OpenFollowing("parse");
-  lang::Query query = lang::ParseWithDiagnostics(query_text, &sink);
-  trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
-  const int lint_span = trace.Transition(parse_span, "lint");
-  lang::RunLint(query, &sink);
-  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink.diagnostics().size()));
-  trace.Close(lint_span);
-  if (sink.has_errors()) {
-    CT_OBS_INC("M101");
-    return sink.ToLegacyError();
-  }
-
-  // Canonicalize once, at the front end (compile/scope below are also
-  // computed once and shared by every shard). The sharded front end carries
-  // no answer cache, so the canon span always reports cache=off; the hash
-  // still identifies the query across deployments.
-  const int canon_span = trace.OpenFollowing("canon");
-  const Result<lang::CanonicalQuery> canon = lang::Canonicalize(query);
-  if (canon.ok()) {
-    char hash_text[17];
-    std::snprintf(hash_text, sizeof(hash_text), "%016llx",
-                  static_cast<unsigned long long>(canon.value().hash));
-    trace.Attr(canon_span, "hash", hash_text);
-  }
-  trace.Attr(canon_span, "cache", "off");
-  trace.Close(canon_span);
-
-  Result<QueryReply> reply = AnswerTraced(query, trace);
-  if (!reply.ok()) {
-    CT_OBS_INC("M101");
-    return reply;
-  }
-  if (!sink.empty()) {
-    reply.value().warnings = sink.diagnostics();
-  }
-  reply.value().trace = trace.Finish();
-  if (!reply.value().trace.empty()) {
-    CT_OBS_OBSERVE("M102", reply.value().trace.spans[0].duration);
-  }
-  return reply;
-}
-
-Result<QueryReply> ShardedServer::AnswerTraced(const lang::Query& query,
-                                               obs::TraceContext& trace) {
-  const int compile_span = trace.OpenFollowing("compile");
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  trace.Close(compile_span);
-  if (!compiled.ok()) {
-    return compiled.error();
-  }
-
-  const lang::ScopeAnalysis scope = lang::AnalyzeScope(compiled.value());
-  {
-    const int scope_span = trace.OpenFollowing("scope");
-    trace.Attr(scope_span, "footprint", static_cast<int64_t>(scope.footprint.size()));
-    trace.Attr(scope_span, "excluded", static_cast<int64_t>(scope.excluded.size()));
-    trace.Attr(scope_span, "effects", lang::EffectsName(scope.effects));
-    trace.Close(scope_span);
-  }
-
-  // The routing decision: which shards will see this query, and admission
-  // through the N-slot gate. The span's duration is dominated by any
-  // admission wait, which is exactly the number a sharded deployment wants
-  // on a dashboard.
-  const int route_span = trace.OpenFollowing("route");
-  trace.Attr(route_span, "shards", static_cast<int64_t>(num_shards()));
-  trace.Attr(route_span, "slots", static_cast<int64_t>(admission_.slots()));
-  const uint64_t admission_ticket =
-      config_.server.reservation_hold > 0 ? admission_.Admit(scope) : 0;
-  trace.Attr(route_span, "admitted", static_cast<int64_t>(admission_ticket != 0 ? 1 : 0));
-  trace.Close(route_span);
-  struct AdmissionGuard {
-    AdmissionGate* gate;
-    uint64_t ticket;
-    ~AdmissionGuard() {
-      if (ticket != 0) {
-        gate->Release(ticket);
-      }
-    }
-  } admission_guard{&admission_, admission_ticket};
-
-  QueryReply reply;
-  StatusByAddress status;
-  std::vector<lang::VarComm> variables = compiled.value().variables();
-  const lang::ScopeAnalysis* probe_scope = config_.server.scope_probe_pruning ? &scope : nullptr;
-  {
-    // Hierarchical aggregation: the shared gather stage scatter-gathers
-    // through the ShardRouter, which probes each owning shard separately
-    // and rolls the reports up. One aggregate.shard event per contacted
-    // shard; the sample/probe spans inside keep their single-server shape.
-    const int aggregate_span = trace.OpenFollowing("aggregate");
-    if (query.options.use_dynamic_load) {
-      status = GatherStatusOver(config_.server, *directory_, router_, rng_, rng_mutex_,
-                                compiled.value(), probe_scope, &variables, &reply.probe_stats,
-                                trace);
-      for (const ShardRouter::Batch& batch : ShardRouter::LastBatches()) {
-        const std::string shard_text = std::to_string(batch.shard);
-        const std::string fanout_text = std::to_string(batch.fanout);
-        const std::string replies_text = std::to_string(batch.replies);
-        trace.Event("aggregate.shard", {{"shard", shard_text},
-                                        {"fanout", fanout_text},
-                                        {"replies", replies_text}});
-      }
-      trace.Attr(aggregate_span, "batches",
-                 static_cast<int64_t>(ShardRouter::LastBatches().size()));
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      total_stats_.Accumulate(reply.probe_stats);
-    } else {
-      status = SynthesizeStaticStatus(*directory_, variables, probe_scope, trace);
-      trace.Attr(aggregate_span, "batches", static_cast<int64_t>(0));
-      trace.Attr(aggregate_span, "mode", "static");
-    }
-    trace.Close(aggregate_span);
-  }
-
-  CompletionEstimator* bound_model = query.options.use_packet_simulator
-                                         ? packet_estimator_
-                                         : static_cast<CompletionEstimator*>(&flow_estimator_);
-  const double bound_fraction =
-      bound_model != nullptr ? bound_model->BoundAvailabilityFraction() : -1;
-  {
-    Error bound_error;
-    if (!CheckAdmissionBound(config_.server, compiled.value(), status, bound_fraction, trace,
-                             &bound_error)) {
-      return bound_error;
-    }
-  }
-
-  if (query.options.use_packet_simulator) {
-    if (packet_estimator_ == nullptr) {
-      return Error{"query requests packet-level evaluation, but no packet estimator is wired"};
-    }
-    // Search fan-out: engine slice s walks first-variable candidates
-    // ≡ s (mod shards); the merge keeps the lowest (makespan, winner_rank),
-    // which is the unsliced winner byte for byte.
-    Result<ExhaustiveResult> best =
-        RunExhaustiveSliced(config_.server, query, compiled.value(), status, *packet_estimator_,
-                            bound_fraction, num_shards(), trace);
-    if (!best.ok()) {
-      return best.error();
-    }
-    reply.binding = best.value().binding;
-    reply.estimate = best.value().estimate;
-    reply.used_exhaustive = true;
-    reply.counters = best.value().counters;
-    obs::TraceContext::Scoped reserve_span(&trace, "reserve");
-    trace.Attr(reserve_span.id(), "reserved", static_cast<int64_t>(0));
-    return reply;
-  }
-
-  // Heuristic path, on the merged status. The reservation filter consults
-  // each address's owning shard — the per-shard tables partition the flat
-  // table by owner (I410), so the union the filter sees is identical to the
-  // single server's.
-  const Seconds now = clock_();
-  ReservationFilter filter = nullptr;
-  if (config_.server.reservation_hold > 0) {
-    filter = [this, now](const std::string& address) {
-      return OwnerOf(address).reservations().IsReserved(address, now);
-    };
-  }
-  const int bind_span = trace.OpenFollowing("bind");
-  trace.Attr(bind_span, "mode", "heuristic");
-  Result<HeuristicResult> heuristic = EvaluateHeuristic(
-      variables, query.options.allow_same_binding, status, config_.server.heuristic, filter);
-  if (!heuristic.ok()) {
-    trace.Close(bind_span);
-    return heuristic.error();
-  }
-  reply.binding = std::move(heuristic.value().binding);
-  reply.scores = std::move(heuristic.value().scores);
-  trace.Attr(bind_span, "bound", static_cast<int64_t>(reply.binding.size()));
-  const int reserve_span = trace.Transition(bind_span, "reserve");
-  int64_t reserved = 0;
-  if (query.options.reserve) {
-    // Two-phase cross-shard reserve. Phase 1 leases every bound endpoint
-    // from its owning shard; Prepare never blocks, so ordering is free of
-    // deadlock. Phase 2 commits them all with ONE shared timestamp — the
-    // resulting expiries match a single-table Reserve at `reserve_now`
-    // exactly. Any shard that fails to answer aborts the whole set: the
-    // binding is still returned (reservations are best-effort, paper
-    // Section 5.5) but no host stays half-held.
-    const Seconds reserve_now = clock_();
-    struct Pending {
-      StatusShard* shard = nullptr;
-      uint64_t lease = 0;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(reply.binding.size());
-    bool aborted = false;
-    for (const auto& [var, endpoint] : reply.binding) {
-      (void)var;
-      StatusShard& owner = OwnerOf(endpoint.name);
-      CT_OBS_INC("M117");
-      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, config_.prepare_lease);
-      if (lease == 0) {
-        aborted = true;
-        break;
-      }
-      pending.push_back(Pending{&owner, lease});
-    }
-    if (aborted) {
-      for (const Pending& p : pending) {
-        p.shard->reservations().Abort(p.lease);
-      }
-      CT_OBS_INC("M118");
-      trace.Attr(reserve_span, "aborted", static_cast<int64_t>(1));
-    } else {
-      for (const Pending& p : pending) {
-        if (p.shard->reservations().Commit(p.lease, reserve_now)) {
-          ++reserved;
-        }
-      }
-      CT_OBS_ADD("M104", reserved);
-    }
-  }
-  trace.Attr(reserve_span, "reserved", reserved);
-  trace.Close(reserve_span);
-  return reply;
-}
 
 }  // namespace cloudtalk

@@ -1,17 +1,17 @@
-// Sharded CloudTalk deployment (ISSUE 10; ROADMAP item 1, "scale to
-// millions of users"): the host fleet is partitioned into status/placement
-// shards, each owning probing and reservation state for its hosts, behind a
-// query-routing front end that answers byte-identically to the single
-// CloudTalkServer (the D505 differential contract, fuzzed by
-// `ctcheck --diff-shard`).
+// Sharded status plane: the host fleet is partitioned into status/placement
+// shards, each owning probing and reservation state for its hosts.
+// CloudTalkServer (src/core/server.h) always answers through them — one
+// shard by default, N when built from a ShardedConfig — so a sharded
+// deployment answers byte-identically to the flat one by construction (the
+// D505 contract, fuzzed by `ctcheck --diff-shard`).
 //
 // The division of labour per query:
 //
-//   ShardedServer (front end)          StatusShard (× N)
+//   CloudTalkServer (front end)        StatusShard (× N)
 //   ---------------------------------  --------------------------------
-//   parse / lint / canon once          —
-//   compile + scope once               —
-//   N-slot admission (AdmissionGate)   —
+//   parse / lint / canon / compile /   —
+//     scope, answer cache
+//   `route`: N-slot admission          —
 //   sample centrally (one RNG stream)  —
 //   `aggregate`: split probe targets → probe own hosts, roll status up
 //   bound check on merged status       —
@@ -20,10 +20,10 @@
 //   heuristic on merged status         → IsReserved for own hosts
 //   two-phase reserve                  → Prepare / Commit / Abort leases
 //
-// Hierarchical probe aggregation reuses the PR 9 scope footprint: the front
-// end assembles the footprint-filtered target set once, and each shard only
-// ever probes the targets it owns — the fan-in at any aggregation point is
-// a fraction of the fleet. Invariants: I410 (every probe target and every
+// Hierarchical probe aggregation reuses the scope footprint (src/lang/scope):
+// the front end assembles the footprint-filtered target set once, and each
+// shard only ever probes the targets it owns — the fan-in at any aggregation
+// point is a fraction of the fleet. Invariants: I410 (every probe target and every
 // reservation routes to exactly one owning shard), I412 (the rolled-up
 // status is a partition merge: one report per answering target, none
 // invented), I411 (commit/abort must match an outstanding lease; in
@@ -33,20 +33,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/result.h"
-#include "src/common/rng.h"
-#include "src/core/admission.h"
 #include "src/core/directory.h"
-#include "src/core/estimator.h"
 #include "src/core/reservations.h"
-#include "src/core/server.h"
-#include "src/obs/trace.h"
 #include "src/status/transport.h"
 
 namespace cloudtalk {
@@ -100,10 +92,9 @@ class StatusShard {
 // Hierarchical probe aggregation as a ProbeTransport: splits each probe's
 // target list across the owning shards (I410), lets every shard
 // scatter-gather its own slice, and rolls the partial reports up into one
-// outcome (I412). Plugging this into the shared GatherStatusOver stage
-// makes the sharded status plane byte-identical to the flat one — same
-// targets, same reports, same stats — while bounding any single
-// aggregation point's fan-in to the shard's host count.
+// outcome (I412). Whatever the shard count, the roll-up carries the same
+// targets, reports, and stats as one flat scatter-gather, while any single
+// aggregation point's fan-in is bounded by the shard's host count.
 class ShardRouter : public ProbeTransport {
  public:
   // Borrows the map and the shards; both must outlive the router.
@@ -112,8 +103,8 @@ class ShardRouter : public ProbeTransport {
 
   ProbeOutcome Probe(const std::vector<NodeId>& targets, Seconds timeout) override;
 
-  // Per-shard summary of the calling thread's most recent Probe (the front
-  // end renders these as `aggregate.shard` trace events). Thread-local so
+  // Per-shard summary of the calling thread's most recent Probe (the server
+  // renders these as `aggregate.shard` trace events). Thread-local so
   // concurrently admitted queries do not interleave.
   struct Batch {
     int shard = 0;
@@ -125,74 +116,6 @@ class ShardRouter : public ProbeTransport {
  private:
   const ShardMap* map_;
   std::vector<StatusShard*> shards_;
-};
-
-struct ShardedConfig {
-  // The per-query pipeline configuration, shared verbatim with the
-  // single-server oracle (same seed ⇒ same sampling RNG stream).
-  ServerConfig server;
-  int shards = 4;
-  // Two-phase reserve: how long a prepared-but-uncommitted lease holds its
-  // endpoint before expiring on its own. Long enough to cover the
-  // prepare→commit window, short enough that a crashed front end frees its
-  // hosts quickly.
-  Seconds prepare_lease = 50 * kMillisecond;
-};
-
-// The query-routing front end. Owns the language front end (parse / lint /
-// canon / compile / scope), the N-slot admission gate, and central
-// sampling; fans probing, search, and reservations out to the shards; and
-// merges every partial result deterministically so the reply is
-// byte-identical to `CloudTalkServer` over the same fleet (error strings
-// included). Extra observability: a `route` span (admission + shard plan),
-// an `aggregate` span wrapping the status roll-up with one
-// `aggregate.shard` event per contacted shard, and metrics M114–M118.
-class ShardedServer {
- public:
-  // `directory` and `transport` must outlive the server; all shards probe
-  // through the one `transport` (the simulated wire or real sockets).
-  ShardedServer(ShardedConfig config, const Directory* directory, ProbeTransport* transport,
-                std::function<Seconds()> clock,
-                CompletionEstimator* packet_estimator = nullptr);
-
-  // The full Answer pipeline, routed. Same contract as
-  // CloudTalkServer::Answer (no answer cache: the sharded front end always
-  // evaluates).
-  Result<QueryReply> Answer(const std::string& query_text);
-
-  int num_shards() const { return map_.shards(); }
-  StatusShard& shard(int index) { return *shards_[index]; }
-  const ShardedConfig& config() const { return config_; }
-  const ShardMap& shard_map() const { return map_; }
-
-  // Accumulated probe traffic across all shards (Section 5.5 accounting).
-  ProbeStats total_probe_stats() const;
-
-  // True when any shard holds a reservation or live lease on `address`
-  // (test hook for the I410 no-double-reserve property).
-  bool IsReservedAnywhere(const std::string& address, Seconds now) const;
-
- private:
-  Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace);
-
-  // The shard owning `address` per the directory + ShardMap. Unresolvable
-  // addresses route to shard 0 so ownership stays total and deterministic.
-  StatusShard& OwnerOf(const std::string& address);
-  const StatusShard& OwnerOf(const std::string& address) const;
-
-  ShardedConfig config_;
-  const Directory* directory_;
-  std::function<Seconds()> clock_;
-  CompletionEstimator* packet_estimator_;
-  FlowLevelEstimator flow_estimator_;
-  ShardMap map_;
-  std::vector<std::unique_ptr<StatusShard>> shards_;
-  ShardRouter router_;
-  AdmissionGate admission_;
-  mutable std::mutex stats_mutex_;
-  ProbeStats total_stats_;
-  std::mutex rng_mutex_;
-  Rng rng_;
 };
 
 }  // namespace cloudtalk

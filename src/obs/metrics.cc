@@ -111,8 +111,6 @@ const std::vector<MetricInfo>& MetricCatalog() {
       {"M113", MetricType::kCounter, "server", "cloudtalk_server_scope_probe_skips",
        "Hosts not probed because the static footprint analysis proved no evaluation "
        "engine reads their status", "", {}},
-      {"M114", MetricType::kCounter, "server", "cloudtalk_server_sharded_queries",
-       "Queries routed through the ShardedServer front end", "", {}},
       {"M115", MetricType::kCounter, "server", "cloudtalk_server_shard_probe_batches",
        "Per-shard probe batches issued by the hierarchical status aggregator", "", {}},
       {"M116", MetricType::kHistogram, "server", "cloudtalk_server_shard_fanout",

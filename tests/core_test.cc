@@ -817,9 +817,15 @@ INSTANTIATE_TEST_SUITE_P(RandomStates, SingleVariableOptimalityTest, ::testing::
 
 // ---- Reservations ----
 
+// Holds `address` from `now` the way the server does: a prepared lease
+// committed at the same instant.
+void Hold(ReservationTable& table, const std::string& address, Seconds now) {
+  table.Commit(table.Prepare(address, now, /*lease_time=*/0.05), now);
+}
+
 TEST(ReservationTest, ExpiryAndHold) {
   ReservationTable table(/*hold_time=*/0.3);
-  table.Reserve("x", /*now=*/1.0);
+  Hold(table, "x", /*now=*/1.0);
   EXPECT_TRUE(table.IsReserved("x", 1.1));
   EXPECT_TRUE(table.IsReserved("x", 1.29));
   EXPECT_FALSE(table.IsReserved("x", 1.31));
@@ -828,14 +834,14 @@ TEST(ReservationTest, ExpiryAndHold) {
 
 TEST(ReservationTest, ZeroHoldDisables) {
   ReservationTable table(0.0);
-  table.Reserve("x", 1.0);
+  Hold(table, "x", 1.0);
   EXPECT_FALSE(table.IsReserved("x", 1.0));
 }
 
 TEST(ReservationTest, ActiveCount) {
   ReservationTable table(0.5);
-  table.Reserve("x", 0.0);
-  table.Reserve("y", 0.2);
+  Hold(table, "x", 0.0);
+  Hold(table, "y", 0.2);
   EXPECT_EQ(table.ActiveCount(0.3), 2);
   EXPECT_EQ(table.ActiveCount(0.6), 1);
   EXPECT_EQ(table.ActiveCount(1.0), 0);
@@ -1064,6 +1070,37 @@ TEST_F(ServerTest, AnswerCacheLeavesReservingQueriesCold) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(server.total_probe_stats().requests_sent, 2 * cold_probes);
   EXPECT_NE(second.value().binding.at("A").name, first.value().binding.at("A").name);
+}
+
+TEST_F(ServerTest, DisabledReservationsAreNotCounted) {
+  // With reservation_hold = 0 nothing is held, so nothing may be reported
+  // as reserved — not in the reserve span, not in M104 — at any shard count.
+  ServerConfig config;
+  config.reservation_hold = 0;
+  CloudTalkServer flat = MakeServer(config);
+  CloudTalkServer sharded(ShardedConfig{config, /*shards=*/4}, directory_.get(),
+                          transport_.get(), [this] { return now_; });
+  const std::string query =
+      "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 1M\n";
+  for (CloudTalkServer* server : {&flat, &sharded}) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const int64_t counted_before = obs::Registry::Instance().counter("M104")->value();
+    auto reply = server->Answer(query);
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    for (int s = 0; s < server->num_shards(); ++s) {
+      EXPECT_EQ(server->shard(s).reservations().ActiveCount(now_), 0);
+    }
+    EXPECT_EQ(obs::Registry::Instance().counter("M104")->value(), counted_before);
+    const obs::Trace& trace = reply.value().trace;
+    for (const obs::TraceSpan& span : trace.spans) {
+      if (span.name() == "reserve") {
+        const auto attrs = trace.AttrsOf(span.id);
+        EXPECT_NE(std::find(attrs.begin(), attrs.end(),
+                            std::make_pair(std::string("reserved"), std::string("0"))),
+                  attrs.end());
+      }
+    }
+  }
 }
 
 TEST_F(ServerTest, SymbolicAliasesResolve) {

@@ -422,8 +422,8 @@ TEST(TracePropertyTest, GoodFixtureTracesAreWellFormed) {
     }
 
     // The full phase skeleton is present on every reply.
-    for (const char* phase : {"parse", "lint", "canon", "compile", "sample", "probe",
-                              "bound", "bind", "reserve"}) {
+    for (const char* phase : {"parse", "lint", "canon", "compile", "scope", "route", "aggregate",
+                              "sample", "probe", "bound", "bind", "reserve"}) {
       EXPECT_NE(FindSpan(trace, phase), nullptr) << "missing phase span " << phase;
     }
 
@@ -457,6 +457,24 @@ TEST(TracePropertyTest, GoodFixtureTracesAreWellFormed) {
       }
     }
     EXPECT_EQ(host_children, reply.value().probe_stats.requests_sent);
+
+    // The routed skeleton: one aggregate.shard child of `aggregate` per
+    // shard batch, whose fanouts account for every probe sent.
+    const TraceSpan* aggregate = FindSpan(trace, "aggregate");
+    ASSERT_NE(aggregate, nullptr);
+    int shard_fanout = 0;
+    for (const TraceSpan& span : trace.spans) {
+      if (span.name() != "aggregate.shard") {
+        continue;
+      }
+      EXPECT_EQ(span.parent, aggregate->id);
+      for (const auto& [key, value] : trace.AttrsOf(span.id)) {
+        if (key == "fanout") {
+          shard_fanout += std::stoi(value);
+        }
+      }
+    }
+    EXPECT_EQ(shard_fanout, reply.value().probe_stats.requests_sent);
   }
 }
 

@@ -2,8 +2,9 @@
 // ShardMap partition, two-phase cross-shard reservations (prepare / commit
 // / abort leases, I411), the I410 no-double-reserve property, unresponsive-
 // shard abort, the N-slot admission gate's any-slot wakeup, merge
-// determinism against the single server over every good fixture, and a
-// concurrent admission stress run (the TSan CI job builds this binary).
+// determinism against the one-shard server over every good fixture, the
+// answer cache at 4 shards, and a concurrent admission stress run (the TSan
+// CI job builds this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "src/check/check.h"
 #include "src/core/admission.h"
 #include "src/core/reservations.h"
+#include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/harness/cluster.h"
 #include "src/lang/parser.h"
@@ -39,8 +41,8 @@ TEST(TwoPhaseReserveTest, PrepareCommitReservesLikeFlatReserve) {
   EXPECT_TRUE(table.IsReserved("10.0.0.1", 0.1));
   EXPECT_TRUE(table.Commit(lease, /*now=*/0.2));
   EXPECT_EQ(table.PreparedCount(0.2), 0);
-  // Committed at 0.2 with hold 1.0: reserved until 1.2, exactly like a
-  // single-table Reserve("10.0.0.1", 0.2).
+  // Committed at 0.2 with hold 1.0: reserved until 1.2, measured from the
+  // commit, not the prepare.
   EXPECT_TRUE(table.IsReserved("10.0.0.1", 1.1));
   EXPECT_FALSE(table.IsReserved("10.0.0.1", 1.3));
 }
@@ -138,8 +140,8 @@ ShardedConfig ShardConfigFor(Cluster* cluster, int shards) {
 TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
   Cluster cluster = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
   cluster.MeasureNow();
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   const std::string query = "option static\nA = (" + cluster.ip(1) + " " + cluster.ip(2) +
                             " " + cluster.ip(3) + ")\nf1 A -> " + cluster.ip(0) +
                             " size 8M\n";
@@ -168,8 +170,8 @@ TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
 TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeTwoPhaseReserve) {
   Cluster cluster = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
   cluster.MeasureNow();
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   // Single-host pools pin the binding, so we know exactly which shards the
   // two-phase reserve must talk to.
   const std::string host_a = cluster.ip(1);
@@ -202,8 +204,8 @@ TEST(ShardedServerTest, UnresponsiveShardStatusFallsBackToAssumeLoaded) {
   // instead of failing the query.
   Cluster cluster = MakeShardCluster(16, /*seed=*/9, /*hold=*/0);
   cluster.MeasureNow();
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   const std::string host_dead = cluster.ip(1);
   const std::string host_live = cluster.ip(2);
   const int owner_dead = sharded.shard_map().ShardOf(cluster.directory().Resolve(host_dead));
@@ -219,7 +221,7 @@ TEST(ShardedServerTest, UnresponsiveShardStatusFallsBackToAssumeLoaded) {
   EXPECT_GT(reply.value().probe_stats.timeouts, 0);
 }
 
-// ---- Merge determinism: byte-identical to the single server ----
+// ---- Merge determinism: byte-identical to the one-shard server ----
 
 // Everything an answer exposes, rendered bit-faithfully. Probe stats,
 // counters, and traces legitimately differ between deployments.
@@ -270,15 +272,15 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
     std::stringstream text;
     text << in.rdbuf();
     const std::string query = text.str();
-    // Oracle: the single server on its own identically seeded cluster.
+    // Oracle: the one-shard server on its own identically seeded cluster.
     Cluster oracle_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
     AddShardLoad(&oracle_cluster);
     const std::string want = ReplyDigest(oracle_cluster.cloudtalk().Answer(query));
     for (const int shards : {1, 2, 4}) {
       Cluster cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
       AddShardLoad(&cluster);
-      ShardedServer sharded(ShardConfigFor(&cluster, shards), &cluster.directory(),
-                            &cluster.transport(), [&cluster] { return cluster.now(); });
+      CloudTalkServer sharded(ShardConfigFor(&cluster, shards), &cluster.directory(),
+                              &cluster.transport(), [&cluster] { return cluster.now(); });
       EXPECT_EQ(ReplyDigest(sharded.Answer(query)), want)
           << path.filename() << " over " << shards << " shard(s)";
     }
@@ -296,8 +298,8 @@ TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
   ASSERT_TRUE(want.ok()) << want.error().ToString();
   Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
   AddShardLoad(&cluster);
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   const Result<QueryReply> got = sharded.Answer(query);
   ASSERT_TRUE(got.ok()) << got.error().ToString();
   EXPECT_EQ(got.value().probe_stats.requests_sent, want.value().probe_stats.requests_sent);
@@ -310,11 +312,33 @@ TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
             want.value().probe_stats.requests_sent);
 }
 
+TEST(ShardedServerTest, AnswerCacheServesRepeatsWithoutProbing) {
+  // A sharded server runs the one Answer pipeline, answer cache included: a
+  // repeated spelling and a respelled equivalent are both served without a
+  // probe, and both replies equal the cold one.
+  Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
+  AddShardLoad(&cluster);
+  ShardedConfig config = ShardConfigFor(&cluster, 4);
+  config.server.answer_cache = true;
+  CloudTalkServer sharded(config, &cluster.directory(), &cluster.transport(),
+                          [&cluster] { return cluster.now(); });
+  const std::string pool = "A = (10.0.0.1 10.0.0.2 10.0.0.5 10.0.0.6)\n";
+  const Result<QueryReply> cold = sharded.Answer(pool + "f1 A -> 10.0.0.9 size 32M\n");
+  ASSERT_TRUE(cold.ok()) << cold.error().ToString();
+  const int cold_probes = sharded.total_probe_stats().requests_sent;
+  EXPECT_GT(cold_probes, 0);
+  EXPECT_EQ(ReplyDigest(sharded.Answer(pool + "f1 A -> 10.0.0.9 size 32M\n")),
+            ReplyDigest(cold));
+  EXPECT_EQ(ReplyDigest(sharded.Answer(pool + "f1 A -> 10.0.0.9 size 2*16M\n")),
+            ReplyDigest(cold));
+  EXPECT_EQ(sharded.total_probe_stats().requests_sent, cold_probes);
+}
+
 TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {
   Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0.3);
   AddShardLoad(&cluster);
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   const std::string query = "A = (10.0.0.1 10.0.0.2 10.0.0.5 10.0.0.6)\n"
                             "f1 A -> 10.0.0.9 size 32M\n";
   const Result<QueryReply> reply = sharded.Answer(query);
@@ -415,8 +439,8 @@ TEST(AdmissionGateTest, ReleaseUnknownTicketFiresI409) {
 TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
   Cluster cluster = MakeShardCluster(32, /*seed=*/17, /*hold=*/60.0, /*slots=*/8);
   cluster.MeasureNow();
-  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
-                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                          &cluster.transport(), [&cluster] { return cluster.now(); });
   std::vector<std::thread> threads;
   std::vector<std::string> picks(16);
   // Not vector<bool>: per-thread writes must land on distinct bytes.

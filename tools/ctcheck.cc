@@ -1298,10 +1298,10 @@ int RunDiffScopeMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
 
 // ---- --diff-shard: differential fuzz of the sharded deployment ----
 //
-// Three oracles per seed (D505), each comparing a ShardedServer against the
-// single CloudTalkServer on identically seeded twin clusters (same topology,
-// same background load, same server seed — so the sampling RNG streams and
-// the simulated status plane line up exactly):
+// Three oracles per seed (D505), each comparing a sharded CloudTalkServer
+// against the default one-shard server on identically seeded twin clusters
+// (same topology, same background load, same server seed — so the sampling
+// RNG streams and the simulated status plane line up exactly):
 //  1. sequential identity: three generated queries are answered in sequence
 //     over 1, 2, and 4 shards with reservations armed; every reply must be
 //     byte-identical, which also proves the partitioned reservation tables
@@ -1310,8 +1310,8 @@ int RunDiffScopeMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
 //     exhaustive candidate walk is split into per-shard slices and merged
 //     by (makespan, odometer rank).
 //  3. concurrent admission: two queries over disjoint host slices answered
-//     concurrently through the 4-shard front end's N-slot gate must match
-//     the single server answering them in sequence.
+//     concurrently through the 4-shard server's N-slot gate must match
+//     the one-shard server answering them in sequence.
 
 ShardedConfig DiffShardConfig(Cluster* cluster, int shards) {
   ShardedConfig cfg;
@@ -1341,8 +1341,8 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   for (const int shards : kShardCounts) {
     Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
     AddDiffScopeLoad(&cluster, seed);
-    ShardedServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
-                          &cluster.transport(), [&cluster] { return cluster.now(); });
+    CloudTalkServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
+                            &cluster.transport(), [&cluster] { return cluster.now(); });
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string got = DiffScopeReplyDigest(sharded.Answer(queries[i]));
       if (got != oracle[i]) {
@@ -1371,9 +1371,9 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
       Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
       AddDiffScopeLoad(&cluster, seed);
       PacketLevelEstimator estimator(&cluster.topology(), &cluster.directory());
-      ShardedServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
-                            &cluster.transport(), [&cluster] { return cluster.now(); },
-                            &estimator);
+      CloudTalkServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
+                              &cluster.transport(), [&cluster] { return cluster.now(); },
+                              &estimator);
       const std::string got = DiffScopeReplyDigest(sharded.Answer(packet_query));
       if (got != want) {
         *query_text = packet_query;
@@ -1395,9 +1395,9 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   AddDiffScopeLoad(&sharded_cluster, seed);
   const std::string left_want = DiffScopeReplyDigest(oracle_cluster.cloudtalk().Answer(left));
   const std::string right_want = DiffScopeReplyDigest(oracle_cluster.cloudtalk().Answer(right));
-  ShardedServer sharded(DiffShardConfig(&sharded_cluster, 4), &sharded_cluster.directory(),
-                        &sharded_cluster.transport(),
-                        [&sharded_cluster] { return sharded_cluster.now(); });
+  CloudTalkServer sharded(DiffShardConfig(&sharded_cluster, 4), &sharded_cluster.directory(),
+                          &sharded_cluster.transport(),
+                          [&sharded_cluster] { return sharded_cluster.now(); });
   std::string left_got;
   std::string right_got;
   std::thread left_thread([&] { left_got = DiffScopeReplyDigest(sharded.Answer(left)); });
@@ -1481,11 +1481,11 @@ void PrintUsage(FILE* out) {
                "the computed footprint must answer exactly like probing everything, and\n"
                "queries with disjoint reservation footprints must commute; any\n"
                "divergence is a D504 violation and the query is saved.\n"
-               "With --diff-shard, fuzzes the sharded deployment: a ShardedServer over\n"
+               "With --diff-shard, fuzzes the sharded deployment: the server built over\n"
                "1, 2, and 4 shards — hierarchical probe aggregation, per-shard search\n"
                "slices, two-phase cross-shard reservations, concurrent N-slot admission\n"
-               "— must answer byte-identically to the single server; any divergence is\n"
-               "a D505 violation and the query is saved.\n"
+               "— must answer byte-identically to the one-shard server; any divergence\n"
+               "is a D505 violation and the query is saved.\n"
                "Exits 0 when every scenario is clean, 1 on violations, 2 on usage errors.\n");
 }
 
