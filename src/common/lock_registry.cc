@@ -2,12 +2,30 @@
 
 #include <algorithm>
 #include <thread>
+#include <type_traits>
 
 namespace cloudtalk {
 namespace {
 
 // Stack of traced lock roles the current thread holds, innermost last.
-thread_local std::vector<LockId> t_held;
+// Trivially destructible on purpose: static destructors (the shared thread
+// pool's) still trace locks after the main thread's thread_locals are torn
+// down, and a std::vector would be freed by then.
+//
+// Nesting deeper than kMaxHeld is not recorded: such an acquisition is still
+// checked against the recorded locks, but locks taken inside it are not
+// ordered against it. Its release (innermost-first) pops `overflow`.
+struct HeldStack {
+  static constexpr int kMaxHeld = 16;
+  LockId ids[kMaxHeld];
+  int depth;
+  int overflow;
+
+  const LockId* begin() const { return ids; }
+  const LockId* end() const { return ids + depth; }
+};
+static_assert(std::is_trivially_destructible_v<HeldStack>);
+thread_local HeldStack t_held;
 
 uint64_t ThreadToken() {
   // Nonzero per-thread token (0 is AccessCell's "free" value).
@@ -68,18 +86,27 @@ void LockRegistry::OnAcquire(LockId id) {
       }
     }
   }
-  t_held.push_back(id);
+  if (t_held.depth < HeldStack::kMaxHeld) {
+    t_held.ids[t_held.depth++] = id;
+  } else {
+    ++t_held.overflow;
+  }
   for (check::Violation& v : to_report) {
     check::ReportViolation(std::move(v));
   }
 }
 
 void LockRegistry::OnRelease(LockId id) {
+  if (t_held.overflow > 0) {
+    --t_held.overflow;
+    return;
+  }
   // Locks release innermost-first in practice; tolerate out-of-order by
   // erasing the last matching entry.
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (*it == id) {
-      t_held.erase(std::next(it).base());
+  for (int i = t_held.depth - 1; i >= 0; --i) {
+    if (t_held.ids[i] == id) {
+      std::copy(t_held.ids + i + 1, t_held.ids + t_held.depth, t_held.ids + i);
+      --t_held.depth;
       return;
     }
   }
@@ -101,7 +128,8 @@ void LockRegistry::ResetForTest() {
   edges_.clear();
   reported_.clear();
   inversions_.store(0, std::memory_order_relaxed);
-  t_held.clear();
+  t_held.depth = 0;
+  t_held.overflow = 0;
 }
 
 bool AccessCell::Enter() {

@@ -46,7 +46,8 @@ class LockRegistry {
   // adds held->id edges to the order graph and reports L401 (once per lock
   // pair) when the reverse edge already exists. Recursive acquisition of
   // the same role (two mutexes sharing one role id) is allowed and adds no
-  // self-edge.
+  // self-edge. A thread nesting more than 16 traced locks has the extra ones
+  // checked but not recorded (see lock_registry.cc).
   void OnAcquire(LockId id);
   void OnRelease(LockId id);
 

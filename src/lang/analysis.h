@@ -74,6 +74,11 @@ class CompiledQuery {
   // with source spans. Returns nullopt when any error was recorded.
   static std::optional<CompiledQuery> Compile(const Query& query, DiagnosticSink* sink);
 
+  // A temporary Query would be destroyed while the result still points
+  // into it, so compiling one is a compile error.
+  static Result<CompiledQuery> Compile(Query&&) = delete;
+  static std::optional<CompiledQuery> Compile(Query&&, DiagnosticSink*) = delete;
+
   const Query& query() const { return *query_; }
   const std::vector<CompiledFlow>& flows() const { return flows_; }
   const std::vector<CompiledGroup>& groups() const { return groups_; }

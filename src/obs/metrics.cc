@@ -79,7 +79,10 @@ const char* MetricTypeName(MetricType type) {
 }
 
 const std::vector<MetricInfo>& MetricCatalog() {
-  static const std::vector<MetricInfo> catalog = {
+  // Leaked like the Registry that points into it: a thread-pool worker can
+  // look a metric up for the first time while static destructors run at
+  // exit.
+  static const std::vector<MetricInfo>& catalog = *new std::vector<MetricInfo>{
       // ---- M1xx: CloudTalk server (query lifecycle) ----
       {"M100", MetricType::kCounter, "server", "cloudtalk_server_queries",
        "Queries received by CloudTalkServer::Answer (answered or rejected)", "", {}},

@@ -37,9 +37,10 @@ Query MustParse(const std::string& text) {
   return std::move(query).value();
 }
 
-CompiledQuery MustCompile(const std::string& text) {
-  auto compiled = CompiledQuery::Compile(MustParse(text));
-  EXPECT_TRUE(compiled.ok()) << (compiled.ok() ? text : compiled.error().ToString());
+// `query` must outlive the result, which keeps pointing into it.
+CompiledQuery MustCompile(const Query& query) {
+  auto compiled = CompiledQuery::Compile(query);
+  EXPECT_TRUE(compiled.ok()) << (compiled.ok() ? "" : compiled.error().ToString());
   return std::move(compiled).value();
 }
 
@@ -146,7 +147,8 @@ TEST(BoundAnalysisTest, RandomizedRefinementMonotonicity) {
     std::mt19937_64 rng(seed);
     const std::string text = GenerateQuery(rng);
     SCOPED_TRACE(text);
-    const CompiledQuery query = MustCompile(text);
+    const Query parsed = MustParse(text);
+    const CompiledQuery query = MustCompile(parsed);
     const StatusByAddress status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
@@ -211,7 +213,8 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
     std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ULL);
     const std::string text = GenerateQuery(rng);
     SCOPED_TRACE(text);
-    const CompiledQuery query = MustCompile(text);
+    const Query parsed = MustParse(text);
+    const CompiledQuery query = MustCompile(parsed);
     const StatusByAddress status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
@@ -264,8 +267,8 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
 
 TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   // size/rate = 10G * 8 / 8M bits/s far exceeds 1s: provably infeasible.
-  const CompiledQuery infeasible =
-      MustCompile("f1 10.9.0.1 -> 10.9.0.2 size 10G rate 8M end 1\n");
+  const Query infeasible_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 10G rate 8M end 1\n");
+  const CompiledQuery infeasible = MustCompile(infeasible_query);
   const BoundAnalysis a = BoundAnalysis::Build(infeasible, StatusByAddress{});
   ASSERT_EQ(a.group_bounds().size(), 1u);
   EXPECT_TRUE(a.group_bounds()[0].provably_infeasible);
@@ -273,8 +276,8 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   EXPECT_GT(a.group_bounds()[0].interval.lb, a.group_bounds()[0].deadline);
 
   // The same transfer against a generous deadline is trivially satisfied.
-  const CompiledQuery trivial =
-      MustCompile("f1 10.9.0.1 -> 10.9.0.2 size 1M end 3600\n");
+  const Query trivial_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 1M end 3600\n");
+  const CompiledQuery trivial = MustCompile(trivial_query);
   const BoundAnalysis b = BoundAnalysis::Build(trivial, StatusByAddress{});
   ASSERT_EQ(b.group_bounds().size(), 1u);
   EXPECT_FALSE(b.group_bounds()[0].provably_infeasible);
@@ -282,7 +285,8 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   EXPECT_LE(b.group_bounds()[0].interval.ub, b.group_bounds()[0].deadline);
 
   // No deadline: both verdicts stay off and the deadline reads +inf.
-  const CompiledQuery open = MustCompile("f1 10.9.0.1 -> 10.9.0.2 size 1M\n");
+  const Query open_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 1M\n");
+  const CompiledQuery open = MustCompile(open_query);
   const BoundAnalysis c = BoundAnalysis::Build(open, StatusByAddress{});
   ASSERT_EQ(c.group_bounds().size(), 1u);
   EXPECT_FALSE(c.group_bounds()[0].provably_infeasible);

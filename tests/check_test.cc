@@ -213,6 +213,29 @@ TEST_F(CheckTest, LockRegistryAcceptsConsistentOrder) {
   EXPECT_TRUE(Taken().empty());
 }
 
+TEST_F(CheckTest, LockRegistryNestingPastCapacityStaysBalanced) {
+  LockRegistry& registry = LockRegistry::Instance();
+  std::vector<LockId> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(registry.Register("test.deep" + std::to_string(i)));
+  }
+  for (const LockId id : ids) {
+    registry.OnAcquire(id);
+  }
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    registry.OnRelease(*it);
+  }
+  // The unrecorded innermost acquisitions were still ordered after the
+  // recorded ones, and the unwinding left nothing held: the reverse pair
+  // is exactly one inversion, with no stale held entry adding others.
+  registry.OnAcquire(ids.back());
+  registry.OnAcquire(ids.front());
+  registry.OnRelease(ids.front());
+  registry.OnRelease(ids.back());
+  EXPECT_EQ(registry.inversions_detected(), 1);
+  EXPECT_EQ(Taken().size(), 1u);
+}
+
 TEST_F(CheckTest, AccessCellReportsSecondWriter) {
   AccessCell cell("test.cell");
   ASSERT_TRUE(cell.Enter());

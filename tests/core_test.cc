@@ -1173,7 +1173,7 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
                           std::make_pair(std::string("mode"), std::string("exhaustive"))),
                 attrs.end());
       // The branch-and-bound counter and the per-pass attribution (the
-      // same numbers `ctopt --report` prints) ride on the bind span.
+      // same numbers `ctopt --json` prints) ride on the bind span.
       EXPECT_TRUE(has("bound_prunes"));
       EXPECT_TRUE(has("opt.O100.seconds"));
       EXPECT_TRUE(has("opt.O500.pruned"));

@@ -5,7 +5,8 @@
 // core contract — for every fixture under examples/queries/{good,opt} and
 // for both idle and heterogeneous status, exhaustive search with the plan
 // applied returns the byte-identical winning binding and bit-exact
-// estimate of the unoptimised walk, serial and threaded.
+// estimate of the unoptimised walk, serial and threaded, inside the query's
+// bound interval.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "src/core/estimator.h"
 #include "src/core/exhaustive.h"
+#include "src/lang/bound.h"
 #include "src/lang/opt.h"
 #include "src/lang/parser.h"
 
@@ -387,6 +389,8 @@ TEST(OptDifferentialTest, FixturesAgreeByteIdenticallyAcrossModesAndThreads) {
     const CompiledQuery compiled = MustCompile(query);
     for (const bool heterogeneous : {false, true}) {
       const StatusByAddress status = SynthesizeStatus(compiled, heterogeneous);
+      const lang::BoundInterval query_bounds =
+          lang::BoundAnalysis::Build(compiled, status).query_bounds();
       FlowLevelEstimator estimator;
       ExhaustiveParams off;
       off.distinct_bindings = !query.options.allow_same_binding;
@@ -414,6 +418,9 @@ TEST(OptDifferentialTest, FixturesAgreeByteIdenticallyAcrossModesAndThreads) {
           EXPECT_EQ(opt.value().binding.at(var).name, endpoint.name) << label << " " << var;
         }
         EXPECT_LE(opt.value().counters.enumerated, base.value().counters.enumerated) << label;
+        // The winner lies inside the query's bound interval, which O500
+        // prunes against (D502).
+        EXPECT_TRUE(query_bounds.Contains(opt.value().estimate.makespan)) << label;
       }
     }
     ++swept;

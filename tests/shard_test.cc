@@ -2,15 +2,16 @@
 // ShardMap partition, two-phase cross-shard reservations (prepare / commit
 // / abort leases, I411), the I410 no-double-reserve property, unresponsive-
 // shard abort, the N-slot admission gate's any-slot wakeup, merge
-// determinism against the one-shard server over every good fixture, the
-// answer cache at 4 shards, and a concurrent admission stress run (the TSan
-// CI job builds this binary).
+// determinism against the one-shard server over every good fixture (and its
+// canonical form), the answer cache at 4 shards, and a concurrent admission
+// stress run (the TSan CI job builds this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/harness/cluster.h"
+#include "src/lang/canon.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
 #include "src/topology/topology.h"
@@ -246,6 +248,43 @@ std::string ReplyDigest(const Result<QueryReply>& reply) {
   return out.str();
 }
 
+// ReplyDigest in variable-name order, with names mapped back through
+// `canon`'s certificate when given: canonicalization renames the variables
+// and may reorder them.
+std::string NameOrderedDigest(const Result<QueryReply>& reply,
+                              const lang::CanonicalQuery* canon) {
+  if (!reply.ok()) {
+    return ReplyDigest(reply);
+  }
+  const auto original = [canon](const std::string& var) {
+    const std::string* name = canon != nullptr ? canon->OriginalVariable(var) : nullptr;
+    return name != nullptr ? *name : var;
+  };
+  std::map<std::string, std::string> binding;
+  for (const auto& [var, endpoint] : reply.value().binding) {
+    binding[original(var)] = endpoint.name;
+  }
+  std::map<std::string, double> scores;
+  for (const auto& [var, score] : reply.value().scores) {
+    scores[original(var)] = score;
+  }
+  std::ostringstream out;
+  out << "binding [";
+  for (const auto& [var, host] : binding) {
+    out << var << "=" << host << " ";
+  }
+  out << "] scores [";
+  for (const auto& [var, score] : scores) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s=%.17g ", var.c_str(), score);
+    out << buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", reply.value().estimate.makespan);
+  out << "] makespan " << buf;
+  return out.str();
+}
+
 std::vector<std::filesystem::path> GoodFixtures() {
   std::vector<std::filesystem::path> fixtures;
   const std::filesystem::path root = std::filesystem::path(CLOUDTALK_QUERY_DIR) / "good";
@@ -275,7 +314,8 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
     // Oracle: the one-shard server on its own identically seeded cluster.
     Cluster oracle_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
     AddShardLoad(&oracle_cluster);
-    const std::string want = ReplyDigest(oracle_cluster.cloudtalk().Answer(query));
+    const Result<QueryReply> oracle = oracle_cluster.cloudtalk().Answer(query);
+    const std::string want = ReplyDigest(oracle);
     for (const int shards : {1, 2, 4}) {
       Cluster cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
       AddShardLoad(&cluster);
@@ -284,6 +324,18 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
       EXPECT_EQ(ReplyDigest(sharded.Answer(query)), want)
           << path.filename() << " over " << shards << " shard(s)";
     }
+    // The canonical text is answered like the original (D503) on a one-shard
+    // twin, once its names are mapped back through the certificate.
+    const Result<lang::Query> parsed = lang::Parse(query);
+    ASSERT_TRUE(parsed.ok()) << path.filename();
+    const Result<lang::CanonicalQuery> canon = lang::Canonicalize(parsed.value());
+    ASSERT_TRUE(canon.ok()) << path.filename();
+    Cluster canon_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    AddShardLoad(&canon_cluster);
+    EXPECT_EQ(NameOrderedDigest(canon_cluster.cloudtalk().Answer(canon.value().text),
+                                &canon.value()),
+              NameOrderedDigest(oracle, nullptr))
+        << path.filename() << " canonical form";
   }
 }
 

@@ -1,111 +1,56 @@
-// ctbound: sound makespan-bound report and branch-and-bound verification.
+// ctbound: sound makespan-bound report.
 //
 // Runs the src/lang/bound analysis over a query and a synthetic all-idle
 // status snapshot and reports the sound completion-time interval [LB, UB]
 // per chain group and for the whole query — the intervals ctlint's
 // E080/W080/W081 rules, the server's admission fast path, and the
-// exhaustive engine's O500 branch-and-bound pruning are built on. Unless
-// told otherwise it then *executes* the search twice — O500 off and on —
-// and verifies the byte-identity contract: same winning binding,
-// bit-identical estimate, and a winner makespan inside the query interval.
+// exhaustive engine's O500 branch-and-bound pruning are built on. Their
+// soundness (D502) is fuzzed by `ctcheck --diff-bound`; that O500 keeps the
+// winner, and that the winner lies inside the query interval, is checked
+// over the fixtures by OptDifferentialTest (tests/opt_test.cc).
 //
-//   ctbound query.ct             bound breakdown + identity check
-//   ctbound --report query.ct    bound breakdown only (no execution)
+//   ctbound query.ct             bound breakdown
 //   ctbound --json query.ct      machine-readable breakdown for CI
-//   ctbound --fraction F         availability fraction (default 0.1)
 //   ctbound -                    read the query from stdin
 //
-// Exit code: 0 = ok, 1 = identity or soundness check failed (the bound
-// analysis is unsound — file a bug), 2 = unusable input or usage error.
-#include <algorithm>
+// Exit code: 0 = ok, 2 = unusable input or usage error.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/core/exhaustive.h"
 #include "src/lang/bound.h"
 #include "src/lang/diagnostics.h"
-#include "src/lang/opt.h"
 #include "src/lang/parser.h"
 #include "tools/cli_common.h"
 
 namespace {
 
-using cloudtalk::ExhaustiveParams;
-using cloudtalk::ExhaustiveResult;
-using cloudtalk::FlowLevelEstimator;
-using cloudtalk::NodeId;
-using cloudtalk::Result;
-using cloudtalk::StatusByAddress;
-using cloudtalk::StatusReport;
 using cloudtalk::lang::BoundAnalysis;
 using cloudtalk::lang::BoundInterval;
-using cloudtalk::lang::BoundOptions;
 using cloudtalk::lang::CompiledQuery;
 using cloudtalk::lang::DiagnosticSink;
-using cloudtalk::lang::Endpoint;
 using cloudtalk::lang::GroupBound;
 using cloudtalk::lang::Query;
 
 struct Options {
   bool json = false;
-  bool report_only = false;
-  double fraction = 0.1;
   std::vector<std::string> files;
 };
 
-// Above this the unoptimised reference walk is too slow to be a check.
-constexpr double kExecSpaceLimit = 1e6;
-
 void PrintUsage(std::ostream& os) {
-  os << "usage: ctbound [--report] [--json] [--fraction F] <query.ct ...|->\n"
+  os << "usage: ctbound [--json] <query.ct ...|->\n"
         "\n"
         "Sound makespan bounds for CloudTalk queries: the [LB, UB] interval\n"
         "guaranteed to contain the flow-level estimator's makespan for every\n"
-        "binding, per chain group and for the whole query, plus a differential\n"
-        "check that O500 branch-and-bound pruning returns a byte-identical\n"
-        "answer.\n"
+        "binding on an idle cluster, per chain group and for the whole query.\n"
         "\n"
-        "  --report      print the bound breakdown; skip execution\n"
         "  --json        machine-readable output (one JSON object per input)\n"
-        "  --fraction F  availability fraction of the modelled estimator\n"
-        "                (default 0.1, FlowLevelEstimator's default)\n"
         "  -             read a query from standard input\n"
         "\n"
-        "exit code: 0 = ok, 1 = identity/soundness check failed, 2 = unusable input\n";
-}
-
-// All-idle synthetic snapshot, same defaults as ctopt: every address the
-// query can touch reports a 1 Gbps NIC and a 4 Gbps disk. Deterministic,
-// so reports are snapshot-stable.
-StatusByAddress SynthesizeIdleStatus(const CompiledQuery& compiled) {
-  StatusByAddress status;
-  NodeId next = 1;
-  auto add = [&](const Endpoint& e) {
-    if (e.kind != Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    StatusReport report;
-    report.host = next++;
-    report.nic_tx_cap = report.nic_rx_cap = 1e9;
-    report.disk_read_cap = report.disk_write_cap = 4e9;
-    status[e.name] = report;
-  };
-  for (const cloudtalk::lang::VarComm& var : compiled.variables()) {
-    for (const Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const cloudtalk::lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return status;
+        "exit code: 0 = ok, 2 = unusable input\n";
 }
 
 std::string FormatSeconds(double seconds) {
@@ -120,24 +65,6 @@ std::string FormatSeconds(double seconds) {
 // JSON number or null for infinities (JSON has no inf literal).
 std::string JsonSeconds(double seconds) {
   return std::isfinite(seconds) ? FormatSeconds(seconds) : std::string("null");
-}
-
-std::string RenderBinding(const cloudtalk::Binding& binding) {
-  std::vector<std::string> parts;
-  parts.reserve(binding.size());
-  for (const auto& [var, endpoint] : binding) {
-    parts.push_back(var + "=" + endpoint.ToString());
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out;
-  for (const std::string& part : parts) {
-    out += (out.empty() ? "" : " ") + part;
-  }
-  return out;
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // First member flow of a group, for display.
@@ -161,10 +88,8 @@ int BoundOne(const std::string& source, const std::string& display_name,
     return 2;
   }
 
-  const StatusByAddress status = SynthesizeIdleStatus(*compiled);
-  BoundOptions bound_options;
-  bound_options.min_available_fraction = options.fraction;
-  const BoundAnalysis bounds = BoundAnalysis::Build(*compiled, status, bound_options);
+  const BoundAnalysis bounds =
+      BoundAnalysis::Build(*compiled, cloudtalk::cli::SynthesizeIdleStatus(*compiled));
   const BoundInterval& q = bounds.query_bounds();
 
   if (options.json) {
@@ -200,76 +125,7 @@ int BoundOne(const std::string& source, const std::string& display_name,
       std::cout << "\n";
     }
   }
-
-  if (options.report_only || options.json) {
-    return 0;
-  }
-
-  // Differential execution: O100-O400 only vs. all passes including O500,
-  // both against the same idle snapshot and a FlowLevelEstimator built with
-  // the requested fraction (so the engine's rebuilt analysis matches the
-  // reported one).
-  cloudtalk::lang::OptimizeParams opt_params;
-  opt_params.distinct = !query.options.allow_same_binding;
-  opt_params.bound_fraction = options.fraction;
-  opt_params.passes = cloudtalk::lang::kOptAllPasses & ~cloudtalk::lang::kOptBoundPruning;
-  const cloudtalk::lang::PrunedSpace plan_off = Optimize(*compiled, status, opt_params);
-  opt_params.passes = cloudtalk::lang::kOptAllPasses;
-  const cloudtalk::lang::PrunedSpace plan_on = Optimize(*compiled, status, opt_params);
-  if (plan_off.space_before > kExecSpaceLimit) {
-    std::cout << display_name << ": identity check skipped (space too large)\n";
-    return 0;
-  }
-
-  FlowLevelEstimator estimator(options.fraction);
-  ExhaustiveParams params;
-  params.distinct_bindings = true;
-  params.threads = 1;
-  params.optimize = true;
-  params.plan = &plan_off;
-  const Result<ExhaustiveResult> off = EvaluateExhaustive(*compiled, status, estimator, params);
-  params.plan = &plan_on;
-  const Result<ExhaustiveResult> on = EvaluateExhaustive(*compiled, status, estimator, params);
-
-  bool agree;
-  std::string detail;
-  if (!off.ok() && !on.ok()) {
-    agree = true;
-    detail = "both searches report no legal binding";
-  } else if (off.ok() != on.ok()) {
-    agree = false;
-    detail = std::string("only the ") + (off.ok() ? "unpruned" : "bound-pruned") +
-             " search found a binding (" +
-             (off.ok() ? on.error().message : off.error().message) + ")";
-  } else {
-    const ExhaustiveResult& a = off.value();
-    const ExhaustiveResult& b = on.value();
-    const std::string binding_a = RenderBinding(a.binding);
-    const std::string binding_b = RenderBinding(b.binding);
-    agree = binding_a == binding_b && SameBits(a.estimate.makespan, b.estimate.makespan) &&
-            SameBits(a.estimate.aggregate_throughput, b.estimate.aggregate_throughput);
-    if (agree && !q.Contains(b.estimate.makespan)) {
-      agree = false;
-      detail = "winner makespan " + FormatSeconds(b.estimate.makespan) +
-               "s escapes the query interval [" + FormatSeconds(q.lb) + "s, " +
-               FormatSeconds(q.ub) + "s] (invariant D502)";
-    } else if (agree) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "winner [%s] makespan %.6g s in bounds; enumerated %lld vs %lld "
-                    "(bound_prunes %lld)",
-                    binding_a.c_str(), a.estimate.makespan,
-                    static_cast<long long>(a.counters.enumerated),
-                    static_cast<long long>(b.counters.enumerated),
-                    static_cast<long long>(b.counters.bound_prunes));
-      detail = buf;
-    } else {
-      detail = "unpruned [" + binding_a + "] vs bound-pruned [" + binding_b + "]";
-    }
-  }
-  std::cout << display_name << ": identity check " << (agree ? "passed" : "FAILED") << ": "
-            << detail << "\n";
-  return agree ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
@@ -280,18 +136,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       options.json = true;
-    } else if (arg == "--report") {
-      options.report_only = true;
-    } else if (arg == "--fraction") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.fraction = std::atof(argv[++i]);
-      if (options.fraction < 0 || options.fraction > 1) {
-        std::cerr << "ctbound: --fraction must be in [0, 1]\n";
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;

@@ -1,5 +1,5 @@
 // ctcanon: canonical form, content hash, and semantic equivalence of
-// CloudTalk queries (src/lang/canon, ISSUE 8).
+// CloudTalk queries (src/lang/canon).
 //
 //   ctcanon query.ct            print the canonical text (default: --print)
 //   ctcanon --hash query.ct     print "<hash>  <file>" per input
@@ -7,38 +7,28 @@
 //                               certificate as JSON (one object per line)
 //   ctcanon --equiv a.ct b.ct   decide equivalence: exit 0 when the two
 //                               queries canonicalize to the same bytes
-//   ctcanon --exec query.ct     identity check: answer the original and its
-//                               canonical form against two identically
-//                               seeded simulated clusters and fail unless
-//                               the replies agree after name mapping (the
-//                               D503 soundness contract, single-shot)
 //   ctcanon -                   read a query from standard input
 //
-// exit code: 0 = ok / equivalent, 1 = not equivalent, identity mismatch, or
-// query rejected, 2 = unusable input or usage error
-#include <algorithm>
-#include <cmath>
+// That the canonical form is answered like the original (D503) is fuzzed by
+// `ctcheck --diff-canon` and checked over the good fixtures by
+// ShardedServerTest (tests/shard_test.cc).
+//
+// exit code: 0 = ok / equivalent, 1 = not equivalent, 2 = unusable input or
+// usage error
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "src/harness/cluster.h"
 #include "src/lang/canon.h"
 #include "src/lang/parser.h"
 #include "tools/cli_common.h"
 
 namespace {
 
-using cloudtalk::Cluster;
-using cloudtalk::ClusterOptions;
-using cloudtalk::kGbps;
-using cloudtalk::MakeSingleSwitch;
-using cloudtalk::QueryReply;
 using cloudtalk::Result;
-using cloudtalk::SingleSwitchParams;
+using cloudtalk::cli::EscapeJson;
 using cloudtalk::lang::CanonicalQuery;
 using cloudtalk::lang::Query;
 
@@ -47,15 +37,11 @@ struct Options {
   bool hash = false;
   bool json = false;
   bool equiv = false;
-  bool exec = false;
-  int hosts = 16;
-  uint64_t seed = 1;
   std::vector<std::string> files;
 };
 
 void PrintUsage(std::ostream& os) {
-  os << "usage: ctcanon [--print] [--hash] [--json] [--exec]\n"
-        "               [--hosts N] [--seed N] <query.ct ...|->\n"
+  os << "usage: ctcanon [--print] [--hash] [--json] <query.ct ...|->\n"
         "       ctcanon --equiv <a.ct> <b.ct>\n"
         "\n"
         "Canonicalizes CloudTalk queries: semantically equivalent queries\n"
@@ -65,51 +51,15 @@ void PrintUsage(std::ostream& os) {
         "  --hash      print the 64-bit content hash per input\n"
         "  --json      hash, canonical text and name certificate as JSON\n"
         "  --equiv     decide equivalence of exactly two queries\n"
-        "  --exec      answer the original and the canonical form on two\n"
-        "              identically seeded simulated clusters and verify the\n"
-        "              replies agree after mapping names back\n"
-        "  --hosts N   simulated cluster size for --exec (default 16)\n"
-        "  --seed N    cluster seed for --exec (default 1)\n"
         "  -           read a query from standard input\n"
         "\n"
-        "exit code: 0 = ok/equivalent, 1 = not equivalent or identity\n"
-        "mismatch or rejected query, 2 = unusable input\n";
+        "exit code: 0 = ok/equivalent, 1 = not equivalent, 2 = unusable input\n";
 }
 
 std::string HashText(uint64_t hash) {
   char text[17];
   std::snprintf(text, sizeof(text), "%016llx", static_cast<unsigned long long>(hash));
   return text;
-}
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 // Parses and canonicalizes one input; returns false (with a message) on
@@ -148,76 +98,6 @@ void PrintJson(const CanonicalQuery& canon, const std::string& display_name) {
   std::cout << "]}\n";
 }
 
-Cluster BuildCluster(const Options& options) {
-  SingleSwitchParams params;
-  params.num_hosts = options.hosts;
-  params.host_caps.nic_up = 1 * kGbps;
-  params.host_caps.nic_down = 1 * kGbps;
-  params.host_caps.disk_read = 4 * kGbps;
-  params.host_caps.disk_write = 4 * kGbps;
-  ClusterOptions cluster_options;
-  cluster_options.seed = options.seed;
-  cluster_options.server.seed = options.seed;
-  cluster_options.server.eval_threads = 1;  // Deterministic shard order.
-  // Reservation-free so the two runs see identical state (the check needs
-  // answers that are pure functions of the query and the status snapshot).
-  cluster_options.server.reservation_hold = 0;
-  Cluster cluster(MakeSingleSwitch(params), cluster_options);
-  cluster.StartStatusSweep();
-  cluster.MeasureNow();
-  return cluster;
-}
-
-// The D503 identity check, single-shot: the canonical form must be answered
-// exactly like the original, endpoint for endpoint, once the canonical
-// variable names are mapped back through the certificate.
-int ExecIdentity(const std::string& source, const std::string& display_name,
-                 const CanonicalQuery& canon, const Options& options) {
-  Cluster original_cluster = BuildCluster(options);
-  Cluster canonical_cluster = BuildCluster(options);
-  const Result<QueryReply> original = original_cluster.cloudtalk().Answer(source);
-  const Result<QueryReply> canonical = canonical_cluster.cloudtalk().Answer(canon.text);
-  if (original.ok() != canonical.ok()) {
-    std::cerr << display_name << ": identity mismatch: original "
-              << (original.ok() ? "answered" : "rejected") << " but canonical form "
-              << (canonical.ok() ? "answered" : "rejected") << "\n";
-    return 1;
-  }
-  if (!original.ok()) {
-    std::cerr << display_name << ": rejected: " << original.error().message << "\n";
-    return 1;
-  }
-  // Compare bindings in the original vocabulary (sorted for stable output).
-  std::map<std::string, std::string> original_binding;
-  for (const auto& [var, endpoint] : original.value().binding) {
-    original_binding[var] = endpoint.name;
-  }
-  std::map<std::string, std::string> mapped_binding;
-  for (const auto& [var, endpoint] : canonical.value().binding) {
-    const std::string* name = canon.OriginalVariable(var);
-    mapped_binding[name != nullptr ? *name : var] = endpoint.name;
-  }
-  if (original_binding != mapped_binding) {
-    std::cerr << display_name << ": identity mismatch: bindings differ\n";
-    for (const auto& [var, endpoint] : original_binding) {
-      std::cerr << "  original   " << var << " -> " << endpoint << "\n";
-    }
-    for (const auto& [var, endpoint] : mapped_binding) {
-      std::cerr << "  canonical  " << var << " -> " << endpoint << "\n";
-    }
-    return 1;
-  }
-  if (original.value().estimate.makespan != canonical.value().estimate.makespan) {
-    std::cerr << display_name << ": identity mismatch: makespan "
-              << original.value().estimate.makespan << " vs "
-              << canonical.value().estimate.makespan << "\n";
-    return 1;
-  }
-  std::cout << display_name << ": identity ok (" << original_binding.size()
-            << " variables, hash " << HashText(canon.hash) << ")\n";
-  return 0;
-}
-
 int RunOne(const std::string& source, const std::string& display_name, const Options& options) {
   CanonicalQuery canon;
   if (!CanonicalizeSource(source, display_name, &canon)) {
@@ -231,9 +111,6 @@ int RunOne(const std::string& source, const std::string& display_name, const Opt
   }
   if (options.json) {
     PrintJson(canon, display_name);
-  }
-  if (options.exec) {
-    return ExecIdentity(source, display_name, canon, options);
   }
   return 0;
 }
@@ -277,20 +154,6 @@ int main(int argc, char** argv) {
       options.json = true;
     } else if (arg == "--equiv") {
       options.equiv = true;
-    } else if (arg == "--exec") {
-      options.exec = true;
-    } else if (arg == "--hosts") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.hosts = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;
@@ -309,7 +172,7 @@ int main(int argc, char** argv) {
   if (options.equiv) {
     return RunEquiv(options);
   }
-  if (!options.hash && !options.json && !options.exec) {
+  if (!options.hash && !options.json) {
     options.print = true;
   }
   return cloudtalk::cli::ForEachInput(

@@ -1,4 +1,5 @@
-// ctcheck: seeded scenario fuzzer hunting invariant violations.
+// ctcheck: seeded scenario fuzzer hunting invariant violations, plus the
+// differential oracles of the query service's optimisations.
 //
 // Each seed deterministically generates a randomized cluster scenario —
 // fabric shape, host/link/disk speeds, HDFS files and placement policies,
@@ -10,24 +11,17 @@
 // fixtures under examples/scenarios/ are such files, registered as ctest
 // cases (one clean sweep, one guarding the time-epsilon regression).
 //
-// `--diff-opt` switches to a second fuzzing target: per seed it generates a
-// random query plus a random status snapshot, runs the exhaustive engine
-// with the static optimisation passes off and on, and reports any
-// divergence (different winner, or a non-bit-identical estimate) as a D500
-// violation, saving the query text for replay with ctopt.
-//
-// `--diff-bound` fuzzes the sound bound analysis (src/lang/bound.h): every
-// legal binding of a generated query is simulated and its makespan checked
-// against the static [LB, UB] interval; any escape is a D502 violation.
+// `--diff-<mode>` fuzzes one differential oracle instead (kDiffOracles):
+// per seed it generates its inputs, runs an optimised path and its plain
+// counterpart, and reports any divergence as the oracle's D-code, saving
+// the query text as diff<mode>_<seed>.ct. The modes are opt (D500, static
+// optimisation passes), sim (D501, incremental delta re-solve), bound
+// (D502, bound soundness), canon (D503, canonicalization), scope (D504,
+// footprint probing and disjoint admission) and shard (D505, sharding).
 //
 // Usage:
 //   ctcheck [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-opt [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-sim [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-bound [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-canon [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-scope [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-shard [--seeds N] [--seed-base B] [--out DIR] [--json]
+//   ctcheck --diff-<mode> [--seeds N] [--seed-base B] [--out DIR] [--json]
 //   ctcheck --replay scenario.ctsc [--json]
 //   ctcheck --catalog [--json]
 #include <algorithm>
@@ -509,9 +503,19 @@ std::string RenderBinding(const Binding& binding) {
   return out;
 }
 
-// Runs one differential seed. Returns the D500 detail on divergence, or an
-// empty string on agreement.
-std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
+// Per-seed check of an oracle that runs on GenerateDiffOptQuery's query: it
+// gets the query text, its parse and compilation, and the seed's random
+// status snapshot, and returns the divergence detail, or "" on agreement.
+using GeneratedQueryCheck = std::string (*)(uint64_t seed, const std::string& query_text,
+                                            const lang::Query& query,
+                                            const lang::CompiledQuery& compiled,
+                                            const StatusByAddress& status);
+
+// The seed function of an oracle over the generated query: generates,
+// parses and compiles it, then runs `check`. A generated query that does
+// not parse or compile is a generator bug, reported as a divergence.
+template <GeneratedQueryCheck check>
+std::string RunGeneratedQuerySeed(uint64_t seed, std::string* query_text) {
   *query_text = GenerateDiffOptQuery(seed);
   lang::DiagnosticSink sink;
   const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
@@ -523,45 +527,57 @@ std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
   if (!compiled.ok()) {
     return "generated query does not compile (generator bug): " + compiled.error().message;
   }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
+  return check(seed, *query_text, query, compiled.value(),
+               GenerateDiffOptStatus(compiled.value(), seed));
+}
 
+// The identity contract of two exhaustive searches: both find no binding,
+// or both find the same winner with bit-identical estimates. `finder` names
+// what the sides are ("search", "estimator", "form"). Returns the
+// divergence, or "" on agreement.
+std::string CompareWinners(const char* finder, const char* name_a,
+                           const Result<ExhaustiveResult>& a, const char* name_b,
+                           const Result<ExhaustiveResult>& b) {
+  if (!a.ok() && !b.ok()) {
+    return "";  // Both sides agree there is no answer.
+  }
+  if (a.ok() != b.ok()) {
+    return std::string("only the ") + (a.ok() ? name_a : name_b) + " " + finder +
+           " found a binding (" + (a.ok() ? b.error().message : a.error().message) + ")";
+  }
+  const std::string binding_a = RenderBinding(a.value().binding);
+  const std::string binding_b = RenderBinding(b.value().binding);
+  if (binding_a != binding_b) {
+    return std::string("different winners: ") + name_a + " [" + binding_a + "] vs " + name_b +
+           " [" + binding_b + "]";
+  }
+  const Estimate& ea = a.value().estimate;
+  const Estimate& eb = b.value().estimate;
+  if (std::memcmp(&ea.makespan, &eb.makespan, sizeof(double)) != 0 ||
+      std::memcmp(&ea.aggregate_throughput, &eb.aggregate_throughput, sizeof(double)) != 0) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "same winner but estimates differ: makespan %.17g vs %.17g", ea.makespan,
+                  eb.makespan);
+    return buf;
+  }
+  return "";
+}
+
+// --diff-opt (D500): the exhaustive search with the static optimisation
+// passes off and on.
+std::string CheckDiffOpt(uint64_t /*seed*/, const std::string& /*query_text*/,
+                         const lang::Query& query, const lang::CompiledQuery& compiled,
+                         const StatusByAddress& status) {
   ExhaustiveParams params;
   params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
   params.optimize = false;
   FlowLevelEstimator est_off;
-  const Result<ExhaustiveResult> off =
-      EvaluateExhaustive(compiled.value(), status, est_off, params);
+  const Result<ExhaustiveResult> off = EvaluateExhaustive(compiled, status, est_off, params);
   params.optimize = true;
   FlowLevelEstimator est_on;
-  const Result<ExhaustiveResult> on =
-      EvaluateExhaustive(compiled.value(), status, est_on, params);
-
-  if (!off.ok() && !on.ok()) {
-    return "";  // Both walks agree there is no answer.
-  }
-  if (off.ok() != on.ok()) {
-    return std::string("only the ") + (off.ok() ? "unoptimised" : "optimized") +
-           " search found a binding (" +
-           (off.ok() ? on.error().message : off.error().message) + ")";
-  }
-  const ExhaustiveResult& a = off.value();
-  const ExhaustiveResult& b = on.value();
-  const std::string binding_a = RenderBinding(a.binding);
-  const std::string binding_b = RenderBinding(b.binding);
-  if (binding_a != binding_b) {
-    return "different winners: unoptimised [" + binding_a + "] vs optimized [" + binding_b +
-           "]";
-  }
-  if (std::memcmp(&a.estimate.makespan, &b.estimate.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.estimate.aggregate_throughput, &b.estimate.aggregate_throughput,
-                  sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g",
-                  a.estimate.makespan, b.estimate.makespan);
-    return buf;
-  }
-  return "";
+  const Result<ExhaustiveResult> on = EvaluateExhaustive(compiled, status, est_on, params);
+  return CompareWinners("search", "unoptimised", off, "optimized", on);
 }
 
 // ---- --diff-sim: differential fuzz of the incremental delta re-solve ----
@@ -573,58 +589,21 @@ std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
 // actually reaches the estimator, and the unoptimised walk is used on both
 // sides so the enumeration order (and hence the delta chains the odometer
 // produces) is identical. Any divergence is a D501 violation.
-std::string RunDiffSimSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
-  }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
-
+std::string CheckDiffSim(uint64_t /*seed*/, const std::string& /*query_text*/,
+                         const lang::Query& query, const lang::CompiledQuery& compiled,
+                         const StatusByAddress& status) {
   ExhaustiveParams params;
   params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
   params.optimize = false;
   params.memoize = false;
   FlowLevelEstimator est_cold(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                               /*delta_rebind=*/false);
-  const Result<ExhaustiveResult> cold =
-      EvaluateExhaustive(compiled.value(), status, est_cold, params);
+  const Result<ExhaustiveResult> cold = EvaluateExhaustive(compiled, status, est_cold, params);
   FlowLevelEstimator est_delta(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                                /*delta_rebind=*/true);
   const Result<ExhaustiveResult> delta =
-      EvaluateExhaustive(compiled.value(), status, est_delta, params);
-
-  if (!cold.ok() && !delta.ok()) {
-    return "";  // Both sides agree there is no answer.
-  }
-  if (cold.ok() != delta.ok()) {
-    return std::string("only the ") + (cold.ok() ? "cold" : "delta") +
-           " estimator found a binding (" +
-           (cold.ok() ? delta.error().message : cold.error().message) + ")";
-  }
-  const ExhaustiveResult& a = cold.value();
-  const ExhaustiveResult& b = delta.value();
-  const std::string binding_a = RenderBinding(a.binding);
-  const std::string binding_b = RenderBinding(b.binding);
-  if (binding_a != binding_b) {
-    return "different winners: cold [" + binding_a + "] vs delta [" + binding_b + "]";
-  }
-  if (std::memcmp(&a.estimate.makespan, &b.estimate.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.estimate.aggregate_throughput, &b.estimate.aggregate_throughput,
-                  sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g",
-                  a.estimate.makespan, b.estimate.makespan);
-    return buf;
-  }
-  return "";
+      EvaluateExhaustive(compiled, status, est_delta, params);
+  return CompareWinners("estimator", "cold", cold, "delta", delta);
 }
 
 // ---- --diff-bound: differential fuzz of the sound bound analysis ----
@@ -636,21 +615,9 @@ std::string RunDiffSimSeed(uint64_t seed, std::string* query_text) {
 // pinned (the two nest by monotonicity). Estimator errors (no legal rate
 // allocation) are skipped: bounds only promise to bracket successful
 // estimates. Any escape is a D502 violation and the query is saved.
-std::string RunDiffBoundSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
-  }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
-
-  const lang::CompiledQuery& cq = compiled.value();
+std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
+                           const lang::Query& query, const lang::CompiledQuery& cq,
+                           const StatusByAddress& status) {
   const lang::BoundAnalysis bounds =
       lang::BoundAnalysis::Build(cq, status, lang::BoundOptions{});
   const auto& variables = cq.variables();
@@ -732,117 +699,6 @@ std::string RunDiffBoundSeed(uint64_t seed, std::string* query_text) {
   walk(0);
   estimator.EndQuery();
   return violation;
-}
-
-int RunDiffBoundMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffBoundSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffbound_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-bound divergence, seed " << seed << " (D502)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D502 bound soundness violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-bound\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-bound: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
-
-int RunDiffSimMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffSimSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffsim_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-sim divergence, seed " << seed << " (D501)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D501 delta re-solve divergence: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-sim\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-sim: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
-
-int RunDiffOptMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffOptSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffopt_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-opt divergence, seed " << seed << " (D500)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D500 optimisation divergence: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-opt\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-opt: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
 }
 
 // ---- --diff-canon: differential fuzz of semantic canonicalization ----
@@ -948,18 +804,9 @@ void MutateEquivalent(lang::Query* query, Rng& rng) {
   }
 }
 
-std::string RunDiffCanonSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
-  }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
+std::string CheckDiffCanon(uint64_t seed, const std::string& query_text,
+                           const lang::Query& query, const lang::CompiledQuery& compiled,
+                           const StatusByAddress& status) {
   const Result<lang::CanonicalQuery> canon = lang::Canonicalize(query);
   if (!canon.ok()) {
     return "error-free query failed to canonicalize: " + canon.error().message;
@@ -978,7 +825,7 @@ std::string RunDiffCanonSeed(uint64_t seed, std::string* query_text) {
   // Oracle 2: equivalence-preserving mutations keep the canonical bytes.
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   lang::DiagnosticSink mutant_sink;
-  lang::Query mutant = lang::ParseWithDiagnostics(*query_text, &mutant_sink);
+  lang::Query mutant = lang::ParseWithDiagnostics(query_text, &mutant_sink);
   const int mutations = static_cast<int>(rng.UniformInt(1, 3));
   for (int i = 0; i < mutations; ++i) {
     MutateEquivalent(&mutant, rng);
@@ -998,83 +845,24 @@ std::string RunDiffCanonSeed(uint64_t seed, std::string* query_text) {
   if (!canon_compiled.ok()) {
     return "canonical form does not compile: " + canon_compiled.error().message;
   }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
   ExhaustiveParams params;
   params.threads = 1;
   params.optimize = false;
   FlowLevelEstimator est_original;
   const Result<ExhaustiveResult> original =
-      EvaluateExhaustive(compiled.value(), status, est_original, params);
+      EvaluateExhaustive(compiled, status, est_original, params);
   FlowLevelEstimator est_canonical;
-  const Result<ExhaustiveResult> canonical =
+  Result<ExhaustiveResult> canonical =
       EvaluateExhaustive(canon_compiled.value(), status, est_canonical, params);
-  if (original.ok() != canonical.ok()) {
-    return std::string("only the ") + (original.ok() ? "original" : "canonical") +
-           " form found a binding (" +
-           (original.ok() ? canonical.error().message : original.error().message) + ")";
-  }
-  if (!original.ok()) {
-    return "";  // Both forms agree there is no answer.
-  }
-  Binding mapped;
-  for (const auto& [var, endpoint] : canonical.value().binding) {
-    const std::string* name = canon.value().OriginalVariable(var);
-    mapped[name != nullptr ? *name : var] = endpoint;
-  }
-  const std::string binding_a = RenderBinding(original.value().binding);
-  const std::string binding_b = RenderBinding(mapped);
-  if (binding_a != binding_b) {
-    return "different winners: original [" + binding_a + "] vs canonical [" + binding_b +
-           "]";
-  }
-  const Estimate& a = original.value().estimate;
-  const Estimate& b = canonical.value().estimate;
-  if (std::memcmp(&a.makespan, &b.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.aggregate_throughput, &b.aggregate_throughput, sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g", a.makespan,
-                  b.makespan);
-    return buf;
-  }
-  return "";
-}
-
-int RunDiffCanonMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffCanonSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
+  if (canonical.ok()) {
+    Binding mapped;
+    for (const auto& [var, endpoint] : canonical.value().binding) {
+      const std::string* name = canon.value().OriginalVariable(var);
+      mapped[name != nullptr ? *name : var] = endpoint;
     }
-    ++violating;
-    std::string saved_to = out_dir + "/diffcanon_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-canon divergence, seed " << seed << " (D503)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D503 canonicalization violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
+    canonical.value().binding = std::move(mapped);
   }
-  if (json) {
-    std::printf("{\"mode\":\"diff-canon\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-canon: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
+  return CompareWinners("form", "original", original, "canonical", canonical);
 }
 
 // ---- --diff-scope: differential fuzz of the footprint analysis ----
@@ -1259,43 +1047,6 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
   return "";
 }
 
-int RunDiffScopeMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffScopeSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffscope_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-scope divergence, seed " << seed << " (D504)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D504 footprint violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-scope\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-scope: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
-
 // ---- --diff-shard: differential fuzz of the sharded deployment ----
 //
 // Three oracles per seed (D505), each comparing a sharded CloudTalkServer
@@ -1412,7 +1163,30 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   return "";
 }
 
-int RunDiffShardMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
+// One differential oracle, selected by `--diff-<name>`.
+struct DiffOracle {
+  const char* name;
+  const char* code;   // Invariant code a divergence violates.
+  const char* label;  // What a divergence is, for the stderr line.
+  // Runs one seed: returns the divergence detail ("" on agreement) and
+  // leaves the input to replay in `query_text`.
+  std::string (*run)(uint64_t seed, std::string* query_text);
+};
+
+constexpr DiffOracle kDiffOracles[] = {
+    {"opt", "D500", "optimisation divergence", RunGeneratedQuerySeed<CheckDiffOpt>},
+    {"sim", "D501", "delta re-solve divergence", RunGeneratedQuerySeed<CheckDiffSim>},
+    {"bound", "D502", "bound soundness violation", RunGeneratedQuerySeed<CheckDiffBound>},
+    {"canon", "D503", "canonicalization violation", RunGeneratedQuerySeed<CheckDiffCanon>},
+    {"scope", "D504", "footprint violation", RunDiffScopeSeed},
+    {"shard", "D505", "sharding violation", RunDiffShardSeed},
+};
+
+// Runs `oracle` on seeds seed_base .. seed_base + seeds - 1. Each divergent
+// seed is named on stderr and its input saved as
+// <out_dir>/diff<name>_<seed>.ct.
+int RunDiffMode(const DiffOracle& oracle, int seeds, uint64_t seed_base,
+                const std::string& out_dir, bool json) {
   if (seeds <= 0) {
     std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
     return 2;
@@ -1421,30 +1195,33 @@ int RunDiffShardMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
   for (int i = 0; i < seeds; ++i) {
     const uint64_t seed = seed_base + static_cast<uint64_t>(i);
     std::string query_text;
-    const std::string detail = RunDiffShardSeed(seed, &query_text);
+    const std::string detail = oracle.run(seed, &query_text);
     if (detail.empty()) {
       continue;
     }
     ++violating;
-    std::string saved_to = out_dir + "/diffshard_" + std::to_string(seed) + ".ct";
+    std::string saved_to =
+        out_dir + "/diff" + oracle.name + "_" + std::to_string(seed) + ".ct";
     std::ofstream out(saved_to);
     if (out) {
-      out << "# ctcheck --diff-shard divergence, seed " << seed << " (D505)\n"
+      out << "# ctcheck --diff-" << oracle.name << " divergence, seed " << seed << " ("
+          << oracle.code << ")\n"
           << "# " << detail << "\n"
           << query_text;
     } else {
       std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
       saved_to.clear();
     }
-    std::fprintf(stderr, "seed %llu: D505 sharding violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
+    std::fprintf(stderr, "seed %llu: %s %s: %s%s%s\n", static_cast<unsigned long long>(seed),
+                 oracle.code, oracle.label, detail.c_str(),
                  saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
   }
   if (json) {
-    std::printf("{\"mode\":\"diff-shard\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
+    std::printf("{\"mode\":\"diff-%s\",\"scenarios\":%d,\"violating\":%d}\n", oracle.name,
+                seeds, violating);
   } else {
-    std::printf("ctcheck --diff-shard: %d seed(s), %d divergent\n", seeds, violating);
+    std::printf("ctcheck --diff-%s: %d seed(s), %d divergent\n", oracle.name, seeds,
+                violating);
   }
   return violating > 0 ? 1 : 0;
 }
@@ -1452,40 +1229,31 @@ int RunDiffShardMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
 void PrintUsage(FILE* out) {
   std::fprintf(out,
                "usage: ctcheck [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-opt [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-sim [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-bound [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-canon [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-scope [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-shard [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
+               "       ctcheck --diff-MODE [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
                "       ctcheck --replay scenario.ctsc [--json]\n"
                "       ctcheck --catalog [--json]\n"
                "\n"
                "Seeded scenario fuzzer for the CloudTalk invariant checks: generates\n"
                "randomized cluster workloads, runs them with CT_INVARIANT armed, and\n"
                "serializes any violating scenario to a replayable .ctsc file.\n"
-               "With --diff-opt, fuzzes the static optimisation passes instead: random\n"
-               "queries and status snapshots are evaluated exhaustively with the passes\n"
-               "off and on; any divergence is a D500 violation and the query is saved.\n"
-               "With --diff-sim, fuzzes the incremental fluid solver: every binding is\n"
-               "estimated twice, once via checkpoint-restore delta re-solve and once via\n"
-               "a cold per-binding rebuild; any divergence is a D501 violation.\n"
-               "With --diff-bound, fuzzes the sound bound analysis: every legal binding\n"
-               "is simulated and its makespan checked against the static [LB, UB]\n"
-               "interval; any escape is a D502 violation and the query is saved.\n"
-               "With --diff-canon, fuzzes semantic canonicalization: canon must be\n"
-               "idempotent, equivalence-preserving mutations must not change the\n"
-               "canonical bytes, and the canonical form must be answered exactly like\n"
-               "the original; any divergence is a D503 violation and the query is saved.\n"
-               "With --diff-scope, fuzzes the static footprint analysis: probing only\n"
-               "the computed footprint must answer exactly like probing everything, and\n"
-               "queries with disjoint reservation footprints must commute; any\n"
-               "divergence is a D504 violation and the query is saved.\n"
-               "With --diff-shard, fuzzes the sharded deployment: the server built over\n"
-               "1, 2, and 4 shards — hierarchical probe aggregation, per-shard search\n"
-               "slices, two-phase cross-shard reservations, concurrent N-slot admission\n"
-               "— must answer byte-identically to the one-shard server; any divergence\n"
-               "is a D505 violation and the query is saved.\n"
+               "With one --diff-MODE, fuzzes a differential oracle instead; any\n"
+               "divergence is a violation of the mode's D-code and the query is saved\n"
+               "as diffMODE_SEED.ct:\n"
+               "  opt    D500  random queries and status snapshots are searched\n"
+               "               exhaustively with the static optimisation passes off and\n"
+               "               on; the winners must be byte-identical\n"
+               "  sim    D501  every binding is estimated by checkpoint-restore delta\n"
+               "               re-solve and by a cold per-binding rebuild\n"
+               "  bound  D502  every legal binding's makespan must lie inside the\n"
+               "               static [LB, UB] interval\n"
+               "  canon  D503  canon must be idempotent, equivalence-preserving\n"
+               "               mutations must keep the canonical bytes, and the\n"
+               "               canonical form must be answered like the original\n"
+               "  scope  D504  probing only the footprint must answer like probing\n"
+               "               everything, and queries with disjoint reservation\n"
+               "               footprints must commute\n"
+               "  shard  D505  the server over 1, 2 and 4 shards must answer like the\n"
+               "               one-shard server, also under concurrent admission\n"
                "Exits 0 when every scenario is clean, 1 on violations, 2 on usage errors.\n");
 }
 
@@ -1517,12 +1285,7 @@ int Main(int argc, char** argv) {
   std::string replay_path;
   bool json = false;
   bool catalog = false;
-  bool diff_opt = false;
-  bool diff_sim = false;
-  bool diff_bound = false;
-  bool diff_canon = false;
-  bool diff_scope = false;
-  bool diff_shard = false;
+  const DiffOracle* diff = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -1544,48 +1307,34 @@ int Main(int argc, char** argv) {
       json = true;
     } else if (arg == "--catalog") {
       catalog = true;
-    } else if (arg == "--diff-opt") {
-      diff_opt = true;
-    } else if (arg == "--diff-sim") {
-      diff_sim = true;
-    } else if (arg == "--diff-bound") {
-      diff_bound = true;
-    } else if (arg == "--diff-canon") {
-      diff_canon = true;
-    } else if (arg == "--diff-scope") {
-      diff_scope = true;
-    } else if (arg == "--diff-shard") {
-      diff_shard = true;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
     } else {
-      std::fprintf(stderr, "ctcheck: unknown argument '%s'\n", arg.c_str());
-      PrintUsage(stderr);
-      return 2;
+      const DiffOracle* oracle = nullptr;
+      for (const DiffOracle& o : kDiffOracles) {
+        if (arg == std::string("--diff-") + o.name) {
+          oracle = &o;
+        }
+      }
+      if (oracle == nullptr) {
+        std::fprintf(stderr, "ctcheck: unknown argument '%s'\n", arg.c_str());
+        PrintUsage(stderr);
+        return 2;
+      }
+      if (diff != nullptr) {
+        std::fprintf(stderr, "ctcheck: %s: only one --diff-* mode per run\n", arg.c_str());
+        return 2;
+      }
+      diff = oracle;
     }
   }
   if (catalog) {
     PrintCatalog(json);
     return 0;
   }
-  if (diff_opt) {
-    return RunDiffOptMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_sim) {
-    return RunDiffSimMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_bound) {
-    return RunDiffBoundMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_canon) {
-    return RunDiffCanonMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_scope) {
-    return RunDiffScopeMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_shard) {
-    return RunDiffShardMode(seeds, seed_base, out_dir, json);
+  if (diff != nullptr) {
+    return RunDiffMode(*diff, seeds, seed_base, out_dir, json);
   }
   if (!check::kInvariantsEnabled) {
     std::fprintf(stderr,

@@ -1,52 +1,36 @@
-// ctopt: static query-optimisation report and verification tool.
+// ctopt: static query-optimisation report.
 //
-// Runs the src/lang/opt passes over a query and shows what the exhaustive
-// engine would prune: requirement-infeasible candidates (O100), symmetric
-// variable orbits (O200), independent components and inert variables
-// (O300), and dead flows folded out of the memo signature (O400). Unless
-// told otherwise it then *executes* the search twice — optimisation off and
-// on — against a synthetic all-idle status snapshot and verifies the
-// byte-identity contract: same winning binding, bit-identical estimate.
+// Runs the src/lang/opt passes over a query against a synthetic all-idle
+// status snapshot and shows what the exhaustive engine would prune:
+// requirement-infeasible candidates (O100), symmetric variable orbits
+// (O200), independent components and inert variables (O300), and dead flows
+// folded out of the memo signature (O400). That the pruned search returns a
+// byte-identical answer (D500) is checked over the fixtures by
+// OptDifferentialTest (tests/opt_test.cc) and fuzzed by `ctcheck --diff-opt`.
 //
-//   ctopt query.ct               remarks + plan summary + identity check
-//   ctopt --report query.ct      remarks + plan summary only (no execution)
+//   ctopt query.ct               remarks + plan summary
 //   ctopt --json query.ct        machine-readable remarks and plan for CI
 //   ctopt --passes O100,O400 q.ct  run a subset of the passes
-//   ctopt --no-exec query.ct     skip the differential execution check
 //   ctopt --list                 list registered passes and exit
 //   ctopt -                      read the query from stdin
 //
-// Exit code: 0 = ok, 1 = identity check failed (a pass is unsound — file a
-// bug), 2 = unusable input or usage error.
-#include <algorithm>
+// Exit code: 0 = ok, 2 = unusable input or usage error.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "src/core/exhaustive.h"
-#include "tools/cli_common.h"
 #include "src/lang/diagnostics.h"
 #include "src/lang/opt.h"
 #include "src/lang/parser.h"
+#include "tools/cli_common.h"
 
 namespace {
 
-using cloudtalk::ExhaustiveParams;
-using cloudtalk::ExhaustiveResult;
-using cloudtalk::FlowLevelEstimator;
-using cloudtalk::NodeId;
-using cloudtalk::Result;
-using cloudtalk::StatusByAddress;
-using cloudtalk::StatusReport;
 using cloudtalk::lang::CompiledQuery;
 using cloudtalk::lang::DiagnosticSink;
-using cloudtalk::lang::Endpoint;
 using cloudtalk::lang::OptimizeParams;
 using cloudtalk::lang::OptPass;
 using cloudtalk::lang::OptPasses;
@@ -55,31 +39,24 @@ using cloudtalk::lang::Query;
 
 struct Options {
   bool json = false;
-  bool report_only = false;
-  bool no_exec = false;
   uint32_t passes = cloudtalk::lang::kOptAllPasses;
   std::vector<std::string> files;
 };
 
-// Above this the unoptimised reference walk is too slow to be a check.
-constexpr double kExecSpaceLimit = 1e6;
-
 void PrintUsage(std::ostream& os) {
-  os << "usage: ctopt [--report] [--json] [--no-exec] [--passes O100,...] <query.ct ...|->\n"
+  os << "usage: ctopt [--json] [--passes O100,...] <query.ct ...|->\n"
         "       ctopt --list\n"
         "\n"
         "Static optimisation report for CloudTalk queries: shows which parts\n"
-        "of the exhaustive binding space the src/lang/opt passes prune, and\n"
-        "verifies that the pruned search returns a byte-identical answer.\n"
+        "of the exhaustive binding space the src/lang/opt passes prune on an\n"
+        "idle cluster.\n"
         "\n"
-        "  --report     print remarks and the plan summary; skip execution\n"
         "  --json       machine-readable output (one JSON object per input)\n"
-        "  --no-exec    alias for --report\n"
         "  --passes L   comma-separated pass codes to run (default: all)\n"
         "  --list       list registered passes and exit\n"
         "  -            read a query from standard input\n"
         "\n"
-        "exit code: 0 = ok, 1 = identity check failed, 2 = unusable input\n";
+        "exit code: 0 = ok, 2 = unusable input\n";
 }
 
 void PrintPasses() {
@@ -110,34 +87,6 @@ bool ParsePassList(const std::string& list, uint32_t* passes) {
   return true;
 }
 
-// All-idle synthetic snapshot: every address the query can touch reports a
-// 1 Gbps NIC, a 4 Gbps disk, and no scalar-resource information — the same
-// defaults the tests use. Deterministic, so reports are snapshot-stable.
-StatusByAddress SynthesizeIdleStatus(const CompiledQuery& compiled) {
-  StatusByAddress status;
-  NodeId next = 1;
-  auto add = [&](const Endpoint& e) {
-    if (e.kind != Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    StatusReport report;
-    report.host = next++;
-    report.nic_tx_cap = report.nic_rx_cap = 1e9;
-    report.disk_read_cap = report.disk_write_cap = 4e9;
-    status[e.name] = report;
-  };
-  for (const cloudtalk::lang::VarComm& var : compiled.variables()) {
-    for (const Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const cloudtalk::lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return status;
-}
-
 std::string FormatSpace(double count) {
   char buf[32];
   if (count < 1e6) {
@@ -146,27 +95,6 @@ std::string FormatSpace(double count) {
     std::snprintf(buf, sizeof(buf), "%.3g", count);
   }
   return buf;
-}
-
-// Deterministic rendering of an (unordered) binding for comparison/output.
-std::string RenderBinding(const cloudtalk::Binding& binding) {
-  std::vector<std::string> parts;
-  parts.reserve(binding.size());
-  for (const auto& [var, endpoint] : binding) {
-    parts.push_back(var + "=" + endpoint.ToString());
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out;
-  for (const std::string& part : parts) {
-    out += (out.empty() ? "" : " ") + part;
-  }
-  return out;
-}
-
-// Bit-exact double comparison: the identity contract is byte-identity, not
-// epsilon-closeness.
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 std::string PlanJson(const PrunedSpace& plan) {
@@ -206,8 +134,7 @@ std::string PlanJson(const PrunedSpace& plan) {
   return os.str();
 }
 
-// Runs the passes (and optionally the differential check) over one query.
-// Returns the exit-code contribution.
+// Runs the passes over one query. Returns the exit-code contribution.
 int OptimizeOne(const std::string& source, const std::string& display_name,
                 const Options& options) {
   DiagnosticSink parse_sink;
@@ -223,7 +150,7 @@ int OptimizeOne(const std::string& source, const std::string& display_name,
     return 2;
   }
 
-  const StatusByAddress status = SynthesizeIdleStatus(*compiled);
+  const auto status = cloudtalk::cli::SynthesizeIdleStatus(*compiled);
   OptimizeParams opt_params;
   opt_params.distinct = !query.options.allow_same_binding;
   opt_params.passes = options.passes;
@@ -246,66 +173,7 @@ int OptimizeOne(const std::string& source, const std::string& display_name,
     }
     std::cout << "\n";
   }
-
-  if (options.report_only || options.no_exec) {
-    return 0;
-  }
-  if (plan.space_before > kExecSpaceLimit) {
-    if (!options.json) {
-      std::cout << display_name << ": identity check skipped (unoptimised space "
-                << FormatSpace(plan.space_before) << " exceeds "
-                << FormatSpace(kExecSpaceLimit) << ")\n";
-    }
-    return 0;
-  }
-
-  FlowLevelEstimator estimator;
-  ExhaustiveParams params;
-  params.distinct_bindings = true;  // `option allow_same` still overrides.
-  params.threads = 1;
-  params.optimize = false;
-  const Result<ExhaustiveResult> off =
-      EvaluateExhaustive(*compiled, status, estimator, params);
-  params.optimize = true;
-  const Result<ExhaustiveResult> on =
-      EvaluateExhaustive(*compiled, status, estimator, params);
-
-  bool agree;
-  std::string detail;
-  if (!off.ok() && !on.ok()) {
-    agree = true;  // Both walks agree there is no answer.
-    detail = "both searches report no legal binding";
-  } else if (off.ok() != on.ok()) {
-    agree = false;
-    detail = std::string("only the ") + (off.ok() ? "unoptimised" : "optimized") +
-             " search found a binding (" + (off.ok() ? on.error().message : off.error().message) +
-             ")";
-  } else {
-    const ExhaustiveResult& a = off.value();
-    const ExhaustiveResult& b = on.value();
-    const std::string binding_a = RenderBinding(a.binding);
-    const std::string binding_b = RenderBinding(b.binding);
-    agree = binding_a == binding_b && SameBits(a.estimate.makespan, b.estimate.makespan) &&
-            SameBits(a.estimate.aggregate_throughput, b.estimate.aggregate_throughput);
-    if (agree) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "winner [%s] makespan %.6g s; enumerated %lld vs %lld bindings",
-                    binding_a.c_str(), a.estimate.makespan,
-                    static_cast<long long>(a.counters.enumerated),
-                    static_cast<long long>(b.counters.enumerated));
-      detail = buf;
-    } else {
-      detail = "unoptimised [" + binding_a + "] vs optimized [" + binding_b + "]";
-    }
-  }
-  if (!options.json) {
-    std::cout << display_name << ": identity check " << (agree ? "passed" : "FAILED") << ": "
-              << detail << "\n";
-  } else if (!agree) {
-    std::cerr << display_name << ": identity check FAILED: " << detail << "\n";
-  }
-  return agree ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
@@ -316,10 +184,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       options.json = true;
-    } else if (arg == "--report") {
-      options.report_only = true;
-    } else if (arg == "--no-exec") {
-      options.no_exec = true;
     } else if (arg == "--passes") {
       if (i + 1 >= argc || !ParsePassList(argv[++i], &options.passes)) {
         PrintUsage(std::cerr);

@@ -1,41 +1,28 @@
 // ctscope: static footprint & effect analysis of CloudTalk queries
-// (src/lang/scope, ISSUE 9).
+// (src/lang/scope).
 //
 //   ctscope query.ct            print the footprint report (default: --print)
 //   ctscope --json query.ct     effects, footprint, and excluded hosts as
 //                               JSON (one object per line)
-//   ctscope --exec query.ct     identity check: answer the query on two
-//                               identically seeded simulated clusters, one
-//                               probing only the footprint and one probing
-//                               everything, and fail unless the replies
-//                               agree (the D504 soundness contract,
-//                               single-shot) — also reports probes saved
 //   ctscope -                   read a query from standard input
 //
-// exit code: 0 = ok, 1 = identity mismatch or rejected query, 2 = unusable
-// input or usage error
-#include <algorithm>
-#include <cstdint>
-#include <cstdio>
+// That probing only the footprint answers like probing everything (D504) is
+// fuzzed by `ctcheck --diff-scope` and checked under load by
+// ScopeClusterTest (tests/scope_test.cc).
+//
+// exit code: 0 = ok, 2 = unusable input or usage error
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "src/harness/cluster.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
 #include "tools/cli_common.h"
 
 namespace {
 
-using cloudtalk::Cluster;
-using cloudtalk::ClusterOptions;
-using cloudtalk::kGbps;
-using cloudtalk::MakeSingleSwitch;
-using cloudtalk::QueryReply;
 using cloudtalk::Result;
-using cloudtalk::SingleSwitchParams;
+using cloudtalk::cli::EscapeJson;
 using cloudtalk::lang::CompiledQuery;
 using cloudtalk::lang::Query;
 using cloudtalk::lang::ScopeAnalysis;
@@ -44,15 +31,11 @@ using cloudtalk::lang::ScopeHost;
 struct Options {
   bool print = false;
   bool json = false;
-  bool exec = false;
-  int hosts = 16;
-  uint64_t seed = 1;
   std::vector<std::string> files;
 };
 
 void PrintUsage(std::ostream& os) {
-  os << "usage: ctscope [--print] [--json] [--exec]\n"
-        "               [--hosts N] [--seed N] <query.ct ...|->\n"
+  os << "usage: ctscope [--print] [--json] <query.ct ...|->\n"
         "\n"
         "Computes the static host footprint and effect set of CloudTalk\n"
         "queries: which hosts the answer can depend on (and which status\n"
@@ -60,45 +43,9 @@ void PrintUsage(std::ostream& os) {
         "\n"
         "  --print     print the footprint report (default when no mode given)\n"
         "  --json      effects, footprint, and excluded hosts as JSON\n"
-        "  --exec      answer the query on two identically seeded simulated\n"
-        "              clusters — one probing only the footprint, one probing\n"
-        "              everything — and verify the replies are identical\n"
-        "  --hosts N   simulated cluster size for --exec (default 16)\n"
-        "  --seed N    cluster seed for --exec (default 1)\n"
         "  -           read a query from standard input\n"
         "\n"
-        "exit code: 0 = ok, 1 = identity mismatch or rejected query,\n"
-        "2 = unusable input\n";
-}
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
+        "exit code: 0 = ok, 2 = unusable input\n";
 }
 
 // Parses and compiles one input, then runs the scope analysis.
@@ -160,82 +107,6 @@ void PrintJson(const ScopeAnalysis& scope, const std::string& display_name) {
   std::cout << "]}\n";
 }
 
-Cluster BuildCluster(const Options& options, bool scope_probe_pruning) {
-  SingleSwitchParams params;
-  params.num_hosts = options.hosts;
-  params.host_caps.nic_up = 1 * kGbps;
-  params.host_caps.nic_down = 1 * kGbps;
-  params.host_caps.disk_read = 4 * kGbps;
-  params.host_caps.disk_write = 4 * kGbps;
-  ClusterOptions cluster_options;
-  cluster_options.seed = options.seed;
-  cluster_options.server.seed = options.seed;
-  cluster_options.server.eval_threads = 1;  // Deterministic shard order.
-  // Reservation-free so the two runs see identical state (the check needs
-  // answers that are pure functions of the query and the status snapshot).
-  cluster_options.server.reservation_hold = 0;
-  cluster_options.server.scope_probe_pruning = scope_probe_pruning;
-  Cluster cluster(MakeSingleSwitch(params), cluster_options);
-  cluster.StartStatusSweep();
-  cluster.MeasureNow();
-  return cluster;
-}
-
-// The D504 identity check, single-shot: probing only the footprint must
-// yield exactly the answer full probing yields — binding for binding.
-int ExecIdentity(const std::string& source, const std::string& display_name,
-                 const ScopeAnalysis& scope, const Options& options) {
-  Cluster pruned_cluster = BuildCluster(options, /*scope_probe_pruning=*/true);
-  Cluster full_cluster = BuildCluster(options, /*scope_probe_pruning=*/false);
-  const Result<QueryReply> pruned = pruned_cluster.cloudtalk().Answer(source);
-  const Result<QueryReply> full = full_cluster.cloudtalk().Answer(source);
-  if (pruned.ok() != full.ok()) {
-    std::cerr << display_name << ": identity mismatch: footprint probing "
-              << (pruned.ok() ? "answered" : "rejected") << " but full probing "
-              << (full.ok() ? "answered" : "rejected") << "\n";
-    return 1;
-  }
-  if (!pruned.ok()) {
-    std::cerr << display_name << ": rejected: " << pruned.error().message << "\n";
-    return 1;
-  }
-  std::map<std::string, std::string> pruned_binding;
-  for (const auto& [var, endpoint] : pruned.value().binding) {
-    pruned_binding[var] = endpoint.name;
-  }
-  std::map<std::string, std::string> full_binding;
-  for (const auto& [var, endpoint] : full.value().binding) {
-    full_binding[var] = endpoint.name;
-  }
-  if (pruned_binding != full_binding) {
-    std::cerr << display_name << ": identity mismatch: bindings differ\n";
-    for (const auto& [var, endpoint] : pruned_binding) {
-      std::cerr << "  footprint  " << var << " -> " << endpoint << "\n";
-    }
-    for (const auto& [var, endpoint] : full_binding) {
-      std::cerr << "  full       " << var << " -> " << endpoint << "\n";
-    }
-    return 1;
-  }
-  if (pruned.value().estimate.makespan != full.value().estimate.makespan) {
-    std::cerr << display_name << ": identity mismatch: makespan "
-              << pruned.value().estimate.makespan << " vs " << full.value().estimate.makespan
-              << "\n";
-    return 1;
-  }
-  const int64_t pruned_probes = pruned.value().probe_stats.requests_sent;
-  const int64_t full_probes = full.value().probe_stats.requests_sent;
-  if (pruned_probes > full_probes) {
-    std::cerr << display_name << ": footprint probing sent more probes (" << pruned_probes
-              << ") than full probing (" << full_probes << ")\n";
-    return 1;
-  }
-  std::cout << display_name << ": identity ok (" << pruned_binding.size() << " variables, "
-            << pruned_probes << "/" << full_probes << " probes, "
-            << scope.excluded.size() << " excluded)\n";
-  return 0;
-}
-
 int RunOne(const std::string& source, const std::string& display_name, const Options& options) {
   ScopeAnalysis scope;
   if (!AnalyzeSource(source, display_name, &scope)) {
@@ -246,9 +117,6 @@ int RunOne(const std::string& source, const std::string& display_name, const Opt
   }
   if (options.json) {
     PrintJson(scope, display_name);
-  }
-  if (options.exec) {
-    return ExecIdentity(source, display_name, scope, options);
   }
   return 0;
 }
@@ -263,20 +131,6 @@ int main(int argc, char** argv) {
       options.print = true;
     } else if (arg == "--json") {
       options.json = true;
-    } else if (arg == "--exec") {
-      options.exec = true;
-    } else if (arg == "--hosts") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.hosts = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;
@@ -292,7 +146,7 @@ int main(int argc, char** argv) {
     PrintUsage(std::cerr);
     return 2;
   }
-  if (!options.json && !options.exec) {
+  if (!options.json) {
     options.print = true;
   }
   return cloudtalk::cli::ForEachInput(
