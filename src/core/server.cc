@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <unordered_set>
 
 #include "src/common/lock_registry.h"
 #include "src/common/logging.h"
-#include "src/core/pipeline.h"
 #include "src/lang/bound.h"
 #include "src/lang/canon.h"
 #include "src/lang/lint.h"
@@ -16,7 +17,37 @@
 
 namespace cloudtalk {
 
+#if defined(CLOUDTALK_INVARIANTS) && CLOUDTALK_INVARIANTS
 namespace {
+
+LockId StatsLockId() {
+  static const LockId id = LockRegistry::Instance().Register("server.stats");
+  return id;
+}
+
+LockId RngLockId() {
+  static const LockId id = LockRegistry::Instance().Register("server.rng");
+  return id;
+}
+
+}  // namespace
+#endif
+
+namespace {
+
+// Section 4.3 sampling sizes a sample for a bimodal load distribution: the
+// share of a pool assumed idle, and the confidence of finding enough idle
+// hosts in the sample (RequiredSamples).
+constexpr double kIdleFractionHint = 0.3;
+constexpr double kSampleConfidence = 0.99;
+// How long a scatter-gather waits for status replies before treating the
+// silent hosts as missing.
+constexpr Seconds kProbeTimeout = 10 * kMillisecond;
+// Two-phase reserve: how long a prepared-but-uncommitted lease holds its
+// endpoint before expiring on its own. Long enough to cover the
+// prepare→commit window, short enough that a crashed front end frees its
+// hosts quickly.
+constexpr Seconds kPrepareLease = 50 * kMillisecond;
 
 // Rewrites the variable names a reply carries (binding keys and score
 // labels) through `rename`; names outside the map pass through unchanged.
@@ -73,17 +104,359 @@ std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusS
   return raw;
 }
 
-}  // namespace
-
-#if defined(CLOUDTALK_INVARIANTS) && CLOUDTALK_INVARIANTS
-namespace {
-
-LockId StatsLockId() {
-  static const LockId id = LockRegistry::Instance().Register("server.stats");
-  return id;
+// The front end's first two phases, shared by Answer and Quote: parses and
+// lints `query_text` into `sink`, recording the parse and lint spans.
+lang::Query ParseAndLint(const std::string& query_text, lang::DiagnosticSink* sink,
+                         obs::TraceContext& trace) {
+  const int parse_span = trace.OpenFollowing("parse");
+  lang::Query query = lang::ParseWithDiagnostics(query_text, sink);
+  trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
+  const int lint_span = trace.Transition(parse_span, "lint");
+  lang::RunLint(query, sink);
+  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink->diagnostics().size()));
+  trace.Close(lint_span);
+  return query;
 }
+
+// The answer pipeline's stages, each written so its bytes do not depend on
+// the shard count — the D505 differential contract:
+//
+//   - GatherStatusOver: sampling in place in `*sampled_vars`, which the
+//     caller seeds with the query's variables (one RNG stream, drawn over
+//     the FULL variable set so the stream is independent of footprint
+//     pruning), address assembly, resolution, and the scatter-gather over
+//     the footprint (`scope`; nullptr probes everything). The server
+//     passes its ShardRouter as the transport, turning the one logical
+//     gather into per-shard batches without changing the bytes.
+//   - SynthesizeStaticStatus: the `option static` no-probe path.
+//   - CheckAdmissionBound: the pre-search rejection, error string and all.
+//     Returns false and fills *error on rejection.
+//   - RunExhaustiveSliced: the exhaustive/packet search. It computes the
+//     optimisation plan once, runs `slice_count` engine slices one after
+//     another (each parallelizes internally per `config.eval_threads`),
+//     and merges by (makespan, winner_rank). The server runs one slice per
+//     shard; results are byte-identical at any slice count.
+StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
+                                 ProbeTransport& transport, Rng& rng, std::mutex& rng_mutex,
+                                 const lang::CompiledQuery& compiled,
+                                 const lang::ScopeAnalysis* scope,
+                                 std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
+                                 obs::TraceContext& trace) {
+  const int sample_span = trace.OpenFollowing("sample");
+  // Sampling (Section 4.3): shrink any pool larger than the threshold.
+  // Variables sharing one declaration share one pool; the sample must cover
+  // the d variables drawing from it, so size it with d = sharer count.
+  std::unordered_map<std::string, std::vector<int>> pool_groups;
+  for (size_t i = 0; i < sampled_vars->size(); ++i) {
+    std::string key;
+    for (const lang::Endpoint& e : (*sampled_vars)[i].pool) {
+      key += e.ToString();
+      key.push_back('|');
+    }
+    pool_groups[key].push_back(static_cast<int>(i));
+  }
+  int pools_sampled = 0;
+  {
+    std::lock_guard<std::mutex> rng_lock(rng_mutex);
+    CT_LOCK_TRACE(RngLockId());
+    for (auto& [key, members] : pool_groups) {
+      (void)key;
+      const std::vector<lang::Endpoint>& pool = (*sampled_vars)[members.front()].pool;
+      const int pool_size = static_cast<int>(pool.size());
+      if (pool_size <= config.sample_threshold) {
+        continue;
+      }
+      const int d = static_cast<int>(members.size());
+      int n = config.sample_override > 0
+                  ? config.sample_override
+                  : RequiredSamples(d, kIdleFractionHint, kSampleConfidence);
+      n = std::min(n, pool_size);
+      const std::vector<int> picks = rng.SampleWithoutReplacement(pool_size, n);
+      std::vector<lang::Endpoint> sampled;
+      sampled.reserve(picks.size());
+      for (int p : picks) {
+        sampled.push_back(pool[p]);
+      }
+      for (int member : members) {
+        (*sampled_vars)[member].pool = sampled;
+      }
+      ++pools_sampled;
+      CT_OBS_INC("M106");
+    }
+  }
+  trace.Attr(sample_span, "pools", static_cast<int64_t>(pool_groups.size()));
+  trace.Attr(sample_span, "sampled", static_cast<int64_t>(pools_sampled));
+  // The probe span opens as sampling closes (one shared clock reading) and
+  // covers address assembly, resolution, and the scatter-gather itself.
+  const int probe_span = trace.Transition(sample_span, "probe");
+
+  // Address set to probe: sampled pools plus literal flow endpoints, minus
+  // the hosts the footprint analysis proves no evaluation engine reads.
+  // Sampling above still ran over the full variable set so the RNG stream
+  // is identical with pruning on or off.
+  std::vector<std::string> addresses;
+  std::unordered_set<std::string> seen;
+  int64_t skipped = 0;
+  auto add = [&](const lang::Endpoint& e) {
+    if (e.kind != lang::Endpoint::Kind::kAddress || !seen.insert(e.name).second) {
+      return;
+    }
+    if (scope != nullptr && !scope->InFootprint(e.name)) {
+      ++skipped;
+      return;
+    }
+    addresses.push_back(e.name);
+  };
+  for (const lang::VarComm& var : *sampled_vars) {
+    for (const lang::Endpoint& e : var.pool) {
+      add(e);
+    }
+  }
+  for (const lang::CompiledFlow& flow : compiled.flows()) {
+    add(flow.src);
+    add(flow.dst);
+  }
+
+  // Resolve to hosts and probe.
+  std::vector<NodeId> targets;
+  std::unordered_map<NodeId, std::string> node_to_address;
+  for (const std::string& address : addresses) {
+    const NodeId node = directory.Resolve(address);
+    if (node != kInvalidNode) {
+      targets.push_back(node);
+      node_to_address[node] = address;
+    }
+  }
+  ProbeOutcome outcome = transport.Probe(targets, kProbeTimeout);
+  stats->Accumulate(outcome.stats);
+  CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
+
+  StatusByAddress status;
+  int missing = 0;
+  for (const NodeId node : targets) {
+    const std::string& address = node_to_address[node];
+    const auto it = outcome.reports.find(node);
+    const bool replied = it != outcome.reports.end();
+    // One child event per contacted host, in deterministic target order. The
+    // scatter-gather itself is batched, so the children record fan-out and
+    // per-host outcome rather than individual wall times. A replied host
+    // carries just its address; a missing reply is flagged with replied=0.
+    if (replied) {
+      trace.Event("probe.host", {{"host", address}});
+    } else {
+      trace.Event("probe.host", {{"host", address}, {"replied", "0"}});
+    }
+    if (replied) {
+      status[address] = it->second;
+    } else if (config.assume_loaded_on_missing) {
+      ++missing;
+      // "If nothing is received from a status server, we assume that a
+      // particular address is under heavy I/O load" (Section 4).
+      status[address] = StatusReport::AssumeLoaded(node, directory.CapsOf(node));
+    } else {
+      ++missing;
+      status[address] = StatusReport::Idle(node, directory.CapsOf(node));
+    }
+  }
+  if (skipped > 0) {
+    CT_OBS_ADD("M113", skipped);
+  }
+  trace.Attr(probe_span, "fanout", static_cast<int64_t>(targets.size()));
+  trace.Attr(probe_span, "replies",
+             static_cast<int64_t>(static_cast<int>(targets.size()) - missing));
+  trace.Attr(probe_span, "missing", static_cast<int64_t>(missing));
+  trace.Attr(probe_span, "skipped", skipped);
+  trace.Close(probe_span);
+  return status;
+}
+
+StatusByAddress SynthesizeStaticStatus(const Directory& directory,
+                                       const std::vector<lang::VarComm>& variables,
+                                       const lang::ScopeAnalysis* probe_scope,
+                                       obs::TraceContext& trace) {
+  // Static evaluation: endpoints idle at their nominal capacities. The
+  // sample and probe spans still appear (every reply carries the full
+  // phase skeleton), recording that both phases were no-ops. The
+  // footprint filter applies here too: an inert variable's hosts get no
+  // synthetic idle status, matching what the engines can read.
+  StatusByAddress status;
+  {
+    obs::TraceContext::Scoped sample_span(&trace, "sample");
+    trace.Attr(sample_span.id(), "mode", "static");
+  }
+  obs::TraceContext::Scoped probe_span(&trace, "probe");
+  std::unordered_set<std::string> skipped_hosts;
+  for (const lang::VarComm& var : variables) {
+    for (const lang::Endpoint& e : var.pool) {
+      if (e.kind != lang::Endpoint::Kind::kAddress) {
+        continue;
+      }
+      if (probe_scope != nullptr && !probe_scope->InFootprint(e.name)) {
+        skipped_hosts.insert(e.name);
+        continue;
+      }
+      const NodeId node = directory.Resolve(e.name);
+      if (node != kInvalidNode) {
+        status[e.name] = StatusReport::Idle(node, directory.CapsOf(node));
+      }
+    }
+  }
+  const int64_t skipped = static_cast<int64_t>(skipped_hosts.size());
+  if (skipped > 0) {
+    CT_OBS_ADD("M113", skipped);
+  }
+  trace.Attr(probe_span.id(), "fanout", static_cast<int64_t>(0));
+  trace.Attr(probe_span.id(), "mode", "static");
+  trace.Attr(probe_span.id(), "skipped", skipped);
+  return status;
+}
+
+bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& compiled,
+                         const StatusByAddress& status, double bound_fraction,
+                         obs::TraceContext& trace, Error* error) {
+  const int bound_span = trace.OpenFollowing("bound");
+  lang::BoundOptions bound_options;
+  bound_options.min_available_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+  bound_options.distinct = config.heuristic.distinct_bindings;
+  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(compiled, status, bound_options);
+  CT_OBS_INC("M108");
+  trace.Attr(bound_span, "model", static_cast<int64_t>(bound_fraction >= 0 ? 1 : 0));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().lb);
+  trace.Attr(bound_span, "lb", buf);
+  if (std::isfinite(bounds.query_bounds().ub)) {
+    std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().ub);
+    trace.Attr(bound_span, "ub", buf);
+  }
+  if (bound_fraction >= 0) {
+    for (const lang::GroupBound& gb : bounds.group_bounds()) {
+      if (!gb.provably_infeasible) {
+        continue;
+      }
+      const lang::CompiledGroup& group = compiled.groups()[gb.group];
+      const std::string flow_name = group.flow_indices.empty()
+                                        ? std::string("?")
+                                        : compiled.flows()[group.flow_indices.front()].name;
+      char lb_text[32], deadline_text[32];
+      std::snprintf(lb_text, sizeof(lb_text), "%.6g", gb.interval.lb);
+      std::snprintf(deadline_text, sizeof(deadline_text), "%.6g", gb.deadline);
+      trace.Attr(bound_span, "infeasible_group", static_cast<int64_t>(gb.group));
+      trace.Close(bound_span);
+      CT_OBS_INC("M109");
+      *error = Error{"no binding can meet the deadline: chain group of flow '" + flow_name +
+                     "' needs at least " + lb_text + "s but must finish within " + deadline_text +
+                     "s"};
+      return false;
+    }
+  }
+  trace.Close(bound_span);
+  return true;
+}
+
+Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
+                                             const lang::Query& query,
+                                             const lang::CompiledQuery& compiled,
+                                             const StatusByAddress& status,
+                                             CompletionEstimator& estimator,
+                                             double bound_fraction, int slice_count,
+                                             obs::TraceContext& trace) {
+  CT_OBS_INC("M105");
+  ExhaustiveParams params;
+  params.distinct_bindings = config.heuristic.distinct_bindings;
+  params.threads =
+      query.options.eval_threads > 0 ? query.options.eval_threads : config.eval_threads;
+  params.optimize = query.options.optimize != 0 ? query.options.optimize > 0 : config.optimize;
+  // Compute the static plan here (instead of inside the engine) so the
+  // bind span can report per-pass wall time and pruning attribution
+  // (PassStat) — and so every slice consumes the SAME plan: rank weights,
+  // orbit representatives, and domain pruning must agree across slices for
+  // the (makespan, winner_rank) merge to reproduce the unsliced walk.
+  lang::PrunedSpace plan;
+  if (params.optimize) {
+    lang::OptimizeParams opt_params;
+    opt_params.distinct = params.distinct_bindings && !query.options.allow_same_binding;
+    opt_params.bound_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+    plan = lang::Optimize(compiled, status, opt_params);
+    params.plan = &plan;
+  }
+  const int bind_span = trace.OpenFollowing("bind");
+  trace.Attr(bind_span, "mode", "exhaustive");
+
+  slice_count = std::max(1, slice_count);
+  params.slice_count = slice_count;
+  std::optional<ExhaustiveResult> best;
+  std::optional<Error> first_error;
+  for (int slice = 0; slice < slice_count; ++slice) {
+    params.slice_index = slice;
+    Result<ExhaustiveResult> result = EvaluateExhaustive(compiled, status, estimator, params);
+    if (!result.ok()) {
+      // Lowest-slice error wins (mirrors the engine's own first-worker
+      // error merge); an empty slice's kNoLegalBinding is outvoted by any
+      // slice that found a binding.
+      if (!first_error.has_value()) {
+        first_error = result.error();
+      }
+      continue;
+    }
+    if (!best.has_value()) {
+      best = std::move(result.value());
+      continue;
+    }
+    ExhaustiveResult& merged = *best;
+    const ExhaustiveResult& r = result.value();
+    // Walk counters accumulate; plan-derived ones (bindings_pruned,
+    // components) describe the shared plan and are kept from the first
+    // slice. threads_used sums to the total worker count across slices.
+    merged.counters.evaluations += r.counters.evaluations;
+    merged.counters.memo_hits += r.counters.memo_hits;
+    merged.counters.enumerated += r.counters.enumerated;
+    merged.counters.orbit_skips += r.counters.orbit_skips;
+    merged.counters.bound_prunes += r.counters.bound_prunes;
+    merged.counters.threads_used += r.counters.threads_used;
+    merged.counters.delta_rebinds += r.counters.delta_rebinds;
+    merged.counters.cold_rebinds += r.counters.cold_rebinds;
+    merged.counters.solver_recomputes += r.counters.solver_recomputes;
+    merged.counters.delta_component_hits += r.counters.delta_component_hits;
+    merged.counters.cold_component_solves += r.counters.cold_component_solves;
+    if (r.estimate.makespan < merged.estimate.makespan ||
+        (r.estimate.makespan == merged.estimate.makespan &&
+         r.winner_rank < merged.winner_rank)) {
+      merged.binding = r.binding;
+      merged.estimate = r.estimate;
+      merged.winner_rank = r.winner_rank;
+    }
+  }
+  if (!best.has_value()) {
+    trace.Close(bind_span);
+    if (first_error.has_value()) {
+      return *first_error;
+    }
+    return Error{"no legal binding exists (distinctness or requirements unsatisfiable?)"};
+  }
+  const SearchCounters& c = best->counters;
+  trace.Attr(bind_span, "evaluations", c.evaluations);
+  trace.Attr(bind_span, "memo_hits", c.memo_hits);
+  trace.Attr(bind_span, "enumerated", c.enumerated);
+  trace.Attr(bind_span, "pruned", c.bindings_pruned);
+  trace.Attr(bind_span, "orbit_skips", c.orbit_skips);
+  trace.Attr(bind_span, "bound_prunes", c.bound_prunes);
+  trace.Attr(bind_span, "threads", static_cast<int64_t>(c.threads_used));
+  trace.Attr(bind_span, "delta_rebinds", c.delta_rebinds);
+  trace.Attr(bind_span, "cold_rebinds", c.cold_rebinds);
+  trace.Attr(bind_span, "solver_recomputes", c.solver_recomputes);
+  // Per-pass attribution (exhaustive-only attrs: wall times vary run to
+  // run, and the stable-trace snapshots only pin the heuristic path).
+  if (params.plan != nullptr) {
+    for (const lang::PassStat& ps : params.plan->pass_stats) {
+      trace.Attr(bind_span, std::string("opt.") + ps.code + ".seconds", ps.wall_seconds);
+      trace.Attr(bind_span, std::string("opt.") + ps.code + ".pruned", ps.pruned_bindings);
+    }
+  }
+  trace.Close(bind_span);
+  return *best;
+}
+
 }  // namespace
-#endif
 
 CloudTalkServer::CloudTalkServer(ServerConfig config, const Directory* directory,
                                  ProbeTransport* transport, std::function<Seconds()> clock,
@@ -95,7 +468,6 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
                                  ProbeTransport* transport, std::function<Seconds()> clock,
                                  CompletionEstimator* packet_estimator)
     : config_(std::move(config.server)),
-      prepare_lease_(config.prepare_lease),
       directory_(directory),
       clock_(std::move(clock)),
       packet_estimator_(packet_estimator),
@@ -110,6 +482,25 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
 Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   CT_OBS_INC("M100");
   obs::TraceContext trace("answer");
+  std::vector<lang::Diagnostic> warnings;
+  Result<QueryReply> reply = AnswerBody(query_text, trace, &warnings);
+  if (!reply.ok()) {
+    CT_OBS_INC("M101");
+    return reply;
+  }
+  // Warning-only queries are answered, but the findings travel with the
+  // reply so clients can see what looked suspect.
+  reply.value().warnings = std::move(warnings);
+  reply.value().trace = trace.Finish();
+  if (!reply.value().trace.empty()) {
+    CT_OBS_OBSERVE("M102", reply.value().trace.spans[0].duration);
+  }
+  return reply;
+}
+
+Result<QueryReply> CloudTalkServer::AnswerBody(const std::string& query_text,
+                                               obs::TraceContext& trace,
+                                               std::vector<lang::Diagnostic>* warnings) {
   // Fast path: a spelling answered before skips the language front end
   // entirely — parse/lint/canon are pure functions of the bytes, so the
   // memoized certificate and warnings stand in for a re-run. The skeleton
@@ -138,31 +529,18 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
           trace.Attr(canon_span, "hash", hash_text);
           trace.Attr(canon_span, "cache", "hit");
           trace.Close(canon_span);
-          QueryReply reply = MapReplyNames(it->second.reply, ReverseMap(memo.variable_map));
-          if (!memo.warnings.empty()) {
-            reply.warnings = memo.warnings;
-          }
-          reply.trace = trace.Finish();
-          if (!reply.trace.empty()) {
-            CT_OBS_OBSERVE("M102", reply.trace.spans[0].duration);
-          }
-          return reply;
+          *warnings = memo.warnings;
+          return MapReplyNames(it->second.reply, ReverseMap(memo.variable_map));
         }
       }
     }
   }
   lang::DiagnosticSink sink;
-  const int parse_span = trace.OpenFollowing("parse");
-  lang::Query query = lang::ParseWithDiagnostics(query_text, &sink);
-  trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
-  const int lint_span = trace.Transition(parse_span, "lint");
-  lang::RunLint(query, &sink);
-  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink.diagnostics().size()));
-  trace.Close(lint_span);
+  const lang::Query query = ParseAndLint(query_text, &sink, trace);
   if (sink.has_errors()) {
-    CT_OBS_INC("M101");
     return sink.ToLegacyError();
   }
+  *warnings = sink.diagnostics();
 
   // Canonicalize (ISSUE 8). The span is part of every reply's phase
   // skeleton: the hash identifies the query up to renaming/reordering even
@@ -207,16 +585,7 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
         CT_OBS_INC("M111");
         trace.Attr(canon_span, "cache", "hit");
         trace.Close(canon_span);
-        QueryReply reply =
-            MapReplyNames(it->second.reply, ReverseMap(canon.value().variable_map));
-        if (!sink.empty()) {
-          reply.warnings = sink.diagnostics();
-        }
-        reply.trace = trace.Finish();
-        if (!reply.trace.empty()) {
-          CT_OBS_OBSERVE("M102", reply.trace.spans[0].duration);
-        }
-        return reply;
+        return MapReplyNames(it->second.reply, ReverseMap(canon.value().variable_map));
       }
       cache_state = "miss";
       store = true;
@@ -225,12 +594,8 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   trace.Attr(canon_span, "cache", cache_state);
   trace.Close(canon_span);
 
-  Result<QueryReply> reply = AnswerTraced(query, trace);
-  if (!reply.ok()) {
-    CT_OBS_INC("M101");
-    return reply;
-  }
-  if (store) {
+  Result<QueryReply> reply = AnswerTraced(query, trace, /*quote=*/nullptr);
+  if (reply.ok() && store) {
     // Cache the reply in the canonical name space, stripped of the
     // per-request parts (trace, warnings), so any equivalent spelling can
     // be served from it.
@@ -241,15 +606,6 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
     if (cache_epoch_ == lookup_epoch) {
       answer_cache_[canon.value().text] = std::move(entry);
     }
-  }
-  if (!sink.empty()) {
-    // Warning-only queries are answered, but the findings travel with the
-    // reply so clients can see what looked suspect.
-    reply.value().warnings = sink.diagnostics();
-  }
-  reply.value().trace = trace.Finish();
-  if (!reply.value().trace.empty()) {
-    CT_OBS_OBSERVE("M102", reply.value().trace.spans[0].duration);
   }
   return reply;
 }
@@ -300,7 +656,7 @@ bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now
 }
 
 Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
-                                                 obs::TraceContext& trace) {
+                                                 obs::TraceContext& trace, QuoteReply* quote) {
   const int compile_span = trace.OpenFollowing("compile");
   Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
   trace.Close(compile_span);
@@ -410,32 +766,31 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     reply.estimate = best.value().estimate;
     reply.used_exhaustive = true;
     reply.counters = best.value().counters;
-    // Exhaustive answers skip the reservation tables, but the phase skeleton
-    // stays complete so every trace carries a reserve span.
-    obs::TraceContext::Scoped reserve_span(&trace, "reserve");
-    trace.Attr(reserve_span.id(), "reserved", static_cast<int64_t>(0));
-    return reply;
+  } else {
+    const Seconds now = clock_();
+    ReservationFilter filter = nullptr;
+    if (config_.reservation_hold > 0) {
+      filter = [this, now](const std::string& address) { return IsReserved(address, now); };
+    }
+    const int bind_span = trace.OpenFollowing("bind");
+    trace.Attr(bind_span, "mode", "heuristic");
+    Result<HeuristicResult> heuristic = EvaluateHeuristic(
+        variables, query.options.allow_same_binding, status, config_.heuristic, filter);
+    if (!heuristic.ok()) {
+      trace.Close(bind_span);
+      return heuristic.error();
+    }
+    reply.binding = std::move(heuristic.value().binding);
+    reply.scores = std::move(heuristic.value().scores);
+    trace.Attr(bind_span, "bound", static_cast<int64_t>(reply.binding.size()));
+    trace.Close(bind_span);
   }
 
-  const Seconds now = clock_();
-  ReservationFilter filter = nullptr;
-  if (config_.reservation_hold > 0) {
-    filter = [this, now](const std::string& address) { return IsReserved(address, now); };
-  }
-  const int bind_span = trace.OpenFollowing("bind");
-  trace.Attr(bind_span, "mode", "heuristic");
-  Result<HeuristicResult> heuristic = EvaluateHeuristic(
-      variables, query.options.allow_same_binding, status, config_.heuristic, filter);
-  if (!heuristic.ok()) {
-    trace.Close(bind_span);
-    return heuristic.error();
-  }
-  reply.binding = std::move(heuristic.value().binding);
-  reply.scores = std::move(heuristic.value().scores);
-  trace.Attr(bind_span, "bound", static_cast<int64_t>(reply.binding.size()));
-  const int reserve_span = trace.Transition(bind_span, "reserve");
+  // Only a heuristic answer without `option noreserve` reserves (the scope's
+  // effect set), but every trace carries a reserve span.
+  const int reserve_span = trace.OpenFollowing("reserve");
   int64_t reserved = 0;
-  if (query.options.reserve && config_.reservation_hold > 0) {
+  if (scope.effects.reserves && config_.reservation_hold > 0) {
     // Two-phase reserve. Phase 1 leases every bound endpoint from its owning
     // shard; Prepare never blocks, so ordering is free of deadlock. Phase 2
     // commits them all with ONE shared timestamp. Any shard that fails to
@@ -449,7 +804,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
       (void)var;
       StatusShard& owner = OwnerOf(endpoint.name);
       CT_OBS_INC("M117");
-      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, prepare_lease_);
+      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, kPrepareLease);
       if (lease == 0) {
         aborted = true;
         break;
@@ -471,75 +826,64 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   }
   trace.Attr(reserve_span, "reserved", reserved);
   trace.Close(reserve_span);
+
+  if (quote != nullptr) {
+    // Price the binding over the compiled query and status snapshot it came
+    // from. The exhaustive search already estimated its winner; a heuristic
+    // binding gets a flow-level estimate.
+    quote->binding = reply.binding;
+    quote->estimate = reply.estimate;
+    if (!reply.used_exhaustive) {
+      Result<Estimate> estimate =
+          flow_estimator_.EstimateQuery(compiled.value(), quote->binding, status);
+      if (!estimate.ok()) {
+        return estimate.error();
+      }
+      quote->estimate = estimate.value();
+    }
+    std::unordered_set<std::string> endpoints;
+    for (const lang::CompiledFlow& flow : compiled.value().flows()) {
+      quote->bytes_moved += flow.size;
+      for (const lang::Endpoint* e : {&flow.src, &flow.dst}) {
+        auto resolved = ResolveEndpoint(*e, quote->binding);
+        if (resolved.has_value() && resolved->kind == lang::Endpoint::Kind::kAddress) {
+          endpoints.insert(resolved->name);
+        }
+      }
+    }
+    quote->endpoints = static_cast<int>(endpoints.size());
+    Seconds deadline = std::numeric_limits<Seconds>::infinity();
+    for (const lang::CompiledGroup& group : compiled.value().groups()) {
+      deadline = std::min(deadline, group.deadline);
+    }
+    if (std::isfinite(deadline)) {
+      quote->has_deadline = true;
+      quote->deadline = deadline;
+      quote->deadline_met = quote->estimate.makespan <= deadline;
+    }
+    quote->price = pricing_.per_gb_moved * (quote->bytes_moved / (1024.0 * 1024.0 * 1024.0)) +
+                   pricing_.per_server_second * quote->endpoints * quote->estimate.makespan;
+  }
   return reply;
 }
 
 Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
-  Result<lang::Query> query = lang::Parse(query_text);
-  if (!query.ok()) {
-    return query.error();
-  }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query.value());
-  if (!compiled.ok()) {
-    return compiled.error();
-  }
   CT_OBS_INC("M107");
-  ProbeStats stats;
-  std::vector<lang::VarComm> variables = compiled.value().variables();
-  obs::TraceContext quote_trace("quote");
-  const lang::ScopeAnalysis scope = lang::AnalyzeScope(compiled.value());
-  StatusByAddress status = GatherStatusOver(
-      config_, *directory_, router_, rng_, rng_mutex_, compiled.value(),
-      config_.scope_probe_pruning ? &scope : nullptr, &variables, &stats, quote_trace);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    CT_LOCK_TRACE(StatsLockId());
-    total_stats_.Accumulate(stats);
+  obs::TraceContext trace("quote");
+  lang::DiagnosticSink sink;
+  lang::Query query = ParseAndLint(query_text, &sink, trace);
+  if (sink.has_errors()) {
+    return sink.ToLegacyError();
   }
   // Quoting never reserves: the client is asking about a workload it may
-  // not run. Existing reservations are still avoided.
-  const Seconds now = clock_();
-  ReservationFilter filter = [this, now](const std::string& address) {
-    return IsReserved(address, now);
-  };
-  Result<HeuristicResult> heuristic =
-      EvaluateHeuristic(variables, query.value().options.allow_same_binding, status,
-                        config_.heuristic, filter);
-  if (!heuristic.ok()) {
-    return heuristic.error();
-  }
-  Result<Estimate> estimate =
-      flow_estimator_.EstimateQuery(compiled.value(), heuristic.value().binding, status);
-  if (!estimate.ok()) {
-    return estimate.error();
-  }
+  // not run. Like any `option noreserve` query it still avoids existing
+  // reservations, and it is admitted as a non-reserving query.
+  query.options.reserve = false;
   QuoteReply quote;
-  quote.binding = std::move(heuristic.value().binding);
-  quote.estimate = estimate.value();
-  std::unordered_set<std::string> endpoints;
-  for (const lang::CompiledFlow& flow : compiled.value().flows()) {
-    quote.bytes_moved += flow.size;
-    for (const lang::Endpoint* e : {&flow.src, &flow.dst}) {
-      auto resolved = ResolveEndpoint(*e, quote.binding);
-      if (resolved.has_value() && resolved->kind == lang::Endpoint::Kind::kAddress) {
-        endpoints.insert(resolved->name);
-      }
-    }
+  const Result<QueryReply> reply = AnswerTraced(query, trace, &quote);
+  if (!reply.ok()) {
+    return reply.error();
   }
-  quote.endpoints = static_cast<int>(endpoints.size());
-  for (const lang::CompiledGroup& group : compiled.value().groups()) {
-    if (std::isfinite(group.deadline)) {
-      quote.has_deadline = true;
-      quote.deadline = quote.has_deadline && quote.deadline > 0
-                           ? std::min(quote.deadline, group.deadline)
-                           : group.deadline;
-    }
-  }
-  if (quote.has_deadline) {
-    quote.deadline_met = quote.estimate.makespan <= quote.deadline;
-  }
-  quote.price = pricing_.per_gb_moved * (quote.bytes_moved / (1024.0 * 1024.0 * 1024.0)) +
-                pricing_.per_server_second * quote.endpoints * quote.estimate.makespan;
   return quote;
 }
 

@@ -1,7 +1,7 @@
 // CloudTalkServer: the client-facing service of Figure 2.
 //
 // Answering a query (Section 4):
-//   1. Parse and compile the query text.
+//   1. Parse, lint, and compile the query text.
 //   2. Collect the addresses involved; when a pool exceeds the sampling
 //      threshold, probe only a random sample sized by the Section 4.3
 //      analysis (RequiredSamples) instead of the whole pool.
@@ -10,6 +10,8 @@
 //   4. Bind variables with the Listing 1 heuristic (or exhaustively /
 //      packet-level when the query says so), honouring pseudo-reservations.
 //   5. Reserve the recommended endpoints for the hold time.
+// A price quote (Section 7) runs the same steps with step 5 suppressed,
+// then prices the binding.
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3-5 run
@@ -52,13 +54,10 @@ struct ServerConfig {
   HeuristicParams heuristic;
   Seconds reservation_hold = 300 * kMillisecond;  // 0 disables (ablation).
   // Sampling (Section 4.3): pools larger than `sample_threshold` are
-  // sampled down to RequiredSamples(d, idle_fraction_hint, confidence),
-  // unless `sample_override` (> 0) pins the sample size.
+  // sampled down to RequiredSamples at server.cc's idle-fraction hint and
+  // confidence, unless `sample_override` (> 0) pins the sample size.
   int sample_threshold = 100;
-  double idle_fraction_hint = 0.3;
-  double sample_confidence = 0.99;
   int sample_override = 0;
-  Seconds probe_timeout = 10 * kMillisecond;
   // Ablation (DESIGN.md #5): when false, silent hosts are treated as idle
   // instead of loaded.
   bool assume_loaded_on_missing = true;
@@ -109,11 +108,6 @@ struct ServerConfig {
 struct ShardedConfig {
   ServerConfig server;
   int shards = 4;
-  // Two-phase reserve: how long a prepared-but-uncommitted lease holds its
-  // endpoint before expiring on its own. Long enough to cover the
-  // prepare→commit window, short enough that a crashed front end frees its
-  // hosts quickly.
-  Seconds prepare_lease = 50 * kMillisecond;
 };
 
 struct QueryReply {
@@ -156,7 +150,8 @@ struct QuoteReply {
   double price = 0;           // Under the server's PricingModel.
   // Deadline check: the tightest literal `end` attribute in the query, and
   // whether the predicted completion makes it. has_deadline is false when
-  // the query carries no finite `end`.
+  // the query carries no finite `end`. A deadline that lint (E080) or the
+  // admission bound check refutes gets no quote, only Answer's error.
   bool has_deadline = false;
   Seconds deadline = 0;
   bool deadline_met = true;
@@ -181,9 +176,11 @@ class CloudTalkServer {
   // queries are answered and the warnings returned in QueryReply::warnings.
   Result<QueryReply> Answer(const std::string& query_text);
 
-  // Prices the described workload without reserving anything: the query is
-  // bound as usual, its completion time estimated with the flow-level
-  // estimator, and a price computed from the pricing model (Section 7).
+  // Prices the described workload (Section 7). The query runs Answer's
+  // pipeline, without the answer cache or memo, as if it said `option
+  // noreserve`; a query Answer rejects gets Answer's error. The binding is
+  // priced with the exhaustive search's own estimate, or with a flow-level
+  // estimate of a heuristic binding.
   Result<QuoteReply> Quote(const std::string& query_text);
 
   void set_pricing(const PricingModel& pricing) { pricing_ = pricing; }
@@ -208,9 +205,16 @@ class CloudTalkServer {
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
-  // The evaluation pipeline behind Answer: compile, route, gather status,
-  // bind, reserve — recording one span per phase in `trace`.
-  Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace);
+  // Answer up to its one exit: a memo or answer-cache hit, or the front end
+  // plus AnswerTraced. Sets `*warnings` to the query's lint findings.
+  Result<QueryReply> AnswerBody(const std::string& query_text, obs::TraceContext& trace,
+                                std::vector<lang::Diagnostic>* warnings);
+
+  // The evaluation pipeline behind Answer and Quote: compile, route, gather
+  // status, bind, reserve — recording one span per phase in `trace`. A
+  // non-null `quote` is priced from the binding and its status snapshot.
+  Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace,
+                                  QuoteReply* quote);
 
   // The shard owning `address` per the directory + ShardMap. Unresolvable
   // addresses route to shard 0 so ownership stays total and deterministic:
@@ -230,7 +234,6 @@ class CloudTalkServer {
   bool CacheableEffects(const lang::ScopeEffects& effects) const;
 
   ServerConfig config_;
-  Seconds prepare_lease_;
   const Directory* directory_;
   std::function<Seconds()> clock_;
   CompletionEstimator* packet_estimator_;

@@ -99,7 +99,7 @@ const std::vector<MetricInfo>& MetricCatalog() {
       {"M106", MetricType::kCounter, "server", "cloudtalk_server_sampled_pools",
        "Candidate pools shrunk by Section 4.3 sampling", "", {}},
       {"M107", MetricType::kCounter, "server", "cloudtalk_server_quotes",
-       "Quote() pricing requests", "", {}},
+       "Quote() requests (priced or rejected)", "", {}},
       {"M108", MetricType::kCounter, "server", "cloudtalk_server_bound_checks",
        "Admission bound analyses computed over the gathered status snapshot", "", {}},
       {"M109", MetricType::kCounter, "server", "cloudtalk_server_bound_rejections",

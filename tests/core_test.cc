@@ -1115,13 +1115,24 @@ TEST_F(ServerTest, SymbolicAliasesResolve) {
 TEST_F(ServerTest, ParseErrorPropagates) {
   CloudTalkServer server = MakeServer();
   EXPECT_FALSE(server.Answer("A = ()\n").ok());
+  // A quote fails the same way, and M107 counts it on entry all the same.
+  const int64_t quotes_before = obs::Registry::Instance().counter("M107")->value();
+  EXPECT_FALSE(server.Quote("A = ()\n").ok());
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(obs::Registry::Instance().counter("M107")->value(), quotes_before + 1);
+  }
 }
 
 TEST_F(ServerTest, PacketOptionWithoutEstimatorFails) {
   CloudTalkServer server = MakeServer();
-  auto reply = server.Answer("option packet\nA = (" + Ip(1) + ")\nf1 A -> " + Ip(0) +
-                             " size 1M\n");
-  EXPECT_FALSE(reply.ok());
+  const std::string query = "option packet\nA = (" + Ip(1) + ")\nf1 A -> " + Ip(0) +
+                            " size 1M\n";
+  auto reply = server.Answer(query);
+  ASSERT_FALSE(reply.ok());
+  // A quote runs the same pipeline, so it fails the same way.
+  auto quote = server.Quote(query);
+  ASSERT_FALSE(quote.ok());
+  EXPECT_EQ(quote.error().message, reply.error().message);
 }
 
 TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
@@ -1234,10 +1245,28 @@ TEST_F(ServerTest, QuoteChecksDeadline) {
   EXPECT_DOUBLE_EQ(relaxed.value().deadline, 20.0);
   EXPECT_TRUE(relaxed.value().deadline_met);
 
+  // A deadline Answer refutes gets Answer's error instead of a quote: the
+  // admission bound check rejects 2 s on the 1 Gbps NICs...
   auto tight = server.Quote(base + " end 2\n");
-  ASSERT_TRUE(tight.ok());
-  EXPECT_TRUE(tight.value().has_deadline);
-  EXPECT_FALSE(tight.value().deadline_met);
+  ASSERT_FALSE(tight.ok());
+  EXPECT_NE(tight.error().message.find("no binding can meet the deadline"), std::string::npos)
+      << tight.error().ToString();
+  // ...and lint rejects it outright when the flow's own rate cap rules it out.
+  auto capped = server.Quote(base + " rate 1M end 2\n");
+  ASSERT_FALSE(capped.ok());
+  EXPECT_NE(capped.error().message.find("[E080]"), std::string::npos)
+      << capped.error().ToString();
+
+  // Contention the bound check cannot refute: each flow alone makes 10 s,
+  // but both share host 3's downlink, so the quote predicts a miss.
+  const std::string pools = "A = (" + Ip(1) + " " + Ip(2) + ")\nB = (" + Ip(1) + " " +
+                            Ip(2) + ")\n";
+  auto contended = server.Quote(pools + "f1 A -> " + Ip(3) + " size 1G end 10\nf2 B -> " +
+                                Ip(3) + " size 1G end 10\n");
+  ASSERT_TRUE(contended.ok()) << contended.error().ToString();
+  EXPECT_TRUE(contended.value().has_deadline);
+  EXPECT_GT(contended.value().estimate.makespan, 10.0);
+  EXPECT_FALSE(contended.value().deadline_met);
 
   auto none = server.Quote(base + "\n");
   ASSERT_TRUE(none.ok());

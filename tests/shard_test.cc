@@ -3,8 +3,9 @@
 // / abort leases, I411), the I410 no-double-reserve property, unresponsive-
 // shard abort, the N-slot admission gate's any-slot wakeup, merge
 // determinism against the one-shard server over every good fixture (and its
-// canonical form), the answer cache at 4 shards, and a concurrent admission
-// stress run (the TSan CI job builds this binary).
+// canonical form and quote), the answer cache at 4 shards, and a concurrent
+// admission stress run of answers and quotes (the TSan CI job builds this
+// binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -336,6 +337,21 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
                                 &canon.value()),
               NameOrderedDigest(oracle, nullptr))
         << path.filename() << " canonical form";
+    // A quote is the answer, priced: on a one-shard twin it binds like the
+    // oracle from the same probes (none under `option static`).
+    Cluster quote_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    AddShardLoad(&quote_cluster);
+    const Result<QuoteReply> quote = quote_cluster.cloudtalk().Quote(query);
+    ASSERT_EQ(quote.ok(), oracle.ok()) << path.filename() << " quote";
+    if (quote.ok()) {
+      EXPECT_EQ(quote.value().binding, oracle.value().binding) << path.filename() << " quote";
+    }
+    const ProbeStats want_stats = oracle_cluster.cloudtalk().total_probe_stats();
+    const ProbeStats got_stats = quote_cluster.cloudtalk().total_probe_stats();
+    EXPECT_EQ(got_stats.requests_sent, want_stats.requests_sent) << path.filename();
+    EXPECT_EQ(got_stats.replies_received, want_stats.replies_received) << path.filename();
+    EXPECT_EQ(got_stats.bytes_sent, want_stats.bytes_sent) << path.filename();
+    EXPECT_EQ(got_stats.bytes_received, want_stats.bytes_received) << path.filename();
   }
 }
 
@@ -495,10 +511,11 @@ TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
                           &cluster.transport(), [&cluster] { return cluster.now(); });
   std::vector<std::thread> threads;
   std::vector<std::string> picks(16);
+  std::vector<std::string> quoted(16);
   // Not vector<bool>: per-thread writes must land on distinct bytes.
   std::vector<char> ok(16, 0);
   for (int t = 0; t < 16; ++t) {
-    threads.emplace_back([&cluster, &sharded, &picks, &ok, t] {
+    threads.emplace_back([&cluster, &sharded, &picks, &quoted, &ok, t] {
       // Each query draws from its own two-host slice: all disjoint, so up
       // to 8 evaluate concurrently through the N-slot gate.
       const std::string query = "option static\nA = (" + cluster.ip(2 * t) + " " +
@@ -507,6 +524,12 @@ TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
       ok[t] = reply.ok();
       if (reply.ok()) {
         picks[t] = reply.value().binding.at("A").name;
+      }
+      // The quote passes the same gate as a non-reserving query, while
+      // other threads still answer.
+      const Result<QuoteReply> quote = sharded.Quote(query);
+      if (quote.ok()) {
+        quoted[t] = quote.value().binding.at("A").name;
       }
     });
   }
@@ -523,6 +546,12 @@ TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
       holders += sharded.shard(s).reservations().IsReserved(picks[t], now) ? 1 : 0;
     }
     EXPECT_EQ(holders, 1) << picks[t];
+    // The quote avoided the held pick, so it bound the slice's other host,
+    // and reserved nothing there.
+    const std::string other = picks[t] == cluster.ip(2 * t) ? cluster.ip(2 * t + 1)
+                                                            : cluster.ip(2 * t);
+    EXPECT_EQ(quoted[t], other) << "quote " << t;
+    EXPECT_FALSE(sharded.IsReservedAnywhere(other, now)) << other;
   }
   // Disjoint slices: sixteen distinct hosts were reserved.
   EXPECT_EQ(std::set<std::string>(picks.begin(), picks.end()).size(), 16u);
