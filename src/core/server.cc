@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/lock_registry.h"
 #include "src/common/logging.h"
 #include "src/lang/bound.h"
-#include "src/lang/canon.h"
 #include "src/lang/lint.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
@@ -48,44 +48,6 @@ constexpr Seconds kProbeTimeout = 10 * kMillisecond;
 // prepare→commit window, short enough that a crashed front end frees its
 // hosts quickly.
 constexpr Seconds kPrepareLease = 50 * kMillisecond;
-
-// Rewrites the variable names a reply carries (binding keys and score
-// labels) through `rename`; names outside the map pass through unchanged.
-QueryReply MapReplyNames(const QueryReply& in,
-                         const std::unordered_map<std::string, std::string>& rename) {
-  QueryReply out = in;
-  auto mapped = [&rename](const std::string& name) {
-    const auto it = rename.find(name);
-    return it != rename.end() ? it->second : name;
-  };
-  out.binding.clear();
-  for (const auto& [var, endpoint] : in.binding) {
-    out.binding.emplace(mapped(var), endpoint);
-  }
-  for (auto& [var, score] : out.scores) {
-    (void)score;
-    var = mapped(var);
-  }
-  return out;
-}
-
-std::unordered_map<std::string, std::string> ForwardMap(
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::unordered_map<std::string, std::string> map;
-  for (const auto& [from, to] : pairs) {
-    map.emplace(from, to);
-  }
-  return map;
-}
-
-std::unordered_map<std::string, std::string> ReverseMap(
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::unordered_map<std::string, std::string> map;
-  for (const auto& [from, to] : pairs) {
-    map.emplace(to, from);
-  }
-  return map;
-}
 
 std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardMap& map,
                                                      ProbeTransport* transport, Seconds hold) {
@@ -130,7 +92,10 @@ lang::Query ParseAndLint(const std::string& query_text, lang::DiagnosticSink* si
 //     gather into per-shard batches without changing the bytes.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the pre-search rejection, error string and all.
-//     Returns false and fills *error on rejection.
+//     Builds the bound analysis only when it can reject: the query has a
+//     finite deadline and the estimator vouches for the bound model (a
+//     non-negative availability fraction). Returns false and fills *error
+//     on rejection.
 //   - RunExhaustiveSliced: the exhaustive/packet search. It computes the
 //     optimisation plan once, runs `slice_count` engine slices one after
 //     another (each parallelizes internally per `config.eval_threads`),
@@ -312,15 +277,19 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
 }
 
 bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& compiled,
-                         const StatusByAddress& status, double bound_fraction,
+                         const StatusByAddress& status, Seconds deadline, double bound_fraction,
                          obs::TraceContext& trace, Error* error) {
   const int bound_span = trace.OpenFollowing("bound");
+  if (!std::isfinite(deadline) || bound_fraction < 0) {
+    trace.Attr(bound_span, "skipped", std::isfinite(deadline) ? "no-model" : "no-deadline");
+    trace.Close(bound_span);
+    return true;
+  }
   lang::BoundOptions bound_options;
-  bound_options.min_available_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+  bound_options.min_available_fraction = bound_fraction;
   bound_options.distinct = config.heuristic.distinct_bindings;
   const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(compiled, status, bound_options);
   CT_OBS_INC("M108");
-  trace.Attr(bound_span, "model", static_cast<int64_t>(bound_fraction >= 0 ? 1 : 0));
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().lb);
   trace.Attr(bound_span, "lb", buf);
@@ -328,26 +297,24 @@ bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& 
     std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().ub);
     trace.Attr(bound_span, "ub", buf);
   }
-  if (bound_fraction >= 0) {
-    for (const lang::GroupBound& gb : bounds.group_bounds()) {
-      if (!gb.provably_infeasible) {
-        continue;
-      }
-      const lang::CompiledGroup& group = compiled.groups()[gb.group];
-      const std::string flow_name = group.flow_indices.empty()
-                                        ? std::string("?")
-                                        : compiled.flows()[group.flow_indices.front()].name;
-      char lb_text[32], deadline_text[32];
-      std::snprintf(lb_text, sizeof(lb_text), "%.6g", gb.interval.lb);
-      std::snprintf(deadline_text, sizeof(deadline_text), "%.6g", gb.deadline);
-      trace.Attr(bound_span, "infeasible_group", static_cast<int64_t>(gb.group));
-      trace.Close(bound_span);
-      CT_OBS_INC("M109");
-      *error = Error{"no binding can meet the deadline: chain group of flow '" + flow_name +
-                     "' needs at least " + lb_text + "s but must finish within " + deadline_text +
-                     "s"};
-      return false;
+  for (const lang::GroupBound& gb : bounds.group_bounds()) {
+    if (!gb.provably_infeasible) {
+      continue;
     }
+    const lang::CompiledGroup& group = compiled.groups()[gb.group];
+    const std::string flow_name = group.flow_indices.empty()
+                                      ? std::string("?")
+                                      : compiled.flows()[group.flow_indices.front()].name;
+    char lb_text[32], deadline_text[32];
+    std::snprintf(lb_text, sizeof(lb_text), "%.6g", gb.interval.lb);
+    std::snprintf(deadline_text, sizeof(deadline_text), "%.6g", gb.deadline);
+    trace.Attr(bound_span, "infeasible_group", static_cast<int64_t>(gb.group));
+    trace.Close(bound_span);
+    CT_OBS_INC("M109");
+    *error = Error{"no binding can meet the deadline: chain group of flow '" + flow_name +
+                   "' needs at least " + lb_text + "s but must finish within " + deadline_text +
+                   "s"};
+    return false;
   }
   trace.Close(bound_span);
   return true;
@@ -365,7 +332,7 @@ Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
   params.distinct_bindings = config.heuristic.distinct_bindings;
   params.threads =
       query.options.eval_threads > 0 ? query.options.eval_threads : config.eval_threads;
-  params.optimize = query.options.optimize != 0 ? query.options.optimize > 0 : config.optimize;
+  params.optimize = query.options.optimize >= 0;
   // Compute the static plan here (instead of inside the engine) so the
   // bind span can report per-pass wall time and pruning attribution
   // (PassStat) — and so every slice consumes the SAME plan: rank weights,
@@ -482,163 +449,23 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
 Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   CT_OBS_INC("M100");
   obs::TraceContext trace("answer");
-  std::vector<lang::Diagnostic> warnings;
-  Result<QueryReply> reply = AnswerBody(query_text, trace, &warnings);
+  lang::DiagnosticSink sink;
+  const lang::Query query = ParseAndLint(query_text, &sink, trace);
+  Result<QueryReply> reply = sink.has_errors()
+                                 ? Result<QueryReply>(sink.ToLegacyError())
+                                 : AnswerTraced(query, trace, /*quote=*/nullptr);
   if (!reply.ok()) {
     CT_OBS_INC("M101");
     return reply;
   }
   // Warning-only queries are answered, but the findings travel with the
   // reply so clients can see what looked suspect.
-  reply.value().warnings = std::move(warnings);
+  reply.value().warnings = sink.diagnostics();
   reply.value().trace = trace.Finish();
   if (!reply.value().trace.empty()) {
     CT_OBS_OBSERVE("M102", reply.value().trace.spans[0].duration);
   }
   return reply;
-}
-
-Result<QueryReply> CloudTalkServer::AnswerBody(const std::string& query_text,
-                                               obs::TraceContext& trace,
-                                               std::vector<lang::Diagnostic>* warnings) {
-  // Fast path: a spelling answered before skips the language front end
-  // entirely — parse/lint/canon are pure functions of the bytes, so the
-  // memoized certificate and warnings stand in for a re-run. The skeleton
-  // spans are still emitted (near-zero duration) so hit traces keep the
-  // guaranteed parse/lint/canon prefix.
-  if (config_.answer_cache) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto memo_it = frontend_memo_.find(query_text);
-    if (memo_it != frontend_memo_.end()) {
-      const FrontendMemo& memo = memo_it->second;
-      if (CacheableEffects(memo.effects)) {
-        const auto it = answer_cache_.find(memo.canonical_text);
-        if (it != answer_cache_.end() && it->second.epoch == cache_epoch_) {
-          // A memoized miss is not counted here: the slow path repeats the
-          // lookup after re-canonicalizing and counts it exactly once.
-          CT_OBS_INC("M110");
-          CT_OBS_INC("M111");
-          const int parse_span = trace.OpenFollowing("parse");
-          trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
-          const int lint_span = trace.Transition(parse_span, "lint");
-          trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(memo.warnings.size()));
-          const int canon_span = trace.Transition(lint_span, "canon");
-          char hash_text[17];
-          std::snprintf(hash_text, sizeof(hash_text), "%016llx",
-                        static_cast<unsigned long long>(memo.hash));
-          trace.Attr(canon_span, "hash", hash_text);
-          trace.Attr(canon_span, "cache", "hit");
-          trace.Close(canon_span);
-          *warnings = memo.warnings;
-          return MapReplyNames(it->second.reply, ReverseMap(memo.variable_map));
-        }
-      }
-    }
-  }
-  lang::DiagnosticSink sink;
-  const lang::Query query = ParseAndLint(query_text, &sink, trace);
-  if (sink.has_errors()) {
-    return sink.ToLegacyError();
-  }
-  *warnings = sink.diagnostics();
-
-  // Canonicalize (ISSUE 8). The span is part of every reply's phase
-  // skeleton: the hash identifies the query up to renaming/reordering even
-  // when the answer cache is off. A cacheable repeat is answered here,
-  // skipping compile/probe/search entirely; `lookup_epoch` is re-checked at
-  // store time so a status refresh racing the answer can never publish a
-  // stale entry.
-  const int canon_span = trace.OpenFollowing("canon");
-  const Result<lang::CanonicalQuery> canon = lang::Canonicalize(query);
-  const char* cache_state = "off";
-  bool store = false;
-  uint64_t lookup_epoch = 0;
-  // Statically inferred effect set (src/lang/scope): pure in the query
-  // bytes, so it rides in the front-end memo and gates the answer cache.
-  const lang::ScopeEffects effects = lang::AnalyzeEffects(query);
-  if (canon.ok()) {
-    char hash_text[17];
-    std::snprintf(hash_text, sizeof(hash_text), "%016llx",
-                  static_cast<unsigned long long>(canon.value().hash));
-    trace.Attr(canon_span, "hash", hash_text);
-    if (config_.answer_cache) {
-      // Memoize the front-end result for this exact spelling (pure in the
-      // query bytes, so never invalidated; the cap bounds memory on
-      // adversarial workloads that never repeat a spelling).
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (frontend_memo_.size() >= kFrontendMemoCap) {
-        frontend_memo_.clear();
-      }
-      FrontendMemo& memo = frontend_memo_[query_text];
-      memo.canonical_text = canon.value().text;
-      memo.hash = canon.value().hash;
-      memo.variable_map = canon.value().variable_map;
-      memo.warnings = sink.diagnostics();
-      memo.effects = effects;
-    }
-    if (config_.answer_cache && CacheableEffects(effects)) {
-      CT_OBS_INC("M110");
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      lookup_epoch = cache_epoch_;
-      const auto it = answer_cache_.find(canon.value().text);
-      if (it != answer_cache_.end() && it->second.epoch == cache_epoch_) {
-        CT_OBS_INC("M111");
-        trace.Attr(canon_span, "cache", "hit");
-        trace.Close(canon_span);
-        return MapReplyNames(it->second.reply, ReverseMap(canon.value().variable_map));
-      }
-      cache_state = "miss";
-      store = true;
-    }
-  }
-  trace.Attr(canon_span, "cache", cache_state);
-  trace.Close(canon_span);
-
-  Result<QueryReply> reply = AnswerTraced(query, trace, /*quote=*/nullptr);
-  if (reply.ok() && store) {
-    // Cache the reply in the canonical name space, stripped of the
-    // per-request parts (trace, warnings), so any equivalent spelling can
-    // be served from it.
-    CachedAnswer entry;
-    entry.epoch = lookup_epoch;
-    entry.reply = MapReplyNames(reply.value(), ForwardMap(canon.value().variable_map));
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (cache_epoch_ == lookup_epoch) {
-      answer_cache_[canon.value().text] = std::move(entry);
-    }
-  }
-  return reply;
-}
-
-bool CloudTalkServer::CacheableEffects(const lang::ScopeEffects& effects) const {
-  // Sampled pools draw from the server RNG: two cold answers need not agree,
-  // so a cached one cannot stand in for either.
-  if (effects.max_pool_size > config_.sample_threshold) {
-    return false;
-  }
-  // Reservations are time-varying state the exhaustive path ignores but the
-  // heuristic path both reads (the filter) and writes (the reserve effect).
-  if (config_.reservation_hold > 0 && !effects.uses_packet_engine) {
-    if (effects.reserves) {
-      return false;  // A cold answer would mutate the reservation table.
-    }
-    const Seconds now = clock_();
-    for (const auto& shard : shards_) {
-      if (shard->reservations().ActiveCount(now) > 0) {
-        return false;  // The binding depends on when reservations expire.
-      }
-    }
-  }
-  return true;
-}
-
-void CloudTalkServer::InvalidateAnswerCache() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  ++cache_epoch_;
-  if (!answer_cache_.empty()) {
-    answer_cache_.clear();
-    CT_OBS_INC("M112");
-  }
 }
 
 StatusShard& CloudTalkServer::OwnerOf(const std::string& address) const {
@@ -729,13 +556,17 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     trace.Close(aggregate_span);
   }
 
-  // Admission bound check (ISSUE 7): sound completion-time intervals over
-  // the snapshot just gathered (src/lang/bound.h). When the evaluation's
-  // estimator vouches for the bound model — a non-negative availability
-  // fraction — a chain group whose lower bound already exceeds its deadline
-  // proves the query unanswerable for *every* binding, so it is rejected
-  // here, before any search runs. The span (with the query-level interval)
-  // is part of every reply's phase skeleton either way.
+  // Admission bound check: sound completion-time intervals over the
+  // snapshot just gathered (src/lang/bound.h). A chain group whose lower
+  // bound already exceeds its deadline proves the query unanswerable for
+  // *every* binding, so it is rejected here, before any search runs. Only a
+  // query with a finite `end` can be rejected, and only when the
+  // evaluation's estimator vouches for the bound model; otherwise nothing is
+  // built, and the span, part of every reply's phase skeleton, records why.
+  Seconds deadline = std::numeric_limits<Seconds>::infinity();  // The tightest `end`.
+  for (const lang::CompiledGroup& group : compiled.value().groups()) {
+    deadline = std::min(deadline, group.deadline);
+  }
   CompletionEstimator* bound_model = query.options.use_packet_simulator
                                          ? packet_estimator_
                                          : static_cast<CompletionEstimator*>(&flow_estimator_);
@@ -743,7 +574,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
       bound_model != nullptr ? bound_model->BoundAvailabilityFraction() : -1;
   {
     Error bound_error;
-    if (!CheckAdmissionBound(config_, compiled.value(), status, bound_fraction, trace,
+    if (!CheckAdmissionBound(config_, compiled.value(), status, deadline, bound_fraction, trace,
                              &bound_error)) {
       return bound_error;
     }
@@ -852,10 +683,6 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
       }
     }
     quote->endpoints = static_cast<int>(endpoints.size());
-    Seconds deadline = std::numeric_limits<Seconds>::infinity();
-    for (const lang::CompiledGroup& group : compiled.value().groups()) {
-      deadline = std::min(deadline, group.deadline);
-    }
     if (std::isfinite(deadline)) {
       quote->has_deadline = true;
       quote->deadline = deadline;

@@ -7,14 +7,17 @@
 //      analysis (RequiredSamples) instead of the whole pool.
 //   3. Scatter-gather status over the ProbeTransport; hosts that do not
 //      answer are assumed fully loaded.
-//   4. Bind variables with the Listing 1 heuristic (or exhaustively /
+//   4. When the query carries a finite `end`, reject it if the status just
+//      gathered proves no binding can meet it (src/lang/bound.h).
+//   5. Bind variables with the Listing 1 heuristic (or exhaustively /
 //      packet-level when the query says so), honouring pseudo-reservations.
-//   5. Reserve the recommended endpoints for the hold time.
-// A price quote (Section 7) runs the same steps with step 5 suppressed,
-// then prices the binding.
+//   6. Reserve the recommended endpoints for the hold time.
+// A price quote (Section 7) runs the same steps with step 6 suppressed,
+// then prices the binding. Nothing is cached between queries: every answer
+// reads live status.
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
-// shard by default, N when built from a ShardedConfig. Steps 3-5 run
+// shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
 // through them — probes per owning shard, exhaustive search in one slice
 // per shard, reservations as two-phase leases — and the reply is
 // byte-identical at every shard count (D505).
@@ -29,7 +32,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -66,28 +68,11 @@ struct ServerConfig {
   // 0 = hardware concurrency, 1 = serial. A query's `option threads N`
   // overrides this per query.
   int eval_threads = 0;
-  // Static optimisation passes (src/lang/opt) for exhaustive evaluation.
-  // Safe to leave on: the pruned search returns byte-identical results. A
-  // query's `option optimize` / `option no_optimize` overrides per query.
-  bool optimize = true;
   // What a fired CT_INVARIANT does (process-wide; applied at server
   // construction). Benches sweep with kLogAndContinue so a violation is
   // reported without killing the run; tests use kThrow. Meaningless when
   // CLOUDTALK_INVARIANTS is compiled out.
   check::OnViolation invariant_policy = check::OnViolation::kAbort;
-  // Canonical answer cache (ISSUE 8): Answer() canonicalizes every query
-  // (src/lang/canon) and, when enabled, serves a semantically repeated
-  // query — renamed, reordered, or respelled — from the cached reply with
-  // names mapped back through the certificate. Entries are keyed on the
-  // canonical text (which embeds the option set) plus a status epoch; the
-  // owner of the status plane must call InvalidateAnswerCache() whenever
-  // host status changes (the simulation harness does so on every
-  // measurement sweep). Off by default: only turn it on when that
-  // invalidation contract is wired. Queries whose answers are not a pure
-  // function of (canonical text, status snapshot) — sampled pools, pending
-  // reservations, reserving heuristic answers — bypass the cache either
-  // way.
-  bool answer_cache = false;
   // Scope-based probe pruning (ISSUE 9): skip probing hosts the static
   // footprint analysis (src/lang/scope) proves no evaluation engine can
   // read. Sound — the D504 differential contract fuzzes byte-identity
@@ -125,10 +110,10 @@ struct QueryReply {
   // e.g. W050 contradictory-rate-chain here got an answer, but probably not
   // the one it meant to ask for.
   std::vector<lang::Diagnostic> warnings;
-  // Query-lifecycle spans (ISSUE 5): parse, lint, canon, compile, scope,
-  // route, aggregate (wrapping sample and probe, with one child per
-  // contacted host and one per shard batch), bound, bind, reserve — with
-  // wall times and per-phase attributes. Empty when observability is compiled out
+  // Query-lifecycle spans: parse, lint, compile, scope, route, aggregate
+  // (wrapping sample and probe, with one child per contacted host and one
+  // per shard batch), bound, bind, reserve — with wall times and per-phase
+  // attributes. Empty when observability is compiled out
   // (CLOUDTALK_OBS=OFF) or runtime-disabled. Render with obs::FormatTrace
   // or obs::TraceToJson; `tools/ctstat` does both.
   obs::Trace trace;
@@ -177,10 +162,9 @@ class CloudTalkServer {
   Result<QueryReply> Answer(const std::string& query_text);
 
   // Prices the described workload (Section 7). The query runs Answer's
-  // pipeline, without the answer cache or memo, as if it said `option
-  // noreserve`; a query Answer rejects gets Answer's error. The binding is
-  // priced with the exhaustive search's own estimate, or with a flow-level
-  // estimate of a heuristic binding.
+  // pipeline as if it said `option noreserve`; a query Answer rejects gets
+  // Answer's error. The binding is priced with the exhaustive search's own
+  // estimate, or with a flow-level estimate of a heuristic binding.
   Result<QuoteReply> Quote(const std::string& query_text);
 
   void set_pricing(const PricingModel& pricing) { pricing_ = pricing; }
@@ -188,11 +172,6 @@ class CloudTalkServer {
 
   // Accumulated probe traffic (Section 5.5 overhead accounting).
   ProbeStats total_probe_stats() const;
-
-  // Drops every cached answer (M112 counts the events that discarded
-  // something). The status plane must call this whenever host status
-  // changes; cheap when the cache is empty or disabled.
-  void InvalidateAnswerCache();
 
   const ServerConfig& config() const { return config_; }
   int num_shards() const { return map_.shards(); }
@@ -205,14 +184,10 @@ class CloudTalkServer {
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
-  // Answer up to its one exit: a memo or answer-cache hit, or the front end
-  // plus AnswerTraced. Sets `*warnings` to the query's lint findings.
-  Result<QueryReply> AnswerBody(const std::string& query_text, obs::TraceContext& trace,
-                                std::vector<lang::Diagnostic>* warnings);
-
-  // The evaluation pipeline behind Answer and Quote: compile, route, gather
-  // status, bind, reserve — recording one span per phase in `trace`. A
-  // non-null `quote` is priced from the binding and its status snapshot.
+  // The evaluation pipeline behind Answer and Quote: compile, scope, route,
+  // gather status, bound, bind, reserve — recording one span per phase in
+  // `trace`. A non-null `quote` is priced from the binding and its status
+  // snapshot.
   Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace,
                                   QuoteReply* quote);
 
@@ -223,15 +198,6 @@ class CloudTalkServer {
   bool IsReserved(const std::string& address, Seconds now) const {
     return OwnerOf(address).reservations().IsReserved(address, now);
   }
-
-  // True when the query's answer is a pure function of (canonical text,
-  // status snapshot) under the current configuration, so a cached reply is
-  // guaranteed byte-identical to the cold answer it replaces. The
-  // query-shape half is the statically inferred effect set (pure in the
-  // query bytes, so the front-end memo stores it); the time-varying half —
-  // pending reservations held by other queries — is re-read here on every
-  // lookup.
-  bool CacheableEffects(const lang::ScopeEffects& effects) const;
 
   ServerConfig config_;
   const Directory* directory_;
@@ -246,32 +212,6 @@ class CloudTalkServer {
   ProbeStats total_stats_;
   std::mutex rng_mutex_;
   Rng rng_;
-
-  // Canonical answer cache (ServerConfig::answer_cache). Replies are stored
-  // in the canonical name space (trace and warnings stripped); the epoch
-  // guards against a status refresh racing an in-flight answer.
-  struct CachedAnswer {
-    uint64_t epoch = 0;
-    QueryReply reply;
-  };
-  std::mutex cache_mutex_;
-  uint64_t cache_epoch_ = 0;
-  std::unordered_map<std::string, CachedAnswer> answer_cache_;
-
-  // Front-end memo (answer_cache only): parse, lint, and canonicalization
-  // are pure functions of the query bytes, so a spelling seen before skips
-  // the whole language front end and goes straight to the answer-cache
-  // lookup. Holds no status-dependent data, so InvalidateAnswerCache()
-  // deliberately leaves it alone; bounded by clearing at the cap.
-  struct FrontendMemo {
-    std::string canonical_text;
-    uint64_t hash = 0;
-    std::vector<std::pair<std::string, std::string>> variable_map;
-    std::vector<lang::Diagnostic> warnings;
-    lang::ScopeEffects effects;  // AnalyzeEffects — pure in the query bytes.
-  };
-  static constexpr size_t kFrontendMemoCap = 4096;
-  std::unordered_map<std::string, FrontendMemo> frontend_memo_;
 
   // Concurrent admission gate (src/core/admission.h): AnswerTraced holds a
   // slot for the whole evaluation when reservations are enabled.

@@ -9,8 +9,7 @@
 //
 //   CloudTalkServer (front end)        StatusShard (× N)
 //   ---------------------------------  --------------------------------
-//   parse / lint / canon / compile /   —
-//     scope, answer cache
+//   parse / lint / compile / scope     —
 //   `route`: N-slot admission          —
 //   sample centrally (one RNG stream)  —
 //   `aggregate`: split probe targets → probe own hosts, roll status up

@@ -88,13 +88,6 @@ void Cluster::MeasureNow() {
                "measurement sweep did not cover every cluster host")
       .With("status_servers", status_servers_.size())
       .With("hosts", topo_.hosts().size());
-  // Every CloudTalk server's canonical answer cache is keyed on the status
-  // epoch this sweep just advanced (ServerConfig::answer_cache contract).
-  cloudtalk_->InvalidateAnswerCache();
-  for (auto& [host, server] : per_host_servers_) {
-    (void)host;
-    server->InvalidateAnswerCache();
-  }
 }
 
 void Cluster::SweepTick() {

@@ -76,7 +76,7 @@ struct CanonicalQuery {
 };
 
 // FNV-1a 64-bit over the canonical text. Stable across platforms and runs;
-// the server's answer cache and ctlint W092 key on it.
+// ctlint W092 keys on it.
 uint64_t ContentHash(std::string_view text);
 
 // Rewrites `query` into canonical form. Fails only on queries that are not

@@ -17,9 +17,8 @@
 //     touches (the heuristic's score_candidate reads exactly those);
 //     literal endpoints read net-out as a source and net-in as a sink.
 //   * the **effect set** — whether answering reserves endpoints, samples
-//     fresh status, or is pure. This replaces the server's former ad-hoc
-//     `CacheableQuery` gating: the answer cache now keys on the inferred
-//     purity bits.
+//     fresh status, or is pure. The admission gate and the reserve step
+//     key on it.
 //
 // Soundness of the footprint (the claim `ctcheck --diff-scope` fuzzes as
 // invariant D504) rests on how each status consumer treats the excluded
@@ -62,8 +61,7 @@ namespace cloudtalk {
 namespace lang {
 
 // What answering the query does to server state, inferred statically from
-// the AST (no compilation needed, so the server's front-end memo can cache
-// these bits alongside the canonical form).
+// the AST (no compilation needed).
 struct ScopeEffects {
   // Answering mutates the reservation table. `option noreserve` clears it;
   // packet-level evaluation never reserves regardless of the option.
@@ -74,10 +72,9 @@ struct ScopeEffects {
   // `option packet`: the exhaustive engine answers, which ignores the
   // reservation table entirely.
   bool uses_packet_engine = false;
-  // No reservation effect: the answer is a function of (canonical text,
-  // status snapshot) alone, except for sampling randomness on oversized
-  // pools (max_pool_size) and reservations held by *other* queries — both
-  // re-checked by the server at cache-lookup time.
+  // No reservation effect: the answer is a function of (query, status
+  // snapshot) alone, except for sampling randomness on oversized pools
+  // (max_pool_size) and reservations held by *other* queries.
   bool pure = false;
   // Largest declared pool; pools above the server's sample threshold draw
   // from its RNG, so their answers are not reproducible.

@@ -101,16 +101,12 @@ const std::vector<MetricInfo>& MetricCatalog() {
       {"M107", MetricType::kCounter, "server", "cloudtalk_server_quotes",
        "Quote() requests (priced or rejected)", "", {}},
       {"M108", MetricType::kCounter, "server", "cloudtalk_server_bound_checks",
-       "Admission bound analyses computed over the gathered status snapshot", "", {}},
+       "Admission bound analyses built over the gathered status snapshot (queries with a "
+       "finite deadline and a bound model)",
+       "", {}},
       {"M109", MetricType::kCounter, "server", "cloudtalk_server_bound_rejections",
        "Queries rejected before search: a group's sound lower bound exceeds its deadline",
        "", {}},
-      {"M110", MetricType::kCounter, "server", "cloudtalk_server_canon_lookups",
-       "Canonical answer-cache lookups (cache enabled and the query was cacheable)", "", {}},
-      {"M111", MetricType::kCounter, "server", "cloudtalk_server_canon_hits",
-       "Queries answered from the canonical answer cache", "", {}},
-      {"M112", MetricType::kCounter, "server", "cloudtalk_server_canon_invalidations",
-       "Answer-cache invalidation events that discarded at least one cached answer", "", {}},
       {"M113", MetricType::kCounter, "server", "cloudtalk_server_scope_probe_skips",
        "Hosts not probed because the static footprint analysis proved no evaluation "
        "engine reads their status", "", {}},

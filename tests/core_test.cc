@@ -901,6 +901,25 @@ class ServerTest : public ::testing::Test {
   Seconds now_ = 0;
 };
 
+// The attributes of the first span named `name` in `trace` (none if absent).
+std::vector<std::pair<std::string, std::string>> SpanAttrs(const obs::Trace& trace,
+                                                           const std::string& name) {
+  for (const obs::TraceSpan& span : trace.spans) {
+    if (span.name() == name) {
+      return trace.AttrsOf(span.id);
+    }
+  }
+  return {};
+}
+
+bool HasAttr(const std::vector<std::pair<std::string, std::string>>& attrs,
+             const std::string& key) {
+  return std::any_of(attrs.begin(), attrs.end(),
+                     [&key](const std::pair<std::string, std::string>& kv) {
+                       return kv.first == key;
+                     });
+}
+
 TEST_F(ServerTest, AnswersReplicaQuery) {
   // Make host 1 busy, host 2 idle; the query should pick host 2.
   StatusReport busy = StatusReport::AssumeLoaded(0, topo_.host_caps(topo_.hosts()[1]));
@@ -978,100 +997,6 @@ TEST_F(ServerTest, ProbeStatsAccumulate) {
   EXPECT_EQ(server.total_probe_stats().bytes_sent, 6 * 64);
 }
 
-TEST_F(ServerTest, AnswerCacheServesEquivalentSpelling) {
-  ServerConfig config;
-  config.answer_cache = true;
-  config.reservation_hold = 0;  // Reservation-free answers are cache-pure.
-  CloudTalkServer server = MakeServer(config);
-  const std::string original = "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) +
-                               " size 2*128M\nf2 " + Ip(3) + " -> " + Ip(4) + " size 1M\n";
-  // The same query renamed, reordered, and with the size pre-folded.
-  const std::string respelled = "Pool = (" + Ip(1) + " " + Ip(2) + ")\ncopy " + Ip(3) +
-                                " -> " + Ip(4) + " size 1M\nwrite Pool -> " + Ip(0) +
-                                " size 256M\n";
-  auto cold = server.Answer(original);
-  ASSERT_TRUE(cold.ok()) << cold.error().ToString();
-  const int cold_probes = server.total_probe_stats().requests_sent;
-  EXPECT_GT(cold_probes, 0);
-
-  auto hit = server.Answer(respelled);
-  ASSERT_TRUE(hit.ok()) << hit.error().ToString();
-  // Served from the canonical cache: no new probes went out...
-  EXPECT_EQ(server.total_probe_stats().requests_sent, cold_probes);
-  // ...the binding speaks the respelled query's vocabulary...
-  ASSERT_EQ(hit.value().binding.count("Pool"), 1u);
-  EXPECT_EQ(hit.value().binding.at("Pool").name, cold.value().binding.at("A").name);
-  // ...and the payload matches the cold answer apart from the renaming.
-  EXPECT_EQ(hit.value().probe_stats.requests_sent, cold.value().probe_stats.requests_sent);
-  ASSERT_EQ(hit.value().scores.size(), cold.value().scores.size());
-  for (size_t i = 0; i < hit.value().scores.size(); ++i) {
-    EXPECT_EQ(hit.value().scores[i].second, cold.value().scores[i].second);
-  }
-}
-
-TEST_F(ServerTest, AnswerCacheMemoizesRepeatedSpelling) {
-  // A spelling seen before skips the language front end via the memo; the
-  // reply must still carry that spelling's lint warnings, and invalidation
-  // must still force a cold re-answer (the memo never caches status).
-  ServerConfig config;
-  config.answer_cache = true;
-  config.reservation_hold = 0;
-  CloudTalkServer server = MakeServer(config);
-  // Duplicate pool entry: the query is answerable but carries W011.
-  const std::string query = "A = (" + Ip(1) + " " + Ip(2) + " " + Ip(1) + ")\nf1 A -> " +
-                            Ip(0) + " size 1M\n";
-  auto cold = server.Answer(query);
-  ASSERT_TRUE(cold.ok()) << cold.error().ToString();
-  ASSERT_EQ(cold.value().warnings.size(), 1u);
-  EXPECT_EQ(cold.value().warnings[0].code, "W011");
-  const int cold_probes = server.total_probe_stats().requests_sent;
-
-  auto memoized = server.Answer(query);
-  ASSERT_TRUE(memoized.ok());
-  EXPECT_EQ(server.total_probe_stats().requests_sent, cold_probes);  // Hit.
-  ASSERT_EQ(memoized.value().warnings.size(), 1u);
-  EXPECT_EQ(memoized.value().warnings[0].code, "W011");
-  EXPECT_EQ(memoized.value().binding.at("A").name, cold.value().binding.at("A").name);
-
-  server.InvalidateAnswerCache();
-  ASSERT_TRUE(server.Answer(query).ok());
-  EXPECT_EQ(server.total_probe_stats().requests_sent, 2 * cold_probes);
-}
-
-TEST_F(ServerTest, AnswerCacheInvalidationForcesReprobe) {
-  ServerConfig config;
-  config.answer_cache = true;
-  config.reservation_hold = 0;
-  CloudTalkServer server = MakeServer(config);
-  const std::string query =
-      "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 1M\n";
-  ASSERT_TRUE(server.Answer(query).ok());
-  const int cold_probes = server.total_probe_stats().requests_sent;
-  ASSERT_TRUE(server.Answer(query).ok());
-  EXPECT_EQ(server.total_probe_stats().requests_sent, cold_probes);  // Hit.
-  server.InvalidateAnswerCache();  // Status changed: the entry is stale.
-  ASSERT_TRUE(server.Answer(query).ok());
-  EXPECT_EQ(server.total_probe_stats().requests_sent, 2 * cold_probes);
-}
-
-TEST_F(ServerTest, AnswerCacheLeavesReservingQueriesCold) {
-  // With reservations live (default hold, default `option reserve`), answers
-  // mutate and read time-varying state, so the cache must stand aside: the
-  // second identical query still probes and still avoids the first pick.
-  ServerConfig config;
-  config.answer_cache = true;
-  CloudTalkServer server = MakeServer(config);
-  const std::string query =
-      "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 256M\n";
-  auto first = server.Answer(query);
-  ASSERT_TRUE(first.ok());
-  const int cold_probes = server.total_probe_stats().requests_sent;
-  auto second = server.Answer(query);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(server.total_probe_stats().requests_sent, 2 * cold_probes);
-  EXPECT_NE(second.value().binding.at("A").name, first.value().binding.at("A").name);
-}
-
 TEST_F(ServerTest, DisabledReservationsAreNotCounted) {
   // With reservation_hold = 0 nothing is held, so nothing may be reported
   // as reserved — not in the reserve span, not in M104 — at any shard count.
@@ -1133,18 +1058,47 @@ TEST_F(ServerTest, PacketOptionWithoutEstimatorFails) {
   auto quote = server.Quote(query);
   ASSERT_FALSE(quote.ok());
   EXPECT_EQ(quote.error().message, reply.error().message);
+  // With a deadline too: no estimator means no bound model, so no bound
+  // analysis is built before the same error.
+  const int64_t checks_before = obs::Registry::Instance().counter("M108")->value();
+  auto with_end = server.Answer("option packet\nA = (" + Ip(1) + ")\nf1 A -> " + Ip(0) +
+                                " size 1M end 1000\n");
+  ASSERT_FALSE(with_end.ok());
+  EXPECT_EQ(with_end.error().message, reply.error().message);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
+  }
 }
 
 TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
   CloudTalkServer server = MakeServer();
+  const std::string flow = "f1 " + Ip(0) + " -> " + Ip(1) + " size 8000G";
+  const int64_t checks_before = obs::Registry::Instance().counter("M108")->value();
+  const int64_t rejections_before = obs::Registry::Instance().counter("M109")->value();
+  // Without an `end` no binding can miss a deadline: the flow is answered,
+  // and no bound analysis is built.
+  auto open = server.Answer(flow + "\n");
+  ASSERT_TRUE(open.ok()) << open.error().ToString();
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
+    const auto attrs = SpanAttrs(open.value().trace, "bound");
+    EXPECT_NE(std::find(attrs.begin(), attrs.end(),
+                        std::make_pair(std::string("skipped"), std::string("no-deadline"))),
+              attrs.end());
+    EXPECT_FALSE(HasAttr(attrs, "lb"));
+  }
   // Feasible on idle (unconstrained) hosts — so lint's E080 stays quiet —
   // but provably impossible on the cluster's real 1 Gbps NICs: the
   // admission bound check must reject before any search runs.
-  auto reply = server.Answer("f1 " + Ip(0) + " -> " + Ip(1) + " size 8000G end 1\n");
+  auto reply = server.Answer(flow + " end 1\n");
   ASSERT_FALSE(reply.ok());
   EXPECT_NE(reply.error().message.find("no binding can meet the deadline"),
             std::string::npos)
       << reply.error().ToString();
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before + 1);
+    EXPECT_EQ(obs::Registry::Instance().counter("M109")->value(), rejections_before + 1);
+  }
 }
 
 TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
@@ -1155,43 +1109,27 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   CloudTalkServer server(config, directory_.get(), transport_.get(),
                          [this] { return now_; }, &packet_stand_in);
   auto reply = server.Answer("option packet\nA = (" + Ip(1) + " " + Ip(2) + " " + Ip(3) +
-                             ")\nf1 A -> " + Ip(0) + " size 64M\n");
+                             ")\nf1 A -> " + Ip(0) + " size 64M end 1000\n");
   ASSERT_TRUE(reply.ok()) << reply.error().ToString();
   EXPECT_TRUE(reply.value().used_exhaustive);
   if (!obs::kObsEnabled) {
     return;
   }
   const obs::Trace& trace = reply.value().trace;
-  bool saw_bound = false, saw_bind = false;
-  for (const obs::TraceSpan& span : trace.spans) {
-    const auto attrs = trace.AttrsOf(span.id);
-    const auto has = [&attrs](const std::string& key) {
-      return std::any_of(attrs.begin(), attrs.end(),
-                         [&key](const std::pair<std::string, std::string>& kv) {
-                           return kv.first == key;
-                         });
-    };
-    if (span.name() == "bound") {
-      saw_bound = true;
-      // The wired estimator vouches for the bound model.
-      EXPECT_NE(std::find(attrs.begin(), attrs.end(),
-                          std::make_pair(std::string("model"), std::string("1"))),
-                attrs.end());
-      EXPECT_TRUE(has("lb"));
-    } else if (span.name() == "bind") {
-      saw_bind = true;
-      EXPECT_NE(std::find(attrs.begin(), attrs.end(),
-                          std::make_pair(std::string("mode"), std::string("exhaustive"))),
-                attrs.end());
-      // The branch-and-bound counter and the per-pass attribution (the
-      // same numbers `ctopt --json` prints) ride on the bind span.
-      EXPECT_TRUE(has("bound_prunes"));
-      EXPECT_TRUE(has("opt.O100.seconds"));
-      EXPECT_TRUE(has("opt.O500.pruned"));
-    }
-  }
-  EXPECT_TRUE(saw_bound);
-  EXPECT_TRUE(saw_bind);
+  // The wired estimator vouches for the bound model and the query has a
+  // deadline, so the bound check ran.
+  const auto bound = SpanAttrs(trace, "bound");
+  EXPECT_TRUE(HasAttr(bound, "lb"));
+  EXPECT_FALSE(HasAttr(bound, "skipped"));
+  const auto bind = SpanAttrs(trace, "bind");
+  EXPECT_NE(std::find(bind.begin(), bind.end(),
+                      std::make_pair(std::string("mode"), std::string("exhaustive"))),
+            bind.end());
+  // The branch-and-bound counter and the per-pass attribution (the same
+  // numbers `ctopt --json` prints) ride on the bind span.
+  EXPECT_TRUE(HasAttr(bind, "bound_prunes"));
+  EXPECT_TRUE(HasAttr(bind, "opt.O100.seconds"));
+  EXPECT_TRUE(HasAttr(bind, "opt.O500.pruned"));
 }
 
 TEST_F(ServerTest, WarningOnlyQueryAnsweredWithWarningsAttached) {

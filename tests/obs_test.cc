@@ -422,8 +422,8 @@ TEST(TracePropertyTest, GoodFixtureTracesAreWellFormed) {
     }
 
     // The full phase skeleton is present on every reply.
-    for (const char* phase : {"parse", "lint", "canon", "compile", "scope", "route", "aggregate",
-                              "sample", "probe", "bound", "bind", "reserve"}) {
+    for (const char* phase : {"parse", "lint", "compile", "scope", "route", "aggregate", "sample",
+                              "probe", "bound", "bind", "reserve"}) {
       EXPECT_NE(FindSpan(trace, phase), nullptr) << "missing phase span " << phase;
     }
 

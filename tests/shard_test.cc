@@ -3,9 +3,8 @@
 // / abort leases, I411), the I410 no-double-reserve property, unresponsive-
 // shard abort, the N-slot admission gate's any-slot wakeup, merge
 // determinism against the one-shard server over every good fixture (and its
-// canonical form and quote), the answer cache at 4 shards, and a concurrent
-// admission stress run of answers and quotes (the TSan CI job builds this
-// binary).
+// canonical form and quote), and a concurrent admission stress run of
+// answers and quotes (the TSan CI job builds this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -378,28 +377,6 @@ TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
             want.value().probe_stats.bytes_received);
   EXPECT_EQ(sharded.total_probe_stats().requests_sent,
             want.value().probe_stats.requests_sent);
-}
-
-TEST(ShardedServerTest, AnswerCacheServesRepeatsWithoutProbing) {
-  // A sharded server runs the one Answer pipeline, answer cache included: a
-  // repeated spelling and a respelled equivalent are both served without a
-  // probe, and both replies equal the cold one.
-  Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
-  AddShardLoad(&cluster);
-  ShardedConfig config = ShardConfigFor(&cluster, 4);
-  config.server.answer_cache = true;
-  CloudTalkServer sharded(config, &cluster.directory(), &cluster.transport(),
-                          [&cluster] { return cluster.now(); });
-  const std::string pool = "A = (10.0.0.1 10.0.0.2 10.0.0.5 10.0.0.6)\n";
-  const Result<QueryReply> cold = sharded.Answer(pool + "f1 A -> 10.0.0.9 size 32M\n");
-  ASSERT_TRUE(cold.ok()) << cold.error().ToString();
-  const int cold_probes = sharded.total_probe_stats().requests_sent;
-  EXPECT_GT(cold_probes, 0);
-  EXPECT_EQ(ReplyDigest(sharded.Answer(pool + "f1 A -> 10.0.0.9 size 32M\n")),
-            ReplyDigest(cold));
-  EXPECT_EQ(ReplyDigest(sharded.Answer(pool + "f1 A -> 10.0.0.9 size 2*16M\n")),
-            ReplyDigest(cold));
-  EXPECT_EQ(sharded.total_probe_stats().requests_sent, cold_probes);
 }
 
 TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {

@@ -710,8 +710,7 @@ std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
 //     canonicalizes to the same bytes;
 //  3. the canonical form, evaluated exhaustively against the same status
 //     snapshot, returns the original's winning binding (names mapped back
-//     through the certificate) with a bit-identical estimate — the
-//     invariance claim the server's answer cache rests on.
+//     through the certificate) with a bit-identical estimate.
 
 // Renames every variable and explicitly named flow by appending a suffix,
 // updating declarations, requirements, variable endpoints, and flow
