@@ -13,10 +13,10 @@
 // ON/OFF batches are interleaved (ABAB...) so clock drift and thermal state
 // cancel; the reported figure is the median batch time per side.
 //
-// Output ends with one machine-readable JSON line; pass a path argument to
-// also write that line to a file (CI stores it as BENCH_obs.json).
-// Exit code: 0 = overhead under the bound (or measurement noise makes the
-// comparison meaningless), 1 = the instrumented path is >5% slower.
+// The report (bench/experiments.h) goes to stdout and to argv[1] when given
+// (CI stores it as BENCH_obs.json). Exit code: 0 = overhead under the
+// bound, 1 = the instrumented path is >5% slower, 2 = a query was rejected
+// or argv[1] cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -116,26 +116,15 @@ int main(int argc, char** argv) {
   const double on_us = on_batches[on_batches.size() / 2];
   const double off_us = off_batches[off_batches.size() / 2];
   const double overhead_pct = off_us > 0 ? (on_us - off_us) / off_us * 100.0 : 0.0;
-  const bool pass = overhead_pct < 5.0;
 
-  std::printf("%-32s %10.1f us/query\n", "obs runtime-enabled (median)", on_us);
-  std::printf("%-32s %10.1f us/query\n", "obs runtime-disabled (median)", off_us);
-  std::printf("%-32s %+10.2f %%  (bound: <5%%)\n", "overhead", overhead_pct);
-
-  char json[256];
-  std::snprintf(json, sizeof(json),
-                "{\"bench\":\"obs_overhead\",\"hosts\":%d,\"on_us\":%.1f,\"off_us\":%.1f,"
-                "\"overhead_pct\":%.2f,\"pass\":%s}",
-                n, on_us, off_us, overhead_pct, pass ? "true" : "false");
-  std::printf("%s\n", json);
-  if (argc > 1) {
-    if (std::FILE* f = std::fopen(argv[1], "w")) {
-      std::fprintf(f, "%s\n", json);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", argv[1]);
-      return 2;
-    }
+  bench::JsonReport report("obs_overhead");
+  report.Case("answer_path", "HDFS write query over " + std::to_string(n) +
+                                 " hosts, median batch: obs runtime-enabled vs disabled");
+  report.Metric("on_us", on_us, "us", "lower");
+  report.Metric("off_us", off_us, "us", "lower");
+  report.Floor("overhead_pct", overhead_pct, 5.0, overhead_pct < 5.0);
+  if (!report.Write(argc > 1 ? argv[1] : nullptr)) {
+    return 2;
   }
-  return pass ? 0 : 1;
+  return report.pass() ? 0 : 1;
 }

@@ -14,9 +14,9 @@
 //   (b) full probing sends at least 3x the probes footprint probing sends
 //       (summed over the workload; the ISSUE 9 acceptance floor).
 //
-// Output ends with one machine-readable JSON line; pass a path argument to
-// also write that line to a file (CI stores it as BENCH_scope.json).
-// Exit code: 0 = both hold, 1 = a bound failed, 2 = setup failure.
+// The report (bench/experiments.h) goes to stdout and to argv[1] when given
+// (CI stores it as BENCH_scope.json). Exit code: 0 = both hold, 1 = a
+// bound failed, 2 = setup failure or argv[1] cannot be written.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -155,31 +155,18 @@ int main(int argc, char** argv) {
 
   const double ratio =
       pruned_probes > 0 ? static_cast<double>(full_probes) / pruned_probes : 0.0;
-  const bool pass = identical && ratio >= 3.0;
-  std::printf("%-24s %10s %10s %8s\n", "workload", "pruned", "full", "ratio");
-  std::printf("%-24s %10ld %10ld %7.2fx\n", "tenant placement", pruned_probes, full_probes,
-              ratio);
-  std::printf("median per-query ratio %.2fx over %ld queries; answers %s (bound: >=3x)\n",
-              Median(per_query_ratio), queries,
-              identical ? "byte-identical" : "DIVERGED");
 
-  char json[320];
-  std::snprintf(json, sizeof(json),
-                "{\"bench\":\"scope_probes\",\"hosts\":%d,\"queries\":%ld,"
-                "\"pruned_probes\":%ld,\"full_probes\":%ld,\"probe_ratio\":%.2f,"
-                "\"median_query_ratio\":%.2f,\"answers_identical\":%s,\"pass\":%s}",
-                kHosts, queries, pruned_probes, full_probes, ratio,
-                Median(per_query_ratio), identical ? "true" : "false",
-                pass ? "true" : "false");
-  std::printf("%s\n", json);
-  if (argc > 1) {
-    if (std::FILE* f = std::fopen(argv[1], "w")) {
-      std::fprintf(f, "%s\n", json);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", argv[1]);
-      return 2;
-    }
+  bench::JsonReport report("scope_probes");
+  report.Case("tenant_placement", std::to_string(queries) + " tenant queries over " +
+                                      std::to_string(kHosts) +
+                                      " hosts: footprint probing vs probing every host");
+  report.Metric("pruned_probes", static_cast<double>(pruned_probes), "count", "lower");
+  report.Metric("full_probes", static_cast<double>(full_probes), "count", "lower");
+  report.Metric("median_query_ratio", Median(per_query_ratio), "x", "higher");
+  report.Floor("identical", identical ? 1 : 0, 1, identical);
+  report.Floor("probe_ratio", ratio, 3.0, ratio >= 3.0);
+  if (!report.Write(argc > 1 ? argv[1] : nullptr)) {
+    return 2;
   }
-  return pass ? 0 : 1;
+  return report.pass() ? 0 : 1;
 }

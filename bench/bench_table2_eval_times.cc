@@ -5,19 +5,13 @@
 // reports 231 us (n=100, d=3) up to ~19.4 ms (n=2000, d=30); absolute
 // numbers differ on other hardware, but times must stay in the same
 // magnitude band and scale roughly linearly in n*d.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/experiments.h"
 #include "src/common/rng.h"
-#include "src/core/estimator.h"
-#include "src/core/exhaustive.h"
 #include "src/core/heuristic.h"
 #include "src/lang/analysis.h"
 #include "src/lang/parser.h"
@@ -25,43 +19,6 @@
 using namespace cloudtalk;
 
 namespace {
-
-// Builds the daisy-chain query of Section 5.1: x1 = ... = xd = (s1 ... sn);
-// f_i: x_i -> x_{i+1}.
-std::string DaisyChainQuery(int n, int d) {
-  std::ostringstream query;
-  for (int i = 1; i <= d; ++i) {
-    query << "x" << i << " = ";
-  }
-  query << "(";
-  for (int i = 1; i <= n; ++i) {
-    query << "s" << i << " ";
-  }
-  query << ")\n";
-  for (int i = 1; i + 1 <= d; ++i) {
-    query << "f" << i << " x" << i << " -> x" << (i + 1) << " size 100M";
-    if (i > 1) {
-      query << " transfer t(f" << (i - 1) << ")";
-    }
-    query << "\n";
-  }
-  return query.str();
-}
-
-// Busy-cluster variant: the same daisy chain evaluated while `bg` literal
-// transfers (size 64M, disjoint host pairs outside the pool) are in flight.
-// This is the representative delta-rebind scenario: re-binding the chain
-// leaves every background trajectory untouched, so the incremental solver
-// fast-forwards them instead of re-simulating per binding.
-std::string BusyClusterQuery(int n, int d, int bg) {
-  std::ostringstream query;
-  query << DaisyChainQuery(n, d);
-  for (int b = 0; b < bg; ++b) {
-    query << "g" << b << " s" << (n + 1 + 2 * b) << " -> s" << (n + 2 + 2 * b)
-          << " size 64M\n";
-  }
-  return query.str();
-}
 
 StatusByAddress RandomStatus(int n, Rng& rng) {
   StatusByAddress status;
@@ -78,7 +35,7 @@ StatusByAddress RandomStatus(int n, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   bench::PrintHeader("Table 2: heuristic evaluator running times (us)");
   std::printf("(paper, for reference: n=100,d=3: 231us ... n=2000,d=30: 19379us)\n\n");
 
@@ -96,7 +53,7 @@ int main(int argc, char** argv) {
     std::printf("%8d", n);
     const StatusByAddress status = RandomStatus(n, rng);
     for (int d : var_counts) {
-      auto parsed = lang::Parse(DaisyChainQuery(n, d));
+      auto parsed = lang::Parse(bench::DaisyChainQuery(n, d));
       if (!parsed.ok()) {
         std::printf("%10s", "ERR");
         continue;
@@ -125,129 +82,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("\nShape check: time grows ~linearly with n*d (O(max(m, n*d)) algorithm).\n");
-
-  // Exhaustive-evaluator companion numbers (ISSUE 1): the same daisy-chain
-  // workload through EvaluateExhaustive, original path vs the scratch+memo
-  // engine, serial and sharded (CLOUDTALK_EVAL_THREADS, default 4).
-  int threads = 4;
-  if (const char* env = std::getenv("CLOUDTALK_EVAL_THREADS")) {
-    threads = std::max(1, std::atoi(env));
-  }
-  std::printf("\nExhaustive evaluator (us per full evaluation, d=3):\n");
-  std::printf("%8s %12s %12s %12s\n", "n", "seed path", "engine x1", "engine xN");
-  for (int n : {10, 20}) {
-    auto parsed = lang::Parse(DaisyChainQuery(n, 3));
-    auto compiled = lang::CompiledQuery::Compile(parsed.value());
-    const StatusByAddress status = RandomStatus(n, rng);
-    auto time_one = [&](bool seed_path, int shards) {
-      FlowLevelEstimator estimator(0.1, /*reuse_scratch=*/!seed_path);
-      ExhaustiveParams params;
-      params.memoize = !seed_path;
-      params.threads = shards;
-      const auto begin = std::chrono::steady_clock::now();
-      auto result = EvaluateExhaustive(compiled.value(), status, estimator, params);
-      const auto end = std::chrono::steady_clock::now();
-      if (!result.ok()) {
-        return -1.0;
-      }
-      return std::chrono::duration<double, std::micro>(end - begin).count();
-    };
-    std::printf("%8d %12.0f %12.0f %12.0f\n", n, time_one(true, 1), time_one(false, 1),
-                time_one(false, threads));
-  }
-
-  // Incremental delta rebind (ISSUE 6): the d=3 daisy chain with memoisation
-  // off, so every enumerated binding reaches the estimator — cold re-installs
-  // every group per binding, delta restores the checkpoint, patches only the
-  // changed endpoints and fast-forwards the untouched trajectory closures.
-  // Makespans must be bit-identical. The acceptance workload is the busy
-  // cluster (n=20, d=3, 12 background transfers); its per-binding speedup is
-  // recorded in BENCH_sim.json (target: >= 2x).
-  const int kAcceptBg = 12;
-  std::printf("\nIncremental delta rebind (us per binding, d=3, memo off):\n");
-  std::printf("%8s %4s %12s %12s %10s %10s\n", "n", "bg", "cold", "delta", "speedup",
-              "identical");
-  double accept_cold_us = 0, accept_delta_us = 0;
-  bool accept_identical = false;
-  struct Workload {
-    int n;
-    int bg;
-  };
-  for (const Workload w : {Workload{10, 0}, Workload{20, 0}, Workload{20, kAcceptBg}}) {
-    const int n = w.n;
-    auto parsed = lang::Parse(w.bg > 0 ? BusyClusterQuery(n, 3, w.bg) : DaisyChainQuery(n, 3));
-    auto compiled = lang::CompiledQuery::Compile(parsed.value());
-    const StatusByAddress status = RandomStatus(n + 2 * w.bg, rng);
-    struct RebindRun {
-      double us_per_binding = -1;
-      Estimate estimate;
-    };
-    auto time_rebind = [&](bool delta_rebind) {
-      FlowLevelEstimator estimator(0.1, /*reuse_scratch=*/true, delta_rebind);
-      ExhaustiveParams params;
-      params.memoize = false;
-      const auto begin = std::chrono::steady_clock::now();
-      auto result = EvaluateExhaustive(compiled.value(), status, estimator, params);
-      const auto end = std::chrono::steady_clock::now();
-      RebindRun run;
-      if (!result.ok() || result.value().counters.evaluations <= 0) {
-        return run;
-      }
-      run.us_per_binding = std::chrono::duration<double, std::micro>(end - begin).count() /
-                           static_cast<double>(result.value().counters.evaluations);
-      run.estimate = result.value().estimate;
-      return run;
-    };
-    // Interleave repetitions and keep the fastest of each: both paths are
-    // short enough that one-shot timings are noise-dominated.
-    const int reps = bench::QuickMode() ? 3 : 10;
-    RebindRun cold_run, delta_run;
-    double cold_us = -1, delta_us = -1;
-    for (int r = 0; r < reps; ++r) {
-      const RebindRun c = time_rebind(false);
-      const RebindRun d = time_rebind(true);
-      if (c.us_per_binding < 0 || d.us_per_binding < 0) {
-        break;
-      }
-      cold_run = c;
-      delta_run = d;
-      cold_us = cold_us < 0 ? c.us_per_binding : std::min(cold_us, c.us_per_binding);
-      delta_us = delta_us < 0 ? d.us_per_binding : std::min(delta_us, d.us_per_binding);
-    }
-    if (cold_us < 0 || delta_us < 0) {
-      std::printf("%8d %4d %12s %12s %10s %10s\n", n, w.bg, "ERR", "ERR", "-", "-");
-      continue;
-    }
-    // Exact comparison: the delta path must be indistinguishable from cold.
-    const bool identical =
-        std::memcmp(&cold_run.estimate.makespan, &delta_run.estimate.makespan,
-                    sizeof(double)) == 0 &&
-        std::memcmp(&cold_run.estimate.aggregate_throughput,
-                    &delta_run.estimate.aggregate_throughput, sizeof(double)) == 0;
-    const double speedup = delta_us > 0 ? cold_us / delta_us : 0;
-    std::printf("%8d %4d %12.2f %12.2f %9.2fx %10s\n", n, w.bg, cold_us, delta_us, speedup,
-                identical ? "yes" : "NO");
-    if (w.bg == kAcceptBg) {
-      accept_cold_us = cold_us;
-      accept_delta_us = delta_us;
-      accept_identical = identical;
-    }
-  }
-  const double accept_speedup = accept_delta_us > 0 ? accept_cold_us / accept_delta_us : 0;
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_sim.json";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\"bench\":\"table2_delta_rebind\",\"n\":20,\"d\":3,"
-                 "\"background_transfers\":%d,"
-                 "\"cold_us_per_binding\":%.2f,\"delta_us_per_binding\":%.2f,"
-                 "\"speedup\":%.2f,\"makespans_unchanged\":%s}\n",
-                 kAcceptBg, accept_cold_us, accept_delta_us, accept_speedup,
-                 accept_identical ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s (speedup %.2fx, target >= 2x)\n", json_path.c_str(),
-                accept_speedup);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-  }
   return 0;
 }

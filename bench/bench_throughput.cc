@@ -10,20 +10,21 @@
 //     the run reports qps plus p50/p99 answer latency read back from the
 //     M102 answer-seconds histogram.
 //
-// Output: one JSON object to argv[1] (default BENCH_throughput.json), CI
-// archives it. Exits nonzero when any reply diverges or the closed-loop
-// rate falls under the 1000 qps floor the acceptance gate sets.
+// The report (bench/experiments.h) goes to stdout and to argv[1] when given
+// (CI archives it as BENCH_throughput.json). Exits nonzero when any reply
+// diverges, the closed-loop rate falls under the 1000 qps floor the
+// acceptance gate sets, or argv[1] cannot be written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/experiments.h"
 #include "src/common/rng.h"
 #include "src/core/server.h"
 #include "src/core/shard.h"
@@ -153,8 +154,6 @@ double HistogramQuantile(const obs::Histogram& hist, double q) {
 }
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_throughput.json";
-
   std::printf("identity: %d queries, one-shard vs %d-shard CloudTalkServer...\n",
               kIdentityQueries, kShards);
   const int mismatches = IdentityPhase();
@@ -209,23 +208,19 @@ int main(int argc, char** argv) {
               static_cast<long long>(total), static_cast<long long>(failed.load()),
               elapsed.count(), qps, p50, p99);
 
-  const bool pass = mismatches == 0 && qps >= kQpsFloor;
-  std::ofstream out(out_path);
-  out << "{\"bench\":\"throughput\",\"shards\":" << kShards
-      << ",\"threads\":" << kClientThreads << ",\"hosts\":" << kHosts
-      << ",\"identity_queries\":" << kIdentityQueries
-      << ",\"identity_mismatches\":" << mismatches << ",\"queries\":" << total
-      << ",\"failed\":" << failed.load() << ",\"elapsed_seconds\":" << elapsed.count()
-      << ",\"qps\":" << qps << ",\"p50_seconds\":" << p50 << ",\"p99_seconds\":" << p99
-      << ",\"qps_floor\":" << kQpsFloor << ",\"pass\":" << (pass ? "true" : "false")
-      << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!pass) {
-    std::fprintf(stderr, "bench_throughput: FAILED (%d mismatches, %.0f qps, floor %.0f)\n",
-                 mismatches, qps, kQpsFloor);
-    return 1;
-  }
-  return 0;
+  bench::JsonReport report("throughput");
+  report.Case("closed_loop", std::to_string(kClientThreads) + " closed-loop clients, " +
+                                 std::to_string(kShards) + " shards, " + std::to_string(kHosts) +
+                                 " hosts; identity over " + std::to_string(kIdentityQueries) +
+                                 " queries, 1 vs " + std::to_string(kShards) + " shards");
+  report.Metric("qps", qps, "1/s", "higher");
+  report.Metric("p50_seconds", p50, "s", "lower");
+  report.Metric("p99_seconds", p99, "s", "lower");
+  report.Metric("failed", static_cast<double>(failed.load()), "count", "lower");
+  report.Floor("identity_mismatches", mismatches, 0, mismatches == 0);
+  report.Floor("qps", qps, kQpsFloor, qps >= kQpsFloor);
+  const bool written = report.Write(argc > 1 ? argv[1] : nullptr);
+  return written && report.pass() ? 0 : 1;
 }
 
 }  // namespace

@@ -1,9 +1,113 @@
 #include "bench/experiments.h"
 
+#include <cmath>
+#include <sstream>
+
 #include "src/mapred/mini_mapreduce.h"
 
 namespace cloudtalk {
 namespace bench {
+namespace {
+
+// JSON has no NaN or infinity: a non-finite value is written as null.
+std::string JsonNumber(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return buf;
+}
+
+std::string JsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+    }
+    out.push_back(c);
+  }
+  return out + "\"";
+}
+
+std::string JoinJson(const std::vector<std::string>& items) {
+  std::string out;
+  for (size_t i = 0; i < items.size(); ++i) {
+    out += (i > 0 ? "," : "") + items[i];
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string DaisyChainQuery(int n, int d, int bg) {
+  std::ostringstream query;
+  for (int i = 1; i <= d; ++i) {
+    query << "x" << i << " = ";
+  }
+  query << "(";
+  for (int i = 1; i <= n; ++i) {
+    query << "s" << i << " ";
+  }
+  query << ")\n";
+  for (int i = 1; i + 1 <= d; ++i) {
+    query << "f" << i << " x" << i << " -> x" << (i + 1) << " size 100M";
+    if (i > 1) {
+      query << " transfer t(f" << (i - 1) << ")";
+    }
+    query << "\n";
+  }
+  for (int b = 0; b < bg; ++b) {
+    query << "g" << b << " s" << (n + 1 + 2 * b) << " -> s" << (n + 2 + 2 * b) << " size 64M\n";
+  }
+  return query.str();
+}
+
+void JsonReport::Case(const std::string& name, const std::string& config) {
+  cases_.push_back(
+      CaseJson{"\"name\":" + JsonString(name) + ",\"config\":" + JsonString(config), {}, {}});
+}
+
+void JsonReport::Metric(const std::string& name, double value, const std::string& unit,
+                        const std::string& better) {
+  cases_.back().metrics.push_back("{\"name\":" + JsonString(name) +
+                                  ",\"value\":" + JsonNumber(value) +
+                                  ",\"unit\":" + JsonString(unit) +
+                                  ",\"better\":" + JsonString(better) + "}");
+}
+
+bool JsonReport::Floor(const std::string& name, double value, double bound, bool holds) {
+  cases_.back().floors.push_back("{\"name\":" + JsonString(name) +
+                                 ",\"value\":" + JsonNumber(value) +
+                                 ",\"bound\":" + JsonNumber(bound) +
+                                 ",\"holds\":" + (holds ? "true" : "false") + "}");
+  pass_ = pass_ && holds;
+  return holds;
+}
+
+bool JsonReport::Write(const char* path) const {
+  std::string json = "{\"bench\":" + JsonString(bench_) +
+                     ",\"build_type\":" + JsonString(CLOUDTALK_BUILD_TYPE) + ",\"cases\":[";
+  for (size_t i = 0; i < cases_.size(); ++i) {
+    const CaseJson& c = cases_[i];
+    json += (i > 0 ? ",\n  {" : "\n  {") + c.head + ",\"metrics\":[" + JoinJson(c.metrics) +
+            "],\"floors\":[" + JoinJson(c.floors) + "]}";
+  }
+  json += std::string("\n],\"pass\":") + (pass_ ? "true" : "false") + "}\n";
+  std::fputs(json.c_str(), stdout);
+  if (path == nullptr) {
+    return true;
+  }
+  std::FILE* f = std::fopen(path, "w");
+  bool written = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+  if (f != nullptr) {
+    written = std::fclose(f) == 0 && written;
+  }
+  if (!written) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+  }
+  return written;
+}
 
 ReduceExperimentResult RunReduceExperiment(const ReduceExperimentParams& params) {
   ReduceExperimentResult result;

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -164,6 +165,48 @@ struct ReduceExperimentResult {
 };
 
 ReduceExperimentResult RunReduceExperiment(const ReduceExperimentParams& params);
+
+// The Section 5.1 daisy chain: x1 = ... = xd = (s1 ... sn); f_i: x_i -> x_{i+1},
+// among `bg` literal 64M transfers between disjoint host pairs outside the
+// pool (rebinding the chain leaves their trajectories untouched).
+std::string DaisyChainQuery(int n, int d, int bg = 0);
+
+// ---- The one report schema of the acceptance benches ----
+//
+// A run writes one JSON object: the bench name, the build type, and per
+// case the configuration compared, its metrics (name, value, unit, which
+// direction is better) and its floors (name, measured value, bound, and
+// whether the value meets the bound), plus `pass`, which is true iff every
+// floor holds.
+class JsonReport {
+ public:
+  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
+
+  // Opens a case; Metric and Floor attach to the case opened last.
+  void Case(const std::string& name, const std::string& config);
+  // `better` is "lower" or "higher".
+  void Metric(const std::string& name, double value, const std::string& unit,
+              const std::string& better);
+  // Records a floor and returns `holds`.
+  bool Floor(const std::string& name, double value, double bound, bool holds);
+
+  bool pass() const { return pass_; }
+  // Prints the object to stdout and, when `path` is non-null, writes it
+  // there too. Returns false, after saying so on stderr, when the file
+  // cannot be written.
+  bool Write(const char* path) const;
+
+ private:
+  struct CaseJson {
+    std::string head;                  // Rendered name and config.
+    std::vector<std::string> metrics;  // Rendered JSON objects.
+    std::vector<std::string> floors;
+  };
+
+  std::string bench_;
+  std::vector<CaseJson> cases_;
+  bool pass_ = true;
+};
 
 // Formatting helpers shared by the bench mains.
 inline void PrintHeader(const std::string& title) {

@@ -95,8 +95,8 @@ const std::vector<InvariantInfo>& InvariantCatalog() {
        "--diff-scope)"},
       {"D505", "shard",
        "sharded-deployment identity: CloudTalkServer built over 1, 2, or 4 "
-       "shards — hierarchical probe aggregation, per-shard search slices merged "
-       "by (makespan, odometer rank), two-phase cross-shard reservations — "
+       "shards — hierarchical probe aggregation, one exhaustive search over the "
+       "merged status, two-phase cross-shard reservations — "
        "answers byte-identically to the default one-shard server, for "
        "sequential queries and for disjoint queries admitted concurrently "
        "through the N-slot gate (checked differentially by ctcheck "

@@ -94,7 +94,7 @@ struct ShardResult {
   std::optional<Error> last_error;
 };
 
-// Walks the slice of the binding space where the first variable's candidate
+// Walks the stripe of the binding space where the first variable's candidate
 // index is congruent to `offset` modulo `stride` (remaining variables full
 // range), scoring each legal binding with `est`. Enumeration order within a
 // shard is lexicographic, so ranks are strictly increasing and "first
@@ -306,17 +306,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   const auto& variables = query.variables();
   const size_t n = variables.size();
 
-  if (params.slice_count < 1 || params.slice_index < 0 ||
-      params.slice_index >= params.slice_count) {
-    return Error{"invalid slice: slice_index must lie in [0, slice_count)"};
-  }
-
   if (n == 0) {
-    // Only slice 0 evaluates the empty binding; the others report an empty
-    // slice so a sharded merge counts it exactly once.
-    if (params.slice_index > 0) {
-      return Error{kNoLegalBinding};
-    }
     Binding binding;
     Result<Estimate> estimate = estimator.EstimateQuery(query, binding, status);
     if (!estimate.ok()) {
@@ -512,34 +502,18 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   ctx.num_ids = static_cast<int>(intern.size());
   ctx.memoize = params.memoize && can_memo;
 
-  // Slice for shard fan-out (ISSUE 10): this call walks only first-variable
-  // candidates ≡ slice_index (mod slice_count). Safe at depth 0: O200 never
-  // clamps the first variable (it has no orbit predecessor) and the O500
-  // incumbent is walk-local, pruning only strictly worse bindings — so the
-  // union of slice winners merged by (makespan, rank) is the unsliced
-  // winner, byte for byte.
-  const int64_t pool0 = static_cast<int64_t>(ctx.pool_ids[0].size());
-  const int64_t slice_size =
-      params.slice_index < pool0
-          ? (pool0 - params.slice_index + params.slice_count - 1) / params.slice_count
-          : 0;
-  if (slice_size == 0) {
-    // More slices than candidates: this slice holds no binding at all.
-    return Error{kNoLegalBinding};
-  }
-
-  // Shard the slice's candidates across workers. Every shard needs an
-  // independent estimator; if the estimator cannot be cloned, stay serial.
-  int shards =
-      std::min<int64_t>(ThreadPool::ResolveThreadCount(params.threads), slice_size);
-  shards = std::max(shards, 1);
+  // Stripe the first variable's candidates across workers. Every worker
+  // needs an independent estimator; if the estimator cannot be cloned, stay serial.
+  int workers = std::min<int64_t>(ThreadPool::ResolveThreadCount(params.threads),
+                                  static_cast<int64_t>(ctx.pool_ids[0].size()));
+  workers = std::max(workers, 1);
   std::vector<std::unique_ptr<CompletionEstimator>> clones;
-  if (shards > 1) {
-    clones.reserve(shards);
-    for (int w = 0; w < shards; ++w) {
+  if (workers > 1) {
+    clones.reserve(workers);
+    for (int w = 0; w < workers; ++w) {
       std::unique_ptr<CompletionEstimator> clone = estimator.CloneForThread();
       if (clone == nullptr) {
-        shards = 1;
+        workers = 1;
         clones.clear();
         break;
       }
@@ -547,26 +521,20 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     }
   }
 
-  // Worker striping composes with slicing: worker w of this slice walks
-  // first-variable indices slice_index + (w + k·shards)·slice_count. With
-  // the default slice (1, 0) this reduces to the original offset=w,
-  // stride=shards striping.
-  const int slice_count = params.slice_count;
-  const int slice_index = params.slice_index;
-  std::vector<ShardResult> results(shards);
-  if (shards == 1) {
-    results[0] = RunShard(ctx, estimator, /*offset=*/slice_index, /*stride=*/slice_count);
+  // Worker w walks first-variable indices w, w + workers, w + 2·workers, ….
+  std::vector<ShardResult> results(workers);
+  if (workers == 1) {
+    results[0] = RunShard(ctx, estimator, /*offset=*/0, /*stride=*/1);
   } else {
-    ThreadPool::Shared().Run(shards, [&](int w) {
-      results[w] = RunShard(ctx, *clones[w], /*offset=*/slice_index + w * slice_count,
-                            /*stride=*/shards * slice_count);
+    ThreadPool::Shared().Run(workers, [&](int w) {
+      results[w] = RunShard(ctx, *clones[w], /*offset=*/w, /*stride=*/workers);
     });
   }
 
   // Deterministic merge: lowest makespan, ties to the lexicographically
   // first binding in odometer order — exactly what a serial walk keeps.
   ExhaustiveResult best;
-  best.counters.threads_used = shards;
+  best.counters.threads_used = workers;
   if (plan != nullptr) {
     best.counters.bindings_pruned = plan->bindings_pruned;
     best.counters.components = plan->components;
@@ -604,7 +572,6 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     }
     return Error{kNoLegalBinding};
   }
-  best.winner_rank = best_rank;
   for (size_t i = 0; i < n; ++i) {
     best.binding[variables[i].name] =
         lang::Endpoint::Address(ctx.pool_names[i][winner->best_choice[i]]);

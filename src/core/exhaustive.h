@@ -5,8 +5,8 @@
 // packet-level web-search placement (Section 5.4, 100 placements).
 //
 // The engine partitions the binding space over a fixed worker pool (ISSUE 1):
-// the first variable's candidates are striped across shards, each worker
-// evaluates its slice with a thread-local estimator clone, and shard results
+// the first variable's candidates are striped across workers, each worker
+// walks its stripe with a thread-local estimator clone, and worker results
 // are merged with a deterministic tie-break — lowest makespan, then the
 // lexicographically-first binding in odometer order — so parallel and serial
 // runs return byte-identical answers. A per-worker memo keyed by the
@@ -52,9 +52,9 @@ struct SearchCounters {
   // like orbit_skips: positions, not necessarily legal bindings).
   int64_t bound_prunes = 0;
   int components = 0;           // Communication components (O300 analysis).
-  int threads_used = 1;         // Shards the space was actually split into.
+  int threads_used = 1;         // Workers the walk was actually split into.
   // Solver-cost breakdown (ISSUE 6), drained from each worker's estimator
-  // after its shard: evaluations served by a checkpoint-restore delta rebind
+  // after its stripe: evaluations served by a checkpoint-restore delta rebind
   // vs. a full group re-install, plus the fluid solver's own recompute and
   // per-component delta-cache counters.
   int64_t delta_rebinds = 0;
@@ -70,19 +70,12 @@ struct ExhaustiveResult {
   Binding binding;
   Estimate estimate;  // Of the winning binding.
   SearchCounters counters;
-  // The winner's odometer rank over the full (plan-pruned) space — the
-  // mixed-radix position of its choice vector, first variable most
-  // significant. Rank weights depend only on the plan's kept-candidate
-  // counts, so ranks are comparable across slices of the same plan: a
-  // sharded server merges per-slice winners with the exact tie-break the
-  // engine uses internally — lowest makespan, then lowest rank.
-  int64_t winner_rank = 0;
 };
 
 struct ExhaustiveParams {
   bool distinct_bindings = true;      // Overridden by `option allow_same`.
   int64_t max_bindings = 10'000'000;  // Enumeration safety valve.
-  // Worker shards: 1 = serial (the original behaviour), 0 = hardware
+  // Workers: 1 = serial (the original behaviour), 0 = hardware
   // concurrency, N = at most N (capped by the first pool's size, and forced
   // to 1 when the estimator cannot be cloned per thread).
   int threads = 1;
@@ -96,16 +89,6 @@ struct ExhaustiveParams {
   // null the engine computes one itself.
   bool optimize = false;
   const lang::PrunedSpace* plan = nullptr;
-  // Shard fan-out (ISSUE 10): evaluate only the slice of the binding space
-  // whose first-variable candidate index ≡ slice_index (mod slice_count),
-  // counted over the plan's kept candidates. Slicing composes with the
-  // worker striping above (workers stripe within the slice). The default
-  // (1, 0) is the whole space; a sharded server runs one call per slice
-  // and merges by (makespan, winner_rank), which is byte-identical to the
-  // unsliced walk because O200 orbit clamping never constrains the first
-  // variable and O500 incumbents only prune strictly worse bindings.
-  int slice_count = 1;
-  int slice_index = 0;
 };
 
 // Minimizes estimated makespan over all bindings. Fails when the space

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -96,11 +95,9 @@ lang::Query ParseAndLint(const std::string& query_text, lang::DiagnosticSink* si
 //     finite deadline and the estimator vouches for the bound model (a
 //     non-negative availability fraction). Returns false and fills *error
 //     on rejection.
-//   - RunExhaustiveSliced: the exhaustive/packet search. It computes the
-//     optimisation plan once, runs `slice_count` engine slices one after
-//     another (each parallelizes internally per `config.eval_threads`),
-//     and merges by (makespan, winner_rank). The server runs one slice per
-//     shard; results are byte-identical at any slice count.
+//   - RunExhaustive: the exhaustive/packet search. It computes the
+//     optimisation plan, then runs the engine once over the merged status
+//     (parallel internally per `config.eval_threads`), at any shard count.
 StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
                                  ProbeTransport& transport, Rng& rng, std::mutex& rng_mutex,
                                  const lang::CompiledQuery& compiled,
@@ -320,13 +317,11 @@ bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& 
   return true;
 }
 
-Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
-                                             const lang::Query& query,
-                                             const lang::CompiledQuery& compiled,
-                                             const StatusByAddress& status,
-                                             CompletionEstimator& estimator,
-                                             double bound_fraction, int slice_count,
-                                             obs::TraceContext& trace) {
+Result<ExhaustiveResult> RunExhaustive(const ServerConfig& config, const lang::Query& query,
+                                       const lang::CompiledQuery& compiled,
+                                       const StatusByAddress& status,
+                                       CompletionEstimator& estimator, double bound_fraction,
+                                       obs::TraceContext& trace) {
   CT_OBS_INC("M105");
   ExhaustiveParams params;
   params.distinct_bindings = config.heuristic.distinct_bindings;
@@ -335,72 +330,29 @@ Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
   params.optimize = query.options.optimize >= 0;
   // Compute the static plan here (instead of inside the engine) so the
   // bind span can report per-pass wall time and pruning attribution
-  // (PassStat) — and so every slice consumes the SAME plan: rank weights,
-  // orbit representatives, and domain pruning must agree across slices for
-  // the (makespan, winner_rank) merge to reproduce the unsliced walk.
+  // (PassStat). O500 is armed only when the estimator offers a bound model
+  // (a non-negative availability fraction); the engine could not use it
+  // otherwise.
   lang::PrunedSpace plan;
   if (params.optimize) {
     lang::OptimizeParams opt_params;
     opt_params.distinct = params.distinct_bindings && !query.options.allow_same_binding;
-    opt_params.bound_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+    if (bound_fraction >= 0) {
+      opt_params.bound_fraction = bound_fraction;
+    } else {
+      opt_params.passes &= ~lang::kOptBoundPruning;
+    }
     plan = lang::Optimize(compiled, status, opt_params);
     params.plan = &plan;
   }
   const int bind_span = trace.OpenFollowing("bind");
   trace.Attr(bind_span, "mode", "exhaustive");
-
-  slice_count = std::max(1, slice_count);
-  params.slice_count = slice_count;
-  std::optional<ExhaustiveResult> best;
-  std::optional<Error> first_error;
-  for (int slice = 0; slice < slice_count; ++slice) {
-    params.slice_index = slice;
-    Result<ExhaustiveResult> result = EvaluateExhaustive(compiled, status, estimator, params);
-    if (!result.ok()) {
-      // Lowest-slice error wins (mirrors the engine's own first-worker
-      // error merge); an empty slice's kNoLegalBinding is outvoted by any
-      // slice that found a binding.
-      if (!first_error.has_value()) {
-        first_error = result.error();
-      }
-      continue;
-    }
-    if (!best.has_value()) {
-      best = std::move(result.value());
-      continue;
-    }
-    ExhaustiveResult& merged = *best;
-    const ExhaustiveResult& r = result.value();
-    // Walk counters accumulate; plan-derived ones (bindings_pruned,
-    // components) describe the shared plan and are kept from the first
-    // slice. threads_used sums to the total worker count across slices.
-    merged.counters.evaluations += r.counters.evaluations;
-    merged.counters.memo_hits += r.counters.memo_hits;
-    merged.counters.enumerated += r.counters.enumerated;
-    merged.counters.orbit_skips += r.counters.orbit_skips;
-    merged.counters.bound_prunes += r.counters.bound_prunes;
-    merged.counters.threads_used += r.counters.threads_used;
-    merged.counters.delta_rebinds += r.counters.delta_rebinds;
-    merged.counters.cold_rebinds += r.counters.cold_rebinds;
-    merged.counters.solver_recomputes += r.counters.solver_recomputes;
-    merged.counters.delta_component_hits += r.counters.delta_component_hits;
-    merged.counters.cold_component_solves += r.counters.cold_component_solves;
-    if (r.estimate.makespan < merged.estimate.makespan ||
-        (r.estimate.makespan == merged.estimate.makespan &&
-         r.winner_rank < merged.winner_rank)) {
-      merged.binding = r.binding;
-      merged.estimate = r.estimate;
-      merged.winner_rank = r.winner_rank;
-    }
-  }
-  if (!best.has_value()) {
+  Result<ExhaustiveResult> best = EvaluateExhaustive(compiled, status, estimator, params);
+  if (!best.ok()) {
     trace.Close(bind_span);
-    if (first_error.has_value()) {
-      return *first_error;
-    }
-    return Error{"no legal binding exists (distinctness or requirements unsatisfiable?)"};
+    return best.error();
   }
-  const SearchCounters& c = best->counters;
+  const SearchCounters& c = best.value().counters;
   trace.Attr(bind_span, "evaluations", c.evaluations);
   trace.Attr(bind_span, "memo_hits", c.memo_hits);
   trace.Attr(bind_span, "enumerated", c.enumerated);
@@ -420,7 +372,7 @@ Result<ExhaustiveResult> RunExhaustiveSliced(const ServerConfig& config,
     }
   }
   trace.Close(bind_span);
-  return *best;
+  return best;
 }
 
 }  // namespace
@@ -584,12 +536,8 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     if (packet_estimator_ == nullptr) {
       return Error{"query requests packet-level evaluation, but no packet estimator is wired"};
     }
-    // Search fan-out: engine slice s walks first-variable candidates
-    // ≡ s (mod shards); the merge keeps the lowest (makespan, winner_rank),
-    // which is the unsliced winner byte for byte.
-    Result<ExhaustiveResult> best =
-        RunExhaustiveSliced(config_, query, compiled.value(), status, *packet_estimator_,
-                            bound_fraction, num_shards(), trace);
+    Result<ExhaustiveResult> best = RunExhaustive(config_, query, compiled.value(), status,
+                                                  *packet_estimator_, bound_fraction, trace);
     if (!best.ok()) {
       return best.error();
     }

@@ -18,9 +18,10 @@
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
-// through them — probes per owning shard, exhaustive search in one slice
-// per shard, reservations as two-phase leases — and the reply is
-// byte-identical at every shard count (D505).
+// through them — probes per owning shard, the heuristic's reservation checks
+// per owning shard, reservations as two-phase leases — while an exhaustive
+// search runs once over the merged status. The reply is byte-identical at
+// every shard count (D505).
 //
 // The server is thread-safe: concurrent queries synchronize on the
 // reservation tables per assignment, matching the paper's description.

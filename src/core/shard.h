@@ -14,8 +14,7 @@
 //   sample centrally (one RNG stream)  —
 //   `aggregate`: split probe targets → probe own hosts, roll status up
 //   bound check on merged status       —
-//   exhaustive: engine slice per shard → walk slice_index ≡ shard (mod N)
-//     merge by (makespan, winner_rank)
+//   exhaustive search on merged status —
 //   heuristic on merged status         → IsReserved for own hosts
 //   two-phase reserve                  → Prepare / Commit / Abort leases
 //

@@ -1,5 +1,6 @@
 #include "src/lang/parser.h"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <utility>
@@ -10,6 +11,13 @@ namespace cloudtalk {
 namespace lang {
 
 namespace {
+
+// Deepest expression the parser accepts. Every parenthesis and unary minus
+// it recurses into and every binary operator a chain adds counts one level;
+// failing at the limit, before recursing or building further, bounds the
+// parser's own recursion and every later walk of the tree (destruction,
+// EvalConstant, canon, bound).
+constexpr int kMaxExprDepth = 256;
 
 std::optional<Attr> AttrKeyword(const std::string& word) {
   if (word == "start") {
@@ -320,7 +328,8 @@ class Parser {
       const Span attr_span = Cur().span();
       Advance();
       ExprPtr value;
-      if (!ParseExpr(&value)) {
+      int height = 0;
+      if (!ParseExpr(&value, &height)) {
         return false;
       }
       bool duplicate = false;
@@ -353,8 +362,32 @@ class Parser {
     return true;
   }
 
-  bool ParseExpr(ExprPtr* out) {
-    if (!ParseMul(out)) {
+  bool FailTooDeep() {
+    return Fail("E007", "expression nested too deeply",
+                "at most " + std::to_string(kMaxExprDepth) +
+                    " levels of parentheses, unary minus and operators");
+  }
+
+  // Enters one parenthesis or unary minus, or fails at the depth limit.
+  bool Nest() {
+    if (nesting_ >= kMaxExprDepth) {
+      return FailTooDeep();
+    }
+    ++nesting_;
+    return true;
+  }
+
+  // Accounts for one operator over subtrees of heights *height and
+  // `rhs_height`, or fails if the tree would grow past the depth limit.
+  bool Grow(int* height, int rhs_height) {
+    *height = 1 + std::max(*height, rhs_height);
+    return nesting_ + *height <= kMaxExprDepth || FailTooDeep();
+  }
+
+  // The expression parsers store the subtree in *out and its height in
+  // *height: the most operators on a path from its root to a leaf.
+  bool ParseExpr(ExprPtr* out, int* height) {
+    if (!ParseMul(out, height)) {
       return false;
     }
     while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
@@ -362,7 +395,8 @@ class Parser {
       const Span op_span = Cur().span();
       Advance();
       ExprPtr rhs;
-      if (!ParseMul(&rhs)) {
+      int rhs_height = 0;
+      if (!ParseMul(&rhs, &rhs_height) || !Grow(height, rhs_height)) {
         return false;
       }
       *out = Expr::Binary(op, std::move(*out), std::move(rhs));
@@ -371,8 +405,8 @@ class Parser {
     return true;
   }
 
-  bool ParseMul(ExprPtr* out) {
-    if (!ParsePrimary(out)) {
+  bool ParseMul(ExprPtr* out, int* height) {
+    if (!ParsePrimary(out, height)) {
       return false;
     }
     while (Check(TokenKind::kStar) || Check(TokenKind::kSlash)) {
@@ -380,7 +414,8 @@ class Parser {
       const Span op_span = Cur().span();
       Advance();
       ExprPtr rhs;
-      if (!ParsePrimary(&rhs)) {
+      int rhs_height = 0;
+      if (!ParsePrimary(&rhs, &rhs_height) || !Grow(height, rhs_height)) {
         return false;
       }
       *out = Expr::Binary(op, std::move(*out), std::move(rhs));
@@ -389,7 +424,8 @@ class Parser {
     return true;
   }
 
-  bool ParsePrimary(ExprPtr* out) {
+  bool ParsePrimary(ExprPtr* out, int* height) {
+    *height = 0;
     if (Check(TokenKind::kNumber)) {
       *out = Expr::Literal(Cur().number);
       (*out)->span = Cur().span();
@@ -398,9 +434,14 @@ class Parser {
     }
     if (Check(TokenKind::kMinus)) {
       const Span minus_span = Cur().span();
+      if (!Nest()) {
+        return false;
+      }
       Advance();
       ExprPtr operand;
-      if (!ParsePrimary(&operand)) {
+      const bool ok = ParsePrimary(&operand, height);
+      --nesting_;
+      if (!ok || !Grow(height, 0)) {
         return false;
       }
       *out = Expr::Binary('-', Expr::Literal(0), std::move(operand));
@@ -408,11 +449,13 @@ class Parser {
       return true;
     }
     if (Check(TokenKind::kLParen)) {
-      Advance();
-      if (!ParseExpr(out)) {
+      if (!Nest()) {
         return false;
       }
-      return Expect(TokenKind::kRParen);
+      Advance();
+      const bool ok = ParseExpr(out, height) && Expect(TokenKind::kRParen);
+      --nesting_;
+      return ok;
     }
     if (Check(TokenKind::kIdent)) {
       const std::optional<Attr> ref = RefKeyword(Cur().text);
@@ -472,6 +515,7 @@ class Parser {
   std::vector<Token> tokens_;
   DiagnosticSink* sink_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // Parentheses and unary minus open around the parse.
   Query query_;
   std::set<std::string> declared_vars_;
 };

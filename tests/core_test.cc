@@ -1040,6 +1040,12 @@ TEST_F(ServerTest, SymbolicAliasesResolve) {
 TEST_F(ServerTest, ParseErrorPropagates) {
   CloudTalkServer server = MakeServer();
   EXPECT_FALSE(server.Answer("A = ()\n").ok());
+  // An expression nested past the parser's depth limit is rejected with
+  // E007 rather than recursed into (20 000 parentheses, 40 KB).
+  auto deep = server.Answer("f1 " + Ip(0) + " -> " + Ip(1) + " size " +
+                            std::string(20000, '(') + "1M" + std::string(20000, ')') + "\n");
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.error().ToString().find("E007"), std::string::npos) << deep.error().ToString();
   // A quote fails the same way, and M107 counts it on entry all the same.
   const int64_t quotes_before = obs::Registry::Instance().counter("M107")->value();
   EXPECT_FALSE(server.Quote("A = ()\n").ok());
@@ -1101,6 +1107,13 @@ TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
   }
 }
 
+// A flow-level estimator that, like the packet simulator, offers no bound
+// model.
+class NoBoundModelEstimator : public FlowLevelEstimator {
+ public:
+  double BoundAvailabilityFraction() const override { return -1; }
+};
+
 TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   // Any CompletionEstimator works as the wired "packet" model here; the
   // test only exercises the exhaustive branch's trace attribution.
@@ -1108,12 +1121,26 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   ServerConfig config;
   CloudTalkServer server(config, directory_.get(), transport_.get(),
                          [this] { return now_; }, &packet_stand_in);
-  auto reply = server.Answer("option packet\nA = (" + Ip(1) + " " + Ip(2) + " " + Ip(3) +
-                             ")\nf1 A -> " + Ip(0) + " size 64M end 1000\n");
+  const std::string query = "option packet\nA = (" + Ip(1) + " " + Ip(2) + " " + Ip(3) +
+                            ")\nf1 A -> " + Ip(0) + " size 64M end 1000\n";
+  auto reply = server.Answer(query);
   ASSERT_TRUE(reply.ok()) << reply.error().ToString();
   EXPECT_TRUE(reply.value().used_exhaustive);
+  // Without a bound model the plan runs without O500, which the engine
+  // could not use anyway: the same binding, and no O500 attribution.
+  NoBoundModelEstimator no_model_stand_in;
+  CloudTalkServer no_model_server(config, directory_.get(), transport_.get(),
+                                  [this] { return now_; }, &no_model_stand_in);
+  auto no_model = no_model_server.Answer(query);
+  ASSERT_TRUE(no_model.ok()) << no_model.error().ToString();
+  EXPECT_EQ(no_model.value().binding, reply.value().binding);
   if (!obs::kObsEnabled) {
     return;
+  }
+  const auto no_model_bind = SpanAttrs(no_model.value().trace, "bind");
+  EXPECT_TRUE(HasAttr(no_model_bind, "opt.O100.seconds"));
+  for (const auto& [key, value] : no_model_bind) {
+    EXPECT_EQ(key.rfind("opt.O500.", 0), std::string::npos) << key << "=" << value;
   }
   const obs::Trace& trace = reply.value().trace;
   // The wired estimator vouches for the bound model and the query has a

@@ -293,6 +293,42 @@ TEST(ParserTest, RejectsUnknownOption) {
   EXPECT_FALSE(Parse("option bogus\n").ok());
 }
 
+TEST(ParserTest, RejectsDeepNesting) {
+  // Past 256 levels the parser fails with E007 before recursing or building
+  // further, whether the depth comes from parentheses, unary minus, or a
+  // long operator chain.
+  const auto repeat = [](const std::string& piece, int count) {
+    std::string out;
+    for (int i = 0; i < count; ++i) {
+      out += piece;
+    }
+    return out;
+  };
+  const std::string too_deep[] = {
+      "f a -> b size " + repeat("(", 20000) + "1M" + repeat(")", 20000) + "\n",
+      "f a -> b size 1M rate " + repeat("-", 100000) + "1M\n",
+      "f a -> b size 1M" + repeat("+1M", 99999) + "\n",
+      "f a -> b size " + repeat("(", 257) + "1M" + repeat(")", 257) + "\n",
+  };
+  for (const std::string& text : too_deep) {
+    auto query = Parse(text);
+    ASSERT_FALSE(query.ok()) << text.size() << " bytes";
+    EXPECT_NE(query.error().message.find("[E007]"), std::string::npos)
+        << query.error().ToString();
+  }
+  // 200 levels of each kind still parse, and so do exactly 256.
+  const std::string deep_enough[] = {
+      "f a -> b size " + repeat("(", 256) + "1M" + repeat(")", 256) + "\n",
+      "f a -> b size " + repeat("(", 200) + "1M" + repeat(")", 200) + "\n",
+      "f a -> b size 1M rate " + repeat("-", 200) + "1M\n",
+      "f a -> b size 1M" + repeat("+1M", 199) + "\n",
+  };
+  for (const std::string& text : deep_enough) {
+    auto query = Parse(text);
+    EXPECT_TRUE(query.ok()) << query.error().ToString();
+  }
+}
+
 TEST(ParserTest, ErrorCarriesPosition) {
   auto query = Parse("a -> b size 1M\nc -> ");
   ASSERT_FALSE(query.ok());

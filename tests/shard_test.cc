@@ -20,6 +20,7 @@
 
 #include "src/check/check.h"
 #include "src/core/admission.h"
+#include "src/core/packet_estimator.h"
 #include "src/core/reservations.h"
 #include "src/core/server.h"
 #include "src/core/shard.h"
@@ -403,6 +404,41 @@ TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {
   }
   EXPECT_TRUE(saw_route);
   EXPECT_TRUE(saw_aggregate);
+}
+
+TEST(ShardedServerTest, PacketQuerySearchesOnceAtEveryShardCount) {
+  // A packet query reaches the exhaustive search, which runs once over the
+  // merged status however many shards gathered it: the same answer and the
+  // same search counters at 1, 2 and 4 shards.
+  const std::string query =
+      "option packet\n"
+      "A = B = (10.0.0.1 10.0.0.2 10.0.0.3 10.0.0.4 10.0.0.5 10.0.0.6)\n"
+      "f1 A -> B size 2M\n"
+      "f2 B -> A size 2M transfer t(f1)\n";
+  std::string want;
+  SearchCounters want_counters;
+  for (const int shards : {1, 2, 4}) {
+    Cluster cluster = MakeShardCluster(16, /*seed=*/7, /*hold=*/0);
+    AddShardLoad(&cluster);
+    PacketLevelEstimator estimator(&cluster.topology(), &cluster.directory());
+    CloudTalkServer server(ShardConfigFor(&cluster, shards), &cluster.directory(),
+                           &cluster.transport(), [&cluster] { return cluster.now(); },
+                           &estimator);
+    const Result<QueryReply> reply = server.Answer(query);
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    ASSERT_TRUE(reply.value().used_exhaustive);
+    const SearchCounters& c = reply.value().counters;
+    EXPECT_EQ(c.enumerated, 30);  // 6 × 5 distinct (A, B) bindings.
+    if (shards == 1) {
+      want = ReplyDigest(reply);
+      want_counters = c;
+      continue;
+    }
+    EXPECT_EQ(ReplyDigest(reply), want) << shards << " shards";
+    EXPECT_EQ(c.evaluations, want_counters.evaluations) << shards << " shards";
+    EXPECT_EQ(c.enumerated, want_counters.enumerated) << shards << " shards";
+    EXPECT_EQ(c.threads_used, want_counters.threads_used) << shards << " shards";
+  }
 }
 
 // ---- N-slot admission gate (src/core/admission.h) ----

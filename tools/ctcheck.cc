@@ -1056,9 +1056,8 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
 //     over 1, 2, and 4 shards with reservations armed; every reply must be
 //     byte-identical, which also proves the partitioned reservation tables
 //     (two-phase prepare/commit) behave like the flat one.
-//  2. slice merge: a packet-level query must pick the same winner when the
-//     exhaustive candidate walk is split into per-shard slices and merged
-//     by (makespan, odometer rank).
+//  2. packet search: a packet-level query, searched once over the status
+//     the shards gathered, must pick the same winner at every shard count.
 //  3. concurrent admission: two queries over disjoint host slices answered
 //     concurrently through the 4-shard server's N-slot gate must match
 //     the one-shard server answering them in sequence.
@@ -1102,9 +1101,8 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
       }
     }
   }
-  // Oracle 2: per-shard search slices. A packet-level query over a small
-  // host slice keeps the exhaustive walk cheap while still exercising the
-  // (makespan, odometer rank) merge.
+  // Oracle 2: the packet path through the ShardRouter. A packet-level query
+  // over a small host slice keeps the exhaustive walk cheap.
   {
     const std::string packet_query =
         "option packet\n" + GenerateDiffScopeQuery(seed ^ 0x9e3779b97f4a7c15ull, 0, 5);
@@ -1127,7 +1125,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
       const std::string got = DiffScopeReplyDigest(sharded.Answer(packet_query));
       if (got != want) {
         *query_text = packet_query;
-        return "per-shard search slices merge to a different winner (" +
+        return "packet query picks a different winner through the shards (" +
                std::to_string(shards) + " shard(s)): [" + got + "] vs [" + want + "]";
       }
     }
