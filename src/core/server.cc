@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/lock_registry.h"
 #include "src/common/logging.h"
 #include "src/lang/bound.h"
+#include "src/lang/facts.h"
 #include "src/lang/lint.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
@@ -65,18 +65,24 @@ std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusS
   return raw;
 }
 
-// The front end's first two phases, shared by Answer and Quote: parses and
-// lints `query_text` into `sink`, recording the parse and lint spans.
-lang::Query ParseAndLint(const std::string& query_text, lang::DiagnosticSink* sink,
-                         obs::TraceContext& trace) {
+// The front end's first two phases, shared by Answer and Quote, each
+// recording its span. The caller builds the query's facts between them, so
+// lint and the rest of the pipeline share one compile and one scope; the
+// lint span times the compile and scope its rules trigger.
+lang::Query Parse(const std::string& query_text, lang::DiagnosticSink* sink,
+                  obs::TraceContext& trace) {
   const int parse_span = trace.OpenFollowing("parse");
   lang::Query query = lang::ParseWithDiagnostics(query_text, sink);
   trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
-  const int lint_span = trace.Transition(parse_span, "lint");
-  lang::RunLint(query, sink);
+  trace.Close(parse_span);
+  return query;
+}
+
+void Lint(const lang::QueryFacts& facts, lang::DiagnosticSink* sink, obs::TraceContext& trace) {
+  const int lint_span = trace.OpenFollowing("lint");
+  lang::RunLint(facts, sink);
   trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink->diagnostics().size()));
   trace.Close(lint_span);
-  return query;
 }
 
 // The answer pipeline's stages, each written so its bytes do not depend on
@@ -402,10 +408,12 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   CT_OBS_INC("M100");
   obs::TraceContext trace("answer");
   lang::DiagnosticSink sink;
-  const lang::Query query = ParseAndLint(query_text, &sink, trace);
+  const lang::Query query = Parse(query_text, &sink, trace);
+  const lang::QueryFacts facts(query);
+  Lint(facts, &sink, trace);
   Result<QueryReply> reply = sink.has_errors()
                                  ? Result<QueryReply>(sink.ToLegacyError())
-                                 : AnswerTraced(query, trace, /*quote=*/nullptr);
+                                 : AnswerTraced(facts, trace, /*quote=*/nullptr);
   if (!reply.ok()) {
     CT_OBS_INC("M101");
     return reply;
@@ -434,26 +442,25 @@ bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now
   return false;
 }
 
-Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
+Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
                                                  obs::TraceContext& trace, QuoteReply* quote) {
+  const lang::Query& query = facts.query();
   const int compile_span = trace.OpenFollowing("compile");
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
+  const Result<lang::CompiledQuery>& compiled = facts.compiled();
   trace.Close(compile_span);
   if (!compiled.ok()) {
     return compiled.error();
   }
 
-  // Static footprint & effect analysis (ISSUE 9, src/lang/scope): which
-  // hosts the answer can depend on, and whether answering reserves. Drives
-  // the probe filter below and the concurrent admission gate.
-  const lang::ScopeAnalysis scope = lang::AnalyzeScope(compiled.value());
-  {
-    const int scope_span = trace.OpenFollowing("scope");
-    trace.Attr(scope_span, "footprint", static_cast<int64_t>(scope.footprint.size()));
-    trace.Attr(scope_span, "excluded", static_cast<int64_t>(scope.excluded.size()));
-    trace.Attr(scope_span, "effects", lang::EffectsName(scope.effects));
-    trace.Close(scope_span);
-  }
+  // Static footprint & effect analysis (src/lang/scope): which hosts the
+  // answer can depend on, and whether answering reserves. Drives the probe
+  // filter below and the concurrent admission gate.
+  const int scope_span = trace.OpenFollowing("scope");
+  const lang::ScopeAnalysis& scope = facts.scope();
+  trace.Attr(scope_span, "footprint", static_cast<int64_t>(scope.footprint.size()));
+  trace.Attr(scope_span, "excluded", static_cast<int64_t>(scope.excluded.size()));
+  trace.Attr(scope_span, "effects", lang::EffectsName(scope.effects));
+  trace.Close(scope_span);
 
   // The routing decision: the shards this query fans out to, and a slot in
   // the concurrent admission gate (src/core/admission.h) held for the rest
@@ -515,10 +522,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   // query with a finite `end` can be rejected, and only when the
   // evaluation's estimator vouches for the bound model; otherwise nothing is
   // built, and the span, part of every reply's phase skeleton, records why.
-  Seconds deadline = std::numeric_limits<Seconds>::infinity();  // The tightest `end`.
-  for (const lang::CompiledGroup& group : compiled.value().groups()) {
-    deadline = std::min(deadline, group.deadline);
-  }
+  const Seconds deadline = facts.deadline();
   CompletionEstimator* bound_model = query.options.use_packet_simulator
                                          ? packet_estimator_
                                          : static_cast<CompletionEstimator*>(&flow_estimator_);
@@ -646,16 +650,20 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   CT_OBS_INC("M107");
   obs::TraceContext trace("quote");
   lang::DiagnosticSink sink;
-  lang::Query query = ParseAndLint(query_text, &sink, trace);
+  lang::Query query = Parse(query_text, &sink, trace);
+  // Quoting never reserves: the client is asking about a workload it may
+  // not run. Like any `option noreserve` query it still avoids existing
+  // reservations, and it is admitted as a non-reserving query. The option
+  // is cleared before the facts exist: their scope reads it, and lint may
+  // compute the scope. No lint rule reads it.
+  query.options.reserve = false;
+  const lang::QueryFacts facts(query);
+  Lint(facts, &sink, trace);
   if (sink.has_errors()) {
     return sink.ToLegacyError();
   }
-  // Quoting never reserves: the client is asking about a workload it may
-  // not run. Like any `option noreserve` query it still avoids existing
-  // reservations, and it is admitted as a non-reserving query.
-  query.options.reserve = false;
   QuoteReply quote;
-  const Result<QueryReply> reply = AnswerTraced(query, trace, &quote);
+  const Result<QueryReply> reply = AnswerTraced(facts, trace, &quote);
   if (!reply.ok()) {
     return reply.error();
   }

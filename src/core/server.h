@@ -1,7 +1,11 @@
 // CloudTalkServer: the client-facing service of Figure 2.
 //
 // Answering a query (Section 4):
-//   1. Parse, lint, and compile the query text.
+//   1. Parse the query text and lint it, then compile it and analyse its
+//      footprint & effects (src/lang/scope.h). Lint and the later steps
+//      read one lang::QueryFacts per query, so the query is compiled and
+//      scoped once, and lint's idle-world bound is built only when a rule
+//      can fire on it.
 //   2. Collect the addresses involved; when a pool exceeds the sampling
 //      threshold, probe only a random sample sized by the Section 4.3
 //      analysis (RequiredSamples) instead of the whole pool.
@@ -52,6 +56,10 @@
 #include "src/status/transport.h"
 
 namespace cloudtalk {
+
+namespace lang {
+class QueryFacts;
+}  // namespace lang
 
 struct ServerConfig {
   HeuristicParams heuristic;
@@ -187,9 +195,10 @@ class CloudTalkServer {
  private:
   // The evaluation pipeline behind Answer and Quote: compile, scope, route,
   // gather status, bound, bind, reserve — recording one span per phase in
-  // `trace`. A non-null `quote` is priced from the binding and its status
-  // snapshot.
-  Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace,
+  // `trace`. The compiled query, its scope and its deadline come from
+  // `facts`, which lint has already filled in part. A non-null `quote` is
+  // priced from the binding and its status snapshot.
+  Result<QueryReply> AnswerTraced(const lang::QueryFacts& facts, obs::TraceContext& trace,
                                   QuoteReply* quote);
 
   // The shard owning `address` per the directory + ShardMap. Unresolvable

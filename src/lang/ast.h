@@ -11,6 +11,8 @@
 #ifndef CLOUDTALK_SRC_LANG_AST_H_
 #define CLOUDTALK_SRC_LANG_AST_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -78,6 +80,13 @@ struct Endpoint {
     return kind == other.kind && name == other.name;
   }
   std::string ToString() const;
+};
+
+// Hashes what Endpoint::operator== compares, for sets keyed on endpoints.
+struct EndpointHash {
+  size_t operator()(const Endpoint& e) const {
+    return std::hash<std::string>()(e.name) ^ static_cast<size_t>(e.kind);
+  }
 };
 
 struct Expr;

@@ -99,7 +99,9 @@ BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAdd
         case Endpoint::Kind::kVariable:
           return {Ep::kVar, query.VariableIndex(e.name)};
         case Endpoint::Kind::kDisk:
-          return {Ep::kDisk, 0};
+          // Index -1: the other side of a disk-to-disk flow (E005, kept in
+          // the parser's partial AST) views as unresolvable.
+          return {Ep::kDisk, -1};
         case Endpoint::Kind::kUnknown:
         default:
           return {Ep::kHost, a.InternHost("_unknown" + std::to_string(unknown_counter++),
@@ -224,7 +226,8 @@ BoundAnalysis::EpView BoundAnalysis::View(const Ep& ep, const int32_t* var_host)
     view.host = ep.index;
     return view;
   }
-  // kDisk never reaches View (disk sides are special-cased by callers).
+  // Callers special-case a disk side, so kDisk reaches View only as the
+  // other side of a disk-to-disk flow, whose index -1 resolves to nothing.
   const int v = ep.index;
   if (v < 0) {
     return view;  // Unresolvable endpoint: neither host nor open var.

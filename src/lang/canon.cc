@@ -292,9 +292,10 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
   for (VarDecl& decl : canon.variables) {
     // Duplicate pool entries never add binding choices (the heuristic's
     // stable score sort and the exhaustive odometer both keep the first).
+    std::unordered_set<Endpoint, EndpointHash> seen;
     std::vector<Endpoint> unique;
     for (const Endpoint& e : decl.values) {
-      if (std::find(unique.begin(), unique.end(), e) == unique.end()) {
+      if (seen.insert(e).second) {
         unique.push_back(e);
       }
     }

@@ -8,10 +8,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/lang/bound.h"
 #include "src/lang/canon.h"
 #include "src/lang/opt.h"
-#include "src/lang/scope.h"
 
 namespace cloudtalk {
 namespace lang {
@@ -55,7 +53,8 @@ std::string FormatRate(double bytes_per_sec) {
 }
 
 // ---- W001: unused variable ----
-void CheckUnusedVariable(const Query& query, DiagnosticSink* sink) {
+void CheckUnusedVariable(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   std::unordered_set<std::string> used;
   for (const FlowDef& flow : query.flows) {
     for (const Endpoint* e : {&flow.src, &flow.dst}) {
@@ -79,7 +78,8 @@ void CheckUnusedVariable(const Query& query, DiagnosticSink* sink) {
 }
 
 // ---- E010: empty pool ----
-void CheckEmptyPool(const Query& query, DiagnosticSink* sink) {
+void CheckEmptyPool(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   for (const VarDecl& decl : query.variables) {
     if (decl.values.empty() && !decl.names.empty()) {
       sink->AddError("E010", decl.span,
@@ -90,24 +90,27 @@ void CheckEmptyPool(const Query& query, DiagnosticSink* sink) {
 }
 
 // ---- W011: duplicate pool entry ----
-void CheckDuplicatePoolEntry(const Query& query, DiagnosticSink* sink) {
-  for (const VarDecl& decl : query.variables) {
+//
+// One hash set per declaration: every entry after the first occurrence of
+// its endpoint is a repeat, flagged once, in source order.
+void CheckDuplicatePoolEntry(const QueryFacts& facts, DiagnosticSink* sink) {
+  for (const VarDecl& decl : facts.query().variables) {
+    std::unordered_set<Endpoint, EndpointHash> seen;
+    seen.reserve(decl.values.size());
     for (size_t i = 0; i < decl.values.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (decl.values[i] == decl.values[j]) {
-          const Span span = i < decl.value_spans.size() ? decl.value_spans[i] : decl.span;
-          sink->AddWarning("W011", span,
-                           "duplicate pool entry '" + decl.values[i].ToString() + "'",
-                           "duplicates never add binding choices; remove the repeat");
-          break;
-        }
+      if (seen.insert(decl.values[i]).second) {
+        continue;
       }
+      const Span span = i < decl.value_spans.size() ? decl.value_spans[i] : decl.span;
+      sink->AddWarning("W011", span, "duplicate pool entry '" + decl.values[i].ToString() + "'",
+                       "duplicates never add binding choices; remove the repeat");
     }
   }
 }
 
 // ---- W020: self-flow ----
-void CheckSelfFlow(const Query& query, DiagnosticSink* sink) {
+void CheckSelfFlow(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   for (const FlowDef& flow : query.flows) {
     if (flow.src != flow.dst) {
       continue;
@@ -158,7 +161,8 @@ std::vector<int> SizeDeps(const std::unordered_map<std::string, int>& index,
 }
 
 // ---- E030: size-reference cycle ----
-void CheckSizeReferenceCycle(const Query& query, DiagnosticSink* sink) {
+void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   const std::unordered_map<std::string, int> index = FlowNameIndex(query);
   const int n = static_cast<int>(query.flows.size());
   // Iterative three-color DFS; `on_stack` recovers the cycle for the message.
@@ -232,7 +236,8 @@ std::vector<int> TransferDeps(const std::unordered_map<std::string, int>& index,
 // `transfer` attribute references have completed (store-and-forward). A
 // cycle in that dependency graph means none of its members — nor anything
 // downstream of them — can ever start.
-void CheckUnreachableFlow(const Query& query, DiagnosticSink* sink) {
+void CheckUnreachableFlow(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   const std::unordered_map<std::string, int> index = FlowNameIndex(query);
   const int n = static_cast<int>(query.flows.size());
   std::vector<std::vector<int>> deps(n);
@@ -316,7 +321,8 @@ std::vector<int> ChainGroupOf(const Query& query) {
 // Chained flows share a single rate; when two members carry different
 // literal `rate` attributes the tighter one silently wins (analysis takes
 // the min). Flag every looser rate.
-void CheckContradictoryRateChain(const Query& query, DiagnosticSink* sink) {
+void CheckContradictoryRateChain(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   const std::vector<int> group = ChainGroupOf(query);
   struct LiteralRate {
     int flow = 0;
@@ -363,7 +369,8 @@ void CheckContradictoryRateChain(const Query& query, DiagnosticSink* sink) {
 // deadline) are redundant restatements: compilation takes the per-group
 // minimum, so one of them adds nothing. W050 covers conflicting (unequal)
 // rates; this rule covers exact duplicates, which W050 deliberately skips.
-void CheckDuplicateConstraint(const Query& query, DiagnosticSink* sink) {
+void CheckDuplicateConstraint(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   const std::vector<int> group = ChainGroupOf(query);
   for (const Attr attr : {Attr::kRate, Attr::kEnd}) {
     // (group, value) -> first flow carrying it.
@@ -406,7 +413,8 @@ void CheckDuplicateConstraint(const Query& query, DiagnosticSink* sink) {
 // tighter one elsewhere in the group (compilation keeps the minimum).
 // The rate-attribute analogue is W050's territory; deadlines are covered
 // here so the two rules never double-report.
-void CheckSubsumedConstraint(const Query& query, DiagnosticSink* sink) {
+void CheckSubsumedConstraint(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   const std::vector<int> group = ChainGroupOf(query);
   struct LiteralEnd {
     int flow = 0;
@@ -453,13 +461,14 @@ void CheckSubsumedConstraint(const Query& query, DiagnosticSink* sink) {
 // Registered so --rules and the documentation catalogue list the code; the
 // actual check needs the whole input batch and lives in
 // FindEquivalentQueries(), driven by the ctlint CLI.
-void CheckEquivalentToEarlierQuery(const Query& query, DiagnosticSink* sink) {
-  (void)query;
+void CheckEquivalentToEarlierQuery(const QueryFacts& facts, DiagnosticSink* sink) {
+  (void)facts;
   (void)sink;
 }
 
 // ---- W060: search-space explosion ----
-void CheckSearchSpaceExplosion(const Query& query, DiagnosticSink* sink) {
+void CheckSearchSpaceExplosion(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   if (!query.options.use_packet_simulator) {
     return;  // The heuristic scales linearly; only exhaustive search explodes.
   }
@@ -500,11 +509,12 @@ void CheckSearchSpaceExplosion(const Query& query, DiagnosticSink* sink) {
 // exhaustive path enumerates them, so the rule is silent for heuristic
 // queries, and silent when the query does not compile (compilation problems
 // carry their own diagnostics).
-void CheckInterchangeableVariables(const Query& query, DiagnosticSink* sink) {
+void CheckInterchangeableVariables(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   if (!query.options.use_packet_simulator) {
     return;
   }
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
+  const Result<CompiledQuery>& compiled = facts.compiled();
   if (!compiled.ok()) {
     return;
   }
@@ -529,8 +539,9 @@ void CheckInterchangeableVariables(const Query& query, DiagnosticSink* sink) {
 // Backed by the O400 analysis (opt.h): a flow whose resolved size is zero
 // transfers nothing — the fluid model completes it on arrival and no
 // completion time can depend on it.
-void CheckStaticallyDeadFlow(const Query& query, DiagnosticSink* sink) {
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
+void CheckStaticallyDeadFlow(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
+  const Result<CompiledQuery>& compiled = facts.compiled();
   if (!compiled.ok()) {
     return;
   }
@@ -551,13 +562,18 @@ void CheckStaticallyDeadFlow(const Query& query, DiagnosticSink* sink) {
 
 // ---- E080 / W080 / W081: bound analysis vs deadlines and the objective ----
 //
-// Backed by src/lang/bound.h on an *empty* status snapshot: every host is
-// modelled idle with unconstrained (1e15 Bps) resources — the most
-// optimistic world the solver can see. A completion-time lower bound proved
-// there holds under every real snapshot (contention only lowers
-// availability), so E080 is a sound static infeasibility proof. The upper
-// bounds W080/W081 read are idle-world ceilings and advisory: the messages
-// say so.
+// Backed by src/lang/bound.h on an *empty* status snapshot
+// (QueryFacts::idle_bounds): every host is modelled idle with unconstrained
+// (1e15 Bps) resources — the most optimistic world the solver can see. A
+// completion-time lower bound proved there holds under every real snapshot
+// (contention only lowers availability), so E080 is a sound static
+// infeasibility proof. The upper bounds W080/W081 read are idle-world
+// ceilings and advisory: the messages say so.
+//
+// Each rule asks for the bounds only once it knows it can fire on them.
+// The analysis sets a group's E080/W080 verdicts only when the group has a
+// finite deadline, and W081 reads only a group that touches no variable;
+// a query with neither never builds them.
 
 std::string FormatSeconds(double seconds) {
   char buf[32];
@@ -597,13 +613,13 @@ GroupAnchor AnchorForGroup(const Query& query, const CompiledQuery& compiled, in
 }
 
 // ---- E080: deadline-infeasible group ----
-void CheckDeadlineInfeasibleGroup(const Query& query, DiagnosticSink* sink) {
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return;
+void CheckDeadlineInfeasibleGroup(const QueryFacts& facts, DiagnosticSink* sink) {
+  if (!std::isfinite(facts.deadline())) {
+    return;  // No verdicts to read; a finite deadline also means it compiled.
   }
-  const BoundAnalysis bounds = BoundAnalysis::Build(compiled.value(), StatusByAddress{});
-  for (const GroupBound& gb : bounds.group_bounds()) {
+  const Query& query = facts.query();
+  const Result<CompiledQuery>& compiled = facts.compiled();
+  for (const GroupBound& gb : facts.idle_bounds().group_bounds()) {
     if (!gb.provably_infeasible) {
       continue;
     }
@@ -618,13 +634,13 @@ void CheckDeadlineInfeasibleGroup(const Query& query, DiagnosticSink* sink) {
 }
 
 // ---- W080: trivially satisfied deadline ----
-void CheckTriviallySatisfiedDeadline(const Query& query, DiagnosticSink* sink) {
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return;
+void CheckTriviallySatisfiedDeadline(const QueryFacts& facts, DiagnosticSink* sink) {
+  if (!std::isfinite(facts.deadline())) {
+    return;  // As in E080.
   }
-  const BoundAnalysis bounds = BoundAnalysis::Build(compiled.value(), StatusByAddress{});
-  for (const GroupBound& gb : bounds.group_bounds()) {
+  const Query& query = facts.query();
+  const Result<CompiledQuery>& compiled = facts.compiled();
+  for (const GroupBound& gb : facts.idle_bounds().group_bounds()) {
     if (!gb.trivially_satisfied) {
       continue;
     }
@@ -645,11 +661,12 @@ void CheckTriviallySatisfiedDeadline(const Query& query, DiagnosticSink* sink) {
 // A binding-independent chain group (literal endpoints only) whose lower
 // bound meets or exceeds every other group's upper bound pins the makespan:
 // no placement choice can change when the slowest group finishes.
-void CheckDominatedObjective(const Query& query, DiagnosticSink* sink) {
+void CheckDominatedObjective(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
   if (query.variables.empty()) {
     return;
   }
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
+  const Result<CompiledQuery>& compiled = facts.compiled();
   if (!compiled.ok()) {
     return;
   }
@@ -664,11 +681,14 @@ void CheckDominatedObjective(const Query& query, DiagnosticSink* sink) {
       has_var[flow.group] = 1;
     }
   }
-  if (std::count(has_var.begin(), has_var.end(), 1) == 0) {
+  const size_t var_groups = static_cast<size_t>(std::count(has_var.begin(), has_var.end(), 1));
+  if (var_groups == 0) {
     return;  // No group depends on the binding; W001 covers unused variables.
   }
-  const BoundAnalysis bounds = BoundAnalysis::Build(compiled.value(), StatusByAddress{});
-  const std::vector<GroupBound>& gb = bounds.group_bounds();
+  if (var_groups == groups.size()) {
+    return;  // Every group depends on the binding; none can pin the makespan.
+  }
+  const std::vector<GroupBound>& gb = facts.idle_bounds().group_bounds();
   for (size_t g = 0; g < groups.size(); ++g) {
     const double lb = gb[g].interval.lb;
     if (has_var[g] != 0 || lb <= 0 || lb >= 1e17) {
@@ -709,12 +729,12 @@ void CheckDominatedObjective(const Query& query, DiagnosticSink* sink) {
 // no disk, no requirements) is provably outside the query footprint: no
 // evaluation engine reads its status and the server never probes it
 // (src/lang/scope.h).
-void CheckUnusedPoolHost(const Query& query, DiagnosticSink* sink) {
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
+void CheckUnusedPoolHost(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
+  if (!facts.compiled().ok()) {
     return;
   }
-  const ScopeAnalysis scope = AnalyzeScope(compiled.value());
+  const ScopeAnalysis& scope = facts.scope();
   if (scope.excluded.empty()) {
     return;
   }
@@ -746,8 +766,9 @@ void CheckUnusedPoolHost(const Query& query, DiagnosticSink* sink) {
 // traffic. The one intentional shape is priority binding (Listing 1), where
 // the literal is the single peer of the pool variable *on the same flow*;
 // that pairing is exempt.
-void CheckFootprintExceedsPool(const Query& query, DiagnosticSink* sink) {
-  const Result<CompiledQuery> compiled = CompiledQuery::Compile(query);
+void CheckFootprintExceedsPool(const QueryFacts& facts, DiagnosticSink* sink) {
+  const Query& query = facts.query();
+  const Result<CompiledQuery>& compiled = facts.compiled();
   if (!compiled.ok()) {
     return;
   }
@@ -893,9 +914,9 @@ std::vector<BatchEquivalence> FindEquivalentQueries(const std::vector<const Quer
   return result;
 }
 
-void RunLint(const Query& query, DiagnosticSink* sink) {
+void RunLint(const QueryFacts& facts, DiagnosticSink* sink) {
   for (const LintRule& rule : LintRules()) {
-    rule.check(query, sink);
+    rule.check(facts, sink);
   }
 }
 

@@ -1,10 +1,10 @@
 // Lint rules for the CloudTalk query language.
 //
-// A lint rule inspects a parsed Query and reports legal-but-suspect (or
-// outright unanswerable) constructs through the DiagnosticSink. Rules are
-// registered in a static table (LintRules()) so tools can enumerate them;
-// RunLint executes every rule. Rule codes are stable API, documented in
-// docs/LANGUAGE.md:
+// A lint rule inspects a parsed query's facts (src/lang/facts.h) and reports
+// legal-but-suspect (or outright unanswerable) constructs through the
+// DiagnosticSink. Rules are registered in a static table (LintRules()) so
+// tools can enumerate them; RunLint executes every rule. Rule codes are
+// stable API, documented in docs/LANGUAGE.md:
 //
 //   W001 unused-variable          declared variable never used by any flow
 //   E010 empty-pool               variable pool has no candidates
@@ -25,8 +25,12 @@
 //   W100 unused-pool-host          pool host outside every footprint, never probed
 //   W101 footprint-exceeds-pool    literal endpoint doubles as a binding candidate
 //
-// Rules only *read* the query; a query with parse errors can still be
-// linted (the parser produces a best-effort partial AST).
+// Rules only *read* the query and its facts; a query with parse errors can
+// still be linted (the parser produces a best-effort partial AST). The rules
+// that need the compiled query, its scope or its idle-world bounds take them
+// from the facts, so one lint pass compiles and scopes the query at most
+// once, builds the idle-world bounds only when a rule can fire on them, and
+// leaves all three for the caller to reuse.
 #ifndef CLOUDTALK_SRC_LANG_LINT_H_
 #define CLOUDTALK_SRC_LANG_LINT_H_
 
@@ -35,6 +39,7 @@
 
 #include "src/lang/ast.h"
 #include "src/lang/diagnostics.h"
+#include "src/lang/facts.h"
 
 namespace cloudtalk {
 namespace lang {
@@ -44,14 +49,14 @@ struct LintRule {
   Severity severity;       // Severity diagnostics of this rule carry.
   const char* name;        // Kebab-case slug, e.g. "unused-variable".
   const char* summary;     // One-line description for --help / docs.
-  void (*check)(const Query& query, DiagnosticSink* sink);
+  void (*check)(const QueryFacts& facts, DiagnosticSink* sink);
 };
 
 // The registry, in rule-code order.
 const std::vector<LintRule>& LintRules();
 
-// Runs every registered rule over `query`.
-void RunLint(const Query& query, DiagnosticSink* sink);
+// Runs every registered rule over `facts`.
+void RunLint(const QueryFacts& facts, DiagnosticSink* sink);
 
 // W060 helper, exposed for tests and the server: estimated number of
 // variable bindings an exhaustive evaluation would enumerate (capped at

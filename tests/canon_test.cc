@@ -155,6 +155,29 @@ TEST(Canon, DeadClausesEliminated) {
   EXPECT_EQ(clean.text, noisy.text);
 }
 
+TEST(Canon, PoolDedupKeepsFirstOccurrenceOrder) {
+  // A 20 000-host pool shared by A, B and C with three repeats inserted
+  // (vm5 twice more, vm7 once more): the canonical pool keeps each host
+  // once, in first-occurrence order.
+  constexpr int kHosts = 20000;
+  std::string source = "A = B = C = (";
+  for (int i = 0; i < kHosts; ++i) {
+    source += (i == 0 ? "vm" : " vm") + std::to_string(i);
+    if (i == 100 || i == 10000) {
+      source += " vm5";
+    }
+  }
+  source += " vm7)\nf1 A -> B size 1M\nf2 B -> C size 1M\n";
+  const CanonicalQuery canon = MustCanon(source);
+  ASSERT_EQ(canon.query.variables.size(), 1u);
+  const std::vector<Endpoint>& pool = canon.query.variables[0].values;
+  ASSERT_EQ(pool.size(), static_cast<size_t>(kHosts));
+  for (int i = 0; i < kHosts; ++i) {
+    ASSERT_TRUE(pool[i] == Endpoint::Address("vm" + std::to_string(i)))
+        << "entry " << i << " is " << pool[i].ToString();
+  }
+}
+
 TEST(Canon, LastRequirementWins) {
   // The parser rejects duplicate `requires` statements (E002), but
   // programmatic queries can carry them; compilation lets the last one win.

@@ -1258,6 +1258,9 @@ TEST_F(ServerTest, QuoteDoesNotReserve) {
       "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 256M\n";
   auto quote = server.Quote(query);
   ASSERT_TRUE(quote.ok());
+  // Neither pool host is held right after the quote.
+  EXPECT_FALSE(server.IsReservedAnywhere(Ip(1), now_));
+  EXPECT_FALSE(server.IsReservedAnywhere(Ip(2), now_));
   // A real query right after still gets the best endpoint: the quote held
   // nothing.
   auto reply = server.Answer(query);

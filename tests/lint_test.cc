@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lang/analysis.h"
@@ -25,7 +26,7 @@ namespace {
 DiagnosticSink Analyze(const std::string& source) {
   DiagnosticSink sink;
   const Query query = ParseWithDiagnostics(source, &sink);
-  RunLint(query, &sink);
+  RunLint(QueryFacts(query), &sink);
   if (!sink.has_errors()) {
     (void)CompiledQuery::Compile(query, &sink);
   }
@@ -178,6 +179,90 @@ TEST(LintRuleTest, RegistryCoversEveryDocumentedCode) {
     EXPECT_EQ(rules[i].severity,
               rules[i].code[0] == 'E' ? Severity::kError : Severity::kWarning);
     EXPECT_NE(rules[i].check, nullptr);
+  }
+}
+
+// The facts build lint's idle-world bound only when a rule can fire on it:
+// E080 and W080 need a finite `end` on some chain group, W081 a group that
+// touches no variable. Each shape sits at its rule's guard, so a guard that
+// skipped the bound one case too early fails here.
+TEST(LintRuleTest, BoundRulesFireAtTheirGuards) {
+  struct GuardCase {
+    const char* code;
+    std::string fires;
+    std::string quiet;  // The same shape without `end`, or with the literal group shrunk.
+  };
+  const GuardCase cases[] = {
+      {"E080",
+       // Only the second of two chain groups carries `end`; the first binds A.
+       "A = (vm4 vm5)\nf1 A -> vm3 size 1M\nf2 vm1 -> vm2 size 10G rate 1M end 1\n",
+       "A = (vm4 vm5)\nf1 A -> vm3 size 1M\nf2 vm1 -> vm2 size 10G rate 1M\n"},
+      {"W080",
+       "A = (vm4 vm5)\nf1 A -> vm3 size 1M\nf2 vm1 -> vm2 size 1M end 100\n",
+       "A = (vm4 vm5)\nf1 A -> vm3 size 1M\nf2 vm1 -> vm2 size 1M\n"},
+      {"W081",
+       // The pinned literal group beside two variable groups; no `end`.
+       "A = (vm1 vm2)\nB = (vm4 vm5)\nbig vm8 -> vm9 size 10G\n"
+       "f1 A -> vm3 size 1M\nf2 B -> vm6 size 1M\n",
+       "A = (vm1 vm2)\nB = (vm4 vm5)\nbig vm8 -> vm9 size 1M\n"
+       "f1 A -> vm3 size 1M\nf2 B -> vm6 size 1M\n"},
+  };
+  for (const GuardCase& c : cases) {
+    SCOPED_TRACE(c.code);
+    EXPECT_TRUE(HasCode(Analyze(c.fires), c.code)) << c.fires;
+    EXPECT_FALSE(HasCode(Analyze(c.quiet), c.code)) << c.quiet;
+  }
+}
+
+// W011 makes one pass per pool. A 20 000-host pool shared by A, B and C,
+// with three repeats inserted (vm5 then appears three times, vm7 twice),
+// reports exactly the three repeats at their own spans, in source order.
+TEST(LintRuleTest, DuplicatePoolEntryReportsEachRepeatOnce) {
+  constexpr int kHosts = 20000;
+  // Each repeat is inserted right after the pool entry of the given index.
+  const std::vector<std::pair<int, std::string>> repeats = {
+      {100, "vm5"}, {10000, "vm5"}, {kHosts - 1, "vm7"}};
+  std::string source = "A = B = C = (";
+  std::vector<int> repeat_columns;
+  size_t next = 0;
+  for (int i = 0; i < kHosts; ++i) {
+    source += (i == 0 ? "vm" : " vm") + std::to_string(i);
+    for (; next < repeats.size() && repeats[next].first == i; ++next) {
+      source += ' ';
+      repeat_columns.push_back(static_cast<int>(source.size()) + 1);
+      source += repeats[next].second;
+    }
+  }
+  source += ")\nf1 A -> B size 1M\nf2 B -> C size 1M\n";
+
+  DiagnosticSink sink;
+  const Query query = ParseWithDiagnostics(source, &sink);
+  ASSERT_FALSE(sink.has_errors());
+  RunLint(QueryFacts(query), &sink);
+  std::vector<const Diagnostic*> w011;
+  for (const Diagnostic& d : sink.diagnostics()) {
+    if (d.code == "W011") {
+      w011.push_back(&d);
+    }
+  }
+  ASSERT_EQ(w011.size(), repeats.size());
+  for (size_t k = 0; k < repeats.size(); ++k) {
+    EXPECT_EQ(w011[k]->span.line, 1);
+    EXPECT_EQ(w011[k]->span.column, repeat_columns[k]);
+    EXPECT_NE(w011[k]->message.find("'" + repeats[k].second + "'"), std::string::npos)
+        << w011[k]->message;
+  }
+}
+
+// The parser keeps a disk-to-disk flow (E005) in its partial AST, so lint's
+// bound rules read it too: a deadline (E080/W080), or a literal group beside
+// a variable group (W081), makes them build the idle-world bound over it,
+// which must not crash.
+TEST(LintTest, DiskToDiskFlowIsRejectedWithoutCrashing) {
+  for (const char* source : {"f0 disk -> disk size 10G end 5\n",
+                             "A = (vm1 vm2)\nf0 disk -> disk size 10G\nf1 A -> vm3 size 1M\n"}) {
+    SCOPED_TRACE(source);
+    EXPECT_TRUE(HasCode(Analyze(source), "E005"));
   }
 }
 

@@ -83,7 +83,7 @@ LintedInput LintOne(std::string source, std::string display_name) {
   input.source = std::move(source);
   input.display_name = std::move(display_name);
   input.query = cloudtalk::lang::ParseWithDiagnostics(input.source, &input.sink);
-  cloudtalk::lang::RunLint(input.query, &input.sink);
+  cloudtalk::lang::RunLint(cloudtalk::lang::QueryFacts(input.query), &input.sink);
   if (!input.sink.has_errors()) {
     // Surface residual semantic errors (unresolvable sizes etc.) that only
     // full compilation finds. Skipped when errors exist: the AST is partial.
