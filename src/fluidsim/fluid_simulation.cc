@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(CLOUDTALK_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 
@@ -25,33 +21,9 @@ constexpr Seconds kTimeEpsilon = 1e-12;
 Seconds TimeEps(Seconds t) { return std::max(kTimeEpsilon, 2e-15 * std::abs(t)); }
 
 // Smallest fair share avail[k]/wuf[k] over slots with unfrozen weight. The
-// SoA layout makes this the solver's innermost hot loop; both bodies are
-// bitwise-identical because the quotients are never NaN (wuf > 0) and min is
-// order-independent over non-NaN doubles.
+// SoA layout makes this the solver's innermost hot loop; it autovectorizes
+// under -O2.
 double BottleneckLevel(const double* avail, const double* wuf, int count) {
-#if defined(CLOUDTALK_SIMD) && defined(__AVX2__)
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d best = inf;
-  int k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d w = _mm256_loadu_pd(wuf + k);
-    const __m256d a = _mm256_loadu_pd(avail + k);
-    // Masked lanes (wuf <= 0) become +inf before the min, mirroring the
-    // scalar guard; IEEE division is exact per lane.
-    const __m256d mask = _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_GT_OQ);
-    const __m256d q = _mm256_blendv_pd(inf, _mm256_div_pd(a, w), mask);
-    best = _mm256_min_pd(best, q);
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, best);
-  double out = std::min(std::min(lanes[0], lanes[1]), std::min(lanes[2], lanes[3]));
-  for (; k < count; ++k) {
-    if (wuf[k] > 0) {
-      out = std::min(out, avail[k] / wuf[k]);
-    }
-  }
-  return out;
-#else
   double out = std::numeric_limits<double>::infinity();
   for (int k = 0; k < count; ++k) {
     if (wuf[k] > 0) {
@@ -59,7 +31,6 @@ double BottleneckLevel(const double* avail, const double* wuf, int count) {
     }
   }
   return out;
-#endif
 }
 }  // namespace
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
-#include <unordered_map>
 
 #include "src/fluidsim/fluid_simulation.h"
 
@@ -14,135 +12,130 @@ namespace lang {
 
 namespace {
 
-// Union-find for chain grouping.
-class DisjointSets {
- public:
-  explicit DisjointSets(int n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  int Find(int x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<int> parent_;
-};
-
-// Resolves a flow's size, following sz() references (cycle => E030) and
-// falling back to the transfer-referenced flow's size for chained flows.
-// All failures are reported into the sink with source spans.
-class SizeResolver {
- public:
-  SizeResolver(const Query& query, std::unordered_map<std::string, int> name_to_index,
-               DiagnosticSink* sink)
-      : query_(query), name_to_index_(std::move(name_to_index)), sink_(sink) {
-    states_.assign(query.flows.size(), State::kUnresolved);
-    sizes_.assign(query.flows.size(), 0);
-  }
-
-  std::optional<Bytes> Resolve(int flow_index) {
-    if (states_[flow_index] == State::kDone) {
-      return sizes_[flow_index];
-    }
-    const FlowDef& flow = query_.flows[flow_index];
-    if (states_[flow_index] == State::kInProgress) {
-      sink_->AddError("E030", flow.AttrSpan(Attr::kSize),
-                      "cyclic size reference involving flow '" + flow.name + "'",
-                      "break the cycle by giving one flow a literal size");
-      return std::nullopt;
-    }
-    states_[flow_index] = State::kInProgress;
-    const Expr* size_expr = flow.FindAttr(Attr::kSize);
-    std::optional<Bytes> result = [&]() -> std::optional<Bytes> {
-      if (size_expr != nullptr) {
-        return Eval(*size_expr, flow);
+// A size expression's value once every reference in it has resolved:
+// `*ref` steps through the flow's size edges, one per reference, in the
+// source order CollectFlowRefs lists them.
+Bytes EvalSize(const Expr& expr, const std::vector<Bytes>& sizes, const FlowRef** ref) {
+  switch (expr.kind) {
+    case Expr::Kind::kLiteral:
+      return expr.literal;
+    case Expr::Kind::kRef:
+      return sizes[(*ref)++->flow];
+    case Expr::Kind::kBinary: {
+      const Bytes l = EvalSize(*expr.lhs, sizes, ref);
+      const Bytes r = EvalSize(*expr.rhs, sizes, ref);
+      switch (expr.op) {
+        case '+':
+          return l + r;
+        case '-':
+          return l - r;
+        case '*':
+          return l * r;
+        case '/':
+          return r != 0 ? l / r : 0;
       }
-      // No size: a chained flow inherits the size of the flow its transfer
-      // attribute references (web-search query, Section 5.4).
-      const Expr* transfer = flow.FindAttr(Attr::kTransfer);
-      if (transfer != nullptr) {
-        std::vector<std::pair<Attr, std::string>> refs;
-        CollectFlowRefs(*transfer, &refs);
-        if (!refs.empty()) {
-          const auto it = name_to_index_.find(refs.front().second);
-          if (it != name_to_index_.end()) {
-            return Resolve(it->second);
-          }
-        }
-      }
-      sink_->AddError("E032", flow.span, "flow '" + flow.name + "' has no resolvable size",
-                      "add a size attribute or a transfer reference to a sized flow");
-      return std::nullopt;
-    }();
-    if (!result.has_value()) {
-      return std::nullopt;
+      return 0;
     }
-    states_[flow_index] = State::kDone;
-    sizes_[flow_index] = *result;
-    return result;
   }
+  return 0;
+}
 
- private:
-  std::optional<Bytes> Eval(const Expr& expr, const FlowDef& owner) {
-    switch (expr.kind) {
-      case Expr::Kind::kLiteral:
-        return Bytes{expr.literal};
-      case Expr::Kind::kRef: {
-        if (expr.ref_attr != Attr::kSize && expr.ref_attr != Attr::kTransfer) {
-          sink_->AddError(
-              "E031", expr.span.valid() ? expr.span : owner.AttrSpan(Attr::kSize),
-              "flow '" + owner.name +
-                  "': only sz()/t() references are usable inside size expressions",
-              "start, end, and rate are not known until evaluation time");
-          return std::nullopt;
-        }
-        const auto it = name_to_index_.find(expr.ref_flow);
-        if (it == name_to_index_.end()) {
-          sink_->AddError("E003", expr.span.valid() ? expr.span : owner.span,
-                          "undefined flow '" + expr.ref_flow + "'");
-          return std::nullopt;
-        }
-        return Resolve(it->second);
-      }
-      case Expr::Kind::kBinary: {
-        const std::optional<Bytes> l = Eval(*expr.lhs, owner);
-        if (!l.has_value()) {
-          return std::nullopt;
-        }
-        const std::optional<Bytes> r = Eval(*expr.rhs, owner);
-        if (!r.has_value()) {
-          return std::nullopt;
-        }
-        switch (expr.op) {
-          case '+':
-            return *l + *r;
-          case '-':
-            return *l - *r;
-          case '*':
-            return *l * *r;
-          case '/':
-            return *r != 0 ? *l / *r : 0;
-        }
-        sink_->AddError("E001", expr.span, "unknown operator");
-        return std::nullopt;
-      }
+// Resolves every flow's size along the graph's size edges into `sizes`, in
+// the depth-first order a recursive resolver would take, but with an
+// explicit stack: a chain of any length needs no native stack. A flow with
+// a `size` evaluates it once its references have resolved; a flow without
+// one inherits the size of its first transfer reference (web-search query,
+// Section 5.4). Each failure is reported once, where it happens, into the
+// sink: E031 for a start/end/rate reference, E003 for an undefined flow,
+// E030 for a reference back into a flow still being resolved, E032 for a
+// flow with nothing to size it. A flow that reads a failed flow fails
+// without a report of its own. Returns false when any flow failed.
+bool ResolveSizes(const Query& query, const FlowGraph& graph, DiagnosticSink* sink,
+                  std::vector<Bytes>* sizes) {
+  enum class State : char { kUnresolved, kInProgress, kDone, kFailed };
+  const int n = static_cast<int>(query.flows.size());
+  std::vector<State> state(n, State::kUnresolved);
+  sizes->assign(n, 0);
+  bool ok = true;
+  struct Frame {
+    int flow;
+    size_t next_edge;
+  };
+  std::vector<Frame> stack;
+  for (int root = 0; root < n; ++root) {
+    if (state[root] != State::kUnresolved) {
+      continue;
     }
-    sink_->AddError("E001", expr.span, "bad expression");
-    return std::nullopt;
+    state[root] = State::kInProgress;
+    stack.push_back({root, 0});
+    while (!stack.empty()) {
+      const int f = stack.back().flow;
+      const FlowDef& flow = query.flows[f];
+      const Expr* size_expr = flow.FindAttr(Attr::kSize);
+      const std::span<const FlowRef> edges = graph.size_edges(f);
+      State outcome = State::kDone;
+      for (size_t& e = stack.back().next_edge; e < edges.size(); ++e) {
+        const FlowRef& ref = edges[e];
+        if (size_expr == nullptr && ref.flow < 0) {
+          break;  // An undefined transfer reference sizes nothing: E032 below.
+        }
+        if (size_expr != nullptr && ref.expr->ref_attr != Attr::kSize &&
+            ref.expr->ref_attr != Attr::kTransfer) {
+          sink->AddError("E031",
+                         ref.expr->span.valid() ? ref.expr->span : flow.AttrSpan(Attr::kSize),
+                         "flow '" + flow.name +
+                             "': only sz()/t() references are usable inside size expressions",
+                         "start, end, and rate are not known until evaluation time");
+          outcome = State::kFailed;
+          break;
+        }
+        if (ref.flow < 0) {
+          sink->AddError("E003", ref.expr->span.valid() ? ref.expr->span : flow.span,
+                         "undefined flow '" + ref.expr->ref_flow + "'");
+          outcome = State::kFailed;
+          break;
+        }
+        const State target = state[ref.flow];
+        if (target == State::kDone) {
+          continue;
+        }
+        if (target == State::kInProgress) {
+          const FlowDef& culprit = query.flows[ref.flow];
+          sink->AddError("E030", culprit.AttrSpan(Attr::kSize),
+                         "cyclic size reference involving flow '" + culprit.name + "'",
+                         "break the cycle by giving one flow a literal size");
+        }
+        if (target != State::kUnresolved) {
+          outcome = State::kFailed;
+          break;
+        }
+        state[ref.flow] = State::kInProgress;
+        stack.push_back({ref.flow, 0});
+        outcome = State::kInProgress;
+        break;
+      }
+      if (outcome == State::kInProgress) {
+        continue;  // Resolve the dependency first, then come back.
+      }
+      if (outcome == State::kDone) {
+        if (size_expr != nullptr) {
+          const FlowRef* ref = edges.data();
+          (*sizes)[f] = EvalSize(*size_expr, *sizes, &ref);
+        } else if (!edges.empty() && edges.front().flow >= 0) {
+          (*sizes)[f] = (*sizes)[edges.front().flow];
+        } else {
+          sink->AddError("E032", flow.span, "flow '" + flow.name + "' has no resolvable size",
+                         "add a size attribute or a transfer reference to a sized flow");
+          outcome = State::kFailed;
+        }
+      }
+      state[f] = outcome;
+      ok = ok && outcome == State::kDone;
+      stack.pop_back();
+    }
   }
-
-  enum class State { kUnresolved, kInProgress, kDone };
-  const Query& query_;
-  std::unordered_map<std::string, int> name_to_index_;
-  DiagnosticSink* sink_;
-  std::vector<State> states_;
-  std::vector<Bytes> sizes_;
-};
+  return ok;
+}
 
 void AddUnique(std::vector<Endpoint>* endpoints, const Endpoint& e) {
   if (std::find(endpoints->begin(), endpoints->end(), e) == endpoints->end()) {
@@ -152,16 +145,96 @@ void AddUnique(std::vector<Endpoint>* endpoints, const Endpoint& e) {
 
 }  // namespace
 
-std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query,
+FlowGraph::FlowGraph(const Query& query) {
+  const int n = static_cast<int>(query.flows.size());
+  index_.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    index_[query.flows[i].name] = i;
+  }
+  size_begin_.reserve(n + 1);
+  transfer_begin_.reserve(n + 1);
+  UnionFind sets(n);
+  std::vector<const Expr*> refs;
+  for (int i = 0; i < n; ++i) {
+    const FlowDef& flow = query.flows[i];
+    size_begin_.push_back(static_cast<int>(size_edges_.size()));
+    transfer_begin_.push_back(static_cast<int>(transfer_edges_.size()));
+    const Expr* size = flow.FindAttr(Attr::kSize);
+    const Expr* transfer = flow.FindAttr(Attr::kTransfer);
+    if (size != nullptr) {
+      refs.clear();
+      CollectFlowRefs(*size, &refs);
+      for (const Expr* ref : refs) {
+        size_edges_.push_back({Find(ref->ref_flow), ref});
+      }
+    }
+    if (transfer != nullptr) {
+      refs.clear();
+      CollectFlowRefs(*transfer, &refs);
+      if (size == nullptr && !refs.empty()) {
+        size_edges_.push_back({Find(refs.front()->ref_flow), refs.front()});
+      }
+      for (const Expr* ref : refs) {
+        const int target = Find(ref->ref_flow);
+        if (target >= 0) {
+          transfer_edges_.push_back(target);
+        }
+      }
+    }
+    for (const AttrValue& av : flow.attrs) {
+      if (av.attr != Attr::kRate && av.attr != Attr::kTransfer) {
+        continue;
+      }
+      refs.clear();
+      CollectFlowRefs(*av.value, &refs);
+      for (const Expr* ref : refs) {
+        const int target = Find(ref->ref_flow);
+        if (target >= 0) {
+          sets.Union(i, target);
+        }
+      }
+    }
+  }
+  size_begin_.push_back(static_cast<int>(size_edges_.size()));
+  transfer_begin_.push_back(static_cast<int>(transfer_edges_.size()));
+  // Number each group at its lowest member.
+  std::vector<int> group_of_root(n, -1);
+  group_.resize(n);
+  for (int i = 0; i < n; ++i) {
+    int& g = group_of_root[sets.Find(i)];
+    if (g < 0) {
+      g = num_groups_++;
+    }
+    group_[i] = g;
+  }
+}
+
+int FlowGraph::Find(std::string_view name) const {
+  const auto it = index_.find(name);
+  return it != index_.end() ? it->second : -1;
+}
+
+std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, DiagnosticSink* sink) {
+  return Compile(query, FlowGraph(query), sink);
+}
+
+Result<CompiledQuery> CompiledQuery::Compile(const Query& query) {
+  return Compile(query, FlowGraph(query));
+}
+
+Result<CompiledQuery> CompiledQuery::Compile(const Query& query, const FlowGraph& graph) {
+  DiagnosticSink sink;
+  std::optional<CompiledQuery> compiled = Compile(query, graph, &sink);
+  if (!compiled.has_value()) {
+    return sink.ToLegacyError();
+  }
+  return *std::move(compiled);
+}
+
+std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const FlowGraph& graph,
                                                     DiagnosticSink* sink) {
   CompiledQuery compiled;
   compiled.query_ = &query;
-
-  const int num_flows = static_cast<int>(query.flows.size());
-  std::unordered_map<std::string, int> name_to_index;
-  for (int i = 0; i < num_flows; ++i) {
-    name_to_index[query.flows[i].name] = i;
-  }
 
   // ---- Variables and their communication sets ----
   for (const VarDecl& decl : query.variables) {
@@ -207,9 +280,18 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query,
   }
 
   // ---- Sizes ----
-  SizeResolver resolver(query, name_to_index, sink);
+  std::vector<Bytes> sizes;
+  if (!ResolveSizes(query, graph, sink, &sizes)) {
+    return std::nullopt;
+  }
+
+  // ---- Flows and their chain groups ----
+  const int num_flows = static_cast<int>(query.flows.size());
   compiled.flows_.reserve(num_flows);
-  bool sizes_ok = true;
+  compiled.groups_.assign(graph.num_groups(),
+                          CompiledGroup{{}, kUnlimitedRate,
+                                        std::numeric_limits<Seconds>::infinity(),
+                                        std::numeric_limits<Seconds>::infinity()});
   for (int i = 0; i < num_flows; ++i) {
     const FlowDef& def = query.flows[i];
     CompiledFlow flow;
@@ -217,76 +299,28 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query,
     flow.name = def.name;
     flow.src = def.src;
     flow.dst = def.dst;
-    const std::optional<Bytes> size = resolver.Resolve(i);
-    if (!size.has_value()) {
-      sizes_ok = false;  // Keep going: report every unresolvable flow.
-    }
-    flow.size = size.value_or(0);
+    flow.size = sizes[i];
     const Expr* start = def.FindAttr(Attr::kStart);
     if (start != nullptr && IsConstantExpr(*start)) {
       flow.start = EvalConstant(*start);
     }
-    const Expr* transfer = def.FindAttr(Attr::kTransfer);
-    if (transfer != nullptr) {
-      std::vector<std::pair<Attr, std::string>> refs;
-      CollectFlowRefs(*transfer, &refs);
-      for (const auto& [attr, flow_name] : refs) {
-        (void)attr;
-        const auto it = name_to_index.find(flow_name);
-        if (it != name_to_index.end() && it->second != i) {
-          flow.transfer_parents.push_back(it->second);
-        }
+    for (const int parent : graph.transfer_edges(i)) {
+      if (parent != i) {
+        flow.transfer_parents.push_back(parent);
       }
     }
-    compiled.flows_.push_back(std::move(flow));
-  }
-  if (!sizes_ok) {
-    return std::nullopt;
-  }
-
-  // ---- Chain groups: union flows joined by rate/transfer references ----
-  DisjointSets sets(num_flows);
-  for (int i = 0; i < num_flows; ++i) {
-    for (const AttrValue& av : query.flows[i].attrs) {
-      if (av.attr != Attr::kRate && av.attr != Attr::kTransfer) {
-        continue;
-      }
-      std::vector<std::pair<Attr, std::string>> refs;
-      CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, flow_name] : refs) {
-        (void)attr;
-        const auto it = name_to_index.find(flow_name);
-        if (it != name_to_index.end()) {
-          sets.Union(i, it->second);
-        }
-      }
-    }
-  }
-  std::unordered_map<int, int> root_to_group;
-  for (int i = 0; i < num_flows; ++i) {
-    const int root = sets.Find(i);
-    auto [it, inserted] = root_to_group.try_emplace(
-        root, static_cast<int>(compiled.groups_.size()));
-    if (inserted) {
-      CompiledGroup group;
-      group.rate_limit = kUnlimitedRate;
-      group.start = std::numeric_limits<Seconds>::infinity();
-      group.deadline = std::numeric_limits<Seconds>::infinity();
-      compiled.groups_.push_back(group);
-    }
-    const int g = it->second;
-    compiled.flows_[i].group = g;
-    CompiledGroup& group = compiled.groups_[g];
+    flow.group = graph.group(i);
+    CompiledGroup& group = compiled.groups_[flow.group];
     group.flow_indices.push_back(i);
-    group.start = std::min(group.start, compiled.flows_[i].start);
-    const Expr* end = query.flows[i].FindAttr(Attr::kEnd);
+    group.start = std::min(group.start, flow.start);
+    const Expr* end = def.FindAttr(Attr::kEnd);
     if (end != nullptr && IsConstantExpr(*end)) {
       const Seconds deadline = EvalConstant(*end);
       if (deadline > 0) {
         group.deadline = std::min(group.deadline, deadline);
       }
     }
-    const Expr* rate = query.flows[i].FindAttr(Attr::kRate);
+    const Expr* rate = def.FindAttr(Attr::kRate);
     if (rate != nullptr && IsConstantExpr(*rate)) {
       // Literal rates are bytes/second in the language (Table 1); the
       // engine wants bits/second.
@@ -295,6 +329,7 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query,
         group.rate_limit = std::min(group.rate_limit, limit_bps);
       }
     }
+    compiled.flows_.push_back(std::move(flow));
   }
   for (CompiledGroup& group : compiled.groups_) {
     if (!std::isfinite(group.start)) {
@@ -302,15 +337,6 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query,
     }
   }
   return compiled;
-}
-
-Result<CompiledQuery> CompiledQuery::Compile(const Query& query) {
-  DiagnosticSink sink;
-  std::optional<CompiledQuery> compiled = Compile(query, &sink);
-  if (!compiled.has_value()) {
-    return sink.ToLegacyError();
-  }
-  return *std::move(compiled);
 }
 
 int CompiledQuery::VariableIndex(const std::string& name) const {

@@ -1,9 +1,12 @@
 // Semantic analysis: turns a parsed Query into the structures the CloudTalk
 // server evaluates.
 //
-//  * Flow sizes are resolved to concrete byte counts (following sz()
-//    references; a flow with only a transfer-reference inherits the
-//    referenced flow's size — the daisy-chain idiom).
+//  * One FlowGraph pass indexes the flows by name and collects the
+//    references between them.
+//  * Flow sizes are resolved to concrete byte counts along the graph's size
+//    edges (following sz() references; a flow with only a
+//    transfer-reference inherits the referenced flow's size — the
+//    daisy-chain idiom).
 //  * Flows joined by rate/transfer references are merged into *chain groups*
 //    that share a single rate ("our two restrictions mandate that the rates
 //    of the two flows will be the same", Section 4.1). A group's rate limit
@@ -14,8 +17,13 @@
 #ifndef CLOUDTALK_SRC_LANG_ANALYSIS_H_
 #define CLOUDTALK_SRC_LANG_ANALYSIS_H_
 
+#include <cstdint>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/result.h"
@@ -25,6 +33,71 @@
 
 namespace cloudtalk {
 namespace lang {
+
+// Path-compressed union-find over [0, n): the chain groups below and the
+// optimisation passes' variable classes (opt.cc).
+struct UnionFind {
+  std::vector<int32_t> parent;
+  explicit UnionFind(size_t n) : parent(n) { std::iota(parent.begin(), parent.end(), 0); }
+  int32_t Find(int32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  }
+  void Union(int32_t a, int32_t b) { parent[Find(a)] = Find(b); }
+};
+
+// One reference expression (sz(f), t(f), ...) and the index of the flow it
+// names, -1 when no flow has that name.
+struct FlowRef {
+  int flow = -1;
+  const Expr* expr = nullptr;
+};
+
+// The flow-reference graph of a query, built in one linear pass over its
+// flows: the flow-name index, each flow's size and transfer edges, and its
+// chain group. The compiler, lint and canon all read it; QueryFacts builds
+// it once per query. It points into the Query's names and expressions, so
+// the Query must outlive it and must not change while it lives.
+class FlowGraph {
+ public:
+  explicit FlowGraph(const Query& query);
+  explicit FlowGraph(Query&&) = delete;
+
+  // Index of the flow named `name`, or -1. When a name is defined more than
+  // once, the last definition wins.
+  int Find(std::string_view name) const;
+
+  // What the flow's size resolves from: every reference in its `size`, in
+  // source order, or else its first `transfer` reference.
+  std::span<const FlowRef> size_edges(int flow) const {
+    return {size_edges_.data() + size_begin_[flow], size_edges_.data() + size_begin_[flow + 1]};
+  }
+
+  // The flows its `transfer` references, in source order, self-references
+  // kept. The packet-level estimator starts a flow when these complete.
+  std::span<const int> transfer_edges(int flow) const {
+    return {transfer_edges_.data() + transfer_begin_[flow],
+            transfer_edges_.data() + transfer_begin_[flow + 1]};
+  }
+
+  // Chain group of the flow: flows joined by rate/transfer references share
+  // one. Groups are numbered in the order of their lowest members, as
+  // CompiledQuery::groups() lists them.
+  int group(int flow) const { return group_[flow]; }
+  int num_groups() const { return num_groups_; }
+
+ private:
+  std::unordered_map<std::string_view, int> index_;
+  std::vector<FlowRef> size_edges_;  // Flow f's are [size_begin_[f], size_begin_[f + 1]).
+  std::vector<int> size_begin_;
+  std::vector<int> transfer_edges_;  // Likewise through transfer_begin_.
+  std::vector<int> transfer_begin_;
+  std::vector<int> group_;
+  int num_groups_ = 0;
+};
 
 // Per-variable communication summary (the to/from and tx/rx sets of
 // Listing 1).
@@ -73,6 +146,12 @@ class CompiledQuery {
   // unusable references E031, unresolvable sizes E032, ...) into `sink`
   // with source spans. Returns nullopt when any error was recorded.
   static std::optional<CompiledQuery> Compile(const Query& query, DiagnosticSink* sink);
+
+  // Either of the above over `graph`, the query's own flow graph, instead of
+  // building one.
+  static Result<CompiledQuery> Compile(const Query& query, const FlowGraph& graph);
+  static std::optional<CompiledQuery> Compile(const Query& query, const FlowGraph& graph,
+                                              DiagnosticSink* sink);
 
   // A temporary Query would be destroyed while the result still points
   // into it, so compiling one is a compile error.

@@ -101,12 +101,12 @@ double EvalConstant(const Expr& expr) {
   return 0;
 }
 
-void CollectFlowRefs(const Expr& expr, std::vector<std::pair<Attr, std::string>>* out) {
+void CollectFlowRefs(const Expr& expr, std::vector<const Expr*>* out) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return;
     case Expr::Kind::kRef:
-      out->emplace_back(expr.ref_attr, expr.ref_flow);
+      out->push_back(&expr);
       return;
     case Expr::Kind::kBinary:
       CollectFlowRefs(*expr.lhs, out);
@@ -199,15 +199,6 @@ const VarDecl* Query::FindVariable(const std::string& name) const {
       if (n == name) {
         return &decl;
       }
-    }
-  }
-  return nullptr;
-}
-
-const FlowDef* Query::FindFlow(const std::string& name) const {
-  for (const FlowDef& flow : flows) {
-    if (flow.name == name) {
-      return &flow;
     }
   }
   return nullptr;

@@ -125,9 +125,8 @@ struct Expr {
 bool IsConstantExpr(const Expr& expr);
 double EvalConstant(const Expr& expr);
 
-// Appends every (attribute, flow-name) reference inside `expr`, in source
-// order.
-void CollectFlowRefs(const Expr& expr, std::vector<std::pair<Attr, std::string>>* out);
+// Appends every reference node (kRef) inside `expr`, in source order.
+void CollectFlowRefs(const Expr& expr, std::vector<const Expr*>* out);
 
 struct AttrValue {
   Attr attr;
@@ -199,7 +198,6 @@ struct Query {
   QueryOptions options;
 
   const VarDecl* FindVariable(const std::string& name) const;
-  const FlowDef* FindFlow(const std::string& name) const;
   std::string ToString() const;
 };
 

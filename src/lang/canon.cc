@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "src/lang/analysis.h"
 
 namespace cloudtalk {
 namespace lang {
@@ -96,52 +99,11 @@ void DropDeadAttrs(FlowDef* flow) {
                     flow->attrs.end());
 }
 
-// The compiler's chain-group union-find (analysis.cc), reproduced over the
-// working flows: rate/transfer references join flows into one group.
-std::vector<int> ChainGroups(const Query& query) {
-  std::unordered_map<std::string, int> index;
-  for (size_t i = 0; i < query.flows.size(); ++i) {
-    index[query.flows[i].name] = static_cast<int>(i);
-  }
-  const int n = static_cast<int>(query.flows.size());
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (int i = 0; i < n; ++i) {
-    for (const AttrValue& av : query.flows[i].attrs) {
-      if (av.attr != Attr::kRate && av.attr != Attr::kTransfer) {
-        continue;
-      }
-      std::vector<std::pair<Attr, std::string>> refs;
-      CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, name] : refs) {
-        (void)attr;
-        const auto it = index.find(name);
-        if (it != index.end()) {
-          parent[find(i)] = find(it->second);
-        }
-      }
-    }
-  }
-  std::vector<int> group(n);
-  for (int i = 0; i < n; ++i) {
-    group[i] = find(i);
-  }
-  return group;
-}
-
 // Serializes an expression for the refinement signature. Literals render as
 // the exact bit pattern (canonical and collision-free, unlike any decimal
-// rendering); references render through `ref_key`, so the serialization is
-// name-free.
-void SerializeExpr(const Expr& expr,
-                   const std::unordered_map<std::string, uint64_t>& ref_key,
+// rendering); a reference renders as its target's previous-round key, so
+// the serialization is name-free.
+void SerializeExpr(const Expr& expr, const FlowGraph& graph, const std::vector<uint64_t>& key,
                    std::string* out) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral: {
@@ -153,19 +115,18 @@ void SerializeExpr(const Expr& expr,
       return;
     }
     case Expr::Kind::kRef: {
-      const auto it = ref_key.find(expr.ref_flow);
       char buf[32];
       std::snprintf(buf, sizeof(buf), "R%d@%016llx", static_cast<int>(expr.ref_attr),
-                    static_cast<unsigned long long>(it != ref_key.end() ? it->second : 0));
+                    static_cast<unsigned long long>(key[graph.Find(expr.ref_flow)]));
       out->append(buf);
       return;
     }
     case Expr::Kind::kBinary:
       out->push_back('(');
       out->push_back(expr.op);
-      SerializeExpr(*expr.lhs, ref_key, out);
+      SerializeExpr(*expr.lhs, graph, key, out);
       out->push_back(',');
-      SerializeExpr(*expr.rhs, ref_key, out);
+      SerializeExpr(*expr.rhs, graph, key, out);
       out->push_back(')');
       return;
   }
@@ -202,7 +163,7 @@ void SerializeEndpoint(const Endpoint& e,
 // two identical flows of which only one is referenced).
 uint64_t FlowSignature(const FlowDef& flow,
                        const std::unordered_map<std::string, int>& var_slot,
-                       const std::unordered_map<std::string, uint64_t>& ref_key,
+                       const FlowGraph& graph, const std::vector<uint64_t>& key,
                        std::vector<uint64_t> incoming) {
   std::string sig;
   SerializeEndpoint(flow.src, var_slot, &sig);
@@ -212,7 +173,7 @@ uint64_t FlowSignature(const FlowDef& flow,
     sig.push_back('|');
     sig.append(std::to_string(static_cast<int>(av.attr)));
     sig.push_back(':');
-    SerializeExpr(*av.value, ref_key, &sig);
+    SerializeExpr(*av.value, graph, key, &sig);
   }
   uint64_t h = FnvMix(kFnvOffset, sig.data(), sig.size());
   std::sort(incoming.begin(), incoming.end());
@@ -256,21 +217,25 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
       }
     }
   }
-  std::unordered_set<std::string> flow_names;
-  for (const FlowDef& flow : query.flows) {
-    if (!flow_names.insert(flow.name).second) {
-      return Error{"cannot canonicalize: flow '" + flow.name + "' defined twice"};
+  // The working copy below keeps these flows, in this order, with these
+  // names and references until the renaming, so one graph over `query`
+  // indexes and groups it throughout.
+  const FlowGraph graph(query);
+  const int n = static_cast<int>(query.flows.size());
+  for (int i = 0; i < n; ++i) {
+    if (graph.Find(query.flows[i].name) != i) {
+      return Error{"cannot canonicalize: flow '" + query.flows[i].name + "' defined twice"};
     }
   }
+  std::vector<const Expr*> refs;
   for (const FlowDef& flow : query.flows) {
     for (const AttrValue& av : flow.attrs) {
-      std::vector<std::pair<Attr, std::string>> refs;
+      refs.clear();
       CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, name] : refs) {
-        (void)attr;
-        if (flow_names.count(name) == 0) {
+      for (const Expr* ref : refs) {
+        if (graph.Find(ref->ref_flow) < 0) {
           return Error{"cannot canonicalize: flow '" + flow.name +
-                       "' references undefined flow '" + name + "'"};
+                       "' references undefined flow '" + ref->ref_flow + "'"};
         }
       }
     }
@@ -328,19 +293,17 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
   // Strip them before computing the flow order (two queries differing only
   // in constraint placement must order identically), remember the per-group
   // minima, and re-attach each to one canonical member afterwards.
-  const std::vector<int> group_of = ChainGroups(canon);
-  std::unordered_map<int, double> group_rate;   // Bytes/sec, as written.
-  std::unordered_map<int, double> group_deadline;
-  for (size_t i = 0; i < canon.flows.size(); ++i) {
+  using GroupMinima = std::vector<std::optional<double>>;  // One per chain group.
+  GroupMinima group_rate(graph.num_groups());  // Bytes/sec, as written.
+  GroupMinima group_deadline(graph.num_groups());
+  for (int i = 0; i < n; ++i) {
     FlowDef& flow = canon.flows[i];
-    auto strip = [&](Attr attr, std::unordered_map<int, double>* tightest) {
+    auto strip = [&](Attr attr, GroupMinima* tightest) {
       for (auto it = flow.attrs.begin(); it != flow.attrs.end();) {
         if (it->attr == attr && IsConstantExpr(*it->value)) {
           const double value = EvalConstant(*it->value);
-          auto [entry, inserted] = tightest->try_emplace(group_of[i], value);
-          if (!inserted) {
-            entry->second = std::min(entry->second, value);
-          }
+          std::optional<double>& entry = (*tightest)[graph.group(i)];
+          entry = entry.has_value() ? std::min(*entry, value) : value;
           it = flow.attrs.erase(it);
         } else {
           ++it;
@@ -352,38 +315,26 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
   }
 
   // ---- Canonical flow order: WL-style refinement over the ref graph ----
-  const int n = static_cast<int>(canon.flows.size());
   std::unordered_map<std::string, int> var_slot;
   for (const VarDecl& decl : canon.variables) {
     for (const std::string& name : decl.names) {
       var_slot.emplace(name, static_cast<int>(var_slot.size()));
     }
   }
-  std::unordered_map<std::string, int> flow_index;
-  for (int i = 0; i < n; ++i) {
-    flow_index[canon.flows[i].name] = i;
-  }
-  std::vector<std::vector<int>> incoming_of(n);  // referrer flow indices
+  // Referrers of each flow, over the references the working copy kept.
+  std::vector<std::vector<int>> incoming_of(n);
   for (int i = 0; i < n; ++i) {
     for (const AttrValue& av : canon.flows[i].attrs) {
-      std::vector<std::pair<Attr, std::string>> refs;
+      refs.clear();
       CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, name] : refs) {
-        (void)attr;
-        const auto it = flow_index.find(name);
-        if (it != flow_index.end()) {
-          incoming_of[it->second].push_back(i);
-        }
+      for (const Expr* ref : refs) {
+        incoming_of[graph.Find(ref->ref_flow)].push_back(i);
       }
     }
   }
   std::vector<uint64_t> key(n, 0);
   const int rounds = std::min(n, 64) + 1;
   for (int round = 0; round < rounds; ++round) {
-    std::unordered_map<std::string, uint64_t> ref_key;
-    for (int i = 0; i < n; ++i) {
-      ref_key.emplace(canon.flows[i].name, key[i]);
-    }
     std::vector<uint64_t> next(n);
     for (int i = 0; i < n; ++i) {
       std::vector<uint64_t> incoming;
@@ -391,7 +342,7 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
       for (const int r : incoming_of[i]) {
         incoming.push_back(key[r]);
       }
-      next[i] = FlowSignature(canon.flows[i], var_slot, ref_key, std::move(incoming));
+      next[i] = FlowSignature(canon.flows[i], var_slot, graph, key, std::move(incoming));
     }
     key = std::move(next);
   }
@@ -402,19 +353,18 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
 
   // Re-attach each group's tightest constraint to its first member (in
   // canonical order) lacking that attribute.
-  auto attach = [&](const std::unordered_map<int, double>& tightest, Attr attr) {
-    for (const auto& [group, value] : tightest) {
-      for (const int i : order) {
-        if (group_of[i] != group || canon.flows[i].FindAttr(attr) != nullptr) {
-          continue;
-        }
-        std::vector<AttrValue>& attrs = canon.flows[i].attrs;
-        attrs.push_back(AttrValue{attr, Expr::Literal(value), Span{}});
-        std::sort(attrs.begin(), attrs.end(), [](const AttrValue& a, const AttrValue& b) {
-          return static_cast<int>(a.attr) < static_cast<int>(b.attr);
-        });
-        break;
+  auto attach = [&](GroupMinima& tightest, Attr attr) {
+    for (const int i : order) {
+      std::optional<double>& value = tightest[graph.group(i)];
+      if (!value.has_value() || canon.flows[i].FindAttr(attr) != nullptr) {
+        continue;
       }
+      std::vector<AttrValue>& attrs = canon.flows[i].attrs;
+      attrs.push_back(AttrValue{attr, Expr::Literal(*value), Span{}});
+      std::sort(attrs.begin(), attrs.end(), [](const AttrValue& a, const AttrValue& b) {
+        return static_cast<int>(a.attr) < static_cast<int>(b.attr);
+      });
+      value.reset();
     }
   };
   attach(group_rate, Attr::kRate);
@@ -460,55 +410,37 @@ Result<CanonicalQuery> Canonicalize(const Query& query) {
 
   // Referenced flows need stable names; unreferenced flow names are
   // unobservable and drop to the parser's positional auto-name.
-  std::unordered_set<std::string> referenced;
-  for (const FlowDef& flow : canon.flows) {
-    for (const AttrValue& av : flow.attrs) {
-      std::vector<std::pair<Attr, std::string>> refs;
-      CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, name] : refs) {
-        (void)attr;
-        referenced.insert(name);
-      }
-    }
-  }
-  std::unordered_map<std::string, std::string> flow_rename;
+  std::vector<std::string> flow_rename(n);  // By statement position.
   int flow_counter = 0;
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    FlowDef& flow = canon.flows[order[pos]];
-    std::string canonical;
-    if (referenced.count(flow.name) > 0) {
-      canonical = fresh("f", &flow_counter);
-      flow.explicit_name = true;
-    } else {
-      canonical = "_f" + std::to_string(pos + 1);
-      flow.explicit_name = false;
-    }
-    flow_rename.emplace(flow.name, canonical);
-    result.flow_map.emplace_back(flow.name, canonical);
+  for (int pos = 0; pos < n; ++pos) {
+    const int i = order[pos];
+    const bool referenced = !incoming_of[i].empty();
+    flow_rename[i] = referenced ? fresh("f", &flow_counter) : "_f" + std::to_string(pos + 1);
+    canon.flows[i].explicit_name = referenced;
   }
   // flow_map entries in original statement order (the certificate's
   // contract), regardless of the canonical order they were assigned in.
-  std::sort(result.flow_map.begin(), result.flow_map.end(),
-            [&flow_index](const auto& a, const auto& b) {
-              return flow_index.at(a.first) < flow_index.at(b.first);
-            });
+  for (int i = 0; i < n; ++i) {
+    result.flow_map.emplace_back(query.flows[i].name, flow_rename[i]);
+  }
 
-  auto rename_expr = [&flow_rename](const ExprPtr& root) {
+  auto rename_expr = [&](const ExprPtr& root) {
     // Iterative walk; expressions are tiny but avoid recursion-by-habit.
     std::vector<Expr*> stack{root.get()};
     while (!stack.empty()) {
       Expr* e = stack.back();
       stack.pop_back();
       if (e->kind == Expr::Kind::kRef) {
-        e->ref_flow = flow_rename.at(e->ref_flow);
+        e->ref_flow = flow_rename[graph.Find(e->ref_flow)];
       } else if (e->kind == Expr::Kind::kBinary) {
         stack.push_back(e->lhs.get());
         stack.push_back(e->rhs.get());
       }
     }
   };
-  for (FlowDef& flow : canon.flows) {
-    flow.name = flow_rename.at(flow.name);
+  for (int i = 0; i < n; ++i) {
+    FlowDef& flow = canon.flows[i];
+    flow.name = flow_rename[i];
     for (Endpoint* e : {&flow.src, &flow.dst}) {
       if (e->kind == Endpoint::Kind::kVariable) {
         e->name = var_rename.at(e->name);

@@ -6,9 +6,16 @@
 namespace cloudtalk {
 namespace lang {
 
+const FlowGraph& QueryFacts::flow_graph() const {
+  if (!flow_graph_.has_value()) {
+    flow_graph_.emplace(query_);
+  }
+  return *flow_graph_;
+}
+
 const Result<CompiledQuery>& QueryFacts::compiled() const {
   if (!compiled_.has_value()) {
-    compiled_.emplace(CompiledQuery::Compile(query_));
+    compiled_.emplace(CompiledQuery::Compile(query_, flow_graph()));
   }
   return *compiled_;
 }

@@ -2,11 +2,12 @@
 // share.
 //
 // Several lint rules and the answer pipeline read the same derived facts of
-// a query: its compilation, its footprint & effect scope, the idle-world
-// bound analysis, its tightest deadline. QueryFacts computes each of them at
-// most once, on first use, so a query is compiled and scoped once however
-// many rules read the result, and the idle-world bound is built only if a
-// rule asks for it.
+// a query: its flow graph, its compilation, its footprint & effect scope,
+// the idle-world bound analysis, its tightest deadline. QueryFacts computes
+// each of them at most once, on first use, so a query is indexed, compiled
+// and scoped once however many rules read the result (the compile reads the
+// same flow graph), and the idle-world bound is built only if a rule asks
+// for it.
 //
 // One QueryFacts per query. It is logically const (every accessor is const)
 // but fills its caches on first use, so it must not be shared across
@@ -37,8 +38,11 @@ class QueryFacts {
 
   const Query& query() const { return query_; }
 
-  // CompiledQuery::Compile(query()): the compiled query, or the first
-  // semantic error.
+  // The flow-name index, reference edges and chain groups (analysis.h).
+  const FlowGraph& flow_graph() const;
+
+  // CompiledQuery::Compile over query() and flow_graph(): the compiled
+  // query, or the first semantic error.
   const Result<CompiledQuery>& compiled() const;
 
   // AnalyzeScope over the compiled query. Requires compiled().ok().
@@ -55,6 +59,7 @@ class QueryFacts {
 
  private:
   const Query& query_;
+  mutable std::optional<FlowGraph> flow_graph_;
   mutable std::optional<Result<CompiledQuery>> compiled_;
   mutable std::optional<ScopeAnalysis> scope_;
   mutable std::optional<BoundAnalysis> idle_bounds_;

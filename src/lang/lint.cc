@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,14 +15,6 @@ namespace cloudtalk {
 namespace lang {
 
 namespace {
-
-std::unordered_map<std::string, int> FlowNameIndex(const Query& query) {
-  std::unordered_map<std::string, int> index;
-  for (size_t i = 0; i < query.flows.size(); ++i) {
-    index[query.flows[i].name] = static_cast<int>(i);
-  }
-  return index;
-}
 
 std::string FormatCount(double count) {
   char buf[32];
@@ -131,41 +123,16 @@ void CheckSelfFlow(const QueryFacts& facts, DiagnosticSink* sink) {
   }
 }
 
-// Size-resolution dependencies of a flow: the flows referenced by its size
-// expression, or (when it has no size) the first flow referenced by its
-// transfer attribute — exactly what analysis.cc's SizeResolver follows.
-std::vector<int> SizeDeps(const std::unordered_map<std::string, int>& index,
-                          const FlowDef& flow) {
-  std::vector<int> deps;
-  std::vector<std::pair<Attr, std::string>> refs;
-  const Expr* size = flow.FindAttr(Attr::kSize);
-  if (size != nullptr) {
-    CollectFlowRefs(*size, &refs);
-  } else {
-    const Expr* transfer = flow.FindAttr(Attr::kTransfer);
-    if (transfer != nullptr) {
-      CollectFlowRefs(*transfer, &refs);
-      if (!refs.empty()) {
-        refs.resize(1);  // Only the first transfer reference is followed.
-      }
-    }
-  }
-  for (const auto& [attr, name] : refs) {
-    (void)attr;
-    const auto it = index.find(name);
-    if (it != index.end()) {
-      deps.push_back(it->second);
-    }
-  }
-  return deps;
-}
-
 // ---- E030: size-reference cycle ----
+//
+// Walks the flow graph's size edges: every reference in a flow's size, or
+// its first transfer reference — what the compiler's size resolution
+// follows.
 void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
-  const std::unordered_map<std::string, int> index = FlowNameIndex(query);
+  const FlowGraph& graph = facts.flow_graph();
   const int n = static_cast<int>(query.flows.size());
-  // Iterative three-color DFS; `on_stack` recovers the cycle for the message.
+  // Iterative three-color DFS; `path` recovers the cycle for the message.
   enum class Color { kWhite, kGray, kBlack };
   std::vector<Color> color(n, Color::kWhite);
   for (int start = 0; start < n; ++start) {
@@ -179,7 +146,11 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
       if (color[node] == Color::kWhite) {
         color[node] = Color::kGray;
         path.push_back(node);
-        for (const int dep : SizeDeps(index, query.flows[node])) {
+        for (const FlowRef& ref : graph.size_edges(node)) {
+          const int dep = ref.flow;
+          if (dep < 0) {
+            continue;
+          }
           if (color[dep] == Color::kGray) {
             // Found a cycle: everything in `path` from `dep` onwards.
             std::string names;
@@ -208,28 +179,6 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
   }
 }
 
-// Transfer-chain dependencies: every t()/other reference inside the
-// transfer attribute, mirroring CompiledFlow::transfer_parents (self
-// references included here — they deadlock too).
-std::vector<int> TransferDeps(const std::unordered_map<std::string, int>& index,
-                              const FlowDef& flow) {
-  std::vector<int> deps;
-  const Expr* transfer = flow.FindAttr(Attr::kTransfer);
-  if (transfer == nullptr) {
-    return deps;
-  }
-  std::vector<std::pair<Attr, std::string>> refs;
-  CollectFlowRefs(*transfer, &refs);
-  for (const auto& [attr, name] : refs) {
-    (void)attr;
-    const auto it = index.find(name);
-    if (it != index.end()) {
-      deps.push_back(it->second);
-    }
-  }
-  return deps;
-}
-
 // ---- W040: unreachable flow (transfer chain can never start) ----
 //
 // The packet-level estimator starts a flow only when the flows its
@@ -238,32 +187,33 @@ std::vector<int> TransferDeps(const std::unordered_map<std::string, int>& index,
 // downstream of them — can ever start.
 void CheckUnreachableFlow(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
-  const std::unordered_map<std::string, int> index = FlowNameIndex(query);
+  const FlowGraph& graph = facts.flow_graph();
   const int n = static_cast<int>(query.flows.size());
-  std::vector<std::vector<int>> deps(n);
+  // A flow is startable once every flow its transfer references is.
+  // Kahn's worklist: `waiting` counts a flow's references to flows not yet
+  // startable, and each flow found startable releases its dependents along
+  // the reverse edges. Flows left unstartable sit on or behind a cycle (a
+  // self-reference is one).
+  std::vector<size_t> waiting(n);
+  std::vector<std::vector<int>> dependents(n);
+  std::vector<int> worklist;
   for (int i = 0; i < n; ++i) {
-    deps[i] = TransferDeps(index, query.flows[i]);
+    for (const int d : graph.transfer_edges(i)) {
+      dependents[d].push_back(i);
+    }
+    waiting[i] = graph.transfer_edges(i).size();
+    if (waiting[i] == 0) {
+      worklist.push_back(i);
+    }
   }
-  // A flow is startable if all its deps are startable; propagate to a fixed
-  // point (Kahn-style). Flows left unstartable sit on or behind a cycle.
   std::vector<bool> startable(n, false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int i = 0; i < n; ++i) {
-      if (startable[i]) {
-        continue;
-      }
-      bool ok = true;
-      for (const int d : deps[i]) {
-        if (d == i || !startable[d]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        startable[i] = true;
-        changed = true;
+  while (!worklist.empty()) {
+    const int d = worklist.back();
+    worklist.pop_back();
+    startable[d] = true;
+    for (const int dependent : dependents[d]) {
+      if (--waiting[dependent] == 0) {
+        worklist.push_back(dependent);
       }
     }
   }
@@ -279,86 +229,67 @@ void CheckUnreachableFlow(const QueryFacts& facts, DiagnosticSink* sink) {
   }
 }
 
-// Chain groups reconstructed from rate/transfer references (the same
-// union-find the compiler uses) without requiring a successful compile.
-std::vector<int> ChainGroupOf(const Query& query) {
-  const std::unordered_map<std::string, int> index = FlowNameIndex(query);
-  const int n = static_cast<int>(query.flows.size());
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+// A chain-group member's positive literal value of `rate` or `end`, as
+// written (bytes per second, seconds). Compilation keeps the per-group
+// minimum and ignores non-positive values.
+struct Literal {
+  int flow = 0;
+  double value = 0;
+};
+
+// Per chain group, in the flow graph's group order, its members' literal
+// values of `attr`, in flow order. W050, W090 and W091 read these.
+std::vector<std::vector<Literal>> GroupLiterals(const QueryFacts& facts, Attr attr) {
+  const Query& query = facts.query();
+  const FlowGraph& graph = facts.flow_graph();
+  std::vector<std::vector<Literal>> by_group(graph.num_groups());
+  for (size_t i = 0; i < query.flows.size(); ++i) {
+    const Expr* expr = query.flows[i].FindAttr(attr);
+    if (expr == nullptr || !IsConstantExpr(*expr)) {
+      continue;
     }
-    return x;
-  };
-  for (int i = 0; i < n; ++i) {
-    for (const AttrValue& av : query.flows[i].attrs) {
-      if (av.attr != Attr::kRate && av.attr != Attr::kTransfer) {
-        continue;
-      }
-      std::vector<std::pair<Attr, std::string>> refs;
-      CollectFlowRefs(*av.value, &refs);
-      for (const auto& [attr, name] : refs) {
-        (void)attr;
-        const auto it = index.find(name);
-        if (it != index.end()) {
-          parent[find(i)] = find(it->second);
-        }
-      }
+    const double value = EvalConstant(*expr);
+    if (value > 0) {
+      by_group[graph.group(static_cast<int>(i))].push_back({static_cast<int>(i), value});
     }
   }
-  std::vector<int> group(n);
-  for (int i = 0; i < n; ++i) {
-    group[i] = find(i);
-  }
-  return group;
+  return by_group;
 }
 
-// ---- W050: contradictory rate chain ----
+// ---- W050 / W091: a looser literal inside a chain group ----
 //
-// Chained flows share a single rate; when two members carry different
-// literal `rate` attributes the tighter one silently wins (analysis takes
-// the min). Flag every looser rate.
-void CheckContradictoryRateChain(const QueryFacts& facts, DiagnosticSink* sink) {
+// Chained flows share a single rate and a single deadline, and compilation
+// keeps the tightest literal of each, so a looser `rate` (W050) or `end`
+// (W091) on another member silently loses. Exact restatements are W090's.
+void CheckLooserLiteral(const QueryFacts& facts, Attr attr, DiagnosticSink* sink) {
   const Query& query = facts.query();
-  const std::vector<int> group = ChainGroupOf(query);
-  struct LiteralRate {
-    int flow = 0;
-    double value = 0;  // Bytes per second, as written.
+  const bool rate = attr == Attr::kRate;
+  const char* code = rate ? "W050" : "W091";
+  const char* relation = rate ? "' conflicts with tighter " : "' is subsumed by the tighter ";
+  const char* hint = rate ? "chained flows share one rate and the tightest limit wins; keep "
+                            "only the intended limit"
+                          : "chained flows share one deadline and the earliest wins; drop "
+                            "the looser constraint";
+  auto render = [rate](double value) {
+    return rate ? "rate " + FormatRate(value) : "deadline " + FormatCount(value) + "s";
   };
-  std::unordered_map<int, std::vector<LiteralRate>> by_group;
-  for (size_t i = 0; i < query.flows.size(); ++i) {
-    const Expr* rate = query.flows[i].FindAttr(Attr::kRate);
-    if (rate == nullptr || !IsConstantExpr(*rate)) {
+  for (const std::vector<Literal>& literals : GroupLiterals(facts, attr)) {
+    if (literals.size() < 2) {
       continue;
     }
-    const double value = EvalConstant(*rate);
-    if (value > 0) {
-      by_group[group[i]].push_back({static_cast<int>(i), value});
-    }
-  }
-  for (const auto& [g, rates] : by_group) {
-    (void)g;
-    if (rates.size() < 2) {
-      continue;
-    }
-    const auto tightest = std::min_element(
-        rates.begin(), rates.end(),
-        [](const LiteralRate& a, const LiteralRate& b) { return a.value < b.value; });
-    for (const LiteralRate& rate : rates) {
-      if (rate.value == tightest->value) {
+    const Literal& tightest = *std::min_element(
+        literals.begin(), literals.end(),
+        [](const Literal& a, const Literal& b) { return a.value < b.value; });
+    for (const Literal& literal : literals) {
+      if (literal.value == tightest.value) {
         continue;
       }
-      const FlowDef& flow = query.flows[rate.flow];
-      const FlowDef& winner = query.flows[tightest->flow];
-      sink->AddWarning("W050", flow.AttrSpan(Attr::kRate),
-                       "rate " + FormatRate(rate.value) + " on flow '" + flow.name +
-                           "' conflicts with tighter rate " + FormatRate(tightest->value) +
-                           " on flow '" + winner.name + "' in the same chain group",
-                       "chained flows share one rate and the tightest limit wins; keep "
-                       "only the intended limit");
+      const FlowDef& flow = query.flows[literal.flow];
+      sink->AddWarning(code, flow.AttrSpan(attr),
+                       render(literal.value) + " on flow '" + flow.name + relation +
+                           render(tightest.value) + " on flow '" +
+                           query.flows[tightest.flow].name + "' in the same chain group",
+                       hint);
     }
   }
 }
@@ -369,89 +300,36 @@ void CheckContradictoryRateChain(const QueryFacts& facts, DiagnosticSink* sink) 
 // deadline) are redundant restatements: compilation takes the per-group
 // minimum, so one of them adds nothing. W050 covers conflicting (unequal)
 // rates; this rule covers exact duplicates, which W050 deliberately skips.
+// Each repeat names the group's first member carrying its value; repeats
+// are reported in flow order.
 void CheckDuplicateConstraint(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
-  const std::vector<int> group = ChainGroupOf(query);
   for (const Attr attr : {Attr::kRate, Attr::kEnd}) {
-    // (group, value) -> first flow carrying it.
-    std::unordered_map<int, std::vector<std::pair<double, int>>> first_by_group;
-    for (size_t i = 0; i < query.flows.size(); ++i) {
-      const Expr* value_expr = query.flows[i].FindAttr(attr);
-      if (value_expr == nullptr || !IsConstantExpr(*value_expr)) {
+    std::vector<std::tuple<int, int, double>> repeats;  // Flow, first flow, value.
+    for (const std::vector<Literal>& literals : GroupLiterals(facts, attr)) {
+      if (literals.size() < 2) {
         continue;
       }
-      const double value = EvalConstant(*value_expr);
-      if (value <= 0) {
-        continue;  // Non-positive limits/deadlines are ignored by analysis.
+      std::unordered_map<double, int> first;
+      for (const Literal& literal : literals) {
+        const auto [it, inserted] = first.try_emplace(literal.value, literal.flow);
+        if (!inserted) {
+          repeats.emplace_back(literal.flow, it->second, literal.value);
+        }
       }
-      std::vector<std::pair<double, int>>& seen = first_by_group[group[i]];
-      const auto it = std::find_if(seen.begin(), seen.end(),
-                                   [value](const auto& e) { return e.first == value; });
-      if (it == seen.end()) {
-        seen.emplace_back(value, static_cast<int>(i));
-        continue;
-      }
-      const FlowDef& flow = query.flows[i];
-      const FlowDef& original = query.flows[it->second];
-      const std::string rendered = attr == Attr::kRate
-                                       ? "rate " + FormatRate(value)
-                                       : "end " + FormatCount(value) + "s";
+    }
+    std::sort(repeats.begin(), repeats.end());
+    for (const auto& [f, original, value] : repeats) {
+      const FlowDef& flow = query.flows[f];
+      const std::string rendered = attr == Attr::kRate ? "rate " + FormatRate(value)
+                                                       : "end " + FormatCount(value) + "s";
       sink->AddWarning("W090", flow.AttrSpan(attr),
                        rendered + " on flow '" + flow.name +
                            "' duplicates the identical constraint on flow '" +
-                           original.name + "' in the same chain group",
+                           query.flows[original].name + "' in the same chain group",
                        "chained flows share one " +
                            std::string(attr == Attr::kRate ? "rate limit" : "deadline") +
                            "; drop the restatement");
-    }
-  }
-}
-
-// ---- W091: subsumed constraint ----
-//
-// A looser literal deadline on a chain group member is subsumed by a
-// tighter one elsewhere in the group (compilation keeps the minimum).
-// The rate-attribute analogue is W050's territory; deadlines are covered
-// here so the two rules never double-report.
-void CheckSubsumedConstraint(const QueryFacts& facts, DiagnosticSink* sink) {
-  const Query& query = facts.query();
-  const std::vector<int> group = ChainGroupOf(query);
-  struct LiteralEnd {
-    int flow = 0;
-    double value = 0;  // Seconds.
-  };
-  std::unordered_map<int, std::vector<LiteralEnd>> by_group;
-  for (size_t i = 0; i < query.flows.size(); ++i) {
-    const Expr* end = query.flows[i].FindAttr(Attr::kEnd);
-    if (end == nullptr || !IsConstantExpr(*end)) {
-      continue;
-    }
-    const double value = EvalConstant(*end);
-    if (value > 0) {
-      by_group[group[i]].push_back({static_cast<int>(i), value});
-    }
-  }
-  for (const auto& [g, ends] : by_group) {
-    (void)g;
-    if (ends.size() < 2) {
-      continue;
-    }
-    const auto tightest = std::min_element(
-        ends.begin(), ends.end(),
-        [](const LiteralEnd& a, const LiteralEnd& b) { return a.value < b.value; });
-    for (const LiteralEnd& end : ends) {
-      if (end.value == tightest->value) {
-        continue;
-      }
-      const FlowDef& flow = query.flows[end.flow];
-      const FlowDef& winner = query.flows[tightest->flow];
-      sink->AddWarning("W091", flow.AttrSpan(Attr::kEnd),
-                       "deadline " + FormatCount(end.value) + "s on flow '" + flow.name +
-                           "' is subsumed by the tighter deadline " +
-                           FormatCount(tightest->value) + "s on flow '" + winner.name +
-                           "' in the same chain group",
-                       "chained flows share one deadline and the earliest wins; drop "
-                       "the looser constraint");
     }
   }
 }
@@ -860,7 +738,9 @@ const std::vector<LintRule>& LintRules() {
        "transfer chain waits on itself and never starts", CheckUnreachableFlow},
       {"W050", Severity::kWarning, "contradictory-rate-chain",
        "two literal rates in one chain group; the tighter silently wins",
-       CheckContradictoryRateChain},
+       [](const QueryFacts& facts, DiagnosticSink* sink) {
+         CheckLooserLiteral(facts, Attr::kRate, sink);
+       }},
       {"W060", Severity::kWarning, "search-space-explosion",
        "exhaustive binding count is intractably large", CheckSearchSpaceExplosion},
       {"W070", Severity::kWarning, "interchangeable-variables",
@@ -882,7 +762,9 @@ const std::vector<LintRule>& LintRules() {
        CheckDuplicateConstraint},
       {"W091", Severity::kWarning, "subsumed-constraint",
        "looser deadline subsumed by a tighter one in the same chain group",
-       CheckSubsumedConstraint},
+       [](const QueryFacts& facts, DiagnosticSink* sink) {
+         CheckLooserLiteral(facts, Attr::kEnd, sink);
+       }},
       {"W092", Severity::kWarning, "equivalent-to-earlier-query",
        "query is semantically equivalent to an earlier input (batch mode)",
        CheckEquivalentToEarlierQuery},

@@ -40,8 +40,7 @@ Span VarSpan(const CompiledQuery& query, const std::string& name) {
 }
 
 Span FlowSpan(const CompiledQuery& query, const CompiledFlow& flow) {
-  const FlowDef* def = query.query().FindFlow(flow.name);
-  return def != nullptr ? def->span : Span{};
+  return query.query().flows[flow.index].span;
 }
 
 std::string FormatCount(double count) {
@@ -53,20 +52,6 @@ std::string FormatCount(double count) {
   }
   return buf;
 }
-
-// Path-compressed union-find over [0, n).
-struct UnionFind {
-  std::vector<int32_t> parent;
-  explicit UnionFind(size_t n) : parent(n) { std::iota(parent.begin(), parent.end(), 0); }
-  int32_t Find(int32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(int32_t a, int32_t b) { parent[Find(a)] = Find(b); }
-};
 
 // Kuhn's augmenting-path maximum bipartite matching: variables on the left,
 // interned candidate addresses on the right. Pools are tiny (tens), so the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <utility>
 
 #include "src/lang/lexer.h"
@@ -264,17 +265,15 @@ class Parser {
     if (!any) {
       return Fail("E001", "'requires' needs at least one of: cpu <n>, mem <bytes>");
     }
-    for (const Requirement& existing : query_.requirements) {
-      if (existing.var == req.var) {
-        sink_->AddError("E002", req.span,
-                        "duplicate requirement for variable '" + req.var + "'",
-                        "merge the constraints into one 'requires' statement");
-        return true;
-      }
+    if (!declared) {
+      return true;
     }
-    if (declared) {
-      query_.requirements.push_back(std::move(req));
+    if (!required_vars_.insert(req.var).second) {
+      sink_->AddError("E002", req.span, "duplicate requirement for variable '" + req.var + "'",
+                      "merge the constraints into one 'requires' statement");
+      return true;
     }
+    query_.requirements.push_back(std::move(req));
     return true;
   }
 
@@ -348,11 +347,9 @@ class Parser {
     if (!flow.explicit_name) {
       flow.name = "_f" + std::to_string(query_.flows.size() + 1);
     }
-    for (const FlowDef& existing : query_.flows) {
-      if (existing.name == flow.name) {
-        sink_->AddError("E002", flow.span, "flow '" + flow.name + "' defined twice",
-                        "rename one of the definitions");
-      }
+    if (!flow_names_.insert(flow.name).second) {
+      sink_->AddError("E002", flow.span, "flow '" + flow.name + "' defined twice",
+                      "rename one of the definitions");
     }
     if (flow.src.kind == Endpoint::Kind::kDisk && flow.dst.kind == Endpoint::Kind::kDisk) {
       sink_->AddError("E005", flow.span, "flow cannot connect disk to disk",
@@ -498,7 +495,7 @@ class Parser {
       case Expr::Kind::kLiteral:
         return;
       case Expr::Kind::kRef:
-        if (query_.FindFlow(expr.ref_flow) == nullptr) {
+        if (flow_names_.count(expr.ref_flow) == 0) {
           sink_->AddError("E003", expr.span.valid() ? expr.span : owner.span,
                           "flow '" + owner.name + "' references undefined flow '" +
                               expr.ref_flow + "'",
@@ -518,6 +515,8 @@ class Parser {
   int nesting_ = 0;  // Parentheses and unary minus open around the parse.
   Query query_;
   std::set<std::string> declared_vars_;
+  std::unordered_set<std::string> flow_names_;     // Every flow defined so far.
+  std::unordered_set<std::string> required_vars_;  // Variables with a `requires`.
 };
 
 }  // namespace

@@ -378,6 +378,43 @@ TEST(AnalysisTest, ChainGroupingHdfsWrite) {
   EXPECT_EQ(compiled.value().groups()[0].flow_indices.size(), 6u);
 }
 
+// One pass gives the name index (last definition wins), the size edges
+// (the size's references, else the first transfer reference), the transfer
+// edges (self-references kept) and the chain groups, numbered at their
+// lowest members as CompiledQuery::groups() lists them.
+TEST(AnalysisTest, FlowGraphIndexesEdgesAndGroups) {
+  const Query query = Parse(
+                          "a v1 -> v2 size 1M\n"
+                          "b v2 -> v3 size sz(a) + st(c)\n"
+                          "c v3 -> v4 transfer t(a) + t(c) rate r(e)\n"
+                          "d v4 -> v5 size 2M\n"
+                          "e v5 -> v6 size 1M\n")
+                          .value();
+  const FlowGraph graph(query);
+  EXPECT_EQ(graph.Find("c"), 2);
+  EXPECT_EQ(graph.Find("nosuch"), -1);
+  ASSERT_EQ(graph.size_edges(1).size(), 2u);
+  EXPECT_EQ(graph.size_edges(1)[0].flow, 0);
+  EXPECT_EQ(graph.size_edges(1)[1].flow, 2);
+  EXPECT_EQ(graph.size_edges(1)[1].expr->ref_attr, Attr::kStart);
+  ASSERT_EQ(graph.size_edges(2).size(), 1u);  // Only the first transfer reference.
+  EXPECT_EQ(graph.size_edges(2)[0].flow, 0);
+  EXPECT_EQ(std::vector<int>(graph.transfer_edges(2).begin(), graph.transfer_edges(2).end()),
+            (std::vector<int>{0, 2}));
+  EXPECT_TRUE(graph.transfer_edges(0).empty());
+  // {a, c, e} joined by t(a) and r(e); b and d stand alone.
+  EXPECT_EQ(graph.num_groups(), 3);
+  EXPECT_EQ(graph.group(0), 0);
+  EXPECT_EQ(graph.group(1), 1);
+  EXPECT_EQ(graph.group(2), 0);
+  EXPECT_EQ(graph.group(3), 2);
+  EXPECT_EQ(graph.group(4), 0);
+
+  Query duplicate = Parse("a v1 -> v2 size 1M\nb v2 -> v3 size 1M\n").value();
+  duplicate.flows[1].name = "a";
+  EXPECT_EQ(FlowGraph(duplicate).Find("a"), 1);
+}
+
 TEST(AnalysisTest, IndependentFlowsSeparateGroups) {
   auto query = Parse("f1 a -> b size 1M\nf2 c -> d size 1M\n");
   ASSERT_TRUE(query.ok());

@@ -266,6 +266,36 @@ TEST(LintTest, DiskToDiskFlowIsRejectedWithoutCrashing) {
   }
 }
 
+// A chain of sz() or transfer t() references, listed back to front (each
+// flow reads the next one down), resolves with no recursion per link: two
+// 100 000-flow chains parse, lint through the facts and compile cleanly,
+// every flow sized by the chain's last.
+TEST(LintTest, HundredThousandFlowChainsCompileWithoutRecursion) {
+  constexpr int kFlows = 100000;
+  for (const char* link : {" size sz(f", " transfer t(f"}) {
+    SCOPED_TRACE(link);
+    std::string source;
+    for (int k = 0; k < kFlows; ++k) {
+      source += "f" + std::to_string(k) + " 10.0.0.1 -> 10.0.0.2";
+      source += k + 1 < kFlows ? link + std::to_string(k + 1) + ")\n" : " size 1M\n";
+    }
+    DiagnosticSink sink;
+    const Query query = ParseWithDiagnostics(source, &sink);
+    const QueryFacts facts(query);
+    RunLint(facts, &sink);
+    EXPECT_TRUE(sink.empty());
+    const Result<CompiledQuery>& compiled = facts.compiled();
+    ASSERT_TRUE(compiled.ok()) << compiled.error().ToString();
+    const std::vector<CompiledFlow>& flows = compiled.value().flows();
+    ASSERT_EQ(flows.size(), static_cast<size_t>(kFlows));
+    EXPECT_TRUE(std::all_of(flows.begin(), flows.end(),
+                            [](const CompiledFlow& f) { return f.size == 1024.0 * 1024.0; }));
+    // sz() does not couple rates; a transfer chain is one chain group.
+    EXPECT_EQ(compiled.value().groups().size(),
+              std::string(link) == " size sz(f" ? static_cast<size_t>(kFlows) : 1u);
+  }
+}
+
 // ---- W092: batch equivalence across independently-clean queries ----
 
 TEST(BatchEquivalenceTest, FlagsRenamedReorderedDuplicate) {
@@ -348,6 +378,19 @@ TEST(ParserRecoveryTest, MultipleErrorsInOnePass) {
   EXPECT_TRUE(HasCode(sink, "E002"));  // Duplicate flow name.
 }
 
+// As for variables, each repeat of a flow name gets one E002, at its own
+// definition.
+TEST(ParserRecoveryTest, DuplicateFlowReportsEachRepeatOnce) {
+  DiagnosticSink sink;
+  (void)ParseWithDiagnostics(
+      "f vm1 -> vm2 size 1M\nf vm2 -> vm3 size 1M\nf vm3 -> vm4 size 1M\n", &sink);
+  ASSERT_EQ(sink.diagnostics().size(), 2u);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(sink.diagnostics()[k].code, "E002");
+    EXPECT_EQ(sink.diagnostics()[k].span.line, k + 2);
+  }
+}
+
 TEST(ParserRecoveryTest, AllUndefinedRefsReported) {
   const std::string source =
       "f1 vm1 -> vm2 size sz(nope) transfer t(also_nope)\n";
@@ -405,6 +448,17 @@ TEST(PositionTest, CompileErrorsCarryPositions) {
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->span.line, 1);
   EXPECT_EQ(d->span.column, 1);
+
+  // E031: a rate reference cannot size f0. f2's sz(f0) then reads a flow
+  // that failed, not one still being resolved, so no E030 follows.
+  const DiagnosticSink failed = Analyze(
+      "f0 10.0.0.1 -> 10.0.0.2 size r(f1)\n"
+      "f1 10.0.0.2 -> 10.0.0.3 size 1M rate 10M\n"
+      "f2 10.0.0.3 -> 10.0.0.4 size sz(f0)\n");
+  ASSERT_EQ(failed.diagnostics().size(), 1u);
+  EXPECT_EQ(failed.diagnostics()[0].code, "E031");
+  EXPECT_EQ(failed.diagnostics()[0].span.line, 1);
+  EXPECT_EQ(failed.diagnostics()[0].span.column, 30);
 }
 
 // ---- Rendering ----

@@ -4,8 +4,8 @@
 // rules, semantic compilation — over each input and reports every finding
 // with source position, rule code, and fix-it hint. With more than one
 // input, also cross-checks the batch for semantically equivalent queries
-// (rule W092): two inputs whose canonical forms are byte-identical answer
-// from one cache entry and usually indicate accidental duplication.
+// (rule W092): two inputs whose canonical forms are byte-identical get the
+// same answer from the server and usually indicate accidental duplication.
 //
 //   ctlint query.ct             clang-style text diagnostics
 //   ctlint --json query.ct      machine-readable output for CI
@@ -83,11 +83,13 @@ LintedInput LintOne(std::string source, std::string display_name) {
   input.source = std::move(source);
   input.display_name = std::move(display_name);
   input.query = cloudtalk::lang::ParseWithDiagnostics(input.source, &input.sink);
-  cloudtalk::lang::RunLint(cloudtalk::lang::QueryFacts(input.query), &input.sink);
-  if (!input.sink.has_errors()) {
-    // Surface residual semantic errors (unresolvable sizes etc.) that only
-    // full compilation finds. Skipped when errors exist: the AST is partial.
-    (void)CompiledQuery::Compile(input.query, &input.sink);
+  const cloudtalk::lang::QueryFacts facts(input.query);
+  cloudtalk::lang::RunLint(facts, &input.sink);
+  if (!input.sink.has_errors() && !facts.compiled().ok()) {
+    // Surface every residual semantic error (unresolvable sizes etc.) that
+    // only full compilation finds; the facts keep just the first. Skipped
+    // when errors exist: the AST is partial.
+    (void)CompiledQuery::Compile(input.query, facts.flow_graph(), &input.sink);
   }
   return input;
 }
@@ -114,7 +116,7 @@ void CheckBatchEquivalence(std::vector<LintedInput>* inputs) {
         "query is semantically equivalent to earlier input '" +
             (*inputs)[equivalence[i].equivalent_to].display_name + "'",
         std::string("the canonical forms are byte-identical (hash ") + hash +
-            "); the server answers both from one cache entry");
+            "); the server gives both the same answer");
   }
 }
 
