@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "src/common/json.h"
+
 namespace cloudtalk {
 namespace check {
 namespace {
@@ -16,38 +18,6 @@ namespace {
 std::atomic<OnViolation> g_policy{OnViolation::kAbort};
 std::atomic<CheckSink*> g_sink{nullptr};
 std::atomic<int64_t> g_violation_count{0};
-
-void AppendJsonString(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 }  // namespace
 
@@ -245,17 +215,17 @@ std::string FormatViolation(const Violation& violation) {
 
 std::string ViolationToJson(const Violation& violation) {
   std::string out = "{\"code\":";
-  AppendJsonString(out, violation.code);
+  out += JsonQuote(violation.code);
   const InvariantInfo* info = FindInvariant(violation.code);
   out += ",\"subsystem\":";
-  AppendJsonString(out, info != nullptr ? info->subsystem : "unknown");
+  out += JsonQuote(info != nullptr ? info->subsystem : "unknown");
   out += ",\"file\":";
-  AppendJsonString(out, violation.file);
+  out += JsonQuote(violation.file);
   out += ",\"line\":" + std::to_string(violation.line);
   out += ",\"condition\":";
-  AppendJsonString(out, violation.condition);
+  out += JsonQuote(violation.condition);
   out += ",\"message\":";
-  AppendJsonString(out, violation.message);
+  out += JsonQuote(violation.message);
   out += ",\"state\":{";
   bool first = true;
   for (const auto& [key, value] : violation.state) {
@@ -263,9 +233,9 @@ std::string ViolationToJson(const Violation& violation) {
       out.push_back(',');
     }
     first = false;
-    AppendJsonString(out, key);
+    out += JsonQuote(key);
     out.push_back(':');
-    AppendJsonString(out, value);
+    out += JsonQuote(value);
   }
   out += "}}";
   return out;

@@ -20,6 +20,7 @@
 #ifndef CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 #define CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -73,6 +74,13 @@ class ReservationTable {
       }
     }
     return count;
+  }
+
+  // Holds on record, expired ones included until the next sweep.
+  size_t HoldCount() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    CT_LOCK_TRACE(ReservationLockId());
+    return expiry_.size();
   }
 
   // Phase one of a two-phase reserve: hold `address` under a lease that
@@ -148,18 +156,22 @@ class ReservationTable {
     Seconds deadline = 0;
   };
 
+  // Sweeps expired holds once the map has doubled since the last sweep
+  // (and holds at least 1 024 hosts), so a commit costs amortized O(1).
   void MaybePruneLocked(Seconds now) {
-    if (expiry_.size() < 1024) {
+    if (expiry_.size() < prune_at_) {
       return;
     }
     for (auto it = expiry_.begin(); it != expiry_.end();) {
       it = it->second <= now ? expiry_.erase(it) : std::next(it);
     }
+    prune_at_ = std::max<size_t>(1024, 2 * expiry_.size());
   }
 
   Seconds hold_time_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Seconds> expiry_;
+  size_t prune_at_ = 1024;  // expiry_ size that triggers the next sweep.
   // Outstanding prepares. Never pruned by expiry: a lease leaves the map
   // only through Commit or Abort, so a commit arriving after the deadline
   // still finds its lease (and reports the timeout) while a commit for a

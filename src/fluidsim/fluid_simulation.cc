@@ -448,17 +448,14 @@ void FluidSimulation::RecomputeRates() {
     // epoch (epoch ids are never reissued, so id + size pins the set), and
     // every slot's freshly computed avail equals the avail the cached solve
     // consumed (covers background/capacity edits without mutation hooks).
-    bool reuse = delta_reuse_enabled_;
-    if (reuse) {
-      const Group& first = groups_[active_groups_[ord_group_[gb]]];
-      reuse = first.comp_id >= 0 && first.comp_size == ge - gb;
-      for (int p = gb; reuse && p < ge; ++p) {
-        const Group& g = groups_[active_groups_[ord_group_[p]]];
-        reuse = !g.delta_dirty && g.comp_id == first.comp_id;
-      }
-      for (int s = sb; reuse && s < se; ++s) {
-        reuse = prev_avail_of_resource_[slot_resource_[s]] == slot_avail_[s];
-      }
+    const Group& first = groups_[active_groups_[ord_group_[gb]]];
+    bool reuse = first.comp_id >= 0 && first.comp_size == ge - gb;
+    for (int p = gb; reuse && p < ge; ++p) {
+      const Group& g = groups_[active_groups_[ord_group_[p]]];
+      reuse = !g.delta_dirty && g.comp_id == first.comp_id;
+    }
+    for (int s = sb; reuse && s < se; ++s) {
+      reuse = prev_avail_of_resource_[slot_resource_[s]] == slot_avail_[s];
     }
     if (reuse) {
       ++delta_component_hits_;
@@ -904,13 +901,12 @@ void FluidSimulation::RestoreCheckpoint() {
   traj_tracking_ = false;
   // With a recorded final trajectory, the first recompute of the re-run
   // tries to fast-forward the closures this binding's patches leave clean.
-  ff_pending_ = c.final_valid && delta_reuse_enabled_;
+  ff_pending_ = c.final_valid;
 }
 
 void FluidSimulation::AttemptFastForward() {
   const Checkpoint& c = checkpoint_;
-  if (!delta_reuse_enabled_ || !c.valid || !c.final_valid ||
-      groups_.size() != c.final_groups.size()) {
+  if (!c.valid || !c.final_valid || groups_.size() != c.final_groups.size()) {
     return;
   }
   // Inputs-unchanged gate: every resource the pristine run consumed must

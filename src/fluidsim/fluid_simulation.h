@@ -65,7 +65,6 @@ class FluidSimulation {
 
   const Topology& topology() const { return *topo_; }
   const ResourceRegistry& resources() const { return registry_; }
-  ResourceRegistry& mutable_resources() { return registry_; }
 
   Seconds now() const { return now_; }
 
@@ -135,8 +134,6 @@ class FluidSimulation {
   // RestoreCheckpoint.
   void SaveCheckpoint();
   void RestoreCheckpoint();
-  void DropCheckpoint() { checkpoint_.valid = false; }
-  bool HasCheckpoint() const { return checkpoint_.valid; }
 
   // Re-binding patch interface: rewrite one member's resource set in place
   // (sizes/progress are untouched) and mark the group dirty so the connected
@@ -147,11 +144,6 @@ class FluidSimulation {
 
   // Completion time recorded when the group finished; -1 while active.
   Seconds GroupFinishTime(GroupId id) const { return groups_[id].finish_time; }
-
-  // Kill switch for the component-reuse fast path (differential testing:
-  // ctcheck --diff-sim runs the estimator with and without it).
-  void set_delta_reuse_enabled(bool on) { delta_reuse_enabled_ = on; }
-  bool delta_reuse_enabled() const { return delta_reuse_enabled_; }
 
   // Per-solver cost counters. recompute_count() survives Reset() by design;
   // callers wanting per-query cost snapshot this struct and subtract.
@@ -265,7 +257,6 @@ class FluidSimulation {
 
   int64_t delta_component_hits_ = 0;
   int64_t cold_component_solves_ = 0;
-  bool delta_reuse_enabled_ = true;
   // Epoch counter handing out component ids; never rewound (a RestoreCheckpoint
   // must not let a post-checkpoint id alias a captured one).
   int32_t next_comp_id_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <unordered_set>
 
 #include "src/fluidsim/fluid_simulation.h"
 
@@ -137,9 +138,20 @@ bool ResolveSizes(const Query& query, const FlowGraph& graph, DiagnosticSink* si
   return ok;
 }
 
-void AddUnique(std::vector<Endpoint>* endpoints, const Endpoint& e) {
-  if (std::find(endpoints->begin(), endpoints->end(), e) == endpoints->end()) {
-    endpoints->push_back(e);
+// Appends `e` to a variable's `peers` unless already listed, keeping
+// first-occurrence order. `seen` mirrors `peers` from its second entry on,
+// so n peers cost O(n) and a single peer costs no hashing.
+void AddPeer(const Endpoint& e, std::vector<Endpoint>* peers,
+             std::unordered_set<Endpoint, EndpointHash>* seen) {
+  if (peers->empty()) {
+    peers->push_back(e);
+    return;
+  }
+  if (seen->empty()) {
+    seen->insert(peers->front());
+  }
+  if (seen->insert(e).second) {
+    peers->push_back(e);
   }
 }
 
@@ -239,6 +251,8 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
   // ---- Variables and their communication sets ----
   for (const VarDecl& decl : query.variables) {
     for (const std::string& name : decl.names) {
+      // A name declared twice resolves to its first declaration.
+      compiled.variable_index_.emplace(name, static_cast<int>(compiled.variables_.size()));
       VarComm comm;
       comm.name = name;
       comm.pool = decl.values;
@@ -261,6 +275,8 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
     }
     return compiled.VariableIndex(e.name);
   };
+  std::vector<std::unordered_set<Endpoint, EndpointHash>> tx_seen(compiled.variables_.size());
+  std::vector<std::unordered_set<Endpoint, EndpointHash>> rx_seen(compiled.variables_.size());
   for (const FlowDef& flow : query.flows) {
     const int src_var = var_index(flow.src);
     const int dst_var = var_index(flow.dst);
@@ -271,10 +287,10 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
     } else if (flow.src.kind != Endpoint::Kind::kDisk &&
                flow.dst.kind != Endpoint::Kind::kDisk) {
       if (src_var >= 0) {
-        AddUnique(&compiled.variables_[src_var].tx_to, flow.dst);
+        AddPeer(flow.dst, &compiled.variables_[src_var].tx_to, &tx_seen[src_var]);
       }
       if (dst_var >= 0) {
-        AddUnique(&compiled.variables_[dst_var].rx_from, flow.src);
+        AddPeer(flow.src, &compiled.variables_[dst_var].rx_from, &rx_seen[dst_var]);
       }
     }
   }
@@ -340,12 +356,8 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
 }
 
 int CompiledQuery::VariableIndex(const std::string& name) const {
-  for (size_t i = 0; i < variables_.size(); ++i) {
-    if (variables_[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  const auto it = variable_index_.find(name);
+  return it != variable_index_.end() ? it->second : -1;
 }
 
 }  // namespace lang

@@ -163,7 +163,8 @@ class CompiledQuery {
   const std::vector<CompiledGroup>& groups() const { return groups_; }
   const std::vector<VarComm>& variables() const { return variables_; }
 
-  // Index into variables() or -1.
+  // Index into variables() or -1. A name declared twice resolves to its
+  // first declaration.
   int VariableIndex(const std::string& name) const;
 
  private:
@@ -171,6 +172,7 @@ class CompiledQuery {
   std::vector<CompiledFlow> flows_;
   std::vector<CompiledGroup> groups_;
   std::vector<VarComm> variables_;
+  std::unordered_map<std::string, int> variable_index_;  // Name -> index.
 };
 
 }  // namespace lang

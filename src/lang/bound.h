@@ -1,11 +1,12 @@
 // Sound makespan-bound analysis over a compiled query + status snapshot.
 //
-// ctlint (lint.h) reasons about a query's text, ctopt (opt.h) about its
-// binding space; this library reasons about its *completion time* without
-// running the fluid solver. BoundAnalysis computes, per chain group and for
-// the whole query, an interval [LB, UB] that is guaranteed to contain the
-// makespan the flow-level estimator would report for **every** binding
-// consistent with the current (possibly partial) variable assignment:
+// ctlint (lint.h) reasons about a query's text, the optimisation passes
+// (opt.h) about its binding space; this library reasons about its
+// *completion time* without running the fluid solver. BoundAnalysis
+// computes, per chain group and for the whole query, an interval [LB, UB]
+// that is guaranteed to contain the makespan the flow-level estimator would
+// report for **every** binding consistent with the current (possibly
+// partial) variable assignment:
 //
 //   LB  per-group chain rule: with members sorted by size ascending, the
 //       shared group rate while the j-th smallest member is live can never

@@ -1,58 +1,73 @@
 #include "src/lang/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdint>
+#include <functional>
 #include <sstream>
+
+#include "src/common/json.h"
 
 namespace cloudtalk {
 namespace lang {
 
 namespace {
 
-// Extracts 1-based line `line` from `source` (without the trailing newline).
-std::string_view SourceLine(std::string_view source, int line) {
-  size_t start = 0;
-  for (int i = 1; i < line; ++i) {
-    const size_t nl = source.find('\n', start);
-    if (nl == std::string_view::npos) {
-      return {};
+// Byte offset of the start of each line of `source`: line L starts at
+// starts[L - 1].
+std::vector<size_t> LineStarts(std::string_view source) {
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i < source.size(); ++i) {
+    if (source[i] == '\n') {
+      starts.push_back(i + 1);
     }
-    start = nl + 1;
   }
+  return starts;
+}
+
+// 1-based line `line` of `source` (without the trailing newline); empty
+// when the source has fewer lines.
+std::string_view SourceLine(std::string_view source, const std::vector<size_t>& starts,
+                            int line) {
+  if (static_cast<size_t>(line) > starts.size()) {
+    return {};
+  }
+  const size_t start = starts[line - 1];
   const size_t end = source.find('\n', start);
   return source.substr(start, end == std::string_view::npos ? end : end - start);
 }
 
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+// Renders one diagnostic clang-style: location, severity, message and code,
+// then the offending source line under a caret, then the hint.
+std::string FormatDiagnostic(const Diagnostic& diagnostic, std::string_view source,
+                             const std::vector<size_t>& line_starts, std::string_view filename) {
+  std::ostringstream os;
+  os << filename;
+  if (diagnostic.span.valid()) {
+    os << ":" << diagnostic.span.line << ":" << diagnostic.span.column;
+  }
+  os << ": " << SeverityName(diagnostic.severity) << ": " << diagnostic.message << " ["
+     << diagnostic.code << "]\n";
+  if (diagnostic.span.valid()) {
+    const std::string_view line = SourceLine(source, line_starts, diagnostic.span.line);
+    if (!line.empty()) {
+      os << "  " << line << "\n  ";
+      const int caret_col = diagnostic.span.column;
+      for (int i = 1; i < caret_col && static_cast<size_t>(i) <= line.size(); ++i) {
+        os << (line[i - 1] == '\t' ? '\t' : ' ');
+      }
+      os << '^';
+      const int underline = std::min(diagnostic.span.length - 1,
+                                     static_cast<int>(line.size()) - caret_col);
+      for (int i = 0; i < underline; ++i) {
+        os << '~';
+      }
+      os << "\n";
     }
   }
-  out->push_back('"');
+  if (!diagnostic.hint.empty()) {
+    os << "  hint: " << diagnostic.hint << "\n";
+  }
+  return os.str();
 }
 
 }  // namespace
@@ -69,12 +84,15 @@ const char* SeverityName(Severity severity) {
   return "?";
 }
 
+size_t DiagnosticSink::KeyHash::operator()(const Key& key) const {
+  const size_t position = (static_cast<size_t>(static_cast<uint32_t>(key.line)) << 32) |
+                          static_cast<uint32_t>(key.column);
+  return std::hash<std::string>()(key.code) ^ std::hash<size_t>()(position);
+}
+
 void DiagnosticSink::Add(Diagnostic diagnostic) {
-  for (const Diagnostic& existing : diagnostics_) {
-    if (existing.code == diagnostic.code && existing.span.line == diagnostic.span.line &&
-        existing.span.column == diagnostic.span.column) {
-      return;
-    }
+  if (!seen_.insert({diagnostic.code, diagnostic.span.line, diagnostic.span.column}).second) {
+    return;
   }
   if (diagnostic.severity == Severity::kError) {
     ++error_count_;
@@ -135,45 +153,14 @@ cloudtalk::Error DiagnosticSink::ToLegacyError() const {
   return cloudtalk::Error{"no error recorded"};
 }
 
-std::string FormatDiagnostic(const Diagnostic& diagnostic, std::string_view source,
-                             std::string_view filename) {
-  std::ostringstream os;
-  os << filename;
-  if (diagnostic.span.valid()) {
-    os << ":" << diagnostic.span.line << ":" << diagnostic.span.column;
-  }
-  os << ": " << SeverityName(diagnostic.severity) << ": " << diagnostic.message << " ["
-     << diagnostic.code << "]\n";
-  if (diagnostic.span.valid()) {
-    const std::string_view line = SourceLine(source, diagnostic.span.line);
-    if (!line.empty()) {
-      os << "  " << line << "\n  ";
-      const int caret_col = diagnostic.span.column;
-      for (int i = 1; i < caret_col && static_cast<size_t>(i) <= line.size(); ++i) {
-        os << (line[i - 1] == '\t' ? '\t' : ' ');
-      }
-      os << '^';
-      const int underline = std::min(diagnostic.span.length - 1,
-                                     static_cast<int>(line.size()) - caret_col);
-      for (int i = 0; i < underline; ++i) {
-        os << '~';
-      }
-      os << "\n";
-    }
-  }
-  if (!diagnostic.hint.empty()) {
-    os << "  hint: " << diagnostic.hint << "\n";
-  }
-  return os.str();
-}
-
 std::string FormatDiagnostics(const std::vector<Diagnostic>& diagnostics,
                               std::string_view source, std::string_view filename) {
+  const std::vector<size_t> line_starts = LineStarts(source);
   std::string out;
   int errors = 0;
   int warnings = 0;
   for (const Diagnostic& d : diagnostics) {
-    out += FormatDiagnostic(d, source, filename);
+    out += FormatDiagnostic(d, source, line_starts, filename);
     if (d.severity == Severity::kError) {
       ++errors;
     } else if (d.severity == Severity::kWarning) {
@@ -188,7 +175,7 @@ std::string FormatDiagnostics(const std::vector<Diagnostic>& diagnostics,
 std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics,
                               std::string_view filename) {
   std::string out = "{\"file\": ";
-  AppendJsonString(&out, filename);
+  out += JsonQuote(filename);
   int errors = 0;
   int warnings = 0;
   for (const Diagnostic& d : diagnostics) {
@@ -207,17 +194,17 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics,
       out += ", ";
     }
     out += "{\"severity\": ";
-    AppendJsonString(&out, SeverityName(d.severity));
+    out += JsonQuote(SeverityName(d.severity));
     out += ", \"code\": ";
-    AppendJsonString(&out, d.code);
+    out += JsonQuote(d.code);
     out += ", \"line\": " + std::to_string(d.span.line);
     out += ", \"column\": " + std::to_string(d.span.column);
     out += ", \"length\": " + std::to_string(d.span.length);
     out += ", \"message\": ";
-    AppendJsonString(&out, d.message);
+    out += JsonQuote(d.message);
     if (!d.hint.empty()) {
       out += ", \"hint\": ";
-      AppendJsonString(&out, d.hint);
+      out += JsonQuote(d.hint);
     }
     out += "}";
   }

@@ -14,6 +14,7 @@
 
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/result.h"
@@ -34,7 +35,7 @@ struct Diagnostic {
   std::string hint;  // Optional fix-it suggestion; empty when none applies.
 };
 
-// Accumulates diagnostics. Exact duplicates (same code and span) are dropped
+// Accumulates diagnostics. Duplicates (same code and span start) are dropped
 // so that overlapping producers (e.g. the parser and a lint rule both
 // flagging an empty pool) do not double-report.
 class DiagnosticSink {
@@ -65,18 +66,27 @@ class DiagnosticSink {
   cloudtalk::Error ToLegacyError() const;
 
  private:
+  // What Add compares: a diagnostic's code and where its span starts.
+  struct Key {
+    std::string code;
+    int line = 0;
+    int column = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+
   std::vector<Diagnostic> diagnostics_;
+  std::unordered_set<Key, KeyHash> seen_;
   int error_count_ = 0;
   int warning_count_ = 0;
 };
 
-// Renders one diagnostic clang-style. `source` is the full query text (used
-// to echo the offending line under a caret); `filename` prefixes the
-// location ("<query>" is a reasonable default for non-file input).
-std::string FormatDiagnostic(const Diagnostic& diagnostic, std::string_view source,
-                             std::string_view filename);
-
-// Renders all diagnostics followed by a "N errors, M warnings" summary.
+// Renders all diagnostics clang-style, followed by a "N errors, M warnings"
+// summary. `source` is the full query text (used to echo each offending
+// line under a caret); `filename` prefixes the locations ("<query>" is a
+// reasonable default for non-file input).
 std::string FormatDiagnostics(const std::vector<Diagnostic>& diagnostics,
                               std::string_view source, std::string_view filename);
 

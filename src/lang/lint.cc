@@ -132,9 +132,13 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
   const FlowGraph& graph = facts.flow_graph();
   const int n = static_cast<int>(query.flows.size());
-  // Iterative three-color DFS; `path` recovers the cycle for the message.
+  // Iterative three-color DFS; `path` recovers the cycle for the message,
+  // and a gray flow's `path_index` is where its cycle starts. The sink keeps
+  // one E030 per culprit span, so only a culprit's first cycle is spelled:
+  // reporting it resets its `path_index` to -1.
   enum class Color { kWhite, kGray, kBlack };
   std::vector<Color> color(n, Color::kWhite);
+  std::vector<int> path_index(n, -1);
   for (int start = 0; start < n; ++start) {
     if (color[start] != Color::kWhite) {
       continue;
@@ -145,19 +149,20 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
       const int node = stack.back();
       if (color[node] == Color::kWhite) {
         color[node] = Color::kGray;
+        path_index[node] = static_cast<int>(path.size());
         path.push_back(node);
         for (const FlowRef& ref : graph.size_edges(node)) {
           const int dep = ref.flow;
           if (dep < 0) {
             continue;
           }
-          if (color[dep] == Color::kGray) {
+          if (color[dep] == Color::kGray && path_index[dep] >= 0) {
             // Found a cycle: everything in `path` from `dep` onwards.
             std::string names;
-            const auto from = std::find(path.begin(), path.end(), dep);
-            for (auto it = from; it != path.end(); ++it) {
-              names += query.flows[*it].name + " -> ";
+            for (size_t i = path_index[dep]; i < path.size(); ++i) {
+              names += query.flows[path[i]].name + " -> ";
             }
+            path_index[dep] = -1;
             names += query.flows[dep].name;
             const FlowDef& culprit = query.flows[dep];
             sink->AddError("E030", culprit.AttrSpan(Attr::kSize),

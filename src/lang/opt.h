@@ -8,7 +8,7 @@
 // illegal, symmetric, or irrelevant. Passes are registered in a static
 // table (OptPasses()) with stable O-codes, and explain themselves through
 // the shared DiagnosticSink as notes (rendered clang-style or JSON by
-// tools/ctopt):
+// `ctlint --show opt`):
 //
 //   O100 domain-pruning        pool endpoints that can never satisfy the
 //                              variable's cpu/mem requirements are dropped;

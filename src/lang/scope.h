@@ -114,7 +114,7 @@ struct ScopeAnalysis {
 
   // Hosts mentioned in the query but provably outside the footprint
   // (sorted), and the inert variables that mention them (declaration
-  // order). Both drive ctlint W100 and the ctscope report.
+  // order). Both drive ctlint W100 and the `ctlint --show scope` report.
   std::vector<std::string> excluded;
   std::vector<std::string> inert_variables;
 

@@ -6,44 +6,14 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace cloudtalk {
 namespace obs {
 
 namespace {
 
 std::atomic<bool> g_runtime_enabled{true};
-
-// Shared JSON string escaping (same subset the other renderers in the repo
-// escape: quotes, backslashes, control characters).
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Shortest round-trip double rendering (Prometheus accepts plain floats).
 std::string FormatDouble(double v) {
@@ -422,8 +392,8 @@ std::string Registry::RenderJson(bool skip_zero) const {
             continue;
           }
           emit_header(info);
-          os << ", \"" << info.label << "\": \"" << JsonEscape(value)
-             << "\", \"value\": " << child->value() << "}";
+          os << ", \"" << info.label << "\": " << JsonQuote(value)
+             << ", \"value\": " << child->value() << "}";
         }
         break;
       }
@@ -440,7 +410,7 @@ std::string Registry::RenderJson(bool skip_zero) const {
           }
           emit_header(info);
           if (!label_value.empty()) {
-            os << ", \"" << info.label << "\": \"" << JsonEscape(label_value) << "\"";
+            os << ", \"" << info.label << "\": " << JsonQuote(label_value);
           }
           os << ", \"count\": " << hist.count() << ", \"sum\": " << FormatDouble(hist.sum())
              << "}";

@@ -4,40 +4,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace cloudtalk {
 namespace obs {
 
 namespace {
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string FormatMicros(double seconds) {
   char buf[48];
@@ -266,8 +238,8 @@ std::string TraceToJson(const Trace& trace, bool stable) {
     if (i > 0) {
       os << ", ";
     }
-    os << "{\"id\": " << span.id << ", \"parent\": " << span.parent << ", \"name\": \""
-       << JsonEscape(span.name()) << "\"";
+    os << "{\"id\": " << span.id << ", \"parent\": " << span.parent
+       << ", \"name\": " << JsonQuote(span.name());
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.1f", stable ? 0.0 : span.start * 1e6);
     os << ", \"start_us\": " << buf;
@@ -280,8 +252,7 @@ std::string TraceToJson(const Trace& trace, bool stable) {
         if (a > 0) {
           os << ", ";
         }
-        os << "\"" << JsonEscape(attrs[a].first) << "\": \"" << JsonEscape(attrs[a].second)
-           << "\"";
+        os << JsonQuote(attrs[a].first) << ": " << JsonQuote(attrs[a].second);
       }
       os << "}";
     }

@@ -847,6 +847,35 @@ TEST(ReservationTest, ActiveCount) {
   EXPECT_EQ(table.ActiveCount(1.0), 0);
 }
 
+// 20 000 hosts committed at one instant (amortized O(1) each) stay reserved
+// until their hold expires; the expired holds are swept before the table
+// doubles again.
+TEST(ReservationTest, TwentyThousandHoldsExpireAndArePruned) {
+  constexpr int kHosts = 20000;
+  auto host = [](const char* prefix, int k) { return prefix + std::to_string(k); };
+  ReservationTable table(/*hold_time=*/0.3);
+  for (int k = 0; k < kHosts; ++k) {
+    Hold(table, host("old", k), /*now=*/1.0);
+  }
+  EXPECT_EQ(table.ActiveCount(1.2), kHosts);
+  EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
+  int reserved_before = 0;
+  int reserved_after = 0;
+  for (int k = 0; k < kHosts; ++k) {
+    reserved_before += table.IsReserved(host("old", k), 1.29) ? 1 : 0;
+    reserved_after += table.IsReserved(host("old", k), 1.31) ? 1 : 0;
+  }
+  EXPECT_EQ(reserved_before, kHosts);
+  EXPECT_EQ(reserved_after, 0);
+  // As many fresh holds after the expiry leave only the fresh ones.
+  for (int k = 0; k < kHosts; ++k) {
+    Hold(table, host("new", k), /*now=*/2.0);
+    ASSERT_LE(table.HoldCount(), 2u * kHosts);
+  }
+  EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
+  EXPECT_EQ(table.ActiveCount(2.1), kHosts);
+}
+
 // ---- Server end-to-end ----
 
 class ClusterSource : public UsageSource {
@@ -1153,7 +1182,7 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
                       std::make_pair(std::string("mode"), std::string("exhaustive"))),
             bind.end());
   // The branch-and-bound counter and the per-pass attribution (the same
-  // numbers `ctopt --json` prints) ride on the bind span.
+  // numbers `ctlint --show opt --json` prints) ride on the bind span.
   EXPECT_TRUE(HasAttr(bind, "bound_prunes"));
   EXPECT_TRUE(HasAttr(bind, "opt.O100.seconds"));
   EXPECT_TRUE(HasAttr(bind, "opt.O500.pruned"));

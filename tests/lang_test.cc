@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/lang/analysis.h"
 #include "src/lang/ast.h"
+#include "src/lang/diagnostics.h"
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
 
@@ -442,6 +445,47 @@ TEST(AnalysisTest, VariableCommunicationSets) {
   EXPECT_EQ(y.rx_from[0], Endpoint::Variable("X"));
   ASSERT_EQ(z.tx_to.size(), 1u);
   EXPECT_EQ(z.tx_to[0], Endpoint::Address("a"));
+}
+
+// One variable sending to 20 000 distinct hosts compiles in linear time:
+// tx_to lists each destination once, in source order.
+TEST(AnalysisTest, FanOutToTwentyThousandHostsKeepsSourceOrder) {
+  constexpr int kHosts = 20000;
+  std::string source = "A = (10.9.0.1 10.9.0.2)\n";
+  std::vector<Endpoint> hosts;
+  for (int k = 1; k <= kHosts; ++k) {
+    hosts.push_back(Endpoint::Address("10." + std::to_string(k >> 16) + "." +
+                                      std::to_string((k >> 8) & 255) + "." +
+                                      std::to_string(k & 255)));
+    source += "A -> " + hosts.back().name + " size 1M\n";
+  }
+  source += "A -> " + hosts.front().name + " size 2M\n";  // A repeated destination.
+  auto query = Parse(source);
+  ASSERT_TRUE(query.ok()) << query.error().ToString();
+  auto compiled = CompiledQuery::Compile(query.value());
+  ASSERT_TRUE(compiled.ok());
+  const CompiledQuery& cq = compiled.value();
+  EXPECT_EQ(cq.flows().size(), static_cast<size_t>(kHosts + 1));
+  const VarComm& a = cq.variables()[cq.VariableIndex("A")];
+  ASSERT_EQ(a.tx_to.size(), static_cast<size_t>(kHosts));
+  EXPECT_TRUE(a.tx_to == hosts);
+}
+
+// A name declared twice (E002) still compiles on the parser's partial AST,
+// where it resolves to its first declaration. A peer sent to twice is listed
+// once.
+TEST(AnalysisTest, DuplicateVariableResolvesToFirstDeclaration) {
+  DiagnosticSink sink;
+  const Query query = ParseWithDiagnostics(
+      "A = (x)\nA = (y)\nf1 A -> z size 1M\nf2 A -> z size 2M\n", &sink);
+  EXPECT_TRUE(sink.has_errors());
+  auto compiled = CompiledQuery::Compile(query);
+  ASSERT_TRUE(compiled.ok());
+  const CompiledQuery& cq = compiled.value();
+  ASSERT_EQ(cq.variables().size(), 2u);
+  EXPECT_EQ(cq.VariableIndex("A"), 0);
+  EXPECT_EQ(cq.variables()[0].tx_to, std::vector<Endpoint>{Endpoint::Address("z")});
+  EXPECT_TRUE(cq.variables()[1].tx_to.empty());
 }
 
 TEST(AnalysisTest, DiskFlagsSet) {

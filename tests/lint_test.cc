@@ -296,6 +296,25 @@ TEST(LintTest, HundredThousandFlowChainsCompileWithoutRecursion) {
   }
 }
 
+// Every flow of a 20 000-flow query closes a size cycle through f0. The
+// sink keeps one E030 per culprit, so the rule spells only f0's first cycle
+// and stays linear.
+TEST(LintTest, SizeCyclesThroughOneFlowReportOneE030) {
+  constexpr int kFlows = 20000;
+  std::string source = "f0 10.0.0.1 -> 10.0.0.2 size sz(f1)\n";
+  for (int k = 1; k < kFlows; ++k) {
+    source += "f" + std::to_string(k) + " 10.0.0.1 -> 10.0.0.2 size sz(f0)";
+    source += k + 1 < kFlows ? " + sz(f" + std::to_string(k + 1) + ")\n" : "\n";
+  }
+  const DiagnosticSink sink = Analyze(source);
+  ASSERT_EQ(sink.diagnostics().size(), 1u);
+  const Diagnostic& d = sink.diagnostics()[0];
+  EXPECT_EQ(d.code, "E030");
+  EXPECT_EQ(d.span.line, 1);
+  EXPECT_EQ(d.span.column, 25);
+  EXPECT_EQ(d.message, "cyclic size reference involving flow 'f0' (f0 -> f1 -> f0)");
+}
+
 // ---- W092: batch equivalence across independently-clean queries ----
 
 TEST(BatchEquivalenceTest, FlagsRenamedReorderedDuplicate) {
@@ -503,6 +522,31 @@ TEST(SinkTest, DeduplicatesSameCodeAndSpan) {
   sink.AddError("E010", Span{1, 1, 1}, "second (dropped)");
   sink.AddError("E010", Span{2, 1, 1}, "different line (kept)");
   EXPECT_EQ(sink.error_count(), 2);
+}
+
+// 20 000 unused variables give a W001 and a W100 each, in source order, in
+// linear time; a repeated (code, span) is still dropped.
+TEST(SinkTest, TwentyThousandUnusedVariablesKeepSourceOrder) {
+  constexpr int kVars = 20000;
+  std::string source;
+  for (int k = 0; k < kVars; ++k) {
+    source += "v" + std::to_string(k) + " = (10." + std::to_string(k >> 8) + "." +
+              std::to_string(k & 255) + ".1)\n";
+  }
+  source += "192.168.0.1 -> 192.168.0.2 size 1M\n";
+  DiagnosticSink sink = Analyze(source);
+  ASSERT_EQ(sink.diagnostics().size(), 2u * kVars);
+  EXPECT_EQ(sink.warning_count(), 2 * kVars);
+  int out_of_order = 0;
+  for (int k = 0; k < kVars; ++k) {
+    const Diagnostic& unused = sink.diagnostics()[2 * k];
+    const Diagnostic& host = sink.diagnostics()[2 * k + 1];
+    out_of_order += unused.code != "W001" || unused.span.line != k + 1 ||
+                    host.code != "W100" || host.span.line != k + 1;
+  }
+  EXPECT_EQ(out_of_order, 0);
+  sink.AddWarning("W100", sink.diagnostics().back().span, "repeat (dropped)");
+  EXPECT_EQ(sink.diagnostics().size(), 2u * kVars);
 }
 
 TEST(SinkTest, PromoteWarningsMakesThemErrors) {

@@ -347,7 +347,7 @@ const TraceSpan* FindSpan(const Trace& trace, const std::string& name) {
 
 // Golden snapshot: the stable rendering of the fixed-seed hdfs_write.ct
 // trace must match the checked-in file byte for byte (same contract as the
-// ctopt expected_report.txt snapshot).
+// `ctlint --show opt` expected_report.txt snapshot).
 TEST(TraceGoldenTest, HdfsWriteTraceMatchesSnapshot) {
   if (!kObsEnabled) {
     GTEST_SKIP() << "observability compiled out";

@@ -3,11 +3,11 @@
 # binary advertises must all be documented, and the docs must not reference
 # codes the binaries no longer know about.
 #
-#   catalogue_sync.sh <ctlint> <ctopt> <ctcheck> <ctstat> <repo_root>
+#   catalogue_sync.sh <ctlint> <ctcheck> <ctstat> <repo_root>
 #
 # Forward direction (binary -> docs):
 #   ctlint --rules    E/W lint rules        -> docs/LANGUAGE.md
-#   ctopt --list      O optimisation passes -> DESIGN.md
+#                     O optimisation passes -> DESIGN.md
 #   ctcheck --catalog D/I/L invariants      -> DESIGN.md
 #   ctstat --catalog  M metrics             -> docs/OBSERVABILITY.md
 #
@@ -20,17 +20,16 @@
 # Exit 0 when in sync, 1 on drift, 2 on usage/setup errors.
 set -u
 
-if [ "$#" -ne 5 ]; then
-  echo "usage: catalogue_sync.sh <ctlint> <ctopt> <ctcheck> <ctstat> <repo_root>" >&2
+if [ "$#" -ne 4 ]; then
+  echo "usage: catalogue_sync.sh <ctlint> <ctcheck> <ctstat> <repo_root>" >&2
   exit 2
 fi
 CTLINT=$1
-CTOPT=$2
-CTCHECK=$3
-CTSTAT=$4
-ROOT=$5
+CTCHECK=$2
+CTSTAT=$3
+ROOT=$4
 
-for bin in "$CTLINT" "$CTOPT" "$CTCHECK" "$CTSTAT"; do
+for bin in "$CTLINT" "$CTCHECK" "$CTSTAT"; do
   if [ ! -x "$bin" ]; then
     echo "catalogue_sync: not executable: $bin" >&2
     exit 2
@@ -46,8 +45,10 @@ done
 TMPDIR_SYNC=$(mktemp -d) || exit 2
 trap 'rm -rf "$TMPDIR_SYNC"' EXIT
 
-"$CTLINT" --rules   | awk '{print $1}' | sort -u > "$TMPDIR_SYNC/lint.txt"  || exit 2
-"$CTOPT"  --list    | awk '{print $1}' | sort -u > "$TMPDIR_SYNC/opt.txt"   || exit 2
+# ctlint --rules lists the lint rules, then the passes: split by first letter.
+"$CTLINT" --rules   | awk '{print $1}' | sort -u > "$TMPDIR_SYNC/rules.txt" || exit 2
+grep '^[EW]' "$TMPDIR_SYNC/rules.txt" > "$TMPDIR_SYNC/lint.txt"
+grep '^O' "$TMPDIR_SYNC/rules.txt" > "$TMPDIR_SYNC/opt.txt"
 "$CTCHECK" --catalog | awk '{print $1}' | sort -u > "$TMPDIR_SYNC/check.txt" || exit 2
 "$CTSTAT" --catalog | awk '{print $1}' | sort -u > "$TMPDIR_SYNC/stat.txt"  || exit 2
 for f in lint opt check stat; do
@@ -70,7 +71,7 @@ check_forward() {
   done < "$1"
 }
 check_forward "$TMPDIR_SYNC/lint.txt"  "$ROOT/docs/LANGUAGE.md"      "ctlint --rules"
-check_forward "$TMPDIR_SYNC/opt.txt"   "$ROOT/DESIGN.md"             "ctopt --list"
+check_forward "$TMPDIR_SYNC/opt.txt"   "$ROOT/DESIGN.md"             "ctlint --rules"
 check_forward "$TMPDIR_SYNC/check.txt" "$ROOT/DESIGN.md"             "ctcheck --catalog"
 check_forward "$TMPDIR_SYNC/stat.txt"  "$ROOT/docs/OBSERVABILITY.md" "ctstat --catalog"
 

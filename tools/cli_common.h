@@ -1,26 +1,18 @@
 // Shared CLI plumbing for the ct* tools.
 //
-// Every tool takes a list of query files (with "-" meaning stdin), reads
-// them with the same error handling, and folds per-input exit codes
-// together by maximum. That loop was copy-pasted across ctlint, ctopt,
-// ctbound, ctstat and ctcanon; it lives here once, next to the JSON string
-// escaping of ctcanon and ctscope and the idle status snapshot the ctopt
-// and ctbound reports are computed against.
+// ctlint and ctstat each take a list of query files (with "-" meaning
+// stdin), read them with the same error handling, and fold per-input exit
+// codes together by maximum.
 #ifndef CLOUDTALK_TOOLS_CLI_COMMON_H_
 #define CLOUDTALK_TOOLS_CLI_COMMON_H_
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "src/lang/analysis.h"
-#include "src/status/status.h"
 
 namespace cloudtalk {
 namespace cli {
@@ -65,66 +57,6 @@ inline int ForEachInput(const std::string& tool, const std::vector<std::string>&
     exit_code = std::max(exit_code, handler(source, display_name));
   }
   return exit_code;
-}
-
-// Escapes `text` for use inside a JSON string literal.
-inline std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-// All-idle synthetic snapshot: every address the query can touch reports a
-// 1 Gbps NIC, a 4 Gbps disk, and no scalar-resource information — the same
-// defaults the tests use. Deterministic, so reports are snapshot-stable.
-inline std::unordered_map<std::string, StatusReport> SynthesizeIdleStatus(
-    const lang::CompiledQuery& compiled) {
-  std::unordered_map<std::string, StatusReport> status;
-  NodeId next = 1;
-  auto add = [&](const lang::Endpoint& e) {
-    if (e.kind != lang::Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    StatusReport report;
-    report.host = next++;
-    report.nic_tx_cap = report.nic_rx_cap = 1e9;
-    report.disk_read_cap = report.disk_write_cap = 4e9;
-    status[e.name] = report;
-  };
-  for (const lang::VarComm& var : compiled.variables()) {
-    for (const lang::Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return status;
 }
 
 }  // namespace cli
