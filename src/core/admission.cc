@@ -6,21 +6,6 @@
 #include "src/common/lock_registry.h"
 
 namespace cloudtalk {
-namespace {
-
-bool Intersects(const std::unordered_set<std::string>& a,
-                const std::unordered_set<std::string>& b) {
-  const std::unordered_set<std::string>& small = a.size() <= b.size() ? a : b;
-  const std::unordered_set<std::string>& large = a.size() <= b.size() ? b : a;
-  for (const std::string& s : small) {
-    if (large.count(s) > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 #if defined(CLOUDTALK_INVARIANTS) && CLOUDTALK_INVARIANTS
 namespace {
@@ -42,8 +27,7 @@ uint64_t AdmissionGate::Admit(const lang::ScopeAnalysis& scope) {
       return false;
     }
     for (const Admitted& in_flight : admitted_) {
-      if ((in_flight.reserves || scope.effects.reserves) &&
-          Intersects(*in_flight.candidates, scope.candidates)) {
+      if (lang::ReservationConflict(*in_flight.scope, scope)) {
         return false;
       }
     }
@@ -52,8 +36,7 @@ uint64_t AdmissionGate::Admit(const lang::ScopeAnalysis& scope) {
   CT_LOCK_TRACE(AdmissionLockId());
   Admitted entry;
   entry.ticket = ++next_ticket_;
-  entry.reserves = scope.effects.reserves;
-  entry.candidates = &scope.candidates;
+  entry.scope = &scope;
   admitted_.push_back(entry);
   return entry.ticket;
 }

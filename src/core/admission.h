@@ -16,8 +16,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <unordered_set>
-#include <string>
 #include <vector>
 
 #include "src/lang/scope.h"
@@ -30,8 +28,9 @@ class AdmissionGate {
   explicit AdmissionGate(int slots);
 
   // Blocks until a slot is free and no admitted query's reservation
-  // footprint conflicts with `scope`, then returns a ticket. `scope` must
-  // outlive the admission (the gate borrows its candidate set).
+  // footprint conflicts with `scope` (lang::ReservationConflict), then
+  // returns a ticket. `scope` must outlive the admission (the gate borrows
+  // it).
   uint64_t Admit(const lang::ScopeAnalysis& scope);
 
   // Frees the slot `ticket` holds and wakes every waiter for a re-check.
@@ -42,12 +41,11 @@ class AdmissionGate {
   int InFlight() const;
 
  private:
-  // Each entry borrows the candidate set from the admitting frame's
-  // ScopeAnalysis (alive until Release by construction).
+  // Each entry borrows the admitting query's ScopeAnalysis (alive until
+  // Release by construction).
   struct Admitted {
     uint64_t ticket = 0;
-    bool reserves = false;
-    const std::unordered_set<std::string>* candidates = nullptr;
+    const lang::ScopeAnalysis* scope = nullptr;
   };
 
   int slots_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -29,6 +31,11 @@ LockId RngLockId() {
   return id;
 }
 
+LockId FrontEndLockId() {
+  static const LockId id = LockRegistry::Instance().Register("server.front_ends");
+  return id;
+}
+
 }  // namespace
 #endif
 
@@ -47,6 +54,12 @@ constexpr Seconds kProbeTimeout = 10 * kMillisecond;
 // prepare→commit window, short enough that a crashed front end frees its
 // hosts quickly.
 constexpr Seconds kPrepareLease = 50 * kMillisecond;
+// The front-end cache's doorkeeper: fingerprints of spellings sighted once,
+// in 4-way buckets. 64k of them (512 KiB) remember several budgets' worth
+// of short spellings, and keep any 4 + 1 spellings of a short cycle from
+// sharing a bucket, where they would evict one another forever.
+constexpr size_t kSightedBuckets = size_t{1} << 14;
+constexpr size_t kSightedWays = 4;
 
 std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardMap& map,
                                                      ProbeTransport* transport, Seconds hold) {
@@ -65,24 +78,11 @@ std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusS
   return raw;
 }
 
-// The front end's first two phases, shared by Answer and Quote, each
-// recording its span. The caller builds the query's facts between them, so
-// lint and the rest of the pipeline share one compile and one scope; the
-// lint span times the compile and scope its rules trigger.
-lang::Query Parse(const std::string& query_text, lang::DiagnosticSink* sink,
-                  obs::TraceContext& trace) {
+// Opens the parse span every reply starts with.
+int OpenParseSpan(const std::string& query_text, obs::TraceContext& trace) {
   const int parse_span = trace.OpenFollowing("parse");
-  lang::Query query = lang::ParseWithDiagnostics(query_text, sink);
   trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
-  trace.Close(parse_span);
-  return query;
-}
-
-void Lint(const lang::QueryFacts& facts, lang::DiagnosticSink* sink, obs::TraceContext& trace) {
-  const int lint_span = trace.OpenFollowing("lint");
-  lang::RunLint(facts, sink);
-  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink->diagnostics().size()));
-  trace.Close(lint_span);
+  return parse_span;
 }
 
 // The answer pipeline's stages, each written so its bytes do not depend on
@@ -185,14 +185,25 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
     add(flow.dst);
   }
 
-  // Resolve to hosts and probe.
+  // Resolve to hosts and probe each host once, in first-mention order,
+  // however many addresses name it (an alias and its IP, say). `named` is
+  // the address that first named each target; every later one is an
+  // alias, given its target's status below.
   std::vector<NodeId> targets;
-  std::unordered_map<NodeId, std::string> node_to_address;
+  std::vector<const std::string*> named;
+  std::vector<std::pair<const std::string*, size_t>> aliases;
+  std::unordered_map<NodeId, size_t> target_of;
   for (const std::string& address : addresses) {
     const NodeId node = directory.Resolve(address);
-    if (node != kInvalidNode) {
+    if (node == kInvalidNode) {
+      continue;
+    }
+    const auto [it, first] = target_of.emplace(node, targets.size());
+    if (first) {
       targets.push_back(node);
-      node_to_address[node] = address;
+      named.push_back(&address);
+    } else {
+      aliases.emplace_back(&address, it->second);
     }
   }
   ProbeOutcome outcome = transport.Probe(targets, kProbeTimeout);
@@ -201,8 +212,9 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
 
   StatusByAddress status;
   int missing = 0;
-  for (const NodeId node : targets) {
-    const std::string& address = node_to_address[node];
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const NodeId node = targets[t];
+    const std::string& address = *named[t];
     const auto it = outcome.reports.find(node);
     const bool replied = it != outcome.reports.end();
     // One child event per contacted host, in deterministic target order. The
@@ -225,6 +237,10 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
       ++missing;
       status[address] = StatusReport::Idle(node, directory.CapsOf(node));
     }
+  }
+  for (const auto& [alias, target] : aliases) {
+    const StatusReport report = status.at(*named[target]);
+    status[*alias] = report;
   }
   if (skipped > 0) {
     CT_OBS_ADD("M113", skipped);
@@ -404,23 +420,150 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
   check::SetViolationPolicy(config_.invariant_policy);
 }
 
+// Everything Answer derives from the query bytes alone. BuildFrontEnd
+// settles it before anyone else sees it; afterwards it is only read, so the
+// answers of one spelling share it across threads (lang::QueryFacts states
+// the contract).
+struct CloudTalkServer::FrontEnd {
+  explicit FrontEnd(lang::Query parsed) : query(std::move(parsed)) {}
+  // `facts`, and the compiled query in it, point into `query`.
+  FrontEnd(const FrontEnd&) = delete;
+  FrontEnd& operator=(const FrontEnd&) = delete;
+
+  lang::Query query;
+  lang::QueryFacts facts{query};
+  // Parse and lint findings. With an error among them the query is
+  // rejected with `error`; otherwise they are the reply's warnings.
+  std::vector<lang::Diagnostic> diagnostics;
+  std::optional<Error> error;
+};
+
+std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::FrontEndCache::Find(
+    const std::string& text, uint64_t fingerprint, bool* admit) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  CT_LOCK_TRACE(FrontEndLockId());
+  const auto it = index_.find(Key{fingerprint, text});
+  if (it != index_.end()) {
+    return it->second->entry;
+  }
+  *admit = Sighted(fingerprint);
+  return nullptr;
+}
+
+void CloudTalkServer::FrontEndCache::Insert(const std::string& text, uint64_t fingerprint,
+                                            std::shared_ptr<const FrontEnd> entry) {
+  if (text.size() > kFrontEndBudget) {
+    return;
+  }
+  // Built and, when not kept, destroyed outside the lock, like the
+  // evicted nodes.
+  std::list<Node> fresh;
+  fresh.push_back(Node{text, fingerprint, std::move(entry)});
+  std::list<Node> evicted;
+  std::lock_guard<std::mutex> lock(mutex_);
+  CT_LOCK_TRACE(FrontEndLockId());
+  if (index_.count(Key{fingerprint, text}) > 0) {
+    return;  // A concurrent answer of the same spelling kept its entry first.
+  }
+  while (bytes_ + text.size() > kFrontEndBudget) {
+    const Node& oldest = order_.front();
+    index_.erase(Key{oldest.fingerprint, oldest.text});
+    bytes_ -= oldest.text.size();
+    evicted.splice(evicted.end(), order_, order_.begin());
+  }
+  order_.splice(order_.end(), fresh);
+  index_.emplace(Key{fingerprint, order_.back().text}, std::prev(order_.end()));
+  bytes_ += text.size();
+}
+
+bool CloudTalkServer::FrontEndCache::Sighted(uint64_t fingerprint) {
+  if (sighted_.empty()) {
+    sighted_.assign(kSightedBuckets * kSightedWays, 0);
+  }
+  const uint64_t tag = fingerprint != 0 ? fingerprint : 1;
+  uint64_t* bucket = &sighted_[(fingerprint % kSightedBuckets) * kSightedWays];
+  uint64_t* const end = bucket + kSightedWays;
+  uint64_t* const way = std::find(bucket, end, tag);
+  if (way != end) {
+    // Admitted: free the way, keeping the bucket newest first.
+    std::copy(way + 1, end, way);
+    end[-1] = 0;
+    return true;
+  }
+  std::copy_backward(bucket, end - 1, end);
+  bucket[0] = tag;
+  return false;
+}
+
+std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::BuildFrontEnd(
+    const std::string& query_text, bool quote, int parse_span, obs::TraceContext& trace) {
+  lang::DiagnosticSink sink;
+  lang::Query query = lang::ParseWithDiagnostics(query_text, &sink);
+  if (quote) {
+    // Quoting never reserves: the client is asking about a workload it may
+    // not run. Like any `option noreserve` query it still avoids existing
+    // reservations, and it is admitted as a non-reserving query. The
+    // option is cleared before the facts exist: their scope reads it, and
+    // lint may compute the scope. No lint rule reads it.
+    query.options.reserve = false;
+  }
+  trace.Close(parse_span);
+  auto front = std::make_shared<FrontEnd>(std::move(query));
+  const int lint_span = trace.OpenFollowing("lint");
+  lang::RunLint(front->facts, &sink);
+  // Settle the facts the answer pipeline reads, so that from here on their
+  // accessors only read. Lint's rules have normally computed them already.
+  if (front->facts.compiled().ok()) {
+    front->facts.scope();
+  }
+  front->facts.deadline();
+  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink.diagnostics().size()));
+  trace.Close(lint_span);
+  if (sink.has_errors()) {
+    front->error = sink.ToLegacyError();
+  }
+  front->diagnostics = sink.diagnostics();
+  return front;
+}
+
+std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::FrontEndOf(
+    const std::string& query_text, obs::TraceContext& trace) {
+  const int parse_span = OpenParseSpan(query_text, trace);
+  const uint64_t fingerprint = std::hash<std::string>{}(query_text);
+  bool admit = false;
+  std::shared_ptr<const FrontEnd> front = front_ends_.Find(query_text, fingerprint, &admit);
+  if (front == nullptr) {
+    front = BuildFrontEnd(query_text, /*quote=*/false, parse_span, trace);
+    if (admit) {
+      front_ends_.Insert(query_text, fingerprint, front);
+    }
+    return front;
+  }
+  // A hit records the phases it skipped, so every reply keeps the full
+  // phase skeleton.
+  CT_OBS_INC("M119");
+  trace.Attr(parse_span, "cache", "hit");
+  trace.Close(parse_span);
+  const int lint_span = trace.OpenFollowing("lint");
+  trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(front->diagnostics.size()));
+  trace.Close(lint_span);
+  return front;
+}
+
 Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   CT_OBS_INC("M100");
   obs::TraceContext trace("answer");
-  lang::DiagnosticSink sink;
-  const lang::Query query = Parse(query_text, &sink, trace);
-  const lang::QueryFacts facts(query);
-  Lint(facts, &sink, trace);
-  Result<QueryReply> reply = sink.has_errors()
-                                 ? Result<QueryReply>(sink.ToLegacyError())
-                                 : AnswerTraced(facts, trace, /*quote=*/nullptr);
+  const std::shared_ptr<const FrontEnd> front = FrontEndOf(query_text, trace);
+  Result<QueryReply> reply = front->error.has_value()
+                                 ? Result<QueryReply>(*front->error)
+                                 : AnswerTraced(front->facts, trace, /*quote=*/nullptr);
   if (!reply.ok()) {
     CT_OBS_INC("M101");
     return reply;
   }
   // Warning-only queries are answered, but the findings travel with the
   // reply so clients can see what looked suspect.
-  reply.value().warnings = sink.diagnostics();
+  reply.value().warnings = front->diagnostics;
   reply.value().trace = trace.Finish();
   if (!reply.value().trace.empty()) {
     CT_OBS_OBSERVE("M102", reply.value().trace.spans[0].duration);
@@ -649,21 +792,15 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
 Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   CT_OBS_INC("M107");
   obs::TraceContext trace("quote");
-  lang::DiagnosticSink sink;
-  lang::Query query = Parse(query_text, &sink, trace);
-  // Quoting never reserves: the client is asking about a workload it may
-  // not run. Like any `option noreserve` query it still avoids existing
-  // reservations, and it is admitted as a non-reserving query. The option
-  // is cleared before the facts exist: their scope reads it, and lint may
-  // compute the scope. No lint rule reads it.
-  query.options.reserve = false;
-  const lang::QueryFacts facts(query);
-  Lint(facts, &sink, trace);
-  if (sink.has_errors()) {
-    return sink.ToLegacyError();
+  // Built afresh, never cached: the cleared `option reserve` makes its
+  // facts differ from Answer's for the same bytes.
+  const std::shared_ptr<const FrontEnd> front =
+      BuildFrontEnd(query_text, /*quote=*/true, OpenParseSpan(query_text, trace), trace);
+  if (front->error.has_value()) {
+    return *front->error;
   }
   QuoteReply quote;
-  const Result<QueryReply> reply = AnswerTraced(facts, trace, &quote);
+  const Result<QueryReply> reply = AnswerTraced(front->facts, trace, &quote);
   if (!reply.ok()) {
     return reply.error();
   }

@@ -5,7 +5,8 @@
 //      footprint & effects (src/lang/scope.h). Lint and the later steps
 //      read one lang::QueryFacts per query, so the query is compiled and
 //      scoped once, and lint's idle-world bound is built only when a rule
-//      can fire on it.
+//      can fire on it. All of this is pure in the query bytes, so a
+//      spelling seen before is served from a bounded cache instead.
 //   2. Collect the addresses involved; when a pool exceeds the sampling
 //      threshold, probe only a random sample sized by the Section 4.3
 //      analysis (RequiredSamples) instead of the whole pool.
@@ -17,8 +18,8 @@
 //      packet-level when the query says so), honouring pseudo-reservations.
 //   6. Reserve the recommended endpoints for the hold time.
 // A price quote (Section 7) runs the same steps with step 6 suppressed,
-// then prices the binding. Nothing is cached between queries: every answer
-// reads live status.
+// then prices the binding. Only step 1 is cached between queries: every
+// answer gathers live status and checks live reservations.
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
@@ -33,10 +34,14 @@
 #define CLOUDTALK_SRC_CORE_SERVER_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -168,7 +173,18 @@ class CloudTalkServer {
   // error-severity lint findings such as E030 size cycles) are rejected
   // with the first diagnostic's position and rule code; warning-only
   // queries are answered and the warnings returned in QueryReply::warnings.
+  //
+  // What parsing and linting derive is pure in the query bytes, so the
+  // server keeps it for spellings it has seen at least twice: a bounded
+  // cache keyed on the exact bytes (at most kFrontEndBudget of them,
+  // oldest evicted first) hands a repeated spelling its parsed query,
+  // settled facts and lint verdict (M119 counts these hits; the reply's
+  // parse span says cache=hit). Status, bound, bind and reserve run on
+  // every answer, so a hit changes no reply.
   Result<QueryReply> Answer(const std::string& query_text);
+
+  // The most spelling bytes the front-end cache holds.
+  static constexpr size_t kFrontEndBudget = size_t{1} << 20;
 
   // Prices the described workload (Section 7). The query runs Answer's
   // pipeline as if it said `option noreserve`; a query Answer rejects gets
@@ -193,11 +209,74 @@ class CloudTalkServer {
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
+  // Everything Answer derives from the query bytes alone: the parsed query,
+  // its settled facts and lint's verdict. Defined in server.cc.
+  struct FrontEnd;
+
+  // The bounded cache of FrontEnds behind Answer. Keyed on the exact query
+  // bytes: a std::hash fingerprint, confirmed by comparing the bytes. A
+  // spelling is admitted on its second sighting only (the doorkeeper of
+  // TinyLFU): a miss records the fingerprint in a fixed table of 4-way
+  // buckets, allocated on the first miss, and Find says to admit when the
+  // fingerprint is already there. Entries hold at most kFrontEndBudget
+  // spelling bytes in all; the oldest goes first. One mutex guards it all;
+  // entries are built and destroyed outside it.
+  class FrontEndCache {
+   public:
+    // The entry for `text`, or null. On a miss, sets *admit when the
+    // spelling was sighted before; the caller then Inserts what it builds.
+    std::shared_ptr<const FrontEnd> Find(const std::string& text, uint64_t fingerprint,
+                                         bool* admit);
+    // Keeps `entry` for `text`, evicting the oldest entries to stay within
+    // kFrontEndBudget. A spelling longer than the budget is not kept.
+    void Insert(const std::string& text, uint64_t fingerprint,
+                std::shared_ptr<const FrontEnd> entry);
+
+   private:
+    struct Key {
+      uint64_t fingerprint;
+      std::string_view text;
+      bool operator==(const Key& other) const {
+        return fingerprint == other.fingerprint && text == other.text;
+      }
+    };
+    struct KeyHash {
+      size_t operator()(const Key& key) const { return static_cast<size_t>(key.fingerprint); }
+    };
+    struct Node {
+      std::string text;
+      uint64_t fingerprint;
+      std::shared_ptr<const FrontEnd> entry;
+    };
+
+    // The doorkeeper: true, taking the fingerprint off the table, when it
+    // was on it; otherwise records it, dropping its bucket's oldest.
+    bool Sighted(uint64_t fingerprint);
+
+    std::mutex mutex_;
+    std::list<Node> order_;  // Oldest first; keys point into the nodes.
+    std::unordered_map<Key, std::list<Node>::iterator, KeyHash> index_;
+    size_t bytes_ = 0;
+    std::vector<uint64_t> sighted_;  // 4-way buckets; 0 marks a free way.
+  };
+
+  // Answer's front end: `query_text`'s cached FrontEnd, or a fresh one,
+  // kept when the spelling was sighted before. Records the parse and lint
+  // spans either way.
+  std::shared_ptr<const FrontEnd> FrontEndOf(const std::string& query_text,
+                                             obs::TraceContext& trace);
+
+  // Parses `query_text` inside the open `parse_span` and closes it, then
+  // lints in a `lint` span and settles the facts. `quote` clears `option
+  // reserve` before any fact exists.
+  static std::shared_ptr<const FrontEnd> BuildFrontEnd(const std::string& query_text, bool quote,
+                                                       int parse_span, obs::TraceContext& trace);
+
   // The evaluation pipeline behind Answer and Quote: compile, scope, route,
   // gather status, bound, bind, reserve — recording one span per phase in
   // `trace`. The compiled query, its scope and its deadline come from
-  // `facts`, which lint has already filled in part. A non-null `quote` is
-  // priced from the binding and its status snapshot.
+  // `facts`, which the front end has already settled. A non-null `quote`
+  // is priced from the binding and its status snapshot.
   Result<QueryReply> AnswerTraced(const lang::QueryFacts& facts, obs::TraceContext& trace,
                                   QuoteReply* quote);
 
@@ -226,6 +305,8 @@ class CloudTalkServer {
   // Concurrent admission gate (src/core/admission.h): AnswerTraced holds a
   // slot for the whole evaluation when reservations are enabled.
   AdmissionGate admission_;
+
+  FrontEndCache front_ends_;
 };
 
 // The former name of a server built from a ShardedConfig, kept for callers

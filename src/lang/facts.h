@@ -10,10 +10,20 @@
 // for it.
 //
 // One QueryFacts per query. It is logically const (every accessor is const)
-// but fills its caches on first use, so it must not be shared across
-// threads. It refers to the Query it was built from, which must outlive it
-// and must not change while it lives: a field changed after an accessor ran
-// (say, `options.reserve` after scope()) would leave a stale fact.
+// but fills its caches on first use, so while it is being filled only the
+// thread that built it may use it. It refers to the Query it was built
+// from, which must outlive it and must not change while it lives: a field
+// changed after an accessor ran (say, `options.reserve` after scope())
+// would leave a stale fact.
+//
+// Settled facts may be shared. Once the building thread has called
+// compiled(), then scope() if the compile succeeded, then deadline(), those
+// accessors, query() and flow_graph() only read, and any number of threads
+// may call them concurrently, provided the facts reach them through a
+// synchronizing hand-off (a mutex, say). idle_bounds() is not part of the
+// settled set: on shared facts, call it only if the building thread did.
+// CloudTalkServer's front-end cache shares settled facts this way between
+// the answers of one query spelling.
 #ifndef CLOUDTALK_SRC_LANG_FACTS_H_
 #define CLOUDTALK_SRC_LANG_FACTS_H_
 

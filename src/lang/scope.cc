@@ -1,7 +1,6 @@
 #include "src/lang/scope.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/check/check.h"
 
@@ -58,34 +57,34 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   ScopeAnalysis scope;
   scope.effects = AnalyzeEffects(compiled.query());
 
-  // Accumulate per-host roles and field bits; std::map keeps the footprint
-  // sorted by address without a second pass.
-  struct HostInfo {
-    uint8_t fields = 0;
-    bool candidate = false;
-    bool endpoint = false;
+  // Every address the query mentions, once per mention, with the role the
+  // mention gives it. One sort by address turns the mentions into the
+  // footprint, the excluded hosts and the candidate set, each sorted and
+  // deduplicated, in a single walk.
+  struct Mention {
+    const std::string* address;
+    uint8_t fields;
+    bool candidate;  // Pool entry of an active variable.
+    bool endpoint;   // Literal flow endpoint.
+    bool pool;       // Pool entry of any variable: reservation-visible.
   };
-  std::map<std::string, HostInfo> hosts;
-  std::unordered_set<std::string> mentioned;
-
+  std::vector<Mention> mentions;
+  size_t mention_count = 2 * compiled.flows().size();
+  for (const VarComm& var : compiled.variables()) {
+    mention_count += var.pool.size();
+  }
+  mentions.reserve(mention_count);
   for (const VarComm& var : compiled.variables()) {
     const bool active = IsActive(var);
     const uint8_t fields = active ? VariableFields(var) : 0;
     for (const Endpoint& e : var.pool) {
-      if (e.kind != Endpoint::Kind::kAddress) {
-        continue;
-      }
-      mentioned.insert(e.name);
       // Every pool address is reservation-visible: the heuristic's
       // reservation filter prefers unreserved candidates for *all*
       // variables (inert ones included), and a bound endpoint of any
       // variable gets reserved. Only active variables contribute to the
       // status footprint, though.
-      scope.candidates.insert(e.name);
-      if (active) {
-        HostInfo& info = hosts[e.name];
-        info.candidate = true;
-        info.fields |= fields;
+      if (e.kind == Endpoint::Kind::kAddress) {
+        mentions.push_back({&e.name, fields, active, false, true});
       }
     }
     if (!active) {
@@ -94,35 +93,34 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   }
   for (const CompiledFlow& flow : compiled.flows()) {
     if (flow.src.kind == Endpoint::Kind::kAddress) {
-      mentioned.insert(flow.src.name);
-      HostInfo& info = hosts[flow.src.name];
-      info.endpoint = true;
-      info.fields |= kScopeFieldNetOut;
+      mentions.push_back({&flow.src.name, kScopeFieldNetOut, false, true, false});
     }
     if (flow.dst.kind == Endpoint::Kind::kAddress) {
-      mentioned.insert(flow.dst.name);
-      HostInfo& info = hosts[flow.dst.name];
-      info.endpoint = true;
-      info.fields |= kScopeFieldNetIn;
+      mentions.push_back({&flow.dst.name, kScopeFieldNetIn, false, true, false});
     }
   }
+  std::sort(mentions.begin(), mentions.end(),
+            [](const Mention& a, const Mention& b) { return *a.address < *b.address; });
 
-  scope.footprint.reserve(hosts.size());
-  for (const auto& [address, info] : hosts) {
+  for (size_t i = 0; i < mentions.size();) {
     ScopeHost host;
-    host.address = address;
-    host.fields = info.fields;
-    host.candidate = info.candidate;
-    host.endpoint = info.endpoint;
-    scope.footprint.push_back(std::move(host));
-    scope.footprint_set.insert(address);
-  }
-  for (const std::string& address : mentioned) {
-    if (scope.footprint_set.count(address) == 0) {
-      scope.excluded.push_back(address);
+    host.address = *mentions[i].address;
+    bool pool = false;
+    for (; i < mentions.size() && *mentions[i].address == host.address; ++i) {
+      host.fields |= mentions[i].fields;
+      host.candidate |= mentions[i].candidate;
+      host.endpoint |= mentions[i].endpoint;
+      pool |= mentions[i].pool;
+    }
+    if (pool) {
+      scope.candidates.push_back(host.address);
+    }
+    if (host.candidate || host.endpoint) {
+      scope.footprint.push_back(std::move(host));
+    } else {
+      scope.excluded.push_back(std::move(host.address));
     }
   }
-  std::sort(scope.excluded.begin(), scope.excluded.end());
 
   // I408: a literal flow endpoint can never be excluded — the bound
   // analysis and the estimators read its status for every binding.
@@ -139,15 +137,29 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   return scope;
 }
 
+bool ScopeAnalysis::InFootprint(const std::string& address) const {
+  const auto it = std::lower_bound(
+      footprint.begin(), footprint.end(), address,
+      [](const ScopeHost& host, const std::string& key) { return host.address < key; });
+  return it != footprint.end() && it->address == address;
+}
+
 bool ReservationConflict(const ScopeAnalysis& a, const ScopeAnalysis& b) {
   if (!a.effects.reserves && !b.effects.reserves) {
     return false;  // Two readers never interleave observably.
   }
-  const ScopeAnalysis& small = a.candidates.size() <= b.candidates.size() ? a : b;
-  const ScopeAnalysis& large = a.candidates.size() <= b.candidates.size() ? b : a;
-  for (const std::string& address : small.candidates) {
-    if (large.candidates.count(address) > 0) {
+  // Both candidate lists are sorted: walk them in step.
+  auto i = a.candidates.begin();
+  auto j = b.candidates.begin();
+  while (i != a.candidates.end() && j != b.candidates.end()) {
+    const int order = i->compare(*j);
+    if (order == 0) {
       return true;
+    }
+    if (order < 0) {
+      ++i;
+    } else {
+      ++j;
     }
   }
   return false;

@@ -51,7 +51,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/lang/analysis.h"
@@ -99,18 +98,18 @@ struct ScopeHost {
 struct ScopeAnalysis {
   ScopeEffects effects;
 
-  // The footprint, sorted by address (deterministic for tools/snapshots),
-  // plus a set view for O(1) membership tests on the probing hot path.
+  // The footprint, sorted by address (deterministic for tools/snapshots;
+  // InFootprint binary-searches it).
   std::vector<ScopeHost> footprint;
-  std::unordered_set<std::string> footprint_set;
 
-  // Addresses the reservation table can be read or written for: every pool
-  // candidate of every variable — inert ones included, because the
-  // heuristic's reservation filter steers *all* bindings away from reserved
-  // hosts and any bound endpoint gets reserved. This is what the concurrent
-  // admission gate intersects — two queries whose candidate sets are
-  // disjoint cannot observe each other's reservations in either order.
-  std::unordered_set<std::string> candidates;
+  // Addresses the reservation table can be read or written for, sorted and
+  // deduplicated: every pool candidate of every variable — inert ones
+  // included, because the heuristic's reservation filter steers *all*
+  // bindings away from reserved hosts and any bound endpoint gets reserved.
+  // This is what the concurrent admission gate intersects — two queries
+  // whose candidate sets are disjoint cannot observe each other's
+  // reservations in either order.
+  std::vector<std::string> candidates;
 
   // Hosts mentioned in the query but provably outside the footprint
   // (sorted), and the inert variables that mention them (declaration
@@ -118,9 +117,7 @@ struct ScopeAnalysis {
   std::vector<std::string> excluded;
   std::vector<std::string> inert_variables;
 
-  bool InFootprint(const std::string& address) const {
-    return footprint_set.count(address) > 0;
-  }
+  bool InFootprint(const std::string& address) const;
 };
 
 // Effect inference alone, from the parsed AST. Pure in the query bytes.

@@ -89,6 +89,10 @@ const std::vector<MetricInfo>& MetricCatalog() {
       {"M118", MetricType::kCounter, "server", "cloudtalk_server_reserve_aborts",
        "Two-phase reserves aborted (a shard failed to prepare before the lease deadline)",
        "", {}},
+      {"M119", MetricType::kCounter, "server", "cloudtalk_server_facts_cache_hits",
+       "Answers whose parse, lint, compile and scope came from the front-end cache (a "
+       "repeated query spelling)",
+       "", {}},
       // ---- M2xx: probing and status transports ----
       {"M200", MetricType::kHistogram, "probe", "cloudtalk_probe_rtt_seconds",
        "Ping RTT measured by probing::NetworkProber, per target host", "host", kRtt},

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iomanip>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -898,35 +904,54 @@ class ClusterSource : public UsageSource {
   std::unordered_map<NodeId, StatusReport> reports_;
 };
 
-class ServerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
+// A 10-host fleet: a status server per host over one usage source, a
+// simulated UDP transport, and a `host<N>` alias for every host. ServerTest
+// owns one; the front-end cache tests build twins that answer alike.
+struct Fleet {
+  Fleet() : topo(MakeTopology()), source(&topo), directory(&topo) {
+    std::unordered_map<NodeId, StatusServer*> map;
+    for (NodeId h : topo.hosts()) {
+      servers.push_back(std::make_unique<StatusServer>(h, &source, 0.0));
+      map[h] = servers.back().get();
+      directory.AddAlias("host" + std::to_string(h), h);
+    }
+    transport = std::make_unique<SimUdpTransport>(std::move(map), SimUdpParams{}, 1);
+  }
+
+  static Topology MakeTopology() {
     SingleSwitchParams params;
     params.num_hosts = 10;
-    topo_ = MakeSingleSwitch(params);
-    source_ = std::make_unique<ClusterSource>(&topo_);
-    directory_ = std::make_unique<TopologyDirectory>(&topo_);
-    std::unordered_map<NodeId, StatusServer*> map;
-    for (NodeId h : topo_.hosts()) {
-      servers_.push_back(std::make_unique<StatusServer>(h, source_.get(), 0.0));
-      map[h] = servers_.back().get();
-      directory_->AddAlias("host" + std::to_string(h), h);
-    }
-    transport_ = std::make_unique<SimUdpTransport>(std::move(map), SimUdpParams{}, 1);
+    return MakeSingleSwitch(params);
   }
 
+  CloudTalkServer MakeServer(ServerConfig config, std::function<Seconds()> clock) {
+    return CloudTalkServer(config, &directory, transport.get(), std::move(clock));
+  }
+
+  std::string Ip(int host_index) const { return topo.IpOf(topo.hosts()[host_index]); }
+
+  // Makes `host_index` report full load.
+  void MakeBusy(int host_index) {
+    const NodeId host = topo.hosts()[host_index];
+    source.Set(host, StatusReport::AssumeLoaded(0, topo.host_caps(host)));
+  }
+
+  Topology topo;
+  ClusterSource source;
+  TopologyDirectory directory;
+  std::vector<std::unique_ptr<StatusServer>> servers;
+  std::unique_ptr<SimUdpTransport> transport;
+};
+
+class ServerTest : public ::testing::Test {
+ protected:
   CloudTalkServer MakeServer(ServerConfig config = {}) {
-    return CloudTalkServer(config, directory_.get(), transport_.get(),
-                           [this] { return now_; });
+    return fleet_.MakeServer(config, [this] { return now_; });
   }
 
-  std::string Ip(int host_index) const { return topo_.IpOf(topo_.hosts()[host_index]); }
+  std::string Ip(int host_index) const { return fleet_.Ip(host_index); }
 
-  Topology topo_;
-  std::unique_ptr<ClusterSource> source_;
-  std::unique_ptr<TopologyDirectory> directory_;
-  std::vector<std::unique_ptr<StatusServer>> servers_;
-  std::unique_ptr<SimUdpTransport> transport_;
+  Fleet fleet_;
   Seconds now_ = 0;
 };
 
@@ -951,8 +976,7 @@ bool HasAttr(const std::vector<std::pair<std::string, std::string>>& attrs,
 
 TEST_F(ServerTest, AnswersReplicaQuery) {
   // Make host 1 busy, host 2 idle; the query should pick host 2.
-  StatusReport busy = StatusReport::AssumeLoaded(0, topo_.host_caps(topo_.hosts()[1]));
-  source_->Set(topo_.hosts()[1], busy);
+  fleet_.MakeBusy(1);
   CloudTalkServer server = MakeServer();
   auto reply = server.Answer("A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) +
                              " size 256M\n");
@@ -986,7 +1010,7 @@ TEST_F(ServerTest, MissingRepliesAssumedLoaded) {
   lossy.base_loss = 1.0;
   SimUdpTransport dead_transport({}, lossy, 1);
   ServerConfig config;
-  CloudTalkServer server(config, directory_.get(), &dead_transport, [] { return 0.0; });
+  CloudTalkServer server(config, &fleet_.directory, &dead_transport, [] { return 0.0; });
   auto reply =
       server.Answer("A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 1M\n");
   ASSERT_TRUE(reply.ok());
@@ -1032,8 +1056,8 @@ TEST_F(ServerTest, DisabledReservationsAreNotCounted) {
   ServerConfig config;
   config.reservation_hold = 0;
   CloudTalkServer flat = MakeServer(config);
-  CloudTalkServer sharded(ShardedConfig{config, /*shards=*/4}, directory_.get(),
-                          transport_.get(), [this] { return now_; });
+  CloudTalkServer sharded(ShardedConfig{config, /*shards=*/4}, &fleet_.directory,
+                          fleet_.transport.get(), [this] { return now_; });
   const std::string query =
       "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 1M\n";
   for (CloudTalkServer* server : {&flat, &sharded}) {
@@ -1059,11 +1083,32 @@ TEST_F(ServerTest, DisabledReservationsAreNotCounted) {
 
 TEST_F(ServerTest, SymbolicAliasesResolve) {
   CloudTalkServer server = MakeServer();
-  const NodeId h1 = topo_.hosts()[1];
+  const NodeId h1 = fleet_.topo.hosts()[1];
   auto reply = server.Answer("A = (host" + std::to_string(h1) + ")\nf1 A -> " + Ip(0) +
                              " size 1M\n");
   ASSERT_TRUE(reply.ok()) << reply.error().ToString();
   EXPECT_EQ(reply.value().binding.at("A").name, "host" + std::to_string(h1));
+}
+
+TEST_F(ServerTest, HostNamedByAliasAndAddressIsProbedOnceForBoth) {
+  // Host 1 is idle and host 2 busy. The pool names host 1 by its alias; a
+  // second, unrelated flow names it by its address. Both names must read
+  // the one probe of host 1, so the flow changes neither the pick nor its
+  // score, and the host is probed once.
+  fleet_.MakeBusy(2);
+  CloudTalkServer server = MakeServer();
+  const std::string alias = "host" + std::to_string(fleet_.topo.hosts()[1]);
+  const std::string pool = "option noreserve\nA = (" + alias + " " + Ip(2) + ")\nf1 A -> " +
+                           Ip(0) + " size 256M\n";
+  const auto alone = server.Answer(pool);
+  const auto named = server.Answer(pool + "f2 " + Ip(1) + " -> " + Ip(3) + " size 1M\n");
+  ASSERT_TRUE(alone.ok()) << alone.error().ToString();
+  ASSERT_TRUE(named.ok()) << named.error().ToString();
+  EXPECT_EQ(alone.value().binding.at("A").name, alias);
+  EXPECT_EQ(named.value().binding.at("A").name, alias);
+  EXPECT_EQ(named.value().scores, alone.value().scores);
+  EXPECT_EQ(alone.value().probe_stats.requests_sent, 3);  // Hosts 1, 2 and 0.
+  EXPECT_EQ(named.value().probe_stats.requests_sent, 4);  // And host 3.
 }
 
 TEST_F(ServerTest, ParseErrorPropagates) {
@@ -1148,7 +1193,7 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   // test only exercises the exhaustive branch's trace attribution.
   FlowLevelEstimator packet_stand_in;
   ServerConfig config;
-  CloudTalkServer server(config, directory_.get(), transport_.get(),
+  CloudTalkServer server(config, &fleet_.directory, fleet_.transport.get(),
                          [this] { return now_; }, &packet_stand_in);
   const std::string query = "option packet\nA = (" + Ip(1) + " " + Ip(2) + " " + Ip(3) +
                             ")\nf1 A -> " + Ip(0) + " size 64M end 1000\n";
@@ -1158,7 +1203,7 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   // Without a bound model the plan runs without O500, which the engine
   // could not use anyway: the same binding, and no O500 attribution.
   NoBoundModelEstimator no_model_stand_in;
-  CloudTalkServer no_model_server(config, directory_.get(), transport_.get(),
+  CloudTalkServer no_model_server(config, &fleet_.directory, fleet_.transport.get(),
                                   [this] { return now_; }, &no_model_stand_in);
   auto no_model = no_model_server.Answer(query);
   ASSERT_TRUE(no_model.ok()) << no_model.error().ToString();
@@ -1310,6 +1355,219 @@ TEST_F(ServerTest, QuoteScalesWithPricingModel) {
   auto pricier = server.Quote(query);
   ASSERT_TRUE(pricier.ok());
   EXPECT_GT(pricier.value().price, cheap.value().price * 10);
+}
+
+// ---- Front-end cache: parse and lint a repeated spelling once ----
+
+// Everything a client sees of an answer but its trace, bit-faithfully.
+std::string AnswerDigest(const Result<QueryReply>& reply) {
+  if (!reply.ok()) {
+    return "error: " + reply.error().ToString();
+  }
+  const QueryReply& r = reply.value();
+  std::ostringstream out;
+  out << std::setprecision(17);
+  std::map<std::string, std::string> binding;
+  for (const auto& [var, endpoint] : r.binding) {
+    binding[var] = endpoint.name;
+  }
+  for (const auto& [var, name] : binding) {
+    out << var << '=' << name << ' ';
+  }
+  for (const auto& [var, score] : r.scores) {
+    out << var << ':' << score << ' ';
+  }
+  for (const lang::Diagnostic& d : r.warnings) {
+    out << d.code << '@' << d.span.line << ':' << d.span.column << ' ' << d.message << "; ";
+  }
+  const ProbeStats& p = r.probe_stats;
+  out << "probes " << p.requests_sent << '/' << p.replies_received << '/' << p.bytes_sent
+      << '/' << p.bytes_received << '/' << p.timeouts << " makespan " << r.estimate.makespan
+      << (r.used_exhaustive ? " exhaustive" : "");
+  return out.str();
+}
+
+int64_t FrontEndCacheHits() { return obs::Registry::Instance().counter("M119")->value(); }
+
+bool ParsedFromCache(const Result<QueryReply>& reply) {
+  return reply.ok() && HasAttr(SpanAttrs(reply.value().trace, "parse"), "cache");
+}
+
+// An answer that neither probes nor reserves: its reply is a function of
+// the bytes alone.
+std::string StaticSpelling(const Fleet& fleet, int size_kib) {
+  return "option static\noption noreserve\nA = (" + fleet.Ip(2) + " " + fleet.Ip(3) +
+         ")\nf1 A -> " + fleet.Ip(0) + " size " + std::to_string(size_kib) + "K\n";
+}
+
+// `body` padded with a trailing comment to about `bytes` bytes.
+std::string Padded(const std::string& body, size_t bytes) {
+  return body + "# " + std::string(bytes > body.size() + 3 ? bytes - body.size() - 3 : 0, 'x') +
+         "\n";
+}
+
+TEST(FrontEndCacheTest, RepeatedSpellingsAnswerLikeFreshOnes) {
+  // Twin servers on twin fleets see the same queries three times. One gets
+  // exact repeats, which hit from the third answer on; the other gets each
+  // repeat with a new trailing comment, which never hits. Every pair of
+  // replies must match, errors included.
+  Fleet cached_fleet;
+  Fleet fresh_fleet;
+  cached_fleet.MakeBusy(1);
+  fresh_fleet.MakeBusy(1);
+  CloudTalkServer cached = cached_fleet.MakeServer({}, [] { return 0.0; });
+  CloudTalkServer fresh = fresh_fleet.MakeServer({}, [] { return 0.0; });
+  const Fleet& f = cached_fleet;
+  const std::vector<std::string> queries = {
+      // Probes, binds and reserves: later rounds see the earlier holds.
+      "A = (" + f.Ip(1) + " " + f.Ip(2) + " " + f.Ip(3) + ")\nf1 A -> " + f.Ip(0) +
+          " size 256M\n",
+      "option noreserve\nA = (host" + std::to_string(f.topo.hosts()[4]) + " " + f.Ip(5) +
+          ")\nB = (" + f.Ip(6) + " " + f.Ip(7) + ")\nf1 A -> B size 64M\nf2 B -> disk size 8M\n",
+      StaticSpelling(f, 1024),
+      // Warning-only: W001, W020 and W100.
+      "A = (" + f.Ip(1) + " " + f.Ip(2) + ")\nunused = (" + f.Ip(3) + ")\nf1 A -> A size 1M\n",
+      // Rejected by lint (E030), by the parser, and by the bound check.
+      "f1 " + f.Ip(1) + " -> " + f.Ip(2) + " size sz(f2)\nf2 " + f.Ip(2) + " -> " + f.Ip(3) +
+          " size sz(f1)\n",
+      "A = (" + f.Ip(1) + ")\nf1 A => " + f.Ip(0) + " size 1M\n",
+      "A = (" + f.Ip(2) + ")\nf1 A -> " + f.Ip(0) + " size 1G end 0.001\n",
+  };
+  const std::vector<std::string> rejections = {"[E030]", "[E001]",
+                                                "no binding can meet the deadline"};
+  const int64_t hits_before = FrontEndCacheHits();
+  for (int round = 0; round < 3; ++round) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string& query = queries[q];
+      SCOPED_TRACE("round " + std::to_string(round) + ": " + query);
+      const Result<QueryReply> repeat = cached.Answer(query);
+      const Result<QueryReply> respelled =
+          fresh.Answer(round == 0 ? query : query + "# round " + std::to_string(round) + "\n");
+      EXPECT_EQ(AnswerDigest(repeat), AnswerDigest(respelled));
+      const size_t rejected = queries.size() - rejections.size();
+      EXPECT_EQ(repeat.ok(), q < rejected);
+      if (q >= rejected) {
+        EXPECT_NE(AnswerDigest(repeat).find(rejections[q - rejected]), std::string::npos);
+      }
+      EXPECT_FALSE(ParsedFromCache(respelled));
+      if (obs::kObsEnabled && repeat.ok()) {
+        EXPECT_EQ(ParsedFromCache(repeat), round == 2);
+      }
+    }
+  }
+  EXPECT_FALSE(cached.Answer(queries[4]).ok());
+  if (obs::kObsEnabled) {
+    // The third round and the extra answer above hit; the respellings never did.
+    EXPECT_EQ(FrontEndCacheHits() - hits_before, static_cast<int64_t>(queries.size()) + 1);
+  }
+}
+
+TEST(FrontEndCacheTest, SpellingIsKeptOnItsSecondSighting) {
+  Fleet fleet;
+  CloudTalkServer server = fleet.MakeServer({}, [] { return 0.0; });
+  const std::string query = StaticSpelling(fleet, 64);
+  const int64_t hits_before = FrontEndCacheHits();
+  for (int sighting = 1; sighting <= 3; ++sighting) {
+    SCOPED_TRACE("sighting " + std::to_string(sighting));
+    const Result<QueryReply> reply = server.Answer(query);
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(FrontEndCacheHits() - hits_before, sighting == 3 ? 1 : 0);
+      EXPECT_EQ(ParsedFromCache(reply), sighting == 3);
+    }
+  }
+  // A spelling differing by one byte is a new spelling.
+  const Result<QueryReply> other = server.Answer(query + "\n");
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(ParsedFromCache(other));
+}
+
+TEST(FrontEndCacheTest, EverySpellingOfALongCycleIsKept) {
+  // Two thousand spellings answered round-robin: the first round records
+  // each, the second keeps each, and from the third on every answer hits.
+  Fleet fleet;
+  CloudTalkServer server = fleet.MakeServer({}, [] { return 0.0; });
+  std::vector<std::string> spellings;
+  for (int i = 0; i < 2000; ++i) {
+    spellings.push_back(StaticSpelling(fleet, i + 1));
+  }
+  for (int round = 1; round <= 5; ++round) {
+    const int64_t hits_before = FrontEndCacheHits();
+    for (const std::string& spelling : spellings) {
+      ASSERT_TRUE(server.Answer(spelling).ok()) << spelling;
+    }
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(FrontEndCacheHits() - hits_before, round >= 3 ? 2000 : 0) << "round " << round;
+    }
+  }
+}
+
+TEST(FrontEndCacheTest, OldestSpellingIsEvictedFirst) {
+  // Spellings of a sixteenth of the budget each: after seventeen are kept,
+  // the budget no longer holds the first one, while the last one stays.
+  Fleet fleet;
+  CloudTalkServer server = fleet.MakeServer({}, [] { return 0.0; });
+  const size_t bytes = CloudTalkServer::kFrontEndBudget / 16;
+  std::vector<std::string> spellings;
+  for (int i = 0; i < 17; ++i) {
+    spellings.push_back(Padded(StaticSpelling(fleet, i + 1), bytes));
+    ASSERT_TRUE(server.Answer(spellings.back()).ok());
+    ASSERT_TRUE(server.Answer(spellings.back()).ok());  // Kept on this sighting.
+  }
+  const int64_t hits_before = FrontEndCacheHits();
+  const Result<QueryReply> latest = server.Answer(spellings.back());
+  const Result<QueryReply> second = server.Answer(spellings[1]);
+  const Result<QueryReply> earliest = server.Answer(spellings.front());
+  ASSERT_TRUE(latest.ok() && second.ok() && earliest.ok());
+  if (obs::kObsEnabled) {
+    EXPECT_TRUE(ParsedFromCache(latest));
+    EXPECT_TRUE(ParsedFromCache(second));
+    EXPECT_FALSE(ParsedFromCache(earliest));
+    EXPECT_EQ(FrontEndCacheHits() - hits_before, 2);
+  }
+}
+
+TEST(FrontEndCacheTest, ConcurrentAnswersMatchSingleThreadedReplies) {
+  // Four threads share one server over small spellings, which stay cached,
+  // and spellings of over a third of the budget, which keep evicting one
+  // another. Every reply must equal the one a fresh server gives.
+  Fleet fleet;
+  std::vector<std::string> spellings;
+  for (int i = 0; i < 6; ++i) {
+    spellings.push_back(StaticSpelling(fleet, 100 + i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    spellings.push_back(Padded(StaticSpelling(fleet, 200 + i),
+                               CloudTalkServer::kFrontEndBudget / 3 + 1));
+  }
+  std::vector<std::string> want;
+  {
+    CloudTalkServer reference = fleet.MakeServer({}, [] { return 0.0; });
+    for (const std::string& spelling : spellings) {
+      want.push_back(AnswerDigest(reference.Answer(spelling)));
+      ASSERT_EQ(want.back().rfind("error", 0), std::string::npos) << want.back();
+    }
+  }
+  CloudTalkServer server = fleet.MakeServer({}, [] { return 0.0; });
+  constexpr int kThreads = 4;
+  constexpr int kAnswers = 60;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&server, &spellings, &got, t] {
+      for (int i = 0; i < kAnswers; ++i) {
+        got[t].push_back(AnswerDigest(server.Answer(spellings[(i + t) % spellings.size()])));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kAnswers; ++i) {
+      EXPECT_EQ(got[t][i], want[(i + t) % spellings.size()]) << "thread " << t << " answer " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -370,7 +370,94 @@ TEST(TraceGoldenTest, HdfsWriteTraceMatchesSnapshot) {
       << "regenerate with: ctstat --trace --stable examples/queries/good/hdfs_write.ct";
 }
 
-// Property: every good fixture's trace is a well-formed phase tree.
+// Property: `reply`'s trace is a well-formed phase tree.
+void ExpectWellFormedTrace(const QueryReply& reply) {
+  const Trace& trace = reply.trace;
+  ASSERT_FALSE(trace.empty());
+
+  // Exactly one root, which is span 0, named "answer".
+  int roots = 0;
+  for (const TraceSpan& span : trace.spans) {
+    roots += span.parent < 0 ? 1 : 0;
+  }
+  EXPECT_EQ(roots, 1);
+  EXPECT_EQ(trace.spans[0].parent, -1);
+  EXPECT_EQ(trace.spans[0].name(), "answer");
+
+  // Every span is closed, has a valid parent, ids match positions, and
+  // lies inside its parent's interval.
+  for (size_t i = 0; i < trace.spans.size(); ++i) {
+    const TraceSpan& span = trace.spans[i];
+    EXPECT_EQ(span.id, static_cast<int>(i));
+    EXPECT_TRUE(span.closed) << span.name();
+    EXPECT_GE(span.duration, 0.0) << span.name();
+    if (span.parent >= 0) {
+      ASSERT_LT(span.parent, static_cast<int>(i)) << span.name();
+      const TraceSpan& parent = trace.spans[span.parent];
+      EXPECT_GE(span.start, parent.start - 1e-9) << span.name();
+      EXPECT_LE(span.start + span.duration, parent.start + parent.duration + 1e-9)
+          << span.name() << " escapes " << parent.name();
+    }
+  }
+
+  // The full phase skeleton is present on every reply.
+  for (const char* phase : {"parse", "lint", "compile", "scope", "route", "aggregate", "sample",
+                            "probe", "bound", "bind", "reserve"}) {
+    EXPECT_NE(FindSpan(trace, phase), nullptr) << "missing phase span " << phase;
+  }
+
+  // Sibling phases never overlap in time.
+  std::map<int, std::vector<const TraceSpan*>> by_parent;
+  for (const TraceSpan& span : trace.spans) {
+    if (span.parent >= 0) {
+      by_parent[span.parent].push_back(&span);
+    }
+  }
+  for (auto& [parent, siblings] : by_parent) {
+    std::vector<const TraceSpan*> sorted = siblings;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const TraceSpan* a, const TraceSpan* b) { return a->start < b->start; });
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      EXPECT_GE(sorted[i]->start, sorted[i - 1]->start + sorted[i - 1]->duration - 1e-9)
+          << sorted[i - 1]->name() << " overlaps " << sorted[i]->name() << " under parent "
+          << trace.spans[parent].name();
+    }
+  }
+
+  // Probe fan-out children match the probe accounting exactly: one
+  // probe.host child per request the transport actually sent.
+  const TraceSpan* probe = FindSpan(trace, "probe");
+  ASSERT_NE(probe, nullptr);
+  int host_children = 0;
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name() == "probe.host") {
+      EXPECT_EQ(span.parent, probe->id);
+      ++host_children;
+    }
+  }
+  EXPECT_EQ(host_children, reply.probe_stats.requests_sent);
+
+  // The routed skeleton: one aggregate.shard child of `aggregate` per
+  // shard batch, whose fanouts account for every probe sent.
+  const TraceSpan* aggregate = FindSpan(trace, "aggregate");
+  ASSERT_NE(aggregate, nullptr);
+  int shard_fanout = 0;
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name() != "aggregate.shard") {
+      continue;
+    }
+    EXPECT_EQ(span.parent, aggregate->id);
+    for (const auto& [key, value] : trace.AttrsOf(span.id)) {
+      if (key == "fanout") {
+        shard_fanout += std::stoi(value);
+      }
+    }
+  }
+  EXPECT_EQ(shard_fanout, reply.probe_stats.requests_sent);
+}
+
+// Property: every good fixture's trace is a well-formed phase tree, also
+// on the third answer of the same bytes, which the front-end cache serves.
 TEST(TracePropertyTest, GoodFixtureTracesAreWellFormed) {
   if (!kObsEnabled) {
     GTEST_SKIP() << "observability compiled out";
@@ -391,90 +478,25 @@ TEST(TracePropertyTest, GoodFixtureTracesAreWellFormed) {
     Cluster cluster = MakeTestCluster();
     cluster.StartStatusSweep();
     cluster.MeasureNow();
-    const Result<QueryReply> reply = cluster.cloudtalk().Answer(ReadFileOrDie(fixture));
-    ASSERT_TRUE(reply.ok()) << reply.error().message;
-    const Trace& trace = reply.value().trace;
-    ASSERT_FALSE(trace.empty());
-
-    // Exactly one root, which is span 0, named "answer".
-    int roots = 0;
-    for (const TraceSpan& span : trace.spans) {
-      roots += span.parent < 0 ? 1 : 0;
+    const std::string query = ReadFileOrDie(fixture);
+    std::vector<Result<QueryReply>> replies;
+    for (int sighting = 1; sighting <= 3; ++sighting) {
+      replies.push_back(cluster.cloudtalk().Answer(query));
+      ASSERT_TRUE(replies.back().ok()) << replies.back().error().message;
     }
-    EXPECT_EQ(roots, 1);
-    EXPECT_EQ(trace.spans[0].parent, -1);
-    EXPECT_EQ(trace.spans[0].name(), "answer");
-
-    // Every span is closed, has a valid parent, ids match positions, and
-    // lies inside its parent's interval.
-    for (size_t i = 0; i < trace.spans.size(); ++i) {
-      const TraceSpan& span = trace.spans[i];
-      EXPECT_EQ(span.id, static_cast<int>(i));
-      EXPECT_TRUE(span.closed) << span.name();
-      EXPECT_GE(span.duration, 0.0) << span.name();
-      if (span.parent >= 0) {
-        ASSERT_LT(span.parent, static_cast<int>(i)) << span.name();
-        const TraceSpan& parent = trace.spans[span.parent];
-        EXPECT_GE(span.start, parent.start - 1e-9) << span.name();
-        EXPECT_LE(span.start + span.duration, parent.start + parent.duration + 1e-9)
-            << span.name() << " escapes " << parent.name();
+    for (const int answer : {0, 2}) {
+      SCOPED_TRACE("answer " + std::to_string(answer + 1));
+      const Trace& trace = replies[answer].value().trace;
+      ExpectWellFormedTrace(replies[answer].value());
+      // Only the cached answer says so on its parse span.
+      const TraceSpan* parse = FindSpan(trace, "parse");
+      ASSERT_NE(parse, nullptr);
+      bool hit = false;
+      for (const auto& [key, value] : trace.AttrsOf(parse->id)) {
+        hit |= key == "cache" && value == "hit";
       }
+      EXPECT_EQ(hit, answer == 2);
     }
-
-    // The full phase skeleton is present on every reply.
-    for (const char* phase : {"parse", "lint", "compile", "scope", "route", "aggregate", "sample",
-                              "probe", "bound", "bind", "reserve"}) {
-      EXPECT_NE(FindSpan(trace, phase), nullptr) << "missing phase span " << phase;
-    }
-
-    // Sibling phases never overlap in time.
-    std::map<int, std::vector<const TraceSpan*>> by_parent;
-    for (const TraceSpan& span : trace.spans) {
-      if (span.parent >= 0) {
-        by_parent[span.parent].push_back(&span);
-      }
-    }
-    for (auto& [parent, siblings] : by_parent) {
-      std::vector<const TraceSpan*> sorted = siblings;
-      std::stable_sort(sorted.begin(), sorted.end(),
-                       [](const TraceSpan* a, const TraceSpan* b) { return a->start < b->start; });
-      for (size_t i = 1; i < sorted.size(); ++i) {
-        EXPECT_GE(sorted[i]->start, sorted[i - 1]->start + sorted[i - 1]->duration - 1e-9)
-            << sorted[i - 1]->name() << " overlaps " << sorted[i]->name() << " under parent "
-            << trace.spans[parent].name();
-      }
-    }
-
-    // Probe fan-out children match the probe accounting exactly: one
-    // probe.host child per request the transport actually sent.
-    const TraceSpan* probe = FindSpan(trace, "probe");
-    ASSERT_NE(probe, nullptr);
-    int host_children = 0;
-    for (const TraceSpan& span : trace.spans) {
-      if (span.name() == "probe.host") {
-        EXPECT_EQ(span.parent, probe->id);
-        ++host_children;
-      }
-    }
-    EXPECT_EQ(host_children, reply.value().probe_stats.requests_sent);
-
-    // The routed skeleton: one aggregate.shard child of `aggregate` per
-    // shard batch, whose fanouts account for every probe sent.
-    const TraceSpan* aggregate = FindSpan(trace, "aggregate");
-    ASSERT_NE(aggregate, nullptr);
-    int shard_fanout = 0;
-    for (const TraceSpan& span : trace.spans) {
-      if (span.name() != "aggregate.shard") {
-        continue;
-      }
-      EXPECT_EQ(span.parent, aggregate->id);
-      for (const auto& [key, value] : trace.AttrsOf(span.id)) {
-        if (key == "fanout") {
-          shard_fanout += std::stoi(value);
-        }
-      }
-    }
-    EXPECT_EQ(shard_fanout, reply.value().probe_stats.requests_sent);
   }
 }
 

@@ -109,10 +109,9 @@ TEST(ScopeFootprintTest, CandidatesCoverInertPoolsForReservationVisibility) {
   // gets reserved. So the admission gate's candidate set must cover inert
   // pools even though the status footprint never does.
   const lang::ScopeAnalysis scope = MustAnalyze(
-      "A = (10.0.0.1)\nidle = (10.0.0.8)\nf1 A -> 10.0.0.3 size 1M\n");
-  EXPECT_EQ(scope.candidates.count("10.0.0.1"), 1u);
-  EXPECT_EQ(scope.candidates.count("10.0.0.8"), 1u);
-  EXPECT_EQ(scope.candidates.count("10.0.0.3"), 0u);  // Literals never reserved.
+      "A = (10.0.0.1)\nidle = (10.0.0.8 10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n");
+  // Sorted and deduplicated; literals are never reserved, so 10.0.0.3 is out.
+  EXPECT_EQ(scope.candidates, (std::vector<std::string>{"10.0.0.1", "10.0.0.8"}));
   EXPECT_FALSE(scope.InFootprint("10.0.0.8"));
 }
 
@@ -387,7 +386,8 @@ TEST(ScopeAdmissionTest, SingleSlotFallsBackToSerial) {
   Cluster cluster = MakeCluster(true, 16, /*seed=*/1, /*hold=*/60.0, /*slots=*/1);
   cluster.MeasureNow();
   std::vector<std::thread> threads;
-  std::vector<bool> ok(3, false);
+  // Not vector<bool>: per-thread writes must land on distinct bytes.
+  std::vector<char> ok(3, 0);
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&cluster, &ok, t] {
       const int base = 1 + 4 * t;
@@ -411,7 +411,8 @@ TEST(ScopeAdmissionTest, GateBypassedWithoutReservations) {
   const std::string query = "option static\noption noreserve\nA = (" + cluster.ip(1) + " " +
                             cluster.ip(2) + ")\nf1 A -> " + cluster.ip(0) + " size 1M\n";
   std::vector<std::thread> threads;
-  std::vector<bool> ok(2, false);
+  // Not vector<bool>: per-thread writes must land on distinct bytes.
+  std::vector<char> ok(2, 0);
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back(
         [&cluster, &query, &ok, t] { ok[t] = cluster.cloudtalk().Answer(query).ok(); });
