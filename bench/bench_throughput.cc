@@ -196,13 +196,9 @@ int main(int argc, char** argv) {
 
   const int64_t total = answered.load() + failed.load();
   const double qps = static_cast<double>(total) / elapsed.count();
-  double p50 = 0;
-  double p99 = 0;
-  if (obs::kObsEnabled) {
-    const obs::Histogram& hist = *obs::Registry::Instance().histogram("M102");
-    p50 = HistogramQuantile(hist, 0.50);
-    p99 = HistogramQuantile(hist, 0.99);
-  }
+  const obs::Histogram& hist = *obs::Registry::Instance().histogram("M102");
+  const double p50 = HistogramQuantile(hist, 0.50);
+  const double p99 = HistogramQuantile(hist, 0.99);
   std::printf("throughput: %lld queries (%lld failed) in %.3fs = %.0f qps, "
               "p50 <= %.6fs, p99 <= %.6fs\n",
               static_cast<long long>(total), static_cast<long long>(failed.load()),

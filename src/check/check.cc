@@ -66,7 +66,7 @@ const std::vector<InvariantInfo>& InvariantCatalog() {
       {"D505", "shard",
        "sharded-deployment identity: CloudTalkServer built over 1, 2, or 4 "
        "shards — hierarchical probe aggregation, one exhaustive search over the "
-       "merged status, two-phase cross-shard reservations — "
+       "merged status, holds on every owning shard or on none — "
        "answers byte-identically to the default one-shard server, for "
        "sequential queries and for disjoint queries admitted concurrently "
        "through the N-slot gate (checked differentially by ctcheck "
@@ -120,14 +120,10 @@ const std::vector<InvariantInfo>& InvariantCatalog() {
        "the shard map is a total partition: every probe target and every "
        "reservation routes to exactly one owning shard, so no host is ever "
        "probed twice or double-reserved across shards"},
-      {"I411", "shard",
-       "a two-phase commit or abort always matches a lease the shard's "
-       "reservation table still holds (never prepared, or already "
-       "committed/aborted, fires)"},
       {"I412", "shard",
-       "hierarchical probe aggregation merges a partition: the rolled-up "
-       "status holds one report per answering target and never invents a "
-       "host no shard probed"},
+       "hierarchical probe aggregation reads a partition: a shard reports "
+       "only hosts of its own slice of the probe targets, so no report is "
+       "invented or read from a shard that does not own the host"},
       {"L401", "lock",
        "no two locks are ever acquired in opposite orders by different threads "
        "(lock-order inversion)"},

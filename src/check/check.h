@@ -45,8 +45,9 @@ inline constexpr bool kInvariantsEnabled = true;
 inline constexpr bool kInvariantsEnabled = false;
 #endif
 
-// What a fired invariant does after reporting. Process-wide; see
-// ServerConfig::invariant_policy for the usual way to set it.
+// What a fired invariant does after reporting. Process-wide, and set only
+// by SetViolationPolicy: a tool or test sets it once, and nothing it builds
+// changes it.
 enum class OnViolation {
   kAbort,           // Print and std::abort() (debug default: fail loudly).
   kLogAndContinue,  // Report through the sink and keep running (fuzzer,

@@ -105,7 +105,7 @@ Result<HeuristicResult> EvaluateHeuristic(const std::vector<lang::VarComm>& vari
                                           const HeuristicParams& params,
                                           const ReservationFilter& reserved) {
   HeuristicResult result;
-  const bool distinct = params.distinct_bindings && !allow_same;
+  const bool distinct = !allow_same;
   // How many times each address has been handed out (distinct bindings wrap
   // around once the pool is exhausted).
   std::unordered_map<std::string, int> times_used;

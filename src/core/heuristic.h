@@ -45,11 +45,6 @@ struct HeuristicParams {
   FitnessModel fitness = FitnessModel::kFairShare;
   // Ablation toggle for the priority-binding rule (DESIGN.md #3).
   bool enable_priority_binding = true;
-  // Default: variables never share a binding; the language's
-  // `option allow_same` overrides. When the pool is smaller than the number
-  // of variables, bindings wrap around (Section 5.3 reduce query: "everyone
-  // receives at least one reduce task").
-  bool distinct_bindings = true;
 };
 
 // A hook consulted before committing each assignment: returns true if the
@@ -64,7 +59,11 @@ struct HeuristicResult {
 };
 
 // Binds every variable of `query` given the status snapshot. `reserved` may
-// be null. Fails only if a variable has an empty candidate pool.
+// be null. Fails only if a variable has an empty candidate pool. Variables
+// never share a binding unless the query says `option allow_same`; when a
+// pool is smaller than the number of variables drawing from it, bindings
+// wrap around (Section 5.3 reduce query: "everyone receives at least one
+// reduce task").
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
                                           const StatusByAddress& status,
                                           const HeuristicParams& params,

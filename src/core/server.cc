@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/check/check.h"
 #include "src/common/lock_registry.h"
 #include "src/common/logging.h"
 #include "src/lang/bound.h"
@@ -49,11 +50,6 @@ constexpr double kSampleConfidence = 0.99;
 // How long a scatter-gather waits for status replies before treating the
 // silent hosts as missing.
 constexpr Seconds kProbeTimeout = 10 * kMillisecond;
-// Two-phase reserve: how long a prepared-but-uncommitted lease holds its
-// endpoint before expiring on its own. Long enough to cover the
-// prepare→commit window, short enough that a crashed front end frees its
-// hosts quickly.
-constexpr Seconds kPrepareLease = 50 * kMillisecond;
 // The front-end cache's doorkeeper: fingerprints of spellings sighted once,
 // in 4-way buckets. 64k of them (512 KiB) remember several budgets' worth
 // of short spellings, and keep any 4 + 1 spellings of a short cycle from
@@ -65,25 +61,26 @@ std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardMap& map,
                                                      ProbeTransport* transport, Seconds hold) {
   std::vector<std::unique_ptr<StatusShard>> shards;
   for (int i = 0; i < map.shards(); ++i) {
-    shards.push_back(std::make_unique<StatusShard>(i, transport, hold));
+    shards.push_back(std::make_unique<StatusShard>(transport, hold));
   }
   return shards;
 }
 
-std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusShard>>& owned) {
-  std::vector<StatusShard*> raw;
-  for (const auto& shard : owned) {
-    raw.push_back(shard.get());
-  }
-  return raw;
-}
-
 // Opens the parse span every reply starts with.
 int OpenParseSpan(const std::string& query_text, obs::TraceContext& trace) {
-  const int parse_span = trace.OpenFollowing("parse");
+  const int parse_span = trace.Open("parse");
   trace.Attr(parse_span, "bytes", static_cast<int64_t>(query_text.size()));
   return parse_span;
 }
+
+// One shard's part of a status gather: how many targets it was asked to
+// probe and how many replied. AnswerTraced renders each as an
+// `aggregate.shard` trace event.
+struct ShardBatch {
+  int shard = 0;
+  int fanout = 0;
+  int replies = 0;
+};
 
 // The answer pipeline's stages, each written so its bytes do not depend on
 // the shard count — the D505 differential contract:
@@ -92,9 +89,12 @@ int OpenParseSpan(const std::string& query_text, obs::TraceContext& trace) {
 //     caller seeds with the query's variables (one RNG stream, drawn over
 //     the FULL variable set so the stream is independent of footprint
 //     pruning), address assembly, resolution, and the scatter-gather over
-//     the footprint (`scope`; nullptr probes everything). The server
-//     passes its ShardRouter as the transport, turning the one logical
-//     gather into per-shard batches without changing the bytes.
+//     the footprint (`scope`; nullptr probes everything). The targets are
+//     split by owning shard and each non-empty slice is probed through its
+//     shard, in shard order; every target's report is read from its
+//     owner's outcome. One ShardBatch per probed shard goes to `*batches`.
+//     The simulated transport draws no RNG for lossless probes, so
+//     per-shard batches consume the same randomness as one flat batch.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the pre-search rejection, error string and all.
 //     Builds the bound analysis only when it can reject: the query has a
@@ -105,12 +105,14 @@ int OpenParseSpan(const std::string& query_text, obs::TraceContext& trace) {
 //     optimisation plan, then runs the engine once over the merged status
 //     (parallel internally per `config.eval_threads`), at any shard count.
 StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
-                                 ProbeTransport& transport, Rng& rng, std::mutex& rng_mutex,
+                                 const ShardMap& map,
+                                 const std::vector<std::unique_ptr<StatusShard>>& shards,
+                                 Rng& rng, std::mutex& rng_mutex,
                                  const lang::CompiledQuery& compiled,
                                  const lang::ScopeAnalysis* scope,
                                  std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
-                                 obs::TraceContext& trace) {
-  const int sample_span = trace.OpenFollowing("sample");
+                                 std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
+  const int sample_span = trace.Open("sample");
   // Sampling (Section 4.3): shrink any pool larger than the threshold.
   // Variables sharing one declaration share one pool; the sample must cover
   // the d variables drawing from it, so size it with d = sharer count.
@@ -156,7 +158,8 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   trace.Attr(sample_span, "sampled", static_cast<int64_t>(pools_sampled));
   // The probe span opens as sampling closes (one shared clock reading) and
   // covers address assembly, resolution, and the scatter-gather itself.
-  const int probe_span = trace.Transition(sample_span, "probe");
+  trace.Close(sample_span);
+  const int probe_span = trace.Open("probe");
 
   // Address set to probe: sampled pools plus literal flow endpoints, minus
   // the hosts the footprint analysis proves no evaluation engine reads.
@@ -206,8 +209,47 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
       aliases.emplace_back(&address, it->second);
     }
   }
-  ProbeOutcome outcome = transport.Probe(targets, kProbeTimeout);
-  stats->Accumulate(outcome.stats);
+
+  // Split the targets by owning shard, keeping their order in each slice.
+  // I410: ShardOf is a total function onto [0, shards), so every target
+  // lands in exactly one slice.
+  const int num_shards = static_cast<int>(shards.size());
+  const auto owner_of = [&map, num_shards](NodeId node) {
+    const int owner = map.ShardOf(node);
+    CT_INVARIANT(owner >= 0 && owner < num_shards, "I410",
+                 "probe target routed outside the shard map")
+        .With("node", node)
+        .With("owner", owner);
+    return owner >= 0 && owner < num_shards ? owner : 0;
+  };
+  std::vector<std::vector<NodeId>> slices(shards.size());
+  for (const NodeId node : targets) {
+    slices[owner_of(node)].push_back(node);
+  }
+  std::vector<ProbeOutcome> outcomes(shards.size());
+  for (int s = 0; s < num_shards; ++s) {
+    const std::vector<NodeId>& slice = slices[s];
+    if (slice.empty()) {
+      continue;
+    }
+    outcomes[s] = shards[s]->Probe(slice, kProbeTimeout);
+    const ProbeOutcome& outcome = outcomes[s];
+    CT_OBS_INC("M115");
+    CT_OBS_OBSERVE("M116", static_cast<double>(slice.size()));
+    stats->Accumulate(outcome.stats);
+    batches->push_back(
+        ShardBatch{s, static_cast<int>(slice.size()), outcome.stats.replies_received});
+    // I412: a shard reports only hosts of its own slice.
+    if (check::kInvariantsEnabled) {
+      const std::unordered_set<NodeId> own(slice.begin(), slice.end());
+      for (const auto& [node, report] : outcome.reports) {
+        (void)report;
+        CT_INVARIANT(own.count(node) > 0, "I412", "a shard reported a host outside its slice")
+            .With("shard", s)
+            .With("node", node);
+      }
+    }
+  }
   CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
 
   StatusByAddress status;
@@ -215,8 +257,9 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   for (size_t t = 0; t < targets.size(); ++t) {
     const NodeId node = targets[t];
     const std::string& address = *named[t];
-    const auto it = outcome.reports.find(node);
-    const bool replied = it != outcome.reports.end();
+    const std::unordered_map<NodeId, StatusReport>& reports = outcomes[owner_of(node)].reports;
+    const auto it = reports.find(node);
+    const bool replied = it != reports.end();
     // One child event per contacted host, in deterministic target order. The
     // scatter-gather itself is batched, so the children record fan-out and
     // per-host outcome rather than individual wall times. A replied host
@@ -264,11 +307,10 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
   // footprint filter applies here too: an inert variable's hosts get no
   // synthetic idle status, matching what the engines can read.
   StatusByAddress status;
-  {
-    obs::TraceContext::Scoped sample_span(&trace, "sample");
-    trace.Attr(sample_span.id(), "mode", "static");
-  }
-  obs::TraceContext::Scoped probe_span(&trace, "probe");
+  const int sample_span = trace.Open("sample");
+  trace.Attr(sample_span, "mode", "static");
+  trace.Close(sample_span);
+  const int probe_span = trace.Open("probe");
   std::unordered_set<std::string> skipped_hosts;
   for (const lang::VarComm& var : variables) {
     for (const lang::Endpoint& e : var.pool) {
@@ -289,16 +331,17 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
   if (skipped > 0) {
     CT_OBS_ADD("M113", skipped);
   }
-  trace.Attr(probe_span.id(), "fanout", static_cast<int64_t>(0));
-  trace.Attr(probe_span.id(), "mode", "static");
-  trace.Attr(probe_span.id(), "skipped", skipped);
+  trace.Attr(probe_span, "fanout", static_cast<int64_t>(0));
+  trace.Attr(probe_span, "mode", "static");
+  trace.Attr(probe_span, "skipped", skipped);
+  trace.Close(probe_span);
   return status;
 }
 
-bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& compiled,
-                         const StatusByAddress& status, Seconds deadline, double bound_fraction,
-                         obs::TraceContext& trace, Error* error) {
-  const int bound_span = trace.OpenFollowing("bound");
+bool CheckAdmissionBound(const lang::CompiledQuery& compiled, const StatusByAddress& status,
+                         Seconds deadline, double bound_fraction, obs::TraceContext& trace,
+                         Error* error) {
+  const int bound_span = trace.Open("bound");
   if (!std::isfinite(deadline) || bound_fraction < 0) {
     trace.Attr(bound_span, "skipped", std::isfinite(deadline) ? "no-model" : "no-deadline");
     trace.Close(bound_span);
@@ -306,7 +349,6 @@ bool CheckAdmissionBound(const ServerConfig& config, const lang::CompiledQuery& 
   }
   lang::BoundOptions bound_options;
   bound_options.min_available_fraction = bound_fraction;
-  bound_options.distinct = config.heuristic.distinct_bindings;
   const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(compiled, status, bound_options);
   CT_OBS_INC("M108");
   char buf[32];
@@ -346,7 +388,6 @@ Result<ExhaustiveResult> RunExhaustive(const ServerConfig& config, const lang::Q
                                        obs::TraceContext& trace) {
   CT_OBS_INC("M105");
   ExhaustiveParams params;
-  params.distinct_bindings = config.heuristic.distinct_bindings;
   params.threads =
       query.options.eval_threads > 0 ? query.options.eval_threads : config.eval_threads;
   params.optimize = query.options.optimize >= 0;
@@ -367,7 +408,7 @@ Result<ExhaustiveResult> RunExhaustive(const ServerConfig& config, const lang::Q
     plan = lang::Optimize(compiled, status, opt_params);
     params.plan = &plan;
   }
-  const int bind_span = trace.OpenFollowing("bind");
+  const int bind_span = trace.Open("bind");
   trace.Attr(bind_span, "mode", "exhaustive");
   Result<ExhaustiveResult> best = EvaluateExhaustive(compiled, status, estimator, params);
   if (!best.ok()) {
@@ -414,11 +455,8 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
       packet_estimator_(packet_estimator),
       map_(config.shards),
       shards_(MakeShards(map_, transport, config_.reservation_hold)),
-      router_(&map_, RawShardPtrs(shards_)),
       rng_(config_.seed),
-      admission_(config_.admission_slots) {
-  check::SetViolationPolicy(config_.invariant_policy);
-}
+      admission_(config_.admission_slots) {}
 
 // Everything Answer derives from the query bytes alone. BuildFrontEnd
 // settles it before anyone else sees it; afterwards it is only read, so the
@@ -509,7 +547,7 @@ std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::BuildFrontEnd(
   }
   trace.Close(parse_span);
   auto front = std::make_shared<FrontEnd>(std::move(query));
-  const int lint_span = trace.OpenFollowing("lint");
+  const int lint_span = trace.Open("lint");
   lang::RunLint(front->facts, &sink);
   // Settle the facts the answer pipeline reads, so that from here on their
   // accessors only read. Lint's rules have normally computed them already.
@@ -544,7 +582,7 @@ std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::FrontEndOf(
   CT_OBS_INC("M119");
   trace.Attr(parse_span, "cache", "hit");
   trace.Close(parse_span);
-  const int lint_span = trace.OpenFollowing("lint");
+  const int lint_span = trace.Open("lint");
   trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(front->diagnostics.size()));
   trace.Close(lint_span);
   return front;
@@ -588,7 +626,7 @@ bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now
 Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
                                                  obs::TraceContext& trace, QuoteReply* quote) {
   const lang::Query& query = facts.query();
-  const int compile_span = trace.OpenFollowing("compile");
+  const int compile_span = trace.Open("compile");
   const Result<lang::CompiledQuery>& compiled = facts.compiled();
   trace.Close(compile_span);
   if (!compiled.ok()) {
@@ -598,7 +636,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
   // Static footprint & effect analysis (src/lang/scope): which hosts the
   // answer can depend on, and whether answering reserves. Drives the probe
   // filter below and the concurrent admission gate.
-  const int scope_span = trace.OpenFollowing("scope");
+  const int scope_span = trace.Open("scope");
   const lang::ScopeAnalysis& scope = facts.scope();
   trace.Attr(scope_span, "footprint", static_cast<int64_t>(scope.footprint.size()));
   trace.Attr(scope_span, "excluded", static_cast<int64_t>(scope.excluded.size()));
@@ -611,7 +649,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
   // in parallel; conflicting ones queue here, so the span's duration is the
   // admission wait. With reservations disabled every pair commutes, so the
   // gate is bypassed entirely.
-  const int route_span = trace.OpenFollowing("route");
+  const int route_span = trace.Open("route");
   trace.Attr(route_span, "shards", static_cast<int64_t>(num_shards()));
   trace.Attr(route_span, "slots", static_cast<int64_t>(admission_.slots()));
   const uint64_t admission_ticket =
@@ -633,20 +671,20 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
   std::vector<lang::VarComm> variables = compiled.value().variables();
   const lang::ScopeAnalysis* probe_scope = config_.scope_probe_pruning ? &scope : nullptr;
   {
-    // Hierarchical aggregation: the gather stage scatter-gathers through the
-    // ShardRouter, which probes each owning shard separately and rolls the
-    // reports up. One aggregate.shard event per contacted shard.
-    const int aggregate_span = trace.OpenFollowing("aggregate");
+    // Hierarchical aggregation: the gather stage probes each owning shard's
+    // slice separately. One aggregate.shard event per contacted shard.
+    const int aggregate_span = trace.Open("aggregate");
     if (query.options.use_dynamic_load) {
-      status = GatherStatusOver(config_, *directory_, router_, rng_, rng_mutex_, compiled.value(),
-                                probe_scope, &variables, &reply.probe_stats, trace);
-      for (const ShardRouter::Batch& batch : ShardRouter::LastBatches()) {
+      std::vector<ShardBatch> batches;
+      status = GatherStatusOver(config_, *directory_, map_, shards_, rng_, rng_mutex_,
+                                compiled.value(), probe_scope, &variables, &reply.probe_stats,
+                                &batches, trace);
+      for (const ShardBatch& batch : batches) {
         trace.Event("aggregate.shard", {{"shard", std::to_string(batch.shard)},
                                         {"fanout", std::to_string(batch.fanout)},
                                         {"replies", std::to_string(batch.replies)}});
       }
-      trace.Attr(aggregate_span, "batches",
-                 static_cast<int64_t>(ShardRouter::LastBatches().size()));
+      trace.Attr(aggregate_span, "batches", static_cast<int64_t>(batches.size()));
       std::lock_guard<std::mutex> lock(stats_mutex_);
       CT_LOCK_TRACE(StatsLockId());
       total_stats_.Accumulate(reply.probe_stats);
@@ -673,7 +711,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
       bound_model != nullptr ? bound_model->BoundAvailabilityFraction() : -1;
   {
     Error bound_error;
-    if (!CheckAdmissionBound(config_, compiled.value(), status, deadline, bound_fraction, trace,
+    if (!CheckAdmissionBound(compiled.value(), status, deadline, bound_fraction, trace,
                              &bound_error)) {
       return bound_error;
     }
@@ -698,7 +736,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
     if (config_.reservation_hold > 0) {
       filter = [this, now](const std::string& address) { return IsReserved(address, now); };
     }
-    const int bind_span = trace.OpenFollowing("bind");
+    const int bind_span = trace.Open("bind");
     trace.Attr(bind_span, "mode", "heuristic");
     Result<HeuristicResult> heuristic = EvaluateHeuristic(
         variables, query.options.allow_same_binding, status, config_.heuristic, filter);
@@ -714,37 +752,25 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
 
   // Only a heuristic answer without `option noreserve` reserves (the scope's
   // effect set), but every trace carries a reserve span.
-  const int reserve_span = trace.OpenFollowing("reserve");
+  const int reserve_span = trace.Open("reserve");
   int64_t reserved = 0;
   if (scope.effects.reserves && config_.reservation_hold > 0) {
-    // Two-phase reserve. Phase 1 leases every bound endpoint from its owning
-    // shard; Prepare never blocks, so ordering is free of deadlock. Phase 2
-    // commits them all with ONE shared timestamp. Any shard that fails to
-    // answer aborts the whole set: the binding is still returned
-    // (reservations are best-effort, paper Section 5.5) but no host stays
-    // half-held.
+    // All or nothing: every endpoint is held on its owning shard, all with
+    // ONE timestamp, or, when an owner is not answering, none is. The
+    // binding is returned either way (reservations are best-effort, paper
+    // Section 5.5), but no host stays half-held. While the holds are
+    // recorded, the admission gate keeps out every query whose candidates
+    // they could touch, so none sees a partial set.
     const Seconds reserve_now = clock_();
-    std::vector<std::pair<StatusShard*, uint64_t>> leases;
-    bool aborted = false;
-    for (const auto& [var, endpoint] : reply.binding) {
-      (void)var;
-      StatusShard& owner = OwnerOf(endpoint.name);
-      CT_OBS_INC("M117");
-      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, kPrepareLease);
-      if (lease == 0) {
-        aborted = true;
-        break;
+    const auto owner_answers = [this](const auto& bound) {
+      return !OwnerOf(bound.second.name).unresponsive();
+    };
+    if (std::all_of(reply.binding.begin(), reply.binding.end(), owner_answers)) {
+      for (const auto& [var, endpoint] : reply.binding) {
+        (void)var;
+        reserved += OwnerOf(endpoint.name).reservations().Hold(endpoint.name, reserve_now) ? 1 : 0;
       }
-      leases.emplace_back(&owner, lease);
-    }
-    for (const auto& [shard, lease] : leases) {
-      if (aborted) {
-        shard->reservations().Abort(lease);
-      } else if (shard->reservations().Commit(lease, reserve_now)) {
-        ++reserved;
-      }
-    }
-    if (aborted) {
+    } else {
       CT_OBS_INC("M118");
       trace.Attr(reserve_span, "aborted", static_cast<int64_t>(1));
     }

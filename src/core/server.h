@@ -24,9 +24,9 @@
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
 // through them — probes per owning shard, the heuristic's reservation checks
-// per owning shard, reservations as two-phase leases — while an exhaustive
-// search runs once over the merged status. The reply is byte-identical at
-// every shard count (D505).
+// per owning shard, holds on every owning shard or on none — while an
+// exhaustive search runs once over the merged status. The reply is
+// byte-identical at every shard count (D505).
 //
 // The server is thread-safe: concurrent queries synchronize on the
 // reservation tables per assignment, matching the paper's description.
@@ -45,7 +45,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/check/check.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/obs/trace.h"
@@ -82,11 +81,6 @@ struct ServerConfig {
   // 0 = hardware concurrency, 1 = serial. A query's `option threads N`
   // overrides this per query.
   int eval_threads = 0;
-  // What a fired CT_INVARIANT does (process-wide; applied at server
-  // construction). Benches sweep with kLogAndContinue so a violation is
-  // reported without killing the run; tests use kThrow. Meaningless when
-  // CLOUDTALK_INVARIANTS is compiled out.
-  check::OnViolation invariant_policy = check::OnViolation::kAbort;
   // Scope-based probe pruning (ISSUE 9): skip probing hosts the static
   // footprint analysis (src/lang/scope) proves no evaluation engine can
   // read. Sound — the D504 differential contract fuzzes byte-identity
@@ -127,9 +121,9 @@ struct QueryReply {
   // Query-lifecycle spans: parse, lint, compile, scope, route, aggregate
   // (wrapping sample and probe, with one child per contacted host and one
   // per shard batch), bound, bind, reserve — with wall times and per-phase
-  // attributes. Empty when observability is compiled out
-  // (CLOUDTALK_OBS=OFF) or runtime-disabled. Render with obs::FormatTrace
-  // or obs::TraceToJson; `tools/ctstat` does both.
+  // attributes. Empty when observability is runtime-disabled
+  // (obs::SetRuntimeEnabled). Render with obs::FormatTrace or
+  // obs::TraceToJson; `tools/ctstat` does both.
   obs::Trace trace;
 };
 
@@ -205,7 +199,7 @@ class CloudTalkServer {
   // Shard 0's table: all reservation state of a one-shard server.
   ReservationTable& reservations() { return shards_[0]->reservations(); }
 
-  // True when any shard holds a reservation or live lease on `address`.
+  // True when any shard holds a reservation on `address`.
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
@@ -296,7 +290,6 @@ class CloudTalkServer {
   PricingModel pricing_;
   ShardMap map_;
   std::vector<std::unique_ptr<StatusShard>> shards_;
-  ShardRouter router_;
   mutable std::mutex stats_mutex_;
   ProbeStats total_stats_;
   std::mutex rng_mutex_;

@@ -84,11 +84,8 @@ const std::vector<MetricInfo>& MetricCatalog() {
        "Per-shard probe batches issued by the hierarchical status aggregator", "", {}},
       {"M116", MetricType::kHistogram, "server", "cloudtalk_server_shard_fanout",
        "Hosts contacted by one shard's slice of a probe scatter-gather", "", kFanout},
-      {"M117", MetricType::kCounter, "server", "cloudtalk_server_reserve_prepares",
-       "Two-phase reserve leases requested from owning shards", "", {}},
       {"M118", MetricType::kCounter, "server", "cloudtalk_server_reserve_aborts",
-       "Two-phase reserves aborted (a shard failed to prepare before the lease deadline)",
-       "", {}},
+       "Reserves abandoned because an owning shard did not answer", "", {}},
       {"M119", MetricType::kCounter, "server", "cloudtalk_server_facts_cache_hits",
        "Answers whose parse, lint, compile and scope came from the front-end cache (a "
        "repeated query spelling)",

@@ -21,11 +21,9 @@
 // a mutex-guarded per-metric map — fine for probe-rate call sites, not for
 // per-event ones.
 //
-// Compile-out: configure with -DCLOUDTALK_OBS=OFF and every CT_OBS_* macro
-// expands to a dead, type-checked-but-unevaluated expression (same pattern
-// as CT_INVARIANT), and TraceContext records nothing. The runtime switch
-// (`SetRuntimeEnabled`) exists so one binary can measure its own
-// observability overhead (bench/bench_obs_overhead.cc).
+// The layer is always compiled in. The runtime switch (`SetRuntimeEnabled`)
+// turns recording off, and lets one binary measure its own observability
+// overhead (bench/bench_obs_overhead.cc).
 #ifndef CLOUDTALK_SRC_OBS_METRICS_H_
 #define CLOUDTALK_SRC_OBS_METRICS_H_
 
@@ -41,16 +39,9 @@
 namespace cloudtalk {
 namespace obs {
 
-#if defined(CLOUDTALK_OBS) && CLOUDTALK_OBS
-inline constexpr bool kObsEnabled = true;
-#else
-inline constexpr bool kObsEnabled = false;
-#endif
-
 // Process-wide runtime kill switch (default on). Checked with one relaxed
 // load by every macro and by TraceContext construction; flipping it off
-// approximates (from above) the cost of compiling observability out, which
-// is what bench_obs_overhead measures.
+// leaves only that load, which is what bench_obs_overhead measures against.
 bool RuntimeEnabled();
 void SetRuntimeEnabled(bool enabled);
 
@@ -180,11 +171,6 @@ class Registry {
 
 // Instrumentation macros. `code` must be a string literal registered in
 // MetricCatalog(); the instrument pointer is resolved once per call site.
-// With CLOUDTALK_OBS=OFF everything expands to a dead expression: arguments
-// are type-checked but never evaluated (the `false ?` arm), so call sites
-// cannot rot while costing nothing.
-#if defined(CLOUDTALK_OBS) && CLOUDTALK_OBS
-
 #define CT_OBS_INC(code) CT_OBS_ADD(code, 1)
 
 #define CT_OBS_ADD(code, n)                                                      \
@@ -238,18 +224,5 @@ class Registry {
       ::cloudtalk::obs::Registry::Instance().counter(code, label_value)->Inc();  \
     }                                                                            \
   } while (0)
-
-#else  // !CLOUDTALK_OBS
-
-#define CT_OBS_INC(code) ((void)0)
-#define CT_OBS_ADD(code, n) (false ? ((void)(n)) : (void)0)
-#define CT_OBS_GAUGE_SET(code, v) (false ? ((void)(v)) : (void)0)
-#define CT_OBS_GAUGE_ADD(code, v) (false ? ((void)(v)) : (void)0)
-#define CT_OBS_OBSERVE(code, v) (false ? ((void)(v)) : (void)0)
-#define CT_OBS_OBSERVE_L(code, label_value, v) \
-  (false ? ((void)(label_value), (void)(v)) : (void)0)
-#define CT_OBS_INC_L(code, label_value) (false ? ((void)(label_value)) : (void)0)
-
-#endif  // CLOUDTALK_OBS
 
 #endif  // CLOUDTALK_SRC_OBS_METRICS_H_

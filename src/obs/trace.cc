@@ -33,7 +33,7 @@ std::vector<std::pair<std::string, std::string>> Trace::AttrsOf(int id) const {
 }
 
 TraceContext::TraceContext(std::string_view root_name) {
-  enabled_ = kObsEnabled && RuntimeEnabled();
+  enabled_ = RuntimeEnabled();
   if (!enabled_) {
     return;
   }
@@ -57,40 +57,18 @@ double TraceContext::Now() {
   return last_time_;
 }
 
-int TraceContext::OpenAt(std::string_view name, double start) {
-  TraceSpan span;
-  span.id = static_cast<int>(spans_.size());
-  span.parent = open_stack_.empty() ? -1 : open_stack_.back();
-  span.set_name(name);
-  span.start = start;
-  spans_.push_back(span);
-  open_stack_.push_back(span.id);
-  return span.id;
-}
-
 int TraceContext::Open(std::string_view name) {
   if (!enabled_) {
     return -1;
   }
-  return OpenAt(name, Now());
-}
-
-int TraceContext::OpenFollowing(std::string_view name) {
-  if (!enabled_) {
-    return -1;
-  }
-  return OpenAt(name, last_time_);
-}
-
-int TraceContext::Transition(int prev, std::string_view name) {
-  if (!enabled_) {
-    return -1;
-  }
-  const double now = Now();
-  if (prev >= 0 && prev < static_cast<int>(spans_.size()) && !spans_[prev].closed) {
-    CloseAt(prev, now);
-  }
-  return OpenAt(name, now);
+  TraceSpan span;
+  span.id = static_cast<int>(spans_.size());
+  span.parent = open_stack_.empty() ? -1 : open_stack_.back();
+  span.set_name(name);
+  span.start = last_time_;  // No clock read: stamped with the latest reading.
+  spans_.push_back(span);
+  open_stack_.push_back(span.id);
+  return span.id;
 }
 
 int TraceContext::Event(
@@ -126,10 +104,7 @@ void TraceContext::Close(int id) {
   if (!enabled_ || id < 0 || id >= static_cast<int>(spans_.size()) || spans_[id].closed) {
     return;
   }
-  CloseAt(id, Now());
-}
-
-void TraceContext::CloseAt(int id, double now) {
+  const double now = Now();
   TraceSpan& span = spans_[id];
   span.duration = now - span.start;
   span.closed = true;

@@ -10,11 +10,10 @@
 // snapshot tests diff, the same way examples/queries/opt/expected_report.txt
 // pins the optimiser report.
 //
-// Tracing follows the same switches as the metrics registry: compiled out
-// entirely under CLOUDTALK_OBS=OFF, and skipped at runtime when
-// obs::SetRuntimeEnabled(false) — in both cases a query's trace is simply
-// empty. Contexts are single-threaded by design (one per in-flight query);
-// the registry, not the trace, is the cross-thread aggregation point.
+// Tracing follows the same runtime switch as the metrics registry: when
+// obs::SetRuntimeEnabled(false), a query's trace is simply empty. Contexts
+// are single-threaded by design (one per in-flight query); the registry,
+// not the trace, is the cross-thread aggregation point.
 #ifndef CLOUDTALK_SRC_OBS_TRACE_H_
 #define CLOUDTALK_SRC_OBS_TRACE_H_
 
@@ -87,29 +86,21 @@ struct Trace {
 class TraceContext {
  public:
   // Opens the root span. Disabled (records nothing) when observability is
-  // compiled out or runtime-disabled at construction time.
+  // runtime-disabled at construction time.
   explicit TraceContext(std::string_view root_name);
 
   bool enabled() const { return enabled_; }
 
-  // Opens a child of the innermost open span; returns its id (-1 when
-  // disabled). Spans must be closed innermost-first (the Scoped helper
-  // guarantees it).
+  // Opens a child of the innermost open span, stamped with the context's
+  // most recent clock reading instead of taking a new one; returns its id
+  // (-1 when disabled). The query pipeline opens each phase right after the
+  // trace opened or the preceding phase closed, so nothing measurable
+  // happens in between, and a phase boundary (sample→probe, say) costs the
+  // one clock reading of the Close: the new span starts exactly where the
+  // previous one ends. Spans must be closed innermost-first.
   int Open(std::string_view name);
+  // Closes `id`, reading the clock once.
   void Close(int id);
-
-  // Closes `prev` and opens its sibling in one step, sharing a single clock
-  // reading — the new span starts exactly where the previous one ends. This
-  // is how the query pipeline's back-to-back phases (parse→lint,
-  // sample→probe, bind→reserve) avoid paying two clock reads per boundary.
-  int Transition(int prev, std::string_view name);
-
-  // Opens a span stamped with the context's most recent clock reading
-  // instead of taking a new one. For spans that begin immediately after the
-  // previous reading (the phase right after the trace opens, or right after
-  // the preceding phase closed) the saved clock read is free accuracy-wise:
-  // nothing measurable happened in between.
-  int OpenFollowing(std::string_view name);
 
   // Records an already-closed, zero-duration child of the innermost open
   // span, with its attributes attached in one shot. This is the cheap path
@@ -130,28 +121,12 @@ class TraceContext {
   // The context is spent afterwards.
   Trace Finish();
 
-  // RAII span: closes on scope exit.
-  class Scoped {
-   public:
-    Scoped(TraceContext* ctx, std::string_view name) : ctx_(ctx), id_(ctx->Open(name)) {}
-    ~Scoped() { ctx_->Close(id_); }
-    Scoped(const Scoped&) = delete;
-    Scoped& operator=(const Scoped&) = delete;
-    int id() const { return id_; }
-
-   private:
-    TraceContext* ctx_;
-    int id_;
-  };
-
  private:
   double Now();
-  int OpenAt(std::string_view name, double start);
-  void CloseAt(int id, double now);  // `id` must be in range and open.
   void AppendAttr(int id, std::string_view key, std::string_view value);
 
   bool enabled_ = false;
-  double last_time_ = 0;  // Most recent Now() reading; events reuse it.
+  double last_time_ = 0;  // Most recent Now() reading; spans and events start at it.
   std::chrono::steady_clock::time_point epoch_;
   std::vector<TraceSpan> spans_;
   std::vector<TraceAttr> attrs_;

@@ -298,11 +298,7 @@ TEST_F(CheckTest, HdfsCatchesReadOfIncompleteBlock) {
   }
   SingleSwitchParams params;
   params.num_hosts = 5;
-  ClusterOptions cluster_options;
-  // The server ctor applies its policy process-wide; keep log-and-continue
-  // so the constructed violation is recorded instead of aborting the test.
-  cluster_options.server.invariant_policy = OnViolation::kLogAndContinue;
-  Cluster cluster(MakeSingleSwitch(params), cluster_options);
+  Cluster cluster(MakeSingleSwitch(params));
   HdfsOptions options;
   options.block_size = 16 * kMB;
   options.replication = 2;
@@ -333,9 +329,7 @@ TEST_F(CheckTest, MapRedCatchesCorruptedSlotAccounting) {
   }
   SingleSwitchParams params;
   params.num_hosts = 4;
-  ClusterOptions cluster_options;
-  cluster_options.server.invariant_policy = OnViolation::kLogAndContinue;
-  Cluster cluster(MakeSingleSwitch(params), cluster_options);
+  Cluster cluster(MakeSingleSwitch(params));
   HdfsOptions hdfs_options;
   hdfs_options.block_size = 16 * kMB;
   hdfs_options.replication = 2;
@@ -360,15 +354,13 @@ TEST_F(CheckTest, MapRedCatchesCorruptedSlotAccounting) {
   EXPECT_EQ(got[0].code, "I304");
 }
 
-TEST_F(CheckTest, ServerConfigSetsProcessPolicy) {
+// The policy is the caller's: building a server (here, the one every
+// Cluster owns) leaves it as it was.
+TEST_F(CheckTest, BuildingAServerKeepsTheProcessPolicy) {
+  check::SetViolationPolicy(OnViolation::kThrow);
   SingleSwitchParams params;
   params.num_hosts = 2;
-  ClusterOptions options;
-  options.server.invariant_policy = OnViolation::kLogAndContinue;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  EXPECT_EQ(check::GetViolationPolicy(), OnViolation::kLogAndContinue);
-
-  check::SetViolationPolicy(OnViolation::kThrow);
+  Cluster cluster(MakeSingleSwitch(params));
   EXPECT_EQ(check::GetViolationPolicy(), OnViolation::kThrow);
   EXPECT_STREQ(check::OnViolationName(OnViolation::kThrow), "throw");
 }

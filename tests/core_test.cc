@@ -823,15 +823,9 @@ INSTANTIATE_TEST_SUITE_P(RandomStates, SingleVariableOptimalityTest, ::testing::
 
 // ---- Reservations ----
 
-// Holds `address` from `now` the way the server does: a prepared lease
-// committed at the same instant.
-void Hold(ReservationTable& table, const std::string& address, Seconds now) {
-  table.Commit(table.Prepare(address, now, /*lease_time=*/0.05), now);
-}
-
 TEST(ReservationTest, ExpiryAndHold) {
   ReservationTable table(/*hold_time=*/0.3);
-  Hold(table, "x", /*now=*/1.0);
+  EXPECT_TRUE(table.Hold("x", /*now=*/1.0));
   EXPECT_TRUE(table.IsReserved("x", 1.1));
   EXPECT_TRUE(table.IsReserved("x", 1.29));
   EXPECT_FALSE(table.IsReserved("x", 1.31));
@@ -840,20 +834,21 @@ TEST(ReservationTest, ExpiryAndHold) {
 
 TEST(ReservationTest, ZeroHoldDisables) {
   ReservationTable table(0.0);
-  Hold(table, "x", 1.0);
+  EXPECT_FALSE(table.Hold("x", 1.0));
   EXPECT_FALSE(table.IsReserved("x", 1.0));
+  EXPECT_EQ(table.HoldCount(), 0u);
 }
 
 TEST(ReservationTest, ActiveCount) {
   ReservationTable table(0.5);
-  Hold(table, "x", 0.0);
-  Hold(table, "y", 0.2);
+  table.Hold("x", 0.0);
+  table.Hold("y", 0.2);
   EXPECT_EQ(table.ActiveCount(0.3), 2);
   EXPECT_EQ(table.ActiveCount(0.6), 1);
   EXPECT_EQ(table.ActiveCount(1.0), 0);
 }
 
-// 20 000 hosts committed at one instant (amortized O(1) each) stay reserved
+// 20 000 hosts held at one instant (amortized O(1) each) stay reserved
 // until their hold expires; the expired holds are swept before the table
 // doubles again.
 TEST(ReservationTest, TwentyThousandHoldsExpireAndArePruned) {
@@ -861,7 +856,7 @@ TEST(ReservationTest, TwentyThousandHoldsExpireAndArePruned) {
   auto host = [](const char* prefix, int k) { return prefix + std::to_string(k); };
   ReservationTable table(/*hold_time=*/0.3);
   for (int k = 0; k < kHosts; ++k) {
-    Hold(table, host("old", k), /*now=*/1.0);
+    table.Hold(host("old", k), /*now=*/1.0);
   }
   EXPECT_EQ(table.ActiveCount(1.2), kHosts);
   EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
@@ -875,7 +870,7 @@ TEST(ReservationTest, TwentyThousandHoldsExpireAndArePruned) {
   EXPECT_EQ(reserved_after, 0);
   // As many fresh holds after the expiry leave only the fresh ones.
   for (int k = 0; k < kHosts; ++k) {
-    Hold(table, host("new", k), /*now=*/2.0);
+    table.Hold(host("new", k), /*now=*/2.0);
     ASSERT_LE(table.HoldCount(), 2u * kHosts);
   }
   EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
@@ -1123,9 +1118,7 @@ TEST_F(ServerTest, ParseErrorPropagates) {
   // A quote fails the same way, and M107 counts it on entry all the same.
   const int64_t quotes_before = obs::Registry::Instance().counter("M107")->value();
   EXPECT_FALSE(server.Quote("A = ()\n").ok());
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(obs::Registry::Instance().counter("M107")->value(), quotes_before + 1);
-  }
+  EXPECT_EQ(obs::Registry::Instance().counter("M107")->value(), quotes_before + 1);
 }
 
 TEST_F(ServerTest, PacketOptionWithoutEstimatorFails) {
@@ -1145,9 +1138,7 @@ TEST_F(ServerTest, PacketOptionWithoutEstimatorFails) {
                                 " size 1M end 1000\n");
   ASSERT_FALSE(with_end.ok());
   EXPECT_EQ(with_end.error().message, reply.error().message);
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
-  }
+  EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
 }
 
 TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
@@ -1159,14 +1150,12 @@ TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
   // and no bound analysis is built.
   auto open = server.Answer(flow + "\n");
   ASSERT_TRUE(open.ok()) << open.error().ToString();
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
-    const auto attrs = SpanAttrs(open.value().trace, "bound");
-    EXPECT_NE(std::find(attrs.begin(), attrs.end(),
-                        std::make_pair(std::string("skipped"), std::string("no-deadline"))),
-              attrs.end());
-    EXPECT_FALSE(HasAttr(attrs, "lb"));
-  }
+  EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before);
+  const auto attrs = SpanAttrs(open.value().trace, "bound");
+  EXPECT_NE(std::find(attrs.begin(), attrs.end(),
+                      std::make_pair(std::string("skipped"), std::string("no-deadline"))),
+            attrs.end());
+  EXPECT_FALSE(HasAttr(attrs, "lb"));
   // Feasible on idle (unconstrained) hosts — so lint's E080 stays quiet —
   // but provably impossible on the cluster's real 1 Gbps NICs: the
   // admission bound check must reject before any search runs.
@@ -1175,10 +1164,8 @@ TEST_F(ServerTest, BoundAdmissionRejectsImpossibleDeadline) {
   EXPECT_NE(reply.error().message.find("no binding can meet the deadline"),
             std::string::npos)
       << reply.error().ToString();
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before + 1);
-    EXPECT_EQ(obs::Registry::Instance().counter("M109")->value(), rejections_before + 1);
-  }
+  EXPECT_EQ(obs::Registry::Instance().counter("M108")->value(), checks_before + 1);
+  EXPECT_EQ(obs::Registry::Instance().counter("M109")->value(), rejections_before + 1);
 }
 
 // A flow-level estimator that, like the packet simulator, offers no bound
@@ -1208,9 +1195,6 @@ TEST_F(ServerTest, ExhaustiveBindSpanCarriesPassAttribution) {
   auto no_model = no_model_server.Answer(query);
   ASSERT_TRUE(no_model.ok()) << no_model.error().ToString();
   EXPECT_EQ(no_model.value().binding, reply.value().binding);
-  if (!obs::kObsEnabled) {
-    return;
-  }
   const auto no_model_bind = SpanAttrs(no_model.value().trace, "bind");
   EXPECT_TRUE(HasAttr(no_model_bind, "opt.O100.seconds"));
   for (const auto& [key, value] : no_model_bind) {
@@ -1450,16 +1434,14 @@ TEST(FrontEndCacheTest, RepeatedSpellingsAnswerLikeFreshOnes) {
         EXPECT_NE(AnswerDigest(repeat).find(rejections[q - rejected]), std::string::npos);
       }
       EXPECT_FALSE(ParsedFromCache(respelled));
-      if (obs::kObsEnabled && repeat.ok()) {
+      if (repeat.ok()) {
         EXPECT_EQ(ParsedFromCache(repeat), round == 2);
       }
     }
   }
   EXPECT_FALSE(cached.Answer(queries[4]).ok());
-  if (obs::kObsEnabled) {
-    // The third round and the extra answer above hit; the respellings never did.
-    EXPECT_EQ(FrontEndCacheHits() - hits_before, static_cast<int64_t>(queries.size()) + 1);
-  }
+  // The third round and the extra answer above hit; the respellings never did.
+  EXPECT_EQ(FrontEndCacheHits() - hits_before, static_cast<int64_t>(queries.size()) + 1);
 }
 
 TEST(FrontEndCacheTest, SpellingIsKeptOnItsSecondSighting) {
@@ -1471,10 +1453,8 @@ TEST(FrontEndCacheTest, SpellingIsKeptOnItsSecondSighting) {
     SCOPED_TRACE("sighting " + std::to_string(sighting));
     const Result<QueryReply> reply = server.Answer(query);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(FrontEndCacheHits() - hits_before, sighting == 3 ? 1 : 0);
-      EXPECT_EQ(ParsedFromCache(reply), sighting == 3);
-    }
+    EXPECT_EQ(FrontEndCacheHits() - hits_before, sighting == 3 ? 1 : 0);
+    EXPECT_EQ(ParsedFromCache(reply), sighting == 3);
   }
   // A spelling differing by one byte is a new spelling.
   const Result<QueryReply> other = server.Answer(query + "\n");
@@ -1496,9 +1476,7 @@ TEST(FrontEndCacheTest, EverySpellingOfALongCycleIsKept) {
     for (const std::string& spelling : spellings) {
       ASSERT_TRUE(server.Answer(spelling).ok()) << spelling;
     }
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(FrontEndCacheHits() - hits_before, round >= 3 ? 2000 : 0) << "round " << round;
-    }
+    EXPECT_EQ(FrontEndCacheHits() - hits_before, round >= 3 ? 2000 : 0) << "round " << round;
   }
 }
 
@@ -1519,12 +1497,10 @@ TEST(FrontEndCacheTest, OldestSpellingIsEvictedFirst) {
   const Result<QueryReply> second = server.Answer(spellings[1]);
   const Result<QueryReply> earliest = server.Answer(spellings.front());
   ASSERT_TRUE(latest.ok() && second.ok() && earliest.ok());
-  if (obs::kObsEnabled) {
-    EXPECT_TRUE(ParsedFromCache(latest));
-    EXPECT_TRUE(ParsedFromCache(second));
-    EXPECT_FALSE(ParsedFromCache(earliest));
-    EXPECT_EQ(FrontEndCacheHits() - hits_before, 2);
-  }
+  EXPECT_TRUE(ParsedFromCache(latest));
+  EXPECT_TRUE(ParsedFromCache(second));
+  EXPECT_FALSE(ParsedFromCache(earliest));
+  EXPECT_EQ(FrontEndCacheHits() - hits_before, 2);
 }
 
 TEST(FrontEndCacheTest, ConcurrentAnswersMatchSingleThreadedReplies) {

@@ -1,17 +1,20 @@
 // Tests for the sharded CloudTalk deployment (src/core/shard.h): the
-// ShardMap partition, two-phase cross-shard reservations (prepare / commit
-// / abort leases, I411), the I410 no-double-reserve property, unresponsive-
-// shard abort, the N-slot admission gate's any-slot wakeup, merge
-// determinism against the one-shard server over every good fixture (and its
-// canonical form and quote), and a concurrent admission stress run of
-// answers and quotes (the TSan CI job builds this binary).
+// ShardMap partition, the I410 no-double-reserve property, holds matching
+// the one-shard server's over a sequence of reserving queries, the
+// all-or-nothing reserve when an owning shard does not answer, the N-slot
+// admission gate's any-slot wakeup, merge determinism against the one-shard
+// server over every good fixture (and its canonical form and quote), and a
+// concurrent admission stress run of answers and quotes (the TSan CI job
+// builds this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,68 +31,11 @@
 #include "src/lang/canon.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
+#include "src/obs/metrics.h"
 #include "src/topology/topology.h"
 
 namespace cloudtalk {
 namespace {
-
-// ---- Two-phase reservation leases (src/core/reservations.h) ----
-
-TEST(TwoPhaseReserveTest, PrepareCommitReservesLikeFlatReserve) {
-  ReservationTable table(/*hold_time=*/1.0);
-  const uint64_t lease = table.Prepare("10.0.0.1", /*now=*/0, /*lease_time=*/0.5);
-  ASSERT_NE(lease, 0u);
-  EXPECT_EQ(table.PreparedCount(0.1), 1);
-  // A live lease already holds the endpoint against other queries.
-  EXPECT_TRUE(table.IsReserved("10.0.0.1", 0.1));
-  EXPECT_TRUE(table.Commit(lease, /*now=*/0.2));
-  EXPECT_EQ(table.PreparedCount(0.2), 0);
-  // Committed at 0.2 with hold 1.0: reserved until 1.2, measured from the
-  // commit, not the prepare.
-  EXPECT_TRUE(table.IsReserved("10.0.0.1", 1.1));
-  EXPECT_FALSE(table.IsReserved("10.0.0.1", 1.3));
-}
-
-TEST(TwoPhaseReserveTest, ExpiredLeaseFreesTheHostAndRefusesCommit) {
-  ReservationTable table(/*hold_time=*/1.0);
-  const uint64_t lease = table.Prepare("10.0.0.2", /*now=*/0, /*lease_time=*/0.1);
-  ASSERT_NE(lease, 0u);
-  EXPECT_TRUE(table.IsReserved("10.0.0.2", 0.05));
-  // Past the lease deadline the host is free again — a crashed front end
-  // that prepared but never committed cannot hold it forever.
-  EXPECT_FALSE(table.IsReserved("10.0.0.2", 0.2));
-  EXPECT_EQ(table.PreparedCount(0.2), 0);
-  // A late commit is refused (returns false, reserves nothing) but does NOT
-  // fire I411: the lease was real, it just timed out.
-  EXPECT_FALSE(table.Commit(lease, /*now=*/0.2));
-  EXPECT_FALSE(table.IsReserved("10.0.0.2", 0.3));
-}
-
-TEST(TwoPhaseReserveTest, AbortFreesImmediately) {
-  ReservationTable table(/*hold_time=*/1.0);
-  const uint64_t lease = table.Prepare("10.0.0.3", /*now=*/0, /*lease_time=*/10.0);
-  ASSERT_NE(lease, 0u);
-  EXPECT_TRUE(table.Abort(lease));
-  EXPECT_FALSE(table.IsReserved("10.0.0.3", 0.01));
-  EXPECT_EQ(table.PreparedCount(0.01), 0);
-  EXPECT_EQ(table.ActiveCount(0.01), 0);
-}
-
-TEST(TwoPhaseReserveTest, CommitWithoutPrepareFiresI411) {
-  if (!check::kInvariantsEnabled) {
-    GTEST_SKIP() << "built without CLOUDTALK_INVARIANTS";
-  }
-  const check::OnViolation saved = check::GetViolationPolicy();
-  check::SetViolationPolicy(check::OnViolation::kThrow);
-  ReservationTable table(/*hold_time=*/1.0);
-  EXPECT_THROW(table.Commit(/*lease_id=*/12345, /*now=*/0), check::InvariantViolation);
-  // Double-commit: the first consumes the lease, the second is unmatched.
-  const uint64_t lease = table.Prepare("10.0.0.4", 0, 1.0);
-  EXPECT_TRUE(table.Commit(lease, 0.1));
-  EXPECT_THROW(table.Commit(lease, 0.2), check::InvariantViolation);
-  EXPECT_THROW(table.Abort(lease), check::InvariantViolation);
-  check::SetViolationPolicy(saved);
-}
 
 // ---- ShardMap: a total partition ----
 
@@ -164,19 +110,15 @@ TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
   }
   EXPECT_EQ(holders, 1);
   EXPECT_TRUE(sharded.IsReservedAnywhere(picked, now));
-  // Nothing is left in the prepared state after a committed reserve.
-  for (int s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_EQ(sharded.shard(s).reservations().PreparedCount(now), 0);
-  }
 }
 
-TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeTwoPhaseReserve) {
+TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeReserve) {
   Cluster cluster = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
   cluster.MeasureNow();
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
-  // Single-host pools pin the binding, so we know exactly which shards the
-  // two-phase reserve must talk to.
+  // Single-host pools pin the binding, so we know exactly which shards must
+  // hold it.
   const std::string host_a = cluster.ip(1);
   const std::string host_b = cluster.ip(2);
   const int owner_b = sharded.shard_map().ShardOf(cluster.directory().Resolve(host_b));
@@ -186,9 +128,10 @@ TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeTwoPhaseReserve) {
   const std::string query = "option static\nA = (" + host_a + ")\nB = (" + host_b +
                             ")\nf1 A -> " + cluster.ip(0) + " size 8M\nf2 B -> " +
                             cluster.ip(0) + " size 8M\n";
+  const int64_t aborts_before = obs::Registry::Instance().counter("M118")->value();
   const Result<QueryReply> reply = sharded.Answer(query);
   // The binding is still returned — reservations are best-effort — but the
-  // failed prepare aborted every lease of the set: neither host stays held.
+  // silent owner of B aborted the whole reserve: neither host is held.
   ASSERT_TRUE(reply.ok()) << reply.error().ToString();
   EXPECT_EQ(reply.value().binding.at("A").name, host_a);
   EXPECT_EQ(reply.value().binding.at("B").name, host_b);
@@ -196,9 +139,18 @@ TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeTwoPhaseReserve) {
   EXPECT_FALSE(sharded.IsReservedAnywhere(host_a, now));
   EXPECT_FALSE(sharded.IsReservedAnywhere(host_b, now));
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_EQ(sharded.shard(s).reservations().PreparedCount(now), 0);
     EXPECT_EQ(sharded.shard(s).reservations().ActiveCount(now), 0);
   }
+  EXPECT_EQ(obs::Registry::Instance().counter("M118")->value(), aborts_before + 1);
+  const obs::Trace& trace = reply.value().trace;
+  const auto reserve =
+      std::find_if(trace.spans.begin(), trace.spans.end(),
+                   [](const obs::TraceSpan& span) { return span.name() == "reserve"; });
+  ASSERT_NE(reserve, trace.spans.end());
+  using Attr = std::pair<std::string, std::string>;
+  const std::vector<Attr> attrs = trace.AttrsOf(reserve->id);
+  EXPECT_NE(std::find(attrs.begin(), attrs.end(), Attr{"aborted", "1"}), attrs.end());
+  EXPECT_NE(std::find(attrs.begin(), attrs.end(), Attr{"reserved", "0"}), attrs.end());
 }
 
 TEST(ShardedServerTest, UnresponsiveShardStatusFallsBackToAssumeLoaded) {
@@ -355,6 +307,82 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
   }
 }
 
+// Answers a sequence of reserving queries with overlapping pools, the
+// cluster's clock advancing a third of the hold between answers so that
+// earlier holds expire mid-sequence. Returns one line per answer: the reply
+// digest, the holds M104 counted, and which pool hosts are held at the
+// answer's instant, half a hold later and just past the hold. `shards` 0
+// answers on the cluster's own one-shard server.
+std::vector<std::string> HoldTimeline(int shards) {
+  constexpr Seconds kHold = 0.3;
+  constexpr int kPoolHosts = 8;  // Hosts 1..8; host 0 is the fixed peer.
+  Cluster cluster = MakeShardCluster(16, /*seed=*/29, kHold);
+  AddShardLoad(&cluster);
+  std::optional<CloudTalkServer> sharded;
+  if (shards > 0) {
+    sharded.emplace(ShardConfigFor(&cluster, shards), &cluster.directory(), &cluster.transport(),
+                    [&cluster] { return cluster.now(); });
+  }
+  CloudTalkServer& server = sharded.has_value() ? *sharded : cluster.cloudtalk();
+  const auto pool = [&cluster](std::initializer_list<int> hosts) {
+    std::string text = "(";
+    for (const int host : hosts) {
+      text += (text.size() > 1 ? " " : "") + cluster.ip(host);
+    }
+    return text + ")";
+  };
+  const std::string peer = cluster.ip(0);
+  const std::vector<std::string> queries = {
+      "A = " + pool({1, 2, 3, 4}) + "\nf1 A -> " + peer + " size 8M\n",
+      "A = " + pool({2, 3, 4, 5}) + "\nB = " + pool({3, 4, 5, 6}) + "\nf1 A -> B size 8M\n",
+      "A = " + pool({1, 3, 5, 7}) + "\nf1 " + peer + " -> A size 8M\n",
+      "A = B = " + pool({4, 5, 6, 7, 8}) + "\nf1 A -> B size 8M\n",
+      "A = " + pool({1, 2}) + "\nB = " + pool({7, 8}) + "\nf1 A -> " + peer +
+          " size 8M\nf2 B -> " + peer + " size 8M\n",
+  };
+  std::vector<std::string> timeline;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& query : queries) {
+      const int64_t before = obs::Registry::Instance().counter("M104")->value();
+      const std::string digest = ReplyDigest(server.Answer(query));
+      std::string line = digest + " holds " +
+                         std::to_string(obs::Registry::Instance().counter("M104")->value() -
+                                        before) +
+                         " held [";
+      const Seconds now = cluster.now();
+      for (const Seconds at : {now, now + kHold / 2, now + kHold + 0.001}) {
+        for (int host = 1; host <= kPoolHosts; ++host) {
+          if (server.IsReservedAnywhere(cluster.ip(host), at)) {
+            line += " " + std::to_string(host) + "@" + std::to_string(at - now);
+          }
+        }
+      }
+      timeline.push_back(line + " ]");
+      cluster.RunUntil(now + kHold / 3);
+    }
+  }
+  return timeline;
+}
+
+// Holds recorded on each endpoint's owning shard behave like the one-shard
+// server's single table: after every answer of the sequence, each pool host
+// is held at the same instants, and M104 counts the same holds, at 1, 2 and
+// 4 shards as on the one-shard server.
+TEST(ShardedServerTest, HoldsMatchTheOneShardServer) {
+  const std::vector<std::string> want = HoldTimeline(/*shards=*/0);
+  ASSERT_EQ(want.size(), 10u);
+  // The sequence does hold hosts, and lets some holds lapse.
+  EXPECT_NE(want.front().find("@0.000000"), std::string::npos) << want.front();
+  EXPECT_EQ(want.front().find("@0.301000"), std::string::npos) << want.front();
+  for (const int shards : {1, 2, 4}) {
+    const std::vector<std::string> got = HoldTimeline(shards);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "answer " << i << " over " << shards << " shard(s)";
+    }
+  }
+}
+
 TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
   // Hierarchical aggregation re-partitions the probes but must not change
   // the totals: same requests, same replies, same bytes on the wire.
@@ -389,9 +417,7 @@ TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {
                             "f1 A -> 10.0.0.9 size 32M\n";
   const Result<QueryReply> reply = sharded.Answer(query);
   ASSERT_TRUE(reply.ok()) << reply.error().ToString();
-  if (reply.value().trace.empty()) {
-    GTEST_SKIP() << "observability compiled out";
-  }
+  ASSERT_FALSE(reply.value().trace.empty());
   bool saw_route = false;
   bool saw_aggregate = false;
   for (const auto& span : reply.value().trace.spans) {

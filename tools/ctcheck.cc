@@ -268,9 +268,6 @@ RunResult RunScenario(const Scenario& s) {
     options.seed = s.seed;
     options.server.seed = s.seed;
     options.server.eval_threads = s.eval_threads;
-    // The server ctor re-applies the policy process-wide; keep it aligned
-    // with the fuzzer's survive-and-report mode.
-    options.server.invariant_policy = check::OnViolation::kLogAndContinue;
     Cluster cluster(BuildTopology(s), options);
     cluster.StartStatusSweep();
 
@@ -1055,7 +1052,7 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
 //  1. sequential identity: three generated queries are answered in sequence
 //     over 1, 2, and 4 shards with reservations armed; every reply must be
 //     byte-identical, which also proves the partitioned reservation tables
-//     (two-phase prepare/commit) behave like the flat one.
+//     (holds on every owning shard or on none) behave like the flat one.
 //  2. packet search: a packet-level query, searched once over the status
 //     the shards gathered, must pick the same winner at every shard count.
 //  3. concurrent admission: two queries over disjoint host slices answered
@@ -1101,7 +1098,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
       }
     }
   }
-  // Oracle 2: the packet path through the ShardRouter. A packet-level query
+  // Oracle 2: the packet path over per-shard probes. A packet-level query
   // over a small host slice keeps the exhaustive walk cheap.
   {
     const std::string packet_query =
