@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ namespace {
 constexpr int kHosts = 20;
 constexpr int kSliceHosts = 4;  // Active pool per tenant (acceptance: <= 5).
 
-Cluster MakeCluster(bool pruning, uint64_t seed) {
+std::unique_ptr<Cluster> MakeCluster(bool pruning, uint64_t seed) {
   SingleSwitchParams params;
   params.num_hosts = kHosts;
   params.host_caps.nic_up = params.host_caps.nic_down = 1 * kGbps;
@@ -48,8 +49,8 @@ Cluster MakeCluster(bool pruning, uint64_t seed) {
   // second cluster's answer depend on answer order, not on probing.
   options.server.reservation_hold = 0;
   options.server.scope_probe_pruning = pruning;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
+  auto cluster = std::make_unique<Cluster>(MakeSingleSwitch(params), options);
+  cluster->StartStatusSweep();
   return cluster;
 }
 
@@ -115,8 +116,10 @@ int main(int argc, char** argv) {
   std::vector<double> per_query_ratio;
   for (int round = 0; round < rounds; ++round) {
     const uint64_t seed = 100 + round;
-    Cluster pruned = MakeCluster(/*pruning=*/true, seed);
-    Cluster full = MakeCluster(/*pruning=*/false, seed);
+    const std::unique_ptr<Cluster> pruned_ptr = MakeCluster(/*pruning=*/true, seed);
+    Cluster& pruned = *pruned_ptr;
+    const std::unique_ptr<Cluster> full_ptr = MakeCluster(/*pruning=*/false, seed);
+    Cluster& full = *full_ptr;
     // The same deterministic background load on both twins.
     for (int p = 0; p < 3; ++p) {
       const int src = 2 + (round + 5 * p) % (kHosts - 3);

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,7 +43,7 @@ constexpr int kQueriesPerThread = 2000;
 constexpr int kIdentityQueries = 64;
 constexpr double kQpsFloor = 1000.0;
 
-Cluster MakeBenchCluster(uint64_t seed) {
+std::unique_ptr<Cluster> MakeBenchCluster(uint64_t seed) {
   SingleSwitchParams params;
   params.num_hosts = kHosts;
   params.host_caps.nic_up = params.host_caps.nic_down = 1 * kGbps;
@@ -53,11 +54,11 @@ Cluster MakeBenchCluster(uint64_t seed) {
   options.server.eval_threads = 1;
   options.server.reservation_hold = 60.0;
   options.server.admission_slots = kClientThreads;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
-  cluster.AddBackgroundPair(cluster.host(2), cluster.host(5), 600 * kMbps);
-  cluster.AddBackgroundPair(cluster.host(9), cluster.host(12), 800 * kMbps);
-  cluster.MeasureNow();
+  auto cluster = std::make_unique<Cluster>(MakeSingleSwitch(params), options);
+  cluster->StartStatusSweep();
+  cluster->AddBackgroundPair(cluster->host(2), cluster->host(5), 600 * kMbps);
+  cluster->AddBackgroundPair(cluster->host(9), cluster->host(12), 800 * kMbps);
+  cluster->MeasureNow();
   return cluster;
 }
 
@@ -117,8 +118,10 @@ std::string ReplyDigest(const Result<QueryReply>& reply) {
 
 int IdentityPhase() {
   int mismatches = 0;
-  Cluster oracle_cluster = MakeBenchCluster(/*seed=*/42);
-  Cluster sharded_cluster = MakeBenchCluster(/*seed=*/42);
+  const std::unique_ptr<Cluster> oracle_cluster_ptr = MakeBenchCluster(/*seed=*/42);
+  Cluster& oracle_cluster = *oracle_cluster_ptr;
+  const std::unique_ptr<Cluster> sharded_cluster_ptr = MakeBenchCluster(/*seed=*/42);
+  Cluster& sharded_cluster = *sharded_cluster_ptr;
   CloudTalkServer sharded(BenchShardConfig(&sharded_cluster), &sharded_cluster.directory(),
                           &sharded_cluster.transport(),
                           [&sharded_cluster] { return sharded_cluster.now(); });
@@ -159,7 +162,8 @@ int main(int argc, char** argv) {
   const int mismatches = IdentityPhase();
   std::printf("identity: %d mismatch(es)\n", mismatches);
 
-  Cluster cluster = MakeBenchCluster(/*seed=*/7);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeBenchCluster(/*seed=*/7);
+  Cluster& cluster = *cluster_ptr;
   CloudTalkServer sharded(BenchShardConfig(&cluster), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
   // Warm every thread's path once, then zero the registry so the measured

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -82,19 +83,138 @@ struct ShardBatch {
   int replies = 0;
 };
 
+// What a status gather reads of a query that depends only on the query
+// bytes and the server's config, settled once per front end and shared by
+// its answers. The addresses point into the compiled query, not at hosts:
+// the directory may re-point a name after the plan is built, so every
+// answer resolves them afresh.
+struct ProbePlan {
+  // Some pool exceeds the sampling threshold: the answer samples, and
+  // collects its addresses from the sampled pools instead.
+  bool samples = false;
+  // Distinct pools (the sample span's `pools`).
+  int64_t pools = 0;
+  // The distinct address endpoints of the pools, then of the flows, in
+  // first-mention order, minus those outside the footprint when probe
+  // pruning is on; `skipped` counts those (M113).
+  std::vector<const std::string*> addresses;
+  int64_t skipped = 0;
+};
+
+// Variables with equal pools share one pool; this key tells them apart.
+std::string PoolKey(const lang::VarComm& var) {
+  std::string key;
+  for (const lang::Endpoint& e : var.pool) {
+    key += e.ToString();
+    key.push_back('|');
+  }
+  return key;
+}
+
+// Appends to `*addresses` each distinct address endpoint of the pools of
+// `variables`, then of the flows of `compiled`, in first-mention order,
+// leaving out the hosts the footprint analysis (`scope`; nullptr keeps all)
+// proves no evaluation engine reads. Returns how many it left out.
+int64_t CollectProbeAddresses(const std::vector<lang::VarComm>& variables,
+                              const lang::CompiledQuery& compiled,
+                              const lang::ScopeAnalysis* scope,
+                              std::vector<const std::string*>* addresses) {
+  std::unordered_set<std::string_view> seen;
+  int64_t skipped = 0;
+  const auto add = [&](const lang::Endpoint& e) {
+    if (e.kind != lang::Endpoint::Kind::kAddress || !seen.insert(e.name).second) {
+      return;
+    }
+    if (scope != nullptr && !scope->InFootprint(e.name)) {
+      ++skipped;
+      return;
+    }
+    addresses->push_back(&e.name);
+  };
+  for (const lang::VarComm& var : variables) {
+    for (const lang::Endpoint& e : var.pool) {
+      add(e);
+    }
+  }
+  for (const lang::CompiledFlow& flow : compiled.flows()) {
+    add(flow.src);
+    add(flow.dst);
+  }
+  return skipped;
+}
+
+ProbePlan MakeProbePlan(const ServerConfig& config, const lang::QueryFacts& facts) {
+  const lang::CompiledQuery& compiled = facts.compiled().value();
+  const std::vector<lang::VarComm>& variables = compiled.variables();
+  ProbePlan plan;
+  std::unordered_set<std::string> pools;
+  for (const lang::VarComm& var : variables) {
+    pools.insert(PoolKey(var));
+    plan.samples |= static_cast<int>(var.pool.size()) > config.sample_threshold;
+  }
+  plan.pools = static_cast<int64_t>(pools.size());
+  plan.skipped = CollectProbeAddresses(variables, compiled,
+                                       config.scope_probe_pruning ? &facts.scope() : nullptr,
+                                       &plan.addresses);
+  return plan;
+}
+
+// Sampling (Section 4.3), in place in `*vars`: shrinks any pool larger than
+// the threshold. Variables sharing one pool share one sample, sized to
+// cover the d variables drawing from it. Returns how many pools it sampled.
+int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
+                std::vector<lang::VarComm>* vars) {
+  std::unordered_map<std::string, std::vector<int>> pool_groups;
+  for (size_t i = 0; i < vars->size(); ++i) {
+    pool_groups[PoolKey((*vars)[i])].push_back(static_cast<int>(i));
+  }
+  int pools_sampled = 0;
+  std::lock_guard<std::mutex> rng_lock(rng_mutex);
+  CT_LOCK_TRACE(RngLockId());
+  for (auto& [key, members] : pool_groups) {
+    (void)key;
+    const std::vector<lang::Endpoint>& pool = (*vars)[members.front()].pool;
+    const int pool_size = static_cast<int>(pool.size());
+    if (pool_size <= config.sample_threshold) {
+      continue;
+    }
+    const int d = static_cast<int>(members.size());
+    int n = config.sample_override > 0
+                ? config.sample_override
+                : RequiredSamples(d, kIdleFractionHint, kSampleConfidence);
+    n = std::min(n, pool_size);
+    const std::vector<int> picks = rng.SampleWithoutReplacement(pool_size, n);
+    std::vector<lang::Endpoint> sampled;
+    sampled.reserve(picks.size());
+    for (int p : picks) {
+      sampled.push_back(pool[p]);
+    }
+    for (int member : members) {
+      (*vars)[member].pool = sampled;
+    }
+    ++pools_sampled;
+    CT_OBS_INC("M106");
+  }
+  return pools_sampled;
+}
+
 // The answer pipeline's stages, each written so its bytes do not depend on
 // the shard count — the D505 differential contract:
 //
-//   - GatherStatusOver: sampling in place in `*sampled_vars`, which the
-//     caller seeds with the query's variables (one RNG stream, drawn over
-//     the FULL variable set so the stream is independent of footprint
-//     pruning), address assembly, resolution, and the scatter-gather over
-//     the footprint (`scope`; nullptr probes everything). The targets are
-//     split by owning shard and each non-empty slice is probed through its
-//     shard, in shard order; every target's report is read from its
-//     owner's outcome. One ShardBatch per probed shard goes to `*batches`.
-//     The simulated transport draws no RNG for lossless probes, so
-//     per-shard batches consume the same randomness as one flat batch.
+//   - GatherStatusOver: sampling, address assembly, resolution, and the
+//     scatter-gather over the footprint. A query whose plan samples no pool
+//     probes the plan's addresses as they are: no variable copy, pool map,
+//     address set or RNG lock. One that samples draws in place in
+//     `*sampled_vars`, which the caller seeds with the query's variables
+//     (one RNG stream, drawn over the FULL variable set so the stream is
+//     independent of footprint pruning), and collects its addresses from
+//     the sampled pools with the plan's own helper. The targets are split
+//     by owning shard and each non-empty slice is probed through its shard,
+//     in shard order (a one-shard server probes them all in place); every
+//     target's report is read from its owner's outcome. One ShardBatch per
+//     probed shard goes to `*batches`. The simulated transport draws no RNG
+//     for lossless probes, so per-shard batches consume the same randomness
+//     as one flat batch.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the pre-search rejection, error string and all.
 //     Builds the bound analysis only when it can reject: the query has a
@@ -108,111 +228,71 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
                                  const ShardMap& map,
                                  const std::vector<std::unique_ptr<StatusShard>>& shards,
                                  Rng& rng, std::mutex& rng_mutex,
-                                 const lang::CompiledQuery& compiled,
+                                 const lang::CompiledQuery& compiled, const ProbePlan& plan,
                                  const lang::ScopeAnalysis* scope,
                                  std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
                                  std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
   const int sample_span = trace.Open("sample");
-  // Sampling (Section 4.3): shrink any pool larger than the threshold.
-  // Variables sharing one declaration share one pool; the sample must cover
-  // the d variables drawing from it, so size it with d = sharer count.
-  std::unordered_map<std::string, std::vector<int>> pool_groups;
-  for (size_t i = 0; i < sampled_vars->size(); ++i) {
-    std::string key;
-    for (const lang::Endpoint& e : (*sampled_vars)[i].pool) {
-      key += e.ToString();
-      key.push_back('|');
-    }
-    pool_groups[key].push_back(static_cast<int>(i));
-  }
-  int pools_sampled = 0;
-  {
-    std::lock_guard<std::mutex> rng_lock(rng_mutex);
-    CT_LOCK_TRACE(RngLockId());
-    for (auto& [key, members] : pool_groups) {
-      (void)key;
-      const std::vector<lang::Endpoint>& pool = (*sampled_vars)[members.front()].pool;
-      const int pool_size = static_cast<int>(pool.size());
-      if (pool_size <= config.sample_threshold) {
-        continue;
-      }
-      const int d = static_cast<int>(members.size());
-      int n = config.sample_override > 0
-                  ? config.sample_override
-                  : RequiredSamples(d, kIdleFractionHint, kSampleConfidence);
-      n = std::min(n, pool_size);
-      const std::vector<int> picks = rng.SampleWithoutReplacement(pool_size, n);
-      std::vector<lang::Endpoint> sampled;
-      sampled.reserve(picks.size());
-      for (int p : picks) {
-        sampled.push_back(pool[p]);
-      }
-      for (int member : members) {
-        (*sampled_vars)[member].pool = sampled;
-      }
-      ++pools_sampled;
-      CT_OBS_INC("M106");
-    }
-  }
-  trace.Attr(sample_span, "pools", static_cast<int64_t>(pool_groups.size()));
+  const int pools_sampled = plan.samples ? SamplePools(config, rng, rng_mutex, sampled_vars) : 0;
+  trace.Attr(sample_span, "pools", plan.pools);
   trace.Attr(sample_span, "sampled", static_cast<int64_t>(pools_sampled));
   // The probe span opens as sampling closes (one shared clock reading) and
   // covers address assembly, resolution, and the scatter-gather itself.
   trace.Close(sample_span);
   const int probe_span = trace.Open("probe");
 
-  // Address set to probe: sampled pools plus literal flow endpoints, minus
-  // the hosts the footprint analysis proves no evaluation engine reads.
-  // Sampling above still ran over the full variable set so the RNG stream
-  // is identical with pruning on or off.
-  std::vector<std::string> addresses;
-  std::unordered_set<std::string> seen;
-  int64_t skipped = 0;
-  auto add = [&](const lang::Endpoint& e) {
-    if (e.kind != lang::Endpoint::Kind::kAddress || !seen.insert(e.name).second) {
-      return;
-    }
-    if (scope != nullptr && !scope->InFootprint(e.name)) {
-      ++skipped;
-      return;
-    }
-    addresses.push_back(e.name);
-  };
-  for (const lang::VarComm& var : *sampled_vars) {
-    for (const lang::Endpoint& e : var.pool) {
-      add(e);
-    }
+  // Address set to probe: the pools plus literal flow endpoints, minus the
+  // hosts the footprint analysis proves no evaluation engine reads. Sampled
+  // pools name their own; sampling above still ran over the full variable
+  // set so the RNG stream is identical with pruning on or off.
+  std::vector<const std::string*> sampled_addresses;
+  int64_t skipped = plan.skipped;
+  if (plan.samples) {
+    skipped = CollectProbeAddresses(*sampled_vars, compiled, scope, &sampled_addresses);
   }
-  for (const lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
+  const std::vector<const std::string*>& addresses =
+      plan.samples ? sampled_addresses : plan.addresses;
 
   // Resolve to hosts and probe each host once, in first-mention order,
-  // however many addresses name it (an alias and its IP, say). `named` is
-  // the address that first named each target; every later one is an
-  // alias, given its target's status below.
-  std::vector<NodeId> targets;
-  std::vector<const std::string*> named;
-  std::vector<std::pair<const std::string*, size_t>> aliases;
-  std::unordered_map<NodeId, size_t> target_of;
-  for (const std::string& address : addresses) {
-    const NodeId node = directory.Resolve(address);
-    if (node == kInvalidNode) {
-      continue;
+  // however many addresses name it (an alias and its IP, say). Sorting the
+  // resolved mentions by host finds each host's first mention, which names
+  // its target; every later one is an alias, given its target's status
+  // below. The sort keeps this O(n log n) however many names a pool has.
+  struct Mention {
+    NodeId node;
+    int index;  // Into `addresses`.
+    int named;  // The mention naming the host's target; `index` for the first.
+  };
+  std::vector<Mention> mentions;
+  mentions.reserve(addresses.size());
+  for (size_t i = 0; i < addresses.size(); ++i) {
+    const NodeId node = directory.Resolve(*addresses[i]);
+    if (node != kInvalidNode) {
+      const int index = static_cast<int>(i);
+      mentions.push_back(Mention{node, index, index});
     }
-    const auto [it, first] = target_of.emplace(node, targets.size());
-    if (first) {
-      targets.push_back(node);
-      named.push_back(&address);
-    } else {
-      aliases.emplace_back(&address, it->second);
+  }
+  std::sort(mentions.begin(), mentions.end(), [](const Mention& a, const Mention& b) {
+    return a.node != b.node ? a.node < b.node : a.index < b.index;
+  });
+  for (size_t i = 1; i < mentions.size(); ++i) {
+    if (mentions[i].node == mentions[i - 1].node) {
+      mentions[i].named = mentions[i - 1].named;
+    }
+  }
+  std::sort(mentions.begin(), mentions.end(),
+            [](const Mention& a, const Mention& b) { return a.index < b.index; });
+  std::vector<NodeId> targets;
+  targets.reserve(mentions.size());
+  for (const Mention& m : mentions) {
+    if (m.named == m.index) {
+      targets.push_back(m.node);
     }
   }
 
-  // Split the targets by owning shard, keeping their order in each slice.
-  // I410: ShardOf is a total function onto [0, shards), so every target
-  // lands in exactly one slice.
+  // Split the targets by owning shard, keeping their order in each slice;
+  // a one-shard server probes them all in place. I410: ShardOf is a total
+  // function onto [0, shards), so every target lands in exactly one slice.
   const int num_shards = static_cast<int>(shards.size());
   const auto owner_of = [&map, num_shards](NodeId node) {
     const int owner = map.ShardOf(node);
@@ -222,16 +302,8 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
         .With("owner", owner);
     return owner >= 0 && owner < num_shards ? owner : 0;
   };
-  std::vector<std::vector<NodeId>> slices(shards.size());
-  for (const NodeId node : targets) {
-    slices[owner_of(node)].push_back(node);
-  }
   std::vector<ProbeOutcome> outcomes(shards.size());
-  for (int s = 0; s < num_shards; ++s) {
-    const std::vector<NodeId>& slice = slices[s];
-    if (slice.empty()) {
-      continue;
-    }
+  const auto probe = [&](int s, const std::vector<NodeId>& slice) {
     outcomes[s] = shards[s]->Probe(slice, kProbeTimeout);
     const ProbeOutcome& outcome = outcomes[s];
     CT_OBS_INC("M115");
@@ -249,14 +321,37 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
             .With("node", node);
       }
     }
+  };
+  if (num_shards == 1) {
+    if (!targets.empty()) {
+      probe(0, targets);
+    }
+  } else {
+    std::vector<std::vector<NodeId>> slices(shards.size());
+    for (const NodeId node : targets) {
+      slices[owner_of(node)].push_back(node);
+    }
+    for (int s = 0; s < num_shards; ++s) {
+      if (!slices[s].empty()) {
+        probe(s, slices[s]);
+      }
+    }
   }
   CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
 
   StatusByAddress status;
+  status.reserve(mentions.size());
   int missing = 0;
-  for (size_t t = 0; t < targets.size(); ++t) {
-    const NodeId node = targets[t];
-    const std::string& address = *named[t];
+  size_t next_target = 0;
+  for (const Mention& m : mentions) {
+    const std::string& address = *addresses[m.index];
+    if (m.named != m.index) {
+      // The target's first mention came earlier, so its status is in.
+      const StatusReport report = status.at(*addresses[m.named]);
+      status.emplace(address, report);
+      continue;
+    }
+    const NodeId node = targets[next_target++];
     const std::unordered_map<NodeId, StatusReport>& reports = outcomes[owner_of(node)].reports;
     const auto it = reports.find(node);
     const bool replied = it != reports.end();
@@ -264,26 +359,24 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
     // scatter-gather itself is batched, so the children record fan-out and
     // per-host outcome rather than individual wall times. A replied host
     // carries just its address; a missing reply is flagged with replied=0.
-    if (replied) {
-      trace.Event("probe.host", {{"host", address}});
-    } else {
-      trace.Event("probe.host", {{"host", address}, {"replied", "0"}});
+    if (trace.enabled()) {
+      if (replied) {
+        trace.Event("probe.host", {{"host", address}});
+      } else {
+        trace.Event("probe.host", {{"host", address}, {"replied", "0"}});
+      }
     }
     if (replied) {
-      status[address] = it->second;
+      status.emplace(address, it->second);
     } else if (config.assume_loaded_on_missing) {
       ++missing;
       // "If nothing is received from a status server, we assume that a
       // particular address is under heavy I/O load" (Section 4).
-      status[address] = StatusReport::AssumeLoaded(node, directory.CapsOf(node));
+      status.emplace(address, StatusReport::AssumeLoaded(node, directory.CapsOf(node)));
     } else {
       ++missing;
-      status[address] = StatusReport::Idle(node, directory.CapsOf(node));
+      status.emplace(address, StatusReport::Idle(node, directory.CapsOf(node)));
     }
-  }
-  for (const auto& [alias, target] : aliases) {
-    const StatusReport report = status.at(*named[target]);
-    status[*alias] = report;
   }
   if (skipped > 0) {
     CT_OBS_ADD("M113", skipped);
@@ -300,25 +393,23 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
 StatusByAddress SynthesizeStaticStatus(const Directory& directory,
                                        const std::vector<lang::VarComm>& variables,
                                        const lang::ScopeAnalysis* probe_scope,
-                                       obs::TraceContext& trace) {
+                                       const ProbePlan& plan, obs::TraceContext& trace) {
   // Static evaluation: endpoints idle at their nominal capacities. The
   // sample and probe spans still appear (every reply carries the full
   // phase skeleton), recording that both phases were no-ops. The
   // footprint filter applies here too: an inert variable's hosts get no
-  // synthetic idle status, matching what the engines can read.
+  // synthetic idle status, matching what the engines can read. The plan
+  // counts them: literal flow endpoints are always in the footprint
+  // (I408), so its skips are all pool hosts.
   StatusByAddress status;
   const int sample_span = trace.Open("sample");
   trace.Attr(sample_span, "mode", "static");
   trace.Close(sample_span);
   const int probe_span = trace.Open("probe");
-  std::unordered_set<std::string> skipped_hosts;
   for (const lang::VarComm& var : variables) {
     for (const lang::Endpoint& e : var.pool) {
-      if (e.kind != lang::Endpoint::Kind::kAddress) {
-        continue;
-      }
-      if (probe_scope != nullptr && !probe_scope->InFootprint(e.name)) {
-        skipped_hosts.insert(e.name);
+      if (e.kind != lang::Endpoint::Kind::kAddress ||
+          (probe_scope != nullptr && !probe_scope->InFootprint(e.name))) {
         continue;
       }
       const NodeId node = directory.Resolve(e.name);
@@ -327,13 +418,12 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
       }
     }
   }
-  const int64_t skipped = static_cast<int64_t>(skipped_hosts.size());
-  if (skipped > 0) {
-    CT_OBS_ADD("M113", skipped);
+  if (plan.skipped > 0) {
+    CT_OBS_ADD("M113", plan.skipped);
   }
   trace.Attr(probe_span, "fanout", static_cast<int64_t>(0));
   trace.Attr(probe_span, "mode", "static");
-  trace.Attr(probe_span, "skipped", skipped);
+  trace.Attr(probe_span, "skipped", plan.skipped);
   trace.Close(probe_span);
   return status;
 }
@@ -458,10 +548,10 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
       rng_(config_.seed),
       admission_(config_.admission_slots) {}
 
-// Everything Answer derives from the query bytes alone. BuildFrontEnd
-// settles it before anyone else sees it; afterwards it is only read, so the
-// answers of one spelling share it across threads (lang::QueryFacts states
-// the contract).
+// Everything Answer derives from the query bytes alone (and, for the probe
+// plan, the server's config). BuildFrontEnd settles it before anyone else
+// sees it; afterwards it is only read, so the answers of one spelling share
+// it across threads (lang::QueryFacts states the contract).
 struct CloudTalkServer::FrontEnd {
   explicit FrontEnd(lang::Query parsed) : query(std::move(parsed)) {}
   // `facts`, and the compiled query in it, point into `query`.
@@ -474,6 +564,9 @@ struct CloudTalkServer::FrontEnd {
   // rejected with `error`; otherwise they are the reply's warnings.
   std::vector<lang::Diagnostic> diagnostics;
   std::optional<Error> error;
+  // The status gather's plan; empty unless the query is answered. Its
+  // addresses point into the compiled query in `facts`.
+  ProbePlan plan;
 };
 
 std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::FrontEndCache::Find(
@@ -534,7 +627,7 @@ bool CloudTalkServer::FrontEndCache::Sighted(uint64_t fingerprint) {
 }
 
 std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::BuildFrontEnd(
-    const std::string& query_text, bool quote, int parse_span, obs::TraceContext& trace) {
+    const std::string& query_text, bool quote, int parse_span, obs::TraceContext& trace) const {
   lang::DiagnosticSink sink;
   lang::Query query = lang::ParseWithDiagnostics(query_text, &sink);
   if (quote) {
@@ -555,6 +648,9 @@ std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::BuildFrontEnd(
     front->facts.scope();
   }
   front->facts.deadline();
+  if (front->facts.compiled().ok() && !sink.has_errors()) {
+    front->plan = MakeProbePlan(config_, front->facts);
+  }
   trace.Attr(lint_span, "diagnostics", static_cast<int64_t>(sink.diagnostics().size()));
   trace.Close(lint_span);
   if (sink.has_errors()) {
@@ -594,7 +690,7 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   const std::shared_ptr<const FrontEnd> front = FrontEndOf(query_text, trace);
   Result<QueryReply> reply = front->error.has_value()
                                  ? Result<QueryReply>(*front->error)
-                                 : AnswerTraced(front->facts, trace, /*quote=*/nullptr);
+                                 : AnswerTraced(*front, trace, /*quote=*/nullptr);
   if (!reply.ok()) {
     CT_OBS_INC("M101");
     return reply;
@@ -623,8 +719,9 @@ bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now
   return false;
 }
 
-Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
-                                                 obs::TraceContext& trace, QuoteReply* quote) {
+Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::TraceContext& trace,
+                                                 QuoteReply* quote) {
+  const lang::QueryFacts& facts = front.facts;
   const lang::Query& query = facts.query();
   const int compile_span = trace.Open("compile");
   const Result<lang::CompiledQuery>& compiled = facts.compiled();
@@ -668,28 +765,37 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
 
   QueryReply reply;
   StatusByAddress status;
-  std::vector<lang::VarComm> variables = compiled.value().variables();
+  // The variables the heuristic binds: the compiled ones, read in place,
+  // unless sampling shrinks a pool in a copy.
+  std::vector<lang::VarComm> sampled_vars;
+  const std::vector<lang::VarComm>* variables = &compiled.value().variables();
   const lang::ScopeAnalysis* probe_scope = config_.scope_probe_pruning ? &scope : nullptr;
   {
     // Hierarchical aggregation: the gather stage probes each owning shard's
     // slice separately. One aggregate.shard event per contacted shard.
     const int aggregate_span = trace.Open("aggregate");
     if (query.options.use_dynamic_load) {
+      if (front.plan.samples) {
+        sampled_vars = compiled.value().variables();
+        variables = &sampled_vars;
+      }
       std::vector<ShardBatch> batches;
       status = GatherStatusOver(config_, *directory_, map_, shards_, rng_, rng_mutex_,
-                                compiled.value(), probe_scope, &variables, &reply.probe_stats,
-                                &batches, trace);
-      for (const ShardBatch& batch : batches) {
-        trace.Event("aggregate.shard", {{"shard", std::to_string(batch.shard)},
-                                        {"fanout", std::to_string(batch.fanout)},
-                                        {"replies", std::to_string(batch.replies)}});
+                                compiled.value(), front.plan, probe_scope, &sampled_vars,
+                                &reply.probe_stats, &batches, trace);
+      if (trace.enabled()) {
+        for (const ShardBatch& batch : batches) {
+          trace.Event("aggregate.shard", {{"shard", std::to_string(batch.shard)},
+                                          {"fanout", std::to_string(batch.fanout)},
+                                          {"replies", std::to_string(batch.replies)}});
+        }
       }
       trace.Attr(aggregate_span, "batches", static_cast<int64_t>(batches.size()));
       std::lock_guard<std::mutex> lock(stats_mutex_);
       CT_LOCK_TRACE(StatsLockId());
       total_stats_.Accumulate(reply.probe_stats);
     } else {
-      status = SynthesizeStaticStatus(*directory_, variables, probe_scope, trace);
+      status = SynthesizeStaticStatus(*directory_, *variables, probe_scope, front.plan, trace);
       trace.Attr(aggregate_span, "batches", static_cast<int64_t>(0));
       trace.Attr(aggregate_span, "mode", "static");
     }
@@ -739,7 +845,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::QueryFacts& facts,
     const int bind_span = trace.Open("bind");
     trace.Attr(bind_span, "mode", "heuristic");
     Result<HeuristicResult> heuristic = EvaluateHeuristic(
-        variables, query.options.allow_same_binding, status, config_.heuristic, filter);
+        *variables, query.options.allow_same_binding, status, config_.heuristic, filter);
     if (!heuristic.ok()) {
       trace.Close(bind_span);
       return heuristic.error();
@@ -826,7 +932,7 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
     return *front->error;
   }
   QuoteReply quote;
-  const Result<QueryReply> reply = AnswerTraced(front->facts, trace, &quote);
+  const Result<QueryReply> reply = AnswerTraced(*front, trace, &quote);
   if (!reply.ok()) {
     return reply.error();
   }

@@ -5,21 +5,24 @@
 //      footprint & effects (src/lang/scope.h). Lint and the later steps
 //      read one lang::QueryFacts per query, so the query is compiled and
 //      scoped once, and lint's idle-world bound is built only when a rule
-//      can fire on it. All of this is pure in the query bytes, so a
-//      spelling seen before is served from a bounded cache instead.
+//      can fire on it. An answerable query also gets its probe plan: the
+//      addresses step 2 collects when no pool is sampled.
 //   2. Collect the addresses involved; when a pool exceeds the sampling
 //      threshold, probe only a random sample sized by the Section 4.3
 //      analysis (RequiredSamples) instead of the whole pool.
-//   3. Scatter-gather status over the ProbeTransport; hosts that do not
-//      answer are assumed fully loaded.
+//   3. Resolve the addresses to hosts and scatter-gather status over the
+//      ProbeTransport; hosts that do not answer are assumed fully loaded.
 //   4. When the query carries a finite `end`, reject it if the status just
 //      gathered proves no binding can meet it (src/lang/bound.h).
 //   5. Bind variables with the Listing 1 heuristic (or exhaustively /
 //      packet-level when the query says so), honouring pseudo-reservations.
 //   6. Reserve the recommended endpoints for the hold time.
 // A price quote (Section 7) runs the same steps with step 6 suppressed,
-// then prices the binding. Only step 1 is cached between queries: every
-// answer gathers live status and checks live reservations.
+// then prices the binding. What step 1 derives is pure in the query bytes
+// and the server's config, so a spelling seen before takes it, probe plan
+// included, from a bounded cache. Everything that reads the directory, the
+// RNG, status or reservations runs on every answer: sampling, name
+// resolution (an alias may have moved), probing, bound, bind and reserve.
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
@@ -172,9 +175,10 @@ class CloudTalkServer {
   // server keeps it for spellings it has seen at least twice: a bounded
   // cache keyed on the exact bytes (at most kFrontEndBudget of them,
   // oldest evicted first) hands a repeated spelling its parsed query,
-  // settled facts and lint verdict (M119 counts these hits; the reply's
-  // parse span says cache=hit). Status, bound, bind and reserve run on
-  // every answer, so a hit changes no reply.
+  // settled facts, lint verdict and probe plan (M119 counts these hits;
+  // the reply's parse span says cache=hit). Sampling, name resolution,
+  // status, bound, bind and reserve run on every answer, so a hit changes
+  // no reply.
   Result<QueryReply> Answer(const std::string& query_text);
 
   // The most spelling bytes the front-end cache holds.
@@ -203,8 +207,9 @@ class CloudTalkServer {
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
-  // Everything Answer derives from the query bytes alone: the parsed query,
-  // its settled facts and lint's verdict. Defined in server.cc.
+  // Everything Answer derives from the query bytes and the server's config:
+  // the parsed query, its settled facts, lint's verdict and the status
+  // gather's probe plan. Defined in server.cc.
   struct FrontEnd;
 
   // The bounded cache of FrontEnds behind Answer. Keyed on the exact query
@@ -261,17 +266,18 @@ class CloudTalkServer {
                                              obs::TraceContext& trace);
 
   // Parses `query_text` inside the open `parse_span` and closes it, then
-  // lints in a `lint` span and settles the facts. `quote` clears `option
-  // reserve` before any fact exists.
-  static std::shared_ptr<const FrontEnd> BuildFrontEnd(const std::string& query_text, bool quote,
-                                                       int parse_span, obs::TraceContext& trace);
+  // lints in a `lint` span, settles the facts and, for a query it does not
+  // reject, builds the probe plan. `quote` clears `option reserve` before
+  // any fact exists.
+  std::shared_ptr<const FrontEnd> BuildFrontEnd(const std::string& query_text, bool quote,
+                                                int parse_span, obs::TraceContext& trace) const;
 
   // The evaluation pipeline behind Answer and Quote: compile, scope, route,
   // gather status, bound, bind, reserve — recording one span per phase in
-  // `trace`. The compiled query, its scope and its deadline come from
-  // `facts`, which the front end has already settled. A non-null `quote`
-  // is priced from the binding and its status snapshot.
-  Result<QueryReply> AnswerTraced(const lang::QueryFacts& facts, obs::TraceContext& trace,
+  // `trace`. The compiled query, its scope, its deadline and its probe plan
+  // come from `front`, which BuildFrontEnd has already settled. A non-null
+  // `quote` is priced from the binding and its status snapshot.
+  Result<QueryReply> AnswerTraced(const FrontEnd& front, obs::TraceContext& trace,
                                   QuoteReply* quote);
 
   // The shard owning `address` per the directory + ShardMap. Unresolvable

@@ -62,6 +62,11 @@ struct ClusterOptions {
 class Cluster {
  public:
   Cluster(Topology topology, ClusterOptions options = {});
+  // The simulation and the directory point at the cluster's topology, and
+  // its servers' clocks and the status sweep at the cluster itself, so it
+  // is neither copied nor moved: a factory hands one out in a unique_ptr.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   Topology& topology() { return topo_; }
   FluidSimulation& sim() { return *sim_; }

@@ -1444,6 +1444,110 @@ TEST(FrontEndCacheTest, RepeatedSpellingsAnswerLikeFreshOnes) {
   EXPECT_EQ(FrontEndCacheHits() - hits_before, static_cast<int64_t>(queries.size()) + 1);
 }
 
+// The host of every `probe.host` event, in trace order.
+std::vector<std::string> ProbedHosts(const obs::Trace& trace) {
+  std::vector<std::string> hosts;
+  for (const obs::TraceSpan& span : trace.spans) {
+    if (span.name() == "probe.host") {
+      for (const auto& [key, value] : trace.AttrsOf(span.id)) {
+        if (key == "host") {
+          hosts.push_back(value);
+        }
+      }
+    }
+  }
+  return hosts;
+}
+
+TEST(FrontEndCacheTest, CachedSpellingResolvesItsNamesOnEveryAnswer) {
+  // A pool names host 1 by an alias and host 3, half loaded, by its
+  // address. Once the spelling hits the cache, the alias moves to host 2,
+  // which is busy. The next answer, a hit too, must probe and score the
+  // host the alias names now, exactly as a fresh server does.
+  Fleet cached_fleet;
+  Fleet fresh_fleet;
+  const std::string alias = "mover";
+  for (Fleet* fleet : {&cached_fleet, &fresh_fleet}) {
+    fleet->MakeBusy(2);
+    const NodeId host3 = fleet->topo.hosts()[3];
+    StatusReport half = StatusReport::Idle(host3, fleet->topo.host_caps(host3));
+    half.nic_tx_use = half.nic_tx_cap / 2;
+    fleet->source.Set(host3, half);
+    fleet->directory.AddAlias(alias, fleet->topo.hosts()[1]);
+  }
+  const Fleet& f = cached_fleet;
+  const std::string query = "option noreserve\nA = (" + alias + " " + f.Ip(3) + ")\nf1 A -> " +
+                            f.Ip(0) + " size 256M\n";
+  CloudTalkServer cached = cached_fleet.MakeServer({}, [] { return 0.0; });
+  for (int sighting = 1; sighting <= 2; ++sighting) {
+    ASSERT_TRUE(cached.Answer(query).ok());
+  }
+  const Result<QueryReply> idle = cached.Answer(query);
+  ASSERT_TRUE(idle.ok()) << idle.error().ToString();
+  ASSERT_TRUE(ParsedFromCache(idle));
+  EXPECT_EQ(idle.value().binding.at("A").name, alias);
+
+  for (Fleet* fleet : {&cached_fleet, &fresh_fleet}) {
+    fleet->directory.AddAlias(alias, fleet->topo.hosts()[2]);
+  }
+  const Result<QueryReply> moved = cached.Answer(query);
+  CloudTalkServer fresh = fresh_fleet.MakeServer({}, [] { return 0.0; });
+  const Result<QueryReply> want = fresh.Answer(query);
+  ASSERT_TRUE(moved.ok()) << moved.error().ToString();
+  ASSERT_TRUE(want.ok()) << want.error().ToString();
+  EXPECT_TRUE(ParsedFromCache(moved));
+  EXPECT_FALSE(ParsedFromCache(want));
+  EXPECT_EQ(AnswerDigest(moved), AnswerDigest(want));
+  EXPECT_EQ(moved.value().binding.at("A").name, f.Ip(3));
+  EXPECT_NE(moved.value().scores, idle.value().scores);
+  // Every probed host replied, so the alias read the busy host's own report.
+  EXPECT_EQ(moved.value().probe_stats.requests_sent, 3);
+  EXPECT_EQ(moved.value().probe_stats.replies_received, 3);
+  EXPECT_EQ(ProbedHosts(moved.value().trace), ProbedHosts(want.value().trace));
+}
+
+TEST(FrontEndCacheTest, SampledPoolDrawsAlikeOnCachedSpellings) {
+  // A pool over the sampling threshold is sampled on every answer from the
+  // server's one RNG stream, cached spelling or not. Twin servers with one
+  // seed see the same query four times, one as exact repeats (hits from
+  // the third on), the other with a new trailing comment each time.
+  ServerConfig config;
+  config.sample_threshold = 4;
+  config.sample_override = 5;
+  Fleet cached_fleet;
+  Fleet fresh_fleet;
+  for (Fleet* fleet : {&cached_fleet, &fresh_fleet}) {
+    fleet->MakeBusy(1);
+    fleet->MakeBusy(4);
+    fleet->MakeBusy(6);
+  }
+  CloudTalkServer cached = cached_fleet.MakeServer(config, [] { return 0.0; });
+  CloudTalkServer fresh = fresh_fleet.MakeServer(config, [] { return 0.0; });
+  const Fleet& f = cached_fleet;
+  std::string pool;
+  for (int i = 0; i < 9; ++i) {
+    pool += f.Ip(i) + " ";
+  }
+  const std::string query = "A = (" + pool + ")\nf1 A -> " + f.Ip(9) + " size 1M\n";
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Result<QueryReply> repeat = cached.Answer(query);
+    const Result<QueryReply> respelled =
+        fresh.Answer(query + "# round " + std::to_string(round) + "\n");
+    ASSERT_TRUE(repeat.ok()) << repeat.error().ToString();
+    ASSERT_TRUE(respelled.ok()) << respelled.error().ToString();
+    EXPECT_EQ(ParsedFromCache(repeat), round >= 2);
+    EXPECT_EQ(AnswerDigest(repeat), AnswerDigest(respelled));
+    EXPECT_EQ(repeat.value().probe_stats.requests_sent, 6);  // 5 sampled + 1 literal.
+    EXPECT_EQ(ProbedHosts(repeat.value().trace), ProbedHosts(respelled.value().trace));
+    const auto sample = SpanAttrs(repeat.value().trace, "sample");
+    EXPECT_EQ(sample, SpanAttrs(respelled.value().trace, "sample"));
+    EXPECT_NE(std::find(sample.begin(), sample.end(),
+                        std::make_pair(std::string("sampled"), std::string("1"))),
+              sample.end());
+  }
+}
+
 TEST(FrontEndCacheTest, SpellingIsKeptOnItsSecondSighting) {
   Fleet fleet;
   CloudTalkServer server = fleet.MakeServer({}, [] { return 0.0; });

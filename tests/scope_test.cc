@@ -3,6 +3,7 @@
 // the reservation-conflict predicate, targeted probing identity on a live
 // simulated cluster, partial-fleet sampling, and the concurrent admission
 // gate (DESIGN.md "Footprint & effect analysis").
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -206,8 +207,8 @@ TEST(ScopeConflictTest, SharedLiteralEndpointDoesNotConflict) {
 
 // ---- Targeted probing on a live cluster ----
 
-Cluster MakeCluster(bool pruning, int hosts, uint64_t seed, Seconds hold,
-                    int slots = 2, int sample_threshold = 100) {
+std::unique_ptr<Cluster> MakeCluster(bool pruning, int hosts, uint64_t seed, Seconds hold,
+                                     int slots = 2, int sample_threshold = 100) {
   SingleSwitchParams params;
   params.num_hosts = hosts;
   params.host_caps.nic_up = params.host_caps.nic_down = 1 * kGbps;
@@ -220,8 +221,8 @@ Cluster MakeCluster(bool pruning, int hosts, uint64_t seed, Seconds hold,
   options.server.scope_probe_pruning = pruning;
   options.server.admission_slots = slots;
   options.server.sample_threshold = sample_threshold;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
+  auto cluster = std::make_unique<Cluster>(MakeSingleSwitch(params), options);
+  cluster->StartStatusSweep();
   return cluster;
 }
 
@@ -242,8 +243,12 @@ std::string SparseQuery(const Cluster& cluster, int active_hosts) {
 }
 
 TEST(ScopeClusterTest, FootprintPruningByteIdenticalUnderLoad) {
-  Cluster pruned = MakeCluster(/*pruning=*/true, 16, /*seed=*/7, /*hold=*/0);
-  Cluster full = MakeCluster(/*pruning=*/false, 16, /*seed=*/7, /*hold=*/0);
+  const std::unique_ptr<Cluster> pruned_ptr =
+      MakeCluster(/*pruning=*/true, 16, /*seed=*/7, /*hold=*/0);
+  Cluster& pruned = *pruned_ptr;
+  const std::unique_ptr<Cluster> full_ptr =
+      MakeCluster(/*pruning=*/false, 16, /*seed=*/7, /*hold=*/0);
+  Cluster& full = *full_ptr;
   for (Cluster* c : {&pruned, &full}) {
     c->AddBackgroundPair(c->host(2), c->host(5), 600 * kMbps);
     c->AddBackgroundPair(c->host(9), c->host(12), 800 * kMbps);
@@ -267,8 +272,12 @@ TEST(ScopeClusterTest, FootprintPruningByteIdenticalUnderLoad) {
 }
 
 TEST(ScopeClusterTest, StaticPathSkipsExcludedHosts) {
-  Cluster pruned = MakeCluster(/*pruning=*/true, 16, /*seed=*/3, /*hold=*/0);
-  Cluster full = MakeCluster(/*pruning=*/false, 16, /*seed=*/3, /*hold=*/0);
+  const std::unique_ptr<Cluster> pruned_ptr =
+      MakeCluster(/*pruning=*/true, 16, /*seed=*/3, /*hold=*/0);
+  Cluster& pruned = *pruned_ptr;
+  const std::unique_ptr<Cluster> full_ptr =
+      MakeCluster(/*pruning=*/false, 16, /*seed=*/3, /*hold=*/0);
+  Cluster& full = *full_ptr;
   pruned.MeasureNow();
   full.MeasureNow();
   const std::string query = "option static\n" + SparseQuery(pruned, 3);
@@ -298,10 +307,12 @@ TEST(SamplingScopeTest, OversizedInertPoolKeepsSamplingDrawsIdentical) {
   // Both pools exceed the sample threshold, so both consume RNG draws when
   // sampled — including the inert one. Pruning filters the probe *targets*
   // only, never the draws, so the sampled answer stays byte-identical.
-  Cluster pruned =
+  const std::unique_ptr<Cluster> pruned_ptr =
       MakeCluster(true, 20, /*seed=*/11, /*hold=*/0, /*slots=*/2, /*sample_threshold=*/4);
-  Cluster full =
+  Cluster& pruned = *pruned_ptr;
+  const std::unique_ptr<Cluster> full_ptr =
       MakeCluster(false, 20, /*seed=*/11, /*hold=*/0, /*slots=*/2, /*sample_threshold=*/4);
+  Cluster& full = *full_ptr;
   for (Cluster* c : {&pruned, &full}) {
     c->AddBackgroundPair(c->host(3), c->host(6), 700 * kMbps);
     c->MeasureNow();
@@ -323,7 +334,8 @@ TEST(SamplingScopeTest, OversizedInertPoolKeepsSamplingDrawsIdentical) {
 // touch the simulated probe transport (which is single-threaded); the
 // static path still runs the full bind + reserve pipeline.
 TEST(ScopeAdmissionTest, ConflictingReserversSerializeToDistinctPicks) {
-  Cluster cluster = MakeCluster(true, 8, /*seed=*/1, /*hold=*/60.0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeCluster(true, 8, /*seed=*/1, /*hold=*/60.0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   std::string query = "option static\nA = (";
   for (int i = 1; i <= 4; ++i) {
@@ -355,7 +367,8 @@ TEST(ScopeAdmissionTest, ConflictingReserversSerializeToDistinctPicks) {
 }
 
 TEST(ScopeAdmissionTest, DisjointReserversBothComplete) {
-  Cluster cluster = MakeCluster(true, 16, /*seed=*/1, /*hold=*/60.0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeCluster(true, 16, /*seed=*/1, /*hold=*/60.0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   const std::string left = "option static\nA = (" + cluster.ip(1) + " " + cluster.ip(2) +
                            ")\nf1 A -> " + cluster.ip(0) + " size 1M\n";
@@ -383,7 +396,9 @@ TEST(ScopeAdmissionTest, DisjointReserversBothComplete) {
 }
 
 TEST(ScopeAdmissionTest, SingleSlotFallsBackToSerial) {
-  Cluster cluster = MakeCluster(true, 16, /*seed=*/1, /*hold=*/60.0, /*slots=*/1);
+  const std::unique_ptr<Cluster> cluster_ptr =
+      MakeCluster(true, 16, /*seed=*/1, /*hold=*/60.0, /*slots=*/1);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   std::vector<std::thread> threads;
   // Not vector<bool>: per-thread writes must land on distinct bytes.
@@ -406,7 +421,8 @@ TEST(ScopeAdmissionTest, SingleSlotFallsBackToSerial) {
 TEST(ScopeAdmissionTest, GateBypassedWithoutReservations) {
   // reservation_hold == 0 disables both the table and the gate; concurrent
   // pure queries must still complete.
-  Cluster cluster = MakeCluster(true, 8, /*seed=*/1, /*hold=*/0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeCluster(true, 8, /*seed=*/1, /*hold=*/0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   const std::string query = "option static\noption noreserve\nA = (" + cluster.ip(1) + " " +
                             cluster.ip(2) + ")\nf1 A -> " + cluster.ip(0) + " size 1M\n";

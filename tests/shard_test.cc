@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -63,7 +64,7 @@ TEST(ShardMapTest, EveryNodeOwnedByExactlyOneShard) {
 
 // ---- Sharded server on a live cluster ----
 
-Cluster MakeShardCluster(int hosts, uint64_t seed, Seconds hold, int slots = 2) {
+std::unique_ptr<Cluster> MakeShardCluster(int hosts, uint64_t seed, Seconds hold, int slots = 2) {
   SingleSwitchParams params;
   params.num_hosts = hosts;
   params.host_caps.nic_up = params.host_caps.nic_down = 1 * kGbps;
@@ -74,8 +75,8 @@ Cluster MakeShardCluster(int hosts, uint64_t seed, Seconds hold, int slots = 2) 
   options.server.eval_threads = 1;
   options.server.reservation_hold = hold;
   options.server.admission_slots = slots;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
+  auto cluster = std::make_unique<Cluster>(MakeSingleSwitch(params), options);
+  cluster->StartStatusSweep();
   return cluster;
 }
 
@@ -87,7 +88,8 @@ ShardedConfig ShardConfigFor(Cluster* cluster, int shards) {
 }
 
 TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
-  Cluster cluster = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -113,7 +115,8 @@ TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
 }
 
 TEST(ShardedServerTest, UnresponsiveShardAbortsTheWholeReserve) {
-  Cluster cluster = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/5, /*hold=*/60.0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -157,7 +160,8 @@ TEST(ShardedServerTest, UnresponsiveShardStatusFallsBackToAssumeLoaded) {
   // A shard that never answers probes makes its hosts look fully loaded
   // (assume_loaded_on_missing), steering the binding to a responsive shard
   // instead of failing the query.
-  Cluster cluster = MakeShardCluster(16, /*seed=*/9, /*hold=*/0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/9, /*hold=*/0);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -265,12 +269,15 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
     text << in.rdbuf();
     const std::string query = text.str();
     // Oracle: the one-shard server on its own identically seeded cluster.
-    Cluster oracle_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    const std::unique_ptr<Cluster> oracle_cluster_ptr =
+        MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    Cluster& oracle_cluster = *oracle_cluster_ptr;
     AddShardLoad(&oracle_cluster);
     const Result<QueryReply> oracle = oracle_cluster.cloudtalk().Answer(query);
     const std::string want = ReplyDigest(oracle);
     for (const int shards : {1, 2, 4}) {
-      Cluster cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+      const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+      Cluster& cluster = *cluster_ptr;
       AddShardLoad(&cluster);
       CloudTalkServer sharded(ShardConfigFor(&cluster, shards), &cluster.directory(),
                               &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -283,7 +290,9 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
     ASSERT_TRUE(parsed.ok()) << path.filename();
     const Result<lang::CanonicalQuery> canon = lang::Canonicalize(parsed.value());
     ASSERT_TRUE(canon.ok()) << path.filename();
-    Cluster canon_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    const std::unique_ptr<Cluster> canon_cluster_ptr =
+        MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    Cluster& canon_cluster = *canon_cluster_ptr;
     AddShardLoad(&canon_cluster);
     EXPECT_EQ(NameOrderedDigest(canon_cluster.cloudtalk().Answer(canon.value().text),
                                 &canon.value()),
@@ -291,7 +300,9 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
         << path.filename() << " canonical form";
     // A quote is the answer, priced: on a one-shard twin it binds like the
     // oracle from the same probes (none under `option static`).
-    Cluster quote_cluster = MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    const std::unique_ptr<Cluster> quote_cluster_ptr =
+        MakeShardCluster(16, /*seed=*/21, /*hold=*/0.3);
+    Cluster& quote_cluster = *quote_cluster_ptr;
     AddShardLoad(&quote_cluster);
     const Result<QuoteReply> quote = quote_cluster.cloudtalk().Quote(query);
     ASSERT_EQ(quote.ok(), oracle.ok()) << path.filename() << " quote";
@@ -316,7 +327,8 @@ TEST(ShardedServerTest, GoodFixturesAnswerByteIdenticalAcrossShardCounts) {
 std::vector<std::string> HoldTimeline(int shards) {
   constexpr Seconds kHold = 0.3;
   constexpr int kPoolHosts = 8;  // Hosts 1..8; host 0 is the fixed peer.
-  Cluster cluster = MakeShardCluster(16, /*seed=*/29, kHold);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/29, kHold);
+  Cluster& cluster = *cluster_ptr;
   AddShardLoad(&cluster);
   std::optional<CloudTalkServer> sharded;
   if (shards > 0) {
@@ -388,11 +400,13 @@ TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
   // the totals: same requests, same replies, same bytes on the wire.
   const std::string query = "A = (10.0.0.1 10.0.0.2 10.0.0.3 10.0.0.4)\n"
                             "f1 A -> 10.0.0.9 size 32M\n";
-  Cluster oracle_cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
+  const std::unique_ptr<Cluster> oracle_cluster_ptr = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
+  Cluster& oracle_cluster = *oracle_cluster_ptr;
   AddShardLoad(&oracle_cluster);
   const Result<QueryReply> want = oracle_cluster.cloudtalk().Answer(query);
   ASSERT_TRUE(want.ok()) << want.error().ToString();
-  Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/13, /*hold=*/0);
+  Cluster& cluster = *cluster_ptr;
   AddShardLoad(&cluster);
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -409,7 +423,8 @@ TEST(ShardedServerTest, ProbeStatsMatchSingleServerTotals) {
 }
 
 TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {
-  Cluster cluster = MakeShardCluster(16, /*seed=*/13, /*hold=*/0.3);
+  const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/13, /*hold=*/0.3);
+  Cluster& cluster = *cluster_ptr;
   AddShardLoad(&cluster);
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -444,7 +459,8 @@ TEST(ShardedServerTest, PacketQuerySearchesOnceAtEveryShardCount) {
   std::string want;
   SearchCounters want_counters;
   for (const int shards : {1, 2, 4}) {
-    Cluster cluster = MakeShardCluster(16, /*seed=*/7, /*hold=*/0);
+    const std::unique_ptr<Cluster> cluster_ptr = MakeShardCluster(16, /*seed=*/7, /*hold=*/0);
+    Cluster& cluster = *cluster_ptr;
     AddShardLoad(&cluster);
     PacketLevelEstimator estimator(&cluster.topology(), &cluster.directory());
     CloudTalkServer server(ShardConfigFor(&cluster, shards), &cluster.directory(),
@@ -544,7 +560,9 @@ TEST(AdmissionGateTest, ReleaseUnknownTicketFiresI409) {
 // ---- Concurrent admission stress (runs under TSan in CI) ----
 
 TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
-  Cluster cluster = MakeShardCluster(32, /*seed=*/17, /*hold=*/60.0, /*slots=*/8);
+  const std::unique_ptr<Cluster> cluster_ptr =
+      MakeShardCluster(32, /*seed=*/17, /*hold=*/60.0, /*slots=*/8);
+  Cluster& cluster = *cluster_ptr;
   cluster.MeasureNow();
   CloudTalkServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });

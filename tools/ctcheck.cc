@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -936,8 +937,8 @@ std::string GenerateDiffScopeQuery(uint64_t seed, int lo, int hi) {
   return q.str();
 }
 
-Cluster MakeDiffScopeCluster(uint64_t seed, bool scope_probe_pruning,
-                             Seconds reservation_hold) {
+std::unique_ptr<Cluster> MakeDiffScopeCluster(uint64_t seed, bool scope_probe_pruning,
+                                              Seconds reservation_hold) {
   SingleSwitchParams params;
   params.num_hosts = kDiffScopeHosts;
   params.host_caps.nic_up = 1 * kGbps;
@@ -950,8 +951,8 @@ Cluster MakeDiffScopeCluster(uint64_t seed, bool scope_probe_pruning,
   options.server.eval_threads = 1;
   options.server.reservation_hold = reservation_hold;
   options.server.scope_probe_pruning = scope_probe_pruning;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
+  auto cluster = std::make_unique<Cluster>(MakeSingleSwitch(params), options);
+  cluster->StartStatusSweep();
   return cluster;
 }
 
@@ -1001,8 +1002,12 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
   // Oracle 1: footprint identity against full-fleet probing.
   *query_text = GenerateDiffScopeQuery(seed, 0, kDiffScopeHosts - 1);
   {
-    Cluster pruned = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
-    Cluster full = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/false, 0);
+    const std::unique_ptr<Cluster> pruned_ptr =
+        MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+    Cluster& pruned = *pruned_ptr;
+    const std::unique_ptr<Cluster> full_ptr =
+        MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/false, 0);
+    Cluster& full = *full_ptr;
     AddDiffScopeLoad(&pruned, seed);
     AddDiffScopeLoad(&full, seed);
     const Result<QueryReply> a = pruned.cloudtalk().Answer(*query_text);
@@ -1022,8 +1027,12 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
   const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kDiffScopeHosts / 2 - 1);
   const std::string right =
       GenerateDiffScopeQuery(seed * 2 + 2, kDiffScopeHosts / 2, kDiffScopeHosts - 1);
-  Cluster lr = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
-  Cluster rl = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  const std::unique_ptr<Cluster> lr_ptr =
+      MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster& lr = *lr_ptr;
+  const std::unique_ptr<Cluster> rl_ptr =
+      MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster& rl = *rl_ptr;
   AddDiffScopeLoad(&lr, seed);
   AddDiffScopeLoad(&rl, seed);
   const std::string left_first = DiffScopeReplyDigest(lr.cloudtalk().Answer(left));
@@ -1078,14 +1087,18 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
                 "# --- answered in sequence ---\n" + queries[2];
   std::vector<std::string> oracle;
   {
-    Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    const std::unique_ptr<Cluster> cluster_ptr =
+        MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    Cluster& cluster = *cluster_ptr;
     AddDiffScopeLoad(&cluster, seed);
     for (const std::string& q : queries) {
       oracle.push_back(DiffScopeReplyDigest(cluster.cloudtalk().Answer(q)));
     }
   }
   for (const int shards : kShardCounts) {
-    Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    const std::unique_ptr<Cluster> cluster_ptr =
+        MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    Cluster& cluster = *cluster_ptr;
     AddDiffScopeLoad(&cluster, seed);
     CloudTalkServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
                             &cluster.transport(), [&cluster] { return cluster.now(); });
@@ -1103,7 +1116,9 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   {
     const std::string packet_query =
         "option packet\n" + GenerateDiffScopeQuery(seed ^ 0x9e3779b97f4a7c15ull, 0, 5);
-    Cluster oracle_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+    const std::unique_ptr<Cluster> oracle_cluster_ptr =
+        MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+    Cluster& oracle_cluster = *oracle_cluster_ptr;
     AddDiffScopeLoad(&oracle_cluster, seed);
     PacketLevelEstimator oracle_estimator(&oracle_cluster.topology(),
                                           &oracle_cluster.directory());
@@ -1113,7 +1128,9 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
                            &oracle_estimator);
     const std::string want = DiffScopeReplyDigest(single.Answer(packet_query));
     for (const int shards : kShardCounts) {
-      Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+      const std::unique_ptr<Cluster> cluster_ptr =
+          MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+      Cluster& cluster = *cluster_ptr;
       AddDiffScopeLoad(&cluster, seed);
       PacketLevelEstimator estimator(&cluster.topology(), &cluster.directory());
       CloudTalkServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
@@ -1134,8 +1151,12 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kDiffScopeHosts / 2 - 1);
   const std::string right =
       GenerateDiffScopeQuery(seed * 2 + 2, kDiffScopeHosts / 2, kDiffScopeHosts - 1);
-  Cluster oracle_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
-  Cluster sharded_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  const std::unique_ptr<Cluster> oracle_cluster_ptr =
+      MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster& oracle_cluster = *oracle_cluster_ptr;
+  const std::unique_ptr<Cluster> sharded_cluster_ptr =
+      MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster& sharded_cluster = *sharded_cluster_ptr;
   AddDiffScopeLoad(&oracle_cluster, seed);
   AddDiffScopeLoad(&sharded_cluster, seed);
   const std::string left_want = DiffScopeReplyDigest(oracle_cluster.cloudtalk().Answer(left));
