@@ -20,25 +20,29 @@ LockId AdmissionLockId() {
 
 AdmissionGate::AdmissionGate(int slots) : slots_(std::max(1, slots)) {}
 
-uint64_t AdmissionGate::Admit(const lang::ScopeAnalysis& scope) {
+uint64_t AdmissionGate::Admit(bool reserves, const std::vector<NodeId>& hosts) {
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, [&] {
     if (static_cast<int>(admitted_.size()) >= slots_) {
       return false;
     }
-    for (const Admitted& in_flight : admitted_) {
-      if (lang::ReservationConflict(*in_flight.scope, scope)) {
+    // Two readers never interleave observably; otherwise a shared host
+    // (both lists are sorted: walk them in step) is a conflict.
+    return std::none_of(admitted_.begin(), admitted_.end(), [&](const Admitted& in_flight) {
+      if (!reserves && !in_flight.reserves) {
         return false;
       }
-    }
-    return true;
+      auto i = hosts.begin();
+      auto j = in_flight.hosts->begin();
+      while (i != hosts.end() && j != in_flight.hosts->end() && *i != *j) {
+        *i < *j ? ++i : ++j;
+      }
+      return i != hosts.end() && j != in_flight.hosts->end();
+    });
   });
   CT_LOCK_TRACE(AdmissionLockId());
-  Admitted entry;
-  entry.ticket = ++next_ticket_;
-  entry.scope = &scope;
-  admitted_.push_back(entry);
-  return entry.ticket;
+  admitted_.push_back(Admitted{++next_ticket_, reserves, &hosts});
+  return next_ticket_;
 }
 
 void AdmissionGate::Release(uint64_t ticket) {
@@ -48,7 +52,7 @@ void AdmissionGate::Release(uint64_t ticket) {
     const auto it = std::find_if(admitted_.begin(), admitted_.end(),
                                  [ticket](const Admitted& a) { return a.ticket == ticket; });
     CT_INVARIANT(it != admitted_.end(), "I409",
-                 "admission release does not match any in-flight scope")
+                 "admission release does not match any in-flight query")
         .With("ticket", std::to_string(ticket));
     if (it != admitted_.end()) {
       admitted_.erase(it);

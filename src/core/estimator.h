@@ -42,9 +42,6 @@ namespace cloudtalk {
 // var name -> concrete endpoint (address or disk).
 using Binding = std::unordered_map<std::string, lang::Endpoint>;
 
-// Status snapshot keyed by address string (as written in the query).
-using StatusByAddress = std::unordered_map<std::string, StatusReport>;
-
 struct Estimate {
   Seconds makespan = 0;           // When the last flow finishes.
   Bps aggregate_throughput = 0;   // Total bytes * 8 / makespan.

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
+#include <numeric>
+#include <utility>
 
 namespace cloudtalk {
 
@@ -12,56 +13,132 @@ namespace {
 using lang::Endpoint;
 using lang::VarComm;
 
-// When a host never answered its probe the snapshot has no entry; the
-// CloudTalk server substitutes AssumeLoaded reports before calling the
-// heuristic, so a missing address here means "no information at all" —
-// score it as fully loaded with unit capacity, i.e. below every known host.
-double EvalOrWorst(const StatusByAddress& status, const std::string& address,
-                   double (*eval)(const StatusReport&, double, FitnessModel),
-                   const HeuristicParams& params) {
-  const auto it = status.find(address);
-  if (it == status.end()) {
-    StatusReport unknown;
-    unknown.nic_tx_cap = unknown.nic_rx_cap = 1;
-    unknown.nic_tx_use = unknown.nic_rx_use = 1;
-    unknown.disk_read_cap = unknown.disk_write_cap = 1;
-    unknown.disk_read_use = unknown.disk_write_use = 1;
-    return eval(unknown, params.weight, params.fitness);
-  }
-  return eval(it->second, params.weight, params.fitness);
-}
-
-// True when `var` communicates with exactly one network endpoint overall and
-// that endpoint is the literal address `candidate` (Listing 1 lines 8/9/27:
-// binding the variable to its only peer turns the transfer into a loopback).
-bool SingleLocalEndpoint(const VarComm& var, const std::string& candidate) {
-  const Endpoint* only = nullptr;
-  if (var.rx_from.size() + var.tx_to.size() != 1) {
-    return false;
-  }
-  only = var.rx_from.empty() ? &var.tx_to.front() : &var.rx_from.front();
-  return only->kind == Endpoint::Kind::kAddress && only->name == candidate;
-}
-
-// True when the variable qualifies for priority assignment: it communicates
-// with at most one endpoint and that endpoint is one of its possible values.
-bool IsPriorityVariable(const VarComm& var) {
-  if (var.rx_from.size() + var.tx_to.size() != 1) {
-    return false;
-  }
-  const Endpoint& only = var.rx_from.empty() ? var.tx_to.front() : var.rx_from.front();
-  if (only.kind != Endpoint::Kind::kAddress) {
-    return false;
-  }
-  return std::find(var.pool.begin(), var.pool.end(), only) != var.pool.end();
-}
+// The report of a candidate the snapshot has no entry for: fully loaded
+// with unit capacity, below every known host. The server substitutes
+// AssumeLoaded reports for hosts that never answered, so this covers a name
+// that was never probed (one the directory does not know, say).
+constexpr StatusReport kUnknownReport{
+    .nic_tx_cap = 1, .nic_tx_use = 1, .nic_rx_cap = 1, .nic_rx_use = 1,
+    .disk_read_cap = 1, .disk_read_use = 1, .disk_write_cap = 1, .disk_write_use = 1};
 
 struct Candidate {
-  std::string address;
-  double score = -std::numeric_limits<double>::infinity();
+  int slot;
+  double score;
 };
 
 }  // namespace
+
+QueryHosts::QueryHosts(const lang::CompiledQuery& compiled) {
+  // Every address mention, pool entries first, then flow endpoints.
+  const std::vector<VarComm>& variables = compiled.variables();
+  size_t pool_entries = 0;
+  for (const VarComm& var : variables) {
+    pool_entries += var.pool.size();
+  }
+  std::vector<const std::string*> mentions;
+  mentions.reserve(pool_entries + 2 * compiled.flows().size());
+  for (const VarComm& var : variables) {
+    for (const Endpoint& e : var.pool) {
+      if (e.kind == Endpoint::Kind::kAddress) {
+        mentions.push_back(&e.name);
+      }
+    }
+  }
+  const size_t pool_mentions = mentions.size();
+  for (const lang::CompiledFlow& flow : compiled.flows()) {
+    for (const Endpoint* e : {&flow.src, &flow.dst}) {
+      if (e->kind == Endpoint::Kind::kAddress) {
+        mentions.push_back(&e->name);
+      }
+    }
+  }
+  // A sort by spelling, first mention first, points each mention at its
+  // spelling's first; a walk in mention order then hands out the slots.
+  std::vector<int> by_name(mentions.size());
+  std::iota(by_name.begin(), by_name.end(), 0);
+  std::sort(by_name.begin(), by_name.end(), [&mentions](int a, int b) {
+    const int order = mentions[a]->compare(*mentions[b]);
+    return order != 0 ? order < 0 : a < b;
+  });
+  std::vector<int> slot_of(mentions.size());
+  names.reserve(mentions.size());
+  endpoints.reserve(mentions.size() - pool_mentions);
+  for (size_t k = 0; k < by_name.size(); ++k) {
+    const int m = by_name[k];
+    slot_of[m] = k > 0 && *mentions[by_name[k - 1]] == *mentions[m] ? slot_of[by_name[k - 1]] : m;
+  }
+  for (size_t m = 0; m < mentions.size(); ++m) {
+    const bool first = slot_of[m] == static_cast<int>(m);
+    slot_of[m] = first ? static_cast<int>(names.size()) : slot_of[slot_of[m]];
+    if (first) {
+      names.push_back(mentions[m]);
+      pool_names += m < pool_mentions ? 1 : 0;
+    }
+  }
+  std::vector<char> endpoint(names.size(), 0);
+  for (size_t m = pool_mentions; m < mentions.size(); ++m) {
+    if (!std::exchange(endpoint[slot_of[m]], 1)) {
+      endpoints.push_back(slot_of[m]);
+    }
+  }
+
+  // Each variable's pool as slots, and its only peer's slot.
+  std::map<std::vector<int>, int> pool_index;
+  pool_of.reserve(variables.size());
+  peer_of.reserve(variables.size());
+  size_t m = 0;
+  for (const VarComm& var : variables) {
+    std::vector<int> entries;
+    entries.reserve(var.pool.size());
+    for (const Endpoint& e : var.pool) {
+      entries.push_back(e.kind == Endpoint::Kind::kAddress ? slot_of[m++] : -1);
+    }
+    const int fresh = static_cast<int>(pool_index.size());
+    pool_of.push_back(pool_index.emplace(std::move(entries), fresh).first->second);
+    const Endpoint* only = var.rx_from.size() + var.tx_to.size() != 1 ? nullptr
+                           : var.rx_from.empty()                    ? &var.tx_to.front()
+                                                                    : &var.rx_from.front();
+    int peer = -1;
+    if (only != nullptr && only->kind == Endpoint::Kind::kAddress) {
+      peer = slot_of[*std::lower_bound(
+          by_name.begin(), by_name.end(), only->name,
+          [&mentions](int a, const std::string& name) { return *mentions[a] < name; })];
+    }
+    peer_of.push_back(peer);
+  }
+  pools.resize(pool_index.size());
+  while (!pool_index.empty()) {
+    auto node = pool_index.extract(pool_index.begin());
+    pools[node.mapped()] = std::move(node.key());
+  }
+}
+
+AnswerHosts::AnswerHosts(const QueryHosts& hosts, const Directory* directory)
+    : slots(hosts.names.size()) {
+  // Sorting the resolved slots by host, first slot first, finds each host's
+  // identity and lists the pool hosts in order.
+  std::vector<std::pair<NodeId, int>> by_host;
+  by_host.reserve(slots.size());
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    slots[slot].id = static_cast<int>(slot);
+    if (directory != nullptr) {
+      slots[slot].node = directory->Resolve(*hosts.names[slot]);
+    }
+    if (slots[slot].node != kInvalidNode) {
+      by_host.emplace_back(slots[slot].node, static_cast<int>(slot));
+    }
+  }
+  std::sort(by_host.begin(), by_host.end());
+  pool_hosts.reserve(by_host.size());
+  for (size_t k = 0; k < by_host.size(); ++k) {
+    const auto [node, slot] = by_host[k];
+    if (k > 0 && by_host[k - 1].first == node) {
+      slots[slot].id = slots[by_host[k - 1].second].id;
+    } else if (slot < hosts.pool_names) {
+      pool_hosts.push_back(node);
+    }
+  }
+}
 
 double EvalFitness(Bps capacity, Bps usage, double weight, FitnessModel model) {
   switch (model) {
@@ -94,129 +171,116 @@ double EvalDiskWrite(const StatusReport& report, double weight, FitnessModel mod
 
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
                                           const StatusByAddress& status,
-                                          const HeuristicParams& params,
-                                          const ReservationFilter& reserved) {
-  return EvaluateHeuristic(query.variables(), query.query().options.allow_same_binding,
-                           status, params, reserved);
+                                          const HeuristicParams& params) {
+  const QueryHosts hosts(query);
+  AnswerHosts answer(hosts);
+  return EvaluateHeuristic(query, hosts, &answer, status, params);
 }
 
-Result<HeuristicResult> EvaluateHeuristic(const std::vector<lang::VarComm>& variables,
-                                          bool allow_same, const StatusByAddress& status,
-                                          const HeuristicParams& params,
-                                          const ReservationFilter& reserved) {
+Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
+                                          const QueryHosts& hosts, AnswerHosts* answer,
+                                          const StatusByAddress& status,
+                                          const HeuristicParams& params) {
+  const std::vector<VarComm>& variables = query.variables();
+  const bool distinct = !query.query().options.allow_same_binding;
   HeuristicResult result;
-  const bool distinct = !allow_same;
-  // How many times each address has been handed out (distinct bindings wrap
-  // around once the pool is exhausted).
-  std::unordered_map<std::string, int> times_used;
+  result.scores.reserve(variables.size());
+  std::vector<HostSlot>& slots = answer->slots;
+  std::vector<Candidate> candidates;
+  const auto id_of = [&slots](int slot) { return slot < 0 ? -1 : slots[slot].id; };
+  // How many times a slot's host has been handed out (distinct bindings
+  // wrap around once the pool is exhausted).
+  const auto used = [&](int slot) { return slots[id_of(slot)].used; };
 
-  // Score of candidate `address` for variable `var`.
-  auto score_candidate = [&](const VarComm& var, const std::string& address) -> double {
+  // Score of the candidate `address` for `var`; `local` when it is the
+  // variable's only peer, which turns its transfer into a loopback (Listing
+  // 1 lines 8/9/27). The status is looked up once, and only when the score
+  // reads it.
+  auto score_candidate = [&](const VarComm& var, const std::string& address,
+                             bool local) -> double {
+    const bool net = !local && (!var.rx_from.empty() || !var.tx_to.empty());
+    const bool has_requirement = var.cpu_required > 0 || var.mem_required > 0;
+    if (!net && !has_requirement && !var.reads_disk && !var.writes_disk) {
+      return kMaxScore;
+    }
+    const auto it = status.find(address);
+    const StatusReport& report = it != status.end() ? it->second : kUnknownReport;
     // Scalar requirements (Section 7): a candidate with known-insufficient
     // free CPU or memory ranks below every other candidate. Unknown scalar
     // state (total == 0) passes — the probe simply carried no information.
-    if (var.cpu_required > 0 || var.mem_required > 0) {
-      const auto it = status.find(address);
-      if (it != status.end()) {
-        const StatusReport& report = it->second;
-        const bool cpu_short = report.cpu_cores_total > 0 && var.cpu_required > 0 &&
-                               report.CpuFree() < var.cpu_required;
-        const bool mem_short =
-            report.mem_total > 0 && var.mem_required > 0 && report.MemFree() < var.mem_required;
-        if (cpu_short || mem_short) {
-          return -kMaxScore;
-        }
-      }
+    const bool cpu_short = report.cpu_cores_total > 0 && var.cpu_required > 0 &&
+                           report.CpuFree() < var.cpu_required;
+    const bool mem_short =
+        report.mem_total > 0 && var.mem_required > 0 && report.MemFree() < var.mem_required;
+    if (cpu_short || mem_short) {
+      return -kMaxScore;
     }
-    double net_rx = kMaxScore;
-    double net_tx = kMaxScore;
-    if (!SingleLocalEndpoint(var, address)) {
-      if (!var.rx_from.empty()) {
-        net_rx = EvalOrWorst(status, address, EvalRx, params);
-      }
-      if (!var.tx_to.empty()) {
-        net_tx = EvalOrWorst(status, address, EvalTx, params);
-      }
-    }
-    double disk_read = kMaxScore;
-    double disk_write = kMaxScore;
-    if (var.reads_disk) {
-      disk_read = EvalOrWorst(status, address, EvalDiskRead, params);
-    }
-    if (var.writes_disk) {
-      disk_write = EvalOrWorst(status, address, EvalDiskWrite, params);
-    }
+    const double w = params.weight;
+    const FitnessModel model = params.fitness;
+    const double net_rx = net && !var.rx_from.empty() ? EvalRx(report, w, model) : kMaxScore;
+    const double net_tx = net && !var.tx_to.empty() ? EvalTx(report, w, model) : kMaxScore;
+    const double disk_read = var.reads_disk ? EvalDiskRead(report, w, model) : kMaxScore;
+    const double disk_write = var.writes_disk ? EvalDiskWrite(report, w, model) : kMaxScore;
     return std::min(std::min(net_rx, net_tx), std::min(disk_read, disk_write));
   };
 
-  auto assign_value = [&](const VarComm& var) -> Result<bool> {
+  auto assign_value = [&](size_t v) -> Result<bool> {
+    const VarComm& var = variables[v];
     if (var.pool.empty()) {
       return Error{"variable '" + var.name + "' has an empty candidate pool"};
     }
-    std::vector<Candidate> candidates;
-    candidates.reserve(var.pool.size());
+    const int peer = id_of(hosts.peer_of[v]);
+    const std::vector<int>& pool = answer->Candidates(hosts, hosts.pool_of[v]);
+    candidates.clear();
+    candidates.reserve(pool.size());
     int min_used = std::numeric_limits<int>::max();
-    for (const Endpoint& value : var.pool) {
-      if (value.kind != Endpoint::Kind::kAddress) {
-        continue;  // Pools contain addresses; disk values are not bindable.
+    for (const int slot : pool) {
+      if (slot < 0) {
+        continue;  // Disk values are not bindable.
       }
-      const auto used_it = times_used.find(value.name);
-      const int used = used_it == times_used.end() ? 0 : used_it->second;
-      min_used = std::min(min_used, used);
-      candidates.push_back(Candidate{value.name, score_candidate(var, value.name)});
+      min_used = std::min(min_used, used(slot));
+      candidates.push_back(
+          Candidate{slot, score_candidate(var, *hosts.names[slot], id_of(slot) == peer)});
     }
     if (candidates.empty()) {
       return Error{"variable '" + var.name + "' has no address candidates"};
     }
-    // Distinct bindings: restrict to the least-used addresses (0 until the
-    // pool wraps). Then order by score, best first; ties keep pool order.
-    std::vector<Candidate> eligible;
-    for (const Candidate& c : candidates) {
-      const auto used_it = times_used.find(c.address);
-      const int used = used_it == times_used.end() ? 0 : used_it->second;
-      if (!distinct || used == min_used) {
-        eligible.push_back(c);
-      }
+    // Distinct bindings: restrict to the least-used hosts (0 until the pool
+    // wraps). Then order by score, best first; ties keep pool order.
+    if (distinct) {
+      candidates.erase(
+          std::remove_if(candidates.begin(), candidates.end(),
+                         [&](const Candidate& c) { return used(c.slot) != min_used; }),
+          candidates.end());
     }
-    std::stable_sort(eligible.begin(), eligible.end(),
+    std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
-    // Honour reservations: take the best unreserved candidate; if every
-    // candidate is reserved, fall back to the best overall (Section 5.5).
-    const Candidate* chosen = nullptr;
-    if (reserved != nullptr) {
-      for (const Candidate& c : eligible) {
-        if (!reserved(c.address)) {
-          chosen = &c;
-          break;
-        }
-      }
-    }
-    if (chosen == nullptr) {
-      chosen = &eligible.front();
-    }
-    result.binding[var.name] = Endpoint::Address(chosen->address);
-    result.scores.emplace_back(var.name, chosen->score);
-    times_used[chosen->address] += 1;
+    // Honour reservations: take the best unheld candidate; if every
+    // candidate is held, fall back to the best overall (Section 5.5).
+    const auto unheld = std::find_if(candidates.begin(), candidates.end(),
+                                     [&](const Candidate& c) { return !slots[c.slot].held; });
+    const Candidate& chosen = unheld != candidates.end() ? *unheld : candidates.front();
+    result.binding[var.name] = Endpoint::Address(*hosts.names[chosen.slot]);
+    result.scores.emplace_back(var.name, chosen.score);
+    slots[id_of(chosen.slot)].used += 1;
     return true;
   };
 
-  // Phase 1: priority variables.
-  std::vector<bool> bound(variables.size(), false);
-  if (params.enable_priority_binding) {
-    for (size_t i = 0; i < variables.size(); ++i) {
-      if (IsPriorityVariable(variables[i])) {
-        Result<bool> r = assign_value(variables[i]);
-        if (!r.ok()) {
-          return r.error();
-        }
-        bound[i] = true;
+  // A priority variable's only peer is a host in its pool.
+  const auto priority = [&](size_t v) {
+    const int peer = id_of(hosts.peer_of[v]);
+    const std::vector<int>& pool = answer->Candidates(hosts, hosts.pool_of[v]);
+    return params.enable_priority_binding && peer >= 0 &&
+           std::any_of(pool.begin(), pool.end(), [&](int slot) { return id_of(slot) == peer; });
+  };
+  // Phase 1 binds the priority variables, phase 2 everything else, each in
+  // declaration order.
+  for (const bool phase1 : {true, false}) {
+    for (size_t v = 0; v < variables.size(); ++v) {
+      if (priority(v) != phase1) {
+        continue;
       }
-    }
-  }
-  // Phase 2: everything else, in declaration order.
-  for (size_t i = 0; i < variables.size(); ++i) {
-    if (!bound[i]) {
-      Result<bool> r = assign_value(variables[i]);
+      Result<bool> r = assign_value(v);
       if (!r.ok()) {
         return r.error();
       }

@@ -8,6 +8,9 @@
 // Z <- a example), because binding them locally removes their network cost
 // entirely.
 //
+// Candidates are hosts, not spellings (AnswerHosts): an alias and its
+// address are one host to the priority rule, distinct bindings and holds.
+//
 // The per-resource fitness is  capacity − W × usage  with a selectable
 // weight W (implicitly 2), trading raw capacity against contention.
 //
@@ -17,11 +20,11 @@
 #ifndef CLOUDTALK_SRC_CORE_HEURISTIC_H_
 #define CLOUDTALK_SRC_CORE_HEURISTIC_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/core/directory.h"
 #include "src/core/estimator.h"
 #include "src/lang/analysis.h"
 
@@ -47,10 +50,50 @@ struct HeuristicParams {
   bool enable_priority_binding = true;
 };
 
-// A hook consulted before committing each assignment: returns true if the
-// address is currently unavailable (pseudo-reserved by a concurrent query,
-// Section 5.5). Candidates are then tried in decreasing fitness order.
-using ReservationFilter = std::function<bool(const std::string& address)>;
+// The hosts a query names, settled once per spelling. Each distinct address
+// spelling gets one slot: pool entries first, then literal flow endpoints,
+// in first-mention order. The spellings point into the compiled query.
+struct QueryHosts {
+  QueryHosts() = default;
+  explicit QueryHosts(const lang::CompiledQuery& compiled);
+
+  std::vector<const std::string*> names;  // By slot.
+  int pool_names = 0;                     // Slots [0, pool_names) are pool entries.
+  std::vector<int> endpoints;             // Literal flow endpoints' slots, in order.
+  // Each distinct pool once, in first-mention order: its entries' slots, -1
+  // for a `disk` entry. Variables with equal pools share one.
+  std::vector<std::vector<int>> pools;
+  std::vector<int> pool_of;  // Per variable: its pool.
+  std::vector<int> peer_of;  // Per variable: its only peer's slot if an address, else -1.
+};
+
+// One answer's view of a slot's host.
+struct HostSlot {
+  NodeId node = kInvalidNode;  // kInvalidNode: the directory does not know the name.
+  int id = 0;                  // The first slot naming the host; its own if none.
+  bool held = false;           // Pseudo-reserved by an earlier answer (Section 5.5).
+  int used = 0;                // At the identity slot: variables bound to the host.
+  // Status gather scratch: the walk reached the slot; at the identity slot,
+  // the slot the host was probed under, or -1.
+  bool seen = false;
+  int named = -1;
+};
+
+// One answer's hosts: every slot of its QueryHosts resolved once, and the
+// candidates of each pool (its sample, when sampling drew one).
+struct AnswerHosts {
+  // Each slot resolved through `directory`; without one, by spelling: each
+  // slot is its own host. Nothing is held.
+  explicit AnswerHosts(const QueryHosts& hosts, const Directory* directory = nullptr);
+
+  const std::vector<int>& Candidates(const QueryHosts& hosts, int pool) const {
+    return samples.empty() || samples[pool].empty() ? hosts.pools[pool] : samples[pool];
+  }
+
+  std::vector<HostSlot> slots;
+  std::vector<std::vector<int>> samples;  // Per pool; empty when not sampled.
+  std::vector<NodeId> pool_hosts;  // The pool slots' hosts, sorted and distinct.
+};
 
 struct HeuristicResult {
   Binding binding;
@@ -58,23 +101,22 @@ struct HeuristicResult {
   std::vector<std::pair<std::string, double>> scores;
 };
 
-// Binds every variable of `query` given the status snapshot. `reserved` may
-// be null. Fails only if a variable has an empty candidate pool. Variables
-// never share a binding unless the query says `option allow_same`; when a
-// pool is smaller than the number of variables drawing from it, bindings
-// wrap around (Section 5.3 reduce query: "everyone receives at least one
-// reduce task").
+// Binds every variable of `query` given the status snapshot, over the
+// answer's hosts (counting the bindings in their `used`), passing over held
+// candidates while an unheld one is left. Fails only if a variable has no
+// address candidate. Variables never share a host unless the query says
+// `option allow_same`; when a pool is smaller than the number of variables
+// drawing from it, bindings wrap around (Section 5.3 reduce query:
+// "everyone receives at least one reduce task").
+Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
+                                          const QueryHosts& hosts, AnswerHosts* answer,
+                                          const StatusByAddress& status,
+                                          const HeuristicParams& params);
+
+// Same, by spelling with nothing held (tests and benches).
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
                                           const StatusByAddress& status,
-                                          const HeuristicParams& params,
-                                          const ReservationFilter& reserved = nullptr);
-
-// Same, over an explicit variable list (used by the server after sampling
-// shrinks the pools). `allow_same` mirrors `option allow_same`.
-Result<HeuristicResult> EvaluateHeuristic(const std::vector<lang::VarComm>& variables,
-                                          bool allow_same, const StatusByAddress& status,
-                                          const HeuristicParams& params,
-                                          const ReservationFilter& reserved = nullptr);
+                                          const HeuristicParams& params);
 
 // The individual fitness functions, exposed for tests/benches.
 double EvalFitness(Bps capacity, Bps usage, double weight, FitnessModel model);

@@ -8,10 +8,13 @@
 // recommendation, behaviour degrades to random placement, exactly as the
 // paper notes.
 //
-// The server keeps one table per status shard (src/core/shard.h), each
-// holding the hosts its shard owns. A reserving answer records one hold per
-// bound endpoint on that endpoint's owner, all at one time, or none when an
-// owner is not answering (src/core/server.cc).
+// Holds are on hosts, not on how a query spelled them: a hold taken
+// through an alias keeps the host's address off too. The server keeps one
+// table per status shard (src/core/shard.h), each holding the hosts its
+// shard owns. A reserving answer records one hold per bound host on that
+// host's owner, all at one time, or none when an owner is not answering; a
+// name the directory does not know names no host and is never held
+// (src/core/server.cc).
 #ifndef CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 #define CLOUDTALK_SRC_CORE_RESERVATIONS_H_
 
@@ -23,6 +26,7 @@
 
 #include "src/common/lock_registry.h"
 #include "src/common/units.h"
+#include "src/core/directory.h"
 
 namespace cloudtalk {
 
@@ -35,29 +39,43 @@ inline LockId ReservationLockId() {
 
 class ReservationTable {
  public:
-  explicit ReservationTable(Seconds hold_time) : hold_time_(hold_time) {}
+  // `directory` (may be null) serves the lookups by name.
+  explicit ReservationTable(Seconds hold_time, const Directory* directory = nullptr)
+      : hold_time_(hold_time), directory_(directory) {}
 
   Seconds hold_time() const { return hold_time_; }
 
-  // True if `address` was recommended less than hold_time ago.
-  bool IsReserved(const std::string& address, Seconds now) const {
+  // True if `host` was recommended less than hold_time ago.
+  bool IsReserved(NodeId host, Seconds now) const {
+    bool reserved = false;
+    Snapshot(now, [&](const auto& held) { reserved = held(host); });
+    return reserved;
+  }
+
+  // The same for the host `name` resolves to; a name the directory does not
+  // know is never held.
+  bool IsReserved(const std::string& name, Seconds now) const {
+    const NodeId host = directory_ != nullptr ? directory_->Resolve(name) : kInvalidNode;
+    return host != kInvalidNode && IsReserved(host, now);
+  }
+
+  // Runs `read(held)` under one lock, where `held(host)` is IsReserved(host,
+  // now): one snapshot for many lookups.
+  template <typename Read>
+  void Snapshot(Seconds now, Read&& read) const {
     std::lock_guard<std::mutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
-    const auto it = expiry_.find(address);
-    return it != expiry_.end() && it->second > now;
+    read([this, now](NodeId host) {
+      const auto it = expiry_.find(host);
+      return it != expiry_.end() && it->second > now;
+    });
   }
 
   int ActiveCount(Seconds now) const {
     std::lock_guard<std::mutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
-    int count = 0;
-    for (const auto& [address, expiry] : expiry_) {
-      (void)address;
-      if (expiry > now) {
-        ++count;
-      }
-    }
-    return count;
+    return static_cast<int>(std::count_if(expiry_.begin(), expiry_.end(),
+                                          [now](const auto& hold) { return hold.second > now; }));
   }
 
   // Holds on record, expired ones included until the next sweep.
@@ -67,16 +85,16 @@ class ReservationTable {
     return expiry_.size();
   }
 
-  // Holds `address` until `now + hold_time`. Returns whether a hold was
+  // Holds `host` until `now + hold_time`. Returns whether a hold was
   // recorded: false, recording nothing, when holds are disabled (hold_time
   // 0), so M104 counts real holds only.
-  bool Hold(const std::string& address, Seconds now) {
+  bool Hold(NodeId host, Seconds now) {
     if (hold_time_ <= 0) {
       return false;
     }
     std::lock_guard<std::mutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
-    expiry_[address] = now + hold_time_;
+    expiry_[host] = now + hold_time_;
     MaybePruneLocked(now);
     return true;
   }
@@ -95,8 +113,9 @@ class ReservationTable {
   }
 
   Seconds hold_time_;
+  const Directory* directory_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Seconds> expiry_;
+  std::unordered_map<NodeId, Seconds> expiry_;
   size_t prune_at_ = 1024;  // expiry_ size that triggers the next sweep.
 };
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <iterator>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -59,10 +58,11 @@ constexpr size_t kSightedBuckets = size_t{1} << 14;
 constexpr size_t kSightedWays = 4;
 
 std::vector<std::unique_ptr<StatusShard>> MakeShards(const ShardMap& map,
-                                                     ProbeTransport* transport, Seconds hold) {
+                                                     ProbeTransport* transport,
+                                                     const Directory* directory, Seconds hold) {
   std::vector<std::unique_ptr<StatusShard>> shards;
   for (int i = 0; i < map.shards(); ++i) {
-    shards.push_back(std::make_unique<StatusShard>(transport, hold));
+    shards.push_back(std::make_unique<StatusShard>(transport, directory, hold));
   }
   return shards;
 }
@@ -85,113 +85,56 @@ struct ShardBatch {
 
 // What a status gather reads of a query that depends only on the query
 // bytes and the server's config, settled once per front end and shared by
-// its answers. The addresses point into the compiled query, not at hosts:
-// the directory may re-point a name after the plan is built, so every
-// answer resolves them afresh.
+// its answers. Its names point into the compiled query, not at hosts: the
+// directory may re-point a name after the plan is built, so every answer
+// resolves them afresh (AnswerHosts).
 struct ProbePlan {
-  // Some pool exceeds the sampling threshold: the answer samples, and
-  // collects its addresses from the sampled pools instead.
+  QueryHosts hosts;
+  // Per slot: false when probe pruning is on and the footprint analysis
+  // proves no evaluation engine reads the name's status (M113).
+  std::vector<bool> footprint;
+  // Some pool exceeds the sampling threshold: the answer samples.
   bool samples = false;
-  // Distinct pools (the sample span's `pools`).
-  int64_t pools = 0;
-  // The distinct address endpoints of the pools, then of the flows, in
-  // first-mention order, minus those outside the footprint when probe
-  // pruning is on; `skipped` counts those (M113).
-  std::vector<const std::string*> addresses;
-  int64_t skipped = 0;
 };
 
-// Variables with equal pools share one pool; this key tells them apart.
-std::string PoolKey(const lang::VarComm& var) {
-  std::string key;
-  for (const lang::Endpoint& e : var.pool) {
-    key += e.ToString();
-    key.push_back('|');
-  }
-  return key;
-}
-
-// Appends to `*addresses` each distinct address endpoint of the pools of
-// `variables`, then of the flows of `compiled`, in first-mention order,
-// leaving out the hosts the footprint analysis (`scope`; nullptr keeps all)
-// proves no evaluation engine reads. Returns how many it left out.
-int64_t CollectProbeAddresses(const std::vector<lang::VarComm>& variables,
-                              const lang::CompiledQuery& compiled,
-                              const lang::ScopeAnalysis* scope,
-                              std::vector<const std::string*>* addresses) {
-  std::unordered_set<std::string_view> seen;
-  int64_t skipped = 0;
-  const auto add = [&](const lang::Endpoint& e) {
-    if (e.kind != lang::Endpoint::Kind::kAddress || !seen.insert(e.name).second) {
-      return;
-    }
-    if (scope != nullptr && !scope->InFootprint(e.name)) {
-      ++skipped;
-      return;
-    }
-    addresses->push_back(&e.name);
-  };
-  for (const lang::VarComm& var : variables) {
-    for (const lang::Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return skipped;
-}
-
 ProbePlan MakeProbePlan(const ServerConfig& config, const lang::QueryFacts& facts) {
-  const lang::CompiledQuery& compiled = facts.compiled().value();
-  const std::vector<lang::VarComm>& variables = compiled.variables();
   ProbePlan plan;
-  std::unordered_set<std::string> pools;
-  for (const lang::VarComm& var : variables) {
-    pools.insert(PoolKey(var));
-    plan.samples |= static_cast<int>(var.pool.size()) > config.sample_threshold;
+  plan.hosts = QueryHosts(facts.compiled().value());
+  plan.footprint.reserve(plan.hosts.names.size());
+  for (const std::string* name : plan.hosts.names) {
+    plan.footprint.push_back(!config.scope_probe_pruning || facts.scope().InFootprint(*name));
   }
-  plan.pools = static_cast<int64_t>(pools.size());
-  plan.skipped = CollectProbeAddresses(variables, compiled,
-                                       config.scope_probe_pruning ? &facts.scope() : nullptr,
-                                       &plan.addresses);
+  for (const std::vector<int>& pool : plan.hosts.pools) {
+    plan.samples |= static_cast<int>(pool.size()) > config.sample_threshold;
+  }
   return plan;
 }
 
-// Sampling (Section 4.3), in place in `*vars`: shrinks any pool larger than
-// the threshold. Variables sharing one pool share one sample, sized to
-// cover the d variables drawing from it. Returns how many pools it sampled.
+// Sampling (Section 4.3): draws a sample of each pool larger than the
+// threshold, pools in first-mention order, each sized to cover the d
+// variables drawing from it. Returns how many pools it sampled.
 int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
-                std::vector<lang::VarComm>* vars) {
-  std::unordered_map<std::string, std::vector<int>> pool_groups;
-  for (size_t i = 0; i < vars->size(); ++i) {
-    pool_groups[PoolKey((*vars)[i])].push_back(static_cast<int>(i));
-  }
+                const QueryHosts& hosts, AnswerHosts* answer) {
+  answer->samples.resize(hosts.pools.size());
   int pools_sampled = 0;
   std::lock_guard<std::mutex> rng_lock(rng_mutex);
   CT_LOCK_TRACE(RngLockId());
-  for (auto& [key, members] : pool_groups) {
-    (void)key;
-    const std::vector<lang::Endpoint>& pool = (*vars)[members.front()].pool;
+  for (size_t p = 0; p < hosts.pools.size(); ++p) {
+    const std::vector<int>& pool = hosts.pools[p];
     const int pool_size = static_cast<int>(pool.size());
     if (pool_size <= config.sample_threshold) {
       continue;
     }
-    const int d = static_cast<int>(members.size());
-    int n = config.sample_override > 0
-                ? config.sample_override
-                : RequiredSamples(d, kIdleFractionHint, kSampleConfidence);
-    n = std::min(n, pool_size);
-    const std::vector<int> picks = rng.SampleWithoutReplacement(pool_size, n);
-    std::vector<lang::Endpoint> sampled;
-    sampled.reserve(picks.size());
-    for (int p : picks) {
-      sampled.push_back(pool[p]);
+    const int d = static_cast<int>(
+        std::count(hosts.pool_of.begin(), hosts.pool_of.end(), static_cast<int>(p)));
+    const int n = config.sample_override > 0
+                      ? config.sample_override
+                      : RequiredSamples(d, kIdleFractionHint, kSampleConfidence);
+    std::vector<int> picks = rng.SampleWithoutReplacement(pool_size, std::min(n, pool_size));
+    for (int& pick : picks) {
+      pick = pool[pick];
     }
-    for (int member : members) {
-      (*vars)[member].pool = sampled;
-    }
+    answer->samples[p] = std::move(picks);
     ++pools_sampled;
     CT_OBS_INC("M106");
   }
@@ -201,20 +144,17 @@ int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
 // The answer pipeline's stages, each written so its bytes do not depend on
 // the shard count — the D505 differential contract:
 //
-//   - GatherStatusOver: sampling, address assembly, resolution, and the
-//     scatter-gather over the footprint. A query whose plan samples no pool
-//     probes the plan's addresses as they are: no variable copy, pool map,
-//     address set or RNG lock. One that samples draws in place in
-//     `*sampled_vars`, which the caller seeds with the query's variables
-//     (one RNG stream, drawn over the FULL variable set so the stream is
-//     independent of footprint pruning), and collects its addresses from
-//     the sampled pools with the plan's own helper. The targets are split
-//     by owning shard and each non-empty slice is probed through its shard,
-//     in shard order (a one-shard server probes them all in place); every
-//     target's report is read from its owner's outcome. One ShardBatch per
-//     probed shard goes to `*batches`. The simulated transport draws no RNG
-//     for lossless probes, so per-shard batches consume the same randomness
-//     as one flat batch.
+//   - GatherStatusOver: sampling and the scatter-gather over the
+//     footprint. Only a plan that samples takes the RNG lock, drawing into
+//     `answer->samples` over the FULL pools (one stream, independent of
+//     footprint pruning). One walk over the pools' candidates, then the
+//     literal endpoints, lists one probe target per host. The targets are
+//     split by owning shard and each non-empty slice is probed through its
+//     shard, in shard order (one shard probes them all in place); every
+//     report is read from its owner's outcome. One ShardBatch per probed
+//     shard goes to `*batches`. The simulated transport draws no RNG for
+//     lossless probes, so per-shard batches consume the same randomness as
+//     one flat batch.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the pre-search rejection, error string and all.
 //     Builds the bound analysis only when it can reject: the query has a
@@ -227,67 +167,53 @@ int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
 StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
                                  const ShardMap& map,
                                  const std::vector<std::unique_ptr<StatusShard>>& shards,
-                                 Rng& rng, std::mutex& rng_mutex,
-                                 const lang::CompiledQuery& compiled, const ProbePlan& plan,
-                                 const lang::ScopeAnalysis* scope,
-                                 std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
+                                 Rng& rng, std::mutex& rng_mutex, const ProbePlan& plan,
+                                 AnswerHosts* answer, ProbeStats* stats,
                                  std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
+  const QueryHosts& hosts = plan.hosts;
   const int sample_span = trace.Open("sample");
-  const int pools_sampled = plan.samples ? SamplePools(config, rng, rng_mutex, sampled_vars) : 0;
-  trace.Attr(sample_span, "pools", plan.pools);
+  const int pools_sampled =
+      plan.samples ? SamplePools(config, rng, rng_mutex, hosts, answer) : 0;
+  trace.Attr(sample_span, "pools", static_cast<int64_t>(hosts.pools.size()));
   trace.Attr(sample_span, "sampled", static_cast<int64_t>(pools_sampled));
   // The probe span opens as sampling closes (one shared clock reading) and
-  // covers address assembly, resolution, and the scatter-gather itself.
+  // covers the walk and the scatter-gather itself.
   trace.Close(sample_span);
   const int probe_span = trace.Open("probe");
 
-  // Address set to probe: the pools plus literal flow endpoints, minus the
-  // hosts the footprint analysis proves no evaluation engine reads. Sampled
-  // pools name their own; sampling above still ran over the full variable
-  // set so the RNG stream is identical with pruning on or off.
-  std::vector<const std::string*> sampled_addresses;
-  int64_t skipped = plan.skipped;
-  if (plan.samples) {
-    skipped = CollectProbeAddresses(*sampled_vars, compiled, scope, &sampled_addresses);
-  }
-  const std::vector<const std::string*>& addresses =
-      plan.samples ? sampled_addresses : plan.addresses;
-
-  // Resolve to hosts and probe each host once, in first-mention order,
-  // however many addresses name it (an alias and its IP, say). Sorting the
-  // resolved mentions by host finds each host's first mention, which names
-  // its target; every later one is an alias, given its target's status
-  // below. The sort keeps this O(n log n) however many names a pool has.
-  struct Mention {
-    NodeId node;
-    int index;  // Into `addresses`.
-    int named;  // The mention naming the host's target; `index` for the first.
-  };
-  std::vector<Mention> mentions;
-  mentions.reserve(addresses.size());
-  for (size_t i = 0; i < addresses.size(); ++i) {
-    const NodeId node = directory.Resolve(*addresses[i]);
-    if (node != kInvalidNode) {
-      const int index = static_cast<int>(i);
-      mentions.push_back(Mention{node, index, index});
-    }
-  }
-  std::sort(mentions.begin(), mentions.end(), [](const Mention& a, const Mention& b) {
-    return a.node != b.node ? a.node < b.node : a.index < b.index;
-  });
-  for (size_t i = 1; i < mentions.size(); ++i) {
-    if (mentions[i].node == mentions[i - 1].node) {
-      mentions[i].named = mentions[i - 1].named;
-    }
-  }
-  std::sort(mentions.begin(), mentions.end(),
-            [](const Mention& a, const Mention& b) { return a.index < b.index; });
+  // The walk reaches each slot once. A slot outside the footprint is
+  // skipped; every other slot naming a host is listed for status, and the
+  // first to reach a host names its probe target: a host named by an alias
+  // and its IP is probed once.
+  std::vector<int> listed;
   std::vector<NodeId> targets;
-  targets.reserve(mentions.size());
-  for (const Mention& m : mentions) {
-    if (m.named == m.index) {
-      targets.push_back(m.node);
+  listed.reserve(hosts.names.size());
+  targets.reserve(hosts.names.size());
+  int64_t skipped = 0;
+  const auto visit = [&](int slot) {
+    if (slot < 0 || answer->slots[slot].seen) {
+      return;
     }
+    HostSlot& host = answer->slots[slot];
+    host.seen = true;
+    if (!plan.footprint[slot]) {
+      ++skipped;
+    } else if (host.node != kInvalidNode) {
+      HostSlot& first = answer->slots[host.id];
+      if (first.named < 0) {
+        first.named = slot;
+        targets.push_back(host.node);
+      }
+      listed.push_back(slot);
+    }
+  };
+  for (size_t pool = 0; pool < hosts.pools.size(); ++pool) {
+    for (const int slot : answer->Candidates(hosts, static_cast<int>(pool))) {
+      visit(slot);
+    }
+  }
+  for (const int slot : hosts.endpoints) {
+    visit(slot);
   }
 
   // Split the targets by owning shard, keeping their order in each slice;
@@ -340,18 +266,18 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
 
   StatusByAddress status;
-  status.reserve(mentions.size());
+  status.reserve(listed.size());
   int missing = 0;
-  size_t next_target = 0;
-  for (const Mention& m : mentions) {
-    const std::string& address = *addresses[m.index];
-    if (m.named != m.index) {
-      // The target's first mention came earlier, so its status is in.
-      const StatusReport report = status.at(*addresses[m.named]);
+  for (const int slot : listed) {
+    const std::string& address = *hosts.names[slot];
+    const NodeId node = answer->slots[slot].node;
+    const int named = answer->slots[answer->slots[slot].id].named;
+    if (named != slot) {
+      // The host's target was named earlier, so its status is in.
+      const StatusReport report = status.at(*hosts.names[named]);
       status.emplace(address, report);
       continue;
     }
-    const NodeId node = targets[next_target++];
     const std::unordered_map<NodeId, StatusReport>& reports = outcomes[owner_of(node)].reports;
     const auto it = reports.find(node);
     const bool replied = it != reports.end();
@@ -390,40 +316,35 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   return status;
 }
 
-StatusByAddress SynthesizeStaticStatus(const Directory& directory,
-                                       const std::vector<lang::VarComm>& variables,
-                                       const lang::ScopeAnalysis* probe_scope,
-                                       const ProbePlan& plan, obs::TraceContext& trace) {
-  // Static evaluation: endpoints idle at their nominal capacities. The
+StatusByAddress SynthesizeStaticStatus(const Directory& directory, const ProbePlan& plan,
+                                       const AnswerHosts& answer, obs::TraceContext& trace) {
+  // Static evaluation: pool hosts idle at their nominal capacities. The
   // sample and probe spans still appear (every reply carries the full
   // phase skeleton), recording that both phases were no-ops. The
   // footprint filter applies here too: an inert variable's hosts get no
-  // synthetic idle status, matching what the engines can read. The plan
-  // counts them: literal flow endpoints are always in the footprint
-  // (I408), so its skips are all pool hosts.
+  // synthetic idle status, matching what the engines can read. Literal
+  // flow endpoints are always in the footprint (I408), so every skip is a
+  // pool host.
   StatusByAddress status;
   const int sample_span = trace.Open("sample");
   trace.Attr(sample_span, "mode", "static");
   trace.Close(sample_span);
   const int probe_span = trace.Open("probe");
-  for (const lang::VarComm& var : variables) {
-    for (const lang::Endpoint& e : var.pool) {
-      if (e.kind != lang::Endpoint::Kind::kAddress ||
-          (probe_scope != nullptr && !probe_scope->InFootprint(e.name))) {
-        continue;
-      }
-      const NodeId node = directory.Resolve(e.name);
-      if (node != kInvalidNode) {
-        status[e.name] = StatusReport::Idle(node, directory.CapsOf(node));
-      }
+  int64_t skipped = 0;
+  for (int slot = 0; slot < plan.hosts.pool_names; ++slot) {
+    const NodeId node = answer.slots[slot].node;
+    if (!plan.footprint[slot]) {
+      ++skipped;
+    } else if (node != kInvalidNode) {
+      status[*plan.hosts.names[slot]] = StatusReport::Idle(node, directory.CapsOf(node));
     }
   }
-  if (plan.skipped > 0) {
-    CT_OBS_ADD("M113", plan.skipped);
+  if (skipped > 0) {
+    CT_OBS_ADD("M113", skipped);
   }
   trace.Attr(probe_span, "fanout", static_cast<int64_t>(0));
   trace.Attr(probe_span, "mode", "static");
-  trace.Attr(probe_span, "skipped", plan.skipped);
+  trace.Attr(probe_span, "skipped", skipped);
   trace.Close(probe_span);
   return status;
 }
@@ -544,7 +465,7 @@ CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* director
       clock_(std::move(clock)),
       packet_estimator_(packet_estimator),
       map_(config.shards),
-      shards_(MakeShards(map_, transport, config_.reservation_hold)),
+      shards_(MakeShards(map_, transport, directory, config_.reservation_hold)),
       rng_(config_.seed),
       admission_(config_.admission_slots) {}
 
@@ -565,7 +486,7 @@ struct CloudTalkServer::FrontEnd {
   std::vector<lang::Diagnostic> diagnostics;
   std::optional<Error> error;
   // The status gather's plan; empty unless the query is answered. Its
-  // addresses point into the compiled query in `facts`.
+  // names point into the compiled query in `facts`.
   ProbePlan plan;
 };
 
@@ -705,18 +626,10 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   return reply;
 }
 
-StatusShard& CloudTalkServer::OwnerOf(const std::string& address) const {
-  const NodeId node = directory_->Resolve(address);
-  return *shards_[node == kInvalidNode ? 0 : map_.ShardOf(node)];
-}
-
 bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now) const {
-  for (const auto& shard : shards_) {
-    if (shard->reservations().IsReserved(address, now)) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(shards_.begin(), shards_.end(), [&](const auto& shard) {
+    return shard->reservations().IsReserved(address, now);
+  });
 }
 
 Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::TraceContext& trace,
@@ -740,17 +653,20 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
   trace.Attr(scope_span, "effects", lang::EffectsName(scope.effects));
   trace.Close(scope_span);
 
-  // The routing decision: the shards this query fans out to, and a slot in
-  // the concurrent admission gate (src/core/admission.h) held for the rest
-  // of the evaluation. Queries with disjoint reservation footprints proceed
-  // in parallel; conflicting ones queue here, so the span's duration is the
-  // admission wait. With reservations disabled every pair commutes, so the
-  // gate is bypassed entirely.
+  // The routing decision: every name resolved to its host, once for the
+  // whole answer, and a slot in the concurrent admission gate
+  // (src/core/admission.h) held for the rest of the evaluation. Queries
+  // whose pools name disjoint hosts proceed in parallel; conflicting ones
+  // queue here. With reservations disabled every pair commutes, so the gate
+  // is bypassed entirely.
   const int route_span = trace.Open("route");
   trace.Attr(route_span, "shards", static_cast<int64_t>(num_shards()));
   trace.Attr(route_span, "slots", static_cast<int64_t>(admission_.slots()));
-  const uint64_t admission_ticket =
-      config_.reservation_hold > 0 ? admission_.Admit(scope) : 0;
+  const QueryHosts& query_hosts = front.plan.hosts;
+  AnswerHosts hosts(query_hosts, directory_);
+  const uint64_t admission_ticket = config_.reservation_hold > 0
+                                        ? admission_.Admit(scope.effects.reserves, hosts.pool_hosts)
+                                        : 0;
   trace.Attr(route_span, "admitted", static_cast<int64_t>(admission_ticket != 0 ? 1 : 0));
   trace.Close(route_span);
   struct AdmissionGuard {
@@ -765,24 +681,14 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
 
   QueryReply reply;
   StatusByAddress status;
-  // The variables the heuristic binds: the compiled ones, read in place,
-  // unless sampling shrinks a pool in a copy.
-  std::vector<lang::VarComm> sampled_vars;
-  const std::vector<lang::VarComm>* variables = &compiled.value().variables();
-  const lang::ScopeAnalysis* probe_scope = config_.scope_probe_pruning ? &scope : nullptr;
   {
     // Hierarchical aggregation: the gather stage probes each owning shard's
     // slice separately. One aggregate.shard event per contacted shard.
     const int aggregate_span = trace.Open("aggregate");
     if (query.options.use_dynamic_load) {
-      if (front.plan.samples) {
-        sampled_vars = compiled.value().variables();
-        variables = &sampled_vars;
-      }
       std::vector<ShardBatch> batches;
-      status = GatherStatusOver(config_, *directory_, map_, shards_, rng_, rng_mutex_,
-                                compiled.value(), front.plan, probe_scope, &sampled_vars,
-                                &reply.probe_stats, &batches, trace);
+      status = GatherStatusOver(config_, *directory_, map_, shards_, rng_, rng_mutex_, front.plan,
+                                &hosts, &reply.probe_stats, &batches, trace);
       if (trace.enabled()) {
         for (const ShardBatch& batch : batches) {
           trace.Event("aggregate.shard", {{"shard", std::to_string(batch.shard)},
@@ -795,7 +701,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
       CT_LOCK_TRACE(StatsLockId());
       total_stats_.Accumulate(reply.probe_stats);
     } else {
-      status = SynthesizeStaticStatus(*directory_, *variables, probe_scope, front.plan, trace);
+      status = SynthesizeStaticStatus(*directory_, front.plan, hosts, trace);
       trace.Attr(aggregate_span, "batches", static_cast<int64_t>(0));
       trace.Attr(aggregate_span, "mode", "static");
     }
@@ -837,15 +743,30 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
     reply.used_exhaustive = true;
     reply.counters = best.value().counters;
   } else {
-    const Seconds now = clock_();
-    ReservationFilter filter = nullptr;
-    if (config_.reservation_hold > 0) {
-      filter = [this, now](const std::string& address) { return IsReserved(address, now); };
-    }
     const int bind_span = trace.Open("bind");
     trace.Attr(bind_span, "mode", "heuristic");
-    Result<HeuristicResult> heuristic = EvaluateHeuristic(
-        *variables, query.options.allow_same_binding, status, config_.heuristic, filter);
+    if (config_.reservation_hold > 0) {
+      // Each candidate's held bit, one snapshot per shard owning a pool host.
+      const Seconds now = clock_();
+      for (int s = 0; s < num_shards(); ++s) {
+        const auto owned = [this, s](NodeId node) { return map_.ShardOf(node) == s; };
+        if (std::none_of(hosts.pool_hosts.begin(), hosts.pool_hosts.end(), owned)) {
+          continue;
+        }
+        shards_[s]->reservations().Snapshot(now, [&](const auto& held) {
+          for (size_t pool = 0; pool < query_hosts.pools.size(); ++pool) {
+            for (const int slot : hosts.Candidates(query_hosts, static_cast<int>(pool))) {
+              if (slot >= 0 && hosts.slots[slot].node != kInvalidNode &&
+                  owned(hosts.slots[slot].node)) {
+                hosts.slots[slot].held = held(hosts.slots[slot].node);
+              }
+            }
+          }
+        });
+      }
+    }
+    Result<HeuristicResult> heuristic =
+        EvaluateHeuristic(compiled.value(), query_hosts, &hosts, status, config_.heuristic);
     if (!heuristic.ok()) {
       trace.Close(bind_span);
       return heuristic.error();
@@ -861,20 +782,25 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
   const int reserve_span = trace.Open("reserve");
   int64_t reserved = 0;
   if (scope.effects.reserves && config_.reservation_hold > 0) {
-    // All or nothing: every endpoint is held on its owning shard, all with
-    // ONE timestamp, or, when an owner is not answering, none is. The
-    // binding is returned either way (reservations are best-effort, paper
-    // Section 5.5), but no host stays half-held. While the holds are
-    // recorded, the admission gate keeps out every query whose candidates
-    // they could touch, so none sees a partial set.
+    // All or nothing: every bound host (`used` at its identity slot) is held
+    // on its owning shard, all with ONE timestamp, or, when an owner is not
+    // answering, none is. The binding is returned either way (reservations
+    // are best-effort, paper Section 5.5), but no host stays half-held; a
+    // name that resolved to no host is held nowhere. While the holds are
+    // recorded, the admission gate keeps out every query whose pool hosts
+    // they could touch.
     const Seconds reserve_now = clock_();
-    const auto owner_answers = [this](const auto& bound) {
-      return !OwnerOf(bound.second.name).unresponsive();
+    const auto owner_of = [this](const HostSlot& host) -> StatusShard* {
+      return host.used == 0 || host.node == kInvalidNode ? nullptr
+                                                         : shards_[map_.ShardOf(host.node)].get();
     };
-    if (std::all_of(reply.binding.begin(), reply.binding.end(), owner_answers)) {
-      for (const auto& [var, endpoint] : reply.binding) {
-        (void)var;
-        reserved += OwnerOf(endpoint.name).reservations().Hold(endpoint.name, reserve_now) ? 1 : 0;
+    if (std::none_of(hosts.slots.begin(), hosts.slots.end(), [&](const HostSlot& host) {
+          return owner_of(host) != nullptr && owner_of(host)->unresponsive();
+        })) {
+      for (const HostSlot& host : hosts.slots) {
+        if (StatusShard* owner = owner_of(host)) {
+          reserved += owner->reservations().Hold(host.node, reserve_now) ? host.used : 0;
+        }
       }
     } else {
       CT_OBS_INC("M118");

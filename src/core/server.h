@@ -5,18 +5,19 @@
 //      footprint & effects (src/lang/scope.h). Lint and the later steps
 //      read one lang::QueryFacts per query, so the query is compiled and
 //      scoped once, and lint's idle-world bound is built only when a rule
-//      can fire on it. An answerable query also gets its probe plan: the
-//      addresses step 2 collects when no pool is sampled.
-//   2. Collect the addresses involved; when a pool exceeds the sampling
-//      threshold, probe only a random sample sized by the Section 4.3
-//      analysis (RequiredSamples) instead of the whole pool.
-//   3. Resolve the addresses to hosts and scatter-gather status over the
-//      ProbeTransport; hosts that do not answer are assumed fully loaded.
+//      can fire on it. An answerable query also gets its probe plan: each
+//      distinct address spelling and each distinct pool once (QueryHosts).
+//   2. Resolve every spelling to its host once (AnswerHosts); from here on
+//      two names of one host are one host. Admit the answer on its pool
+//      hosts (src/core/admission.h).
+//   3. Sample each pool over the sampling threshold down to the Section 4.3
+//      size (RequiredSamples), then scatter-gather status over the
+//      ProbeTransport, once per host; silent hosts are assumed fully loaded.
 //   4. When the query carries a finite `end`, reject it if the status just
 //      gathered proves no binding can meet it (src/lang/bound.h).
 //   5. Bind variables with the Listing 1 heuristic (or exhaustively /
-//      packet-level when the query says so), honouring pseudo-reservations.
-//   6. Reserve the recommended endpoints for the hold time.
+//      packet-level when the query says so), passing over held hosts.
+//   6. Hold the bound hosts for the hold time (pseudo-reservations).
 // A price quote (Section 7) runs the same steps with step 6 suppressed,
 // then prices the binding. What step 1 derives is pure in the query bytes
 // and the server's config, so a spelling seen before takes it, probe plan
@@ -26,17 +27,16 @@
 //
 // Host-side state lives in status/placement shards (src/core/shard.h): one
 // shard by default, N when built from a ShardedConfig. Steps 3, 5 and 6 run
-// through them — probes per owning shard, the heuristic's reservation checks
-// per owning shard, holds on every owning shard or on none — while an
-// exhaustive search runs once over the merged status. The reply is
-// byte-identical at every shard count (D505).
+// through them — probes per owning shard, one held-bit snapshot per owning
+// shard, holds on every owning shard or on none — while an exhaustive
+// search runs once over the merged status. The reply is byte-identical at
+// every shard count (D505).
 //
 // The server is thread-safe: concurrent queries synchronize on the
 // reservation tables per assignment, matching the paper's description.
 #ifndef CLOUDTALK_SRC_CORE_SERVER_H_
 #define CLOUDTALK_SRC_CORE_SERVER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -45,7 +45,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/result.h"
@@ -90,11 +89,9 @@ struct ServerConfig {
   // against full probing — and on by default; off reverts to probing every
   // sampled pool entry and literal endpoint.
   bool scope_probe_pruning = true;
-  // Concurrent admission gate (src/core/admission.h; ISSUE 9 landed the
-  // two-slot pilot, ISSUE 10 generalized it to N slots): up to this many
-  // queries evaluate concurrently when their reservation footprints are
-  // disjoint; queries whose candidate sets intersect (and at least one
-  // reserves) serialize. Releasing ANY slot re-checks every waiter. Only
+  // Concurrent admission gate (src/core/admission.h): up to this many
+  // queries evaluate concurrently while their pool hosts are disjoint;
+  // queries sharing a pool host (one of them reserving) serialize. Only
   // engaged when reservation_hold > 0 — with reservations disabled every
   // pair of queries commutes and the gate would be pure overhead.
   int admission_slots = 2;
@@ -203,7 +200,8 @@ class CloudTalkServer {
   // Shard 0's table: all reservation state of a one-shard server.
   ReservationTable& reservations() { return shards_[0]->reservations(); }
 
-  // True when any shard holds a reservation on `address`.
+  // True when any shard holds a reservation on the host `address` resolves
+  // to; a name the directory does not know is never held.
   bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
@@ -279,14 +277,6 @@ class CloudTalkServer {
   // `quote` is priced from the binding and its status snapshot.
   Result<QueryReply> AnswerTraced(const FrontEnd& front, obs::TraceContext& trace,
                                   QuoteReply* quote);
-
-  // The shard owning `address` per the directory + ShardMap. Unresolvable
-  // addresses route to shard 0 so ownership stays total and deterministic:
-  // the per-shard tables together behave exactly like one flat table.
-  StatusShard& OwnerOf(const std::string& address) const;
-  bool IsReserved(const std::string& address, Seconds now) const {
-    return OwnerOf(address).reservations().IsReserved(address, now);
-  }
 
   ServerConfig config_;
   const Directory* directory_;

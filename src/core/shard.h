@@ -10,21 +10,22 @@
 //   CloudTalkServer (front end)        StatusShard (× N)
 //   ---------------------------------  --------------------------------
 //   parse / lint / compile / scope     —
-//   `route`: N-slot admission          —
+//   `route`: resolve names to hosts,   —
+//     N-slot admission on the hosts
 //   sample centrally (one RNG stream)  —
 //   `aggregate`: split probe targets → probe own slice
 //   bound check on merged status       —
 //   exhaustive search on merged status —
-//   heuristic on merged status         → IsReserved for own hosts
+//   heuristic on merged status         → one held-bit snapshot of own hosts
 //   all-or-nothing reserve             → Hold own hosts
 //
 // Hierarchical probe aggregation reuses the scope footprint (src/lang/scope):
-// the front end assembles the footprint-filtered target set once and splits
-// it by owner, so each shard only ever probes the targets it owns — the
-// fan-in at any aggregation point is a fraction of the fleet. The server's
-// status gather (src/core/server.cc) checks I410 (every probe target routes
-// to exactly one owning shard) and I412 (a shard reports only hosts of its
-// own slice).
+// the front end walks the footprint-filtered targets once, one per host, and
+// splits them by owner, so each shard only ever probes the targets it owns —
+// the fan-in at any aggregation point is a fraction of the fleet. The
+// server's status gather (src/core/server.cc) checks I410 (every probe
+// target routes to exactly one owning shard) and I412 (a shard reports only
+// hosts of its own slice).
 #ifndef CLOUDTALK_SRC_CORE_SHARD_H_
 #define CLOUDTALK_SRC_CORE_SHARD_H_
 
@@ -59,8 +60,8 @@ class ShardMap {
 // in M118).
 class StatusShard {
  public:
-  StatusShard(ProbeTransport* transport, Seconds reservation_hold)
-      : transport_(transport), reservations_(reservation_hold) {}
+  StatusShard(ProbeTransport* transport, const Directory* directory, Seconds reservation_hold)
+      : transport_(transport), reservations_(reservation_hold, directory) {}
 
   ReservationTable& reservations() { return reservations_; }
   const ReservationTable& reservations() const { return reservations_; }

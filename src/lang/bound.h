@@ -55,10 +55,6 @@
 
 namespace cloudtalk {
 
-// Same alias as src/core/estimator.h (identical redeclaration is legal);
-// lang cannot include core headers without inverting the layering.
-using StatusByAddress = std::unordered_map<std::string, StatusReport>;
-
 namespace lang {
 
 struct BoundOptions {

@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/lang/analysis.h"
@@ -55,10 +54,6 @@
 #include "src/status/status.h"
 
 namespace cloudtalk {
-
-// Same alias as src/core/estimator.h (identical redeclaration is legal);
-// lang cannot include core headers without inverting the layering.
-using StatusByAddress = std::unordered_map<std::string, StatusReport>;
 
 namespace lang {
 

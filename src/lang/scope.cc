@@ -59,14 +59,13 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
 
   // Every address the query mentions, once per mention, with the role the
   // mention gives it. One sort by address turns the mentions into the
-  // footprint, the excluded hosts and the candidate set, each sorted and
-  // deduplicated, in a single walk.
+  // footprint and the excluded hosts, each sorted and deduplicated, in a
+  // single walk.
   struct Mention {
     const std::string* address;
     uint8_t fields;
     bool candidate;  // Pool entry of an active variable.
     bool endpoint;   // Literal flow endpoint.
-    bool pool;       // Pool entry of any variable: reservation-visible.
   };
   std::vector<Mention> mentions;
   size_t mention_count = 2 * compiled.flows().size();
@@ -78,13 +77,9 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
     const bool active = IsActive(var);
     const uint8_t fields = active ? VariableFields(var) : 0;
     for (const Endpoint& e : var.pool) {
-      // Every pool address is reservation-visible: the heuristic's
-      // reservation filter prefers unreserved candidates for *all*
-      // variables (inert ones included), and a bound endpoint of any
-      // variable gets reserved. Only active variables contribute to the
-      // status footprint, though.
+      // Only active variables contribute to the status footprint.
       if (e.kind == Endpoint::Kind::kAddress) {
-        mentions.push_back({&e.name, fields, active, false, true});
+        mentions.push_back({&e.name, fields, active, false});
       }
     }
     if (!active) {
@@ -93,10 +88,10 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   }
   for (const CompiledFlow& flow : compiled.flows()) {
     if (flow.src.kind == Endpoint::Kind::kAddress) {
-      mentions.push_back({&flow.src.name, kScopeFieldNetOut, false, true, false});
+      mentions.push_back({&flow.src.name, kScopeFieldNetOut, false, true});
     }
     if (flow.dst.kind == Endpoint::Kind::kAddress) {
-      mentions.push_back({&flow.dst.name, kScopeFieldNetIn, false, true, false});
+      mentions.push_back({&flow.dst.name, kScopeFieldNetIn, false, true});
     }
   }
   std::sort(mentions.begin(), mentions.end(),
@@ -105,15 +100,10 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   for (size_t i = 0; i < mentions.size();) {
     ScopeHost host;
     host.address = *mentions[i].address;
-    bool pool = false;
     for (; i < mentions.size() && *mentions[i].address == host.address; ++i) {
       host.fields |= mentions[i].fields;
       host.candidate |= mentions[i].candidate;
       host.endpoint |= mentions[i].endpoint;
-      pool |= mentions[i].pool;
-    }
-    if (pool) {
-      scope.candidates.push_back(host.address);
     }
     if (host.candidate || host.endpoint) {
       scope.footprint.push_back(std::move(host));
@@ -142,27 +132,6 @@ bool ScopeAnalysis::InFootprint(const std::string& address) const {
       footprint.begin(), footprint.end(), address,
       [](const ScopeHost& host, const std::string& key) { return host.address < key; });
   return it != footprint.end() && it->address == address;
-}
-
-bool ReservationConflict(const ScopeAnalysis& a, const ScopeAnalysis& b) {
-  if (!a.effects.reserves && !b.effects.reserves) {
-    return false;  // Two readers never interleave observably.
-  }
-  // Both candidate lists are sorted: walk them in step.
-  auto i = a.candidates.begin();
-  auto j = b.candidates.begin();
-  while (i != a.candidates.end() && j != b.candidates.end()) {
-    const int order = i->compare(*j);
-    if (order == 0) {
-      return true;
-    }
-    if (order < 0) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
 }
 
 std::string EffectsName(const ScopeEffects& effects) {

@@ -18,7 +18,8 @@
 //     literal endpoints read net-out as a source and net-in as a sink.
 //   * the **effect set** — whether answering reserves endpoints, samples
 //     fresh status, or is pure. The admission gate and the reserve step
-//     key on it.
+//     key on it. The admission gate intersects the hosts every pool (inert
+//     ones included) resolves to, per answer (src/core/admission.h).
 //
 // Soundness of the footprint (the claim `ctcheck --diff-scope` fuzzes as
 // invariant D504) rests on how each status consumer treats the excluded
@@ -102,15 +103,6 @@ struct ScopeAnalysis {
   // InFootprint binary-searches it).
   std::vector<ScopeHost> footprint;
 
-  // Addresses the reservation table can be read or written for, sorted and
-  // deduplicated: every pool candidate of every variable — inert ones
-  // included, because the heuristic's reservation filter steers *all*
-  // bindings away from reserved hosts and any bound endpoint gets reserved.
-  // This is what the concurrent admission gate intersects — two queries
-  // whose candidate sets are disjoint cannot observe each other's
-  // reservations in either order.
-  std::vector<std::string> candidates;
-
   // Hosts mentioned in the query but provably outside the footprint
   // (sorted), and the inert variables that mention them (declaration
   // order). Both drive ctlint W100 and the `ctlint --show scope` report.
@@ -127,12 +119,6 @@ ScopeEffects AnalyzeEffects(const Query& query);
 // any probe. Checks invariant I408 (every literal flow endpoint is inside
 // the computed footprint) on the way out.
 ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled);
-
-// True when answering `a` and `b` concurrently could interleave through the
-// reservation table: at least one of them reserves and their candidate sets
-// intersect. Disjoint queries commute — any admission order yields
-// byte-identical replies (the D504 concurrency half).
-bool ReservationConflict(const ScopeAnalysis& a, const ScopeAnalysis& b);
 
 // "reserve,sample", "sample", "reserve", or "pure" — for traces and tools.
 std::string EffectsName(const ScopeEffects& effects);

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -95,6 +96,11 @@ void MetricsEndpoint::Loop() {
     if (client < 0) {
       continue;
     }
+    timeval deadline{};
+    deadline.tv_sec = kClientDeadline.count() / 1000;
+    deadline.tv_usec = (kClientDeadline.count() % 1000) * 1000;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline));
     char request[1024];
     const ssize_t n = ::recv(client, request, sizeof(request) - 1, 0);
     if (n > 0) {

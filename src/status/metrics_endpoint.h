@@ -5,7 +5,9 @@
 // the metrics registry, sitting next to the UDP status daemon the way a
 // node exporter sits next to a service. GET / returns a one-line index,
 // anything else 404. One request per connection (Connection: close), one
-// accept thread; rendering happens outside any registry hot path.
+// accept thread; rendering happens outside any registry hot path. A client
+// gets kClientDeadline for each receive and each send, so one that connects
+// and sends nothing, or never reads, cannot stall later scrapes or Stop().
 //
 // Scrape it with:
 //   curl http://127.0.0.1:<port>/metrics
@@ -14,6 +16,7 @@
 #define CLOUDTALK_SRC_STATUS_METRICS_ENDPOINT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
@@ -21,6 +24,8 @@ namespace cloudtalk {
 
 class MetricsEndpoint {
  public:
+  static constexpr std::chrono::milliseconds kClientDeadline{500};
+
   MetricsEndpoint() = default;
   ~MetricsEndpoint();
   MetricsEndpoint(const MetricsEndpoint&) = delete;

@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "src/common/units.h"
 #include "src/topology/topology.h"
@@ -48,6 +50,10 @@ struct StatusReport {
   // A fully idle host with the given capacities.
   static StatusReport Idle(NodeId host, const HostCaps& caps);
 };
+
+// A status snapshot keyed by address, spelled as the query wrote it: the
+// input of every evaluation engine and analysis.
+using StatusByAddress = std::unordered_map<std::string, StatusReport>;
 
 // Fixed-size wire encodings (little-endian). The v1 sizes match the paper's
 // Section 5.5 accounting (64 B requests / 78 B replies); the v2 reply

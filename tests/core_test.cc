@@ -201,6 +201,19 @@ TEST(HeuristicTest, PoolWrapsWhenMoreVariablesThanValues) {
   EXPECT_GE(y_count, 2);
 }
 
+// The heuristic by spelling, with the candidates spelled in `held`
+// pseudo-reserved.
+Result<HeuristicResult> EvaluateWithHeld(const CompiledQuery& compiled,
+                                         const StatusByAddress& status,
+                                         const std::set<std::string>& held) {
+  const QueryHosts hosts(compiled);
+  AnswerHosts answer(hosts);
+  for (size_t slot = 0; slot < hosts.names.size(); ++slot) {
+    answer.slots[slot].held = held.count(*hosts.names[slot]) > 0;
+  }
+  return EvaluateHeuristic(compiled, hosts, &answer, status, HeuristicParams{});
+}
+
 TEST(HeuristicTest, ReservationFilterSkipsReservedBest) {
   const Query query = MustParse(
       "A = (x y)\n"
@@ -209,8 +222,7 @@ TEST(HeuristicTest, ReservationFilterSkipsReservedBest) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 0);        // Best.
   status["y"] = MakeReport(1e9, 400e6, 0);    // Second.
-  auto reserved = [](const std::string& address) { return address == "x"; };
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{}, reserved);
+  auto result = EvaluateWithHeld(compiled, status, {"x"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("A").name, "y");
 }
@@ -223,8 +235,7 @@ TEST(HeuristicTest, AllReservedFallsBackToBest) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 0);
   status["y"] = MakeReport(1e9, 400e6, 0);
-  auto reserved = [](const std::string&) { return true; };
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{}, reserved);
+  auto result = EvaluateWithHeld(compiled, status, {"x", "y"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("A").name, "x");
 }
@@ -825,24 +836,24 @@ INSTANTIATE_TEST_SUITE_P(RandomStates, SingleVariableOptimalityTest, ::testing::
 
 TEST(ReservationTest, ExpiryAndHold) {
   ReservationTable table(/*hold_time=*/0.3);
-  EXPECT_TRUE(table.Hold("x", /*now=*/1.0));
-  EXPECT_TRUE(table.IsReserved("x", 1.1));
-  EXPECT_TRUE(table.IsReserved("x", 1.29));
-  EXPECT_FALSE(table.IsReserved("x", 1.31));
-  EXPECT_FALSE(table.IsReserved("y", 1.1));
+  EXPECT_TRUE(table.Hold(/*host=*/1, /*now=*/1.0));
+  EXPECT_TRUE(table.IsReserved(1, 1.1));
+  EXPECT_TRUE(table.IsReserved(1, 1.29));
+  EXPECT_FALSE(table.IsReserved(1, 1.31));
+  EXPECT_FALSE(table.IsReserved(2, 1.1));
 }
 
 TEST(ReservationTest, ZeroHoldDisables) {
   ReservationTable table(0.0);
-  EXPECT_FALSE(table.Hold("x", 1.0));
-  EXPECT_FALSE(table.IsReserved("x", 1.0));
+  EXPECT_FALSE(table.Hold(1, 1.0));
+  EXPECT_FALSE(table.IsReserved(1, 1.0));
   EXPECT_EQ(table.HoldCount(), 0u);
 }
 
 TEST(ReservationTest, ActiveCount) {
   ReservationTable table(0.5);
-  table.Hold("x", 0.0);
-  table.Hold("y", 0.2);
+  table.Hold(1, 0.0);
+  table.Hold(2, 0.2);
   EXPECT_EQ(table.ActiveCount(0.3), 2);
   EXPECT_EQ(table.ActiveCount(0.6), 1);
   EXPECT_EQ(table.ActiveCount(1.0), 0);
@@ -853,24 +864,24 @@ TEST(ReservationTest, ActiveCount) {
 // doubles again.
 TEST(ReservationTest, TwentyThousandHoldsExpireAndArePruned) {
   constexpr int kHosts = 20000;
-  auto host = [](const char* prefix, int k) { return prefix + std::to_string(k); };
   ReservationTable table(/*hold_time=*/0.3);
-  for (int k = 0; k < kHosts; ++k) {
-    table.Hold(host("old", k), /*now=*/1.0);
+  for (NodeId host = 0; host < kHosts; ++host) {
+    table.Hold(host, /*now=*/1.0);
   }
   EXPECT_EQ(table.ActiveCount(1.2), kHosts);
   EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
   int reserved_before = 0;
   int reserved_after = 0;
-  for (int k = 0; k < kHosts; ++k) {
-    reserved_before += table.IsReserved(host("old", k), 1.29) ? 1 : 0;
-    reserved_after += table.IsReserved(host("old", k), 1.31) ? 1 : 0;
+  for (NodeId host = 0; host < kHosts; ++host) {
+    reserved_before += table.IsReserved(host, 1.29) ? 1 : 0;
+    reserved_after += table.IsReserved(host, 1.31) ? 1 : 0;
   }
   EXPECT_EQ(reserved_before, kHosts);
   EXPECT_EQ(reserved_after, 0);
-  // As many fresh holds after the expiry leave only the fresh ones.
-  for (int k = 0; k < kHosts; ++k) {
-    table.Hold(host("new", k), /*now=*/2.0);
+  // As many fresh holds on other hosts after the expiry leave only the
+  // fresh ones.
+  for (NodeId host = kHosts; host < 2 * kHosts; ++host) {
+    table.Hold(host, /*now=*/2.0);
     ASSERT_LE(table.HoldCount(), 2u * kHosts);
   }
   EXPECT_EQ(table.HoldCount(), static_cast<size_t>(kHosts));
@@ -1647,6 +1658,129 @@ TEST(FrontEndCacheTest, ConcurrentAnswersMatchSingleThreadedReplies) {
     for (int i = 0; i < kAnswers; ++i) {
       EXPECT_EQ(got[t][i], want[(i + t) % spellings.size()]) << "thread " << t << " answer " << i;
     }
+  }
+}
+
+// ---- One host identity per answer ----
+
+// A one-shard and a four-shard server over `fleet`, both at the time `now`.
+std::vector<std::unique_ptr<CloudTalkServer>> OneAndFourShards(Fleet& fleet, const Seconds* now) {
+  std::vector<std::unique_ptr<CloudTalkServer>> servers;
+  for (const int shards : {1, 4}) {
+    servers.push_back(std::make_unique<CloudTalkServer>(
+        ShardedConfig{ServerConfig{}, shards}, &fleet.directory, fleet.transport.get(),
+        [now] { return *now; }));
+  }
+  return servers;
+}
+
+std::string Alias(const Fleet& fleet, int host_index) {
+  return "host" + std::to_string(fleet.topo.hosts()[host_index]);
+}
+
+TEST_F(ServerTest, HostSpelledTwiceInOnePoolIsBoundOnce) {
+  // `host2` and 10.0.0.2 are one host. With host 3 busy, binding A and B to
+  // the pool's two spellings of host 2 would put both on one host, although
+  // the query does not say `option allow_same`.
+  fleet_.MakeBusy(2);
+  const std::string query = "option noreserve\nA = B = (" + Alias(fleet_, 1) + " " + Ip(1) +
+                            " " + Ip(2) + ")\nf1 A -> " + Ip(0) + " size 1M\nf2 B -> " + Ip(0) +
+                            " size 1M\n";
+  for (const auto& server : OneAndFourShards(fleet_, &now_)) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const auto reply = server->Answer(query);
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    const Binding& binding = reply.value().binding;
+    EXPECT_NE(fleet_.directory.Resolve(binding.at("A").name),
+              fleet_.directory.Resolve(binding.at("B").name))
+        << binding.at("A").name << " and " << binding.at("B").name;
+    EXPECT_EQ(binding.at("B").name, Ip(2));
+  }
+}
+
+TEST_F(ServerTest, HoldTakenThroughAnAliasKeepsTheAddressOff) {
+  // With host 4 busy, the first answer binds host 2 through its alias and
+  // holds it. A pool spelling host 2 by its address must then pass it over.
+  fleet_.MakeBusy(3);
+  const std::string sink = ")\nf1 A -> " + Ip(0) + " size 1M\n";
+  for (const auto& server : OneAndFourShards(fleet_, &now_)) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const auto first = server->Answer("A = (" + Alias(fleet_, 1) + " " + Ip(3) + sink);
+    ASSERT_TRUE(first.ok()) << first.error().ToString();
+    EXPECT_EQ(first.value().binding.at("A").name, Alias(fleet_, 1));
+    EXPECT_TRUE(server->IsReservedAnywhere(Ip(1), now_));
+    EXPECT_TRUE(server->IsReservedAnywhere(Alias(fleet_, 1), now_));
+    const auto second = server->Answer("A = (" + Ip(1) + " " + Ip(3) + sink);
+    ASSERT_TRUE(second.ok()) << second.error().ToString();
+    EXPECT_EQ(second.value().binding.at("A").name, Ip(3));
+  }
+  // The one-shard table answers lookups by name for the host the name
+  // resolves to.
+  CloudTalkServer flat = MakeServer();
+  ASSERT_TRUE(flat.Answer("A = (" + Alias(fleet_, 1) + " " + Ip(3) + sink).ok());
+  EXPECT_TRUE(flat.reservations().IsReserved(Ip(1), now_));
+  EXPECT_TRUE(flat.reservations().IsReserved(fleet_.topo.hosts()[1], now_));
+  EXPECT_FALSE(flat.reservations().IsReserved(Ip(3), now_));
+}
+
+TEST_F(ServerTest, PriorityVariableBindsItsPeerSpelledByAlias) {
+  // Z's only peer is host 2, spelled by its alias; Z's pool spells host 2 by
+  // its address. Binding Z there turns the transfer into a loopback, so it
+  // wins with the top score although host 2 is busy.
+  fleet_.MakeBusy(1);
+  CloudTalkServer server = MakeServer();
+  const auto reply = server.Answer("option noreserve\nZ = (" + Ip(2) + " " + Ip(1) + ")\nf1 " +
+                                   Alias(fleet_, 1) + " -> Z size 100M\n");
+  ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+  EXPECT_EQ(reply.value().binding.at("Z").name, Ip(1));
+  ASSERT_EQ(reply.value().scores.size(), 1u);
+  EXPECT_EQ(reply.value().scores[0].second, kMaxScore);
+}
+
+TEST_F(ServerTest, SampledPoolsDrawInFirstMentionOrder) {
+  // Two pools over the sampling threshold: A's sample is drawn first, then
+  // B's, from the server's one seeded stream; the probes follow the draws.
+  ServerConfig config;
+  config.sample_threshold = 3;
+  config.sample_override = 2;
+  config.seed = 11;
+  CloudTalkServer server = MakeServer(config);
+  const std::vector<std::string> a = {Ip(1), Ip(2), Ip(3), Ip(4)};
+  const std::vector<std::string> b = {Ip(5), Ip(6), Ip(7), Ip(8)};
+  const auto reply = server.Answer("option noreserve\nB = (" + b[0] + " " + b[1] + " " + b[2] +
+                                   " " + b[3] + ")\nA = (" + a[0] + " " + a[1] + " " + a[2] +
+                                   " " + a[3] + ")\nf1 B -> " + Ip(0) + " size 1M\nf2 A -> " +
+                                   Ip(0) + " size 1M\n");
+  ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+  Rng rng(config.seed);
+  std::vector<std::string> want;
+  for (const std::vector<std::string>* pool : {&b, &a}) {
+    for (const int pick : rng.SampleWithoutReplacement(4, 2)) {
+      want.push_back((*pool)[pick]);
+    }
+  }
+  want.push_back(Ip(0));
+  EXPECT_EQ(ProbedHosts(reply.value().trace), want);
+}
+
+TEST_F(ServerTest, UnresolvableNamesBindBySpellingAndAreNeverHeld) {
+  // Names the directory does not know are never probed or held, but they
+  // stay bindable, and two of them are two candidates.
+  for (const auto& server : OneAndFourShards(fleet_, &now_)) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const int64_t holds_before = obs::Registry::Instance().counter("M104")->value();
+    const auto reply = server->Answer("A = B = (ghost1 ghost2)\nf1 A -> " + Ip(0) +
+                                      " size 1M\nf2 B -> " + Ip(0) + " size 1M\n");
+    ASSERT_TRUE(reply.ok()) << reply.error().ToString();
+    EXPECT_EQ(reply.value().binding.at("A").name, "ghost1");
+    EXPECT_EQ(reply.value().binding.at("B").name, "ghost2");
+    EXPECT_EQ(obs::Registry::Instance().counter("M104")->value(), holds_before);
+    EXPECT_EQ(reply.value().probe_stats.requests_sent, 1);  // The literal sink only.
+    EXPECT_FALSE(server->IsReservedAnywhere("ghost1", now_));
+    const auto reserve = SpanAttrs(reply.value().trace, "reserve");
+    EXPECT_NE(std::find(reserve.begin(), reserve.end(),
+                        std::make_pair(std::string("reserved"), std::string("0"))),
+              reserve.end());
   }
 }
 

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -514,6 +515,36 @@ TEST(MetricsEndpointTest, ServesPrometheusText) {
   EXPECT_GE(endpoint.requests_served(), 4);
   endpoint.Stop();
   Registry::Instance().Reset();
+}
+
+TEST(MetricsEndpointTest, SilentClientDoesNotBlockScrapesOrStop) {
+  MetricsEndpoint endpoint;
+  ASSERT_TRUE(endpoint.Start());
+  // A client connects and sends nothing, and stays connected throughout.
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(endpoint.port());
+  ASSERT_EQ(::connect(silent, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // A scrape queued behind it is answered once the silent client's deadline
+  // has passed.
+  const auto slack = std::chrono::seconds(2);
+  const auto scrape_start = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(endpoint.port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - scrape_start,
+            MetricsEndpoint::kClientDeadline + slack);
+  // Stop returns while the silent socket is still open.
+  const int silent_again = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(silent_again, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const auto stop_start = std::chrono::steady_clock::now();
+  endpoint.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            MetricsEndpoint::kClientDeadline + slack);
+  ::close(silent_again);
+  ::close(silent);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the static footprint & effect analysis (src/lang/scope) and
 // its server consumers: effect inference, active/inert classification,
-// the reservation-conflict predicate, targeted probing identity on a live
-// simulated cluster, partial-fleet sampling, and the concurrent admission
-// gate (DESIGN.md "Footprint & effect analysis").
+// admission conflicts over the hosts a query's pools resolve to, targeted
+// probing identity on a live simulated cluster, partial-fleet sampling, and
+// the concurrent admission gate (DESIGN.md "Footprint & effect analysis").
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -10,6 +12,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/admission.h"
+#include "src/core/heuristic.h"
 #include "src/harness/cluster.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
@@ -34,6 +38,66 @@ lang::ScopeAnalysis MustAnalyze(const std::string& text) {
   EXPECT_TRUE(compiled.ok()) << (compiled.ok() ? "" : compiled.error().ToString());
   return lang::AnalyzeScope(compiled.value());
 }
+
+// A 10-host fleet, 10.0.0.1 to 10.0.0.10, whose directory also knows
+// 10.0.0.2 as `host2`.
+const TopologyDirectory& AliasDirectory() {
+  static const Topology topo = [] {
+    SingleSwitchParams params;
+    params.num_hosts = 10;
+    return MakeSingleSwitch(params);
+  }();
+  static const TopologyDirectory directory = [] {
+    TopologyDirectory d(&topo);
+    d.AddAlias("host2", topo.HostByIp("10.0.0.2"));
+    return d;
+  }();
+  return directory;
+}
+
+// One answer's view of a query, as the server admits it: whether it
+// reserves, and the hosts its pools resolve to.
+struct Admission {
+  explicit Admission(const std::string& text)
+      : query(lang::Parse(text).value()),
+        compiled(lang::CompiledQuery::Compile(query).value()),
+        reserves(lang::AnalyzeScope(compiled).effects.reserves),
+        hosts(compiled),
+        answer(hosts, &AliasDirectory()) {}
+
+  lang::Query query;
+  lang::CompiledQuery compiled;
+  bool reserves;
+  QueryHosts hosts;
+  AnswerHosts answer;
+};
+
+// Checks whether the admission gate keeps `a` out while `b` is in flight. A
+// conflicting `a` can never be admitted while `b` holds its slot, so it must
+// still be waiting after a short pause; one that does not conflict must be
+// admitted, within seconds.
+void ExpectConflict(const std::string& a, const std::string& b, bool conflict) {
+  const Admission first(b);
+  const Admission second(a);
+  AdmissionGate gate(/*slots=*/2);
+  const uint64_t held = gate.Admit(first.reserves, first.answer.pool_hosts);
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] {
+    const uint64_t ticket = gate.Admit(second.reserves, second.answer.pool_hosts);
+    admitted.store(true);
+    gate.Release(ticket);
+  });
+  const auto deadline = std::chrono::steady_clock::now() +
+                        (conflict ? std::chrono::milliseconds(50) : std::chrono::seconds(5));
+  while (!admitted.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(admitted.load(), !conflict) << a << "while in flight:\n" << b;
+  gate.Release(held);
+  waiter.join();
+}
+
+NodeId HostOf(const std::string& name) { return AliasDirectory().Resolve(name); }
 
 const lang::ScopeHost* FindHost(const lang::ScopeAnalysis& scope,
                                 const std::string& address) {
@@ -105,15 +169,15 @@ TEST(ScopeFootprintTest, InertPoolHostsAreExcluded) {
 }
 
 TEST(ScopeFootprintTest, CandidatesCoverInertPoolsForReservationVisibility) {
-  // The heuristic's reservation filter steers every variable's binding —
-  // inert ones included — away from reserved hosts, and any bound endpoint
-  // gets reserved. So the admission gate's candidate set must cover inert
+  // The heuristic's reservation check steers every variable's binding —
+  // inert ones included — away from held hosts, and any bound endpoint
+  // gets held. So the hosts the admission gate intersects must cover inert
   // pools even though the status footprint never does.
-  const lang::ScopeAnalysis scope = MustAnalyze(
-      "A = (10.0.0.1)\nidle = (10.0.0.8 10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n");
-  // Sorted and deduplicated; literals are never reserved, so 10.0.0.3 is out.
-  EXPECT_EQ(scope.candidates, (std::vector<std::string>{"10.0.0.1", "10.0.0.8"}));
-  EXPECT_FALSE(scope.InFootprint("10.0.0.8"));
+  const std::string text = "A = (10.0.0.1)\nidle = (10.0.0.8 10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n";
+  // Sorted and distinct; literals are never held, so 10.0.0.3 is out.
+  EXPECT_EQ(Admission(text).answer.pool_hosts,
+            (std::vector<NodeId>{HostOf("10.0.0.1"), HostOf("10.0.0.8")}));
+  EXPECT_FALSE(MustAnalyze(text).InFootprint("10.0.0.8"));
 }
 
 TEST(ScopeFootprintTest, FieldBitsFollowCommunicationPattern) {
@@ -158,51 +222,50 @@ TEST(ScopeFootprintTest, RequirementAloneMakesVariableActive) {
   EXPECT_EQ(lang::ScopeFieldNames(w->fields), "cpu");
 }
 
-// ---- Reservation-conflict predicate ----
+// ---- Admission conflicts over resolved hosts ----
 
 TEST(ScopeConflictTest, DisjointReserversCommute) {
-  const lang::ScopeAnalysis a =
-      MustAnalyze("A = (10.0.0.1 10.0.0.2)\nf1 A -> 10.0.0.3 size 1M\n");
-  const lang::ScopeAnalysis b =
-      MustAnalyze("B = (10.0.0.4 10.0.0.5)\nf1 B -> 10.0.0.6 size 1M\n");
-  EXPECT_FALSE(lang::ReservationConflict(a, b));
+  ExpectConflict("A = (10.0.0.1 10.0.0.2)\nf1 A -> 10.0.0.3 size 1M\n",
+                 "B = (10.0.0.4 10.0.0.5)\nf1 B -> 10.0.0.6 size 1M\n", false);
 }
 
 TEST(ScopeConflictTest, OverlappingReserversConflict) {
-  const lang::ScopeAnalysis a =
-      MustAnalyze("A = (10.0.0.1 10.0.0.2)\nf1 A -> 10.0.0.3 size 1M\n");
-  const lang::ScopeAnalysis b =
-      MustAnalyze("B = (10.0.0.2 10.0.0.4)\nf1 B -> 10.0.0.6 size 1M\n");
-  EXPECT_TRUE(lang::ReservationConflict(a, b));
-  EXPECT_TRUE(lang::ReservationConflict(b, a));
+  const std::string a = "A = (10.0.0.1 10.0.0.2)\nf1 A -> 10.0.0.3 size 1M\n";
+  const std::string b = "B = (10.0.0.2 10.0.0.4)\nf1 B -> 10.0.0.6 size 1M\n";
+  ExpectConflict(a, b, true);
+  ExpectConflict(b, a, true);
 }
 
 TEST(ScopeConflictTest, TwoReadersNeverConflict) {
-  const lang::ScopeAnalysis a = MustAnalyze(
-      "option noreserve\nA = (10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n");
-  const lang::ScopeAnalysis b = MustAnalyze(
-      "option noreserve\nB = (10.0.0.1)\nf1 B -> 10.0.0.6 size 1M\n");
-  EXPECT_FALSE(lang::ReservationConflict(a, b));
+  ExpectConflict("option noreserve\nA = (10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n",
+                 "option noreserve\nB = (10.0.0.1)\nf1 B -> 10.0.0.6 size 1M\n", false);
 }
 
 TEST(ScopeConflictTest, InertPoolOverlapStillConflicts) {
   // The shared host appears only in inert pools, but both queries can bind
   // (and reserve) it — the conflict check must see through inertness.
-  const lang::ScopeAnalysis a = MustAnalyze(
-      "A = (10.0.0.1)\ncat = (10.0.0.9)\nf1 A -> 10.0.0.3 size 1M\n");
-  const lang::ScopeAnalysis b = MustAnalyze(
-      "B = (10.0.0.5)\ncat = (10.0.0.9)\nf1 B -> 10.0.0.6 size 1M\n");
-  EXPECT_TRUE(lang::ReservationConflict(a, b));
+  ExpectConflict("A = (10.0.0.1)\ncat = (10.0.0.9)\nf1 A -> 10.0.0.3 size 1M\n",
+                 "B = (10.0.0.5)\ncat = (10.0.0.9)\nf1 B -> 10.0.0.6 size 1M\n", true);
 }
 
 TEST(ScopeConflictTest, SharedLiteralEndpointDoesNotConflict) {
   // Literal endpoints are never reserved (only variable bindings are), so a
   // shared sink is not a reservation conflict.
-  const lang::ScopeAnalysis a =
-      MustAnalyze("A = (10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n");
-  const lang::ScopeAnalysis b =
-      MustAnalyze("B = (10.0.0.5)\nf1 B -> 10.0.0.3 size 1M\n");
-  EXPECT_FALSE(lang::ReservationConflict(a, b));
+  ExpectConflict("A = (10.0.0.1)\nf1 A -> 10.0.0.3 size 1M\n",
+                 "B = (10.0.0.5)\nf1 B -> 10.0.0.3 size 1M\n", false);
+}
+
+TEST(ScopeConflictTest, AliasAndAddressOfOneHostConflict) {
+  // `host2` and 10.0.0.2 are one host: a reserver spelling it either way
+  // keeps out one spelling it the other way, in either order. A reserver of
+  // other hosts is still admitted beside either.
+  const std::string by_alias = "A = (host2 10.0.0.3)\nf1 A -> 10.0.0.9 size 1M\n";
+  const std::string by_address = "B = (10.0.0.2 10.0.0.4)\nf1 B -> 10.0.0.9 size 1M\n";
+  const std::string disjoint = "C = (10.0.0.5 10.0.0.6)\nf1 C -> 10.0.0.9 size 1M\n";
+  ExpectConflict(by_alias, by_address, true);
+  ExpectConflict(by_address, by_alias, true);
+  ExpectConflict(by_alias, disjoint, false);
+  ExpectConflict(disjoint, by_address, false);
 }
 
 // ---- Targeted probing on a live cluster ----

@@ -31,7 +31,6 @@
 #include "src/harness/cluster.h"
 #include "src/lang/canon.h"
 #include "src/lang/parser.h"
-#include "src/lang/scope.h"
 #include "src/obs/metrics.h"
 #include "src/topology/topology.h"
 
@@ -101,11 +100,12 @@ TEST(ShardedServerTest, ReservationLandsOnExactlyTheOwningShard) {
   const std::string picked = reply.value().binding.at("A").name;
   ASSERT_FALSE(picked.empty());
   // I410: the pick is reserved on its owner shard and nowhere else.
-  const int owner = sharded.shard_map().ShardOf(cluster.directory().Resolve(picked));
+  const NodeId host = cluster.directory().Resolve(picked);
+  const int owner = sharded.shard_map().ShardOf(host);
   const Seconds now = cluster.now();
   int holders = 0;
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    if (sharded.shard(s).reservations().IsReserved(picked, now)) {
+    if (sharded.shard(s).reservations().IsReserved(host, now)) {
       EXPECT_EQ(s, owner);
       holders += 1;
     }
@@ -485,29 +485,22 @@ TEST(ShardedServerTest, PacketQuerySearchesOnceAtEveryShardCount) {
 
 // ---- N-slot admission gate (src/core/admission.h) ----
 
-lang::ScopeAnalysis ScopeOf(const std::string& text) {
-  const Result<lang::Query> query = lang::Parse(text);
-  EXPECT_TRUE(query.ok()) << (query.ok() ? "" : query.error().ToString());
-  const Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query.value());
-  EXPECT_TRUE(compiled.ok()) << (compiled.ok() ? "" : compiled.error().ToString());
-  return lang::AnalyzeScope(compiled.value());
-}
-
 // Regression for the release path: a waiter blocked purely on the slot
 // count must be re-checked when ANY slot frees — not just the one its
 // notify happened to target. With notify_one, releasing a slot while two
 // waiters queue could wake the wrong one and deadlock.
 TEST(AdmissionGateTest, WaiterBlockedOnCountWakesWhenAnySlotFrees) {
   AdmissionGate gate(/*slots=*/2);
-  const lang::ScopeAnalysis a = ScopeOf("A = (10.0.0.1)\nf1 A -> 10.0.0.9 size 1M\n");
-  const lang::ScopeAnalysis b = ScopeOf("B = (10.0.0.2)\nf1 B -> 10.0.0.9 size 1M\n");
-  const lang::ScopeAnalysis c = ScopeOf("C = (10.0.0.3)\nf1 C -> 10.0.0.9 size 1M\n");
-  const uint64_t ta = gate.Admit(a);
-  const uint64_t tb = gate.Admit(b);
+  // Three reservers of three disjoint hosts.
+  const std::vector<NodeId> a = {1};
+  const std::vector<NodeId> b = {2};
+  const std::vector<NodeId> c = {3};
+  const uint64_t ta = gate.Admit(/*reserves=*/true, a);
+  const uint64_t tb = gate.Admit(/*reserves=*/true, b);
   EXPECT_EQ(gate.InFlight(), 2);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    const uint64_t tc = gate.Admit(c);  // Disjoint from both: blocked on count only.
+    const uint64_t tc = gate.Admit(/*reserves=*/true, c);  // Blocked on count only.
     admitted.store(true);
     gate.Release(tc);
   });
@@ -522,26 +515,26 @@ TEST(AdmissionGateTest, WaiterBlockedOnCountWakesWhenAnySlotFrees) {
 
 TEST(AdmissionGateTest, ConflictingWaiterWaitsForTheConflictNotJustASlot) {
   AdmissionGate gate(/*slots=*/2);
-  const lang::ScopeAnalysis a = ScopeOf("A = (10.0.0.1)\nf1 A -> 10.0.0.9 size 1M\n");
-  const lang::ScopeAnalysis b = ScopeOf("B = (10.0.0.2)\nf1 B -> 10.0.0.9 size 1M\n");
-  // Conflicts with `a` (same candidate host, both reserve).
-  const lang::ScopeAnalysis c = ScopeOf("C = (10.0.0.1)\nf1 C -> 10.0.0.9 size 1M\n");
-  const uint64_t ta = gate.Admit(a);
-  const uint64_t tb = gate.Admit(b);
+  const std::vector<NodeId> a = {1, 4};
+  const std::vector<NodeId> b = {2};
+  // Conflicts with `a` (a shared pool host, both reserve).
+  const std::vector<NodeId> c = {3, 4};
+  const uint64_t ta = gate.Admit(/*reserves=*/true, a);
+  const uint64_t tb = gate.Admit(/*reserves=*/true, b);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    const uint64_t tc = gate.Admit(c);
+    const uint64_t tc = gate.Admit(/*reserves=*/true, c);
     admitted.store(true);
     gate.Release(tc);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(admitted.load());
-  // Releasing the non-conflicting scope frees a slot, but the footprint
-  // conflict with `a` still blocks the waiter.
+  // Releasing the non-conflicting query frees a slot, but the shared host
+  // with `a` still blocks the waiter.
   gate.Release(tb);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(admitted.load());
-  gate.Release(ta);  // The conflicting scope leaves: now it proceeds.
+  gate.Release(ta);  // The conflicting query leaves: now it proceeds.
   waiter.join();
   EXPECT_TRUE(admitted.load());
 }
@@ -600,7 +593,10 @@ TEST(ShardedServerTest, SixteenConcurrentDisjointQueriesAllComplete) {
     // Every pick committed its reservation on exactly one shard (I410).
     int holders = 0;
     for (int s = 0; s < sharded.num_shards(); ++s) {
-      holders += sharded.shard(s).reservations().IsReserved(picks[t], now) ? 1 : 0;
+      holders += sharded.shard(s).reservations().IsReserved(
+                     cluster.directory().Resolve(picks[t]), now)
+                     ? 1
+                     : 0;
     }
     EXPECT_EQ(holders, 1) << picks[t];
     // The quote avoided the held pick, so it bound the slice's other host,
