@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <numeric>
+#include <span>
+#include <string_view>
 #include <utility>
 
 namespace cloudtalk {
@@ -29,87 +29,62 @@ struct Candidate {
 }  // namespace
 
 QueryHosts::QueryHosts(const lang::CompiledQuery& compiled) {
-  // Every address mention, pool entries first, then flow endpoints.
+  // Every address mention, pool entries first, then flow endpoints: a name's
+  // first mention hands out its slot.
+  const lang::FlowGraph& graph = compiled.graph();
   const std::vector<VarComm>& variables = compiled.variables();
-  size_t pool_entries = 0;
+  std::vector<int> slot_of(graph.names().size(), -1);  // By name id.
+  const auto slot = [&](const Endpoint& e, int id) {
+    if (e.kind != Endpoint::Kind::kAddress) {
+      return -1;
+    }
+    if (slot_of[id] < 0) {
+      slot_of[id] = static_cast<int>(names.size());
+      names.push_back(&e.name);
+      ids.push_back(id);
+    }
+    return slot_of[id];
+  };
+  names.reserve(slot_of.size());
+  ids.reserve(slot_of.size());
+  // Each variable's pool as slots, and each distinct pool once, interned by
+  // its slot list's bytes.
+  NameTable pool_index;
+  pools.reserve(variables.size());
+  pool_of.reserve(variables.size());
   for (const VarComm& var : variables) {
-    pool_entries += var.pool.size();
-  }
-  std::vector<const std::string*> mentions;
-  mentions.reserve(pool_entries + 2 * compiled.flows().size());
-  for (const VarComm& var : variables) {
-    for (const Endpoint& e : var.pool) {
-      if (e.kind == Endpoint::Kind::kAddress) {
-        mentions.push_back(&e.name);
-      }
+    const std::span<const int> pool_ids = graph.pool_ids(var.decl);
+    std::vector<int> entries(var.pool.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
+      entries[k] = slot(var.pool[k], pool_ids[k]);
+    }
+    const std::string_view bytes(reinterpret_cast<const char*>(entries.data()),
+                                 entries.size() * sizeof(int));
+    pool_of.push_back(pool_index.Intern(bytes));
+    if (pool_of.back() == static_cast<int>(pools.size())) {
+      pools.push_back(std::move(entries));  // The buffer, and so the key, stays put.
     }
   }
-  const size_t pool_mentions = mentions.size();
+  pool_names = static_cast<int>(names.size());
+  std::vector<char> listed(slot_of.size(), 0);  // By name id: in `endpoints`.
   for (const lang::CompiledFlow& flow : compiled.flows()) {
-    for (const Endpoint* e : {&flow.src, &flow.dst}) {
-      if (e->kind == Endpoint::Kind::kAddress) {
-        mentions.push_back(&e->name);
+    for (const auto& [e, id] : {std::pair{&flow.src, graph.src_id(flow.index)},
+                                std::pair{&flow.dst, graph.dst_id(flow.index)}}) {
+      if (slot(*e, id) >= 0 && !std::exchange(listed[id], 1)) {
+        endpoints.push_back(slot_of[id]);
       }
-    }
-  }
-  // A sort by spelling, first mention first, points each mention at its
-  // spelling's first; a walk in mention order then hands out the slots.
-  std::vector<int> by_name(mentions.size());
-  std::iota(by_name.begin(), by_name.end(), 0);
-  std::sort(by_name.begin(), by_name.end(), [&mentions](int a, int b) {
-    const int order = mentions[a]->compare(*mentions[b]);
-    return order != 0 ? order < 0 : a < b;
-  });
-  std::vector<int> slot_of(mentions.size());
-  names.reserve(mentions.size());
-  endpoints.reserve(mentions.size() - pool_mentions);
-  for (size_t k = 0; k < by_name.size(); ++k) {
-    const int m = by_name[k];
-    slot_of[m] = k > 0 && *mentions[by_name[k - 1]] == *mentions[m] ? slot_of[by_name[k - 1]] : m;
-  }
-  for (size_t m = 0; m < mentions.size(); ++m) {
-    const bool first = slot_of[m] == static_cast<int>(m);
-    slot_of[m] = first ? static_cast<int>(names.size()) : slot_of[slot_of[m]];
-    if (first) {
-      names.push_back(mentions[m]);
-      pool_names += m < pool_mentions ? 1 : 0;
-    }
-  }
-  std::vector<char> endpoint(names.size(), 0);
-  for (size_t m = pool_mentions; m < mentions.size(); ++m) {
-    if (!std::exchange(endpoint[slot_of[m]], 1)) {
-      endpoints.push_back(slot_of[m]);
     }
   }
 
-  // Each variable's pool as slots, and its only peer's slot.
-  std::map<std::vector<int>, int> pool_index;
-  pool_of.reserve(variables.size());
+  // Each variable's only peer's slot.
   peer_of.reserve(variables.size());
-  size_t m = 0;
   for (const VarComm& var : variables) {
-    std::vector<int> entries;
-    entries.reserve(var.pool.size());
-    for (const Endpoint& e : var.pool) {
-      entries.push_back(e.kind == Endpoint::Kind::kAddress ? slot_of[m++] : -1);
-    }
-    const int fresh = static_cast<int>(pool_index.size());
-    pool_of.push_back(pool_index.emplace(std::move(entries), fresh).first->second);
     const Endpoint* only = var.rx_from.size() + var.tx_to.size() != 1 ? nullptr
                            : var.rx_from.empty()                    ? &var.tx_to.front()
                                                                     : &var.rx_from.front();
-    int peer = -1;
-    if (only != nullptr && only->kind == Endpoint::Kind::kAddress) {
-      peer = slot_of[*std::lower_bound(
-          by_name.begin(), by_name.end(), only->name,
-          [&mentions](int a, const std::string& name) { return *mentions[a] < name; })];
-    }
-    peer_of.push_back(peer);
-  }
-  pools.resize(pool_index.size());
-  while (!pool_index.empty()) {
-    auto node = pool_index.extract(pool_index.begin());
-    pools[node.mapped()] = std::move(node.key());
+    peer_of.push_back(only != nullptr && only->kind == Endpoint::Kind::kAddress
+                          ? slot_of[graph.names().Find(only->name)]
+                          : -1);
   }
 }
 

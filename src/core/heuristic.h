@@ -58,6 +58,7 @@ struct QueryHosts {
   explicit QueryHosts(const lang::CompiledQuery& compiled);
 
   std::vector<const std::string*> names;  // By slot.
+  std::vector<int> ids;                   // By slot: the name's id in the flow graph.
   int pool_names = 0;                     // Slots [0, pool_names) are pool entries.
   std::vector<int> endpoints;             // Literal flow endpoints' slots, in order.
   // Each distinct pool once, in first-mention order: its entries' slots, -1

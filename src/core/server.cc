@@ -7,6 +7,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/check/check.h"
 #include "src/common/lock_registry.h"
@@ -100,9 +101,10 @@ struct ProbePlan {
 ProbePlan MakeProbePlan(const ServerConfig& config, const lang::QueryFacts& facts) {
   ProbePlan plan;
   plan.hosts = QueryHosts(facts.compiled().value());
-  plan.footprint.reserve(plan.hosts.names.size());
-  for (const std::string* name : plan.hosts.names) {
-    plan.footprint.push_back(!config.scope_probe_pruning || facts.scope().InFootprint(*name));
+  plan.footprint.reserve(plan.hosts.ids.size());
+  for (const int id : plan.hosts.ids) {
+    plan.footprint.push_back(!config.scope_probe_pruning ||
+                             facts.scope().host_by_id[id] == lang::HostScope::kFootprint);
   }
   for (const std::vector<int>& pool : plan.hosts.pools) {
     plan.samples |= static_cast<int>(pool.size()) > config.sample_threshold;
@@ -825,17 +827,26 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
       }
       quote->estimate = estimate.value();
     }
-    std::unordered_set<std::string> endpoints;
+    // Endpoints count hosts, not spellings: every bound or literal name is
+    // a slot of the answer's hosts, and an alias and its address share one
+    // identity slot (a name the directory does not know is its own).
+    const NameTable& names = compiled.value().graph().names();
+    std::vector<int> slot_of(names.size(), -1);  // By name id.
+    for (size_t slot = 0; slot < query_hosts.ids.size(); ++slot) {
+      slot_of[query_hosts.ids[slot]] = static_cast<int>(slot);
+    }
+    std::vector<char> counted(hosts.slots.size(), 0);  // By identity slot.
     for (const lang::CompiledFlow& flow : compiled.value().flows()) {
       quote->bytes_moved += flow.size;
       for (const lang::Endpoint* e : {&flow.src, &flow.dst}) {
         auto resolved = ResolveEndpoint(*e, quote->binding);
         if (resolved.has_value() && resolved->kind == lang::Endpoint::Kind::kAddress) {
-          endpoints.insert(resolved->name);
+          const int id = names.Find(resolved->name);
+          const int slot = id < 0 ? -1 : slot_of[id];
+          quote->endpoints += slot < 0 || !std::exchange(counted[hosts.slots[slot].id], 1);
         }
       }
     }
-    quote->endpoints = static_cast<int>(endpoints.size());
     if (std::isfinite(deadline)) {
       quote->has_deadline = true;
       quote->deadline = deadline;

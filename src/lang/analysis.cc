@@ -159,9 +159,42 @@ void AddPeer(const Endpoint& e, std::vector<Endpoint>* peers,
 
 FlowGraph::FlowGraph(const Query& query) {
   const int n = static_cast<int>(query.flows.size());
-  index_.reserve(n);
+  size_t mentions = 2 * query.flows.size();
+  for (const VarDecl& decl : query.variables) {
+    mentions += decl.names.size() + decl.values.size();
+  }
+  names_.reserve(mentions + query.flows.size());
+  named_.reserve(mentions + query.flows.size());
+  ids_.reserve(mentions);
+  mention_begin_.reserve(2 * query.variables.size() + 1);
+  const auto intern = [this](const std::string& name) {
+    const int id = names_.Intern(name);
+    if (id == static_cast<int>(named_.size())) {
+      named_.emplace_back();
+    }
+    return id;
+  };
+  int variables = 0;
+  for (const VarDecl& decl : query.variables) {
+    mention_begin_.push_back(static_cast<int>(ids_.size()));
+    for (const std::string& name : decl.names) {
+      const int id = intern(name);
+      ids_.push_back(id);
+      // A name declared twice resolves to its first declaration.
+      named_[id].variable = named_[id].variable < 0 ? variables : named_[id].variable;
+      ++variables;
+    }
+    mention_begin_.push_back(static_cast<int>(ids_.size()));
+    for (const Endpoint& value : decl.values) {
+      ids_.push_back(intern(value.name));
+    }
+  }
+  mention_begin_.push_back(static_cast<int>(ids_.size()));
   for (int i = 0; i < n; ++i) {
-    index_[query.flows[i].name] = i;
+    const FlowDef& flow = query.flows[i];
+    named_[intern(flow.name)].flow = i;
+    ids_.push_back(intern(flow.src.name));
+    ids_.push_back(intern(flow.dst.name));
   }
   size_begin_.reserve(n + 1);
   transfer_begin_.reserve(n + 1);
@@ -221,40 +254,46 @@ FlowGraph::FlowGraph(const Query& query) {
   }
 }
 
-int FlowGraph::Find(std::string_view name) const {
-  const auto it = index_.find(name);
-  return it != index_.end() ? it->second : -1;
-}
-
 std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, DiagnosticSink* sink) {
-  return Compile(query, FlowGraph(query), sink);
+  auto graph = std::make_shared<const FlowGraph>(query);
+  std::optional<CompiledQuery> compiled = Compile(query, *graph, sink);
+  if (compiled.has_value()) {
+    compiled->own_graph_ = std::move(graph);
+  }
+  return compiled;
 }
 
 Result<CompiledQuery> CompiledQuery::Compile(const Query& query) {
-  return Compile(query, FlowGraph(query));
+  DiagnosticSink sink;
+  std::optional<CompiledQuery> compiled = Compile(query, &sink);
+  return compiled ? Result<CompiledQuery>(*std::move(compiled)) : sink.ToLegacyError();
 }
 
 Result<CompiledQuery> CompiledQuery::Compile(const Query& query, const FlowGraph& graph) {
   DiagnosticSink sink;
   std::optional<CompiledQuery> compiled = Compile(query, graph, &sink);
-  if (!compiled.has_value()) {
-    return sink.ToLegacyError();
-  }
-  return *std::move(compiled);
+  return compiled ? Result<CompiledQuery>(*std::move(compiled)) : sink.ToLegacyError();
 }
 
 std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const FlowGraph& graph,
                                                     DiagnosticSink* sink) {
   CompiledQuery compiled;
   compiled.query_ = &query;
+  compiled.graph_ = &graph;
 
   // ---- Variables and their communication sets ----
+  size_t num_variables = 0;
   for (const VarDecl& decl : query.variables) {
-    for (const std::string& name : decl.names) {
-      // A name declared twice resolves to its first declaration.
-      compiled.variable_index_.emplace(name, static_cast<int>(compiled.variables_.size()));
+    num_variables += decl.names.size();
+  }
+  compiled.variables_.reserve(num_variables);
+  for (size_t d = 0; d < query.variables.size(); ++d) {
+    const VarDecl& decl = query.variables[d];
+    for (size_t i = 0; i < decl.names.size(); ++i) {
       VarComm comm;
-      comm.name = name;
+      comm.name = decl.names[i];
+      comm.id = graph.declared_ids(static_cast<int>(d))[i];
+      comm.decl = static_cast<int>(d);
       comm.pool = decl.values;
       compiled.variables_.push_back(std::move(comm));
     }
@@ -269,17 +308,15 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
     compiled.variables_[index].cpu_required = req.cpu_cores;
     compiled.variables_[index].mem_required = req.memory;
   }
-  auto var_index = [&compiled](const Endpoint& e) -> int {
-    if (e.kind != Endpoint::Kind::kVariable) {
-      return -1;
-    }
-    return compiled.VariableIndex(e.name);
+  auto var_index = [&graph](const Endpoint& e, int id) -> int {
+    return e.kind == Endpoint::Kind::kVariable ? graph.variable(id) : -1;
   };
-  std::vector<std::unordered_set<Endpoint, EndpointHash>> tx_seen(compiled.variables_.size());
-  std::vector<std::unordered_set<Endpoint, EndpointHash>> rx_seen(compiled.variables_.size());
-  for (const FlowDef& flow : query.flows) {
-    const int src_var = var_index(flow.src);
-    const int dst_var = var_index(flow.dst);
+  // Variable v's tx_to peers at 2 v, its rx_from peers at 2 v + 1.
+  std::vector<std::unordered_set<Endpoint, EndpointHash>> seen(2 * num_variables);
+  for (size_t f = 0; f < query.flows.size(); ++f) {
+    const FlowDef& flow = query.flows[f];
+    const int src_var = var_index(flow.src, graph.src_id(static_cast<int>(f)));
+    const int dst_var = var_index(flow.dst, graph.dst_id(static_cast<int>(f)));
     if (flow.src.kind == Endpoint::Kind::kDisk && dst_var >= 0) {
       compiled.variables_[dst_var].reads_disk = true;
     } else if (flow.dst.kind == Endpoint::Kind::kDisk && src_var >= 0) {
@@ -287,10 +324,10 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
     } else if (flow.src.kind != Endpoint::Kind::kDisk &&
                flow.dst.kind != Endpoint::Kind::kDisk) {
       if (src_var >= 0) {
-        AddPeer(flow.dst, &compiled.variables_[src_var].tx_to, &tx_seen[src_var]);
+        AddPeer(flow.dst, &compiled.variables_[src_var].tx_to, &seen[2 * src_var]);
       }
       if (dst_var >= 0) {
-        AddPeer(flow.src, &compiled.variables_[dst_var].rx_from, &rx_seen[dst_var]);
+        AddPeer(flow.src, &compiled.variables_[dst_var].rx_from, &seen[2 * dst_var + 1]);
       }
     }
   }
@@ -353,11 +390,6 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
     }
   }
   return compiled;
-}
-
-int CompiledQuery::VariableIndex(const std::string& name) const {
-  const auto it = variable_index_.find(name);
-  return it != variable_index_.end() ? it->second : -1;
 }
 
 }  // namespace lang

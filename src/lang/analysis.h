@@ -1,8 +1,9 @@
 // Semantic analysis: turns a parsed Query into the structures the CloudTalk
 // server evaluates.
 //
-//  * One FlowGraph pass indexes the flows by name and collects the
-//    references between them.
+//  * One FlowGraph pass gives every name the query spells a dense id,
+//    indexes the flows and variables by it, and collects the references
+//    between flows. The later stages read ids, not strings.
 //  * Flow sizes are resolved to concrete byte counts along the graph's size
 //    edges (following sz() references; a flow with only a
 //    transfer-reference inherits the referenced flow's size — the
@@ -18,14 +19,15 @@
 #define CLOUDTALK_SRC_LANG_ANALYSIS_H_
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/name_table.h"
 #include "src/common/result.h"
 #include "src/common/units.h"
 #include "src/lang/ast.h"
@@ -56,19 +58,36 @@ struct FlowRef {
   const Expr* expr = nullptr;
 };
 
-// The flow-reference graph of a query, built in one linear pass over its
-// flows: the flow-name index, each flow's size and transfer edges, and its
-// chain group. The compiler, lint and canon all read it; QueryFacts builds
-// it once per query. It points into the Query's names and expressions, so
-// the Query must outlive it and must not change while it lives.
+// The name table and flow-reference graph of a query, built in one linear
+// pass: an id for each distinct spelling of a variable, flow, pool entry or
+// flow endpoint, each flow's size and transfer edges, and its chain group.
+// The compiler, scope, lint, canon and the probe plan read it; QueryFacts
+// builds it once per query. Derived from the Query, not stored in it, it is
+// as true for a query built by hand or renamed in place as for a parsed one.
+// It points into the Query, which must outlive it and not change meanwhile.
 class FlowGraph {
  public:
   explicit FlowGraph(const Query& query);
   explicit FlowGraph(Query&&) = delete;
 
+  const NameTable& names() const { return names_; }
+
+  // What the name `id` stands for: the index of the last flow so named, the
+  // first variable so declared (its index into CompiledQuery::variables()),
+  // or -1 for neither or for id -1.
+  int flow(int id) const { return id < 0 ? -1 : named_[id].flow; }
+  int variable(int id) const { return id < 0 ? -1 : named_[id].variable; }
+
   // Index of the flow named `name`, or -1. When a name is defined more than
   // once, the last definition wins.
-  int Find(std::string_view name) const;
+  int Find(std::string_view name) const { return flow(names_.Find(name)); }
+
+  // Name ids by mention, in source order: declaration d's variable names
+  // and pool entries, and flow f's source and destination.
+  std::span<const int> declared_ids(int decl) const { return Ids(2 * decl); }
+  std::span<const int> pool_ids(int decl) const { return Ids(2 * decl + 1); }
+  int src_id(int flow) const { return ids_[mention_begin_.back() + 2 * flow]; }
+  int dst_id(int flow) const { return ids_[mention_begin_.back() + 2 * flow + 1]; }
 
   // What the flow's size resolves from: every reference in its `size`, in
   // source order, or else its first `transfer` reference.
@@ -76,12 +95,15 @@ class FlowGraph {
     return {size_edges_.data() + size_begin_[flow], size_edges_.data() + size_begin_[flow + 1]};
   }
 
+  bool has_size_edges() const { return !size_edges_.empty(); }
+
   // The flows its `transfer` references, in source order, self-references
   // kept. The packet-level estimator starts a flow when these complete.
   std::span<const int> transfer_edges(int flow) const {
     return {transfer_edges_.data() + transfer_begin_[flow],
             transfer_edges_.data() + transfer_begin_[flow + 1]};
   }
+  bool has_transfer_edges() const { return !transfer_edges_.empty(); }
 
   // Chain group of the flow: flows joined by rate/transfer references share
   // one. Groups are numbered in the order of their lowest members, as
@@ -90,7 +112,21 @@ class FlowGraph {
   int num_groups() const { return num_groups_; }
 
  private:
-  std::unordered_map<std::string_view, int> index_;
+  struct Named {
+    int variable = -1;
+    int flow = -1;
+  };
+  std::span<const int> Ids(int list) const {
+    return {ids_.data() + mention_begin_[list], ids_.data() + mention_begin_[list + 1]};
+  }
+
+  NameTable names_;
+  std::vector<Named> named_;  // By name id.
+  // Mentions' name ids: each declaration's names, then its pool, list 2d
+  // and 2d + 1 at [mention_begin_[l], mention_begin_[l + 1]); then, from
+  // mention_begin_.back(), each flow's source and destination.
+  std::vector<int> ids_;
+  std::vector<int> mention_begin_;
   std::vector<FlowRef> size_edges_;  // Flow f's are [size_begin_[f], size_begin_[f + 1]).
   std::vector<int> size_begin_;
   std::vector<int> transfer_edges_;  // Likewise through transfer_begin_.
@@ -103,6 +139,8 @@ class FlowGraph {
 // Listing 1).
 struct VarComm {
   std::string name;
+  int id = -1;                    // The name's id in the query's FlowGraph.
+  int decl = -1;                  // Its declaration: the pool's FlowGraph::pool_ids.
   std::vector<Endpoint> pool;     // Possible values (addresses).
   std::vector<Endpoint> rx_from;  // Network endpoints that send to it.
   std::vector<Endpoint> tx_to;    // Network endpoints it sends to.
@@ -138,8 +176,9 @@ struct CompiledGroup {
 
 class CompiledQuery {
  public:
-  // Compiles `query`; the Query must outlive the CompiledQuery. On failure
-  // the Error is the first diagnostic (message, rule code, line/column).
+  // Compiles `query` over a flow graph of its own; the Query must outlive
+  // the CompiledQuery. On failure the Error is the first diagnostic
+  // (message, rule code, line/column).
   static Result<CompiledQuery> Compile(const Query& query);
 
   // Like Compile, but reports every problem (cyclic size references E030,
@@ -148,7 +187,7 @@ class CompiledQuery {
   static std::optional<CompiledQuery> Compile(const Query& query, DiagnosticSink* sink);
 
   // Either of the above over `graph`, the query's own flow graph, instead of
-  // building one.
+  // building one. The graph, too, must outlive the CompiledQuery.
   static Result<CompiledQuery> Compile(const Query& query, const FlowGraph& graph);
   static std::optional<CompiledQuery> Compile(const Query& query, const FlowGraph& graph,
                                               DiagnosticSink* sink);
@@ -159,20 +198,24 @@ class CompiledQuery {
   static std::optional<CompiledQuery> Compile(Query&&, DiagnosticSink*) = delete;
 
   const Query& query() const { return *query_; }
+  const FlowGraph& graph() const { return *graph_; }
   const std::vector<CompiledFlow>& flows() const { return flows_; }
   const std::vector<CompiledGroup>& groups() const { return groups_; }
   const std::vector<VarComm>& variables() const { return variables_; }
 
   // Index into variables() or -1. A name declared twice resolves to its
   // first declaration.
-  int VariableIndex(const std::string& name) const;
+  int VariableIndex(std::string_view name) const {
+    return graph_->variable(graph_->names().Find(name));
+  }
 
  private:
   const Query* query_ = nullptr;
+  const FlowGraph* graph_ = nullptr;
+  std::shared_ptr<const FlowGraph> own_graph_;  // Set when Compile built the graph.
   std::vector<CompiledFlow> flows_;
   std::vector<CompiledGroup> groups_;
   std::vector<VarComm> variables_;
-  std::unordered_map<std::string, int> variable_index_;  // Name -> index.
 };
 
 }  // namespace lang

@@ -193,17 +193,6 @@ std::string FlowDef::ToString() const {
   return os.str();
 }
 
-const VarDecl* Query::FindVariable(const std::string& name) const {
-  for (const VarDecl& decl : variables) {
-    for (const std::string& n : decl.names) {
-      if (n == name) {
-        return &decl;
-      }
-    }
-  }
-  return nullptr;
-}
-
 std::string Query::ToString() const {
   std::ostringstream os;
   const QueryOptions defaults;

@@ -197,7 +197,6 @@ struct Query {
   std::vector<Requirement> requirements;
   QueryOptions options;
 
-  const VarDecl* FindVariable(const std::string& name) const;
   std::string ToString() const;
 };
 

@@ -48,7 +48,7 @@ class QueryFacts {
 
   const Query& query() const { return query_; }
 
-  // The flow-name index, reference edges and chain groups (analysis.h).
+  // The name table, reference edges and chain groups (analysis.h).
   const FlowGraph& flow_graph() const;
 
   // CompiledQuery::Compile over query() and flow_graph(): the compiled

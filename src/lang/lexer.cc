@@ -1,16 +1,30 @@
 #include "src/lang/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
+#include <string>
 
 namespace cloudtalk {
 namespace lang {
 
 namespace {
 
-bool IsIdentStart(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_'; }
-bool IsIdentChar(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+// The query language is ASCII: every other byte is a stray character.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsIdentStart(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_'; }
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+
+// The value of a run of digits with at most one '.', as strtod reads it. Up
+// to 15 digits without a point are exact in a double, as strtod's result is.
+double ParseDecimal(std::string_view digits) {
+  if (digits.size() <= 15 && digits.find('.') == std::string_view::npos) {
+    double value = 0;
+    for (const char c : digits) {
+      value = value * 10 + (c - '0');
+    }
+    return value;
+  }
+  return std::strtod(std::string(digits).c_str(), nullptr);
+}
 
 class Scanner {
  public:
@@ -18,113 +32,94 @@ class Scanner {
 
   std::vector<Token> Run() {
     std::vector<Token> tokens;
-    while (!AtEnd()) {
+    // A query averages more than four bytes a token (`10.0.0.3 `, `-> `).
+    tokens.reserve(input_.size() / 4 + 2);
+    while (true) {
       SkipSpacesAndComments();
       if (AtEnd()) {
         break;
       }
+      const size_t start = pos_;
       const int line = line_;
-      const int column = column_;
-      const char c = Peek();
-      Token token;
-      token.line = line;
-      token.column = column;
-      if (c == '\n' || c == ';') {
-        Advance();
-        // Collapse runs of separators.
-        if (!tokens.empty() && tokens.back().kind != TokenKind::kSeparator) {
-          token.kind = TokenKind::kSeparator;
-          tokens.push_back(token);
-        }
-        continue;
+      const int column = Column();
+      const char c = input_[pos_++];
+      TokenKind kind = TokenKind::kEof;
+      double number = 0;
+      switch (c) {
+        case '\n':
+          ++line_;
+          line_start_ = pos_;
+          [[fallthrough]];
+        case ';':
+          // Collapse runs of separators.
+          if (!tokens.empty() && tokens.back().kind != TokenKind::kSeparator) {
+            tokens.push_back(Token{TokenKind::kSeparator, input_.substr(start, 1), 0, line, column});
+          }
+          continue;
+        case '=':
+          kind = TokenKind::kEquals;
+          break;
+        case '(':
+          kind = TokenKind::kLParen;
+          break;
+        case ')':
+          kind = TokenKind::kRParen;
+          break;
+        case '+':
+          kind = TokenKind::kPlus;
+          break;
+        case '*':
+          kind = TokenKind::kStar;
+          break;
+        case '/':
+          kind = TokenKind::kSlash;
+          break;
+        case '>':
+          kind = TokenKind::kArrow;
+          break;
+        case '-':
+          kind = !AtEnd() && input_[pos_] == '>' ? TokenKind::kArrow : TokenKind::kMinus;
+          pos_ += kind == TokenKind::kArrow ? 1 : 0;
+          break;
+        default:
+          if (IsDigit(c)) {
+            if (!ScanNumberOrAddress(start, column, &kind, &number)) {
+              continue;  // Diagnostic recorded; offending characters skipped.
+            }
+          } else if (IsIdentStart(c)) {
+            while (!AtEnd() && IsIdentChar(input_[pos_])) {
+              ++pos_;
+            }
+            kind = TokenKind::kIdent;
+          } else {
+            sink_->AddError("E001", Span{line, column, 1},
+                            std::string("unexpected character '") + c + "'");
+            continue;
+          }
       }
-      if (c == '=') {
-        Advance();
-        token.kind = TokenKind::kEquals;
-      } else if (c == '(') {
-        Advance();
-        token.kind = TokenKind::kLParen;
-      } else if (c == ')') {
-        Advance();
-        token.kind = TokenKind::kRParen;
-      } else if (c == '+') {
-        Advance();
-        token.kind = TokenKind::kPlus;
-      } else if (c == '*') {
-        Advance();
-        token.kind = TokenKind::kStar;
-      } else if (c == '/') {
-        Advance();
-        token.kind = TokenKind::kSlash;
-      } else if (c == '>') {
-        Advance();
-        token.kind = TokenKind::kArrow;
-      } else if (c == '-') {
-        Advance();
-        if (!AtEnd() && Peek() == '>') {
-          Advance();
-          token.kind = TokenKind::kArrow;
-          token.length = 2;
-        } else {
-          token.kind = TokenKind::kMinus;
-        }
-      } else if (IsDigit(c)) {
-        if (!ScanNumberOrAddress(line, column, &token)) {
-          continue;  // Diagnostic recorded; offending characters skipped.
-        }
-      } else if (IsIdentStart(c)) {
-        std::string text;
-        while (!AtEnd() && IsIdentChar(Peek())) {
-          text.push_back(Peek());
-          Advance();
-        }
-        token.kind = TokenKind::kIdent;
-        token.length = static_cast<int>(text.size());
-        token.text = std::move(text);
-      } else {
-        sink_->AddError("E001", Span{line, column, 1},
-                        std::string("unexpected character '") + c + "'");
-        Advance();
-        continue;
-      }
-      tokens.push_back(std::move(token));
+      const int length = static_cast<int>(pos_ - start);
+      tokens.push_back(Token{kind, input_.substr(start, length), number, line, column, length});
     }
     // Drop a trailing separator; append EOF.
     if (!tokens.empty() && tokens.back().kind == TokenKind::kSeparator) {
       tokens.pop_back();
     }
-    Token eof;
-    eof.kind = TokenKind::kEof;
-    eof.line = line_;
-    eof.column = column_;
-    tokens.push_back(eof);
+    tokens.push_back(Token{TokenKind::kEof, {}, 0, line_, Column()});
     return tokens;
   }
 
  private:
   bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek() const { return input_[pos_]; }
-  char PeekAt(size_t offset) const {
-    return pos_ + offset < input_.size() ? input_[pos_ + offset] : '\0';
-  }
-  void Advance() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
-  }
+  int Column() const { return static_cast<int>(pos_ - line_start_) + 1; }
 
   void SkipSpacesAndComments() {
     while (!AtEnd()) {
-      const char c = Peek();
+      const char c = input_[pos_];
       if (c == ' ' || c == '\t' || c == '\r') {
-        Advance();
+        ++pos_;
       } else if (c == '#') {
-        while (!AtEnd() && Peek() != '\n') {
-          Advance();
+        while (!AtEnd() && input_[pos_] != '\n') {
+          ++pos_;
         }
       } else {
         break;
@@ -132,76 +127,46 @@ class Scanner {
     }
   }
 
-  // A token starting with a digit is either a dotted-quad address
-  // (1.2.3.4) or a number with an optional K/M/G (and optional B) suffix.
-  // Returns false (with a diagnostic recorded and the characters consumed)
-  // on a malformed literal.
-  bool ScanNumberOrAddress(int line, int column, Token* token) {
-    std::string text;
+  // A token starting with a digit, at `start`, is either a dotted-quad
+  // address (1.2.3.4) or a number with an optional K/M/G (and optional B)
+  // suffix. Returns false (with a diagnostic recorded and the characters
+  // consumed) on a malformed literal.
+  bool ScanNumberOrAddress(size_t start, int column, TokenKind* kind, double* number) {
     int dots = 0;
-    size_t probe = 0;
-    while (true) {
-      const char c = PeekAt(probe);
-      if (IsDigit(c)) {
-        ++probe;
-      } else if (c == '.' && IsDigit(PeekAt(probe + 1))) {
+    for (pos_ = start; !AtEnd(); ++pos_) {
+      if (input_[pos_] == '.' && pos_ + 1 < input_.size() && IsDigit(input_[pos_ + 1])) {
         ++dots;
-        ++probe;
-      } else {
+      } else if (!IsDigit(input_[pos_])) {
         break;
       }
     }
-    token->line = line;
-    token->column = column;
     if (dots == 3) {
-      for (size_t i = 0; i < probe; ++i) {
-        text.push_back(Peek());
-        Advance();
-      }
-      token->kind = TokenKind::kAddress;
-      token->length = static_cast<int>(text.size());
-      token->text = std::move(text);
+      *kind = TokenKind::kAddress;
       return true;
     }
     if (dots > 1) {
-      sink_->AddError("E001", Span{line, column, static_cast<int>(probe)},
+      sink_->AddError("E001", Span{line_, column, static_cast<int>(pos_ - start)},
                       "malformed numeric literal",
                       "numbers take one decimal point; addresses are dotted quads");
-      for (size_t i = 0; i < probe; ++i) {
-        Advance();
-      }
       return false;
     }
-    for (size_t i = 0; i < probe; ++i) {
-      text.push_back(Peek());
-      Advance();
-    }
-    double value = std::strtod(text.c_str(), nullptr);
-    int length = static_cast<int>(probe);
+    *kind = TokenKind::kNumber;
+    *number = ParseDecimal(input_.substr(start, pos_ - start));
     // Optional binary magnitude suffix, optionally followed by B: 256M, 10KB.
     if (!AtEnd()) {
-      const char suffix = static_cast<char>(std::toupper(static_cast<unsigned char>(Peek())));
-      double scale = 0;
-      if (suffix == 'K') {
-        scale = 1024.0;
-      } else if (suffix == 'M') {
-        scale = 1024.0 * 1024.0;
-      } else if (suffix == 'G') {
-        scale = 1024.0 * 1024.0 * 1024.0;
-      }
+      const char suffix = input_[pos_] & ~0x20;  // ASCII upper case.
+      const double scale = suffix == 'K'   ? 1024.0
+                           : suffix == 'M' ? 1024.0 * 1024.0
+                           : suffix == 'G' ? 1024.0 * 1024.0 * 1024.0
+                                           : 0;
       if (scale > 0) {
-        Advance();
-        ++length;
-        if (!AtEnd() && (Peek() == 'B' || Peek() == 'b')) {
-          Advance();
-          ++length;
+        ++pos_;
+        if (!AtEnd() && (input_[pos_] == 'B' || input_[pos_] == 'b')) {
+          ++pos_;
         }
-        value *= scale;
+        *number *= scale;
       }
     }
-    token->kind = TokenKind::kNumber;
-    token->number = value;
-    token->length = length;
     return true;
   }
 
@@ -209,7 +174,7 @@ class Scanner {
   DiagnosticSink* sink_;
   size_t pos_ = 0;
   int line_ = 1;
-  int column_ = 1;
+  size_t line_start_ = 0;  // Offset of the current line's first byte.
 };
 
 }  // namespace
@@ -228,35 +193,10 @@ std::vector<Token> TokenizeWithDiagnostics(std::string_view input, DiagnosticSin
 }
 
 const char* TokenKindName(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kIdent:
-      return "identifier";
-    case TokenKind::kNumber:
-      return "number";
-    case TokenKind::kAddress:
-      return "address";
-    case TokenKind::kEquals:
-      return "'='";
-    case TokenKind::kLParen:
-      return "'('";
-    case TokenKind::kRParen:
-      return "')'";
-    case TokenKind::kArrow:
-      return "'->'";
-    case TokenKind::kSeparator:
-      return "separator";
-    case TokenKind::kPlus:
-      return "'+'";
-    case TokenKind::kMinus:
-      return "'-'";
-    case TokenKind::kStar:
-      return "'*'";
-    case TokenKind::kSlash:
-      return "'/'";
-    case TokenKind::kEof:
-      return "end of input";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "identifier", "number", "address", "'='", "'('", "')'", "'->'",
+      "separator",  "'+'",    "'-'",     "'*'", "'/'", "end of input"};
+  return kNames[static_cast<int>(kind)];
 }
 
 }  // namespace lang

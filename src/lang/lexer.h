@@ -1,11 +1,12 @@
 // Tokenizer for the CloudTalk language.
 //
 // The original implementation used flex; this is an equivalent hand-written
-// scanner (no generator dependency, better error positions).
+// scanner (no generator dependency, better error positions). Tokens borrow
+// their input: each one's text is a view of the bytes it was scanned from,
+// so the input must outlive the tokens and must not change while they live.
 #ifndef CLOUDTALK_SRC_LANG_LEXER_H_
 #define CLOUDTALK_SRC_LANG_LEXER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -34,11 +35,11 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;    // Raw text for idents/addresses.
-  double number = 0;   // Value for kNumber (K/M/G suffix already applied).
+  std::string_view text;  // The token's bytes in the input; empty at kEof.
+  double number = 0;      // Value for kNumber (K/M/G suffix already applied).
   int line = 1;
   int column = 1;
-  int length = 1;      // Source characters the token covers.
+  int length = 1;         // Source characters the token covers.
 
   Span span() const { return Span{line, column, length}; }
 };

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "src/lang/canon.h"
 #include "src/lang/opt.h"
@@ -47,17 +48,17 @@ std::string FormatRate(double bytes_per_sec) {
 // ---- W001: unused variable ----
 void CheckUnusedVariable(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
-  std::unordered_set<std::string> used;
-  for (const FlowDef& flow : query.flows) {
-    for (const Endpoint* e : {&flow.src, &flow.dst}) {
-      if (e->kind == Endpoint::Kind::kVariable) {
-        used.insert(e->name);
-      }
-    }
+  const FlowGraph& graph = facts.flow_graph();
+  std::vector<char> used(graph.names().size(), 0);  // By name id.
+  for (int f = 0; f < static_cast<int>(query.flows.size()); ++f) {
+    used[graph.src_id(f)] |= query.flows[f].src.kind == Endpoint::Kind::kVariable;
+    used[graph.dst_id(f)] |= query.flows[f].dst.kind == Endpoint::Kind::kVariable;
   }
-  for (const VarDecl& decl : query.variables) {
+  for (size_t d = 0; d < query.variables.size(); ++d) {
+    const VarDecl& decl = query.variables[d];
+    const std::span<const int> ids = graph.declared_ids(static_cast<int>(d));
     for (size_t i = 0; i < decl.names.size(); ++i) {
-      if (used.count(decl.names[i]) > 0) {
+      if (used[ids[i]]) {
         continue;
       }
       const Span span = i < decl.name_spans.size() ? decl.name_spans[i] : decl.span;
@@ -83,14 +84,17 @@ void CheckEmptyPool(const QueryFacts& facts, DiagnosticSink* sink) {
 
 // ---- W011: duplicate pool entry ----
 //
-// One hash set per declaration: every entry after the first occurrence of
-// its endpoint is a repeat, flagged once, in source order.
+// Every entry after the first occurrence of its endpoint (name id and kind)
+// in its declaration is a repeat, flagged once, in source order.
 void CheckDuplicatePoolEntry(const QueryFacts& facts, DiagnosticSink* sink) {
-  for (const VarDecl& decl : facts.query().variables) {
-    std::unordered_set<Endpoint, EndpointHash> seen;
-    seen.reserve(decl.values.size());
+  const FlowGraph& graph = facts.flow_graph();
+  // By endpoint: the last declaration listing it.
+  std::vector<int> listed_by(4 * graph.names().size(), -1);
+  for (int d = 0; d < static_cast<int>(facts.query().variables.size()); ++d) {
+    const VarDecl& decl = facts.query().variables[d];
+    const std::span<const int> ids = graph.pool_ids(d);
     for (size_t i = 0; i < decl.values.size(); ++i) {
-      if (seen.insert(decl.values[i]).second) {
+      if (std::exchange(listed_by[4 * ids[i] + static_cast<int>(decl.values[i].kind)], d) != d) {
         continue;
       }
       const Span span = i < decl.value_spans.size() ? decl.value_spans[i] : decl.span;
@@ -132,6 +136,9 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
   const FlowGraph& graph = facts.flow_graph();
   const int n = static_cast<int>(query.flows.size());
+  if (!graph.has_size_edges()) {
+    return;  // No reference, so no cycle.
+  }
   // Iterative three-color DFS; `path` recovers the cycle for the message,
   // and a gray flow's `path_index` is where its cycle starts. The sink keeps
   // one E030 per culprit span, so only a culprit's first cycle is spelled:
@@ -139,12 +146,14 @@ void CheckSizeReferenceCycle(const QueryFacts& facts, DiagnosticSink* sink) {
   enum class Color { kWhite, kGray, kBlack };
   std::vector<Color> color(n, Color::kWhite);
   std::vector<int> path_index(n, -1);
+  std::vector<int> stack;
+  std::vector<int> path;
   for (int start = 0; start < n; ++start) {
     if (color[start] != Color::kWhite) {
       continue;
     }
-    std::vector<int> stack = {start};
-    std::vector<int> path;
+    stack.assign(1, start);
+    path.clear();
     while (!stack.empty()) {
       const int node = stack.back();
       if (color[node] == Color::kWhite) {
@@ -194,6 +203,9 @@ void CheckUnreachableFlow(const QueryFacts& facts, DiagnosticSink* sink) {
   const Query& query = facts.query();
   const FlowGraph& graph = facts.flow_graph();
   const int n = static_cast<int>(query.flows.size());
+  if (!graph.has_transfer_edges()) {
+    return;  // Every flow starts at once.
+  }
   // A flow is startable once every flow its transfer references is.
   // Kahn's worklist: `waiting` counts a flow's references to flows not yet
   // startable, and each flow found startable releases its dependents along
@@ -243,11 +255,12 @@ struct Literal {
 };
 
 // Per chain group, in the flow graph's group order, its members' literal
-// values of `attr`, in flow order. W050, W090 and W091 read these.
+// values of `attr`, in flow order; no groups when no flow has one. W050,
+// W090 and W091 read these.
 std::vector<std::vector<Literal>> GroupLiterals(const QueryFacts& facts, Attr attr) {
   const Query& query = facts.query();
   const FlowGraph& graph = facts.flow_graph();
-  std::vector<std::vector<Literal>> by_group(graph.num_groups());
+  std::vector<std::vector<Literal>> by_group;
   for (size_t i = 0; i < query.flows.size(); ++i) {
     const Expr* expr = query.flows[i].FindAttr(attr);
     if (expr == nullptr || !IsConstantExpr(*expr)) {
@@ -255,6 +268,7 @@ std::vector<std::vector<Literal>> GroupLiterals(const QueryFacts& facts, Attr at
     }
     const double value = EvalConstant(*expr);
     if (value > 0) {
+      by_group.resize(graph.num_groups());
       by_group[graph.group(static_cast<int>(i))].push_back({static_cast<int>(i), value});
     }
   }
@@ -407,8 +421,9 @@ void CheckInterchangeableVariables(const QueryFacts& facts, DiagnosticSink* sink
     for (size_t i = 0; i < cls.size(); ++i) {
       names += std::string(i ? ", '" : "'") + vars[cls[i]].name + "'";
     }
-    const VarDecl* decl = query.FindVariable(vars[cls.front()].name);
-    sink->AddWarning("W070", decl != nullptr ? decl->span : Span{},
+    // Anchored at the declaration of the class's first name.
+    const VarComm& first = vars[facts.flow_graph().variable(vars[cls.front()].id)];
+    sink->AddWarning("W070", query.variables[first.decl].span,
                      "variables " + names +
                          " are interchangeable: swapping their bindings never changes "
                          "any completion time",
@@ -621,13 +636,15 @@ void CheckUnusedPoolHost(const QueryFacts& facts, DiagnosticSink* sink) {
   if (scope.excluded.empty()) {
     return;
   }
-  const std::unordered_set<std::string> excluded(scope.excluded.begin(), scope.excluded.end());
-  std::unordered_set<std::string> reported;
-  for (const VarDecl& decl : query.variables) {
+  const FlowGraph& graph = facts.flow_graph();
+  std::vector<char> reported(graph.names().size(), 0);  // By name id.
+  for (int d = 0; d < static_cast<int>(query.variables.size()); ++d) {
+    const VarDecl& decl = query.variables[d];
+    const std::span<const int> ids = graph.pool_ids(d);
     for (size_t i = 0; i < decl.values.size(); ++i) {
       const Endpoint& value = decl.values[i];
-      if (value.kind != Endpoint::Kind::kAddress || excluded.count(value.name) == 0 ||
-          !reported.insert(value.name).second) {
+      if (value.kind != Endpoint::Kind::kAddress ||
+          scope.host_by_id[ids[i]] != HostScope::kExcluded || std::exchange(reported[ids[i]], 1)) {
         continue;
       }
       const Span span = i < decl.value_spans.size() ? decl.value_spans[i] : decl.span;
@@ -655,47 +672,54 @@ void CheckFootprintExceedsPool(const QueryFacts& facts, DiagnosticSink* sink) {
   if (!compiled.ok()) {
     return;
   }
-  // address -> variables whose pool contains it.
-  std::unordered_map<std::string, std::vector<const VarComm*>> pooled;
-  for (const VarComm& var : compiled.value().variables()) {
-    for (const Endpoint& e : var.pool) {
-      if (e.kind == Endpoint::Kind::kAddress) {
-        pooled[e.name].push_back(&var);
+  // Per name id: the first variable whose pool lists it, and the first one
+  // after it with another name. A finding names the first unless the flow's
+  // other endpoint is that variable (priority binding), then the second.
+  const FlowGraph& graph = facts.flow_graph();
+  const std::vector<VarComm>& variables = compiled.value().variables();
+  std::vector<std::pair<int, int>> pooled(graph.names().size(), {-1, -1});
+  for (int v = 0; v < static_cast<int>(variables.size()); ++v) {
+    const std::span<const int> ids = graph.pool_ids(variables[v].decl);
+    for (size_t k = 0; k < ids.size(); ++k) {
+      auto& [first, second] = pooled[ids[k]];
+      if (variables[v].pool[k].kind != Endpoint::Kind::kAddress) {
+        continue;
+      }
+      if (first < 0) {
+        first = v;
+      } else if (second < 0 && variables[first].id != variables[v].id) {
+        second = v;
       }
     }
   }
-  if (pooled.empty()) {
-    return;
-  }
-  for (const FlowDef& flow : query.flows) {
+  for (int f = 0; f < static_cast<int>(query.flows.size()); ++f) {
+    const FlowDef& flow = query.flows[f];
     struct Side {
       const Endpoint* literal;
+      int literal_id;
       const Endpoint* other;
+      int other_id;
       const Span* span;
     };
-    for (const Side& side : {Side{&flow.src, &flow.dst, &flow.src_span},
-                             Side{&flow.dst, &flow.src, &flow.dst_span}}) {
+    for (const Side& side :
+         {Side{&flow.src, graph.src_id(f), &flow.dst, graph.dst_id(f), &flow.src_span},
+          Side{&flow.dst, graph.dst_id(f), &flow.src, graph.src_id(f), &flow.dst_span}}) {
       if (side.literal->kind != Endpoint::Kind::kAddress) {
         continue;
       }
-      const auto it = pooled.find(side.literal->name);
-      if (it == pooled.end()) {
+      const auto [first, second] = pooled[side.literal_id];
+      const bool priority = first >= 0 && side.other->kind == Endpoint::Kind::kVariable &&
+                            variables[first].id == side.other_id;
+      const int v = priority ? second : first;
+      if (v < 0) {
         continue;
       }
-      for (const VarComm* var : it->second) {
-        // Priority binding: the literal is this very flow's peer of the
-        // pool variable it belongs to.
-        if (side.other->kind == Endpoint::Kind::kVariable && side.other->name == var->name) {
-          continue;
-        }
-        sink->AddWarning("W101", *side.span,
-                         "literal endpoint '" + side.literal->name +
-                             "' is also a binding candidate of pool variable '" + var->name +
-                             "': the flow's fixed footprint reaches into the pool",
-                         "a binding may collide with the pinned traffic; remove the host "
-                         "from the pool or address the variable instead");
-        break;  // One finding per flow endpoint is enough.
-      }
+      sink->AddWarning("W101", *side.span,
+                       "literal endpoint '" + side.literal->name +
+                           "' is also a binding candidate of pool variable '" +
+                           variables[v].name + "': the flow's fixed footprint reaches into the pool",
+                       "a binding may collide with the pinned traffic; remove the host "
+                       "from the pool or address the variable instead");
     }
   }
 }

@@ -26,17 +26,16 @@ std::vector<std::string> AddressCandidates(const VarComm& var) {
   return out;
 }
 
-Span VarSpan(const CompiledQuery& query, const std::string& name) {
-  const VarDecl* decl = query.query().FindVariable(name);
-  if (decl == nullptr) {
-    return Span{};
-  }
-  for (size_t i = 0; i < decl->names.size(); ++i) {
-    if (decl->names[i] == name && i < decl->name_spans.size()) {
-      return decl->name_spans[i];
+// Where the variable's name is first declared.
+Span VarSpan(const CompiledQuery& query, const VarComm& var) {
+  const int first = query.graph().variable(var.id);
+  const VarDecl& decl = query.query().variables[query.variables()[first].decl];
+  for (size_t i = 0; i < decl.names.size(); ++i) {
+    if (decl.names[i] == var.name && i < decl.name_spans.size()) {
+      return decl.name_spans[i];
     }
   }
-  return decl->span;
+  return decl.span;
 }
 
 Span FlowSpan(const CompiledQuery& query, const CompiledFlow& flow) {
@@ -147,7 +146,7 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
     for (const std::string& name : dropped) {
       list += (list.empty() ? "" : ", ") + name;
     }
-    Note(sink, "O100", VarSpan(*ctx->query, var.name),
+    Note(sink, "O100", VarSpan(*ctx->query, var),
          "pruned " + std::to_string(dropped.size()) + " of " +
              std::to_string(ctx->candidates[v].size()) + " candidates of '" + var.name +
              "' that cannot satisfy its cpu/mem requirements (" + list + ")");
@@ -155,7 +154,7 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
       plan->infeasible = true;
       plan->infeasible_reason = "every candidate of '" + var.name +
                                 "' fails its cpu/mem requirements";
-      Note(sink, "O100", VarSpan(*ctx->query, var.name),
+      Note(sink, "O100", VarSpan(*ctx->query, var),
            "no candidate of '" + var.name + "' satisfies its requirements; the query has "
            "no legal binding");
     }
@@ -196,7 +195,7 @@ void RunInterchangeable(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sin
     for (size_t i = 2; i <= cls.size(); ++i) {
       factorial *= static_cast<double>(i);
     }
-    Note(sink, "O200", VarSpan(*ctx->query, ctx->query->variables()[cls.front()].name),
+    Note(sink, "O200", VarSpan(*ctx->query, ctx->query->variables()[cls.front()]),
          "variables " + names + " are interchangeable: any binding permuting them has an "
          "identical traffic pattern; enumerating ascending assignments only (~" +
              FormatCount(factorial) + "x fewer bindings)");
@@ -343,7 +342,7 @@ void RunComponentSplit(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink
       break;
     }
     if (plan->pinned[v] >= 0) {
-      Note(sink, "O300", VarSpan(*ctx->query, variables[v].name),
+      Note(sink, "O300", VarSpan(*ctx->query, variables[v]),
            "variable '" + variables[v].name +
                "' has no live flows; pinned to its first legal candidate '" +
                ctx->candidates[v][plan->pinned[v]] + "' instead of enumerating " +

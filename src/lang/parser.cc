@@ -1,11 +1,11 @@
 #include "src/lang/parser.h"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
-#include <set>
-#include <unordered_set>
 #include <utility>
 
+#include "src/common/name_table.h"
 #include "src/lang/lexer.h"
 
 namespace cloudtalk {
@@ -20,40 +20,22 @@ namespace {
 // EvalConstant, canon, bound).
 constexpr int kMaxExprDepth = 256;
 
-std::optional<Attr> AttrKeyword(const std::string& word) {
-  if (word == "start") {
-    return Attr::kStart;
+constexpr Attr kAttrs[] = {Attr::kStart, Attr::kEnd, Attr::kSize, Attr::kRate, Attr::kTransfer};
+
+std::optional<Attr> AttrKeyword(std::string_view word) {
+  for (const Attr attr : kAttrs) {
+    if (word == AttrName(attr)) {
+      return attr;
+    }
   }
-  if (word == "end") {
-    return Attr::kEnd;
-  }
-  if (word == "size") {
-    return Attr::kSize;
-  }
-  if (word == "rate") {
-    return Attr::kRate;
-  }
-  if (word == "transfer" || word == "transferred") {
-    return Attr::kTransfer;
-  }
-  return std::nullopt;
+  return word == "transferred" ? std::optional<Attr>(Attr::kTransfer) : std::nullopt;
 }
 
-std::optional<Attr> RefKeyword(const std::string& word) {
-  if (word == "st") {
-    return Attr::kStart;
-  }
-  if (word == "e") {
-    return Attr::kEnd;
-  }
-  if (word == "sz") {
-    return Attr::kSize;
-  }
-  if (word == "r") {
-    return Attr::kRate;
-  }
-  if (word == "t") {
-    return Attr::kTransfer;
+std::optional<Attr> RefKeyword(std::string_view word) {
+  for (const Attr attr : kAttrs) {
+    if (word == AttrRefName(attr)) {
+      return attr;
+    }
   }
   return std::nullopt;
 }
@@ -68,6 +50,14 @@ class Parser {
       : tokens_(std::move(tokens)), sink_(sink) {}
 
   Query Run() {
+    // Room for a variable or a flow, and the name it defines, per statement.
+    const size_t statements =
+        1 + std::count_if(tokens_.begin(), tokens_.end(),
+                          [](const Token& t) { return t.kind == TokenKind::kSeparator; });
+    query_.variables.reserve(statements);
+    query_.flows.reserve(statements);
+    names_.reserve(statements);
+    bits_.reserve(statements);
     while (!Check(TokenKind::kEof)) {
       if (Check(TokenKind::kSeparator)) {
         Advance();
@@ -140,7 +130,7 @@ class Parser {
     if (!Check(TokenKind::kIdent)) {
       return Fail("E004", "expected option name");
     }
-    const std::string& opt = Cur().text;
+    const std::string_view opt = Cur().text;
     if (opt == "packet") {
       query_.options.use_packet_simulator = true;
     } else if (opt == "flow") {
@@ -168,7 +158,7 @@ class Parser {
       }
       query_.options.eval_threads = static_cast<int>(count);
     } else {
-      return Fail("E004", "unknown option '" + opt + "'",
+      return Fail("E004", "unknown option '" + std::string(opt) + "'",
                   "known options: packet, flow, static, dynamic, allow_same, noreserve, "
                   "optimize, no_optimize, threads <n>");
     }
@@ -178,6 +168,7 @@ class Parser {
 
   bool ParseVarDecl() {
     VarDecl decl;
+    const size_t first_name = pos_;  // Name i is token first_name + 2 i.
     // IDENT ('=' IDENT)* '=' '(' values ')'
     while (true) {
       if (!Check(TokenKind::kIdent)) {
@@ -186,7 +177,7 @@ class Parser {
       if (decl.names.empty()) {
         decl.span = Cur().span();
       }
-      decl.names.push_back(Cur().text);
+      decl.names.emplace_back(Cur().text);
       decl.name_spans.push_back(Cur().span());
       Advance();
       if (!Expect(TokenKind::kEquals)) {
@@ -197,16 +188,22 @@ class Parser {
       }
     }
     Advance();  // '('
+    size_t values = 0;
+    while (CheckAt(values, TokenKind::kAddress) || CheckAt(values, TokenKind::kIdent)) {
+      ++values;
+    }
+    decl.values.reserve(values);
+    decl.value_spans.reserve(values);
     while (!Check(TokenKind::kRParen)) {
       if (Check(TokenKind::kAddress)) {
-        decl.values.push_back(Endpoint::Address(Cur().text));
+        decl.values.push_back(Endpoint::Address(std::string(Cur().text)));
         decl.value_spans.push_back(Cur().span());
         Advance();
       } else if (Check(TokenKind::kIdent)) {
         if (Cur().text == "disk") {
           decl.values.push_back(Endpoint::Disk());
         } else {
-          decl.values.push_back(Endpoint::Address(Cur().text));
+          decl.values.push_back(Endpoint::Address(std::string(Cur().text)));
         }
         decl.value_spans.push_back(Cur().span());
         Advance();
@@ -223,7 +220,7 @@ class Parser {
                       "add at least one candidate endpoint to the pool");
     }
     for (size_t i = 0; i < decl.names.size(); ++i) {
-      if (!declared_vars_.insert(decl.names[i]).second) {
+      if (Mark(tokens_[first_name + 2 * i].text, kDeclared)) {
         sink_->AddError("E002", decl.name_spans[i],
                         "variable '" + decl.names[i] + "' declared twice",
                         "merge the pools or rename one declaration");
@@ -236,9 +233,10 @@ class Parser {
   // IDENT 'requires' ('cpu' NUMBER | 'mem' NUMBER)+ — Section 7 extension.
   bool ParseRequirement() {
     Requirement req;
-    req.var = Cur().text;
+    const std::string_view var = Cur().text;
+    req.var = var;
     req.span = Cur().span();
-    const bool declared = declared_vars_.count(req.var) > 0;
+    const bool declared = Has(var, kDeclared);
     if (!declared) {
       sink_->AddError("E003", req.span,
                       "requirement for undeclared variable '" + req.var + "'",
@@ -268,7 +266,7 @@ class Parser {
     if (!declared) {
       return true;
     }
-    if (!required_vars_.insert(req.var).second) {
+    if (Mark(var, kRequired)) {
       sink_->AddError("E002", req.span, "duplicate requirement for variable '" + req.var + "'",
                       "merge the constraints into one 'requires' statement");
       return true;
@@ -280,17 +278,18 @@ class Parser {
   bool ParseEndpoint(Endpoint* out, Span* span) {
     *span = Cur().span();
     if (Check(TokenKind::kAddress)) {
-      *out = Cur().text == "0.0.0.0" ? Endpoint::Unknown() : Endpoint::Address(Cur().text);
+      *out = Cur().text == "0.0.0.0" ? Endpoint::Unknown()
+                                     : Endpoint::Address(std::string(Cur().text));
       Advance();
       return true;
     }
     if (Check(TokenKind::kIdent)) {
       if (Cur().text == "disk") {
         *out = Endpoint::Disk();
-      } else if (declared_vars_.count(Cur().text) > 0) {
-        *out = Endpoint::Variable(Cur().text);
+      } else if (Has(Cur().text, kDeclared)) {
+        *out = Endpoint::Variable(std::string(Cur().text));
       } else {
-        *out = Endpoint::Address(Cur().text);
+        *out = Endpoint::Address(std::string(Cur().text));
       }
       Advance();
       return true;
@@ -301,11 +300,13 @@ class Parser {
   bool ParseFlowDef() {
     FlowDef flow;
     flow.span = Cur().span();
+    std::string_view name;
     // Optional leading name: present iff the token after it is NOT an arrow
     // (i.e. "name src -> dst" vs "src -> dst").
     if (Check(TokenKind::kIdent) && !CheckAt(1, TokenKind::kArrow) &&
         Cur().text != "disk") {
-      flow.name = Cur().text;
+      name = Cur().text;
+      flow.name = name;
       flow.explicit_name = true;
       Advance();
     }
@@ -321,7 +322,7 @@ class Parser {
     while (Check(TokenKind::kIdent)) {
       const std::optional<Attr> attr = AttrKeyword(Cur().text);
       if (!attr.has_value()) {
-        return Fail("E004", "unknown flow attribute '" + Cur().text + "'",
+        return Fail("E004", "unknown flow attribute '" + std::string(Cur().text) + "'",
                     "attributes: start, end, size, rate, transfer");
       }
       const Span attr_span = Cur().span();
@@ -346,8 +347,9 @@ class Parser {
     }
     if (!flow.explicit_name) {
       flow.name = "_f" + std::to_string(query_.flows.size() + 1);
+      name = auto_names_.emplace_back(flow.name);
     }
-    if (!flow_names_.insert(flow.name).second) {
+    if (Mark(name, kFlow)) {
       sink_->AddError("E002", flow.span, "flow '" + flow.name + "' defined twice",
                       "rename one of the definitions");
     }
@@ -457,7 +459,7 @@ class Parser {
     if (Check(TokenKind::kIdent)) {
       const std::optional<Attr> ref = RefKeyword(Cur().text);
       if (!ref.has_value()) {
-        return Fail("E001", "expected value, got identifier '" + Cur().text + "'",
+        return Fail("E001", "expected value, got identifier '" + std::string(Cur().text) + "'",
                     "references are st(f), e(f), sz(f), r(f), t(f)");
       }
       const Span ref_span = Cur().span();
@@ -468,12 +470,12 @@ class Parser {
       if (!Check(TokenKind::kIdent)) {
         return Fail("E001", "expected flow name inside reference");
       }
-      const std::string flow_name = Cur().text;
+      const std::string_view flow_name = Cur().text;
       Advance();
       if (!Expect(TokenKind::kRParen)) {
         return false;
       }
-      *out = Expr::Ref(*ref, flow_name);
+      *out = Expr::Ref(*ref, std::string(flow_name));
       (*out)->span = ref_span;
       return true;
     }
@@ -483,30 +485,36 @@ class Parser {
   // Post-parse validation that needs the whole query. Reports every
   // undefined flow reference, not just the first.
   void Validate() {
+    std::vector<const Expr*> refs;
     for (const FlowDef& flow : query_.flows) {
       for (const AttrValue& av : flow.attrs) {
-        ValidateRefs(*av.value, flow);
+        refs.clear();
+        CollectFlowRefs(*av.value, &refs);
+        for (const Expr* ref : refs) {
+          if (!Has(ref->ref_flow, kFlow)) {
+            sink_->AddError("E003", ref->span.valid() ? ref->span : flow.span,
+                            "flow '" + flow.name + "' references undefined flow '" +
+                                ref->ref_flow + "'",
+                            "only named flows defined in this query can be referenced");
+          }
+        }
       }
     }
   }
 
-  void ValidateRefs(const Expr& expr, const FlowDef& owner) {
-    switch (expr.kind) {
-      case Expr::Kind::kLiteral:
-        return;
-      case Expr::Kind::kRef:
-        if (flow_names_.count(expr.ref_flow) == 0) {
-          sink_->AddError("E003", expr.span.valid() ? expr.span : owner.span,
-                          "flow '" + owner.name + "' references undefined flow '" +
-                              expr.ref_flow + "'",
-                          "only named flows defined in this query can be referenced");
-        }
-        return;
-      case Expr::Kind::kBinary:
-        ValidateRefs(*expr.lhs, owner);
-        ValidateRefs(*expr.rhs, owner);
-        return;
-    }
+  // What a name is so far: a declared variable, a defined flow, a variable
+  // with a `requires`.
+  enum NameBit : uint8_t { kDeclared = 1, kFlow = 2, kRequired = 4 };
+
+  // Sets `bit` on `name`; returns whether it was set already.
+  bool Mark(std::string_view name, uint8_t bit) {
+    const int id = names_.Intern(name);
+    bits_.resize(names_.size());
+    return (std::exchange(bits_[id], bits_[id] | bit) & bit) != 0;
+  }
+  bool Has(std::string_view name, uint8_t bit) const {
+    const int id = names_.Find(name);
+    return id >= 0 && (bits_[id] & bit) != 0;
   }
 
   std::vector<Token> tokens_;
@@ -514,9 +522,11 @@ class Parser {
   size_t pos_ = 0;
   int nesting_ = 0;  // Parentheses and unary minus open around the parse.
   Query query_;
-  std::set<std::string> declared_vars_;
-  std::unordered_set<std::string> flow_names_;     // Every flow defined so far.
-  std::unordered_set<std::string> required_vars_;  // Variables with a `requires`.
+  // The names marked so far, as views of the token bytes, or of
+  // `auto_names_` for the flows the query leaves unnamed.
+  NameTable names_;
+  std::vector<uint8_t> bits_;  // By name id: NameBits.
+  std::deque<std::string> auto_names_;
 };
 
 }  // namespace

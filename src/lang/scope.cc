@@ -1,6 +1,8 @@
 #include "src/lang/scope.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "src/check/check.h"
 
@@ -57,29 +59,37 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   ScopeAnalysis scope;
   scope.effects = AnalyzeEffects(compiled.query());
 
-  // Every address the query mentions, once per mention, with the role the
-  // mention gives it. One sort by address turns the mentions into the
-  // footprint and the excluded hosts, each sorted and deduplicated, in a
-  // single walk.
-  struct Mention {
-    const std::string* address;
-    uint8_t fields;
-    bool candidate;  // Pool entry of an active variable.
-    bool endpoint;   // Literal flow endpoint.
+  // Every address the query mentions, once per name, with the roles its
+  // mentions give it, in first-mention order. One sort of those names by
+  // spelling turns them into the footprint and the excluded hosts.
+  const FlowGraph& graph = compiled.graph();
+  const NameTable& names = graph.names();
+  struct Role {
+    bool mentioned = false;
+    uint8_t fields = 0;
+    bool candidate = false;  // Pool entry of an active variable.
+    bool endpoint = false;   // Literal flow endpoint.
   };
-  std::vector<Mention> mentions;
-  size_t mention_count = 2 * compiled.flows().size();
-  for (const VarComm& var : compiled.variables()) {
-    mention_count += var.pool.size();
-  }
-  mentions.reserve(mention_count);
+  std::vector<Role> roles(names.size());
+  std::vector<int> hosts;
+  hosts.reserve(names.size());
+  const auto mention = [&](int id, uint8_t fields, bool candidate, bool endpoint) {
+    Role& role = roles[id];
+    if (!std::exchange(role.mentioned, true)) {
+      hosts.push_back(id);
+    }
+    role.fields |= fields;
+    role.candidate |= candidate;
+    role.endpoint |= endpoint;
+  };
   for (const VarComm& var : compiled.variables()) {
     const bool active = IsActive(var);
     const uint8_t fields = active ? VariableFields(var) : 0;
-    for (const Endpoint& e : var.pool) {
+    const std::span<const int> ids = graph.pool_ids(var.decl);
+    for (size_t k = 0; k < ids.size(); ++k) {
       // Only active variables contribute to the status footprint.
-      if (e.kind == Endpoint::Kind::kAddress) {
-        mentions.push_back({&e.name, fields, active, false});
+      if (var.pool[k].kind == Endpoint::Kind::kAddress) {
+        mention(ids[k], fields, active, false);
       }
     }
     if (!active) {
@@ -88,27 +98,26 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   }
   for (const CompiledFlow& flow : compiled.flows()) {
     if (flow.src.kind == Endpoint::Kind::kAddress) {
-      mentions.push_back({&flow.src.name, kScopeFieldNetOut, false, true});
+      mention(graph.src_id(flow.index), kScopeFieldNetOut, false, true);
     }
     if (flow.dst.kind == Endpoint::Kind::kAddress) {
-      mentions.push_back({&flow.dst.name, kScopeFieldNetIn, false, true});
+      mention(graph.dst_id(flow.index), kScopeFieldNetIn, false, true);
     }
   }
-  std::sort(mentions.begin(), mentions.end(),
-            [](const Mention& a, const Mention& b) { return *a.address < *b.address; });
+  std::sort(hosts.begin(), hosts.end(),
+            [&names](int a, int b) { return names.name(a) < names.name(b); });
 
-  for (size_t i = 0; i < mentions.size();) {
-    ScopeHost host;
-    host.address = *mentions[i].address;
-    for (; i < mentions.size() && *mentions[i].address == host.address; ++i) {
-      host.fields |= mentions[i].fields;
-      host.candidate |= mentions[i].candidate;
-      host.endpoint |= mentions[i].endpoint;
-    }
-    if (host.candidate || host.endpoint) {
-      scope.footprint.push_back(std::move(host));
+  scope.host_by_id.assign(names.size(), HostScope::kNone);
+  scope.footprint.reserve(hosts.size());
+  for (const int id : hosts) {
+    const Role& role = roles[id];
+    if (role.candidate || role.endpoint) {
+      scope.footprint.push_back(
+          ScopeHost{std::string(names.name(id)), role.fields, role.candidate, role.endpoint});
+      scope.host_by_id[id] = HostScope::kFootprint;
     } else {
-      scope.excluded.push_back(std::move(host.address));
+      scope.excluded.emplace_back(names.name(id));
+      scope.host_by_id[id] = HostScope::kExcluded;
     }
   }
 
@@ -116,8 +125,9 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
   // analysis and the estimators read its status for every binding.
   for (const CompiledFlow& flow : compiled.flows()) {
     for (const Endpoint* e : {&flow.src, &flow.dst}) {
+      const int id = e == &flow.src ? graph.src_id(flow.index) : graph.dst_id(flow.index);
       if (e->kind == Endpoint::Kind::kAddress) {
-        CT_INVARIANT(scope.InFootprint(e->name), "I408",
+        CT_INVARIANT(scope.host_by_id[id] == HostScope::kFootprint, "I408",
                      "literal flow endpoint outside the computed footprint")
             .With("flow", flow.name)
             .With("endpoint", e->name);
@@ -125,13 +135,6 @@ ScopeAnalysis AnalyzeScope(const CompiledQuery& compiled) {
     }
   }
   return scope;
-}
-
-bool ScopeAnalysis::InFootprint(const std::string& address) const {
-  const auto it = std::lower_bound(
-      footprint.begin(), footprint.end(), address,
-      [](const ScopeHost& host, const std::string& key) { return host.address < key; });
-  return it != footprint.end() && it->address == address;
 }
 
 std::string EffectsName(const ScopeEffects& effects) {

@@ -96,11 +96,13 @@ struct ScopeHost {
   bool endpoint = false;   // Literal flow endpoint.
 };
 
+// Which of ScopeAnalysis's lists holds a name.
+enum class HostScope : uint8_t { kNone, kFootprint, kExcluded };
+
 struct ScopeAnalysis {
   ScopeEffects effects;
 
-  // The footprint, sorted by address (deterministic for tools/snapshots;
-  // InFootprint binary-searches it).
+  // The footprint, sorted by address (deterministic for tools/snapshots).
   std::vector<ScopeHost> footprint;
 
   // Hosts mentioned in the query but provably outside the footprint
@@ -109,7 +111,9 @@ struct ScopeAnalysis {
   std::vector<std::string> excluded;
   std::vector<std::string> inert_variables;
 
-  bool InFootprint(const std::string& address) const;
+  // The two lists by name id (the compiled query's FlowGraph::names()), as
+  // the probe plan and W100 read them.
+  std::vector<HostScope> host_by_id;
 };
 
 // Effect inference alone, from the parsed AST. Pure in the query bytes.

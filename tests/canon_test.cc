@@ -20,6 +20,8 @@
 
 #include "src/lang/canon.h"
 #include "src/lang/diagnostics.h"
+#include "src/lang/facts.h"
+#include "src/lang/lint.h"
 #include "src/lang/parser.h"
 
 namespace cloudtalk {
@@ -402,43 +404,47 @@ class Gen {
 
   // ---- Semantics-preserving mutations ----
 
+  // Alpha-renames variables and explicitly named flows in place.
+  static void RenameInPlace(Query* q) {
+    for (VarDecl& decl : q->variables) {
+      for (std::string& name : decl.names) {
+        name += "r";
+      }
+    }
+    for (Requirement& req : q->requirements) {
+      req.var += "r";
+    }
+    std::vector<Expr*> exprs;
+    for (FlowDef& flow : q->flows) {
+      if (flow.explicit_name) {
+        flow.name += "r";
+      }
+      for (Endpoint* e : {&flow.src, &flow.dst}) {
+        if (e->kind == Endpoint::Kind::kVariable) {
+          e->name += "r";
+        }
+      }
+      for (AttrValue& av : flow.attrs) {
+        exprs.push_back(av.value.get());
+      }
+    }
+    while (!exprs.empty()) {
+      Expr* e = exprs.back();
+      exprs.pop_back();
+      if (e->kind == Expr::Kind::kRef) {
+        e->ref_flow += "r";
+      } else if (e->kind == Expr::Kind::kBinary) {
+        exprs.push_back(e->lhs.get());
+        exprs.push_back(e->rhs.get());
+      }
+    }
+  }
+
   void Mutate(Query* q) {
     switch (Int(0, 4)) {
-      case 0: {  // Alpha-rename variables and flows.
-        for (VarDecl& decl : q->variables) {
-          for (std::string& name : decl.names) {
-            name += "r";
-          }
-        }
-        for (Requirement& req : q->requirements) {
-          req.var += "r";
-        }
-        std::vector<Expr*> exprs;
-        for (FlowDef& flow : q->flows) {
-          if (flow.explicit_name) {
-            flow.name += "r";
-          }
-          for (Endpoint* e : {&flow.src, &flow.dst}) {
-            if (e->kind == Endpoint::Kind::kVariable) {
-              e->name += "r";
-            }
-          }
-          for (AttrValue& av : flow.attrs) {
-            exprs.push_back(av.value.get());
-          }
-        }
-        while (!exprs.empty()) {
-          Expr* e = exprs.back();
-          exprs.pop_back();
-          if (e->kind == Expr::Kind::kRef) {
-            e->ref_flow += "r";
-          } else if (e->kind == Expr::Kind::kBinary) {
-            exprs.push_back(e->lhs.get());
-            exprs.push_back(e->rhs.get());
-          }
-        }
+      case 0:
+        RenameInPlace(q);
         break;
-      }
       case 1:  // Shuffle flow statement order.
         std::shuffle(q->flows.begin(), q->flows.end(), rng_);
         break;
@@ -544,6 +550,89 @@ TEST(CanonProperty, Idempotence) {
     // The canonical form of a canonical query maps every name to itself.
     for (const auto& [original, canonical] : second.value().variable_map) {
       EXPECT_EQ(original, canonical) << "seed " << seed;
+    }
+  }
+}
+
+// Clears every source position, as a query built by hand has none.
+void StripSpans(Query* q) {
+  for (VarDecl& decl : q->variables) {
+    decl.span = {};
+    decl.name_spans.clear();
+    decl.value_spans.clear();
+  }
+  for (Requirement& req : q->requirements) {
+    req.span = {};
+  }
+  std::vector<Expr*> exprs;
+  for (FlowDef& flow : q->flows) {
+    flow.span = flow.src_span = flow.dst_span = {};
+    for (AttrValue& av : flow.attrs) {
+      av.span = {};
+      exprs.push_back(av.value.get());
+    }
+  }
+  while (!exprs.empty()) {
+    Expr* e = exprs.back();
+    exprs.pop_back();
+    e->span = {};
+    if (e->kind == Expr::Kind::kBinary) {
+      exprs.push_back(e->lhs.get());
+      exprs.push_back(e->rhs.get());
+    }
+  }
+}
+
+// What the name-id readers make of a query: each compiled variable's pool
+// and peers, the footprint and excluded hosts, and the lint findings.
+std::string FactsDigest(const Query& query) {
+  const QueryFacts facts(query);
+  std::string out;
+  const auto list = [&out](const std::vector<Endpoint>& endpoints) {
+    for (const Endpoint& e : endpoints) {
+      out += " " + e.ToString();
+    }
+    out += ";";
+  };
+  if (facts.compiled().ok()) {
+    for (const VarComm& var : facts.compiled().value().variables()) {
+      out += var.name + ":";
+      list(var.pool);
+      list(var.rx_from);
+      list(var.tx_to);
+      out += "\n";
+    }
+    for (const ScopeHost& host : facts.scope().footprint) {
+      out += host.address + "=" + std::to_string(host.fields) + (host.candidate ? "c" : "") +
+             (host.endpoint ? "e" : "") + "\n";
+    }
+    for (const std::string& host : facts.scope().excluded) {
+      out += "excluded " + host + "\n";
+    }
+  }
+  DiagnosticSink sink;
+  RunLint(facts, &sink);
+  for (const Diagnostic& d : sink.diagnostics()) {
+    out += d.code + " " + d.message + "\n";
+  }
+  return out;
+}
+
+// The name table is derived from the Query, not stored in it by the
+// parser: a query built by hand, and one renamed in place after parsing,
+// compile, scope and lint as their printed-and-reparsed twins do.
+TEST(CanonProperty, HandBuiltAndRenamedQueriesReadAsTheirParse) {
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    Gen gen(seed);
+    const Query built = gen.Query_();
+    Query renamed = CloneForMutation(built);
+    Gen::RenameInPlace(&renamed);
+    StripSpans(&renamed);
+    for (const Query* query : {&built, static_cast<const Query*>(&renamed)}) {
+      Query parsed = MustParse(query->ToString());
+      StripSpans(&parsed);
+      EXPECT_EQ(FactsDigest(*query), FactsDigest(parsed)) << "seed " << seed << "\n"
+                                                          << query->ToString();
     }
   }
 }

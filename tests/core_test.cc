@@ -1723,6 +1723,23 @@ TEST_F(ServerTest, HoldTakenThroughAnAliasKeepsTheAddressOff) {
   EXPECT_FALSE(flat.reservations().IsReserved(Ip(3), now_));
 }
 
+TEST_F(ServerTest, QuoteCountsAnAliasAndItsAddressAsOneEndpoint) {
+  // Host 3 receives f1 and writes f2 to its disk. Spelling it once by its
+  // alias names the same two hosts, so the quote is the same.
+  const std::string pool = "A = (" + Ip(1) + " " + Ip(2) + ")\nf1 A -> " + Ip(3) + " size 1G\nf2 ";
+  for (const auto& server : OneAndFourShards(fleet_, &now_)) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const auto by_address = server->Quote(pool + Ip(3) + " -> disk size 1G\n");
+    ASSERT_TRUE(by_address.ok()) << by_address.error().ToString();
+    EXPECT_EQ(by_address.value().endpoints, 2);
+    const auto by_alias = server->Quote(pool + Alias(fleet_, 3) + " -> disk size 1G\n");
+    ASSERT_TRUE(by_alias.ok()) << by_alias.error().ToString();
+    EXPECT_EQ(by_alias.value().binding.at("A").name, by_address.value().binding.at("A").name);
+    EXPECT_EQ(by_alias.value().endpoints, by_address.value().endpoints);
+    EXPECT_DOUBLE_EQ(by_alias.value().price, by_address.value().price);
+  }
+}
+
 TEST_F(ServerTest, PriorityVariableBindsItsPeerSpelledByAlias) {
   // Z's only peer is host 2, spelled by its alias; Z's pool spells host 2 by
   // its address. Binding Z there turns the transfer into a loopback, so it

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -410,6 +412,25 @@ TEST(ParserRecoveryTest, DuplicateFlowReportsEachRepeatOnce) {
   }
 }
 
+// Auto names (`_f<N>`, N the flow's position) are not in the query bytes,
+// yet they collide with an explicit name like any other, in either order,
+// and a reference may name them.
+TEST(ParserRecoveryTest, AutoNamedFlowCollidesWithExplicitName) {
+  DiagnosticSink sink;
+  (void)ParseWithDiagnostics("_f2 vm1 -> vm2 size 1M\nvm2 -> vm3 size 1M\n", &sink);
+  ASSERT_EQ(sink.diagnostics().size(), 1u);
+  EXPECT_EQ(sink.diagnostics()[0].code, "E002");
+  EXPECT_EQ(sink.diagnostics()[0].message, "flow '_f2' defined twice");
+  EXPECT_EQ(sink.diagnostics()[0].span.line, 2);
+  DiagnosticSink reverse;
+  (void)ParseWithDiagnostics("vm1 -> vm2 size 1M\n_f1 vm2 -> vm3 size 1M\n", &reverse);
+  ASSERT_EQ(reverse.diagnostics().size(), 1u);
+  EXPECT_EQ(reverse.diagnostics()[0].message, "flow '_f1' defined twice");
+  DiagnosticSink reference;
+  (void)ParseWithDiagnostics("vm1 -> vm2 size 1M\ng vm2 -> vm3 size sz(_f1)\n", &reference);
+  EXPECT_TRUE(reference.empty());
+}
+
 TEST(ParserRecoveryTest, AllUndefinedRefsReported) {
   const std::string source =
       "f1 vm1 -> vm2 size sz(nope) transfer t(also_nope)\n";
@@ -606,6 +627,45 @@ TEST(LexerDiagnosticsTest, BadCharacterRecovered) {
     }
   }
   EXPECT_EQ(idents, 2);
+}
+
+// Tokens are views of the input: one that ends the input keeps its length.
+TEST(LexerDiagnosticsTest, TokenAtEndOfInputKeepsItsLength) {
+  for (const auto& [text, length] : {std::pair<std::string, int>{"a -> vm42", 4},
+                                     {"a -> 10.0.0.17", 9},
+                                     {"a -> b size 10KB", 4}}) {
+    DiagnosticSink sink;
+    const std::vector<Token> tokens = TokenizeWithDiagnostics(text, &sink);
+    ASSERT_TRUE(sink.empty()) << text;
+    ASSERT_GE(tokens.size(), 2u) << text;
+    const Token& last = tokens[tokens.size() - 2];
+    EXPECT_EQ(last.span().length, length) << text;
+    EXPECT_EQ(last.text, std::string_view(text).substr(text.size() - length)) << text;
+  }
+  // A query whose last name ends the input parses it whole.
+  DiagnosticSink sink;
+  const Query query = ParseWithDiagnostics("A = (vm1 vm2)\nf1 A -> vm42", &sink);
+  ASSERT_TRUE(sink.empty());
+  EXPECT_EQ(query.flows[0].dst.name, "vm42");
+  EXPECT_EQ(query.flows[0].dst_span.length, 4);
+}
+
+// Digits past a double's range read +inf, as strtod gives (std::from_chars
+// would report out-of-range instead).
+TEST(LexerDiagnosticsTest, HugeLiteralReadsInfinity) {
+  const std::string digits(400, '9');
+  const std::string text = digits + " " + digits + ".5";
+  DiagnosticSink sink;
+  const std::vector<Token> tokens = TokenizeWithDiagnostics(text, &sink);
+  ASSERT_TRUE(sink.empty());
+  ASSERT_EQ(tokens.size(), 3u);
+  EXPECT_EQ(tokens[0].number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(tokens[1].number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(tokens[0].span().length, 400);
+  const Query query = ParseWithDiagnostics("f1 vm1 -> vm2 size " + digits + "K\n", &sink);
+  ASSERT_TRUE(sink.empty());
+  EXPECT_EQ(EvalConstant(*query.flows[0].FindAttr(Attr::kSize)),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(LexerDiagnosticsTest, TokenSpansHaveLengths) {

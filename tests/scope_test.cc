@@ -156,11 +156,11 @@ TEST(ScopeFootprintTest, InertPoolHostsAreExcluded) {
   const lang::ScopeAnalysis scope = MustAnalyze(
       "A = (10.0.0.1 10.0.0.2)\nidle = (10.0.0.8 10.0.0.9)\n"
       "f1 A -> 10.0.0.3 size 1M\n");
-  EXPECT_TRUE(scope.InFootprint("10.0.0.1"));
-  EXPECT_TRUE(scope.InFootprint("10.0.0.2"));
-  EXPECT_TRUE(scope.InFootprint("10.0.0.3"));
-  EXPECT_FALSE(scope.InFootprint("10.0.0.8"));
-  EXPECT_FALSE(scope.InFootprint("10.0.0.9"));
+  EXPECT_NE(FindHost(scope, "10.0.0.1"), nullptr);
+  EXPECT_NE(FindHost(scope, "10.0.0.2"), nullptr);
+  EXPECT_NE(FindHost(scope, "10.0.0.3"), nullptr);
+  EXPECT_EQ(FindHost(scope, "10.0.0.8"), nullptr);
+  EXPECT_EQ(FindHost(scope, "10.0.0.9"), nullptr);
   ASSERT_EQ(scope.excluded.size(), 2u);  // Sorted by address.
   EXPECT_EQ(scope.excluded[0], "10.0.0.8");
   EXPECT_EQ(scope.excluded[1], "10.0.0.9");
@@ -177,7 +177,8 @@ TEST(ScopeFootprintTest, CandidatesCoverInertPoolsForReservationVisibility) {
   // Sorted and distinct; literals are never held, so 10.0.0.3 is out.
   EXPECT_EQ(Admission(text).answer.pool_hosts,
             (std::vector<NodeId>{HostOf("10.0.0.1"), HostOf("10.0.0.8")}));
-  EXPECT_FALSE(MustAnalyze(text).InFootprint("10.0.0.8"));
+  const lang::ScopeAnalysis scope = MustAnalyze(text);
+  EXPECT_EQ(FindHost(scope, "10.0.0.8"), nullptr);
 }
 
 TEST(ScopeFootprintTest, FieldBitsFollowCommunicationPattern) {
@@ -215,7 +216,7 @@ TEST(ScopeFootprintTest, RequirementAloneMakesVariableActive) {
   const lang::ScopeAnalysis scope = MustAnalyze(
       "A = (10.0.0.1)\nW = (10.0.0.7)\nW requires cpu 4\n"
       "f1 A -> 10.0.0.3 size 1M\n");
-  EXPECT_TRUE(scope.InFootprint("10.0.0.7"));
+  EXPECT_NE(FindHost(scope, "10.0.0.7"), nullptr);
   EXPECT_TRUE(scope.inert_variables.empty());
   const lang::ScopeHost* w = FindHost(scope, "10.0.0.7");
   ASSERT_NE(w, nullptr);
