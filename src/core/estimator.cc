@@ -39,10 +39,10 @@ std::optional<lang::Endpoint> ResolveEndpoint(const lang::Endpoint& endpoint,
 
 // Per-query scratch: the star topology, the fluid simulation and the flow
 // plans are built once in BeginQuery and reused (via FluidSimulation::Reset)
-// for every binding of the query. The host universe is every pool address,
-// every literal flow endpoint, and one pre-interned abstract host per
-// 0.0.0.0 occurrence (fixed per query, so repeated estimates cannot leak
-// fresh "_unknownN" hosts — the counter effectively resets per estimate).
+// for every binding of the query. Its hosts are the query's slots as the
+// search numbers them (lang::HostOf), then one abstract host per 0.0.0.0
+// occurrence (fixed per query, so repeated estimates cannot leak fresh
+// "_unknownN" hosts — the counter effectively resets per estimate).
 struct FlowLevelEstimator::Scratch {
   const lang::CompiledQuery* query = nullptr;
   const StatusByAddress* status = nullptr;
@@ -51,7 +51,7 @@ struct FlowLevelEstimator::Scratch {
   NodeId hub = kInvalidNode;
   std::unique_ptr<FluidSimulation> sim;
 
-  std::unordered_map<std::string, int> host_index;
+  std::vector<int> host_of_name;  // By name id: the host a bound spelling is, or -1.
   std::vector<NodeId> host_node;
   // Per host-slot resources of the star: NIC up/down, disk read/write, and
   // the two directed hub links. A src->dst transfer consumes
@@ -95,13 +95,8 @@ struct FlowLevelEstimator::Scratch {
   std::vector<ResourceId> patch_resources;   // scratch for resource rewrites
   Bytes total_bytes = 0;                     // constant per query
 
-  int InternHost(const std::string& address, const StatusByAddress& st) {
-    const auto it = host_index.find(address);
-    if (it != host_index.end()) {
-      return it->second;
-    }
+  int AddHost(const std::string& address, const StatusByAddress& st) {
     const int slot = static_cast<int>(host_node.size());
-    host_index.emplace(address, slot);
     const StatusReport report = ReportFor(st, address);
     HostCaps caps;
     caps.nic_up = report.nic_tx_cap;
@@ -116,7 +111,7 @@ struct FlowLevelEstimator::Scratch {
     return slot;
   }
 
-  // Reports/links staged during interning; consumed once the simulation is
+  // Reports/links staged by AddHost; consumed once the simulation is
   // constructed (resource ids only exist after the registry is built).
   std::vector<StatusReport> pending_reports;
   std::vector<LinkId> pending_links;
@@ -131,37 +126,45 @@ FlowLevelEstimator::FlowLevelEstimator(double min_available_fraction, bool reuse
 FlowLevelEstimator::~FlowLevelEstimator() = default;
 
 void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
-                                    const StatusByAddress& status) {
+                                    const StatusByAddress& status,
+                                    std::span<const int> identity) {
   if (!reuse_scratch_) {
     return;
   }
+  const lang::QueryHosts& query_hosts = query.hosts();
   scratch_ = std::make_unique<Scratch>();
   Scratch& s = *scratch_;
   s.query = &query;
   s.status = &status;
   s.hub = s.star.AddNode(NodeKind::kTor, "hub");
 
-  // Host universe: pool addresses first (variable order), then literal flow
-  // endpoints (flow order), then one abstract host per 0.0.0.0 occurrence.
-  for (const lang::VarComm& var : query.variables()) {
-    for (const lang::Endpoint& e : var.pool) {
-      if (e.kind == lang::Endpoint::Kind::kAddress) {
-        s.InternHost(e.name, status);
-      }
+  // Hosts in first-reach order: pool entries, then literal flow endpoints
+  // and 0.0.0.0 occurrences in flow order. A host reads its identity slot's
+  // report.
+  std::vector<int> host_of_slot(query_hosts.names.size(), -1);  // At identity slots.
+  const auto host = [&](int slot) {
+    const int id = lang::HostOf(identity, slot);
+    if (host_of_slot[id] < 0) {
+      host_of_slot[id] = s.AddHost(*query_hosts.names[id], status);
     }
+    return host_of_slot[id];
+  };
+  for (int slot = 0; slot < query_hosts.pool_names; ++slot) {
+    host(slot);
   }
+  const lang::FlowGraph& graph = query.graph();
   int unknown_counter = 0;
   s.flows.reserve(query.flows().size());
   for (const lang::CompiledFlow& flow : query.flows()) {
     Scratch::FlowPlan plan;
     plan.size = flow.size;
     plan.group = flow.group;
-    auto classify = [&](const lang::Endpoint& e) -> Scratch::Ep {
+    auto classify = [&](const lang::Endpoint& e, int id) -> Scratch::Ep {
       switch (e.kind) {
         case lang::Endpoint::Kind::kAddress:
-          return {Scratch::Ep::kHost, s.InternHost(e.name, status)};
+          return {Scratch::Ep::kHost, host(query_hosts.slot_of[id])};
         case lang::Endpoint::Kind::kVariable:
-          return {Scratch::Ep::kVar, query.VariableIndex(e.name)};
+          return {Scratch::Ep::kVar, graph.variable(id)};
         case lang::Endpoint::Kind::kDisk:
           return {Scratch::Ep::kDisk, 0};
         case lang::Endpoint::Kind::kUnknown:
@@ -169,12 +172,16 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
           // Each 0.0.0.0 is a distinct infinitely-provisioned external
           // sender, exactly as the cold path's per-call counter models it.
           return {Scratch::Ep::kHost,
-                  s.InternHost("_unknown" + std::to_string(unknown_counter++), status)};
+                  s.AddHost("_unknown" + std::to_string(unknown_counter++), status)};
       }
     };
-    plan.src = classify(flow.src);
-    plan.dst = classify(flow.dst);
+    plan.src = classify(flow.src, graph.src_id(flow.index));
+    plan.dst = classify(flow.dst, graph.dst_id(flow.index));
     s.flows.push_back(plan);
+  }
+  s.host_of_name.assign(graph.names().size(), -1);
+  for (size_t slot = 0; slot < query_hosts.names.size(); ++slot) {
+    s.host_of_name[query_hosts.ids[slot]] = host(static_cast<int>(slot));
   }
 
   s.sim = std::make_unique<FluidSimulation>(&s.star, min_available_fraction_);
@@ -266,8 +273,8 @@ Result<Estimate> FlowLevelEstimator::EstimateQuery(const lang::CompiledQuery& qu
                                               const Binding& binding,
                                               const StatusByAddress& status) {
   if (scratch_ != nullptr && scratch_->query == &query && scratch_->status == &status) {
-    // Bindings outside the interned universe (possible only on direct calls
-    // with out-of-pool addresses) fall through to the cold path.
+    // A binding to a name that is no slot (possible only on direct calls
+    // with out-of-pool addresses) falls through to the cold path.
     bool miss = false;
     Scratch& s = *scratch_;
     const auto& variables = query.variables();
@@ -290,12 +297,12 @@ Result<Estimate> FlowLevelEstimator::EstimateQuery(const lang::CompiledQuery& qu
         miss = true;
         break;
       }
-      const auto host_it = s.host_index.find(it->second.name);
-      if (host_it == s.host_index.end()) {
+      const int id = query.graph().names().Find(it->second.name);
+      if (id < 0 || s.host_of_name[id] < 0) {
         miss = true;
         break;
       }
-      s.var_slot[v] = host_it->second;
+      s.var_slot[v] = s.host_of_name[id];
     }
     slots_valid_ = !miss;
     if (!miss) {

@@ -14,7 +14,7 @@
 // once per binding — thousands to millions of times per query. Estimators
 // therefore support a prepared-scratch protocol:
 //
-//   estimator.BeginQuery(query, status);     // intern hosts, build buffers
+//   estimator.BeginQuery(query, status, identity);  // number hosts, build buffers
 //   for (each binding) estimator.EstimateQuery(query, binding, status);
 //   estimator.EndQuery();
 //
@@ -28,6 +28,7 @@
 #define CLOUDTALK_SRC_CORE_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,12 +67,15 @@ class CompletionEstimator {
   virtual Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
                                     const StatusByAddress& status) = 0;
 
-  // Prepared-scratch protocol (see file comment). Default: no-op — a
-  // stateless estimator ignores it. `query` and `status` must outlive the
-  // matching EndQuery().
-  virtual void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status) {
+  // Prepared-scratch protocol (see file comment), slot s of the query's
+  // hosts being host lang::HostOf(identity, s), as the exhaustive search
+  // numbers them. Default: no-op — a stateless estimator ignores it.
+  // `query` and `status` must outlive the matching EndQuery().
+  virtual void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status,
+                          std::span<const int> identity) {
     (void)query;
     (void)status;
+    (void)identity;
   }
   virtual void EndQuery() {}
 
@@ -131,7 +135,8 @@ class FlowLevelEstimator : public CompletionEstimator {
   Result<cloudtalk::Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
                                        const StatusByAddress& status) override;
 
-  void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status) override;
+  void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status,
+                  std::span<const int> identity) override;
   void EndQuery() override;
   std::unique_ptr<CompletionEstimator> CloneForThread() const override;
   // The fluid model folds a chain group into one shared rate; flow order
@@ -151,8 +156,8 @@ class FlowLevelEstimator : public CompletionEstimator {
   struct Scratch;
 
   // The original one-shot path: builds a throwaway star topology per call.
-  // Also the fallback whenever a binding refers to an address the scratch
-  // has not interned (e.g. a direct EstimateQuery call with an out-of-pool
+  // Also the fallback whenever a binding names an address that is not a
+  // slot of the query (e.g. a direct EstimateQuery call with an out-of-pool
   // binding).
   Result<cloudtalk::Estimate> EstimateCold(const lang::CompiledQuery& query,
                                            const Binding& binding,

@@ -14,9 +14,10 @@
 namespace cloudtalk {
 namespace {
 
-// Endpoint id in memo signatures: interned addresses are >= 0, disk is -1,
-// each 0.0.0.0 occurrence gets its own id below -1 (distinct external hosts,
-// matching the estimator's per-occurrence "_unknownN" modelling).
+// Endpoint id in memo signatures: hosts (lang::HostOf of a slot) are >= 0,
+// disk is -1, each 0.0.0.0 occurrence gets its own id below -1 (distinct
+// external hosts, matching the estimator's per-occurrence "_unknownN"
+// modelling).
 constexpr int32_t kDiskId = -1;
 
 // The one error both walks report when the space contains no legal binding
@@ -58,9 +59,9 @@ struct Tuple {
 // Everything a worker needs, read-only during the walk.
 struct EvalContext {
   const lang::CompiledQuery* query = nullptr;
+  std::span<const int> identity;
   const StatusByAddress* status = nullptr;
-  std::vector<std::vector<int32_t>> pool_ids;       // Per variable.
-  std::vector<std::vector<std::string>> pool_names;
+  std::vector<std::vector<int32_t>> pool_slots;  // Per variable: its kept candidates.
   std::vector<int64_t> rank_weight;  // Mixed-radix weights: rank = sum c[d]*w[d].
   std::vector<FlowSpec> flow_specs;
   // Per variable, per candidate: passes its cpu/mem requirements. Empty
@@ -70,12 +71,8 @@ struct EvalContext {
   // -1. Empty = no orbit constraints.
   std::vector<int32_t> orbit_prev;
   size_t orbit_strict = 0;  // 1 under distinctness: representative is strictly ascending.
-  // O500: shared bound analysis (null = branch-and-bound off), plus the
-  // analysis' interned host id per variable per candidate, so the walk feeds
-  // Cursor::Assign without string lookups.
+  // O500: shared bound analysis (null = branch-and-bound off).
   const lang::BoundAnalysis* bound = nullptr;
-  std::vector<std::vector<int32_t>> bound_host_ids;
-  int num_ids = 0;
   int num_groups = 0;
   bool distinct = false;
   bool memoize = false;
@@ -103,7 +100,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
   const auto& variables = ctx.query->variables();
   const size_t n = variables.size();
   ShardResult out;
-  est.BeginQuery(*ctx.query, *ctx.status);
+  est.BeginQuery(*ctx.query, *ctx.status, ctx.identity);
 
   // Announce the odometer's walk order so a delta-capable estimator can map
   // depths to its own variable indices (ISSUE 6).
@@ -128,15 +125,15 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
   for (size_t i = 0; i < n; ++i) {
     binding[variables[i].name] = lang::Endpoint::Address("");
   }
-  std::vector<lang::Endpoint*> slot(n);
+  std::vector<lang::Endpoint*> value(n);
   for (size_t i = 0; i < n; ++i) {
-    slot[i] = &binding[variables[i].name];
+    value[i] = &binding[variables[i].name];
   }
 
   std::vector<size_t> choice(n, 0);
   choice[0] = static_cast<size_t>(offset);
-  std::vector<int32_t> var_id(n, 0);
-  std::vector<char> used(ctx.distinct ? ctx.num_ids : 0, 0);
+  std::vector<int32_t> var_id(n, 0);  // Per depth: its candidate's host.
+  std::vector<char> used(ctx.distinct ? ctx.query->hosts().names.size() : 0, 0);
 
   // O500: per-shard incremental lower-bound cursor, mirroring the odometer's
   // slot writes. Pruning compares against the *shard-local* incumbent — each
@@ -152,6 +149,16 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
   std::string key;
 
   const auto step = [&](size_t d) { choice[d] += d == 0 ? static_cast<size_t>(stride) : 1; };
+  // Takes back depth d's candidate and moves on to its next one.
+  const auto unassign_and_step = [&](size_t d) {
+    if (cursor) {
+      cursor->Unassign(static_cast<int>(d));
+    }
+    if (ctx.distinct) {
+      used[var_id[d]] = 0;
+    }
+    step(d);
+  };
 
   size_t depth = 0;
   while (true) {
@@ -219,28 +226,16 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
       }
       // Backtrack.
       --depth;
-      if (cursor) {
-        cursor->Unassign(static_cast<int>(depth));
-      }
-      if (ctx.distinct) {
-        used[ctx.pool_ids[depth][choice[depth]]] = 0;
-      }
-      step(depth);
+      unassign_and_step(depth);
       continue;
     }
-    if (choice[depth] >= ctx.pool_ids[depth].size()) {
+    if (choice[depth] >= ctx.pool_slots[depth].size()) {
       if (depth == 0) {
         break;
       }
       choice[depth] = 0;
       --depth;
-      if (cursor) {
-        cursor->Unassign(static_cast<int>(depth));
-      }
-      if (ctx.distinct) {
-        used[ctx.pool_ids[depth][choice[depth]]] = 0;
-      }
-      step(depth);
+      unassign_and_step(depth);
       continue;
     }
     // O200 orbit canonicalisation: within an interchangeability class only
@@ -260,19 +255,20 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
       step(depth);
       continue;
     }
-    const int32_t id = ctx.pool_ids[depth][choice[depth]];
+    const int32_t slot = ctx.pool_slots[depth][choice[depth]];
+    const int32_t id = lang::HostOf(ctx.identity, slot);
     if (ctx.distinct && used[id] != 0) {
       step(depth);
       continue;
     }
-    slot[depth]->name = ctx.pool_names[depth][choice[depth]];
+    value[depth]->name = *ctx.query->hosts().names[slot];
     lowest_changed = std::min(lowest_changed, depth);
     var_id[depth] = id;
     if (ctx.distinct) {
       used[id] = 1;
     }
     if (cursor) {
-      cursor->Assign(static_cast<int>(depth), ctx.bound_host_ids[depth][choice[depth]]);
+      cursor->Assign(static_cast<int>(depth), id);
       // O500 branch-and-bound: every completion of this prefix finishes no
       // sooner than the cursor's sound lower bound, so a prefix whose bound
       // strictly exceeds the incumbent can neither beat nor tie the winner.
@@ -280,11 +276,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
         const Seconds lb = cursor->LowerBound();
         if (lb > out.best_estimate.makespan && lb < kBoundPruneCeiling) {
           out.bound_prunes += ctx.rank_weight[depth];
-          cursor->Unassign(static_cast<int>(depth));
-          if (ctx.distinct) {
-            used[id] = 0;
-          }
-          step(depth);
+          unassign_and_step(depth);
           continue;
         }
       }
@@ -302,7 +294,9 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
 Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
                                             const StatusByAddress& status,
                                             CompletionEstimator& estimator,
-                                            const ExhaustiveParams& params) {
+                                            const ExhaustiveParams& params,
+                                            std::span<const int> identity) {
+  const lang::QueryHosts& hosts = query.hosts();
   const auto& variables = query.variables();
   const size_t n = variables.size();
 
@@ -321,8 +315,9 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
 
   EvalContext ctx;
   ctx.query = &query;
+  ctx.identity = identity;
   ctx.status = &status;
-  ctx.distinct = params.distinct_bindings && !query.query().options.allow_same_binding;
+  ctx.distinct = !query.query().options.allow_same_binding;
   ctx.num_groups = static_cast<int>(query.groups().size());
 
   // Static optimisation plan (src/lang/opt). Symmetry-based parts (orbit
@@ -338,9 +333,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     if (params.plan != nullptr) {
       plan = params.plan;
     } else {
-      lang::OptimizeParams opt_params;
-      opt_params.distinct = ctx.distinct;
-      computed_plan = lang::Optimize(query, status, opt_params);
+      computed_plan = lang::Optimize(query, status, {}, nullptr, identity);
       plan = &computed_plan;
     }
     if (plan->infeasible) {
@@ -349,21 +342,9 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   }
   const bool apply_symmetry = plan != nullptr && can_memo_estimator;
 
-  // Intern candidate addresses (and literal flow endpoints, for signatures).
-  std::unordered_map<std::string, int32_t> intern;
-  const auto intern_id = [&intern](const std::string& address) {
-    return intern.emplace(address, static_cast<int32_t>(intern.size())).first->second;
-  };
-  ctx.pool_ids.resize(n);
-  ctx.pool_names.resize(n);
+  ctx.pool_slots.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<std::string> candidates;
-    candidates.reserve(variables[i].pool.size());
-    for (const lang::Endpoint& value : variables[i].pool) {
-      if (value.kind == lang::Endpoint::Kind::kAddress) {
-        candidates.push_back(value.name);
-      }
-    }
+    const std::vector<int> candidates = hosts.CandidateSlots(static_cast<int>(i));
     if (candidates.empty()) {
       return Error{"variable '" + variables[i].name + "' has no address candidates"};
     }
@@ -383,14 +364,12 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     if (keep.empty()) {
       return Error{kNoLegalBinding};
     }
-    ctx.pool_ids[i].reserve(keep.size());
-    ctx.pool_names[i].reserve(keep.size());
+    ctx.pool_slots[i].reserve(keep.size());
     for (const int32_t c : keep) {
       if (c < 0 || static_cast<size_t>(c) >= candidates.size()) {
         return Error{"optimisation plan does not match the query"};
       }
-      ctx.pool_ids[i].push_back(intern_id(candidates[c]));
-      ctx.pool_names[i].push_back(candidates[c]);
+      ctx.pool_slots[i].push_back(candidates[c]);
     }
   }
 
@@ -403,9 +382,9 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
       if (variables[i].cpu_required <= 0 && variables[i].mem_required <= 0) {
         continue;
       }
-      ctx.feasible[i].resize(ctx.pool_names[i].size(), 1);
-      for (size_t c = 0; c < ctx.pool_names[i].size(); ++c) {
-        const auto it = status.find(ctx.pool_names[i][c]);
+      ctx.feasible[i].resize(ctx.pool_slots[i].size(), 1);
+      for (size_t c = 0; c < ctx.pool_slots[i].size(); ++c) {
+        const auto it = status.find(*hosts.names[ctx.pool_slots[i][c]]);
         if (it != status.end() && !lang::SatisfiesRequirements(variables[i], it->second)) {
           ctx.feasible[i][c] = 0;
         }
@@ -415,7 +394,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
 
   // Size guard (on the pruned space when a plan is applied).
   double space = 1;
-  for (const auto& pool : ctx.pool_ids) {
+  for (const auto& pool : ctx.pool_slots) {
     space *= static_cast<double>(pool.size());
     if (space > static_cast<double>(params.max_bindings)) {
       return Error{"binding space exceeds max_bindings"};
@@ -423,7 +402,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   }
   ctx.rank_weight.assign(n, 1);
   for (size_t d = n - 1; d > 0; --d) {
-    ctx.rank_weight[d - 1] = ctx.rank_weight[d] * static_cast<int64_t>(ctx.pool_ids[d].size());
+    ctx.rank_weight[d - 1] = ctx.rank_weight[d] * static_cast<int64_t>(ctx.pool_slots[d].size());
   }
 
   // O500 branch-and-bound (ISSUE 7): armed by the plan, honoured only when
@@ -438,16 +417,8 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     if (fraction >= 0) {
       lang::BoundOptions bound_options;
       bound_options.min_available_fraction = fraction;
-      bound_options.distinct = params.distinct_bindings;
-      bound.emplace(lang::BoundAnalysis::Build(query, status, bound_options));
+      bound.emplace(lang::BoundAnalysis::Build(query, status, bound_options, identity));
       ctx.bound = &*bound;
-      ctx.bound_host_ids.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        ctx.bound_host_ids[i].reserve(ctx.pool_names[i].size());
-        for (const std::string& name : ctx.pool_names[i]) {
-          ctx.bound_host_ids[i].push_back(ctx.bound->HostId(name));
-        }
-      }
     }
   }
 
@@ -463,6 +434,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     ctx.orbit_strict = ctx.distinct ? 1 : 0;
   }
   int32_t next_unknown = kDiskId - 1;
+  const lang::FlowGraph& graph = query.graph();
   ctx.flow_specs.reserve(query.flows().size());
   for (size_t f = 0; f < query.flows().size(); ++f) {
     const lang::CompiledFlow& flow = query.flows()[f];
@@ -470,13 +442,13 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     fs.size = flow.size;
     fs.start = flow.start;
     fs.group = flow.group;
-    const auto fill = [&](const lang::Endpoint& e, bool& is_var, int32_t& id) {
+    const auto fill = [&](const lang::Endpoint& e, int name, bool& is_var, int32_t& id) {
       switch (e.kind) {
         case lang::Endpoint::Kind::kAddress:
-          id = intern_id(e.name);
+          id = lang::HostOf(identity, hosts.slot_of[name]);
           break;
         case lang::Endpoint::Kind::kVariable: {
-          const int v = query.VariableIndex(e.name);
+          const int v = graph.variable(name);
           if (v < 0) {
             can_memo = false;  // Unbindable; the estimator reports the error.
           }
@@ -493,19 +465,18 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
           break;
       }
     };
-    fill(flow.src, fs.src_is_var, fs.src);
-    fill(flow.dst, fs.dst_is_var, fs.dst);
+    fill(flow.src, graph.src_id(flow.index), fs.src_is_var, fs.src);
+    fill(flow.dst, graph.dst_id(flow.index), fs.dst_is_var, fs.dst);
     if (fold_flow[f] == 0) {
       ctx.flow_specs.push_back(fs);
     }
   }
-  ctx.num_ids = static_cast<int>(intern.size());
   ctx.memoize = params.memoize && can_memo;
 
   // Stripe the first variable's candidates across workers. Every worker
   // needs an independent estimator; if the estimator cannot be cloned, stay serial.
   int workers = std::min<int64_t>(ThreadPool::ResolveThreadCount(params.threads),
-                                  static_cast<int64_t>(ctx.pool_ids[0].size()));
+                                  static_cast<int64_t>(ctx.pool_slots[0].size()));
   workers = std::max(workers, 1);
   std::vector<std::unique_ptr<CompletionEstimator>> clones;
   if (workers > 1) {
@@ -574,7 +545,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   }
   for (size_t i = 0; i < n; ++i) {
     best.binding[variables[i].name] =
-        lang::Endpoint::Address(ctx.pool_names[i][winner->best_choice[i]]);
+        lang::Endpoint::Address(*hosts.names[ctx.pool_slots[i][winner->best_choice[i]]]);
   }
   return best;
 }

@@ -28,6 +28,7 @@
 #define CLOUDTALK_SRC_CORE_EXHAUSTIVE_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/common/result.h"
 #include "src/core/estimator.h"
@@ -73,7 +74,6 @@ struct ExhaustiveResult {
 };
 
 struct ExhaustiveParams {
-  bool distinct_bindings = true;      // Overridden by `option allow_same`.
   int64_t max_bindings = 10'000'000;  // Enumeration safety valve.
   // Workers: 1 = serial (the original behaviour), 0 = hardware
   // concurrency, N = at most N (capped by the first pool's size, and forced
@@ -92,11 +92,15 @@ struct ExhaustiveParams {
 };
 
 // Minimizes estimated makespan over all bindings. Fails when the space
-// exceeds max_bindings or if the estimator fails on every binding.
+// exceeds max_bindings or if the estimator fails on every binding. Slot s of
+// the query's hosts is host lang::HostOf(identity, s): unless the query says
+// `option allow_same`, no two variables bind one host, and the memo, the
+// plan, the bound and the estimator number hosts alike.
 Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
                                             const StatusByAddress& status,
                                             CompletionEstimator& estimator,
-                                            const ExhaustiveParams& params = {});
+                                            const ExhaustiveParams& params = {},
+                                            std::span<const int> identity = {});
 
 }  // namespace cloudtalk
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "src/fluidsim/fluid_simulation.h"
 
@@ -389,7 +390,79 @@ std::optional<CompiledQuery> CompiledQuery::Compile(const Query& query, const Fl
       group.start = 0;
     }
   }
+  compiled.hosts_ = QueryHosts(compiled);
   return compiled;
+}
+
+QueryHosts::QueryHosts(const CompiledQuery& compiled) {
+  // Every address mention, pool entries first, then flow endpoints: a name's
+  // first mention hands out its slot.
+  const FlowGraph& graph = compiled.graph();
+  const std::vector<VarComm>& variables = compiled.variables();
+  slot_of.assign(graph.names().size(), -1);
+  const auto slot = [&](const Endpoint& e, int id) {
+    if (e.kind != Endpoint::Kind::kAddress) {
+      return -1;
+    }
+    if (slot_of[id] < 0) {
+      slot_of[id] = static_cast<int>(names.size());
+      names.push_back(&e.name);
+      ids.push_back(id);
+    }
+    return slot_of[id];
+  };
+  names.reserve(slot_of.size());
+  ids.reserve(slot_of.size());
+  // Each variable's pool as slots, and each distinct pool once, interned by
+  // its slot list's bytes.
+  NameTable pool_index;
+  pools.reserve(variables.size());
+  pool_of.reserve(variables.size());
+  for (const VarComm& var : variables) {
+    const std::span<const int> pool_ids = graph.pool_ids(var.decl);
+    std::vector<int> entries(var.pool.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
+      entries[k] = slot(var.pool[k], pool_ids[k]);
+    }
+    const std::string_view bytes(reinterpret_cast<const char*>(entries.data()),
+                                 entries.size() * sizeof(int));
+    pool_of.push_back(pool_index.Intern(bytes));
+    if (pool_of.back() == static_cast<int>(pools.size())) {
+      pools.push_back(std::move(entries));  // The buffer, and so the key, stays put.
+    }
+  }
+  pool_names = static_cast<int>(names.size());
+  std::vector<char> listed(slot_of.size(), 0);  // By name id: in `endpoints`.
+  const std::vector<FlowDef>& flows = compiled.query().flows;
+  for (int f = 0; f < static_cast<int>(flows.size()); ++f) {
+    for (const auto& [e, id] : {std::pair{&flows[f].src, graph.src_id(f)},
+                                std::pair{&flows[f].dst, graph.dst_id(f)}}) {
+      if (slot(*e, id) >= 0 && !std::exchange(listed[id], 1)) {
+        endpoints.push_back(slot_of[id]);
+      }
+    }
+  }
+
+  // Each variable's only peer's slot.
+  peer_of.reserve(variables.size());
+  for (const VarComm& var : variables) {
+    const Endpoint* only = var.rx_from.size() + var.tx_to.size() != 1 ? nullptr
+                           : var.rx_from.empty()                    ? &var.tx_to.front()
+                                                                    : &var.rx_from.front();
+    peer_of.push_back(only != nullptr && only->kind == Endpoint::Kind::kAddress
+                          ? slot_of[graph.names().Find(only->name)]
+                          : -1);
+  }
+}
+
+std::vector<int> QueryHosts::CandidateSlots(int var) const {
+  std::vector<int> out;
+  for (const int slot : pools[pool_of[var]]) {
+    if (slot >= 0) {
+      out.push_back(slot);
+    }
+  }
+  return out;
 }
 
 }  // namespace lang

@@ -141,7 +141,7 @@ struct VarComm {
   std::string name;
   int id = -1;                    // The name's id in the query's FlowGraph.
   int decl = -1;                  // Its declaration: the pool's FlowGraph::pool_ids.
-  std::vector<Endpoint> pool;     // Possible values (addresses).
+  std::span<const Endpoint> pool;  // Possible values: its declaration's, in the Query.
   std::vector<Endpoint> rx_from;  // Network endpoints that send to it.
   std::vector<Endpoint> tx_to;    // Network endpoints it sends to.
   bool reads_disk = false;        // Some flow disk -> var.
@@ -174,6 +174,41 @@ struct CompiledGroup {
   Seconds deadline = 0;
 };
 
+class CompiledQuery;
+
+// The hosts a query names, the one host numbering of the search: each
+// distinct address spelling gets one slot, pool entries first, then literal
+// flow endpoints, in first-mention order. The spellings point into the
+// Query. An answer maps each slot to its host through an *identity*: per
+// slot, the first slot naming the same host (AnswerHosts), so an alias and
+// its address are one host to every engine. An empty identity, as without a
+// directory, makes each slot its own host.
+struct QueryHosts {
+  QueryHosts() = default;
+  explicit QueryHosts(const CompiledQuery& compiled);
+
+  // Variable v's candidates: its pool's address entries as slots, in pool
+  // order with repeats, the sequence the exhaustive search enumerates.
+  std::vector<int> CandidateSlots(int var) const;
+
+  std::vector<const std::string*> names;  // By slot.
+  std::vector<int> ids;                   // By slot: the name's id in the flow graph.
+  std::vector<int> slot_of;               // By name id: its slot, -1 for a non-address.
+  int pool_names = 0;                     // Slots [0, pool_names) are pool entries.
+  std::vector<int> endpoints;             // Literal flow endpoints' slots, in order.
+  // Each distinct pool once, in first-mention order: its entries' slots, -1
+  // for a `disk` entry. Variables with equal pools share one.
+  std::vector<std::vector<int>> pools;
+  std::vector<int> pool_of;  // Per variable: its pool.
+  std::vector<int> peer_of;  // Per variable: its only peer's slot if an address, else -1.
+};
+
+// The host `slot` is under `identity`: identity[slot], or the slot itself
+// when the identity is empty. -1 stays -1.
+inline int HostOf(std::span<const int> identity, int slot) {
+  return slot < 0 || identity.empty() ? slot : identity[slot];
+}
+
 class CompiledQuery {
  public:
   // Compiles `query` over a flow graph of its own; the Query must outlive
@@ -202,6 +237,7 @@ class CompiledQuery {
   const std::vector<CompiledFlow>& flows() const { return flows_; }
   const std::vector<CompiledGroup>& groups() const { return groups_; }
   const std::vector<VarComm>& variables() const { return variables_; }
+  const QueryHosts& hosts() const { return hosts_; }
 
   // Index into variables() or -1. A name declared twice resolves to its
   // first declaration.
@@ -216,6 +252,7 @@ class CompiledQuery {
   std::vector<CompiledFlow> flows_;
   std::vector<CompiledGroup> groups_;
   std::vector<VarComm> variables_;
+  QueryHosts hosts_;
 };
 
 }  // namespace lang

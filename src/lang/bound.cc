@@ -39,77 +39,68 @@ Seconds GuardUpperBound(Seconds raw) {
   return raw * (1.0 + kRelGuard) + kAbsGuard;
 }
 
-int32_t BoundAnalysis::InternHost(const std::string& address, const StatusByAddress& status,
-                                  double fraction) {
-  const auto it = host_index_.find(address);
-  if (it != host_index_.end()) {
-    return it->second;
-  }
-  const int32_t id = static_cast<int32_t>(host_names_.size());
-  host_index_.emplace(address, id);
-  host_names_.push_back(address);
-  const auto st = status.find(address);
-  if (st == status.end()) {
+int32_t BoundAnalysis::AddHost(const StatusReport* report, double fraction) {
+  const int32_t id = static_cast<int32_t>(avail_.size() / kKinds);
+  if (report == nullptr) {
     // Unreported: idle with very large capacity (estimator.cc, ReportFor).
-    for (int k = 0; k < kKinds; ++k) {
-      avail_.push_back(kHugeCapacity);
-    }
+    avail_.insert(avail_.end(), kKinds, kHugeCapacity);
   } else {
-    const StatusReport& r = st->second;
-    avail_.push_back(AvailOf(r.nic_tx_cap, r.nic_tx_use, fraction));
-    avail_.push_back(AvailOf(r.nic_rx_cap, r.nic_rx_use, fraction));
-    avail_.push_back(AvailOf(r.disk_read_cap, r.disk_read_use, fraction));
-    avail_.push_back(AvailOf(r.disk_write_cap, r.disk_write_use, fraction));
+    avail_.push_back(AvailOf(report->nic_tx_cap, report->nic_tx_use, fraction));
+    avail_.push_back(AvailOf(report->nic_rx_cap, report->nic_rx_use, fraction));
+    avail_.push_back(AvailOf(report->disk_read_cap, report->disk_read_use, fraction));
+    avail_.push_back(AvailOf(report->disk_write_cap, report->disk_write_use, fraction));
   }
   return id;
 }
 
 BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAddress& status,
-                                   const BoundOptions& options) {
+                                   const BoundOptions& options, std::span<const int> identity) {
+  const QueryHosts& hosts = query.hosts();
   BoundAnalysis a;
-  a.distinct_ = options.distinct && !query.query().options.allow_same_binding;
+  a.distinct_ = !query.query().options.allow_same_binding;
   const double f = options.min_available_fraction;
 
-  // Host universe: pool addresses first (variable order), then literal flow
-  // endpoints, then one abstract host per 0.0.0.0 occurrence — the same
-  // universe the estimator interns.
+  // One host per slot, read at its identity slot; then one abstract host
+  // per 0.0.0.0 occurrence.
+  a.avail_.reserve(hosts.names.size() * kKinds);
+  for (const std::string* name : hosts.names) {
+    const auto it = status.find(*name);
+    a.AddHost(it == status.end() ? nullptr : &it->second, f);
+  }
   const auto& variables = query.variables();
   a.var_candidates_.resize(variables.size());
   a.var_pool_set_.resize(variables.size());
   for (size_t v = 0; v < variables.size(); ++v) {
-    for (const Endpoint& e : variables[v].pool) {
-      if (e.kind == Endpoint::Kind::kAddress) {
-        const int32_t id = a.InternHost(e.name, status, f);
-        if (a.var_pool_set_[v].insert(id).second) {
-          a.var_candidates_[v].push_back(id);
-        }
+    for (const int slot : hosts.pools[hosts.pool_of[v]]) {
+      const int32_t host = HostOf(identity, slot);
+      if (host >= 0 && a.var_pool_set_[v].insert(host).second) {
+        a.var_candidates_[v].push_back(host);
       }
     }
   }
-  int unknown_counter = 0;
+  const FlowGraph& graph = query.graph();
   a.members_.reserve(query.flows().size());
   for (const CompiledFlow& flow : query.flows()) {
     Member m;
     m.bytes = static_cast<double>(flow.size);
     m.group = flow.group;
-    auto classify = [&](const Endpoint& e) -> Ep {
+    auto classify = [&](const Endpoint& e, int id) -> Ep {
       switch (e.kind) {
         case Endpoint::Kind::kAddress:
-          return {Ep::kHost, a.InternHost(e.name, status, f)};
+          return {Ep::kHost, HostOf(identity, hosts.slot_of[id])};
         case Endpoint::Kind::kVariable:
-          return {Ep::kVar, query.VariableIndex(e.name)};
+          return {Ep::kVar, graph.variable(id)};
         case Endpoint::Kind::kDisk:
           // Index -1: the other side of a disk-to-disk flow (E005, kept in
           // the parser's partial AST) views as unresolvable.
           return {Ep::kDisk, -1};
         case Endpoint::Kind::kUnknown:
         default:
-          return {Ep::kHost, a.InternHost("_unknown" + std::to_string(unknown_counter++),
-                                          status, f)};
+          return {Ep::kHost, a.AddHost(nullptr, f)};
       }
     };
-    m.src = classify(flow.src);
-    m.dst = classify(flow.dst);
+    m.src = classify(flow.src, graph.src_id(flow.index));
+    m.dst = classify(flow.dst, graph.dst_id(flow.index));
     a.members_.push_back(m);
   }
 
@@ -166,7 +157,7 @@ BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAdd
   // N_max: every (member, resource) pair that could consume the resource
   // under any candidate resolution, counted over the *unpinned* pools so it
   // upper-bounds the concurrent consumer weight under every refinement.
-  a.n_max_.assign(a.host_names_.size() * kKinds, 0.0);
+  a.n_max_.assign(a.avail_.size(), 0.0);
   std::vector<int32_t> no_pins(nvars, -1);
   const int32_t* base = no_pins.empty() ? nullptr : no_pins.data();
   auto count_side = [&](const EpView& view, Kind kind) {
@@ -213,11 +204,6 @@ BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAdd
   a.group_bounds_ = a.GroupBindingBounds(no_pins);
   a.query_bounds_ = a.BindingBounds(no_pins);
   return a;
-}
-
-int32_t BoundAnalysis::HostId(const std::string& address) const {
-  const auto it = host_index_.find(address);
-  return it == host_index_.end() ? -1 : it->second;
 }
 
 BoundAnalysis::EpView BoundAnalysis::View(const Ep& ep, const int32_t* var_host) const {
@@ -369,15 +355,15 @@ void BoundAnalysis::MemberDefinite(const Member& m, const int32_t* var_host,
   }
 }
 
-Seconds BoundAnalysis::GroupLowerBound(const GroupInfo& g, const int32_t* var_host) const {
-  // Chain rule: walking the ascending size order backwards keeps a running
-  // suffix-min of the live members' optimistic caps.
-  const int k = static_cast<int>(g.members_by_size.size());
+Seconds BoundAnalysis::ChainTime(const GroupInfo& g, const int32_t* var_host,
+                                 bool optimistic) const {
+  // Walking the ascending size order backwards keeps a running suffix-min
+  // of the live members' rates.
   double time = 0;
   double run_min = kInf;
-  for (int j = k - 1; j >= 0; --j) {
+  for (int j = static_cast<int>(g.members_by_size.size()) - 1; j >= 0; --j) {
     const Member& m = members_[g.members_by_size[j]];
-    run_min = std::min(run_min, MemberCap(m, var_host));
+    run_min = std::min(run_min, optimistic ? MemberCap(m, var_host) : MemberFloor(m, var_host));
     const double prev = j > 0 ? members_[g.members_by_size[j - 1]].bytes : 0.0;
     const double delta = m.bytes - prev;
     if (delta <= 0) {
@@ -385,62 +371,15 @@ Seconds BoundAnalysis::GroupLowerBound(const GroupInfo& g, const int32_t* var_ho
     }
     const double rate = std::min(g.rate_limit, run_min);
     if (!(rate > 0)) {
-      time = kZeroRateTime;
-      break;
+      return optimistic ? kZeroRateTime : kInf;
     }
     time += delta * 8.0 / rate;  // rate == inf contributes 0.
   }
-  Seconds lb = g.start + time;
-
-  // Definitely-shared-resource rule: every member that uses resource r
-  // under every resolution pushes its full payload through r.
-  std::vector<std::pair<int32_t, double>> defs;
-  defs.reserve(2 * k);
-  for (const int mi : g.members_by_size) {
-    MemberDefinite(members_[mi], var_host, &defs);
-  }
-  std::sort(defs.begin(), defs.end());
-  for (size_t i = 0; i < defs.size();) {
-    double sum = 0;
-    size_t j = i;
-    while (j < defs.size() && defs[j].first == defs[i].first) {
-      sum += defs[j].second;
-      ++j;
-    }
-    const double avail = avail_[defs[i].first];
-    lb = std::max(lb, g.start + (avail > 0 ? sum * 8.0 / avail : kZeroRateTime));
-    i = j;
-  }
-  return lb;
+  return time;
 }
 
-Seconds BoundAnalysis::GroupUpperBound(const GroupInfo& g, const int32_t* var_host) const {
-  const int k = static_cast<int>(g.members_by_size.size());
-  double time = 0;
-  double run_min = kInf;
-  for (int j = k - 1; j >= 0; --j) {
-    const Member& m = members_[g.members_by_size[j]];
-    run_min = std::min(run_min, MemberFloor(m, var_host));
-    const double prev = j > 0 ? members_[g.members_by_size[j - 1]].bytes : 0.0;
-    const double delta = m.bytes - prev;
-    if (delta <= 0) {
-      continue;
-    }
-    const double rate = std::min(g.rate_limit, run_min);
-    if (!(rate > 0)) {
-      return kInf;
-    }
-    time += delta * 8.0 / rate;
-  }
-  return g.start + time;
-}
-
-Seconds BoundAnalysis::CrossGroupLowerBound(const int32_t* var_host) const {
-  std::vector<std::pair<int32_t, double>> defs;
-  defs.reserve(2 * members_.size());
-  for (const Member& m : members_) {
-    MemberDefinite(m, var_host, &defs);
-  }
+Seconds BoundAnalysis::SharedResourceBound(std::vector<std::pair<int32_t, double>> defs,
+                                           Seconds start) const {
   std::sort(defs.begin(), defs.end());
   Seconds lb = 0;
   for (size_t i = 0; i < defs.size();) {
@@ -451,10 +390,33 @@ Seconds BoundAnalysis::CrossGroupLowerBound(const int32_t* var_host) const {
       ++j;
     }
     const double avail = avail_[defs[i].first];
-    lb = std::max(lb, min_group_start_ + (avail > 0 ? sum * 8.0 / avail : kZeroRateTime));
+    lb = std::max(lb, start + (avail > 0 ? sum * 8.0 / avail : kZeroRateTime));
     i = j;
   }
   return lb;
+}
+
+Seconds BoundAnalysis::GroupLowerBound(const GroupInfo& g, const int32_t* var_host) const {
+  std::vector<std::pair<int32_t, double>> defs;
+  defs.reserve(2 * g.members_by_size.size());
+  for (const int mi : g.members_by_size) {
+    MemberDefinite(members_[mi], var_host, &defs);
+  }
+  return std::max(g.start + ChainTime(g, var_host, /*optimistic=*/true),
+                  SharedResourceBound(std::move(defs), g.start));
+}
+
+Seconds BoundAnalysis::GroupUpperBound(const GroupInfo& g, const int32_t* var_host) const {
+  return g.start + ChainTime(g, var_host, /*optimistic=*/false);
+}
+
+Seconds BoundAnalysis::CrossGroupLowerBound(const int32_t* var_host) const {
+  std::vector<std::pair<int32_t, double>> defs;
+  defs.reserve(2 * members_.size());
+  for (const Member& m : members_) {
+    MemberDefinite(m, var_host, &defs);
+  }
+  return SharedResourceBound(std::move(defs), min_group_start_);
 }
 
 BoundInterval BoundAnalysis::BindingBounds(const std::vector<int32_t>& var_host) const {

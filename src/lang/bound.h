@@ -24,6 +24,9 @@
 //       counts every (member, r) pair that could consume r under any
 //       resolution. Summing segments at those floor rates gives a ceiling.
 //
+// Hosts are numbered as the search numbers them: by the identity slot of
+// the query's QueryHosts (an alias and its address are one host, with the
+// identity slot's report), then one abstract host per 0.0.0.0 occurrence.
 // Availability mirrors the solver exactly: avail(r) = max(cap * f,
 // cap - background) with f = FlowLevelEstimator's min_available_fraction,
 // clamped at the 1e15 unconstrained-resource sentinel; unreported and
@@ -44,8 +47,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -63,10 +65,6 @@ struct BoundOptions {
   // are sound for the estimator only when the fractions match (the engine
   // asks the estimator via CompletionEstimator::BoundAvailabilityFraction).
   double min_available_fraction = 0.1;
-  // Effective distinct-bindings semantics of the evaluation: distinct
-  // variables can never share a host, which rules out loopback between two
-  // different variables and tightens the optimistic member caps.
-  bool distinct = true;
 };
 
 struct BoundInterval {
@@ -94,23 +92,20 @@ struct GroupBound {
 class BoundAnalysis {
  public:
   BoundAnalysis() = default;
+  // Slot s of the query's hosts is host HostOf(identity, s). Unless the
+  // query says `option allow_same`, distinct variables never share a host,
+  // which rules out loopback between two of them and tightens the caps.
   static BoundAnalysis Build(const CompiledQuery& query, const StatusByAddress& status,
-                             const BoundOptions& options = {});
+                             const BoundOptions& options = {},
+                             std::span<const int> identity = {});
 
   // Bounds with no variables pinned: sound for every legal binding.
   const BoundInterval& query_bounds() const { return query_bounds_; }
   const std::vector<GroupBound>& group_bounds() const { return group_bounds_; }
 
-  // Interned id of a pool / literal address, or -1. Ids are what
-  // BindingBounds and Cursor::Assign consume.
-  int32_t HostId(const std::string& address) const;
-  int num_variables() const { return static_cast<int>(var_candidates_.size()); }
-  int num_hosts() const { return static_cast<int>(host_names_.size()); }
-  const std::string& host_name(int32_t id) const { return host_names_[id]; }
-
-  // Bounds under a partial binding: var_host[v] is an interned host id or
-  // -1 (unbound). Monotone: pinning more variables never lowers lb and
-  // never raises ub.
+  // Bounds under a partial binding: var_host[v] is the host v is bound to,
+  // HostOf(identity, slot) of its candidate's slot, or -1 (unbound).
+  // Monotone: pinning more variables never lowers lb and never raises ub.
   BoundInterval BindingBounds(const std::vector<int32_t>& var_host) const;
   std::vector<GroupBound> GroupBindingBounds(const std::vector<int32_t>& var_host) const;
 
@@ -165,8 +160,8 @@ class BoundAnalysis {
     bool from_var = false;  // Resolved host came from a (pinned) variable.
   };
 
-  int32_t InternHost(const std::string& address, const StatusByAddress& status,
-                     double fraction);
+  // Appends a host with `report`'s availability (null: unreported).
+  int32_t AddHost(const StatusReport* report, double fraction);
   EpView View(const Ep& ep, const int32_t* var_host) const;
   bool PossiblyEqual(const EpView& s, const EpView& d) const;
   bool DefinitelyEqual(const EpView& s, const EpView& d) const;
@@ -184,13 +179,18 @@ class BoundAnalysis {
   // host * kKinds + kind.
   void MemberDefinite(const Member& m, const int32_t* var_host,
                       std::vector<std::pair<int32_t, double>>* out) const;
+  // Chain rule: the segments' time at the members' optimistic caps (LB) or
+  // pessimistic floors (UB), from the group's start.
+  Seconds ChainTime(const GroupInfo& g, const int32_t* var_host, bool optimistic) const;
+  // Definitely-shared-resource rule: every member that uses resource r under
+  // every resolution pushes its full payload through r, from `start`.
+  Seconds SharedResourceBound(std::vector<std::pair<int32_t, double>> defs,
+                              Seconds start) const;
   Seconds GroupLowerBound(const GroupInfo& g, const int32_t* var_host) const;
   Seconds GroupUpperBound(const GroupInfo& g, const int32_t* var_host) const;
   Seconds CrossGroupLowerBound(const int32_t* var_host) const;
 
   bool distinct_ = true;
-  std::vector<std::string> host_names_;
-  std::unordered_map<std::string, int32_t> host_index_;
   std::vector<double> avail_;  // host * kKinds + kind, clamped at 1e15.
 
   std::vector<std::vector<int32_t>> var_candidates_;

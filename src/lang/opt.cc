@@ -15,17 +15,6 @@ namespace lang {
 
 namespace {
 
-// The engine's candidate sequence: address pool entries, declaration order.
-std::vector<std::string> AddressCandidates(const VarComm& var) {
-  std::vector<std::string> out;
-  for (const Endpoint& value : var.pool) {
-    if (value.kind == Endpoint::Kind::kAddress) {
-      out.push_back(value.name);
-    }
-  }
-  return out;
-}
-
 // Where the variable's name is first declared.
 Span VarSpan(const CompiledQuery& query, const VarComm& var) {
   const int first = query.graph().variable(var.id);
@@ -53,11 +42,11 @@ std::string FormatCount(double count) {
 }
 
 // Kuhn's augmenting-path maximum bipartite matching: variables on the left,
-// interned candidate addresses on the right. Pools are tiny (tens), so the
-// O(V * E) bound is irrelevant.
+// candidate hosts on the right. Pools are tiny (tens), so the O(V * E)
+// bound is irrelevant.
 struct Matching {
-  const std::vector<std::vector<int32_t>>* adj = nullptr;  // var -> address ids.
-  std::vector<int32_t> match_of_addr;                      // address id -> var or -1.
+  const std::vector<std::vector<int32_t>>* adj = nullptr;  // var -> hosts.
+  std::vector<int32_t> match_of_addr;                      // host -> var or -1.
   std::vector<char> visited;
 
   bool TryAugment(int32_t v) {
@@ -74,11 +63,11 @@ struct Matching {
     return false;
   }
 
-  // True when every variable in `vars` can be matched to a distinct address.
-  bool Perfect(const std::vector<int32_t>& vars, size_t num_addresses) {
-    match_of_addr.assign(num_addresses, -1);
+  // True when every variable in `vars` can be matched to a distinct host.
+  bool Perfect(const std::vector<int32_t>& vars, size_t num_hosts) {
+    match_of_addr.assign(num_hosts, -1);
     for (const int32_t v : vars) {
-      visited.assign(num_addresses, 0);
+      visited.assign(num_hosts, 0);
       if (!TryAugment(v)) {
         return false;
       }
@@ -90,14 +79,17 @@ struct Matching {
 // Everything the passes share.
 struct PassContext {
   const CompiledQuery* query = nullptr;
+  std::span<const int> identity;
   const StatusByAddress* status = nullptr;
   OptimizeParams params;
-  std::vector<std::vector<std::string>> candidates;  // Per variable.
-  // Interned candidate addresses (for matching and pool comparisons).
-  std::unordered_map<std::string, int32_t> intern;
-  int32_t InternId(const std::string& address) {
-    return intern.emplace(address, static_cast<int32_t>(intern.size())).first->second;
+  bool distinct = true;
+  std::vector<std::vector<int>> candidates;  // Per variable: its candidate slots.
+
+  const std::string& Name(int v, int32_t c) const {
+    return *query->hosts().names[candidates[v][c]];
   }
+  int32_t Host(int v, int32_t c) const { return HostOf(identity, candidates[v][c]); }
+  size_t num_hosts() const { return query->hosts().names.size(); }
 };
 
 void Note(DiagnosticSink* sink, const char* code, Span span, std::string message,
@@ -107,14 +99,12 @@ void Note(DiagnosticSink* sink, const char* code, Span span, std::string message
   }
 }
 
-// Candidate ids a variable may legally bind to (post requirement pruning).
-std::vector<std::vector<int32_t>> KeptAddressIds(const PassContext& ctx,
-                                                 const PrunedSpace& plan,
-                                                 PassContext* mutable_ctx) {
+// Hosts a variable may legally bind to (post requirement pruning).
+std::vector<std::vector<int32_t>> KeptHosts(const PassContext& ctx, const PrunedSpace& plan) {
   std::vector<std::vector<int32_t>> adj(plan.kept.size());
   for (size_t v = 0; v < plan.kept.size(); ++v) {
     for (const int32_t c : plan.kept[v]) {
-      adj[v].push_back(mutable_ctx->InternId(ctx.candidates[v][c]));
+      adj[v].push_back(ctx.Host(static_cast<int>(v), c));
     }
   }
   return adj;
@@ -131,11 +121,12 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
     std::vector<int32_t> kept;
     std::vector<std::string> dropped;
     for (size_t c = 0; c < ctx->candidates[v].size(); ++c) {
-      const auto it = ctx->status->find(ctx->candidates[v][c]);
+      const std::string& name = ctx->Name(static_cast<int>(v), static_cast<int32_t>(c));
+      const auto it = ctx->status->find(name);
       if (it == ctx->status->end() || SatisfiesRequirements(var, it->second)) {
         kept.push_back(static_cast<int32_t>(c));
       } else {
-        dropped.push_back(ctx->candidates[v][c]);
+        dropped.push_back(name);
       }
     }
     if (dropped.empty()) {
@@ -159,16 +150,16 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
            "no legal binding");
     }
   }
-  if (plan->infeasible || !ctx->params.distinct) {
+  if (plan->infeasible || !ctx->distinct) {
     return;
   }
-  // Pigeonhole: under distinctness every variable needs its own address.
-  std::vector<std::vector<int32_t>> adj = KeptAddressIds(*ctx, *plan, ctx);
+  // Pigeonhole: under distinctness every variable needs its own host.
+  std::vector<std::vector<int32_t>> adj = KeptHosts(*ctx, *plan);
   std::vector<int32_t> vars(variables.size());
   std::iota(vars.begin(), vars.end(), 0);
   Matching matching;
   matching.adj = &adj;
-  if (!matching.Perfect(vars, ctx->intern.size())) {
+  if (!matching.Perfect(vars, ctx->num_hosts())) {
     plan->infeasible = true;
     plan->infeasible_reason =
         "distinctness pigeonhole: no assignment of distinct feasible candidates exists";
@@ -182,7 +173,8 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
 
 // ---- O200: interchangeable variables ----
 void RunInterchangeable(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink) {
-  const std::vector<std::vector<int32_t>> classes = InterchangeableClasses(*ctx->query);
+  const std::vector<std::vector<int32_t>> classes =
+      InterchangeableClasses(*ctx->query, ctx->identity);
   for (const std::vector<int32_t>& cls : classes) {
     for (size_t i = 1; i < cls.size(); ++i) {
       plan->orbit_prev[cls[i]] = cls[i - 1];
@@ -268,9 +260,9 @@ void RunComponentSplit(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink
   // only byte-identical when the variable's choices cannot collide with an
   // enumerated variable's, so pin exactly the pool-sharing components made
   // entirely of inert variables.
-  std::vector<std::vector<int32_t>> adj = KeptAddressIds(*ctx, *plan, ctx);
+  std::vector<std::vector<int32_t>> adj = KeptHosts(*ctx, *plan);
   std::vector<int32_t> pin_set;
-  if (!ctx->params.distinct) {
+  if (!ctx->distinct) {
     for (size_t v = 0; v < n; ++v) {
       if (live[v] == 0 && !plan->kept[v].empty()) {
         pin_set.push_back(static_cast<int32_t>(v));
@@ -278,22 +270,19 @@ void RunComponentSplit(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink
     }
   } else {
     UnionFind pools(n);
-    std::unordered_map<int32_t, int32_t> owner;  // Address id -> first var seen.
+    std::vector<int32_t> owner(ctx->num_hosts(), -1);  // Host -> first var seen.
     for (size_t v = 0; v < n; ++v) {
       for (const int32_t a : adj[v]) {
-        const auto [it, inserted] = owner.emplace(a, static_cast<int32_t>(v));
-        if (!inserted) {
-          pools.Union(it->second, static_cast<int32_t>(v));
+        if (owner[a] < 0) {
+          owner[a] = static_cast<int32_t>(v);
+        } else {
+          pools.Union(owner[a], static_cast<int32_t>(v));
         }
       }
     }
-    std::unordered_map<int32_t, bool> all_inert;
+    std::vector<char> all_inert(n, 1);  // By pool-component root.
     for (size_t v = 0; v < n; ++v) {
-      const int32_t root = pools.Find(static_cast<int32_t>(v));
-      const auto [it, inserted] = all_inert.emplace(root, live[v] == 0);
-      if (!inserted) {
-        it->second = it->second && live[v] == 0;
-      }
+      all_inert[pools.Find(static_cast<int32_t>(v))] &= live[v] == 0 ? 1 : 0;
     }
     for (size_t v = 0; v < n; ++v) {
       if (all_inert[pools.Find(static_cast<int32_t>(v))] && !plan->kept[v].empty()) {
@@ -308,36 +297,36 @@ void RunComponentSplit(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink
   // completable (matching check) — exactly the choice the full walk's
   // first minimal-makespan binding makes for estimate-indifferent
   // variables.
-  std::unordered_set<int32_t> taken;
+  std::vector<char> taken(ctx->num_hosts(), 0);  // By host.
   Matching matching;
   for (size_t i = 0; i < pin_set.size(); ++i) {
     const int32_t v = pin_set[i];
     const std::vector<int32_t> rest(pin_set.begin() + i + 1, pin_set.end());
     for (const int32_t c : plan->kept[v]) {
-      const int32_t address_id = ctx->InternId(ctx->candidates[v][c]);
-      if (ctx->params.distinct && taken.count(address_id) > 0) {
+      const int32_t host = ctx->Host(v, c);
+      if (ctx->distinct && taken[host] != 0) {
         continue;
       }
       // Tentatively take it and check the remaining pins still complete.
       bool feasible = true;
-      if (ctx->params.distinct && !rest.empty()) {
+      if (ctx->distinct && !rest.empty()) {
         std::vector<std::vector<int32_t>> rest_adj(adj.size());
         for (const int32_t r : rest) {
           for (const int32_t a : adj[r]) {
-            if (a != address_id && taken.count(a) == 0) {
+            if (a != host && taken[a] == 0) {
               rest_adj[r].push_back(a);
             }
           }
         }
         matching.adj = &rest_adj;
-        feasible = matching.Perfect(rest, ctx->intern.size());
+        feasible = matching.Perfect(rest, ctx->num_hosts());
       }
       if (!feasible) {
         continue;
       }
       plan->pinned[v] = c;
-      if (ctx->params.distinct) {
-        taken.insert(address_id);
+      if (ctx->distinct) {
+        taken[host] = 1;
       }
       break;
     }
@@ -345,7 +334,7 @@ void RunComponentSplit(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink
       Note(sink, "O300", VarSpan(*ctx->query, variables[v]),
            "variable '" + variables[v].name +
                "' has no live flows; pinned to its first legal candidate '" +
-               ctx->candidates[v][plan->pinned[v]] + "' instead of enumerating " +
+               ctx->Name(v, plan->pinned[v]) + "' instead of enumerating " +
                std::to_string(plan->kept[v].size()) + " candidates");
     }
   }
@@ -395,8 +384,8 @@ void RunDeadFlowFolding(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sin
 void RunBoundPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink) {
   BoundOptions options;
   options.min_available_fraction = ctx->params.bound_fraction;
-  options.distinct = ctx->params.distinct;
-  const BoundAnalysis analysis = BoundAnalysis::Build(*ctx->query, *ctx->status, options);
+  const BoundAnalysis analysis =
+      BoundAnalysis::Build(*ctx->query, *ctx->status, options, ctx->identity);
   plan->bound_pruning = true;
   plan->bound_lb = analysis.query_bounds().lb;
   plan->bound_ub = analysis.query_bounds().ub;
@@ -434,7 +423,9 @@ std::vector<int32_t> DeadFlowIndices(const CompiledQuery& query) {
   return dead;
 }
 
-std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& query) {
+std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& query,
+                                                         std::span<const int> identity) {
+  const QueryHosts& hosts = query.hosts();
   const auto& variables = query.variables();
   const size_t n = variables.size();
   std::vector<std::vector<int32_t>> out;
@@ -445,18 +436,18 @@ std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& qu
   for (const int32_t f : DeadFlowIndices(query)) {
     dead.insert(f);
   }
-  std::vector<std::vector<std::string>> pools(n);
+  std::vector<std::vector<int>> pools(n);  // Per variable: its candidates' hosts.
   for (size_t v = 0; v < n; ++v) {
-    pools[v] = AddressCandidates(variables[v]);
+    pools[v] = hosts.CandidateSlots(static_cast<int>(v));
+    for (int& slot : pools[v]) {
+      slot = HostOf(identity, slot);
+    }
   }
 
   // Symbolic flow tuples under a permutation of variable indices: variables
-  // map to a high id range, fixed endpoints intern locally, and each
+  // map to a high id range, fixed endpoints to their hosts, and each
   // unknown occurrence keeps its own id (mirroring the engine's memo).
-  std::unordered_map<std::string, int32_t> intern;
-  const auto intern_id = [&intern](const std::string& address) {
-    return intern.emplace(address, static_cast<int32_t>(intern.size())).first->second;
-  };
+  const FlowGraph& graph = query.graph();
   struct SymTuple {
     int32_t group, src, dst;
     double size, start;
@@ -483,12 +474,12 @@ std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& qu
       if (dead.count(static_cast<int32_t>(f)) > 0) {
         continue;
       }
-      const auto key = [&](const Endpoint& e) -> int32_t {
+      const auto key = [&](const Endpoint& e, int id) -> int32_t {
         switch (e.kind) {
           case Endpoint::Kind::kAddress:
-            return intern_id(e.name);
+            return HostOf(identity, hosts.slot_of[id]);
           case Endpoint::Kind::kVariable: {
-            int32_t idx = query.VariableIndex(e.name);
+            int32_t idx = graph.variable(id);
             if (idx == u) {
               idx = v;
             } else if (idx == v) {
@@ -503,14 +494,15 @@ std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& qu
             return next_unknown--;
         }
       };
-      tuples.push_back({flows[f].group, key(flows[f].src), key(flows[f].dst), flows[f].size,
-                        flows[f].start});
+      const int i = static_cast<int>(f);
+      tuples.push_back({flows[f].group, key(flows[f].src, graph.src_id(i)),
+                        key(flows[f].dst, graph.dst_id(i)), flows[f].size, flows[f].start});
     }
     std::sort(tuples.begin(), tuples.end());
     return tuples;
   };
 
-  const std::vector<SymTuple> identity = tuples_under(0, 0);
+  const std::vector<SymTuple> unswapped = tuples_under(0, 0);
   UnionFind classes(n);
   for (size_t u = 0; u < n; ++u) {
     for (size_t v = u + 1; v < n; ++v) {
@@ -521,7 +513,7 @@ std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& qu
           variables[u].mem_required != variables[v].mem_required) {
         continue;
       }
-      if (tuples_under(static_cast<int32_t>(u), static_cast<int32_t>(v)) == identity) {
+      if (tuples_under(static_cast<int32_t>(u), static_cast<int32_t>(v)) == unswapped) {
         classes.Union(static_cast<int32_t>(u), static_cast<int32_t>(v));
       }
     }
@@ -563,15 +555,18 @@ const std::vector<OptPass>& OptPasses() {
 }
 
 PrunedSpace Optimize(const CompiledQuery& query, const StatusByAddress& status,
-                     const OptimizeParams& params, DiagnosticSink* sink) {
+                     const OptimizeParams& params, DiagnosticSink* sink,
+                     std::span<const int> identity) {
   PassContext ctx;
   ctx.query = &query;
+  ctx.identity = identity;
   ctx.status = &status;
   ctx.params = params;
+  ctx.distinct = !query.query().options.allow_same_binding;
   const size_t n = query.variables().size();
   ctx.candidates.resize(n);
   for (size_t v = 0; v < n; ++v) {
-    ctx.candidates[v] = AddressCandidates(query.variables()[v]);
+    ctx.candidates[v] = query.hosts().CandidateSlots(static_cast<int>(v));
   }
 
   PrunedSpace plan;

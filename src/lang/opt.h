@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,6 @@ inline constexpr uint32_t kOptAllPasses =
     kOptBoundPruning;
 
 struct OptimizeParams {
-  // Effective distinct-bindings semantics of the evaluation the plan is
-  // for (ExhaustiveParams::distinct_bindings minus `option allow_same`).
-  bool distinct = true;
   uint32_t passes = kOptAllPasses;
   // Availability fraction the O500 *report* computes its bounds with (the
   // engine rebuilds the analysis with the exact fraction its estimator
@@ -156,9 +154,13 @@ const std::vector<OptPass>& OptPasses();
 
 // Runs the selected passes and returns the combined plan. Remarks (severity
 // kNote, code = pass code) are added to `sink` when non-null. Never fails:
-// a query the passes cannot reason about yields a no-op plan.
+// a query the passes cannot reason about yields a no-op plan. Slot s of the
+// query's hosts is host HostOf(identity, s): distinctness, which holds
+// unless the query says `option allow_same`, and O200's pool and endpoint
+// comparisons are by host.
 PrunedSpace Optimize(const CompiledQuery& query, const StatusByAddress& status,
-                     const OptimizeParams& params = {}, DiagnosticSink* sink = nullptr);
+                     const OptimizeParams& params = {}, DiagnosticSink* sink = nullptr,
+                     std::span<const int> identity = {});
 
 // ---- Shared analyses (used by the passes, the engine, and ctlint) ----
 
@@ -172,8 +174,10 @@ std::vector<int32_t> DeadFlowIndices(const CompiledQuery& query);
 
 // Interchangeability classes of size >= 2: variables with identical pools,
 // identical requirements, and a live-flow multiset invariant under swapping
-// the pair (W070 / O200). Each class lists variable indices ascending.
-std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& query);
+// the pair (W070 / O200), hosts numbered as in Optimize. Each class lists
+// variable indices ascending.
+std::vector<std::vector<int32_t>> InterchangeableClasses(const CompiledQuery& query,
+                                                         std::span<const int> identity = {});
 
 }  // namespace lang
 }  // namespace cloudtalk

@@ -127,16 +127,14 @@ StatusByAddress GenerateStatus(const CompiledQuery& query, std::mt19937_64& rng)
   return status;
 }
 
-// Interned candidate ids per variable (every pool entry is a literal).
-std::vector<std::vector<int32_t>> CandidateIds(const CompiledQuery& query,
-                                               const BoundAnalysis& bounds) {
+// Candidate host ids per variable: their slots, each slot its own host
+// (every pool entry is a literal).
+std::vector<std::vector<int32_t>> CandidateIds(const CompiledQuery& query) {
   std::vector<std::vector<int32_t>> ids(query.variables().size());
   for (size_t v = 0; v < query.variables().size(); ++v) {
-    for (const lang::Endpoint& e : query.variables()[v].pool) {
-      const int32_t id = bounds.HostId(e.name);
-      EXPECT_GE(id, 0) << e.name;
-      ids[v].push_back(id);
-    }
+    const std::vector<int> slots = query.hosts().CandidateSlots(static_cast<int>(v));
+    EXPECT_EQ(slots.size(), query.variables()[v].pool.size());
+    ids[v].assign(slots.begin(), slots.end());
   }
   return ids;
 }
@@ -152,7 +150,7 @@ TEST(BoundAnalysisTest, RandomizedRefinementMonotonicity) {
     const StatusByAddress status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
-    CandidateIds(query, bounds).swap(ids);
+    CandidateIds(query).swap(ids);
 
     const size_t n = query.variables().size();
     std::vector<int32_t> var_host(n, -1);
@@ -218,11 +216,11 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
     const StatusByAddress status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
-    CandidateIds(query, bounds).swap(ids);
+    CandidateIds(query).swap(ids);
 
     const size_t n = query.variables().size();
     FlowLevelEstimator estimator;  // Fraction 0.1 = BoundOptions default.
-    estimator.BeginQuery(query, status);
+    estimator.BeginQuery(query, status, {});
     Binding binding;
     std::vector<lang::Endpoint*> slot(n);
     for (size_t v = 0; v < n; ++v) {
@@ -291,6 +289,29 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   ASSERT_EQ(c.group_bounds().size(), 1u);
   EXPECT_FALSE(c.group_bounds()[0].provably_infeasible);
   EXPECT_FALSE(c.group_bounds()[0].trivially_satisfied);
+}
+
+TEST(BoundAnalysisTest, MergedSlotsShareOneHostsResources) {
+  // f1 and f2 share one chain rate. Declaring h6 one host with 10.0.9.6
+  // puts both members' 1 GiB through one 1 Gbps NIC, as the twin that
+  // spells the source by address twice does.
+  const std::string chain = " -> 10.0.9.9 size 1G rate r(f2)\nf2 ";
+  const Query aliased = MustParse("f1 10.0.9.6" + chain + "h6 -> 10.0.9.10 size 1G rate r(f1)\n");
+  const Query twin = MustParse("f1 10.0.9.6" + chain + "10.0.9.6 -> 10.0.9.10 size 1G rate r(f1)\n");
+  const CompiledQuery compiled = MustCompile(aliased);
+  StatusByAddress status;
+  for (const std::string* name : compiled.hosts().names) {
+    status[*name] = MakeReport(1e9, 0, 0);
+  }
+  const std::vector<int> identity = {0, 1, 0, 3};  // 10.0.9.6, 10.0.9.9, h6, 10.0.9.10.
+  ASSERT_EQ(compiled.hosts().names.size(), identity.size());
+  ASSERT_EQ(*compiled.hosts().names[2], "h6");
+  const BoundAnalysis apart = BoundAnalysis::Build(compiled, status);
+  const BoundAnalysis merged = BoundAnalysis::Build(compiled, status, {}, identity);
+  const BoundAnalysis spelled = BoundAnalysis::Build(MustCompile(twin), status);
+  EXPECT_EQ(merged.query_bounds().lb, spelled.query_bounds().lb);
+  EXPECT_EQ(merged.query_bounds().ub, spelled.query_bounds().ub);
+  EXPECT_GT(merged.query_bounds().lb, 1.9 * apart.query_bounds().lb);
 }
 
 TEST(BoundAnalysisTest, GuardBandBracketsTheRawValue) {

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -588,7 +589,7 @@ void StripSpans(Query* q) {
 std::string FactsDigest(const Query& query) {
   const QueryFacts facts(query);
   std::string out;
-  const auto list = [&out](const std::vector<Endpoint>& endpoints) {
+  const auto list = [&out](std::span<const Endpoint> endpoints) {
     for (const Endpoint& e : endpoints) {
       out += " " + e.ToString();
     }

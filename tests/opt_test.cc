@@ -203,9 +203,29 @@ TEST(OptPassTest, DomainPruningDetectsPigeonholeInfeasibility) {
   EXPECT_EQ(plan.space_after, 0);
 
   // With `option allow_same` the pigeonhole does not apply.
-  OptimizeParams params;
-  params.distinct = false;
-  EXPECT_FALSE(lang::Optimize(compiled, status, params).infeasible);
+  const Query same = MustParse(
+      "option allow_same\n"
+      "A = B = C = (v1 v2)\n"
+      "f1 A -> B size 1M\nf2 B -> C size 1M\n");
+  EXPECT_FALSE(lang::Optimize(MustCompile(same), status).infeasible);
+}
+
+TEST(OptPassTest, MergedSlotsAreOneHost) {
+  // With h1 and v1 one host, A and B have one host between them, and C's
+  // pool equals D's host by host, though not spelling by spelling.
+  const Query query = MustParse(
+      "A = B = (h1 v1)\nC = (h1 v2 v3)\nD = (v1 v2 v3)\n"
+      "f1 A -> sink size 1M\nf2 B -> sink size 1M\n"
+      "f3 src -> C size 1M rate 5M\nf4 src -> D size 1M rate r(f3)\n");
+  const CompiledQuery compiled = MustCompile(query);
+  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const std::vector<int> identity = {0, 0, 2, 3, 4, 5};  // h1, v1, v2, v3, sink, src.
+  ASSERT_EQ(compiled.hosts().names.size(), identity.size());
+  EXPECT_FALSE(lang::Optimize(compiled, status).infeasible);
+  EXPECT_TRUE(lang::Optimize(compiled, status, {}, nullptr, identity).infeasible);
+  EXPECT_TRUE(InterchangeableClasses(compiled).empty());
+  EXPECT_EQ(InterchangeableClasses(compiled, identity),
+            (std::vector<std::vector<int32_t>>{{2, 3}}));
 }
 
 TEST(OptPassTest, InterchangeablePassChainsOrbitsAscending) {
@@ -393,7 +413,6 @@ TEST(OptDifferentialTest, FixturesAgreeByteIdenticallyAcrossModesAndThreads) {
           lang::BoundAnalysis::Build(compiled, status).query_bounds();
       FlowLevelEstimator estimator;
       ExhaustiveParams off;
-      off.distinct_bindings = !query.options.allow_same_binding;
       const auto base = EvaluateExhaustive(compiled, status, estimator, off);
       for (const int threads : {1, 4}) {
         ExhaustiveParams on = off;

@@ -62,13 +62,11 @@ struct Admission {
       : query(lang::Parse(text).value()),
         compiled(lang::CompiledQuery::Compile(query).value()),
         reserves(lang::AnalyzeScope(compiled).effects.reserves),
-        hosts(compiled),
-        answer(hosts, &AliasDirectory()) {}
+        answer(compiled.hosts(), &AliasDirectory()) {}
 
   lang::Query query;
   lang::CompiledQuery compiled;
   bool reserves;
-  QueryHosts hosts;
   AnswerHosts answer;
 };
 

@@ -32,6 +32,8 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -562,20 +564,54 @@ std::string CompareWinners(const char* finder, const char* name_a,
   return "";
 }
 
+// Runs `check(identity, status)` twice: with each slot of `hosts` its own
+// host, then with two slots the seed picks declared one host, the second
+// given the first's report, as the server's status gather does for an
+// alias. The second run is skipped for a query naming fewer than two
+// addresses. Returns the first divergence, "" when both agree.
+template <typename Check>
+std::string WithMergedTwin(uint64_t seed, const lang::QueryHosts& hosts,
+                           const StatusByAddress& status, const Check& check) {
+  std::string detail = check(std::span<const int>{}, status);
+  const int n = static_cast<int>(hosts.names.size());
+  if (!detail.empty() || n < 2) {
+    return detail;
+  }
+  Rng rng(seed ^ 0xd6e8feb86659fd93ull);
+  const std::vector<int> pick = rng.SampleWithoutReplacement(n, 2);
+  const int first = std::min(pick[0], pick[1]);
+  const int second = std::max(pick[0], pick[1]);
+  std::vector<int> identity(n);
+  std::iota(identity.begin(), identity.end(), 0);
+  identity[second] = first;
+  StatusByAddress merged = status;
+  const auto report = status.find(*hosts.names[first]);
+  if (report != status.end()) {
+    merged[*hosts.names[second]] = report->second;
+  }
+  detail = check(std::span<const int>(identity), merged);
+  return detail.empty() ? "" : "with " + *hosts.names[second] + " one host with " +
+                                   *hosts.names[first] + ": " + detail;
+}
+
 // --diff-opt (D500): the exhaustive search with the static optimisation
-// passes off and on.
-std::string CheckDiffOpt(uint64_t /*seed*/, const std::string& /*query_text*/,
+// passes off and on, each slot its own host and on the seed's merged twin.
+std::string CheckDiffOpt(uint64_t seed, const std::string& /*query_text*/,
                          const lang::Query& query, const lang::CompiledQuery& compiled,
                          const StatusByAddress& status) {
-  ExhaustiveParams params;
-  params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
-  params.optimize = false;
-  FlowLevelEstimator est_off;
-  const Result<ExhaustiveResult> off = EvaluateExhaustive(compiled, status, est_off, params);
-  params.optimize = true;
-  FlowLevelEstimator est_on;
-  const Result<ExhaustiveResult> on = EvaluateExhaustive(compiled, status, est_on, params);
-  return CompareWinners("search", "unoptimised", off, "optimized", on);
+  return WithMergedTwin(seed, compiled.hosts(), status, [&](std::span<const int> identity,
+                                                            const StatusByAddress& st) {
+    ExhaustiveParams params;
+    params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
+    params.optimize = false;
+    FlowLevelEstimator est_off;
+    const Result<ExhaustiveResult> off =
+        EvaluateExhaustive(compiled, st, est_off, params, identity);
+    params.optimize = true;
+    FlowLevelEstimator est_on;
+    const Result<ExhaustiveResult> on = EvaluateExhaustive(compiled, st, est_on, params, identity);
+    return CompareWinners("search", "unoptimised", off, "optimized", on);
+  });
 }
 
 // ---- --diff-sim: differential fuzz of the incremental delta re-solve ----
@@ -612,23 +648,25 @@ std::string CheckDiffSim(uint64_t /*seed*/, const std::string& /*query_text*/,
 // binding's full pin set — and inside the query-level interval with nothing
 // pinned (the two nest by monotonicity). Estimator errors (no legal rate
 // allocation) are skipped: bounds only promise to bracket successful
-// estimates. Any escape is a D502 violation and the query is saved.
-std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
-                           const lang::Query& query, const lang::CompiledQuery& cq,
-                           const StatusByAddress& status) {
-  const lang::BoundAnalysis bounds =
-      lang::BoundAnalysis::Build(cq, status, lang::BoundOptions{});
+// estimates. Any escape is a D502 violation and the query is saved. Like
+// --diff-opt, each seed also runs on its merged twin.
+
+// D502 over one host numbering: walks every legal binding, distinct by
+// host unless the query says `option allow_same`.
+std::string CheckBoundsBracketEstimates(const lang::Query& query, const lang::CompiledQuery& cq,
+                                        std::span<const int> identity,
+                                        const StatusByAddress& status) {
+  const lang::QueryHosts& hosts = cq.hosts();
+  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(cq, status, {}, identity);
   const auto& variables = cq.variables();
   const size_t n = variables.size();
 
-  std::vector<std::vector<std::string>> names(n);
+  std::vector<std::vector<const std::string*>> names(n);
   std::vector<std::vector<int32_t>> ids(n);
   for (size_t i = 0; i < n; ++i) {
-    for (const lang::Endpoint& e : variables[i].pool) {
-      if (e.kind == lang::Endpoint::Kind::kAddress) {
-        names[i].push_back(e.name);
-        ids[i].push_back(bounds.HostId(e.name));
-      }
+    for (const int slot : hosts.CandidateSlots(static_cast<int>(i))) {
+      names[i].push_back(hosts.names[slot]);
+      ids[i].push_back(lang::HostOf(identity, slot));
     }
     if (names[i].empty()) {
       return "";  // Unanswerable variable; nothing to bound.
@@ -637,7 +675,7 @@ std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
 
   const bool distinct = !query.options.allow_same_binding;
   FlowLevelEstimator estimator;  // Default fraction 0.1 = BoundOptions default.
-  estimator.BeginQuery(cq, status);
+  estimator.BeginQuery(cq, status, identity);
   Binding binding;
   for (size_t i = 0; i < n; ++i) {
     binding[variables[i].name] = lang::Endpoint::Address("");
@@ -688,7 +726,7 @@ std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
           continue;
         }
       }
-      slot[d]->name = names[d][c];
+      slot[d]->name = *names[d][c];
       var_host[d] = ids[d][c];
       walk(d + 1);
       var_host[d] = -1;
@@ -697,6 +735,16 @@ std::string CheckDiffBound(uint64_t /*seed*/, const std::string& /*query_text*/,
   walk(0);
   estimator.EndQuery();
   return violation;
+}
+
+// --diff-bound (D502), each slot its own host and on the seed's merged twin.
+std::string CheckDiffBound(uint64_t seed, const std::string& /*query_text*/,
+                           const lang::Query& query, const lang::CompiledQuery& cq,
+                           const StatusByAddress& status) {
+  return WithMergedTwin(seed, cq.hosts(), status, [&](std::span<const int> identity,
+                                                       const StatusByAddress& st) {
+    return CheckBoundsBracketEstimates(query, cq, identity, st);
+  });
 }
 
 // ---- --diff-canon: differential fuzz of semantic canonicalization ----

@@ -264,11 +264,9 @@ std::string PlanJson(const cloudtalk::lang::PrunedSpace& plan) {
 int ShowOpt(const QueryFacts& facts, const std::string& source, const std::string& display_name,
             bool json) {
   const CompiledQuery& compiled = facts.compiled().value();
-  cloudtalk::lang::OptimizeParams params;
-  params.distinct = !facts.query().options.allow_same_binding;
   DiagnosticSink remarks;
   const cloudtalk::lang::PrunedSpace plan =
-      Optimize(compiled, SynthesizeIdleStatus(compiled), params, &remarks);
+      Optimize(compiled, SynthesizeIdleStatus(compiled), {}, &remarks);
   remarks.SortByPosition();
   if (json) {
     std::cout << "{\"plan\":" << PlanJson(plan) << ",\"diagnostics\":"
