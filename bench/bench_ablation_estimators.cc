@@ -55,17 +55,18 @@ int main() {
     }
     auto query = lang::Parse(text.str());
     auto compiled = lang::CompiledQuery::Compile(query.value());
+    const lang::HostStatus by_host(compiled.value().hosts(), status);
 
     FlowLevelEstimator flow_estimator;
     const auto flow_begin = std::chrono::steady_clock::now();
-    auto flow_estimate = flow_estimator.EstimateQuery(compiled.value(), {}, status);
+    auto flow_estimate = flow_estimator.EstimateQuery(compiled.value(), {}, by_host);
     const double flow_us = std::chrono::duration<double, std::micro>(
                                std::chrono::steady_clock::now() - flow_begin)
                                .count();
 
     PacketLevelEstimator packet_estimator(&topo, &directory);
     const auto packet_begin = std::chrono::steady_clock::now();
-    auto packet_estimate = packet_estimator.EstimateQuery(compiled.value(), {}, status);
+    auto packet_estimate = packet_estimator.EstimateQuery(compiled.value(), {}, by_host);
     const double packet_us = std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - packet_begin)
                                  .count();

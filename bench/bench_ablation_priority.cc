@@ -64,7 +64,7 @@ int main() {
   int z_local_with = 0;
   int z_local_without = 0;
   for (int s = 0; s < states; ++s) {
-    const StatusByAddress status = RandomState(rng);
+    const lang::HostStatus status(compiled.value().hosts(), RandomState(rng));
     auto best = EvaluateExhaustive(compiled.value(), status, estimator);
     if (!best.ok()) {
       continue;

@@ -89,7 +89,7 @@ Quality Evaluate(LoadShape shape, int states, uint64_t seed) {
   Quality quality;
   HeuristicParams params;
   for (int s = 0; s < states; ++s) {
-    const StatusByAddress status = RandomState(shape, rng);
+    const lang::HostStatus status(compiled.value().hosts(), RandomState(shape, rng));
     auto best = EvaluateExhaustive(compiled.value(), status, estimator);
     if (!best.ok()) {
       continue;

@@ -78,7 +78,7 @@ BENCHMARK(BM_CompileWriteQuery)->Unit(benchmark::kMicrosecond);
 void BM_HeuristicEval(benchmark::State& state) {
   auto query = lang::Parse(WriteQuery(20));
   auto compiled = lang::CompiledQuery::Compile(query.value());
-  const StatusByAddress status = RandomStatus(20, 1);
+  const lang::HostStatus status(compiled.value().hosts(), RandomStatus(20, 1));
   HeuristicParams params;
   for (auto _ : state) {
     auto result = EvaluateHeuristic(compiled.value(), status, params);
@@ -94,7 +94,8 @@ void BM_FullAnswerParseAndEval(benchmark::State& state) {
   for (auto _ : state) {
     auto query = lang::Parse(text);
     auto compiled = lang::CompiledQuery::Compile(query.value());
-    auto result = EvaluateHeuristic(compiled.value(), status, params);
+    auto result = EvaluateHeuristic(
+        compiled.value(), lang::HostStatus(compiled.value().hosts(), status), params);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -106,7 +107,7 @@ BENCHMARK(BM_FullAnswerParseAndEval)->Unit(benchmark::kMicrosecond);
 void BM_BruteForceEvalSeedPath(benchmark::State& state) {
   auto query = lang::Parse(WriteQuery(20));
   auto compiled = lang::CompiledQuery::Compile(query.value());
-  const StatusByAddress status = RandomStatus(20, 1);
+  const lang::HostStatus status(compiled.value().hosts(), RandomStatus(20, 1));
   FlowLevelEstimator estimator(0.1, /*reuse_scratch=*/false);
   ExhaustiveParams params;
   params.memoize = false;
@@ -122,7 +123,7 @@ BENCHMARK(BM_BruteForceEvalSeedPath)->Unit(benchmark::kMillisecond)->Iterations(
 void BM_BruteForceEval(benchmark::State& state) {
   auto query = lang::Parse(WriteQuery(20));
   auto compiled = lang::CompiledQuery::Compile(query.value());
-  const StatusByAddress status = RandomStatus(20, 1);
+  const lang::HostStatus status(compiled.value().hosts(), RandomStatus(20, 1));
   FlowLevelEstimator estimator;
   for (auto _ : state) {
     auto result = EvaluateExhaustive(compiled.value(), status, estimator);
@@ -135,7 +136,7 @@ BENCHMARK(BM_BruteForceEval)->Unit(benchmark::kMillisecond)->Iterations(3);
 void BM_BruteForceEvalParallel(benchmark::State& state) {
   auto query = lang::Parse(WriteQuery(20));
   auto compiled = lang::CompiledQuery::Compile(query.value());
-  const StatusByAddress status = RandomStatus(20, 1);
+  const lang::HostStatus status(compiled.value().hosts(), RandomStatus(20, 1));
   FlowLevelEstimator estimator;
   ExhaustiveParams params;
   params.threads = 0;
@@ -156,7 +157,7 @@ void BM_HeuristicEvalLargePool(benchmark::State& state) {
   text << ")\nf1 client -> r1 size 256M\nf2 r1 -> r2 size 256M\nf3 r2 -> r3 size 256M\n";
   auto query = lang::Parse(text.str());
   auto compiled = lang::CompiledQuery::Compile(query.value());
-  const StatusByAddress status = RandomStatus(n, 1);
+  const lang::HostStatus status(compiled.value().hosts(), RandomStatus(n, 1));
   HeuristicParams params;
   for (auto _ : state) {
     auto result = EvaluateHeuristic(compiled.value(), status, params);

@@ -123,7 +123,7 @@ struct Run {
 
 // Runs every engine `reps` times, interleaved so that drift hits all of
 // them alike.
-std::vector<Run> RunEngines(const lang::CompiledQuery& query, const StatusByAddress& status,
+std::vector<Run> RunEngines(const lang::CompiledQuery& query, const lang::HostStatus& status,
                             const std::vector<Engine>& engines, int reps) {
   std::vector<Run> runs(engines.size());
   for (int r = 0; r < reps; ++r) {
@@ -158,7 +158,7 @@ bool Identical(const ExhaustiveResult& a, const ExhaustiveResult& b) {
 // bindings enumerated plus the floor that every winner is the first's.
 std::vector<Run> RunCase(bench::JsonReport& report, const std::string& name,
                          const std::string& config, const lang::CompiledQuery& query,
-                         const StatusByAddress& status, const std::vector<Engine>& engines,
+                         const lang::HostStatus& status, const std::vector<Engine>& engines,
                          int reps) {
   report.Case(name, config);
   std::vector<Run> runs = RunEngines(query, status, engines, reps);
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
         report, "parallel",
         "daisy chain n=20 d=3, random load, no plan: seed path vs engine x1 vs engine x" +
             std::to_string(threads),
-        compiled, RandomLoad("s", 20, 42),
+        compiled, lang::HostStatus(compiled.hosts(), RandomLoad("s", 20, 42)),
         {{"seed", {.memoize = false}, /*reuse_scratch=*/false},
          {"x1", {}},
          {"xN", {.threads = threads}}},
@@ -211,9 +211,10 @@ int main(int argc, char** argv) {
     const lang::CompiledQuery compiled = CompileOrDie(query);
     StatusByAddress status = RandomLoad("10.0.1.", 16, 42);
     status["10.0.0.9"] = Load(0, 0);
-    const std::vector<Run> runs =
-        RunCase(report, "opt", "symmetric shuffle n=16 w=4: no plan vs plan", compiled, status,
-                {{"no_plan", {}}, {"plan", {.optimize = true}}}, reps);
+    const std::vector<Run> runs = RunCase(
+        report, "opt", "symmetric shuffle n=16 w=4: no plan vs plan", compiled,
+        lang::HostStatus(compiled.hosts(), status), {{"no_plan", {}}, {"plan", {.optimize = true}}},
+        reps);
     ReductionFloor(report, runs[0], runs[1], 5.0);
   }
   {
@@ -224,13 +225,14 @@ int main(int argc, char** argv) {
       status["10.0.1." + std::to_string(i)] = i <= 8 ? Load(0, 0) : Load(0.95, 0.95);
     }
     status["10.0.0.9"] = Load(0, 0);
+    const lang::HostStatus by_host(compiled.hosts(), status);
     lang::OptimizeParams opt_params;
     opt_params.passes = lang::kOptAllPasses & ~lang::kOptBoundPruning;
-    const lang::PrunedSpace no_o500 = lang::Optimize(compiled, status, opt_params);
-    const lang::PrunedSpace full = lang::Optimize(compiled, status, {});
+    const lang::PrunedSpace no_o500 = lang::Optimize(compiled, by_host, opt_params);
+    const lang::PrunedSpace full = lang::Optimize(compiled, by_host, {});
     const std::vector<Run> runs = RunCase(
         report, "bound", "skewed shuffle n=16 w=4, 8 hosts at 95%: plan without O500 vs full plan",
-        compiled, status,
+        compiled, by_host,
         {{"no_o500", {.optimize = true, .plan = &no_o500}},
          {"o500", {.optimize = true, .plan = &full}}},
         reps);
@@ -242,7 +244,7 @@ int main(int argc, char** argv) {
     const std::vector<Run> runs = RunCase(
         report, "delta",
         "daisy chain n=20 d=3 among 12 background transfers, memo off: cold vs delta rebind",
-        compiled, RandomLoad("s", 20 + 2 * 12, 42),
+        compiled, lang::HostStatus(compiled.hosts(), RandomLoad("s", 20 + 2 * 12, 42)),
         {{"cold", {.memoize = false}, /*reuse_scratch=*/true, /*delta_rebind=*/false},
          {"delta", {.memoize = false}}},
         reps);
@@ -255,7 +257,7 @@ int main(int argc, char** argv) {
   {
     const lang::Query query = ParseOrDie(bench::DaisyChainQuery(40, 3));
     const lang::CompiledQuery compiled = CompileOrDie(query);
-    const StatusByAddress status = RandomLoad("s", 40, 42);
+    const lang::HostStatus status(compiled.hosts(), RandomLoad("s", 40, 42));
     const lang::PrunedSpace plan = lang::Optimize(compiled, status, {});
     RunCase(report, "chain_plan",
             "daisy chain n=40 d=3, random load, the server's plan: 1 vs 4 threads", compiled,

@@ -64,11 +64,12 @@ int main() {
         continue;
       }
       // Time the evaluation step alone, as the paper does.
+      const lang::HostStatus by_host(compiled.value().hosts(), status);
       const int iters = bench::QuickMode() ? 20 : 200;
       HeuristicParams params;
       const auto begin = std::chrono::steady_clock::now();
       for (int i = 0; i < iters; ++i) {
-        auto result = EvaluateHeuristic(compiled.value(), status, params);
+        auto result = EvaluateHeuristic(compiled.value(), by_host, params);
         if (!result.ok()) {
           std::fprintf(stderr, "evaluation failed: %s\n", result.error().ToString().c_str());
           return 1;

@@ -14,10 +14,9 @@ namespace {
 // very large capacity so they never dominate the estimate.
 constexpr Bps kHugeCapacity = 1e15;
 
-StatusReport ReportFor(const StatusByAddress& status, const std::string& address) {
-  const auto it = status.find(address);
-  if (it != status.end()) {
-    return it->second;
+StatusReport OrUnreported(const StatusReport* report) {
+  if (report != nullptr) {
+    return *report;
   }
   HostCaps big;
   big.nic_up = big.nic_down = big.disk_read = big.disk_write = kHugeCapacity;
@@ -45,7 +44,7 @@ std::optional<lang::Endpoint> ResolveEndpoint(const lang::Endpoint& endpoint,
 // "_unknownN" hosts — the counter effectively resets per estimate).
 struct FlowLevelEstimator::Scratch {
   const lang::CompiledQuery* query = nullptr;
-  const StatusByAddress* status = nullptr;
+  const lang::HostStatus* status = nullptr;
 
   Topology star;
   NodeId hub = kInvalidNode;
@@ -95,9 +94,9 @@ struct FlowLevelEstimator::Scratch {
   std::vector<ResourceId> patch_resources;   // scratch for resource rewrites
   Bytes total_bytes = 0;                     // constant per query
 
-  int AddHost(const std::string& address, const StatusByAddress& st) {
+  int AddHost(const std::string& address, const StatusReport* reported) {
     const int slot = static_cast<int>(host_node.size());
-    const StatusReport report = ReportFor(st, address);
+    const StatusReport report = OrUnreported(reported);
     HostCaps caps;
     caps.nic_up = report.nic_tx_cap;
     caps.nic_down = report.nic_rx_cap;
@@ -126,8 +125,7 @@ FlowLevelEstimator::FlowLevelEstimator(double min_available_fraction, bool reuse
 FlowLevelEstimator::~FlowLevelEstimator() = default;
 
 void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
-                                    const StatusByAddress& status,
-                                    std::span<const int> identity) {
+                                    const lang::HostStatus& status) {
   if (!reuse_scratch_) {
     return;
   }
@@ -139,13 +137,12 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
   s.hub = s.star.AddNode(NodeKind::kTor, "hub");
 
   // Hosts in first-reach order: pool entries, then literal flow endpoints
-  // and 0.0.0.0 occurrences in flow order. A host reads its identity slot's
-  // report.
+  // and 0.0.0.0 occurrences in flow order.
   std::vector<int> host_of_slot(query_hosts.names.size(), -1);  // At identity slots.
   const auto host = [&](int slot) {
-    const int id = lang::HostOf(identity, slot);
+    const int id = lang::HostOf(status.identity(), slot);
     if (host_of_slot[id] < 0) {
-      host_of_slot[id] = s.AddHost(*query_hosts.names[id], status);
+      host_of_slot[id] = s.AddHost(*query_hosts.names[id], status.Find(id));
     }
     return host_of_slot[id];
   };
@@ -172,7 +169,7 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
           // Each 0.0.0.0 is a distinct infinitely-provisioned external
           // sender, exactly as the cold path's per-call counter models it.
           return {Scratch::Ep::kHost,
-                  s.AddHost("_unknown" + std::to_string(unknown_counter++), status)};
+                  s.AddHost("_unknown" + std::to_string(unknown_counter++), nullptr)};
       }
     };
     plan.src = classify(flow.src, graph.src_id(flow.index));
@@ -271,7 +268,7 @@ SolverStats FlowLevelEstimator::TakeSolverStats() {
 
 Result<Estimate> FlowLevelEstimator::EstimateQuery(const lang::CompiledQuery& query,
                                               const Binding& binding,
-                                              const StatusByAddress& status) {
+                                              const lang::HostStatus& status) {
   if (scratch_ != nullptr && scratch_->query == &query && scratch_->status == &status) {
     // A binding to a name that is no slot (possible only on direct calls
     // with out-of-pool addresses) falls through to the cold path.
@@ -441,12 +438,13 @@ Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQue
 
 Result<Estimate> FlowLevelEstimator::EstimateCold(const lang::CompiledQuery& query,
                                                   const Binding& binding,
-                                                  const StatusByAddress& status) const {
+                                                  const lang::HostStatus& status) const {
   // Build a throwaway star topology: one abstract host per distinct address
   // in the bound query, all hanging off an uncontended switch. Endpoint
-  // capacities and background load come from the status snapshot; unknown
-  // addresses (no report) are modelled as idle with very large capacity so
-  // they never dominate the estimate (0.0.0.0 sources fall in this bucket).
+  // capacities and background load come from the report of the address's
+  // slot; an address with none, or that the query never spells, is modelled
+  // as idle with very large capacity so it never dominates the estimate
+  // (0.0.0.0 sources fall in this bucket).
   struct AbstractHost {
     std::string address;
     StatusReport report;
@@ -461,7 +459,8 @@ Result<Estimate> FlowLevelEstimator::EstimateCold(const lang::CompiledQuery& que
     }
     AbstractHost host;
     host.address = address;
-    host.report = ReportFor(status, address);
+    const int id = query.graph().names().Find(address);
+    host.report = OrUnreported(status.Find(id < 0 ? -1 : query.hosts().slot_of[id]));
     const int index = static_cast<int>(hosts.size());
     hosts.push_back(std::move(host));
     host_index.emplace(address, index);

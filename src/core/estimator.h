@@ -14,21 +14,21 @@
 // once per binding — thousands to millions of times per query. Estimators
 // therefore support a prepared-scratch protocol:
 //
-//   estimator.BeginQuery(query, status, identity);  // number hosts, build buffers
+//   estimator.BeginQuery(query, status);  // number hosts, build buffers
 //   for (each binding) estimator.EstimateQuery(query, binding, status);
 //   estimator.EndQuery();
 //
 // Between BeginQuery and EndQuery the estimator may reuse per-query state
 // (star topology, FluidSimulation buffers) instead of reconstructing it per
 // binding. EstimateQuery called without (or outside) a matching BeginQuery
-// must still work and must not mutate shared state — CloudTalkServer calls
-// it concurrently from Quote(). CloneForThread() hands the parallel engine
-// an independent estimator per worker.
+// must still work. CloneForThread() hands each worker of the parallel
+// engine, and each Quote() CloudTalkServer prices, an independent
+// estimator; the server shares its packet estimator, which keeps no
+// per-query state, between concurrent answers.
 #ifndef CLOUDTALK_SRC_CORE_ESTIMATOR_H_
 #define CLOUDTALK_SRC_CORE_ESTIMATOR_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,18 +64,17 @@ struct SolverStats {
 class CompletionEstimator {
  public:
   virtual ~CompletionEstimator() = default;
+  // A bound name the query never spells reads as unreported.
   virtual Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
-                                    const StatusByAddress& status) = 0;
+                                    const lang::HostStatus& status) = 0;
 
-  // Prepared-scratch protocol (see file comment), slot s of the query's
-  // hosts being host lang::HostOf(identity, s), as the exhaustive search
-  // numbers them. Default: no-op — a stateless estimator ignores it.
-  // `query` and `status` must outlive the matching EndQuery().
-  virtual void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status,
-                          std::span<const int> identity) {
+  // Prepared-scratch protocol (see file comment), hosts numbered as `status`
+  // numbers them, as the exhaustive search does. Default: no-op — a
+  // stateless estimator ignores it. `query` and `status` must outlive the
+  // matching EndQuery().
+  virtual void BeginQuery(const lang::CompiledQuery& query, const lang::HostStatus& status) {
     (void)query;
     (void)status;
-    (void)identity;
   }
   virtual void EndQuery() {}
 
@@ -133,10 +132,9 @@ class FlowLevelEstimator : public CompletionEstimator {
   ~FlowLevelEstimator() override;
 
   Result<cloudtalk::Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
-                                       const StatusByAddress& status) override;
+                                       const lang::HostStatus& status) override;
 
-  void BeginQuery(const lang::CompiledQuery& query, const StatusByAddress& status,
-                  std::span<const int> identity) override;
+  void BeginQuery(const lang::CompiledQuery& query, const lang::HostStatus& status) override;
   void EndQuery() override;
   std::unique_ptr<CompletionEstimator> CloneForThread() const override;
   // The fluid model folds a chain group into one shared rate; flow order
@@ -161,7 +159,7 @@ class FlowLevelEstimator : public CompletionEstimator {
   // binding).
   Result<cloudtalk::Estimate> EstimateCold(const lang::CompiledQuery& query,
                                            const Binding& binding,
-                                           const StatusByAddress& status) const;
+                                           const lang::HostStatus& status) const;
   Result<cloudtalk::Estimate> EstimateWithScratch(const lang::CompiledQuery& query,
                                                   const Binding& binding);
 

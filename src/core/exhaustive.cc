@@ -59,8 +59,7 @@ struct Tuple {
 // Everything a worker needs, read-only during the walk.
 struct EvalContext {
   const lang::CompiledQuery* query = nullptr;
-  std::span<const int> identity;
-  const StatusByAddress* status = nullptr;
+  const lang::HostStatus* status = nullptr;
   std::vector<std::vector<int32_t>> pool_slots;  // Per variable: its kept candidates.
   std::vector<int64_t> rank_weight;  // Mixed-radix weights: rank = sum c[d]*w[d].
   std::vector<FlowSpec> flow_specs;
@@ -100,7 +99,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
   const auto& variables = ctx.query->variables();
   const size_t n = variables.size();
   ShardResult out;
-  est.BeginQuery(*ctx.query, *ctx.status, ctx.identity);
+  est.BeginQuery(*ctx.query, *ctx.status);
 
   // Announce the odometer's walk order so a delta-capable estimator can map
   // depths to its own variable indices (ISSUE 6).
@@ -256,7 +255,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
       continue;
     }
     const int32_t slot = ctx.pool_slots[depth][choice[depth]];
-    const int32_t id = lang::HostOf(ctx.identity, slot);
+    const int32_t id = lang::HostOf(ctx.status->identity(), slot);
     if (ctx.distinct && used[id] != 0) {
       step(depth);
       continue;
@@ -292,10 +291,9 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
 }  // namespace
 
 Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
-                                            const StatusByAddress& status,
+                                            const lang::HostStatus& status,
                                             CompletionEstimator& estimator,
-                                            const ExhaustiveParams& params,
-                                            std::span<const int> identity) {
+                                            const ExhaustiveParams& params) {
   const lang::QueryHosts& hosts = query.hosts();
   const auto& variables = query.variables();
   const size_t n = variables.size();
@@ -315,7 +313,6 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
 
   EvalContext ctx;
   ctx.query = &query;
-  ctx.identity = identity;
   ctx.status = &status;
   ctx.distinct = !query.query().options.allow_same_binding;
   ctx.num_groups = static_cast<int>(query.groups().size());
@@ -333,7 +330,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     if (params.plan != nullptr) {
       plan = params.plan;
     } else {
-      computed_plan = lang::Optimize(query, status, {}, nullptr, identity);
+      computed_plan = lang::Optimize(query, status);
       plan = &computed_plan;
     }
     if (plan->infeasible) {
@@ -384,8 +381,8 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
       }
       ctx.feasible[i].resize(ctx.pool_slots[i].size(), 1);
       for (size_t c = 0; c < ctx.pool_slots[i].size(); ++c) {
-        const auto it = status.find(*hosts.names[ctx.pool_slots[i][c]]);
-        if (it != status.end() && !lang::SatisfiesRequirements(variables[i], it->second)) {
+        const StatusReport* report = status.Find(ctx.pool_slots[i][c]);
+        if (report != nullptr && !lang::SatisfiesRequirements(variables[i], *report)) {
           ctx.feasible[i][c] = 0;
         }
       }
@@ -417,7 +414,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     if (fraction >= 0) {
       lang::BoundOptions bound_options;
       bound_options.min_available_fraction = fraction;
-      bound.emplace(lang::BoundAnalysis::Build(query, status, bound_options, identity));
+      bound.emplace(lang::BoundAnalysis::Build(query, status, bound_options));
       ctx.bound = &*bound;
     }
   }
@@ -445,7 +442,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
     const auto fill = [&](const lang::Endpoint& e, int name, bool& is_var, int32_t& id) {
       switch (e.kind) {
         case lang::Endpoint::Kind::kAddress:
-          id = lang::HostOf(identity, hosts.slot_of[name]);
+          id = lang::HostOf(status.identity(), hosts.slot_of[name]);
           break;
         case lang::Endpoint::Kind::kVariable: {
           const int v = graph.variable(name);

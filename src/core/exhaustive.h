@@ -28,7 +28,6 @@
 #define CLOUDTALK_SRC_CORE_EXHAUSTIVE_H_
 
 #include <cstdint>
-#include <span>
 
 #include "src/common/result.h"
 #include "src/core/estimator.h"
@@ -92,15 +91,14 @@ struct ExhaustiveParams {
 };
 
 // Minimizes estimated makespan over all bindings. Fails when the space
-// exceeds max_bindings or if the estimator fails on every binding. Slot s of
-// the query's hosts is host lang::HostOf(identity, s): unless the query says
-// `option allow_same`, no two variables bind one host, and the memo, the
-// plan, the bound and the estimator number hosts alike.
+// exceeds max_bindings or if the estimator fails on every binding. Hosts are
+// numbered as `status` numbers them: unless the query says `option
+// allow_same`, no two variables bind one host, and the memo, the plan, the
+// bound and the estimator number hosts alike.
 Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
-                                            const StatusByAddress& status,
+                                            const lang::HostStatus& status,
                                             CompletionEstimator& estimator,
-                                            const ExhaustiveParams& params = {},
-                                            std::span<const int> identity = {});
+                                            const ExhaustiveParams& params = {});
 
 }  // namespace cloudtalk
 

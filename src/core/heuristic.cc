@@ -90,14 +90,14 @@ double EvalDiskWrite(const StatusReport& report, double weight, FitnessModel mod
 }
 
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
-                                          const StatusByAddress& status,
+                                          const lang::HostStatus& status,
                                           const HeuristicParams& params) {
   AnswerHosts answer(query.hosts());
   return EvaluateHeuristic(query, &answer, status, params);
 }
 
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query, AnswerHosts* answer,
-                                          const StatusByAddress& status,
+                                          const lang::HostStatus& status,
                                           const HeuristicParams& params) {
   const lang::QueryHosts& hosts = query.hosts();
   const std::vector<VarComm>& variables = query.variables();
@@ -111,19 +111,18 @@ Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query, Answ
   // wrap around once the pool is exhausted).
   const auto used = [&](int slot) { return slots[id_of(slot)].used; };
 
-  // Score of the candidate `address` for `var`; `local` when it is the
+  // Score of the candidate at `slot` for `var`; `local` when it is the
   // variable's only peer, which turns its transfer into a loopback (Listing
   // 1 lines 8/9/27). The status is looked up once, and only when the score
   // reads it.
-  auto score_candidate = [&](const VarComm& var, const std::string& address,
-                             bool local) -> double {
+  auto score_candidate = [&](const VarComm& var, int slot, bool local) -> double {
     const bool net = !local && (!var.rx_from.empty() || !var.tx_to.empty());
     const bool has_requirement = var.cpu_required > 0 || var.mem_required > 0;
     if (!net && !has_requirement && !var.reads_disk && !var.writes_disk) {
       return kMaxScore;
     }
-    const auto it = status.find(address);
-    const StatusReport& report = it != status.end() ? it->second : kUnknownReport;
+    const StatusReport* reported = status.Find(slot);
+    const StatusReport& report = reported != nullptr ? *reported : kUnknownReport;
     // Scalar requirements (Section 7): a candidate with known-insufficient
     // free CPU or memory ranks below every other candidate. Unknown scalar
     // state (total == 0) passes — the probe simply carried no information.
@@ -158,8 +157,7 @@ Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query, Answ
         continue;  // Disk values are not bindable.
       }
       min_used = std::min(min_used, used(slot));
-      candidates.push_back(
-          Candidate{slot, score_candidate(var, *hosts.names[slot], id_of(slot) == peer)});
+      candidates.push_back(Candidate{slot, score_candidate(var, slot, id_of(slot) == peer)});
     }
     if (candidates.empty()) {
       return Error{"variable '" + var.name + "' has no address candidates"};

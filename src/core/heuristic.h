@@ -56,9 +56,9 @@ struct HostSlot {
   bool held = false;           // Pseudo-reserved by an earlier answer (Section 5.5).
   int used = 0;                // At the identity slot: variables bound to the host.
   // Status gather scratch: the walk reached the slot; at the identity slot,
-  // the slot the host was probed under, or -1.
+  // the host is a probe target.
   bool seen = false;
-  int named = -1;
+  bool targeted = false;
 };
 
 // One answer's hosts: every slot of its QueryHosts resolved once, and the
@@ -74,7 +74,7 @@ struct AnswerHosts {
 
   std::vector<HostSlot> slots;
   // Per slot, its identity slot: the first slot naming the same host, or the
-  // slot itself. Every search engine takes it (lang::HostOf).
+  // slot itself. The answer's lang::HostStatus views it (lang::HostOf).
   std::vector<int> identity;
   std::vector<std::vector<int>> samples;  // Per pool; empty when not sampled.
   std::vector<NodeId> pool_hosts;  // The pool slots' hosts, sorted and distinct.
@@ -88,18 +88,19 @@ struct HeuristicResult {
 
 // Binds every variable of `query` given the status snapshot, over the
 // answer's hosts (counting the bindings in their `used`), passing over held
-// candidates while an unheld one is left. Fails only if a variable has no
+// candidates while an unheld one is left. `status` numbers hosts as
+// `answer` does. Fails only if a variable has no
 // address candidate. Variables never share a host unless the query says
 // `option allow_same`; when a pool is smaller than the number of variables
 // drawing from it, bindings wrap around (Section 5.3 reduce query:
 // "everyone receives at least one reduce task").
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query, AnswerHosts* answer,
-                                          const StatusByAddress& status,
+                                          const lang::HostStatus& status,
                                           const HeuristicParams& params);
 
-// Same, by spelling with nothing held (tests and benches).
+// Same, each slot its own host, with nothing held (tests and benches).
 Result<HeuristicResult> EvaluateHeuristic(const lang::CompiledQuery& query,
-                                          const StatusByAddress& status,
+                                          const lang::HostStatus& status,
                                           const HeuristicParams& params);
 
 // The individual fitness functions, exposed for tests/benches.

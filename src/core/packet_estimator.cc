@@ -8,7 +8,7 @@ namespace cloudtalk {
 
 Result<Estimate> PacketLevelEstimator::EstimateQuery(const lang::CompiledQuery& query,
                                                      const Binding& binding,
-                                                     const StatusByAddress& status) {
+                                                     const lang::HostStatus& status) {
   (void)status;
   struct PlannedFlow {
     NodeId src = kInvalidNode;

@@ -31,7 +31,7 @@ class PacketLevelEstimator : public CompletionEstimator {
   // Note: the packet simulator models the network only; the status snapshot
   // is ignored (the paper evaluates placements "in an idle network").
   Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
-                                 const StatusByAddress& status) override;
+                                 const lang::HostStatus& status) override;
 
   // Stateless per call (topology/directory are shared read-only), so a copy
   // is an independent per-worker estimator.

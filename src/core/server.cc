@@ -152,10 +152,10 @@ int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
 //     literal endpoints, lists one probe target per host. The targets are
 //     split by owning shard and each non-empty slice is probed through its
 //     shard, in shard order (one shard probes them all in place); every
-//     report is read from its owner's outcome. One ShardBatch per probed
-//     shard goes to `*batches`. The simulated transport draws no RNG for
-//     lossless probes, so per-shard batches consume the same randomness as
-//     one flat batch.
+//     report is read from its owner's outcome and filed once, for its host.
+//     One ShardBatch per probed shard goes to `*batches`. The simulated
+//     transport draws no RNG for lossless probes, so per-shard batches
+//     consume the same randomness as one flat batch.
 //   - SynthesizeStaticStatus: the `option static` no-probe path.
 //   - CheckAdmissionBound: the pre-search rejection, error string and all.
 //     Builds the bound analysis, over the answer's hosts, only when it can
@@ -166,12 +166,12 @@ int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
 //     It computes the optimisation plan, then runs the engine once over the
 //     merged status (parallel internally per `config.eval_threads`), at any
 //     shard count.
-StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& directory,
-                                 const ShardMap& map,
-                                 const std::vector<std::unique_ptr<StatusShard>>& shards,
-                                 Rng& rng, std::mutex& rng_mutex, const lang::QueryHosts& hosts,
-                                 const ProbePlan& plan, AnswerHosts* answer, ProbeStats* stats,
-                                 std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
+lang::HostStatus GatherStatusOver(const ServerConfig& config, const Directory& directory,
+                                  const ShardMap& map,
+                                  const std::vector<std::unique_ptr<StatusShard>>& shards,
+                                  Rng& rng, std::mutex& rng_mutex, const lang::QueryHosts& hosts,
+                                  const ProbePlan& plan, AnswerHosts* answer, ProbeStats* stats,
+                                  std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
   const int sample_span = trace.Open("sample");
   const int pools_sampled =
       plan.samples ? SamplePools(config, rng, rng_mutex, hosts, answer) : 0;
@@ -183,12 +183,11 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   const int probe_span = trace.Open("probe");
 
   // The walk reaches each slot once. A slot outside the footprint is
-  // skipped; every other slot naming a host is listed for status, and the
-  // first to reach a host names its probe target: a host named by an alias
-  // and its IP is probed once.
-  std::vector<int> listed;
+  // skipped; of the others naming a host, the first to reach it names its
+  // probe target: a host named by an alias and its IP is probed once.
+  std::vector<int> named;  // Per target: the slot naming it.
   std::vector<NodeId> targets;
-  listed.reserve(hosts.names.size());
+  named.reserve(hosts.names.size());
   targets.reserve(hosts.names.size());
   int64_t skipped = 0;
   const auto visit = [&](int slot) {
@@ -199,13 +198,10 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
     host.seen = true;
     if (!plan.footprint[slot]) {
       ++skipped;
-    } else if (host.node != kInvalidNode) {
-      HostSlot& first = answer->slots[answer->identity[slot]];
-      if (first.named < 0) {
-        first.named = slot;
-        targets.push_back(host.node);
-      }
-      listed.push_back(slot);
+    } else if (host.node != kInvalidNode &&
+               !std::exchange(answer->slots[answer->identity[slot]].targeted, true)) {
+      named.push_back(slot);
+      targets.push_back(host.node);
     }
   };
   for (size_t pool = 0; pool < hosts.pools.size(); ++pool) {
@@ -266,20 +262,11 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   }
   CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
 
-  StatusByAddress status;
-  status.reserve(listed.size());
+  lang::HostStatus status(hosts, answer->identity, targets.size());
   int missing = 0;
-  for (const int slot : listed) {
-    const std::string& address = *hosts.names[slot];
-    const NodeId node = answer->slots[slot].node;
-    const int id = answer->identity[slot];
-    const int named = answer->slots[id].named;
-    if (named != slot) {
-      // The host's target was named earlier, so its status is in.
-      const StatusReport report = status.at(*hosts.names[named]);
-      status.emplace(address, report);
-      continue;
-    }
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const std::string& address = *hosts.names[named[t]];
+    const NodeId node = targets[t];
     const std::unordered_map<NodeId, StatusReport>& reports = outcomes[owner_of(node)].reports;
     const auto it = reports.find(node);
     const bool replied = it != reports.end();
@@ -295,20 +282,15 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
       }
     }
     if (replied) {
-      status.emplace(address, it->second);
+      status.Set(named[t], it->second);
     } else if (config.assume_loaded_on_missing) {
       ++missing;
       // "If nothing is received from a status server, we assume that a
       // particular address is under heavy I/O load" (Section 4).
-      status.emplace(address, StatusReport::AssumeLoaded(node, directory.CapsOf(node)));
+      status.Set(named[t], StatusReport::AssumeLoaded(node, directory.CapsOf(node)));
     } else {
       ++missing;
-      status.emplace(address, StatusReport::Idle(node, directory.CapsOf(node)));
-    }
-    if (id != slot) {
-      // The engines read a host at its identity slot, which the walk may
-      // have skipped (outside the footprint) or not reached (not sampled).
-      status.emplace(*hosts.names[id], status.at(address));
+      status.Set(named[t], StatusReport::Idle(node, directory.CapsOf(node)));
     }
   }
   if (skipped > 0) {
@@ -323,18 +305,17 @@ StatusByAddress GatherStatusOver(const ServerConfig& config, const Directory& di
   return status;
 }
 
-StatusByAddress SynthesizeStaticStatus(const Directory& directory,
-                                       const lang::QueryHosts& hosts, const ProbePlan& plan,
-                                       const AnswerHosts& answer, obs::TraceContext& trace) {
-  // Static evaluation: pool hosts idle at their nominal capacities. The
-  // sample and probe spans still appear (every reply carries the full
-  // phase skeleton), recording that both phases were no-ops. The
-  // footprint filter applies here too: an inert variable's hosts get no
-  // synthetic idle status, matching what the engines can read. Literal
-  // flow endpoints are always in the footprint (I408), so every skip is a
-  // pool host. A host some pool names gets its report under each footprint
-  // slot naming it and under its identity slot, which the engines read.
-  StatusByAddress status;
+lang::HostStatus SynthesizeStaticStatus(const Directory& directory,
+                                        const lang::QueryHosts& hosts, const ProbePlan& plan,
+                                        const AnswerHosts& answer, obs::TraceContext& trace) {
+  // Static evaluation: every host a footprint slot names, pool entry or
+  // literal flow endpoint, idle at its nominal capacities. The sample and
+  // probe spans still appear (every reply carries the full phase skeleton),
+  // recording that both phases were no-ops. The footprint filter applies
+  // here too: an inert variable's hosts get no synthetic idle status,
+  // matching what the engines can read. Literal flow endpoints are always
+  // in the footprint (I408), so every skip is a pool host.
+  lang::HostStatus status(hosts, answer.identity);
   const int sample_span = trace.Open("sample");
   trace.Attr(sample_span, "mode", "static");
   trace.Close(sample_span);
@@ -342,15 +323,10 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
   int64_t skipped = 0;
   for (int slot = 0; slot < static_cast<int>(hosts.names.size()); ++slot) {
     const NodeId node = answer.slots[slot].node;
-    const int id = answer.identity[slot];
     if (!plan.footprint[slot]) {
       ++skipped;
-    } else if (node != kInvalidNode && id < hosts.pool_names) {
-      const StatusReport idle = StatusReport::Idle(node, directory.CapsOf(node));
-      status[*hosts.names[slot]] = idle;
-      if (id != slot) {
-        status[*hosts.names[id]] = idle;
-      }
+    } else if (node != kInvalidNode) {
+      status.Set(slot, StatusReport::Idle(node, directory.CapsOf(node)));
     }
   }
   if (skipped > 0) {
@@ -363,9 +339,9 @@ StatusByAddress SynthesizeStaticStatus(const Directory& directory,
   return status;
 }
 
-bool CheckAdmissionBound(const lang::CompiledQuery& compiled, const AnswerHosts& answer,
-                         const StatusByAddress& status, Seconds deadline,
-                         double bound_fraction, obs::TraceContext& trace, Error* error) {
+bool CheckAdmissionBound(const lang::CompiledQuery& compiled, const lang::HostStatus& status,
+                         Seconds deadline, double bound_fraction, obs::TraceContext& trace,
+                         Error* error) {
   const int bound_span = trace.Open("bound");
   if (!std::isfinite(deadline) || bound_fraction < 0) {
     trace.Attr(bound_span, "skipped", std::isfinite(deadline) ? "no-model" : "no-deadline");
@@ -374,8 +350,7 @@ bool CheckAdmissionBound(const lang::CompiledQuery& compiled, const AnswerHosts&
   }
   lang::BoundOptions bound_options;
   bound_options.min_available_fraction = bound_fraction;
-  const lang::BoundAnalysis bounds =
-      lang::BoundAnalysis::Build(compiled, status, bound_options, answer.identity);
+  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(compiled, status, bound_options);
   CT_OBS_INC("M108");
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().lb);
@@ -409,7 +384,7 @@ bool CheckAdmissionBound(const lang::CompiledQuery& compiled, const AnswerHosts&
 
 Result<ExhaustiveResult> RunExhaustive(const ServerConfig& config, const lang::Query& query,
                                        const lang::CompiledQuery& compiled,
-                                       const AnswerHosts& answer, const StatusByAddress& status,
+                                       const lang::HostStatus& status,
                                        CompletionEstimator& estimator, double bound_fraction,
                                        obs::TraceContext& trace) {
   CT_OBS_INC("M105");
@@ -430,13 +405,12 @@ Result<ExhaustiveResult> RunExhaustive(const ServerConfig& config, const lang::Q
     } else {
       opt_params.passes &= ~lang::kOptBoundPruning;
     }
-    plan = lang::Optimize(compiled, status, opt_params, nullptr, answer.identity);
+    plan = lang::Optimize(compiled, status, opt_params);
     params.plan = &plan;
   }
   const int bind_span = trace.Open("bind");
   trace.Attr(bind_span, "mode", "exhaustive");
-  Result<ExhaustiveResult> best =
-      EvaluateExhaustive(compiled, status, estimator, params, answer.identity);
+  Result<ExhaustiveResult> best = EvaluateExhaustive(compiled, status, estimator, params);
   if (!best.ok()) {
     trace.Close(bind_span);
     return best.error();
@@ -695,7 +669,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
   } admission_guard{&admission_, admission_ticket};
 
   QueryReply reply;
-  StatusByAddress status;
+  lang::HostStatus status;
   {
     // Hierarchical aggregation: the gather stage probes each owning shard's
     // slice separately. One aggregate.shard event per contacted shard.
@@ -738,7 +712,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
       bound_model != nullptr ? bound_model->BoundAvailabilityFraction() : -1;
   {
     Error bound_error;
-    if (!CheckAdmissionBound(compiled.value(), hosts, status, deadline, bound_fraction, trace,
+    if (!CheckAdmissionBound(compiled.value(), status, deadline, bound_fraction, trace,
                              &bound_error)) {
       return bound_error;
     }
@@ -748,7 +722,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
     if (packet_estimator_ == nullptr) {
       return Error{"query requests packet-level evaluation, but no packet estimator is wired"};
     }
-    Result<ExhaustiveResult> best = RunExhaustive(config_, query, compiled.value(), hosts, status,
+    Result<ExhaustiveResult> best = RunExhaustive(config_, query, compiled.value(), status,
                                                   *packet_estimator_, bound_fraction, trace);
     if (!best.ok()) {
       return best.error();
@@ -836,7 +810,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
     quote->estimate = reply.estimate;
     if (!reply.used_exhaustive) {
       const std::unique_ptr<CompletionEstimator> estimator = flow_estimator_.CloneForThread();
-      estimator->BeginQuery(compiled.value(), status, hosts.identity);
+      estimator->BeginQuery(compiled.value(), status);
       Result<Estimate> estimate =
           estimator->EstimateQuery(compiled.value(), quote->binding, status);
       estimator->EndQuery();

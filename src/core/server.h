@@ -12,7 +12,8 @@
 //      hosts (src/core/admission.h).
 //   3. Sample each pool over the sampling threshold down to the Section 4.3
 //      size (RequiredSamples), then scatter-gather status over the
-//      ProbeTransport, once per host; silent hosts are assumed fully loaded.
+//      ProbeTransport, once per host, into one report per host
+//      (lang::HostStatus); silent hosts are assumed fully loaded.
 //   4. When the query carries a finite `end`, reject it if the status just
 //      gathered proves no binding can meet it (src/lang/bound.h).
 //   5. Bind variables with the Listing 1 heuristic (or exhaustively /

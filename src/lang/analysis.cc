@@ -455,6 +455,31 @@ QueryHosts::QueryHosts(const CompiledQuery& compiled) {
   }
 }
 
+HostStatus::HostStatus(const QueryHosts& hosts, std::span<const int> identity, size_t reports)
+    : identity_(identity), index_(hosts.names.size(), -1) {
+  reports_.reserve(reports);
+}
+
+HostStatus::HostStatus(const QueryHosts& hosts, const StatusByAddress& status,
+                       std::span<const int> identity)
+    : HostStatus(hosts, identity) {
+  for (int slot = 0; slot < static_cast<int>(hosts.names.size()); ++slot) {
+    const auto it = status.find(*hosts.names[slot]);
+    if (it != status.end() && HostOf(identity, slot) == slot) {
+      Set(slot, it->second);
+    }
+  }
+}
+
+void HostStatus::Set(int slot, const StatusReport& report) {
+  int& index = index_[HostOf(identity_, slot)];
+  if (index < 0) {
+    index = static_cast<int>(reports_.size());
+    reports_.emplace_back();
+  }
+  reports_[index] = report;
+}
+
 std::vector<int> QueryHosts::CandidateSlots(int var) const {
   std::vector<int> out;
   for (const int slot : pools[pool_of[var]]) {

@@ -32,6 +32,7 @@
 #include "src/common/units.h"
 #include "src/lang/ast.h"
 #include "src/lang/diagnostics.h"
+#include "src/status/status.h"
 
 namespace cloudtalk {
 namespace lang {
@@ -208,6 +209,39 @@ struct QueryHosts {
 inline int HostOf(std::span<const int> identity, int slot) {
   return slot < 0 || identity.empty() ? slot : identity[slot];
 }
+
+// One answer's status snapshot by host, the input of every search engine:
+// each host's report once, at its identity slot. It views the identity,
+// which must outlive it, and keeps per slot only an index, so a slot that
+// got no report costs no report's room.
+class HostStatus {
+ public:
+  // Nothing reported: every slot reads as unreported.
+  HostStatus() = default;
+  // No report yet for any slot of `hosts`, with room for `reports`.
+  HostStatus(const QueryHosts& hosts, std::span<const int> identity, size_t reports = 0);
+  // A snapshot held by spelling, as tests, tools and benches keep one: each
+  // host gets the report filed under its identity slot's spelling.
+  HostStatus(const QueryHosts& hosts, const StatusByAddress& status,
+             std::span<const int> identity = {});
+
+  std::span<const int> identity() const { return identity_; }
+
+  // The report of `slot`'s host, or null: none filed, or slot -1 (which
+  // wraps past every slot).
+  const StatusReport* Find(int slot) const {
+    const size_t host = HostOf(identity_, slot);
+    return host < index_.size() && index_[host] >= 0 ? &reports_[index_[host]] : nullptr;
+  }
+
+  // Files `report` as `slot`'s host's, replacing any it had.
+  void Set(int slot, const StatusReport& report);
+
+ private:
+  std::span<const int> identity_;
+  std::vector<int> index_;  // By identity slot: into reports_, or -1.
+  std::vector<StatusReport> reports_;
+};
 
 class CompiledQuery {
  public:

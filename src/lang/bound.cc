@@ -42,7 +42,7 @@ Seconds GuardUpperBound(Seconds raw) {
 int32_t BoundAnalysis::AddHost(const StatusReport* report, double fraction) {
   const int32_t id = static_cast<int32_t>(avail_.size() / kKinds);
   if (report == nullptr) {
-    // Unreported: idle with very large capacity (estimator.cc, ReportFor).
+    // Unreported: idle with very large capacity, as the estimator models it.
     avail_.insert(avail_.end(), kKinds, kHugeCapacity);
   } else {
     avail_.push_back(AvailOf(report->nic_tx_cap, report->nic_tx_use, fraction));
@@ -53,9 +53,10 @@ int32_t BoundAnalysis::AddHost(const StatusReport* report, double fraction) {
   return id;
 }
 
-BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAddress& status,
-                                   const BoundOptions& options, std::span<const int> identity) {
+BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const HostStatus& status,
+                                   const BoundOptions& options) {
   const QueryHosts& hosts = query.hosts();
+  const std::span<const int> identity = status.identity();
   BoundAnalysis a;
   a.distinct_ = !query.query().options.allow_same_binding;
   const double f = options.min_available_fraction;
@@ -63,9 +64,8 @@ BoundAnalysis BoundAnalysis::Build(const CompiledQuery& query, const StatusByAdd
   // One host per slot, read at its identity slot; then one abstract host
   // per 0.0.0.0 occurrence.
   a.avail_.reserve(hosts.names.size() * kKinds);
-  for (const std::string* name : hosts.names) {
-    const auto it = status.find(*name);
-    a.AddHost(it == status.end() ? nullptr : &it->second, f);
+  for (int slot = 0; slot < static_cast<int>(hosts.names.size()); ++slot) {
+    a.AddHost(status.Find(slot), f);
   }
   const auto& variables = query.variables();
   a.var_candidates_.resize(variables.size());

@@ -25,8 +25,8 @@
 //       resolution. Summing segments at those floor rates gives a ceiling.
 //
 // Hosts are numbered as the search numbers them: by the identity slot of
-// the query's QueryHosts (an alias and its address are one host, with the
-// identity slot's report), then one abstract host per 0.0.0.0 occurrence.
+// the query's QueryHosts (an alias and its address are one host, with one
+// report in the HostStatus), then one abstract host per 0.0.0.0 occurrence.
 // Availability mirrors the solver exactly: avail(r) = max(cap * f,
 // cap - background) with f = FlowLevelEstimator's min_available_fraction,
 // clamped at the 1e15 unconstrained-resource sentinel; unreported and
@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -92,19 +91,18 @@ struct GroupBound {
 class BoundAnalysis {
  public:
   BoundAnalysis() = default;
-  // Slot s of the query's hosts is host HostOf(identity, s). Unless the
-  // query says `option allow_same`, distinct variables never share a host,
-  // which rules out loopback between two of them and tightens the caps.
-  static BoundAnalysis Build(const CompiledQuery& query, const StatusByAddress& status,
-                             const BoundOptions& options = {},
-                             std::span<const int> identity = {});
+  // Hosts are numbered as `status` numbers them. Unless the query says
+  // `option allow_same`, distinct variables never share a host, which rules
+  // out loopback between two of them and tightens the caps.
+  static BoundAnalysis Build(const CompiledQuery& query, const HostStatus& status,
+                             const BoundOptions& options = {});
 
   // Bounds with no variables pinned: sound for every legal binding.
   const BoundInterval& query_bounds() const { return query_bounds_; }
   const std::vector<GroupBound>& group_bounds() const { return group_bounds_; }
 
   // Bounds under a partial binding: var_host[v] is the host v is bound to,
-  // HostOf(identity, slot) of its candidate's slot, or -1 (unbound).
+  // HostOf(status.identity(), slot) of its candidate's slot, or -1 (unbound).
   // Monotone: pinning more variables never lowers lb and never raises ub.
   BoundInterval BindingBounds(const std::vector<int32_t>& var_host) const;
   std::vector<GroupBound> GroupBindingBounds(const std::vector<int32_t>& var_host) const;

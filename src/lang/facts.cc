@@ -29,7 +29,7 @@ const ScopeAnalysis& QueryFacts::scope() const {
 
 const BoundAnalysis& QueryFacts::idle_bounds() const {
   if (!idle_bounds_.has_value()) {
-    idle_bounds_.emplace(BoundAnalysis::Build(compiled().value(), StatusByAddress{}));
+    idle_bounds_.emplace(BoundAnalysis::Build(compiled().value(), HostStatus{}));
   }
   return *idle_bounds_;
 }

@@ -79,8 +79,7 @@ struct Matching {
 // Everything the passes share.
 struct PassContext {
   const CompiledQuery* query = nullptr;
-  std::span<const int> identity;
-  const StatusByAddress* status = nullptr;
+  const HostStatus* status = nullptr;
   OptimizeParams params;
   bool distinct = true;
   std::vector<std::vector<int>> candidates;  // Per variable: its candidate slots.
@@ -88,7 +87,7 @@ struct PassContext {
   const std::string& Name(int v, int32_t c) const {
     return *query->hosts().names[candidates[v][c]];
   }
-  int32_t Host(int v, int32_t c) const { return HostOf(identity, candidates[v][c]); }
+  int32_t Host(int v, int32_t c) const { return HostOf(status->identity(), candidates[v][c]); }
   size_t num_hosts() const { return query->hosts().names.size(); }
 };
 
@@ -121,12 +120,11 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
     std::vector<int32_t> kept;
     std::vector<std::string> dropped;
     for (size_t c = 0; c < ctx->candidates[v].size(); ++c) {
-      const std::string& name = ctx->Name(static_cast<int>(v), static_cast<int32_t>(c));
-      const auto it = ctx->status->find(name);
-      if (it == ctx->status->end() || SatisfiesRequirements(var, it->second)) {
+      const StatusReport* report = ctx->status->Find(ctx->candidates[v][c]);
+      if (report == nullptr || SatisfiesRequirements(var, *report)) {
         kept.push_back(static_cast<int32_t>(c));
       } else {
-        dropped.push_back(name);
+        dropped.push_back(ctx->Name(static_cast<int>(v), static_cast<int32_t>(c)));
       }
     }
     if (dropped.empty()) {
@@ -174,7 +172,7 @@ void RunDomainPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink)
 // ---- O200: interchangeable variables ----
 void RunInterchangeable(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink) {
   const std::vector<std::vector<int32_t>> classes =
-      InterchangeableClasses(*ctx->query, ctx->identity);
+      InterchangeableClasses(*ctx->query, ctx->status->identity());
   for (const std::vector<int32_t>& cls : classes) {
     for (size_t i = 1; i < cls.size(); ++i) {
       plan->orbit_prev[cls[i]] = cls[i - 1];
@@ -385,7 +383,7 @@ void RunBoundPruning(PassContext* ctx, PrunedSpace* plan, DiagnosticSink* sink) 
   BoundOptions options;
   options.min_available_fraction = ctx->params.bound_fraction;
   const BoundAnalysis analysis =
-      BoundAnalysis::Build(*ctx->query, *ctx->status, options, ctx->identity);
+      BoundAnalysis::Build(*ctx->query, *ctx->status, options);
   plan->bound_pruning = true;
   plan->bound_lb = analysis.query_bounds().lb;
   plan->bound_ub = analysis.query_bounds().ub;
@@ -554,12 +552,10 @@ const std::vector<OptPass>& OptPasses() {
   return kPasses;
 }
 
-PrunedSpace Optimize(const CompiledQuery& query, const StatusByAddress& status,
-                     const OptimizeParams& params, DiagnosticSink* sink,
-                     std::span<const int> identity) {
+PrunedSpace Optimize(const CompiledQuery& query, const HostStatus& status,
+                     const OptimizeParams& params, DiagnosticSink* sink) {
   PassContext ctx;
   ctx.query = &query;
-  ctx.identity = identity;
   ctx.status = &status;
   ctx.params = params;
   ctx.distinct = !query.query().options.allow_same_binding;

@@ -154,13 +154,12 @@ const std::vector<OptPass>& OptPasses();
 
 // Runs the selected passes and returns the combined plan. Remarks (severity
 // kNote, code = pass code) are added to `sink` when non-null. Never fails:
-// a query the passes cannot reason about yields a no-op plan. Slot s of the
-// query's hosts is host HostOf(identity, s): distinctness, which holds
-// unless the query says `option allow_same`, and O200's pool and endpoint
-// comparisons are by host.
-PrunedSpace Optimize(const CompiledQuery& query, const StatusByAddress& status,
-                     const OptimizeParams& params = {}, DiagnosticSink* sink = nullptr,
-                     std::span<const int> identity = {});
+// a query the passes cannot reason about yields a no-op plan. Hosts are
+// numbered as `status` numbers them: distinctness, which holds unless the
+// query says `option allow_same`, and O200's pool and endpoint comparisons
+// are by host.
+PrunedSpace Optimize(const CompiledQuery& query, const HostStatus& status,
+                     const OptimizeParams& params = {}, DiagnosticSink* sink = nullptr);
 
 // ---- Shared analyses (used by the passes, the engine, and ctlint) ----
 

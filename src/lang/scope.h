@@ -26,7 +26,7 @@
 // hosts:
 //
 //   * heuristic (src/core/heuristic.cc): score_candidate only consults the
-//     status of the candidate address being scored, and only when the
+//     status of the candidate being scored, and only when the
 //     variable has network peers, disk access, or scalar requirements. An
 //     inert variable's candidates are all scored kMaxScore without any
 //     lookup, so its binding (pool order + distinct-bindings bookkeeping)
@@ -44,9 +44,10 @@
 //   * optimizer (src/lang/opt.cc): O100 consults SatisfiesRequirements for
 //     candidates of variables with requirements; such variables are active.
 //
-// Exclusion is per spelling, but the engines read a host at its identity
-// slot, which may be an excluded spelling (an inert pool's `host6` beside a
-// flow's `10.0.0.6`): the status gather stores the host's report there too.
+// Exclusion is per spelling, but status is per host (HostStatus): a host
+// some footprint slot names is probed, and every slot naming it reads its
+// report, an excluded spelling too (an inert pool's `host6` beside a flow's
+// `10.0.0.6`).
 //
 // Note the footprint is deliberately *not* refined with O100 domain
 // pruning: that pass reads probed usage, so folding it in would make the

@@ -51,8 +51,9 @@ struct StatusReport {
   static StatusReport Idle(NodeId host, const HostCaps& caps);
 };
 
-// A status snapshot keyed by address, spelled as the query wrote it: the
-// input of every evaluation engine and analysis.
+// A status snapshot keyed by address, spelled as the query wrote it, as
+// tests, tools and benches hold one. The engines read lang::HostStatus,
+// which converts one to the query's host numbering.
 using StatusByAddress = std::unordered_map<std::string, StatusReport>;
 
 // Fixed-size wire encodings (little-endian). The v1 sizes match the paper's

@@ -29,6 +29,7 @@ using lang::BoundInterval;
 using lang::BoundOptions;
 using lang::CompiledQuery;
 using lang::GroupBound;
+using lang::HostStatus;
 using lang::Query;
 
 Query MustParse(const std::string& text) {
@@ -105,7 +106,7 @@ std::string GenerateQuery(std::mt19937_64& rng) {
   return text;
 }
 
-StatusByAddress GenerateStatus(const CompiledQuery& query, std::mt19937_64& rng) {
+HostStatus GenerateStatus(const CompiledQuery& query, std::mt19937_64& rng) {
   StatusByAddress status;
   const auto touch = [&](const lang::Endpoint& e) {
     if (e.kind != lang::Endpoint::Kind::kAddress || e.name.empty()) {
@@ -124,7 +125,7 @@ StatusByAddress GenerateStatus(const CompiledQuery& query, std::mt19937_64& rng)
     touch(f.src);
     touch(f.dst);
   }
-  return status;
+  return HostStatus(query.hosts(), status);
 }
 
 // Candidate host ids per variable: their slots, each slot its own host
@@ -147,7 +148,7 @@ TEST(BoundAnalysisTest, RandomizedRefinementMonotonicity) {
     SCOPED_TRACE(text);
     const Query parsed = MustParse(text);
     const CompiledQuery query = MustCompile(parsed);
-    const StatusByAddress status = GenerateStatus(query, rng);
+    const HostStatus status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
     CandidateIds(query).swap(ids);
@@ -213,14 +214,14 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
     SCOPED_TRACE(text);
     const Query parsed = MustParse(text);
     const CompiledQuery query = MustCompile(parsed);
-    const StatusByAddress status = GenerateStatus(query, rng);
+    const HostStatus status = GenerateStatus(query, rng);
     const BoundAnalysis bounds = BoundAnalysis::Build(query, status);
     std::vector<std::vector<int32_t>> ids;
     CandidateIds(query).swap(ids);
 
     const size_t n = query.variables().size();
     FlowLevelEstimator estimator;  // Fraction 0.1 = BoundOptions default.
-    estimator.BeginQuery(query, status, {});
+    estimator.BeginQuery(query, status);
     Binding binding;
     std::vector<lang::Endpoint*> slot(n);
     for (size_t v = 0; v < n; ++v) {
@@ -267,7 +268,7 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   // size/rate = 10G * 8 / 8M bits/s far exceeds 1s: provably infeasible.
   const Query infeasible_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 10G rate 8M end 1\n");
   const CompiledQuery infeasible = MustCompile(infeasible_query);
-  const BoundAnalysis a = BoundAnalysis::Build(infeasible, StatusByAddress{});
+  const BoundAnalysis a = BoundAnalysis::Build(infeasible, HostStatus{});
   ASSERT_EQ(a.group_bounds().size(), 1u);
   EXPECT_TRUE(a.group_bounds()[0].provably_infeasible);
   EXPECT_FALSE(a.group_bounds()[0].trivially_satisfied);
@@ -276,7 +277,7 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   // The same transfer against a generous deadline is trivially satisfied.
   const Query trivial_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 1M end 3600\n");
   const CompiledQuery trivial = MustCompile(trivial_query);
-  const BoundAnalysis b = BoundAnalysis::Build(trivial, StatusByAddress{});
+  const BoundAnalysis b = BoundAnalysis::Build(trivial, HostStatus{});
   ASSERT_EQ(b.group_bounds().size(), 1u);
   EXPECT_FALSE(b.group_bounds()[0].provably_infeasible);
   EXPECT_TRUE(b.group_bounds()[0].trivially_satisfied);
@@ -285,7 +286,7 @@ TEST(BoundAnalysisTest, DeadlineVerdictsMatchTheInterval) {
   // No deadline: both verdicts stay off and the deadline reads +inf.
   const Query open_query = MustParse("f1 10.9.0.1 -> 10.9.0.2 size 1M\n");
   const CompiledQuery open = MustCompile(open_query);
-  const BoundAnalysis c = BoundAnalysis::Build(open, StatusByAddress{});
+  const BoundAnalysis c = BoundAnalysis::Build(open, HostStatus{});
   ASSERT_EQ(c.group_bounds().size(), 1u);
   EXPECT_FALSE(c.group_bounds()[0].provably_infeasible);
   EXPECT_FALSE(c.group_bounds()[0].trivially_satisfied);
@@ -306,9 +307,12 @@ TEST(BoundAnalysisTest, MergedSlotsShareOneHostsResources) {
   const std::vector<int> identity = {0, 1, 0, 3};  // 10.0.9.6, 10.0.9.9, h6, 10.0.9.10.
   ASSERT_EQ(compiled.hosts().names.size(), identity.size());
   ASSERT_EQ(*compiled.hosts().names[2], "h6");
-  const BoundAnalysis apart = BoundAnalysis::Build(compiled, status);
-  const BoundAnalysis merged = BoundAnalysis::Build(compiled, status, {}, identity);
-  const BoundAnalysis spelled = BoundAnalysis::Build(MustCompile(twin), status);
+  const CompiledQuery twin_compiled = MustCompile(twin);
+  const BoundAnalysis apart = BoundAnalysis::Build(compiled, HostStatus(compiled.hosts(), status));
+  const BoundAnalysis merged =
+      BoundAnalysis::Build(compiled, HostStatus(compiled.hosts(), status, identity));
+  const BoundAnalysis spelled =
+      BoundAnalysis::Build(twin_compiled, HostStatus(twin_compiled.hosts(), status));
   EXPECT_EQ(merged.query_bounds().lb, spelled.query_bounds().lb);
   EXPECT_EQ(merged.query_bounds().ub, spelled.query_bounds().ub);
   EXPECT_GT(merged.query_bounds().lb, 1.9 * apart.query_bounds().lb);

@@ -32,6 +32,7 @@ namespace cloudtalk {
 namespace {
 
 using lang::CompiledQuery;
+using lang::HostStatus;
 using lang::Endpoint;
 using lang::Parse;
 using lang::Query;
@@ -113,7 +114,8 @@ TEST(HeuristicTest, PaperExampleBindsZToLocalEndpoint) {
   status["a"] = MakeReport(1e9, 100e6, 100e6);
   status["b"] = MakeReport(1e9, 600e6, 0);      // Busy sender.
   status["c"] = MakeReport(1e9, 100e6, 300e6);  // Mostly idle sender.
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const Binding& binding = result.value().binding;
   EXPECT_EQ(binding.at("Z").name, "a");
@@ -136,7 +138,7 @@ TEST(HeuristicTest, PriorityBindingAblationLosesLocalOptimum) {
   status["c"] = MakeReport(1e9, 600e6, 600e6);
   HeuristicParams params;
   params.enable_priority_binding = false;
-  auto result = EvaluateHeuristic(compiled, status, params);
+  auto result = EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("X").name, "a");
   EXPECT_NE(result.value().binding.at("Z").name, "a");
@@ -152,7 +154,8 @@ TEST(HeuristicTest, DistinctBindingsByDefault) {
   status["x"] = MakeReport(1e9, 0, 0);
   status["y"] = MakeReport(1e9, 100e6, 0);
   status["z"] = MakeReport(1e9, 900e6, 0);
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result.value().binding.at("A").name, result.value().binding.at("B").name);
   EXPECT_EQ(result.value().binding.at("A").name, "x");
@@ -169,7 +172,8 @@ TEST(HeuristicTest, AllowSameOverride) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 0);
   status["y"] = MakeReport(1e9, 900e6, 0);
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("A").name, "x");
   EXPECT_EQ(result.value().binding.at("B").name, "x");
@@ -189,7 +193,8 @@ TEST(HeuristicTest, PoolWrapsWhenMoreVariablesThanValues) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 0);
   status["y"] = MakeReport(1e9, 0, 100e6);
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   int x_count = 0;
   int y_count = 0;
@@ -211,7 +216,8 @@ Result<HeuristicResult> EvaluateWithHeld(const CompiledQuery& compiled,
   for (size_t slot = 0; slot < compiled.hosts().names.size(); ++slot) {
     answer.slots[slot].held = held.count(*compiled.hosts().names[slot]) > 0;
   }
-  return EvaluateHeuristic(compiled, &answer, status, HeuristicParams{});
+  return EvaluateHeuristic(compiled, &answer, HostStatus(compiled.hosts(), status),
+                           HeuristicParams{});
 }
 
 TEST(HeuristicTest, ReservationFilterSkipsReservedBest) {
@@ -248,7 +254,8 @@ TEST(HeuristicTest, DiskOnlyVariableScoredByDisk) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 0, /*disk_cap=*/4e9, /*disk_read_use=*/3.9e9);
   status["y"] = MakeReport(1e9, 900e6, 900e6, /*disk_cap=*/4e9, /*disk_read_use=*/0);
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   // NIC load is irrelevant: A only reads from its local disk.
   EXPECT_EQ(result.value().binding.at("A").name, "y");
@@ -273,7 +280,8 @@ TEST(HeuristicTest, RequirementFiltersOverloadedHosts) {
   b.mem_total = 32.0 * kGB;
   status["a"] = a;
   status["b"] = b;
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("X").name, "b");
 }
@@ -292,7 +300,8 @@ TEST(HeuristicTest, RequirementMemoryShortfall) {
   b.mem_total = 32.0 * kGB;
   status["a"] = a;
   status["b"] = b;
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("X").name, "b");
 }
@@ -307,7 +316,8 @@ TEST(HeuristicTest, UnknownScalarStatePasses) {
   StatusByAddress status;
   status["a"] = MakeReport(1e9, 0, 0);        // No scalar info at all.
   status["b"] = MakeReport(1e9, 500e6, 0);
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("X").name, "a");
 }
@@ -322,7 +332,8 @@ TEST(HeuristicTest, AllCandidatesFilteredStillBinds) {
   StatusReport a = MakeReport(1e9, 0, 0);
   a.cpu_cores_total = 2;  // Can never satisfy 4 cores.
   status["a"] = a;
-  auto result = EvaluateHeuristic(compiled, status, HeuristicParams{});
+  auto result =
+      EvaluateHeuristic(compiled, HostStatus(compiled.hosts(), status), HeuristicParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().binding.at("X").name, "a");  // Best effort.
 }
@@ -396,7 +407,7 @@ TEST(EstimatorTest, SimpleTransferTime) {
   status["src"] = MakeReport(1e9, 0, 0);
   status["dst"] = MakeReport(1e9, 0, 0);
   FlowLevelEstimator estimator;
-  auto estimate = estimator.EstimateQuery(compiled, {}, status);
+  auto estimate = estimator.EstimateQuery(compiled, {}, HostStatus(compiled.hosts(), status));
   ASSERT_TRUE(estimate.ok()) << estimate.error().ToString();
   EXPECT_NEAR(estimate.value().makespan, 125 * kMB * 8 / 1e9, 1e-6);
 }
@@ -413,8 +424,8 @@ TEST(EstimatorTest, BindingResolvesVariables) {
   FlowLevelEstimator estimator;
   Binding bind_r1{{"A", Endpoint::Address("r1")}};
   Binding bind_r2{{"A", Endpoint::Address("r2")}};
-  auto est1 = estimator.EstimateQuery(compiled, bind_r1, status);
-  auto est2 = estimator.EstimateQuery(compiled, bind_r2, status);
+  auto est1 = estimator.EstimateQuery(compiled, bind_r1, HostStatus(compiled.hosts(), status));
+  auto est2 = estimator.EstimateQuery(compiled, bind_r2, HostStatus(compiled.hosts(), status));
   ASSERT_TRUE(est1.ok());
   ASSERT_TRUE(est2.ok());
   EXPECT_GT(est1.value().makespan, est2.value().makespan);
@@ -430,7 +441,7 @@ TEST(EstimatorTest, DaisyChainBoundBySlowestHop) {
   status["client"] = MakeReport(1e9, 0, 0);
   status["r1"] = MakeReport(1e9, 0, 0, /*disk_cap=*/200e6);  // Slow disk.
   FlowLevelEstimator estimator;
-  auto estimate = estimator.EstimateQuery(compiled, {}, status);
+  auto estimate = estimator.EstimateQuery(compiled, {}, HostStatus(compiled.hosts(), status));
   ASSERT_TRUE(estimate.ok());
   EXPECT_NEAR(estimate.value().makespan, 64 * kMB * 8 / 200e6, 1e-6);
 }
@@ -441,7 +452,7 @@ TEST(EstimatorTest, UnknownSourceOnlyLoadsReceiver) {
   StatusByAddress status;
   status["sink"] = MakeReport(1e9, 0, 0);
   FlowLevelEstimator estimator;
-  auto estimate = estimator.EstimateQuery(compiled, {}, status);
+  auto estimate = estimator.EstimateQuery(compiled, {}, HostStatus(compiled.hosts(), status));
   ASSERT_TRUE(estimate.ok());
   EXPECT_NEAR(estimate.value().makespan, 125 * kMB * 8 / 1e9, 1e-6);
 }
@@ -468,7 +479,7 @@ TEST(ExhaustiveTest, FindsOptimalReplica) {
   status["r3"] = MakeReport(1e9, 500e6, 0);
   status["client"] = MakeReport(1e9, 0, 0);
   FlowLevelEstimator estimator;
-  auto best = EvaluateExhaustive(compiled, status, estimator);
+  auto best = EvaluateExhaustive(compiled, HostStatus(compiled.hosts(), status), estimator);
   ASSERT_TRUE(best.ok()) << best.error().ToString();
   EXPECT_EQ(best.value().binding.at("A").name, "r2");
   EXPECT_EQ(best.value().counters.scored(), 3);
@@ -484,7 +495,7 @@ TEST(ExhaustiveTest, DistinctBindingEnumeration) {
     status[s] = MakeReport(1e9, 0, 0);
   }
   FlowLevelEstimator estimator;
-  auto best = EvaluateExhaustive(compiled, status, estimator);
+  auto best = EvaluateExhaustive(compiled, HostStatus(compiled.hosts(), status), estimator);
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best.value().counters.scored(), 6);  // 3 * 2 ordered pairs.
   EXPECT_NE(best.value().binding.at("A").name, best.value().binding.at("B").name);
@@ -526,7 +537,8 @@ CompiledQuery TieLadenDaisyChain(Query* storage, StatusByAddress* status) {
 ExhaustiveResult MustEvaluate(const CompiledQuery& compiled, const StatusByAddress& status,
                               const ExhaustiveParams& params) {
   FlowLevelEstimator estimator;
-  auto result = EvaluateExhaustive(compiled, status, estimator, params);
+  auto result =
+      EvaluateExhaustive(compiled, HostStatus(compiled.hosts(), status), estimator, params);
   EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().ToString());
   return std::move(result).value();
 }
@@ -637,17 +649,18 @@ TEST(EstimatorScratchTest, ScratchMatchesColdPathBitExactly) {
   status["x"] = MakeReport(1e9, 300e6, 100e6, 3e9, 0, 500e6);
   status["y"] = MakeReport(1e9, 100e6, 600e6);
   status["z"] = MakeReport(2e9, 0, 0);
+  const HostStatus by_host(compiled.hosts(), status);
   FlowLevelEstimator scratch(0.1, /*reuse_scratch=*/true);
   FlowLevelEstimator cold(0.1, /*reuse_scratch=*/false);
-  scratch.BeginQuery(compiled, status, {});
+  scratch.BeginQuery(compiled, by_host);
   EXPECT_TRUE(scratch.scratch_prepared());
   for (const char* a : {"x", "y", "z"}) {
     for (const char* b : {"x", "y", "z"}) {
       Binding binding;
       binding["A"] = Endpoint::Address(a);
       binding["B"] = Endpoint::Address(b);
-      auto fast = scratch.EstimateQuery(compiled, binding, status);
-      auto slow = cold.EstimateQuery(compiled, binding, status);
+      auto fast = scratch.EstimateQuery(compiled, binding, by_host);
+      auto slow = cold.EstimateQuery(compiled, binding, by_host);
       ASSERT_TRUE(fast.ok()) << fast.error().ToString();
       ASSERT_TRUE(slow.ok()) << slow.error().ToString();
       EXPECT_EQ(fast.value().makespan, slow.value().makespan) << a << "," << b;
@@ -670,15 +683,16 @@ TEST(EstimatorScratchTest, RepeatedUnknownEstimatesAreStable) {
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 0, 400e6);
   status["y"] = MakeReport(1e9, 0, 0);
+  const HostStatus by_host(compiled.hosts(), status);
   Binding binding;
   binding["A"] = Endpoint::Address("x");
   for (bool reuse : {true, false}) {
     FlowLevelEstimator estimator(0.1, reuse);
-    estimator.BeginQuery(compiled, status, {});
-    auto first = estimator.EstimateQuery(compiled, binding, status);
+    estimator.BeginQuery(compiled, by_host);
+    auto first = estimator.EstimateQuery(compiled, binding, by_host);
     ASSERT_TRUE(first.ok());
     for (int i = 0; i < 3; ++i) {
-      auto again = estimator.EstimateQuery(compiled, binding, status);
+      auto again = estimator.EstimateQuery(compiled, binding, by_host);
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(again.value().makespan, first.value().makespan) << "reuse=" << reuse;
     }
@@ -687,6 +701,9 @@ TEST(EstimatorScratchTest, RepeatedUnknownEstimatesAreStable) {
 }
 
 TEST(EstimatorScratchTest, OutOfPoolBindingFallsBackToColdPath) {
+  // A is bound to `w`, a name the query never spells: no slot of the
+  // snapshot by host is w's, so its report is dropped, the scratch path
+  // falls back to the cold path, and both read w as unreported.
   const Query query = MustParse(
       "A = (x y)\n"
       "f1 A -> c size 64M\n");
@@ -695,15 +712,16 @@ TEST(EstimatorScratchTest, OutOfPoolBindingFallsBackToColdPath) {
   status["x"] = MakeReport(1e9, 500e6, 0);
   status["y"] = MakeReport(1e9, 100e6, 0);
   status["c"] = MakeReport(1e9, 0, 0);
-  status["w"] = MakeReport(1e9, 0, 0);  // Not in the pool.
+  status["w"] = MakeReport(1e9, 0, 0);  // Not in the query.
+  const HostStatus by_host(compiled.hosts(), status);
   FlowLevelEstimator estimator;
-  estimator.BeginQuery(compiled, status, {});
+  estimator.BeginQuery(compiled, by_host);
   Binding binding;
   binding["A"] = Endpoint::Address("w");
-  auto with_scratch = estimator.EstimateQuery(compiled, binding, status);
+  auto with_scratch = estimator.EstimateQuery(compiled, binding, by_host);
   estimator.EndQuery();
   FlowLevelEstimator cold(0.1, /*reuse_scratch=*/false);
-  auto reference = cold.EstimateQuery(compiled, binding, status);
+  auto reference = cold.EstimateQuery(compiled, binding, by_host);
   ASSERT_TRUE(with_scratch.ok());
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(with_scratch.value().makespan, reference.value().makespan);
@@ -727,10 +745,11 @@ TEST(EstimatorDeltaTest, DeltaRebindMatchesColdRebindBitExactly) {
   status["x"] = MakeReport(1e9, 300e6, 100e6, 3e9, 0, 500e6);
   status["y"] = MakeReport(1e9, 100e6, 600e6);
   status["z"] = MakeReport(2e9, 0, 0);
+  const HostStatus by_host(compiled.hosts(), status);
   FlowLevelEstimator delta(0.1, /*reuse_scratch=*/true, /*delta_rebind=*/true);
   FlowLevelEstimator cold(0.1, /*reuse_scratch=*/true, /*delta_rebind=*/false);
-  delta.BeginQuery(compiled, status, {});
-  cold.BeginQuery(compiled, status, {});
+  delta.BeginQuery(compiled, by_host);
+  cold.BeginQuery(compiled, by_host);
   delta.BeginHintedWalk({"A", "B"});
   bool first = true;
   for (const char* a : {"x", "y", "z"}) {
@@ -742,8 +761,8 @@ TEST(EstimatorDeltaTest, DeltaRebindMatchesColdRebindBitExactly) {
       delta.HintChangedSuffix(first ? 0 : (a_changed ? 0 : 1));
       first = false;
       a_changed = false;
-      auto fast = delta.EstimateQuery(compiled, binding, status);
-      auto slow = cold.EstimateQuery(compiled, binding, status);
+      auto fast = delta.EstimateQuery(compiled, binding, by_host);
+      auto slow = cold.EstimateQuery(compiled, binding, by_host);
       ASSERT_TRUE(fast.ok()) << fast.error().ToString();
       ASSERT_TRUE(slow.ok()) << slow.error().ToString();
       // Exact: the delta path must be indistinguishable from re-installing.
@@ -774,12 +793,13 @@ TEST(EstimatorDeltaTest, ExhaustiveSearchUsesDeltaRebinds) {
   for (int i = 1; i <= 6; ++i) {
     status["s" + std::to_string(i)] = MakeReport(1e9, 120e6 * i, 40e6 * i);
   }
+  const HostStatus by_host(compiled.hosts(), status);
   ExhaustiveParams params;
   params.memoize = false;
   FlowLevelEstimator delta(0.1, /*reuse_scratch=*/true, /*delta_rebind=*/true);
-  auto with_delta = EvaluateExhaustive(compiled, status, delta, params);
+  auto with_delta = EvaluateExhaustive(compiled, by_host, delta, params);
   FlowLevelEstimator cold(0.1, /*reuse_scratch=*/true, /*delta_rebind=*/false);
-  auto without = EvaluateExhaustive(compiled, status, cold, params);
+  auto without = EvaluateExhaustive(compiled, by_host, cold, params);
   ASSERT_TRUE(with_delta.ok()) << with_delta.error().ToString();
   ASSERT_TRUE(without.ok()) << without.error().ToString();
   EXPECT_EQ(with_delta.value().estimate.makespan, without.value().estimate.makespan);
@@ -816,16 +836,16 @@ TEST_P(SingleVariableOptimalityTest, MatchesExhaustive) {
   status["client"] = MakeReport(1e9, 0, 0);
   const Query query = MustParse("A = (" + pool + ")\nf1 A -> client size 256M\n");
   const CompiledQuery compiled = MustCompile(query);
+  const HostStatus by_host(compiled.hosts(), status);
   FlowLevelEstimator estimator;
   HeuristicParams params;
   params.weight = 1.0;  // Equal-capacity pool: availability ordering is exact.
-  auto heuristic = EvaluateHeuristic(compiled, status, params);
-  auto exhaustive = EvaluateExhaustive(compiled, status, estimator);
+  auto heuristic = EvaluateHeuristic(compiled, by_host, params);
+  auto exhaustive = EvaluateExhaustive(compiled, by_host, estimator);
   ASSERT_TRUE(heuristic.ok());
   ASSERT_TRUE(exhaustive.ok());
   // Compare achieved makespan, not identity (ties are possible).
-  auto h_est =
-      estimator.EstimateQuery(compiled, heuristic.value().binding, status);
+  auto h_est = estimator.EstimateQuery(compiled, heuristic.value().binding, by_host);
   ASSERT_TRUE(h_est.ok());
   EXPECT_NEAR(h_est.value().makespan, exhaustive.value().estimate.makespan, 1e-9);
 }
@@ -1857,11 +1877,13 @@ TEST_F(ServerTest, UndrawnSampleAliasHidesNoReport) {
 }
 
 TEST_F(ServerTest, StaticInertPoolAliasHidesNoReport) {
-  // `option static` fills only pool hosts in the footprint: B's `host6` is
-  // outside it, host 6's address is in no pool. Idle at its nominal 1 Gbps,
-  // host 6 cannot send 2 GiB within 12 s.
+  // `option static` gives each host a footprint slot names its idle report,
+  // pool entry or literal endpoint: B's `host6` is outside the footprint,
+  // and host 6's address is in no pool, or there is no B at all. Idle at its
+  // nominal 1 Gbps, host 6 cannot send 2 GiB within 12 s.
   const auto query = [this](const std::string& inert) {
-    return "option static\nA = (" + Ip(1) + ")\nB = (" + inert + ")\nf0 A -> " + Ip(0) +
+    return "option static\nA = (" + Ip(1) + ")\n" +
+           (inert.empty() ? "" : "B = (" + inert + ")\n") + "f0 A -> " + Ip(0) +
            " size 1M\nf1 " + Ip(6) + " -> " + Ip(9) + " size 1G rate r(f2) end 12\nf2 " +
            Ip(6) + " -> " + Ip(8) + " size 1G rate r(f1)\n";
   };
@@ -1871,10 +1893,68 @@ TEST_F(ServerTest, StaticInertPoolAliasHidesNoReport) {
     ASSERT_FALSE(twin.ok());
     EXPECT_NE(twin.error().message.find("no binding can meet the deadline"), std::string::npos)
         << twin.error().ToString();
-    const auto reply = server->Answer(query(Alias(fleet_, 6)));
-    ASSERT_FALSE(reply.ok()) << "answered: " << reply.value().binding.at("A").name;
-    EXPECT_EQ(reply.error().message, twin.error().message);
+    for (const std::string& inert : {Alias(fleet_, 6), std::string()}) {
+      SCOPED_TRACE("B = (" + inert + ")");
+      const auto reply = server->Answer(query(inert));
+      ASSERT_FALSE(reply.ok()) << "answered: " << reply.value().binding.at("A").name;
+      EXPECT_EQ(reply.error().message, twin.error().message);
+    }
   }
+}
+
+TEST_F(ServerTest, StaticQuoteReadsALiteralEndpointAsTheProbeDoes) {
+  // Host 5, a literal endpoint no pool names, receives two 1 GiB flows.
+  // Idle at its nominal 1 Gbps it is their bottleneck under `option static`,
+  // as it is when probed on this idle fleet.
+  const std::string flows = "A = (" + Ip(1) + ")\nf1 A -> " + Ip(5) + " size 1G\nf2 " + Ip(7) +
+                            " -> " + Ip(5) + " size 1G\n";
+  for (const auto& server : OneAndFourShards(fleet_, &now_)) {
+    SCOPED_TRACE(std::to_string(server->num_shards()) + " shard(s)");
+    const auto probed = server->Quote(flows);
+    ASSERT_TRUE(probed.ok()) << probed.error().ToString();
+    const auto quote = server->Quote("option static\n" + flows);
+    ASSERT_TRUE(quote.ok()) << quote.error().ToString();
+    EXPECT_GT(probed.value().estimate.makespan, 17.0);
+    EXPECT_EQ(quote.value().estimate.makespan, probed.value().estimate.makespan);
+  }
+}
+
+TEST(HostStatusTest, ReadsEachHostAtItsIdentitySlot) {
+  // Slots: 10.0.0.2, `host2` (host 2 again), 10.0.0.3, `nowhere` (no host),
+  // then the sink, 10.0.0.4.
+  Fleet fleet;
+  const Query query = MustParse("A = (" + fleet.Ip(2) + " " + Alias(fleet, 2) + " " +
+                                fleet.Ip(3) + " nowhere)\nf1 A -> " + fleet.Ip(4) +
+                                " size 1M\n");
+  const CompiledQuery compiled = MustCompile(query);
+  const AnswerHosts answer(compiled.hosts(), &fleet.directory);
+  ASSERT_EQ(answer.identity, (std::vector<int>{0, 0, 2, 3, 4}));
+  ASSERT_EQ(answer.slots[3].node, kInvalidNode);
+
+  // By spelling, a merged host gets the report filed under its identity
+  // slot's spelling, not its alias's.
+  StatusByAddress by_spelling;
+  by_spelling[fleet.Ip(2)] = MakeReport(1e9, 300e6, 0);
+  by_spelling[Alias(fleet, 2)] = MakeReport(1e9, 0, 0);
+  by_spelling[fleet.Ip(4)] = MakeReport(1e9, 0, 0);
+  const HostStatus status(compiled.hosts(), by_spelling, answer.identity);
+  ASSERT_NE(status.Find(0), nullptr);
+  EXPECT_EQ(status.Find(0)->nic_tx_use, 300e6);
+  EXPECT_EQ(status.Find(1), status.Find(0));
+  EXPECT_NE(status.Find(4), nullptr);
+  // No report, a name the directory does not know, and no slot read null.
+  EXPECT_EQ(status.Find(2), nullptr);
+  EXPECT_EQ(status.Find(3), nullptr);
+  EXPECT_EQ(status.Find(-1), nullptr);
+  EXPECT_EQ(HostStatus().Find(0), nullptr);
+
+  // A report filed through an alias is its host's, read at either slot.
+  HostStatus gathered(compiled.hosts(), answer.identity);
+  gathered.Set(1, MakeReport(1e9, 100e6, 0));
+  ASSERT_NE(gathered.Find(0), nullptr);
+  EXPECT_EQ(gathered.Find(0)->nic_tx_use, 100e6);
+  EXPECT_EQ(gathered.Find(1), gathered.Find(0));
+  EXPECT_EQ(gathered.Find(3), nullptr);
 }
 
 TEST_F(ServerTest, HoldTakenThroughAnAliasKeepsTheAddressOff) {

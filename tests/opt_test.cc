@@ -27,6 +27,7 @@ namespace {
 
 using lang::CompiledQuery;
 using lang::Endpoint;
+using lang::HostStatus;
 using lang::InterchangeableClasses;
 using lang::OptimizeParams;
 using lang::Parse;
@@ -60,8 +61,10 @@ StatusReport MakeReport(Bps cap, Bps tx_use, Bps rx_use) {
 
 // Every address mentioned by the query gets a report; `heterogeneous`
 // derives a per-address load from the name so hosts differ deterministically
-// (distinct winners, not an all-ties landscape).
-StatusByAddress SynthesizeStatus(const CompiledQuery& compiled, bool heterogeneous) {
+// (distinct winners, not an all-ties landscape). Hosts are numbered by
+// `identity`.
+HostStatus SynthesizeStatus(const CompiledQuery& compiled, bool heterogeneous,
+                            std::span<const int> identity = {}) {
   StatusByAddress status;
   auto add = [&](const Endpoint& e) {
     if (e.kind != Endpoint::Kind::kAddress || status.count(e.name) > 0) {
@@ -83,7 +86,7 @@ StatusByAddress SynthesizeStatus(const CompiledQuery& compiled, bool heterogeneo
     add(flow.src);
     add(flow.dst);
   }
-  return status;
+  return HostStatus(compiled.hosts(), status, identity);
 }
 
 // ---- Shared analyses ----
@@ -178,13 +181,16 @@ TEST(OptPassTest, DomainPruningDropsRequirementViolators) {
       "A requires cpu 4\n"
       "f1 A -> sink size 32M\n");
   const CompiledQuery compiled = MustCompile(query);
-  StatusByAddress status = SynthesizeStatus(compiled, /*heterogeneous=*/false);
+  StatusByAddress status;
+  for (const char* name : {"v1", "v2", "v3", "sink"}) {
+    status[name] = MakeReport(1e9, 0, 0);
+  }
   status["v2"].cpu_cores_total = 8;
   status["v2"].cpu_cores_used = 6;  // Only 2 free: pruned.
   status["v3"].cpu_cores_total = 8;
   status["v3"].cpu_cores_used = 1;  // 7 free: kept.
   // v1 reports no cpu info: kept (the engine cannot rule it out either).
-  const PrunedSpace plan = lang::Optimize(compiled, status);
+  const PrunedSpace plan = lang::Optimize(compiled, HostStatus(compiled.hosts(), status));
   EXPECT_FALSE(plan.infeasible);
   ASSERT_EQ(plan.kept.size(), 1u);
   EXPECT_EQ(plan.kept[0], (std::vector<int32_t>{0, 2}));
@@ -196,7 +202,7 @@ TEST(OptPassTest, DomainPruningDetectsPigeonholeInfeasibility) {
       "A = B = C = (v1 v2)\n"
       "f1 A -> B size 1M\nf2 B -> C size 1M\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   const PrunedSpace plan = lang::Optimize(compiled, status);
   EXPECT_TRUE(plan.infeasible);
   EXPECT_FALSE(plan.infeasible_reason.empty());
@@ -207,7 +213,8 @@ TEST(OptPassTest, DomainPruningDetectsPigeonholeInfeasibility) {
       "option allow_same\n"
       "A = B = C = (v1 v2)\n"
       "f1 A -> B size 1M\nf2 B -> C size 1M\n");
-  EXPECT_FALSE(lang::Optimize(MustCompile(same), status).infeasible);
+  const CompiledQuery same_compiled = MustCompile(same);
+  EXPECT_FALSE(lang::Optimize(same_compiled, SynthesizeStatus(same_compiled, false)).infeasible);
 }
 
 TEST(OptPassTest, MergedSlotsAreOneHost) {
@@ -218,11 +225,10 @@ TEST(OptPassTest, MergedSlotsAreOneHost) {
       "f1 A -> sink size 1M\nf2 B -> sink size 1M\n"
       "f3 src -> C size 1M rate 5M\nf4 src -> D size 1M rate r(f3)\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
   const std::vector<int> identity = {0, 0, 2, 3, 4, 5};  // h1, v1, v2, v3, sink, src.
   ASSERT_EQ(compiled.hosts().names.size(), identity.size());
-  EXPECT_FALSE(lang::Optimize(compiled, status).infeasible);
-  EXPECT_TRUE(lang::Optimize(compiled, status, {}, nullptr, identity).infeasible);
+  EXPECT_FALSE(lang::Optimize(compiled, SynthesizeStatus(compiled, false)).infeasible);
+  EXPECT_TRUE(lang::Optimize(compiled, SynthesizeStatus(compiled, false, identity)).infeasible);
   EXPECT_TRUE(InterchangeableClasses(compiled).empty());
   EXPECT_EQ(InterchangeableClasses(compiled, identity),
             (std::vector<std::vector<int32_t>>{{2, 3}}));
@@ -235,7 +241,7 @@ TEST(OptPassTest, InterchangeablePassChainsOrbitsAscending) {
       "f2 src -> B size 1M rate r(f1)\n"
       "f3 src -> C size 1M rate r(f1)\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   const PrunedSpace plan = lang::Optimize(compiled, status);
   ASSERT_EQ(plan.orbit_prev.size(), 3u);
   EXPECT_EQ(plan.orbit_prev[0], -1);
@@ -256,7 +262,7 @@ TEST(OptPassTest, ComponentSplitCountsAndPinsInertVariables) {
   // D appears in no flow: inert, pinned to its first legal candidate. A/B
   // and C communicate in disjoint components.
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   const PrunedSpace plan = lang::Optimize(compiled, status);
   EXPECT_EQ(plan.components, 2);
   ASSERT_EQ(plan.pinned.size(), 4u);
@@ -274,7 +280,7 @@ TEST(OptPassTest, DeadFlowFoldingListsDeadAndLiteralOnlyFlows) {
       "probe src -> A size 0\n"
       "ctrl h1 -> h2 size 1M\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   const PrunedSpace plan = lang::Optimize(compiled, status);
   // probe (zero size) and ctrl (binding-independent literal group).
   std::vector<int32_t> dead = plan.dead_flows;
@@ -288,7 +294,7 @@ TEST(OptPassTest, PassSelectionBitsDisablePasses) {
       "f1 src -> A size 1M rate 5M\n"
       "f2 src -> B size 1M rate r(f1)\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   OptimizeParams params;
   params.passes = lang::kOptAllPasses & ~lang::kOptInterchangeable;
   const PrunedSpace plan = lang::Optimize(compiled, status, params);
@@ -307,7 +313,7 @@ TEST(OptPassTest, PinnedVariablesNeverCarryOrbitConstraints) {
       "f0 A -> B size 0\n"
       "f1 B -> v4 size 0 start 1\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   const PrunedSpace plan = lang::Optimize(compiled, status);
   for (size_t v = 0; v < plan.orbit_prev.size(); ++v) {
     if (plan.pinned[v] >= 0) {
@@ -340,7 +346,7 @@ TEST(OptEngineTest, OptimizedSearchPrunesAndAgreesByteIdentically) {
       "s2 src -> W2 size 64M rate r(s1)\n"
       "s3 src -> W3 size 64M rate r(s1)\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, /*heterogeneous=*/true);
+  const HostStatus status = SynthesizeStatus(compiled, /*heterogeneous=*/true);
   FlowLevelEstimator estimator;
   ExhaustiveParams off;
   ExhaustiveParams on;
@@ -366,7 +372,7 @@ TEST(OptEngineTest, InfeasiblePlanReportsSameErrorAsExhaustion) {
       "A = B = C = (v1 v2)\n"
       "f1 A -> B size 1M\nf2 B -> C size 1M\n");
   const CompiledQuery compiled = MustCompile(query);
-  const StatusByAddress status = SynthesizeStatus(compiled, false);
+  const HostStatus status = SynthesizeStatus(compiled, false);
   FlowLevelEstimator estimator;
   ExhaustiveParams off;
   ExhaustiveParams on;
@@ -408,7 +414,7 @@ TEST(OptDifferentialTest, FixturesAgreeByteIdenticallyAcrossModesAndThreads) {
     const Query query = MustParse(text.str());
     const CompiledQuery compiled = MustCompile(query);
     for (const bool heterogeneous : {false, true}) {
-      const StatusByAddress status = SynthesizeStatus(compiled, heterogeneous);
+      const HostStatus status = SynthesizeStatus(compiled, heterogeneous);
       const lang::BoundInterval query_bounds =
           lang::BoundAnalysis::Build(compiled, status).query_bounds();
       FlowLevelEstimator estimator;

@@ -59,8 +59,9 @@ TEST_P(DaisyFixedHeadOptimalityTest, MatchesExhaustive) {
   auto compiled = lang::CompiledQuery::Compile(query.value());
   ASSERT_TRUE(compiled.ok());
 
-  StatusByAddress status = RandomUniformState(kServers, rng);
-  status["head"] = StatusReport::Idle(kInvalidNode, HostCaps{});
+  StatusByAddress by_spelling = RandomUniformState(kServers, rng);
+  by_spelling["head"] = StatusReport::Idle(kInvalidNode, HostCaps{});
+  const lang::HostStatus status(compiled.value().hosts(), by_spelling);
 
   FlowLevelEstimator estimator(/*min_available_fraction=*/0.0);
   auto best = EvaluateExhaustive(compiled.value(), status, estimator);

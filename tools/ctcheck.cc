@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <numeric>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -564,15 +563,15 @@ std::string CompareWinners(const char* finder, const char* name_a,
   return "";
 }
 
-// Runs `check(identity, status)` twice: with each slot of `hosts` its own
-// host, then with two slots the seed picks declared one host, the second
-// given the first's report, as the server's status gather does for an
-// alias. The second run is skipped for a query naming fewer than two
-// addresses. Returns the first divergence, "" when both agree.
+// Runs `check(status)` over the seed's snapshot twice: with each slot of
+// `hosts` its own host, then with two slots the seed picks declared one
+// host, which reads the first slot's report, as an alias reads its address's
+// in the server. The second run is skipped for a query naming fewer than
+// two addresses. Returns the first divergence, "" when both agree.
 template <typename Check>
 std::string WithMergedTwin(uint64_t seed, const lang::QueryHosts& hosts,
                            const StatusByAddress& status, const Check& check) {
-  std::string detail = check(std::span<const int>{}, status);
+  std::string detail = check(lang::HostStatus(hosts, status));
   const int n = static_cast<int>(hosts.names.size());
   if (!detail.empty() || n < 2) {
     return detail;
@@ -584,12 +583,7 @@ std::string WithMergedTwin(uint64_t seed, const lang::QueryHosts& hosts,
   std::vector<int> identity(n);
   std::iota(identity.begin(), identity.end(), 0);
   identity[second] = first;
-  StatusByAddress merged = status;
-  const auto report = status.find(*hosts.names[first]);
-  if (report != status.end()) {
-    merged[*hosts.names[second]] = report->second;
-  }
-  detail = check(std::span<const int>(identity), merged);
+  detail = check(lang::HostStatus(hosts, status, identity));
   return detail.empty() ? "" : "with " + *hosts.names[second] + " one host with " +
                                    *hosts.names[first] + ": " + detail;
 }
@@ -599,17 +593,15 @@ std::string WithMergedTwin(uint64_t seed, const lang::QueryHosts& hosts,
 std::string CheckDiffOpt(uint64_t seed, const std::string& /*query_text*/,
                          const lang::Query& query, const lang::CompiledQuery& compiled,
                          const StatusByAddress& status) {
-  return WithMergedTwin(seed, compiled.hosts(), status, [&](std::span<const int> identity,
-                                                            const StatusByAddress& st) {
+  return WithMergedTwin(seed, compiled.hosts(), status, [&](const lang::HostStatus& st) {
     ExhaustiveParams params;
     params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
     params.optimize = false;
     FlowLevelEstimator est_off;
-    const Result<ExhaustiveResult> off =
-        EvaluateExhaustive(compiled, st, est_off, params, identity);
+    const Result<ExhaustiveResult> off = EvaluateExhaustive(compiled, st, est_off, params);
     params.optimize = true;
     FlowLevelEstimator est_on;
-    const Result<ExhaustiveResult> on = EvaluateExhaustive(compiled, st, est_on, params, identity);
+    const Result<ExhaustiveResult> on = EvaluateExhaustive(compiled, st, est_on, params);
     return CompareWinners("search", "unoptimised", off, "optimized", on);
   });
 }
@@ -630,13 +622,13 @@ std::string CheckDiffSim(uint64_t /*seed*/, const std::string& /*query_text*/,
   params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
   params.optimize = false;
   params.memoize = false;
+  const lang::HostStatus by_host(compiled.hosts(), status);
   FlowLevelEstimator est_cold(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                               /*delta_rebind=*/false);
-  const Result<ExhaustiveResult> cold = EvaluateExhaustive(compiled, status, est_cold, params);
+  const Result<ExhaustiveResult> cold = EvaluateExhaustive(compiled, by_host, est_cold, params);
   FlowLevelEstimator est_delta(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                                /*delta_rebind=*/true);
-  const Result<ExhaustiveResult> delta =
-      EvaluateExhaustive(compiled, status, est_delta, params);
+  const Result<ExhaustiveResult> delta = EvaluateExhaustive(compiled, by_host, est_delta, params);
   return CompareWinners("estimator", "cold", cold, "delta", delta);
 }
 
@@ -651,13 +643,12 @@ std::string CheckDiffSim(uint64_t /*seed*/, const std::string& /*query_text*/,
 // estimates. Any escape is a D502 violation and the query is saved. Like
 // --diff-opt, each seed also runs on its merged twin.
 
-// D502 over one host numbering: walks every legal binding, distinct by
-// host unless the query says `option allow_same`.
+// D502 over the host numbering of `status`: walks every legal binding,
+// distinct by host unless the query says `option allow_same`.
 std::string CheckBoundsBracketEstimates(const lang::Query& query, const lang::CompiledQuery& cq,
-                                        std::span<const int> identity,
-                                        const StatusByAddress& status) {
+                                        const lang::HostStatus& status) {
   const lang::QueryHosts& hosts = cq.hosts();
-  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(cq, status, {}, identity);
+  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(cq, status);
   const auto& variables = cq.variables();
   const size_t n = variables.size();
 
@@ -666,7 +657,7 @@ std::string CheckBoundsBracketEstimates(const lang::Query& query, const lang::Co
   for (size_t i = 0; i < n; ++i) {
     for (const int slot : hosts.CandidateSlots(static_cast<int>(i))) {
       names[i].push_back(hosts.names[slot]);
-      ids[i].push_back(lang::HostOf(identity, slot));
+      ids[i].push_back(lang::HostOf(status.identity(), slot));
     }
     if (names[i].empty()) {
       return "";  // Unanswerable variable; nothing to bound.
@@ -675,7 +666,7 @@ std::string CheckBoundsBracketEstimates(const lang::Query& query, const lang::Co
 
   const bool distinct = !query.options.allow_same_binding;
   FlowLevelEstimator estimator;  // Default fraction 0.1 = BoundOptions default.
-  estimator.BeginQuery(cq, status, identity);
+  estimator.BeginQuery(cq, status);
   Binding binding;
   for (size_t i = 0; i < n; ++i) {
     binding[variables[i].name] = lang::Endpoint::Address("");
@@ -741,9 +732,8 @@ std::string CheckBoundsBracketEstimates(const lang::Query& query, const lang::Co
 std::string CheckDiffBound(uint64_t seed, const std::string& /*query_text*/,
                            const lang::Query& query, const lang::CompiledQuery& cq,
                            const StatusByAddress& status) {
-  return WithMergedTwin(seed, cq.hosts(), status, [&](std::span<const int> identity,
-                                                       const StatusByAddress& st) {
-    return CheckBoundsBracketEstimates(query, cq, identity, st);
+  return WithMergedTwin(seed, cq.hosts(), status, [&](const lang::HostStatus& st) {
+    return CheckBoundsBracketEstimates(query, cq, st);
   });
 }
 
@@ -894,11 +884,12 @@ std::string CheckDiffCanon(uint64_t seed, const std::string& query_text,
   params.threads = 1;
   params.optimize = false;
   FlowLevelEstimator est_original;
-  const Result<ExhaustiveResult> original =
-      EvaluateExhaustive(compiled, status, est_original, params);
+  const Result<ExhaustiveResult> original = EvaluateExhaustive(
+      compiled, lang::HostStatus(compiled.hosts(), status), est_original, params);
   FlowLevelEstimator est_canonical;
-  Result<ExhaustiveResult> canonical =
-      EvaluateExhaustive(canon_compiled.value(), status, est_canonical, params);
+  const lang::QueryHosts& canon_hosts = canon_compiled.value().hosts();
+  Result<ExhaustiveResult> canonical = EvaluateExhaustive(
+      canon_compiled.value(), lang::HostStatus(canon_hosts, status), est_canonical, params);
   if (canonical.ok()) {
     Binding mapped;
     for (const auto& [var, endpoint] : canonical.value().binding) {

@@ -186,30 +186,17 @@ int Render(LintedInput* input, const Options& options) {
 
 // ---- --show ----
 
-// All-idle synthetic snapshot: every address the query can touch reports a
+// All-idle synthetic snapshot: every address the query names reports a
 // 1 Gbps NIC, a 4 Gbps disk, and no scalar-resource information — the same
 // defaults the tests use. Deterministic, so reports are snapshot-stable.
-cloudtalk::StatusByAddress SynthesizeIdleStatus(const CompiledQuery& compiled) {
-  cloudtalk::StatusByAddress status;
-  cloudtalk::NodeId next = 1;
-  auto add = [&](const cloudtalk::lang::Endpoint& e) {
-    if (e.kind != cloudtalk::lang::Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    cloudtalk::StatusReport report;
-    report.host = next++;
-    report.nic_tx_cap = report.nic_rx_cap = 1e9;
-    report.disk_read_cap = report.disk_write_cap = 4e9;
-    status[e.name] = report;
-  };
-  for (const cloudtalk::lang::VarComm& var : compiled.variables()) {
-    for (const cloudtalk::lang::Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const cloudtalk::lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
+cloudtalk::lang::HostStatus SynthesizeIdleStatus(const CompiledQuery& compiled) {
+  const cloudtalk::lang::QueryHosts& hosts = compiled.hosts();
+  cloudtalk::StatusReport idle;
+  idle.nic_tx_cap = idle.nic_rx_cap = 1e9;
+  idle.disk_read_cap = idle.disk_write_cap = 4e9;
+  cloudtalk::lang::HostStatus status(hosts, {}, hosts.names.size());
+  for (int slot = 0; slot < static_cast<int>(hosts.names.size()); ++slot) {
+    status.Set(slot, idle);
   }
   return status;
 }
