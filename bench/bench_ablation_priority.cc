@@ -73,8 +73,8 @@ int main() {
       HeuristicParams params;
       params.enable_priority_binding = priority;
       auto heuristic = EvaluateHeuristic(compiled.value(), status, params);
-      auto estimate =
-          estimator.EstimateQuery(compiled.value(), heuristic.value().binding, status);
+      auto estimate = estimator.EstimateQuery(
+          compiled.value(), SlotsOf(compiled.value(), heuristic.value().binding).value(), status);
       if (!estimate.ok()) {
         continue;
       }

@@ -103,9 +103,13 @@ Seconds PredictTwoAgg(const Setup& setup, const Directory& directory, NodeId agg
   }
   auto compiled = lang::CompiledQuery::Compile(parsed.value());
   PacketLevelEstimator estimator(&setup.topo, &directory);
-  Binding binding{{"AGG1", lang::Endpoint::Address(setup.topo.IpOf(agg1))},
-                  {"AGG2", lang::Endpoint::Address(setup.topo.IpOf(agg2))}};
-  auto estimate = estimator.EstimateQuery(compiled.value(), binding, {});
+  const Binding binding{{"AGG1", lang::Endpoint::Address(setup.topo.IpOf(agg1))},
+                        {"AGG2", lang::Endpoint::Address(setup.topo.IpOf(agg2))}};
+  const Result<std::vector<int>> slots = SlotsOf(compiled.value(), binding);
+  if (!slots.ok()) {
+    return -1;
+  }
+  auto estimate = estimator.EstimateQuery(compiled.value(), slots.value(), {});
   return estimate.ok() ? estimate.value().makespan : -1;
 }
 

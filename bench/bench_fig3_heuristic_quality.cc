@@ -95,9 +95,11 @@ Quality Evaluate(LoadShape shape, int states, uint64_t seed) {
       continue;
     }
     auto heuristic = EvaluateHeuristic(compiled.value(), status, params);
-    auto h_est = estimator.EstimateQuery(compiled.value(), heuristic.value().binding, status);
-    auto r_est = estimator.EstimateQuery(compiled.value(), RandomBinding(compiled.value(), rng),
-                                         status);
+    auto h_est = estimator.EstimateQuery(
+        compiled.value(), SlotsOf(compiled.value(), heuristic.value().binding).value(), status);
+    auto r_est = estimator.EstimateQuery(
+        compiled.value(), SlotsOf(compiled.value(), RandomBinding(compiled.value(), rng)).value(),
+        status);
     if (!h_est.ok() || !r_est.ok()) {
       continue;
     }

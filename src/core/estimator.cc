@@ -24,16 +24,24 @@ StatusReport OrUnreported(const StatusReport* report) {
 }
 }  // namespace
 
-std::optional<lang::Endpoint> ResolveEndpoint(const lang::Endpoint& endpoint,
-                                              const Binding& binding) {
-  if (endpoint.kind != lang::Endpoint::Kind::kVariable) {
-    return endpoint;
+Result<std::vector<int>> SlotsOf(const lang::CompiledQuery& query, const Binding& binding) {
+  const std::vector<lang::VarComm>& variables = query.variables();
+  std::vector<int> slots(variables.size(), -1);
+  for (size_t v = 0; v < variables.size(); ++v) {
+    const auto it = binding.find(variables[v].name);
+    if (it == binding.end()) {
+      continue;
+    }
+    const int id = query.graph().names().Find(it->second.name);
+    if (it->second.kind == lang::Endpoint::Kind::kAddress && id >= 0) {
+      slots[v] = query.hosts().slot_of[id];
+    }
+    if (slots[v] < 0) {
+      return Error{"variable '" + variables[v].name + "' is bound to '" +
+                   it->second.ToString() + "', which is no address of the query"};
+    }
   }
-  const auto it = binding.find(endpoint.name);
-  if (it == binding.end()) {
-    return std::nullopt;
-  }
-  return it->second;
+  return slots;
 }
 
 // Per-query scratch: the star topology, the fluid simulation and the flow
@@ -50,9 +58,9 @@ struct FlowLevelEstimator::Scratch {
   NodeId hub = kInvalidNode;
   std::unique_ptr<FluidSimulation> sim;
 
-  std::vector<int> host_of_name;  // By name id: the host a bound spelling is, or -1.
+  std::vector<int> host_of_slot;  // By slot of the query: its host.
   std::vector<NodeId> host_node;
-  // Per host-slot resources of the star: NIC up/down, disk read/write, and
+  // Per host resources of the star: NIC up/down, disk read/write, and
   // the two directed hub links. A src->dst transfer consumes
   // {nic_up[src], link_up[src], link_down[dst], nic_down[dst]} — exactly
   // what ResourceRegistry::NetworkPath returns on this topology, without
@@ -62,7 +70,7 @@ struct FlowLevelEstimator::Scratch {
   struct Ep {
     enum Kind { kHost, kVar, kDisk };
     Kind kind = kHost;
-    int index = 0;  // Host slot for kHost, variable index for kVar.
+    int index = 0;  // Host for kHost, variable index for kVar.
   };
   struct FlowPlan {
     Ep src, dst;
@@ -72,7 +80,7 @@ struct FlowLevelEstimator::Scratch {
   std::vector<FlowPlan> flows;
 
   // Reused per estimate.
-  std::vector<int> var_slot;        // variable index -> host slot (-1 unbound).
+  std::vector<int> var_host;        // variable index -> host (-1 unbound).
   std::vector<GroupSpec> specs;
 
   // ---- Delta re-bind state (ISSUE 6) ----
@@ -89,13 +97,12 @@ struct FlowLevelEstimator::Scratch {
   };
   std::vector<FlowMember> flow_member;       // per flow plan
   std::vector<std::vector<int>> flows_of_var;  // var index -> flows touching it
-  std::vector<int> chk_var_slot;             // var slots of the checkpointed binding
-  std::vector<int> depth_of_var;             // walk depth per var (-1: not hinted)
+  std::vector<int> chk_var_host;             // var hosts of the checkpointed binding
   std::vector<ResourceId> patch_resources;   // scratch for resource rewrites
   Bytes total_bytes = 0;                     // constant per query
 
   int AddHost(const std::string& address, const StatusReport* reported) {
-    const int slot = static_cast<int>(host_node.size());
+    const int host = static_cast<int>(host_node.size());
     const StatusReport report = OrUnreported(reported);
     HostCaps caps;
     caps.nic_up = report.nic_tx_cap;
@@ -107,7 +114,7 @@ struct FlowLevelEstimator::Scratch {
     host_node.push_back(node);
     pending_reports.push_back(report);
     pending_links.push_back(up);
-    return slot;
+    return host;
   }
 
   // Reports/links staged by AddHost; consumed once the simulation is
@@ -138,13 +145,13 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
 
   // Hosts in first-reach order: pool entries, then literal flow endpoints
   // and 0.0.0.0 occurrences in flow order.
-  std::vector<int> host_of_slot(query_hosts.names.size(), -1);  // At identity slots.
+  std::vector<int> host_of_id(query_hosts.names.size(), -1);  // By identity slot.
   const auto host = [&](int slot) {
     const int id = lang::HostOf(status.identity(), slot);
-    if (host_of_slot[id] < 0) {
-      host_of_slot[id] = s.AddHost(*query_hosts.names[id], status.Find(id));
+    if (host_of_id[id] < 0) {
+      host_of_id[id] = s.AddHost(*query_hosts.names[id], status.Find(id));
     }
-    return host_of_slot[id];
+    return host_of_id[id];
   };
   for (int slot = 0; slot < query_hosts.pool_names; ++slot) {
     host(slot);
@@ -176,9 +183,9 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
     plan.dst = classify(flow.dst, graph.dst_id(flow.index));
     s.flows.push_back(plan);
   }
-  s.host_of_name.assign(graph.names().size(), -1);
-  for (size_t slot = 0; slot < query_hosts.names.size(); ++slot) {
-    s.host_of_name[query_hosts.ids[slot]] = host(static_cast<int>(slot));
+  s.host_of_slot.resize(query_hosts.names.size());
+  for (size_t slot = 0; slot < s.host_of_slot.size(); ++slot) {
+    s.host_of_slot[slot] = host(static_cast<int>(slot));
   }
 
   s.sim = std::make_unique<FluidSimulation>(&s.star, min_available_fraction_);
@@ -205,9 +212,8 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
     s.sim->SetBackground(s.disk_read[i], report.disk_read_use);
     s.sim->SetBackground(s.disk_write[i], report.disk_write_use);
   }
-  s.var_slot.assign(query.variables().size(), -1);
+  s.var_host.assign(query.variables().size(), -1);
   s.flows_of_var.assign(query.variables().size(), {});
-  s.depth_of_var.assign(query.variables().size(), -1);
   s.total_bytes = 0;
   for (size_t i = 0; i < s.flows.size(); ++i) {
     const Scratch::FlowPlan& plan = s.flows[i];
@@ -220,8 +226,6 @@ void FlowLevelEstimator::BeginQuery(const lang::CompiledQuery& query,
       s.flows_of_var[plan.dst.index].push_back(static_cast<int>(i));
     }
   }
-  hint_active_ = false;
-  slots_valid_ = false;
 }
 
 void FlowLevelEstimator::EndQuery() {
@@ -232,32 +236,11 @@ void FlowLevelEstimator::EndQuery() {
     stats_.cold_component_solves += c.cold_component_solves;
   }
   scratch_.reset();
-  hint_active_ = false;
-  slots_valid_ = false;
 }
 
 std::unique_ptr<CompletionEstimator> FlowLevelEstimator::CloneForThread() const {
   return std::make_unique<FlowLevelEstimator>(min_available_fraction_, reuse_scratch_,
                                               delta_rebind_);
-}
-
-void FlowLevelEstimator::BeginHintedWalk(const std::vector<std::string>& vars_in_walk_order) {
-  if (scratch_ == nullptr) {
-    return;
-  }
-  Scratch& s = *scratch_;
-  s.depth_of_var.assign(s.query->variables().size(), -1);
-  for (size_t d = 0; d < vars_in_walk_order.size(); ++d) {
-    const int v = s.query->VariableIndex(vars_in_walk_order[d]);
-    if (v >= 0 && v < static_cast<int>(s.depth_of_var.size())) {
-      s.depth_of_var[v] = static_cast<int>(d);
-    }
-  }
-}
-
-void FlowLevelEstimator::HintChangedSuffix(size_t first_changed_depth) {
-  hint_active_ = true;
-  hint_first_depth_ = first_changed_depth;
 }
 
 SolverStats FlowLevelEstimator::TakeSolverStats() {
@@ -267,78 +250,47 @@ SolverStats FlowLevelEstimator::TakeSolverStats() {
 }
 
 Result<Estimate> FlowLevelEstimator::EstimateQuery(const lang::CompiledQuery& query,
-                                              const Binding& binding,
-                                              const lang::HostStatus& status) {
-  if (scratch_ != nullptr && scratch_->query == &query && scratch_->status == &status) {
-    // A binding to a name that is no slot (possible only on direct calls
-    // with out-of-pool addresses) falls through to the cold path.
-    bool miss = false;
-    Scratch& s = *scratch_;
-    const auto& variables = query.variables();
-    // With a valid engine hint, variables strictly above the changed suffix
-    // kept their binding since the previous call, so their cached slots are
-    // reused without the hash lookups.
-    const bool use_hint = hint_active_ && slots_valid_;
-    hint_active_ = false;  // Consumed (valid for this call only).
-    for (size_t v = 0; v < variables.size(); ++v) {
-      if (use_hint && s.depth_of_var[v] >= 0 &&
-          static_cast<size_t>(s.depth_of_var[v]) < hint_first_depth_) {
-        continue;
-      }
-      const auto it = binding.find(variables[v].name);
-      if (it == binding.end()) {
-        s.var_slot[v] = -1;  // Flows referencing it fail, as in the cold path.
-        continue;
-      }
-      if (it->second.kind != lang::Endpoint::Kind::kAddress) {
-        miss = true;
-        break;
-      }
-      const int id = query.graph().names().Find(it->second.name);
-      if (id < 0 || s.host_of_name[id] < 0) {
-        miss = true;
-        break;
-      }
-      s.var_slot[v] = s.host_of_name[id];
-    }
-    slots_valid_ = !miss;
-    if (!miss) {
-      return EstimateWithScratch(query, binding);
-    }
+                                                   std::span<const int> slots,
+                                                   const lang::HostStatus& status) {
+  if (scratch_ == nullptr || scratch_->query != &query || scratch_->status != &status) {
+    return EstimateCold(query, slots, status);
   }
-  return EstimateCold(query, binding, status);
+  Scratch& s = *scratch_;
+  for (size_t v = 0; v < s.var_host.size(); ++v) {
+    const size_t slot = v < slots.size() ? slots[v] : -1;  // -1 wraps past every slot.
+    s.var_host[v] = slot < s.host_of_slot.size() ? s.host_of_slot[slot] : -1;
+  }
+  return EstimateWithScratch(query);
 }
 
-Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQuery& query,
-                                                         const Binding& binding) {
-  (void)binding;
+Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQuery& query) {
   Scratch& s = *scratch_;
   FluidSimulation& sim = *s.sim;
 
-  auto slot_of = [&](const Scratch::Ep& ep) -> int {
+  auto host_of = [&](const Scratch::Ep& ep) -> int {
     return ep.kind == Scratch::Ep::kHost ? ep.index
-                                         : (ep.index >= 0 ? s.var_slot[ep.index] : -1);
+                                         : (ep.index >= 0 ? s.var_host[ep.index] : -1);
   };
-  // Resolves flow i's resource set under the current var_slot view into
+  // Resolves flow i's resource set under the current var_host view into
   // `out`. False on an unbound variable endpoint.
   auto flow_resources = [&](size_t i, std::vector<ResourceId>& out) -> bool {
     const Scratch::FlowPlan& plan = s.flows[i];
     out.clear();
     if (plan.src.kind == Scratch::Ep::kDisk) {
-      const int dst = slot_of(plan.dst);
+      const int dst = host_of(plan.dst);
       if (dst < 0) {
         return false;
       }
       out = {s.disk_read[dst]};
     } else if (plan.dst.kind == Scratch::Ep::kDisk) {
-      const int src = slot_of(plan.src);
+      const int src = host_of(plan.src);
       if (src < 0) {
         return false;
       }
       out = {s.disk_write[src]};
     } else {
-      const int src = slot_of(plan.src);
-      const int dst = slot_of(plan.dst);
+      const int src = host_of(plan.src);
+      const int dst = host_of(plan.dst);
       if (src < 0 || dst < 0) {
         return false;
       }
@@ -357,8 +309,8 @@ Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQue
     // endpoints differ from it. Untouched components then re-solve as cache
     // hits inside the simulation.
     sim.RestoreCheckpoint();
-    for (size_t v = 0; v < s.var_slot.size(); ++v) {
-      if (s.var_slot[v] == s.chk_var_slot[v]) {
+    for (size_t v = 0; v < s.var_host.size(); ++v) {
+      if (s.var_host[v] == s.chk_var_host[v]) {
         continue;
       }
       for (const int fi : s.flows_of_var[v]) {
@@ -415,7 +367,7 @@ Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQue
     }
     if (delta_rebind_) {
       sim.SaveCheckpoint();
-      s.chk_var_slot = s.var_slot;
+      s.chk_var_host = s.var_host;
       s.groups_installed = true;
     }
     ++stats_.cold_rebinds;
@@ -437,70 +389,73 @@ Result<Estimate> FlowLevelEstimator::EstimateWithScratch(const lang::CompiledQue
 }
 
 Result<Estimate> FlowLevelEstimator::EstimateCold(const lang::CompiledQuery& query,
-                                                  const Binding& binding,
+                                                  std::span<const int> slots,
                                                   const lang::HostStatus& status) const {
-  // Build a throwaway star topology: one abstract host per distinct address
-  // in the bound query, all hanging off an uncontended switch. Endpoint
-  // capacities and background load come from the report of the address's
-  // slot; an address with none, or that the query never spells, is modelled
-  // as idle with very large capacity so it never dominates the estimate
-  // (0.0.0.0 sources fall in this bucket).
+  // Build a throwaway star topology: one abstract host per host of the bound
+  // query, numbered as `status` numbers them (an alias and its address are
+  // one), all hanging off an uncontended switch. Endpoint capacities and
+  // background load come from the host's report; a host with none is
+  // modelled as idle with very large capacity so it never dominates the
+  // estimate (0.0.0.0 sources fall in this bucket).
+  const lang::QueryHosts& query_hosts = query.hosts();
+  const lang::FlowGraph& graph = query.graph();
   struct AbstractHost {
     std::string address;
     StatusReport report;
     NodeId node = kInvalidNode;
   };
   std::vector<AbstractHost> hosts;
-  std::unordered_map<std::string, int> host_index;
-  auto intern = [&](const std::string& address) -> int {
-    const auto it = host_index.find(address);
-    if (it != host_index.end()) {
-      return it->second;
+  std::vector<int> host_of_id(query_hosts.names.size(), -1);  // By identity slot.
+  auto intern = [&](int slot) -> int {
+    const int id = lang::HostOf(status.identity(), slot);
+    if (host_of_id[id] < 0) {
+      host_of_id[id] = static_cast<int>(hosts.size());
+      hosts.push_back({*query_hosts.names[id], OrUnreported(status.Find(id))});
     }
-    AbstractHost host;
-    host.address = address;
-    const int id = query.graph().names().Find(address);
-    host.report = OrUnreported(status.Find(id < 0 ? -1 : query.hosts().slot_of[id]));
-    const int index = static_cast<int>(hosts.size());
-    hosts.push_back(std::move(host));
-    host_index.emplace(address, index);
-    return index;
+    return host_of_id[id];
   };
 
-  // Resolve every flow's endpoints first so the host set is complete.
+  // Resolve every flow's endpoints to hosts first so the host set is
+  // complete.
+  constexpr int kDiskHost = -1;
+  constexpr int kUnbound = -2;
+  int unknown_counter = 0;
+  auto resolve = [&](const lang::Endpoint& e, int name) -> int {
+    switch (e.kind) {
+      case lang::Endpoint::Kind::kAddress:
+        return intern(query_hosts.slot_of[name]);
+      case lang::Endpoint::Kind::kVariable: {
+        const size_t v = graph.variable(name);  // -1 wraps past every variable.
+        const size_t slot = v < slots.size() ? slots[v] : -1;
+        return slot < query_hosts.names.size() ? intern(static_cast<int>(slot)) : kUnbound;
+      }
+      case lang::Endpoint::Kind::kDisk:
+        return kDiskHost;
+      case lang::Endpoint::Kind::kUnknown:
+      default:
+        // Each 0.0.0.0 is a distinct infinitely-provisioned external sender.
+        hosts.push_back({"_unknown" + std::to_string(unknown_counter++), OrUnreported(nullptr)});
+        return static_cast<int>(hosts.size()) - 1;
+    }
+  };
   struct ResolvedFlow {
-    lang::Endpoint src;
-    lang::Endpoint dst;
+    int src = 0;
+    int dst = 0;
     Bytes size = 0;
     int group = 0;
   };
   std::vector<ResolvedFlow> resolved;
   resolved.reserve(query.flows().size());
-  int unknown_counter = 0;
   for (const lang::CompiledFlow& flow : query.flows()) {
     ResolvedFlow rf;
-    auto src = ResolveEndpoint(flow.src, binding);
-    auto dst = ResolveEndpoint(flow.dst, binding);
-    if (!src.has_value() || !dst.has_value()) {
+    rf.src = resolve(flow.src, graph.src_id(flow.index));
+    rf.dst = resolve(flow.dst, graph.dst_id(flow.index));
+    if (rf.src == kUnbound || rf.dst == kUnbound) {
       return Error{"flow '" + flow.name + "' has an unbound variable endpoint"};
     }
-    rf.src = *src;
-    rf.dst = *dst;
     rf.size = flow.size;
     rf.group = flow.group;
-    // Each 0.0.0.0 is a distinct infinitely-provisioned external sender.
-    if (rf.src.kind == lang::Endpoint::Kind::kUnknown) {
-      rf.src = lang::Endpoint::Address("_unknown" + std::to_string(unknown_counter++));
-    }
-    if (rf.dst.kind == lang::Endpoint::Kind::kUnknown) {
-      rf.dst = lang::Endpoint::Address("_unknown" + std::to_string(unknown_counter++));
-    }
-    for (const lang::Endpoint* e : {&rf.src, &rf.dst}) {
-      if (e->kind == lang::Endpoint::Kind::kAddress) {
-        intern(e->name);
-      }
-    }
-    resolved.push_back(std::move(rf));
+    resolved.push_back(rf);
   }
 
   // Star topology with an uncontended hub.
@@ -530,17 +485,16 @@ Result<Estimate> FlowLevelEstimator::EstimateCold(const lang::CompiledQuery& que
     specs[g].rate_limit = query.groups()[g].rate_limit;
     specs[g].start_time = std::max<Seconds>(0, query.groups()[g].start);
   }
-  auto node_of = [&](const lang::Endpoint& e) { return hosts[host_index.at(e.name)].node; };
   for (const ResolvedFlow& rf : resolved) {
     FluidFlow flow;
     flow.size = rf.size;
     total_bytes += rf.size;
-    if (rf.src.kind == lang::Endpoint::Kind::kDisk) {
-      flow.resources = {sim.resources().DiskRead(node_of(rf.dst))};
-    } else if (rf.dst.kind == lang::Endpoint::Kind::kDisk) {
-      flow.resources = {sim.resources().DiskWrite(node_of(rf.src))};
+    if (rf.src == kDiskHost) {
+      flow.resources = {sim.resources().DiskRead(hosts[rf.dst].node)};
+    } else if (rf.dst == kDiskHost) {
+      flow.resources = {sim.resources().DiskWrite(hosts[rf.src].node)};
     } else {
-      flow.resources = sim.resources().NetworkPath(star, node_of(rf.src), node_of(rf.dst));
+      flow.resources = sim.resources().NetworkPath(star, hosts[rf.src].node, hosts[rf.dst].node);
     }
     specs[rf.group].flows.push_back(std::move(flow));
   }

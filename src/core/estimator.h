@@ -11,11 +11,13 @@
 //    incast-sensitive queries such as web search.
 //
 // Hot-path contract (ISSUE 1): an exhaustive evaluation calls EstimateQuery
-// once per binding — thousands to millions of times per query. Estimators
-// therefore support a prepared-scratch protocol:
+// once per binding — thousands to millions of times per query. A binding
+// therefore reaches an estimator as slots, not spellings: per variable, the
+// slot of query.hosts() its host is, the numbering the search already walks
+// in. Estimators support a prepared-scratch protocol:
 //
 //   estimator.BeginQuery(query, status);  // number hosts, build buffers
-//   for (each binding) estimator.EstimateQuery(query, binding, status);
+//   for (each binding) estimator.EstimateQuery(query, slots, status);
 //   estimator.EndQuery();
 //
 // Between BeginQuery and EndQuery the estimator may reuse per-query state
@@ -29,6 +31,7 @@
 #define CLOUDTALK_SRC_CORE_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,8 +43,13 @@
 
 namespace cloudtalk {
 
-// var name -> concrete endpoint (address or disk).
+// var name -> concrete endpoint (address or disk): a reply's placement.
 using Binding = std::unordered_map<std::string, lang::Endpoint>;
+
+// `binding` as estimators read it: per variable, the slot of query.hosts()
+// its bound name spells, or -1 when `binding` binds it to nothing. Fails,
+// naming the variable, when a bound name is no address the query spells.
+Result<std::vector<int>> SlotsOf(const lang::CompiledQuery& query, const Binding& binding);
 
 struct Estimate {
   Seconds makespan = 0;           // When the last flow finishes.
@@ -64,9 +72,13 @@ struct SolverStats {
 class CompletionEstimator {
  public:
   virtual ~CompletionEstimator() = default;
-  // A bound name the query never spells reads as unreported.
-  virtual Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
-                                    const lang::HostStatus& status) = 0;
+  // `slots` binds variable v to the host at slot slots[v] of query.hosts();
+  // -1, any other value that is no slot, or a position past the span's end
+  // leaves v unbound (so {} binds nothing), and a flow that reads an unbound
+  // variable fails the estimate.
+  virtual Result<Estimate> EstimateQuery(const lang::CompiledQuery& query,
+                                         std::span<const int> slots,
+                                         const lang::HostStatus& status) = 0;
 
   // Prepared-scratch protocol (see file comment), hosts numbered as `status`
   // numbers them, as the exhaustive search does. Default: no-op — a
@@ -89,20 +101,8 @@ class CompletionEstimator {
   // behaviour to specific flow indices.
   virtual bool EstimatesArePermutationInvariant() const { return false; }
 
-  // ---- Odometer delta hints (ISSUE 6) ----
-  // The exhaustive engine announces its variable walk order once per query
-  // (after BeginQuery), then before each EstimateQuery reports the lowest
-  // walk depth whose binding may differ from the previous EstimateQuery on
-  // this estimator; every shallower variable is guaranteed unchanged. The
-  // hint is consumed by the next EstimateQuery. Both default to no-ops —
-  // estimators that ignore them simply re-resolve every variable.
-  virtual void BeginHintedWalk(const std::vector<std::string>& vars_in_walk_order) {
-    (void)vars_in_walk_order;
-  }
-  virtual void HintChangedSuffix(size_t first_changed_depth) { (void)first_changed_depth; }
-
   // Drains the accumulated solver-cost counters (zeroing them). The engine
-  // collects these after EndQuery, once per shard.
+  // collects these after EndQuery, once per worker's stripe.
   virtual SolverStats TakeSolverStats() { return {}; }
 
   // ---- Sound bound model (ISSUE 7) ----
@@ -131,8 +131,9 @@ class FlowLevelEstimator : public CompletionEstimator {
                               bool delta_rebind = true);
   ~FlowLevelEstimator() override;
 
-  Result<cloudtalk::Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
-                                       const lang::HostStatus& status) override;
+  Result<cloudtalk::Estimate> EstimateQuery(const lang::CompiledQuery& query,
+                                            std::span<const int> slots,
+                                            const lang::HostStatus& status) override;
 
   void BeginQuery(const lang::CompiledQuery& query, const lang::HostStatus& status) override;
   void EndQuery() override;
@@ -141,8 +142,6 @@ class FlowLevelEstimator : public CompletionEstimator {
   // within a group cannot matter.
   bool EstimatesArePermutationInvariant() const override { return true; }
 
-  void BeginHintedWalk(const std::vector<std::string>& vars_in_walk_order) override;
-  void HintChangedSuffix(size_t first_changed_depth) override;
   SolverStats TakeSolverStats() override;
   // The fluid allocation floors every resource at min_available_fraction,
   // so BoundAnalysis built with the same fraction brackets every estimate.
@@ -153,34 +152,20 @@ class FlowLevelEstimator : public CompletionEstimator {
  private:
   struct Scratch;
 
-  // The original one-shot path: builds a throwaway star topology per call.
-  // Also the fallback whenever a binding names an address that is not a
-  // slot of the query (e.g. a direct EstimateQuery call with an out-of-pool
-  // binding).
+  // The original one-shot path: builds a throwaway star topology per call,
+  // numbering hosts as `status` does. It serves every call outside a
+  // matching BeginQuery.
   Result<cloudtalk::Estimate> EstimateCold(const lang::CompiledQuery& query,
-                                           const Binding& binding,
+                                           std::span<const int> slots,
                                            const lang::HostStatus& status) const;
-  Result<cloudtalk::Estimate> EstimateWithScratch(const lang::CompiledQuery& query,
-                                                  const Binding& binding);
+  Result<cloudtalk::Estimate> EstimateWithScratch(const lang::CompiledQuery& query);
 
   double min_available_fraction_;
   bool reuse_scratch_;
   bool delta_rebind_;
   std::unique_ptr<Scratch> scratch_;
   SolverStats stats_;
-  // Hint state (see CompletionEstimator::HintChangedSuffix). slots_valid_
-  // guards the skip: a variable's cached slot is only trusted if the
-  // previous EstimateQuery resolved the full binding without a miss.
-  bool hint_active_ = false;
-  size_t hint_first_depth_ = 0;
-  bool slots_valid_ = false;
 };
-
-// Substitutes variables in `endpoint` according to `binding`. Returns the
-// endpoint unchanged for addresses/disk/unknown; fails (returns nullopt) for
-// an unbound variable.
-std::optional<lang::Endpoint> ResolveEndpoint(const lang::Endpoint& endpoint,
-                                              const Binding& binding);
 
 }  // namespace cloudtalk
 

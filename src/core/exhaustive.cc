@@ -77,7 +77,7 @@ struct EvalContext {
   bool memoize = false;
 };
 
-struct ShardResult {
+struct StripeResult {
   bool have_best = false;
   Estimate best_estimate;
   int64_t best_rank = 0;              // Odometer rank of the best binding.
@@ -86,58 +86,32 @@ struct ShardResult {
   int64_t memo_hits = 0;
   int64_t orbit_skips = 0;
   int64_t bound_prunes = 0;
-  SolverStats solver;  // Drained from the worker's estimator after the shard.
+  SolverStats solver;  // Drained from the worker's estimator after the stripe.
   std::optional<Error> last_error;
 };
 
 // Walks the stripe of the binding space where the first variable's candidate
 // index is congruent to `offset` modulo `stride` (remaining variables full
 // range), scoring each legal binding with `est`. Enumeration order within a
-// shard is lexicographic, so ranks are strictly increasing and "first
+// stripe is lexicographic, so ranks are strictly increasing and "first
 // strictly better wins" reproduces the serial engine's tie-break.
-ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offset, int stride) {
-  const auto& variables = ctx.query->variables();
-  const size_t n = variables.size();
-  ShardResult out;
+StripeResult RunStripe(const EvalContext& ctx, CompletionEstimator& est, int offset, int stride) {
+  const size_t n = ctx.query->variables().size();
+  StripeResult out;
   est.BeginQuery(*ctx.query, *ctx.status);
-
-  // Announce the odometer's walk order so a delta-capable estimator can map
-  // depths to its own variable indices (ISSUE 6).
-  {
-    std::vector<std::string> walk_order;
-    walk_order.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      walk_order.push_back(variables[i].name);
-    }
-    est.BeginHintedWalk(walk_order);
-  }
-  // Lowest depth whose slot was rewritten since the last EstimateQuery on
-  // this estimator. Conservative: a rewrite with the same value still counts
-  // as changed. Reset only after actual estimator calls — memo hits leave
-  // the estimator's view of the binding untouched, so rewrites accumulate
-  // across them.
-  size_t lowest_changed = 0;
-
-  // One persistent Binding: enumeration only rewrites the address strings
-  // in place (unordered_map nodes are stable).
-  Binding binding;
-  for (size_t i = 0; i < n; ++i) {
-    binding[variables[i].name] = lang::Endpoint::Address("");
-  }
-  std::vector<lang::Endpoint*> value(n);
-  for (size_t i = 0; i < n; ++i) {
-    value[i] = &binding[variables[i].name];
-  }
 
   std::vector<size_t> choice(n, 0);
   choice[0] = static_cast<size_t>(offset);
-  std::vector<int32_t> var_id(n, 0);  // Per depth: its candidate's host.
+  // Per depth (the variable's index): its candidate's slot, the binding the
+  // estimator reads, and that slot's host.
+  std::vector<int> var_slot(n, -1);
+  std::vector<int32_t> var_id(n, 0);
   std::vector<char> used(ctx.distinct ? ctx.query->hosts().names.size() : 0, 0);
 
-  // O500: per-shard incremental lower-bound cursor, mirroring the odometer's
-  // slot writes. Pruning compares against the *shard-local* incumbent — each
-  // shard only ever skips bindings provably worse than something it already
-  // holds, so the deterministic merge is untouched.
+  // O500: the stripe's incremental lower-bound cursor, mirroring the
+  // odometer's slot writes. Pruning compares against the stripe's own
+  // incumbent — each stripe only ever skips bindings provably worse than
+  // something it already holds, so the deterministic merge is untouched.
   std::optional<lang::BoundAnalysis::Cursor> cursor;
   if (ctx.bound != nullptr) {
     cursor.emplace(ctx.bound->MakeCursor());
@@ -202,9 +176,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
         }
       }
       if (!have) {
-        est.HintChangedSuffix(lowest_changed);
-        Result<Estimate> result = est.EstimateQuery(*ctx.query, binding, *ctx.status);
-        lowest_changed = n;
+        Result<Estimate> result = est.EstimateQuery(*ctx.query, var_slot, *ctx.status);
         if (result.ok()) {
           estimate = result.value();
           have = true;
@@ -260,8 +232,7 @@ ShardResult RunShard(const EvalContext& ctx, CompletionEstimator& est, int offse
       step(depth);
       continue;
     }
-    value[depth]->name = *ctx.query->hosts().names[slot];
-    lowest_changed = std::min(lowest_changed, depth);
+    var_slot[depth] = slot;
     var_id[depth] = id;
     if (ctx.distinct) {
       used[id] = 1;
@@ -299,8 +270,7 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   const size_t n = variables.size();
 
   if (n == 0) {
-    Binding binding;
-    Result<Estimate> estimate = estimator.EstimateQuery(query, binding, status);
+    Result<Estimate> estimate = estimator.EstimateQuery(query, {}, status);
     if (!estimate.ok()) {
       return estimate.error();
     }
@@ -490,12 +460,12 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   }
 
   // Worker w walks first-variable indices w, w + workers, w + 2·workers, ….
-  std::vector<ShardResult> results(workers);
+  std::vector<StripeResult> results(workers);
   if (workers == 1) {
-    results[0] = RunShard(ctx, estimator, /*offset=*/0, /*stride=*/1);
+    results[0] = RunStripe(ctx, estimator, /*offset=*/0, /*stride=*/1);
   } else {
     ThreadPool::Shared().Run(workers, [&](int w) {
-      results[w] = RunShard(ctx, *clones[w], /*offset=*/w, /*stride=*/workers);
+      results[w] = RunStripe(ctx, *clones[w], /*offset=*/w, /*stride=*/workers);
     });
   }
 
@@ -510,8 +480,8 @@ Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
   bool have_best = false;
   int64_t best_rank = 0;
   std::optional<Error> last_error;
-  const ShardResult* winner = nullptr;
-  for (const ShardResult& r : results) {
+  const StripeResult* winner = nullptr;
+  for (const StripeResult& r : results) {
     best.counters.enumerated += r.tried;
     best.counters.evaluations += r.tried - r.memo_hits;
     best.counters.memo_hits += r.memo_hits;

@@ -94,7 +94,9 @@ struct ExhaustiveParams {
 // exceeds max_bindings or if the estimator fails on every binding. Hosts are
 // numbered as `status` numbers them: unless the query says `option
 // allow_same`, no two variables bind one host, and the memo, the plan, the
-// bound and the estimator number hosts alike.
+// bound and the estimator number hosts alike. The estimator reads each
+// binding as the slots the walk holds; only the winner is spelled out, once,
+// as the result's Binding.
 Result<ExhaustiveResult> EvaluateExhaustive(const lang::CompiledQuery& query,
                                             const lang::HostStatus& status,
                                             CompletionEstimator& estimator,

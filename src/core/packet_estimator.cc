@@ -7,9 +7,21 @@
 namespace cloudtalk {
 
 Result<Estimate> PacketLevelEstimator::EstimateQuery(const lang::CompiledQuery& query,
-                                                     const Binding& binding,
+                                                     std::span<const int> slots,
                                                      const lang::HostStatus& status) {
   (void)status;
+  const lang::QueryHosts& hosts = query.hosts();
+  const lang::FlowGraph& graph = query.graph();
+  // The address a flow endpoint spells under `slots`, null for an unbound
+  // variable (-1 wraps past every variable and slot).
+  const auto spelling = [&](const lang::Endpoint& e, int name) -> const std::string* {
+    if (e.kind != lang::Endpoint::Kind::kVariable) {
+      return &e.name;
+    }
+    const size_t v = graph.variable(name);
+    const size_t slot = v < slots.size() ? slots[v] : -1;
+    return slot < hosts.names.size() ? hosts.names[slot] : nullptr;
+  };
   struct PlannedFlow {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
@@ -27,22 +39,23 @@ Result<Estimate> PacketLevelEstimator::EstimateQuery(const lang::CompiledQuery& 
     PlannedFlow& p = planned[i];
     p.size = flow.size;
     p.start = std::max<Seconds>(0, flow.start);
-    auto src = ResolveEndpoint(flow.src, binding);
-    auto dst = ResolveEndpoint(flow.dst, binding);
-    if (!src.has_value() || !dst.has_value()) {
+    const std::string* src = spelling(flow.src, graph.src_id(flow.index));
+    const std::string* dst = spelling(flow.dst, graph.dst_id(flow.index));
+    if (src == nullptr || dst == nullptr) {
       return Error{"flow '" + flow.name + "' has an unbound variable endpoint"};
     }
-    if (src->kind == lang::Endpoint::Kind::kUnknown ||
-        dst->kind == lang::Endpoint::Kind::kUnknown) {
+    if (flow.src.kind == lang::Endpoint::Kind::kUnknown ||
+        flow.dst.kind == lang::Endpoint::Kind::kUnknown) {
       return Error{"packet-level evaluation does not support 0.0.0.0 endpoints"};
     }
-    if (src->kind == lang::Endpoint::Kind::kDisk || dst->kind == lang::Endpoint::Kind::kDisk) {
+    if (flow.src.kind == lang::Endpoint::Kind::kDisk ||
+        flow.dst.kind == lang::Endpoint::Kind::kDisk) {
       // The packet simulator models the network; local disk hops are
       // treated as free (the web-search workload has none).
       p.instantaneous = true;
     } else {
-      p.src = directory_->Resolve(src->name);
-      p.dst = directory_->Resolve(dst->name);
+      p.src = directory_->Resolve(*src);
+      p.dst = directory_->Resolve(*dst);
       if (p.src == kInvalidNode || p.dst == kInvalidNode) {
         return Error{"unknown address in flow '" + flow.name + "'"};
       }

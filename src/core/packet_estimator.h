@@ -30,7 +30,8 @@ class PacketLevelEstimator : public CompletionEstimator {
 
   // Note: the packet simulator models the network only; the status snapshot
   // is ignored (the paper evaluates placements "in an idle network").
-  Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, const Binding& binding,
+  // Each bound slot is resolved through the directory by its spelling.
+  Result<Estimate> EstimateQuery(const lang::CompiledQuery& query, std::span<const int> slots,
                                  const lang::HostStatus& status) override;
 
   // Stateless per call (topology/directory are shared read-only), so a copy

@@ -808,11 +808,14 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
     // by every thread).
     quote->binding = reply.binding;
     quote->estimate = reply.estimate;
+    const Result<std::vector<int>> slots = SlotsOf(compiled.value(), quote->binding);
+    if (!slots.ok()) {
+      return slots.error();
+    }
     if (!reply.used_exhaustive) {
       const std::unique_ptr<CompletionEstimator> estimator = flow_estimator_.CloneForThread();
       estimator->BeginQuery(compiled.value(), status);
-      Result<Estimate> estimate =
-          estimator->EstimateQuery(compiled.value(), quote->binding, status);
+      Result<Estimate> estimate = estimator->EstimateQuery(compiled.value(), slots.value(), status);
       estimator->EndQuery();
       if (!estimate.ok()) {
         return estimate.error();
@@ -822,17 +825,19 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
     // Endpoints count hosts, not spellings: every bound or literal name is
     // a slot of the answer's hosts, and an alias and its address share one
     // identity slot (a name the directory does not know is its own).
-    const NameTable& names = compiled.value().graph().names();
+    const lang::FlowGraph& graph = compiled.value().graph();
     std::vector<char> counted(hosts.slots.size(), 0);  // By identity slot.
     for (const lang::CompiledFlow& flow : compiled.value().flows()) {
       quote->bytes_moved += flow.size;
-      for (const lang::Endpoint* e : {&flow.src, &flow.dst}) {
-        auto resolved = ResolveEndpoint(*e, quote->binding);
-        if (resolved.has_value() && resolved->kind == lang::Endpoint::Kind::kAddress) {
-          const int id = names.Find(resolved->name);
-          const int slot = id < 0 ? -1 : query_hosts.slot_of[id];
-          quote->endpoints += slot < 0 || !std::exchange(counted[hosts.identity[slot]], 1);
+      for (const auto& [e, id] : {std::pair{&flow.src, graph.src_id(flow.index)},
+                                  std::pair{&flow.dst, graph.dst_id(flow.index)}}) {
+        int slot = -1;  // Disk and 0.0.0.0 endpoints are no host.
+        if (e->kind == lang::Endpoint::Kind::kVariable) {
+          slot = slots.value()[graph.variable(id)];
+        } else if (e->kind == lang::Endpoint::Kind::kAddress) {
+          slot = query_hosts.slot_of[id];
         }
+        quote->endpoints += slot >= 0 && !std::exchange(counted[hosts.identity[slot]], 1);
       }
     }
     if (std::isfinite(deadline)) {

@@ -287,16 +287,21 @@ class CloudTalkServer {
   PricingModel pricing_;
   ShardMap map_;
   std::vector<std::unique_ptr<StatusShard>> shards_;
-  mutable std::mutex stats_mutex_;
+  // What concurrent answers write, each lock with what it guards, starts a
+  // cache line of its own, so taking a lock does not evict the members
+  // above, which every answer reads (map_ and shards_ in every probe and
+  // reserve). Unaligned, which of them share a line shifts with the size of
+  // any member above.
+  alignas(64) mutable std::mutex stats_mutex_;
   ProbeStats total_stats_;
-  std::mutex rng_mutex_;
+  alignas(64) std::mutex rng_mutex_;
   Rng rng_;
 
   // Concurrent admission gate (src/core/admission.h): AnswerTraced holds a
   // slot for the whole evaluation when reservations are enabled.
-  AdmissionGate admission_;
+  alignas(64) AdmissionGate admission_;
 
-  FrontEndCache front_ends_;
+  alignas(64) FrontEndCache front_ends_;
 };
 
 // The former name of a server built from a ShardedConfig, kept for callers

@@ -222,17 +222,13 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
     const size_t n = query.variables().size();
     FlowLevelEstimator estimator;  // Fraction 0.1 = BoundOptions default.
     estimator.BeginQuery(query, status);
-    Binding binding;
-    std::vector<lang::Endpoint*> slot(n);
-    for (size_t v = 0; v < n; ++v) {
-      binding[query.variables()[v].name] = lang::Endpoint::Address("");
-      slot[v] = &binding[query.variables()[v].name];
-    }
+    // Each slot is its own host here, so the pinned hosts are the binding
+    // the estimator reads.
     std::vector<int32_t> var_host(n, -1);
 
     const std::function<void(size_t)> walk = [&](size_t d) {
       if (d == n) {
-        const Result<Estimate> est = estimator.EstimateQuery(query, binding, status);
+        const Result<Estimate> est = estimator.EstimateQuery(query, var_host, status);
         if (!est.ok()) {
           return;  // E.g. no-route bindings; bounds only cover successes.
         }
@@ -252,7 +248,6 @@ TEST(BoundAnalysisTest, RandomizedEstimatorSoundness) {
         if (clash) {
           continue;  // Distinct bindings, the default semantics.
         }
-        slot[d]->name = query.variables()[d].pool[c].name;
         var_host[d] = ids[d][c];
         walk(d + 1);
         var_host[d] = -1;

@@ -63,6 +63,13 @@ Query MustParse(const std::string& text) {
   return std::move(query).value();
 }
 
+// `binding` as the estimators read it.
+std::vector<int> MustSlots(const CompiledQuery& compiled, const Binding& binding) {
+  auto slots = SlotsOf(compiled, binding);
+  EXPECT_TRUE(slots.ok()) << (slots.ok() ? "" : slots.error().ToString());
+  return slots.ok() ? std::move(slots).value() : std::vector<int>{};
+}
+
 // ---- Fitness functions ----
 
 TEST(FitnessTest, LinearWeightTradesCapacityAgainstContention) {
@@ -424,8 +431,10 @@ TEST(EstimatorTest, BindingResolvesVariables) {
   FlowLevelEstimator estimator;
   Binding bind_r1{{"A", Endpoint::Address("r1")}};
   Binding bind_r2{{"A", Endpoint::Address("r2")}};
-  auto est1 = estimator.EstimateQuery(compiled, bind_r1, HostStatus(compiled.hosts(), status));
-  auto est2 = estimator.EstimateQuery(compiled, bind_r2, HostStatus(compiled.hosts(), status));
+  auto est1 = estimator.EstimateQuery(compiled, MustSlots(compiled, bind_r1),
+                                      HostStatus(compiled.hosts(), status));
+  auto est2 = estimator.EstimateQuery(compiled, MustSlots(compiled, bind_r2),
+                                      HostStatus(compiled.hosts(), status));
   ASSERT_TRUE(est1.ok());
   ASSERT_TRUE(est2.ok());
   EXPECT_GT(est1.value().makespan, est2.value().makespan);
@@ -637,38 +646,49 @@ TEST(ExhaustiveParallelTest, ThreadsZeroUsesHardwareConcurrency) {
 // ---- Estimator prepared scratch (ISSUE 1) ----
 
 TEST(EstimatorScratchTest, ScratchMatchesColdPathBitExactly) {
-  // Exercise every endpoint kind: unknown source, disk sink, loopback.
-  const Query query = MustParse(
-      "A = B = (x y z)\n"
-      "f1 0.0.0.0 -> A size 64M\n"
-      "f2 A -> disk size 32M\n"
-      "f3 A -> B size 16M\n"
-      "f4 A -> A size 8M\n");
-  const CompiledQuery compiled = MustCompile(query);
+  // Exercise every endpoint kind: unknown source, disk sink, loopback. The
+  // second input merges y into x, as an alias is one host with its address,
+  // so binding A=x, B=y is a loopback on both paths.
   StatusByAddress status;
   status["x"] = MakeReport(1e9, 300e6, 100e6, 3e9, 0, 500e6);
   status["y"] = MakeReport(1e9, 100e6, 600e6);
   status["z"] = MakeReport(2e9, 0, 0);
-  const HostStatus by_host(compiled.hosts(), status);
-  FlowLevelEstimator scratch(0.1, /*reuse_scratch=*/true);
-  FlowLevelEstimator cold(0.1, /*reuse_scratch=*/false);
-  scratch.BeginQuery(compiled, by_host);
-  EXPECT_TRUE(scratch.scratch_prepared());
-  for (const char* a : {"x", "y", "z"}) {
-    for (const char* b : {"x", "y", "z"}) {
-      Binding binding;
-      binding["A"] = Endpoint::Address(a);
-      binding["B"] = Endpoint::Address(b);
-      auto fast = scratch.EstimateQuery(compiled, binding, by_host);
-      auto slow = cold.EstimateQuery(compiled, binding, by_host);
-      ASSERT_TRUE(fast.ok()) << fast.error().ToString();
-      ASSERT_TRUE(slow.ok()) << slow.error().ToString();
-      EXPECT_EQ(fast.value().makespan, slow.value().makespan) << a << "," << b;
-      EXPECT_EQ(fast.value().aggregate_throughput, slow.value().aggregate_throughput);
+  const std::vector<int> y_is_x = {0, 0, 2};  // By slot: x, y, z in pool order.
+  for (const auto& [text, identity] :
+       {std::pair<std::string, std::vector<int>>{"A = B = (x y z)\n"
+                                                 "f1 0.0.0.0 -> A size 64M\n"
+                                                 "f2 A -> disk size 32M\n"
+                                                 "f3 A -> B size 16M\n"
+                                                 "f4 A -> A size 8M\n",
+                                                 {}},
+        std::pair<std::string, std::vector<int>>{"A = B = (x y z)\n"
+                                                 "f1 A -> B size 1G\n",
+                                                 y_is_x}}) {
+    SCOPED_TRACE(text);
+    const Query query = MustParse(text);
+    const CompiledQuery compiled = MustCompile(query);
+    const HostStatus by_host(compiled.hosts(), status, identity);
+    FlowLevelEstimator scratch(0.1, /*reuse_scratch=*/true);
+    FlowLevelEstimator cold(0.1, /*reuse_scratch=*/false);
+    scratch.BeginQuery(compiled, by_host);
+    EXPECT_TRUE(scratch.scratch_prepared());
+    for (const char* a : {"x", "y", "z"}) {
+      for (const char* b : {"x", "y", "z"}) {
+        Binding binding;
+        binding["A"] = Endpoint::Address(a);
+        binding["B"] = Endpoint::Address(b);
+        const std::vector<int> slots = MustSlots(compiled, binding);
+        auto fast = scratch.EstimateQuery(compiled, slots, by_host);
+        auto slow = cold.EstimateQuery(compiled, slots, by_host);
+        ASSERT_TRUE(fast.ok()) << fast.error().ToString();
+        ASSERT_TRUE(slow.ok()) << slow.error().ToString();
+        EXPECT_EQ(fast.value().makespan, slow.value().makespan) << a << "," << b;
+        EXPECT_EQ(fast.value().aggregate_throughput, slow.value().aggregate_throughput);
+      }
     }
+    scratch.EndQuery();
+    EXPECT_FALSE(scratch.scratch_prepared());
   }
-  scratch.EndQuery();
-  EXPECT_FALSE(scratch.scratch_prepared());
 }
 
 TEST(EstimatorScratchTest, RepeatedUnknownEstimatesAreStable) {
@@ -686,13 +706,14 @@ TEST(EstimatorScratchTest, RepeatedUnknownEstimatesAreStable) {
   const HostStatus by_host(compiled.hosts(), status);
   Binding binding;
   binding["A"] = Endpoint::Address("x");
+  const std::vector<int> slots = MustSlots(compiled, binding);
   for (bool reuse : {true, false}) {
     FlowLevelEstimator estimator(0.1, reuse);
     estimator.BeginQuery(compiled, by_host);
-    auto first = estimator.EstimateQuery(compiled, binding, by_host);
+    auto first = estimator.EstimateQuery(compiled, slots, by_host);
     ASSERT_TRUE(first.ok());
     for (int i = 0; i < 3; ++i) {
-      auto again = estimator.EstimateQuery(compiled, binding, by_host);
+      auto again = estimator.EstimateQuery(compiled, slots, by_host);
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(again.value().makespan, first.value().makespan) << "reuse=" << reuse;
     }
@@ -700,31 +721,23 @@ TEST(EstimatorScratchTest, RepeatedUnknownEstimatesAreStable) {
   }
 }
 
-TEST(EstimatorScratchTest, OutOfPoolBindingFallsBackToColdPath) {
-  // A is bound to `w`, a name the query never spells: no slot of the
-  // snapshot by host is w's, so its report is dropped, the scratch path
-  // falls back to the cold path, and both read w as unreported.
+TEST(EstimatorScratchTest, OutOfQueryBindingIsAnError) {
+  // A is bound to `w`, a name the query never spells: it is no slot of the
+  // query, so the binding has no form an estimator reads, and SlotsOf says
+  // which variable is at fault. A name the query does spell converts.
   const Query query = MustParse(
       "A = (x y)\n"
       "f1 A -> c size 64M\n");
   const CompiledQuery compiled = MustCompile(query);
-  StatusByAddress status;
-  status["x"] = MakeReport(1e9, 500e6, 0);
-  status["y"] = MakeReport(1e9, 100e6, 0);
-  status["c"] = MakeReport(1e9, 0, 0);
-  status["w"] = MakeReport(1e9, 0, 0);  // Not in the query.
-  const HostStatus by_host(compiled.hosts(), status);
-  FlowLevelEstimator estimator;
-  estimator.BeginQuery(compiled, by_host);
   Binding binding;
   binding["A"] = Endpoint::Address("w");
-  auto with_scratch = estimator.EstimateQuery(compiled, binding, by_host);
-  estimator.EndQuery();
-  FlowLevelEstimator cold(0.1, /*reuse_scratch=*/false);
-  auto reference = cold.EstimateQuery(compiled, binding, by_host);
-  ASSERT_TRUE(with_scratch.ok());
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(with_scratch.value().makespan, reference.value().makespan);
+  const Result<std::vector<int>> slots = SlotsOf(compiled, binding);
+  ASSERT_FALSE(slots.ok());
+  EXPECT_EQ(slots.error().message,
+            "variable 'A' is bound to 'w', which is no address of the query");
+  binding["A"] = Endpoint::Address("c");  // A literal endpoint is a slot too.
+  EXPECT_EQ(MustSlots(compiled, binding), std::vector<int>{2});
+  EXPECT_EQ(MustSlots(compiled, {}), std::vector<int>{-1});
 }
 
 // ---- Incremental delta rebind (ISSUE 6) ----
@@ -732,8 +745,8 @@ TEST(EstimatorScratchTest, OutOfPoolBindingFallsBackToColdPath) {
 TEST(EstimatorDeltaTest, DeltaRebindMatchesColdRebindBitExactly) {
   // Same fixture as ScratchMatchesColdPathBitExactly, but the two sides
   // differ in the rebind strategy: checkpoint restore + patch vs full group
-  // re-install per binding. Bindings walk in odometer order with the suffix
-  // hint, like the exhaustive engine drives it.
+  // re-install per binding. Bindings walk in odometer order, like the
+  // exhaustive engine drives it.
   const Query query = MustParse(
       "A = B = (x y z)\n"
       "f1 0.0.0.0 -> A size 64M\n"
@@ -750,19 +763,14 @@ TEST(EstimatorDeltaTest, DeltaRebindMatchesColdRebindBitExactly) {
   FlowLevelEstimator cold(0.1, /*reuse_scratch=*/true, /*delta_rebind=*/false);
   delta.BeginQuery(compiled, by_host);
   cold.BeginQuery(compiled, by_host);
-  delta.BeginHintedWalk({"A", "B"});
-  bool first = true;
   for (const char* a : {"x", "y", "z"}) {
-    bool a_changed = true;
     for (const char* b : {"x", "y", "z"}) {
       Binding binding;
       binding["A"] = Endpoint::Address(a);
       binding["B"] = Endpoint::Address(b);
-      delta.HintChangedSuffix(first ? 0 : (a_changed ? 0 : 1));
-      first = false;
-      a_changed = false;
-      auto fast = delta.EstimateQuery(compiled, binding, by_host);
-      auto slow = cold.EstimateQuery(compiled, binding, by_host);
+      const std::vector<int> slots = MustSlots(compiled, binding);
+      auto fast = delta.EstimateQuery(compiled, slots, by_host);
+      auto slow = cold.EstimateQuery(compiled, slots, by_host);
       ASSERT_TRUE(fast.ok()) << fast.error().ToString();
       ASSERT_TRUE(slow.ok()) << slow.error().ToString();
       // Exact: the delta path must be indistinguishable from re-installing.
@@ -782,7 +790,7 @@ TEST(EstimatorDeltaTest, DeltaRebindMatchesColdRebindBitExactly) {
 
 TEST(EstimatorDeltaTest, ExhaustiveSearchUsesDeltaRebinds) {
   // End to end through the engine: with memoisation off every enumerated
-  // binding reaches the estimator, and all but the first per shard must be
+  // binding reaches the estimator, and all but the first per stripe must be
   // served by the delta path. The answer matches a delta-off run bitwise.
   const Query query = MustParse(
       "x1 = x2 = x3 = (s1 s2 s3 s4 s5 s6)\n"
@@ -810,7 +818,7 @@ TEST(EstimatorDeltaTest, ExhaustiveSearchUsesDeltaRebinds) {
   }
   const SearchCounters& c = with_delta.value().counters;
   EXPECT_EQ(c.scored(), 120);
-  EXPECT_EQ(c.cold_rebinds, 1);  // One install for the single serial shard.
+  EXPECT_EQ(c.cold_rebinds, 1);  // One install for the single serial stripe.
   EXPECT_EQ(c.delta_rebinds, c.evaluations - c.cold_rebinds);
   EXPECT_GT(c.solver_recomputes, 0);
   EXPECT_GT(c.delta_component_hits, 0);
@@ -845,7 +853,8 @@ TEST_P(SingleVariableOptimalityTest, MatchesExhaustive) {
   ASSERT_TRUE(heuristic.ok());
   ASSERT_TRUE(exhaustive.ok());
   // Compare achieved makespan, not identity (ties are possible).
-  auto h_est = estimator.EstimateQuery(compiled, heuristic.value().binding, by_host);
+  auto h_est =
+      estimator.EstimateQuery(compiled, MustSlots(compiled, heuristic.value().binding), by_host);
   ASSERT_TRUE(h_est.ok());
   EXPECT_NEAR(h_est.value().makespan, exhaustive.value().estimate.makespan, 1e-9);
 }

@@ -317,8 +317,10 @@ TEST(PacketEstimatorTest, PlacementRankingFavorsSpreadAggregators) {
     auto compiled = lang::CompiledQuery::Compile(query.value());
     EXPECT_TRUE(compiled.ok());
     PacketLevelEstimator estimator(&topo, &directory);
-    Binding binding{{"AGG", lang::Endpoint::Address(candidate)}};
-    auto estimate = estimator.EstimateQuery(compiled.value(), binding, {});
+    const Binding binding{{"AGG", lang::Endpoint::Address(candidate)}};
+    const Result<std::vector<int>> slots = SlotsOf(compiled.value(), binding);
+    EXPECT_TRUE(slots.ok());
+    auto estimate = estimator.EstimateQuery(compiled.value(), slots.value(), {});
     EXPECT_TRUE(estimate.ok());
     return estimate.value().makespan;
   };

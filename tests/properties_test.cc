@@ -68,7 +68,9 @@ TEST_P(DaisyFixedHeadOptimalityTest, MatchesExhaustive) {
   ASSERT_TRUE(best.ok());
   auto heuristic = EvaluateHeuristic(compiled.value(), status, HeuristicParams{});
   ASSERT_TRUE(heuristic.ok());
-  auto h_est = estimator.EstimateQuery(compiled.value(), heuristic.value().binding, status);
+  const Result<std::vector<int>> slots = SlotsOf(compiled.value(), heuristic.value().binding);
+  ASSERT_TRUE(slots.ok());
+  auto h_est = estimator.EstimateQuery(compiled.value(), slots.value(), status);
   ASSERT_TRUE(h_est.ok());
   // Within 2% of the optimum on every state (ties in scoring can pick a
   // different but equally good binding).
