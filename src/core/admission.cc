@@ -1,6 +1,7 @@
 #include "src/core/admission.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "src/check/check.h"
 #include "src/common/lock_registry.h"
@@ -21,8 +22,8 @@ LockId AdmissionLockId() {
 AdmissionGate::AdmissionGate(int slots) : slots_(std::max(1, slots)) {}
 
 uint64_t AdmissionGate::Admit(bool reserves, const std::vector<NodeId>& hosts) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] {
+  std::unique_lock<AdaptiveMutex> lock(mutex_);
+  const auto admissible = [&] {
     if (static_cast<int>(admitted_.size()) >= slots_) {
       return false;
     }
@@ -39,15 +40,21 @@ uint64_t AdmissionGate::Admit(bool reserves, const std::vector<NodeId>& hosts) {
       }
       return i != hosts.end() && j != in_flight.hosts->end();
     });
-  });
+  };
+  while (!admissible()) {
+    ++parked_;
+    cv_.wait(lock);
+    --parked_;
+  }
   CT_LOCK_TRACE(AdmissionLockId());
   admitted_.push_back(Admitted{++next_ticket_, reserves, &hosts});
   return next_ticket_;
 }
 
 void AdmissionGate::Release(uint64_t ticket) {
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<AdaptiveMutex> lock(mutex_);
     CT_LOCK_TRACE(AdmissionLockId());
     const auto it = std::find_if(admitted_.begin(), admitted_.end(),
                                  [ticket](const Admitted& a) { return a.ticket == ticket; });
@@ -57,15 +64,20 @@ void AdmissionGate::Release(uint64_t ticket) {
     if (it != admitted_.end()) {
       admitted_.erase(it);
     }
+    // An Admit counts itself parked under this lock and releases it only
+    // inside the wait, so a zero count means no Admit can miss this release.
+    wake = parked_ > 0;
   }
   // notify_all, deliberately: a waiter blocked purely on the slot count must
   // re-check when ANY slot frees, not only when a footprint-conflicting one
   // does (tests/shard_test.cc pins this down).
-  cv_.notify_all();
+  if (wake) {
+    cv_.notify_all();
+  }
 }
 
 int AdmissionGate::InFlight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<AdaptiveMutex> lock(mutex_);
   CT_LOCK_TRACE(AdmissionLockId());
   return static_cast<int>(admitted_.size());
 }

@@ -8,18 +8,22 @@
 // contract). The lists hold hosts, not spellings, so an alias and its
 // address conflict like any two names of one host.
 //
-// Release wakes EVERY waiter, not just one: a waiter may be blocked on the
-// slot count alone (its hosts conflict with nobody), so whichever slot
-// frees must let it re-check — waking only a "conflicting" waiter would
-// leave it parked behind a free slot forever.
+// Every answer takes the gate's lock twice (Admit, Release), so it is an
+// AdaptiveMutex: it spins briefly before it parks. An Admit that cannot
+// enter parks on the condition variable and is counted while parked.
+// Release wakes EVERY parked waiter, not just one: a waiter may be blocked
+// on the slot count alone (its hosts conflict with nobody), so whichever
+// slot frees must let it re-check — waking only a "conflicting" waiter
+// would leave it parked behind a free slot forever. A Release that finds
+// nobody parked wakes nobody, and so takes no second lock.
 #ifndef CLOUDTALK_SRC_CORE_ADMISSION_H_
 #define CLOUDTALK_SRC_CORE_ADMISSION_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
+#include "src/common/adaptive_mutex.h"
 #include "src/topology/topology.h"
 
 namespace cloudtalk {
@@ -34,8 +38,8 @@ class AdmissionGate {
   // and distinct; the gate borrows them until Release.
   uint64_t Admit(bool reserves, const std::vector<NodeId>& hosts);
 
-  // Frees the slot `ticket` holds and wakes every waiter for a re-check.
-  // Invariant I409: the ticket must match a query still in flight.
+  // Frees the slot `ticket` holds and wakes every parked waiter for a
+  // re-check. Invariant I409: the ticket must match a query still in flight.
   void Release(uint64_t ticket);
 
   int slots() const { return slots_; }
@@ -49,8 +53,9 @@ class AdmissionGate {
   };
 
   int slots_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  int parked_ = 0;  // Admits waiting on cv_; guarded by mutex_.
+  mutable AdaptiveMutex mutex_;
+  std::condition_variable_any cv_;
   std::vector<Admitted> admitted_;
   uint64_t next_ticket_ = 0;
 };

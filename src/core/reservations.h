@@ -24,6 +24,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/common/adaptive_mutex.h"
 #include "src/common/lock_registry.h"
 #include "src/common/units.h"
 #include "src/core/directory.h"
@@ -63,7 +64,7 @@ class ReservationTable {
   // now): one snapshot for many lookups.
   template <typename Read>
   void Snapshot(Seconds now, Read&& read) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<AdaptiveMutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
     read([this, now](NodeId host) {
       const auto it = expiry_.find(host);
@@ -72,7 +73,7 @@ class ReservationTable {
   }
 
   int ActiveCount(Seconds now) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<AdaptiveMutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
     return static_cast<int>(std::count_if(expiry_.begin(), expiry_.end(),
                                           [now](const auto& hold) { return hold.second > now; }));
@@ -80,7 +81,7 @@ class ReservationTable {
 
   // Holds on record, expired ones included until the next sweep.
   size_t HoldCount() const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<AdaptiveMutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
     return expiry_.size();
   }
@@ -92,7 +93,7 @@ class ReservationTable {
     if (hold_time_ <= 0) {
       return false;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<AdaptiveMutex> lock(mutex_);
     CT_LOCK_TRACE(ReservationLockId());
     expiry_[host] = now + hold_time_;
     MaybePruneLocked(now);
@@ -114,7 +115,7 @@ class ReservationTable {
 
   Seconds hold_time_;
   const Directory* directory_;
-  mutable std::mutex mutex_;
+  mutable AdaptiveMutex mutex_;
   std::unordered_map<NodeId, Seconds> expiry_;
   size_t prune_at_ = 1024;  // expiry_ size that triggers the next sweep.
 };

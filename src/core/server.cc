@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -114,11 +115,11 @@ ProbePlan MakeProbePlan(const ServerConfig& config, const lang::QueryFacts& fact
 // Sampling (Section 4.3): draws a sample of each pool larger than the
 // threshold, pools in first-mention order, each sized to cover the d
 // variables drawing from it. Returns how many pools it sampled.
-int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
+int SamplePools(const ServerConfig& config, Rng& rng, AdaptiveMutex& rng_mutex,
                 const lang::QueryHosts& hosts, AnswerHosts* answer) {
   answer->samples.resize(hosts.pools.size());
   int pools_sampled = 0;
-  std::lock_guard<std::mutex> rng_lock(rng_mutex);
+  std::lock_guard<AdaptiveMutex> rng_lock(rng_mutex);
   CT_LOCK_TRACE(RngLockId());
   for (size_t p = 0; p < hosts.pools.size(); ++p) {
     const std::vector<int>& pool = hosts.pools[p];
@@ -169,7 +170,7 @@ int SamplePools(const ServerConfig& config, Rng& rng, std::mutex& rng_mutex,
 lang::HostStatus GatherStatusOver(const ServerConfig& config, const Directory& directory,
                                   const ShardMap& map,
                                   const std::vector<std::unique_ptr<StatusShard>>& shards,
-                                  Rng& rng, std::mutex& rng_mutex, const lang::QueryHosts& hosts,
+                                  Rng& rng, AdaptiveMutex& rng_mutex, const lang::QueryHosts& hosts,
                                   const ProbePlan& plan, AnswerHosts* answer, ProbeStats* stats,
                                   std::vector<ShardBatch>* batches, obs::TraceContext& trace) {
   const int sample_span = trace.Open("sample");
@@ -481,7 +482,7 @@ struct CloudTalkServer::FrontEnd {
 
 std::shared_ptr<const CloudTalkServer::FrontEnd> CloudTalkServer::FrontEndCache::Find(
     const std::string& text, uint64_t fingerprint, bool* admit) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<AdaptiveMutex> lock(mutex_);
   CT_LOCK_TRACE(FrontEndLockId());
   const auto it = index_.find(Key{fingerprint, text});
   if (it != index_.end()) {
@@ -501,7 +502,7 @@ void CloudTalkServer::FrontEndCache::Insert(const std::string& text, uint64_t fi
   std::list<Node> fresh;
   fresh.push_back(Node{text, fingerprint, std::move(entry)});
   std::list<Node> evicted;
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<AdaptiveMutex> lock(mutex_);
   CT_LOCK_TRACE(FrontEndLockId());
   if (index_.count(Key{fingerprint, text}) > 0) {
     return;  // A concurrent answer of the same spelling kept its entry first.
@@ -686,7 +687,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const FrontEnd& front, obs::Tra
         }
       }
       trace.Attr(aggregate_span, "batches", static_cast<int64_t>(batches.size()));
-      std::lock_guard<std::mutex> lock(stats_mutex_);
+      std::lock_guard<AdaptiveMutex> lock(stats_mutex_);
       CT_LOCK_TRACE(StatsLockId());
       total_stats_.Accumulate(reply.probe_stats);
     } else {
@@ -870,7 +871,7 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
 }
 
 ProbeStats CloudTalkServer::total_probe_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  std::lock_guard<AdaptiveMutex> lock(stats_mutex_);
   CT_LOCK_TRACE(StatsLockId());
   return total_stats_;
 }

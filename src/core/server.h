@@ -42,12 +42,12 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/adaptive_mutex.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/obs/trace.h"
@@ -217,8 +217,10 @@ class CloudTalkServer {
   // TinyLFU): a miss records the fingerprint in a fixed table of 4-way
   // buckets, allocated on the first miss, and Find says to admit when the
   // fingerprint is already there. Entries hold at most kFrontEndBudget
-  // spelling bytes in all; the oldest goes first. One mutex guards it all;
-  // entries are built and destroyed outside it.
+  // spelling bytes in all; the oldest goes first. One lock guards it all;
+  // entries are built and destroyed outside it. Every answer takes it, a
+  // hit for about 100 ns, so it is an AdaptiveMutex: a thread that finds it
+  // taken spins briefly rather than sleeping in the kernel.
   class FrontEndCache {
    public:
     // The entry for `text`, or null. On a miss, sets *admit when the
@@ -251,7 +253,7 @@ class CloudTalkServer {
     // was on it; otherwise records it, dropping its bucket's oldest.
     bool Sighted(uint64_t fingerprint);
 
-    std::mutex mutex_;
+    AdaptiveMutex mutex_;
     std::list<Node> order_;  // Oldest first; keys point into the nodes.
     std::unordered_map<Key, std::list<Node>::iterator, KeyHash> index_;
     size_t bytes_ = 0;
@@ -292,9 +294,9 @@ class CloudTalkServer {
   // above, which every answer reads (map_ and shards_ in every probe and
   // reserve). Unaligned, which of them share a line shifts with the size of
   // any member above.
-  alignas(64) mutable std::mutex stats_mutex_;
+  alignas(64) mutable AdaptiveMutex stats_mutex_;
   ProbeStats total_stats_;
-  alignas(64) std::mutex rng_mutex_;
+  alignas(64) AdaptiveMutex rng_mutex_;
   Rng rng_;
 
   // Concurrent admission gate (src/core/admission.h): AnswerTraced holds a

@@ -8,10 +8,10 @@
 #ifndef CLOUDTALK_SRC_STATUS_TRANSPORT_H_
 #define CLOUDTALK_SRC_STATUS_TRANSPORT_H_
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/adaptive_mutex.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/status/status.h"
@@ -89,7 +89,7 @@ class SimUdpTransport : public ProbeTransport {
   // parallel, and the shard aggregators of src/core/shard.h scatter to this
   // one simulated wire): the loss-model RNG and the status servers' lazy
   // first Measure() are not otherwise synchronized.
-  std::mutex probe_mutex_;
+  AdaptiveMutex probe_mutex_;
 };
 
 }  // namespace cloudtalk

@@ -1,11 +1,16 @@
-// Unit tests for src/common: units, stats, rng, result, thread pool.
+// Unit tests for src/common: units, stats, rng, result, thread pool, the
+// adaptive mutex.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "src/common/adaptive_mutex.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -136,6 +141,63 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_EQ(ThreadPool::ResolveThreadCount(6), 6);
   EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1);   // Hardware concurrency.
   EXPECT_GE(ThreadPool::ResolveThreadCount(-3), 1);
+}
+
+TEST(AdaptiveMutexTest, FourThreadsCountExactly) {
+  AdaptiveMutex mutex;
+  int64_t counter = 0;  // Plain: only the lock orders the increments.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50000; ++i) {
+        std::lock_guard<AdaptiveMutex> lock(mutex);
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter, 200000);
+}
+
+TEST(AdaptiveMutexTest, TryLockFailsWhileAnotherThreadHoldsIt) {
+  AdaptiveMutex mutex;
+  const auto try_from_another_thread = [&mutex] {
+    bool taken = false;
+    std::thread([&] {
+      taken = mutex.try_lock();
+      if (taken) {
+        mutex.unlock();
+      }
+    }).join();
+    return taken;
+  };
+  mutex.lock();
+  EXPECT_FALSE(try_from_another_thread());
+  mutex.unlock();
+  EXPECT_TRUE(try_from_another_thread());
+}
+
+TEST(AdaptiveMutexTest, ConditionVariableAnyRoundTrip) {
+  AdaptiveMutex mutex;
+  std::condition_variable_any cv;
+  int stage = 0;
+  std::thread echo([&] {
+    std::unique_lock<AdaptiveMutex> lock(mutex);
+    cv.wait(lock, [&] { return stage == 1; });
+    stage = 2;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<AdaptiveMutex> lock(mutex);
+    stage = 1;
+    cv.notify_all();
+    cv.wait(lock, [&] { return stage == 2; });
+    EXPECT_TRUE(lock.owns_lock());
+  }
+  echo.join();
+  EXPECT_EQ(stage, 2);
 }
 
 }  // namespace

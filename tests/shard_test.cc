@@ -2,15 +2,18 @@
 // ShardMap partition, the I410 no-double-reserve property, holds matching
 // the one-shard server's over a sequence of reserving queries, the
 // all-or-nothing reserve when an owning shard does not answer, the N-slot
-// admission gate's any-slot wakeup, merge determinism against the one-shard
-// server over every good fixture (and its canonical form and quote), and a
-// concurrent admission stress run of answers and quotes (the TSan CI job
-// builds this binary).
+// admission gate's any-slot wakeup and a stress run of its rounds, merge
+// determinism against the one-shard server over every good fixture (and its
+// canonical form and quote), and a concurrent admission stress run of
+// answers and quotes (the TSan CI job builds this binary).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -537,6 +540,83 @@ TEST(AdmissionGateTest, ConflictingWaiterWaitsForTheConflictNotJustASlot) {
   gate.Release(ta);  // The conflicting query leaves: now it proceeds.
   waiter.join();
   EXPECT_TRUE(admitted.load());
+}
+
+// Four threads race Admit/Release rounds through a 2-slot gate over
+// overlapping host lists, readers and reservers mixed. Inside each admitted
+// window, per-host occupancy counters check that a reserver shares no host
+// with another query in flight and that at most two queries are in flight.
+// The lists overlap, and a reserver of every host holds a slot while the
+// threads start, so Admits park and Release's wake rule runs.
+TEST(AdmissionGateTest, StressRoundsKeepConflictsApartAndNeverLoseAWakeup) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  constexpr int kHosts = 8;
+  const std::vector<std::vector<NodeId>> lists = {{0, 1},    {1, 2, 3}, {3, 4}, {4, 5, 6},
+                                                  {6, 7},    {0, 7},    {2, 5}, {1, 4, 7},
+                                                  {0, 1, 2, 3, 4, 5, 6, 7}};
+  AdmissionGate gate(/*slots=*/2);
+  std::array<std::atomic<int>, kHosts> occupancy{};
+  std::array<std::atomic<int>, kHosts> reserved{};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> violations{0};
+  std::atomic<int> finished{0};
+
+  const uint64_t blocker = gate.Admit(/*reserves=*/true, lists.back());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<NodeId>& hosts = lists[(3 * t + 5 * round) % lists.size()];
+        const bool reserves = (round + t) % 3 == 0;
+        const uint64_t ticket = gate.Admit(reserves, hosts);
+        if (in_flight.fetch_add(1) + 1 > 2) {
+          violations.fetch_add(1);
+        }
+        for (const NodeId host : hosts) {
+          occupancy[host].fetch_add(1);
+          if (reserves) {
+            reserved[host].fetch_add(1);
+          }
+        }
+        std::this_thread::yield();
+        for (const NodeId host : hosts) {
+          if (reserves ? occupancy[host].load() != 1 : reserved[host].load() != 0) {
+            violations.fetch_add(1);
+          }
+        }
+        for (const NodeId host : hosts) {
+          occupancy[host].fetch_sub(1);
+          if (reserves) {
+            reserved[host].fetch_sub(1);
+          }
+        }
+        in_flight.fetch_sub(1);
+        gate.Release(ticket);
+      }
+      finished.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Release(blocker);
+
+  // A lost wake-up leaves an Admit parked for good, and joining it would
+  // hang the suite: past the deadline, fail and end the process instead.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (finished.load() < kThreads) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << finished.load() << " of " << kThreads
+                    << " threads finished: an Admit missed its wake-up";
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(gate.InFlight(), 0);
 }
 
 TEST(AdmissionGateTest, ReleaseUnknownTicketFiresI409) {

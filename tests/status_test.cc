@@ -35,11 +35,12 @@ class FakeSource : public UsageSource {
     return report;
   }
   void Set(const StatusReport& report) { current_ = report; }
-  int snapshots() const { return snapshots_; }
+  int snapshots() const { return snapshots_.load(); }
 
  private:
   StatusReport current_;
-  int snapshots_ = 0;
+  // Atomic: one source may serve several daemon threads at once.
+  std::atomic<int> snapshots_{0};
 };
 
 StatusReport SomeReport() {
